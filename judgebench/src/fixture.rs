@@ -125,31 +125,22 @@ impl EmbedInput {
 }
 
 /// Embeds `input` until the watermark holds on every trigger instance
-/// (the first attempt almost always does), returning the fixture and the
-/// wall time of each `Watermarker::embed` call.
-pub fn embed_fixture(
-    input: &EmbedInput,
-    seed: u64,
-    id: String,
-) -> Result<(ModelFixture, Vec<f64>), String> {
+/// (the first attempt almost always does).
+pub fn embed_fixture(input: &EmbedInput, seed: u64, id: String) -> Result<ModelFixture, String> {
     let (train, decoys) = input.generate(seed);
     let signature = input.signature(seed);
     let watermarker = Watermarker::new(input.config());
-    let mut embed_s = Vec::new();
     for attempt in 0..8 {
-        let started = std::time::Instant::now();
         let outcome = watermarker
             .embed(&train, &signature, &mut input.embed_rng(seed, attempt))
             .map_err(|e| format!("embedding {}: {e}", input.name))?;
-        embed_s.push(started.elapsed().as_secs_f64());
         if watermark_holds(&outcome.model, &outcome.signature, &outcome.trigger_set) {
-            let fixture = ModelFixture {
+            return Ok(ModelFixture {
                 id,
                 outcome,
                 train,
                 decoys,
-            };
-            return Ok((fixture, embed_s));
+            });
         }
     }
     Err(format!(

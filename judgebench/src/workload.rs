@@ -59,12 +59,18 @@ impl Workload {
 pub const FLEET_MODELS: usize = 4;
 /// Backends behind the fleet router.
 pub const FLEET_BACKENDS: usize = 2;
-/// Set-ups per run; `setup_s` is their median.
+/// Set-ups per run before the measured segments; `setup_s` is the median
+/// of these and of the probes' set-ups.
 pub const SETUP_REPEATS: usize = 3;
-/// Identical embeddings of the dispute fixture per set-up.
-pub const FIXTURE_EMBEDS: usize = 4;
-/// Registrations of each model under each tenant per set-up.
-pub const REGISTER_REPEATS: usize = 4;
+/// Throwaway set-ups timed by each probe between measured segments.
+pub const PROBE_SETUPS: usize = 2;
+/// Registrations timed by each probe between measured segments.
+pub const PROBE_REGISTRATIONS: usize = 16;
+/// Fixture embeddings timed by each probe between measured segments.
+pub const PROBE_EMBEDS: usize = 6;
+/// Model id the probes register under. No docket addresses it, so a
+/// probe leaves the traffic's compiled models and cached claims alone.
+const PROBE_MODEL_ID: &str = "register-probe";
 /// (dataset, seed) pairs the owner's path cycles through.
 pub const OWNER_PAIRS: usize = 6;
 /// Seed of the fixture models and of the owner's (dataset, seed) pairs.
@@ -206,12 +212,7 @@ fn dispute_model_ids(workload: Workload) -> Vec<String> {
 /// pool bodies and lets `Kernel::Auto` probe.
 fn setup_dispute(cfg: &RunConfig) -> Result<Bench, Failure> {
     let input = EmbedInput::dispute_fixture();
-    // The fixture is embedded several times (identically) so `embed_s`
-    // is a median of enough samples to repeat from run to run.
-    let (base, mut embed_s) = embed_fixture(&input, FIXTURE_SEED, String::new()).map_err(harness)?;
-    for _ in 1..FIXTURE_EMBEDS {
-        embed_s.extend(embed_fixture(&input, FIXTURE_SEED, String::new()).map_err(harness)?.1);
-    }
+    let base = embed_fixture(&input, FIXTURE_SEED, String::new()).map_err(harness)?;
     let fixtures: Vec<Arc<ModelFixture>> = dispute_model_ids(cfg.workload)
         .into_iter()
         .map(|id| {
@@ -233,27 +234,17 @@ fn setup_dispute(cfg: &RunConfig) -> Result<Bench, Failure> {
     for fixture in &fixtures {
         reference.register(fixture.id.clone(), &fixture.outcome.model);
     }
-    // Every registration is a full upload and compile: a connection that
-    // has uploaded a model once would re-register it by digest alone, so
-    // each one uses a fresh connection (opened, and routed, untimed).
-    let mut register_ms = Vec::new();
-    for conn in 0..cfg.conns {
-        for fixture in &fixtures {
-            for _ in 0..REGISTER_REPEATS {
-                let mut client = topology.connect(conn).map_err(harness)?;
-                client.list_models().map_err(|e| harness(e.to_string()))?;
-                let started = Instant::now();
-                client
-                    .register_model(fixture.id.clone(), &fixture.outcome.model)
-                    .map_err(|e| harness(format!("registering {}: {e}", fixture.id)))?;
-                register_ms.push(ms(started.elapsed()));
-            }
-        }
-    }
-    let clients = (0..cfg.conns)
+    let mut clients = (0..cfg.conns)
         .map(|conn| topology.connect(conn))
         .collect::<Result<Vec<_>, _>>()
         .map_err(harness)?;
+    for client in &mut clients {
+        for fixture in &fixtures {
+            client
+                .register_model(fixture.id.clone(), &fixture.outcome.model)
+                .map_err(|e| harness(format!("registering {}: {e}", fixture.id)))?;
+        }
+    }
     let traffic = if cfg.workload.repeat() {
         let pools = (0..cfg.conns)
             .map(|conn| {
@@ -299,8 +290,8 @@ fn setup_dispute(cfg: &RunConfig) -> Result<Bench, Failure> {
         reference,
         traffic,
         fixtures,
-        embed_s,
-        register_ms,
+        embed_s: Vec::new(),
+        register_ms: Vec::new(),
         owner_inputs: vec![(input, FIXTURE_SEED)],
     };
     warm_up(&mut bench, cfg)?;
@@ -343,6 +334,35 @@ fn warm_up(bench: &mut Bench, cfg: &RunConfig) -> Result<(), Failure> {
                 ));
             }
         }
+    }
+    Ok(())
+}
+
+/// Times `PROBE_REGISTRATIONS` registrations of the dispute fixture's model
+/// (each over a fresh connection, so each is a full upload and compile)
+/// and `PROBE_EMBEDS` embeddings of its training rows. Probes run between
+/// the measured segments, so `register_ms` and `embed_s` sample the whole
+/// run rather than the few hundred milliseconds of set-up.
+fn probe_owner_ops(bench: &mut Bench, cfg: &RunConfig) -> Result<(), Failure> {
+    let fixture = Arc::clone(&bench.fixtures[0]);
+    for k in 0..PROBE_REGISTRATIONS {
+        let mut client = bench.topology.connect(k % cfg.conns).map_err(harness)?;
+        client.list_models().map_err(|e| harness(e.to_string()))?;
+        let started = Instant::now();
+        client
+            .register_model(PROBE_MODEL_ID, &fixture.outcome.model)
+            .map_err(|e| harness(format!("registering {PROBE_MODEL_ID}: {e}")))?;
+        bench.register_ms.push(ms(started.elapsed()));
+    }
+    let (input, seed) = &bench.owner_inputs[0];
+    let signature = input.signature(*seed);
+    let watermarker = Watermarker::new(input.config());
+    for _ in 0..PROBE_EMBEDS {
+        let started = Instant::now();
+        watermarker
+            .embed(&fixture.train, &signature, &mut input.embed_rng(*seed, 0))
+            .map_err(|e| harness(format!("embedding {}: {e}", input.name)))?;
+        bench.embed_s.push(started.elapsed().as_secs_f64());
     }
     Ok(())
 }
@@ -510,22 +530,16 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, Failure> {
         _ => setup_dispute(cfg),
     };
     let mut setup_s = Vec::new();
-    let (mut embed_s, mut register_ms) = (Vec::new(), Vec::new());
     let mut bench = None;
     for _ in 0..cfg.setup_repeats.max(1) {
         if let Some(previous) = bench.take() {
             Bench::shutdown(previous);
         }
         let started = Instant::now();
-        let fresh = setup(cfg)?;
+        bench = Some(setup(cfg)?);
         setup_s.push(started.elapsed().as_secs_f64());
-        embed_s.extend_from_slice(&fresh.embed_s);
-        register_ms.extend_from_slice(&fresh.register_ms);
-        bench = Some(fresh);
     }
     let mut bench = bench.expect("at least one set-up ran");
-    bench.embed_s = embed_s;
-    bench.register_ms = register_ms;
     let spans = cfg.trace.then(SpanLog::new);
 
     let total = Duration::from_secs_f64(cfg.seconds);
@@ -562,6 +576,21 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, Failure> {
     let mut capacity = PhaseOutcome::default();
     let mut latency = PhaseOutcome::default();
     let mut ping_loaded_us = f64::NAN;
+    // Probes between the measured segments time throwaway set-ups and, in
+    // the dispute workloads, the owner's operations, so `setup_s`,
+    // `register_ms` and `embed_s` sample the whole run as the phases do.
+    let probe = |bench: &mut Bench, setup_s: &mut Vec<f64>| -> Result<(), Failure> {
+        for _ in 0..PROBE_SETUPS {
+            let started = Instant::now();
+            let spare = setup(cfg)?;
+            setup_s.push(started.elapsed().as_secs_f64());
+            spare.shutdown();
+        }
+        if cfg.workload != Workload::EmbedRegister {
+            probe_owner_ops(bench, cfg)?;
+        }
+        Ok(())
+    };
     for k in 0..SEGMENTS as u64 {
         let Bench {
             topology,
@@ -586,6 +615,13 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, Failure> {
         if k == 0 {
             ping_loaded_us = ping;
         }
+        probe(&mut bench, &mut setup_s)?;
+        let Bench {
+            topology,
+            traffic,
+            clients,
+            ..
+        } = &mut bench;
         latency.absorb(run_phase(
             topology,
             traffic,
@@ -596,6 +632,7 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, Failure> {
             Schedule::Open { rate: cfg.rate },
             spans.as_ref(),
         ));
+        probe(&mut bench, &mut setup_s)?;
     }
 
     let capacity_distinct = gate(&bench, cfg, &capacity, cfg.corrupt_reference)?;
