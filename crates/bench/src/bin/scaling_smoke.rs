@@ -18,17 +18,11 @@
 //!
 //! ```text
 //! scaling_smoke [--workers 1,2,4] [--claims N] [--samples N]
-//!               [--shard-rows N] [--kernel NAME] [--out PATH]
+//!               [--shard-rows N] [--out PATH]
 //!               [--enforce-speedup X.Y]
 //! scaling_smoke --wire [--auth] [--fleet N] [--connections C] [--dockets D]
 //!               [--claims N] [--out PATH] [--enforce-claims-per-sec X]
 //! ```
-//!
-//! `--kernel NAME` picks the batch-inference kernel the service runs
-//! (`scalar`, `blocked`, `quantized` or the default `auto`). Every child
-//! reports the *resolved* kernel — for `auto`, whatever the microprobe
-//! picked — and its block width, and both land in the JSON artifact, so
-//! the CI lane records which kernel actually produced each timing row.
 //!
 //! `--wire` switches the binary into an **open-loop load generator** for
 //! the WDTP v2 wire path: it spawns an in-process [`JudgeServer`] on an
@@ -71,7 +65,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wdte_core::{
-    Dispute, DisputeService, Kernel, KeyRing, OwnershipClaim, Signature, TenantId, VerificationReport,
+    Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, VerificationReport,
     WatermarkConfig, WatermarkOutcome, WatermarkResult, Watermarker,
 };
 use wdte_data::SyntheticSpec;
@@ -82,7 +76,6 @@ struct Args {
     claims: usize,
     samples: usize,
     shard_rows: usize,
-    kernel: Kernel,
     out: String,
     out_was_set: bool,
     enforce_speedup: Option<f64>,
@@ -109,7 +102,6 @@ fn parse_args() -> Result<Args, String> {
         claims: 48,
         samples: 5,
         shard_rows: 256,
-        kernel: Kernel::default(),
         out: "target/bench-results/scaling_smoke.json".to_string(),
         out_was_set: false,
         enforce_speedup: None,
@@ -152,9 +144,6 @@ fn parse_args() -> Result<Args, String> {
                 if args.shard_rows == 0 {
                     return Err("--shard-rows must be at least 1".into());
                 }
-            }
-            "--kernel" => {
-                args.kernel = value("--kernel")?.parse().map_err(|e| format!("--kernel: {e}"))?
             }
             "--out" => {
                 args.out = value("--out")?;
@@ -202,7 +191,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: scaling_smoke [--workers 1,2,4] [--claims N] [--samples N] \
-                     [--shard-rows N] [--kernel scalar|blocked|quantized|auto] [--out PATH] \
+                     [--shard-rows N] [--out PATH] \
                      [--enforce-speedup X.Y]\n\
                      \x20      scaling_smoke --wire [--auth] [--fleet N] [--connections C] \
                      [--dockets D] [--claims N] [--out PATH] [--enforce-claims-per-sec X]"
@@ -222,16 +211,11 @@ struct Measurement {
     best: Duration,
     claims_per_sec: f64,
     fingerprint: u64,
-    /// What the requested kernel resolved to in that child (for `auto`,
-    /// the microprobe's pick), e.g. `blocked16`, plus its block width.
-    resolved_kernel: String,
-    block_width: usize,
 }
 
 fn build_docket(
     claims: usize,
     shard_rows: usize,
-    kernel: Kernel,
     heavy_decoys: bool,
 ) -> (DisputeService, Vec<Dispute>, WatermarkOutcome) {
     // Deterministic fixture, same spirit as `judge_smoke`: every run of
@@ -288,7 +272,6 @@ fn build_docket(
     // to measure.
     let service = DisputeService::builder()
         .batch_shard_rows(shard_rows)
-        .kernel(kernel)
         .build()
         .expect("an empty builder always builds");
     service.register("scaling-deployment", &outcome.model);
@@ -320,7 +303,7 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
 /// verdict arrival. Hard-fails on any verdict that differs from the
 /// in-process reference.
 fn wire_mode(args: &Args) -> ExitCode {
-    let (service, mut docket, outcome) = build_docket(args.claims, args.shard_rows, args.kernel, false);
+    let (service, mut docket, outcome) = build_docket(args.claims, args.shard_rows, false);
     // With --fleet the docket cycles several replicated model ids, so the
     // router genuinely splits every docket into per-backend shards.
     let model_ids: Vec<String> = if args.fleet > 0 {
@@ -357,7 +340,6 @@ fn wire_mode(args: &Args) -> ExitCode {
             .map(|_| {
                 let backend = DisputeService::builder()
                     .batch_shard_rows(args.shard_rows)
-                    .kernel(args.kernel)
                     .build()
                     .expect("an empty builder always builds");
                 for id in &model_ids {
@@ -562,10 +544,8 @@ fn bench_one(width: usize, args: &Args) -> ExitCode {
         eprintln!("scaling_smoke: could not size the global pool to {width}: {err}");
         return ExitCode::FAILURE;
     }
-    let (service, docket, _outcome) = build_docket(args.claims, args.shard_rows, args.kernel, true);
-    // Warm-up run doubles as the fingerprint source — and, for `auto`,
-    // triggers the one-time kernel microprobe so the resolved kernel is
-    // known before any timed sample.
+    let (service, docket, _outcome) = build_docket(args.claims, args.shard_rows, true);
+    // Warm-up run doubles as the fingerprint source.
     let verdicts = service.resolve_many(&docket);
     let upheld = verdicts.iter().filter(|v| v.as_ref().is_ok_and(|r| r.verified)).count();
     if upheld == 0 || upheld >= args.claims {
@@ -583,16 +563,8 @@ fn bench_one(width: usize, args: &Args) -> ExitCode {
         std::hint::black_box(&timed);
         best = best.min(elapsed);
     }
-    let resolved = service
-        .model("scaling-deployment")
-        .and_then(|model| model.resolved_kernel(args.kernel));
-    let (resolved_name, block_width) = match resolved {
-        Some(r) => (r.to_string(), r.block_width()),
-        None => ("unresolved".to_string(), 0),
-    };
     println!(
-        "bench-one width={width} best_ns={} fingerprint={:016x} kernel={resolved_name} \
-         block_width={block_width}",
+        "bench-one width={width} best_ns={} fingerprint={:016x}",
         best.as_nanos(),
         fingerprint(&verdicts)
     );
@@ -612,8 +584,6 @@ fn measure_width(width: usize, args: &Args) -> Result<Measurement, String> {
         .arg(args.samples.to_string())
         .arg("--shard-rows")
         .arg(args.shard_rows.to_string())
-        .arg("--kernel")
-        .arg(args.kernel.to_string())
         .output()
         .map_err(|e| format!("spawning the width-{width} child: {e}"))?;
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -630,17 +600,11 @@ fn measure_width(width: usize, args: &Args) -> Result<Measurement, String> {
         .ok_or_else(|| format!("width-{width} child printed no result line:\n{stdout}"))?;
     let mut best_ns: Option<u128> = None;
     let mut fp: Option<u64> = None;
-    let mut resolved_kernel = String::from("unresolved");
-    let mut block_width = 0usize;
     for token in line.split_whitespace() {
         if let Some(v) = token.strip_prefix("best_ns=") {
             best_ns = v.parse().ok();
         } else if let Some(v) = token.strip_prefix("fingerprint=") {
             fp = u64::from_str_radix(v, 16).ok();
-        } else if let Some(v) = token.strip_prefix("kernel=") {
-            resolved_kernel = v.to_string();
-        } else if let Some(v) = token.strip_prefix("block_width=") {
-            block_width = v.parse().unwrap_or(0);
         }
     }
     let (Some(best_ns), Some(fp)) = (best_ns, fp) else {
@@ -652,8 +616,6 @@ fn measure_width(width: usize, args: &Args) -> Result<Measurement, String> {
         best,
         claims_per_sec: args.claims as f64 / best.as_secs_f64(),
         fingerprint: fp,
-        resolved_kernel,
-        block_width,
     })
 }
 
@@ -663,7 +625,6 @@ fn json_artifact(args: &Args, host_cores: usize, rows: &[Measurement]) -> String
     json.push_str(&format!("  \"claims\": {},\n", args.claims));
     json.push_str(&format!("  \"shard_rows\": {},\n", args.shard_rows));
     json.push_str(&format!("  \"samples_per_width\": {},\n", args.samples));
-    json.push_str(&format!("  \"kernel\": \"{}\",\n", args.kernel));
     json.push_str("  \"pipeline\": \"resolve_many: disputes x batch shards (nested pool jobs)\",\n");
     json.push_str(
         "  \"measurement\": \"one child process per width; global pool sized to exactly that width\",\n",
@@ -675,13 +636,11 @@ fn json_artifact(args: &Args, host_cores: usize, rows: &[Measurement]) -> String
     for (i, row) in rows.iter().enumerate() {
         json.push_str(&format!(
             "    {{ \"workers\": {}, \"best_ns\": {}, \"claims_per_sec\": {:.0}, \
-             \"speedup_vs_1\": {:.3}, \"resolved_kernel\": \"{}\", \"block_width\": {} }}{}\n",
+             \"speedup_vs_1\": {:.3} }}{}\n",
             row.workers,
             row.best.as_nanos(),
             row.claims_per_sec,
             baseline / row.best.as_secs_f64(),
-            row.resolved_kernel,
-            row.block_width,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -724,8 +683,8 @@ fn main() -> ExitCode {
         match measure_width(width, &args) {
             Ok(row) => {
                 println!(
-                    "  {} workers: best {:?} over {} samples = {:.0} claims/s ({} kernel)",
-                    row.workers, row.best, args.samples, row.claims_per_sec, row.resolved_kernel
+                    "  {} workers: best {:?} over {} samples = {:.0} claims/s",
+                    row.workers, row.best, args.samples, row.claims_per_sec
                 );
                 rows.push(row);
             }

@@ -70,20 +70,8 @@ pub const DEFAULT_CLAIM_CACHE_BYTES: usize = 256 << 20;
 /// Rust versions and pinned by a unit test.
 pub const CLAIM_ENTRY_OVERHEAD_BYTES: usize = 160;
 
-/// Estimated resident bytes per compiled-forest node: the four SoA words
-/// (feature, threshold, left, right = 20 bytes), the 24-byte packed
-/// traversal record, and the per-level BFS layout the blocked/quantized
-/// kernels walk (~28 bytes amortized).
-const MODEL_NODE_FOOTPRINT_BYTES: usize = 72;
-
 /// File name of the model manifest inside a warm-start directory.
 pub const MODEL_MANIFEST_FILE: &str = "manifest.json";
-
-/// Approximate resident footprint of one compiled forest, used by the
-/// model-cache byte budget ([`DisputeServiceBuilder::model_cache_bytes`]).
-fn model_footprint(compiled: &CompiledForest) -> usize {
-    compiled.total_nodes() * MODEL_NODE_FOOTPRINT_BYTES + compiled.num_trees() * 16 + 512
-}
 
 /// One dispute filed with the judge: a claim against a registered model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -406,7 +394,6 @@ pub struct DisputeServiceBuilder {
     batch_shard_rows: Option<usize>,
     max_docket: Option<usize>,
     warm_start_dirs: Vec<PathBuf>,
-    kernel: Option<Kernel>,
     claim_cache_bytes: Option<usize>,
     model_cache_bytes: Option<usize>,
     tenant_quotas: Option<TenantQuotas>,
@@ -417,16 +404,6 @@ impl DisputeServiceBuilder {
     /// clamped to at least 1). Defaults to [`DEFAULT_BATCH_SHARD_ROWS`].
     pub fn batch_shard_rows(mut self, rows: usize) -> Self {
         self.batch_shard_rows = Some(rows.max(1));
-        self
-    }
-
-    /// Selects the batch-inference kernel every resolution runs
-    /// (`serve_judge --kernel`). Defaults to [`Kernel::Auto`], which
-    /// microprobes the candidates on each model's first batch and
-    /// memoizes the winner. Kernel choice never changes verdicts — every
-    /// kernel is bit-identical to the recursive walk — only throughput.
-    pub fn kernel(mut self, kernel: Kernel) -> Self {
-        self.kernel = Some(kernel);
         self
     }
 
@@ -492,7 +469,6 @@ impl DisputeServiceBuilder {
         let service = DisputeService::with_options(
             self.batch_shard_rows.unwrap_or(DEFAULT_BATCH_SHARD_ROWS),
             self.max_docket,
-            self.kernel.unwrap_or_default(),
             self.claim_cache_bytes.unwrap_or(DEFAULT_CLAIM_CACHE_BYTES),
             self.model_cache_bytes.unwrap_or(0),
             self.tenant_quotas.unwrap_or_default(),
@@ -601,7 +577,6 @@ pub struct DisputeService {
     max_docket: Option<usize>,
     model_cache_bytes: usize,
     quotas: TenantQuotas,
-    kernel: Kernel,
 }
 
 impl Default for DisputeService {
@@ -609,7 +584,6 @@ impl Default for DisputeService {
         Self::with_options(
             DEFAULT_BATCH_SHARD_ROWS,
             None,
-            Kernel::default(),
             DEFAULT_CLAIM_CACHE_BYTES,
             0,
             TenantQuotas::default(),
@@ -626,7 +600,6 @@ impl DisputeService {
     fn with_options(
         batch_shard_rows: usize,
         max_docket: Option<usize>,
-        kernel: Kernel,
         claim_cache_bytes: usize,
         model_cache_bytes: usize,
         quotas: TenantQuotas,
@@ -641,7 +614,6 @@ impl DisputeService {
             max_docket,
             model_cache_bytes,
             quotas,
-            kernel,
         }
     }
 
@@ -667,10 +639,10 @@ impl DisputeService {
         &self.quotas
     }
 
-    /// The batch-inference kernel configured via
-    /// [`DisputeServiceBuilder::kernel`].
+    /// The batch-inference kernel every resolution runs:
+    /// [`Kernel::Auto`].
     pub fn kernel(&self) -> Kernel {
-        self.kernel
+        Kernel::Auto
     }
 
     /// Registers a pointer-tree model in the anonymous namespace,
@@ -784,7 +756,7 @@ impl DisputeService {
         source: Option<PathBuf>,
     ) {
         let key = (tenant.clone(), model_id);
-        let footprint = model_footprint(&compiled);
+        let footprint = compiled.resident_bytes();
         let mut reg = self.lock_registry();
         if let Some(old) = reg.map.remove(&key) {
             if old.compiled.is_some() {
@@ -1163,7 +1135,7 @@ impl DisputeService {
         let oracle = ShardedOracle {
             compiled: &compiled,
             shard_rows: self.batch_shard_rows,
-            kernel: self.kernel,
+            kernel: self.kernel(),
         };
         Ok(verify_ownership(&oracle, claim))
     }
@@ -1282,7 +1254,7 @@ impl DisputeService {
 }
 
 /// Oracle adapter sharding each verification batch across worker threads,
-/// through the service's configured inference kernel.
+/// through the service's inference kernel.
 struct ShardedOracle<'a> {
     compiled: &'a CompiledForest,
     shard_rows: usize,
@@ -1300,7 +1272,7 @@ impl ModelOracle for ShardedOracle<'_> {
 
     fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
         self.compiled
-            .par_predict_all_batch_with(batch.features(), self.shard_rows, self.kernel)
+            .par_predict_all_batch(batch.features(), self.shard_rows, self.kernel)
             .iter()
             .map(<[Label]>::to_vec)
             .collect()
@@ -1456,22 +1428,23 @@ mod tests {
 
     #[test]
     fn every_kernel_resolves_to_identical_reports() {
-        // The kernel knob is pure throughput: reports (scores included)
+        // Kernel choice is pure throughput: reports (scores included)
         // must be bit-identical to the one-shot reference under every
-        // kernel, and the default is Auto.
+        // kernel, and the service runs Auto.
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
         let reference = verify_ownership(&outcome.model, &claim);
-        assert_eq!(DisputeService::builder().build().unwrap().kernel(), Kernel::Auto);
+        let service = DisputeService::builder().build().unwrap();
+        assert_eq!(service.kernel(), Kernel::Auto);
+        let compiled = service.register("m", &outcome.model);
+        assert_eq!(service.resolve("m", &claim).unwrap(), reference);
         for kernel in Kernel::ALL {
-            let service = DisputeService::builder().kernel(kernel).build().unwrap();
-            assert_eq!(service.kernel(), kernel);
-            service.register("m", &outcome.model);
-            assert_eq!(
-                service.resolve("m", &claim).unwrap(),
-                reference,
-                "kernel {kernel}"
-            );
+            let oracle = ShardedOracle {
+                compiled: &compiled,
+                shard_rows: 7,
+                kernel,
+            };
+            assert_eq!(verify_ownership(&oracle, &claim), reference, "kernel {kernel}");
         }
     }
 
@@ -1839,7 +1812,7 @@ mod tests {
         persist::save(&path_a, &outcome.model, persist::Format::Binary).unwrap();
         persist::save(&path_b, &outcome.model, persist::Format::Binary).unwrap();
         // A budget that fits one compiled forest but not two.
-        let budget = model_footprint(&CompiledForest::compile(&outcome.model)) * 3 / 2;
+        let budget = CompiledForest::compile(&outcome.model).resident_bytes() * 3 / 2;
         let service = DisputeService::builder().model_cache_bytes(budget).build().unwrap();
         let anon = TenantId::anonymous();
 

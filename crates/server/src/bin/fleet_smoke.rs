@@ -19,7 +19,7 @@
 //!
 //! ```text
 //! fleet_smoke --addr ROUTER --backend HOST:PORT [--backend HOST:PORT]...
-//!             [--claims N] [--kernel NAME] [--key-file PATH --tenant NAME]
+//!             [--claims N] [--key-file PATH --tenant NAME]
 //!             [--degraded DEAD_ADDR]
 //! ```
 //!
@@ -31,8 +31,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 use wdte_core::{
-    Dispute, DisputeService, HashRing, Kernel, KeyRing, OwnershipClaim, Signature, TenantId,
-    WatermarkConfig, WatermarkError, Watermarker,
+    Dispute, DisputeService, HashRing, KeyRing, OwnershipClaim, Signature, TenantId, WatermarkConfig,
+    WatermarkError, Watermarker,
 };
 use wdte_data::SyntheticSpec;
 use wdte_server::{ClientAuth, DisputeClient};
@@ -104,12 +104,8 @@ fn build_fixture(claims: usize) -> Result<Fixture, String> {
 /// The in-process reference verdicts for the fixture docket.
 fn reference_verdicts(
     fixture: &Fixture,
-    kernel: Kernel,
 ) -> Result<Vec<wdte_core::error::WatermarkResult<wdte_core::VerificationReport>>, String> {
-    let service = DisputeService::builder()
-        .kernel(kernel)
-        .build()
-        .map_err(|err| err.to_string())?;
+    let service = DisputeService::builder().build().map_err(|err| err.to_string())?;
     for index in 0..MODELS {
         service.register(model_id(index), &fixture.model);
     }
@@ -136,11 +132,10 @@ fn run_normal(
     addr: &str,
     backends: &[String],
     claims: usize,
-    kernel: Kernel,
     auth: &Option<ClientAuth>,
 ) -> Result<(), String> {
     let fixture = build_fixture(claims)?;
-    let reference = reference_verdicts(&fixture, kernel)?;
+    let reference = reference_verdicts(&fixture)?;
     let tenant = auth.as_ref().map_or_else(TenantId::anonymous, |a| a.tenant().clone());
     let homes = homes(backends.len(), &tenant)?;
 
@@ -277,7 +272,6 @@ fn run_degraded(
     backends: &[String],
     dead_addr: &str,
     claims: usize,
-    kernel: Kernel,
     auth: &Option<ClientAuth>,
 ) -> Result<(), String> {
     let dead = backends
@@ -285,7 +279,7 @@ fn run_degraded(
         .position(|backend| backend == dead_addr)
         .ok_or_else(|| format!("--degraded {dead_addr} does not match any --backend"))?;
     let fixture = build_fixture(claims)?;
-    let reference = reference_verdicts(&fixture, kernel)?;
+    let reference = reference_verdicts(&fixture)?;
     let tenant = auth.as_ref().map_or_else(TenantId::anonymous, |a| a.tenant().clone());
     let homes = homes(backends.len(), &tenant)?;
 
@@ -369,7 +363,6 @@ fn main() -> ExitCode {
     let mut addr = None;
     let mut backends: Vec<String> = Vec::new();
     let mut claims = 64usize;
-    let mut kernel = Kernel::default();
     let mut key_file: Option<String> = None;
     let mut tenant: Option<String> = None;
     let mut degraded: Option<String> = None;
@@ -391,20 +384,13 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--kernel" => match argv.next().map(|v| v.parse::<Kernel>()) {
-                Some(Ok(k)) => kernel = k,
-                _ => {
-                    eprintln!("fleet_smoke: --kernel needs one of scalar, blocked, quantized, auto");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--key-file" => key_file = argv.next(),
             "--tenant" => tenant = argv.next(),
             "--degraded" => degraded = argv.next(),
             other => {
                 eprintln!(
                     "fleet_smoke: unknown flag `{other}` \
-                     (usage: --addr ROUTER --backend HOST:PORT... [--claims N] [--kernel NAME] \
+                     (usage: --addr ROUTER --backend HOST:PORT... [--claims N] \
                      [--key-file PATH --tenant NAME] [--degraded DEAD_ADDR])"
                 );
                 return ExitCode::FAILURE;
@@ -448,8 +434,8 @@ fn main() -> ExitCode {
         }
     };
     let result = match &degraded {
-        None => run_normal(&addr, &backends, claims, kernel, &auth),
-        Some(dead_addr) => run_degraded(&addr, &backends, dead_addr, claims, kernel, &auth),
+        None => run_normal(&addr, &backends, claims, &auth),
+        Some(dead_addr) => run_degraded(&addr, &backends, dead_addr, claims, &auth),
     };
     match result {
         Ok(()) => {

@@ -8,15 +8,8 @@
 //! gate for the network layer: the wire must never change a verdict.
 //!
 //! ```text
-//! judge_smoke --addr HOST:PORT [--claims N] [--kernel NAME]
-//!             [--key-file PATH --tenant NAME]
+//! judge_smoke --addr HOST:PORT [--claims N] [--key-file PATH --tenant NAME]
 //! ```
-//!
-//! `--kernel NAME` selects the inference kernel for the *in-process
-//! reference* service (`scalar`, `blocked`, `quantized` or `auto`). The
-//! remote judge picks its own kernel via `serve_judge --kernel`, so
-//! running the smoke with a different name on each side proves verdicts
-//! are bit-identical *across* kernels, not just across the wire.
 //!
 //! `--key-file PATH --tenant NAME` authenticates every frame as `NAME`
 //! using the secret on that tenant's line of the key file (the same file
@@ -27,13 +20,12 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 use wdte_core::{
-    Dispute, DisputeService, Kernel, KeyRing, OwnershipClaim, Signature, TenantId, WatermarkConfig,
-    Watermarker,
+    Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, WatermarkConfig, Watermarker,
 };
 use wdte_data::SyntheticSpec;
 use wdte_server::{ClientAuth, DisputeClient};
 
-fn run(addr: &str, claims: usize, kernel: Kernel, auth: Option<ClientAuth>) -> Result<(), String> {
+fn run(addr: &str, claims: usize, auth: Option<ClientAuth>) -> Result<(), String> {
     // Deterministic fixture: the same model and docket every run.
     let mut rng = SmallRng::seed_from_u64(0x5A5A);
     let dataset = SyntheticSpec::breast_cancer_like().scaled(0.6).generate(&mut rng);
@@ -75,11 +67,8 @@ fn run(addr: &str, claims: usize, kernel: Kernel, auth: Option<ClientAuth>) -> R
         })
         .collect();
 
-    // The in-process reference verdicts, under the requested kernel.
-    let reference_service = DisputeService::builder()
-        .kernel(kernel)
-        .build()
-        .map_err(|err| err.to_string())?;
+    // The in-process reference verdicts.
+    let reference_service = DisputeService::builder().build().map_err(|err| err.to_string())?;
     reference_service.register("smoke-deployment", &outcome.model);
     let reference = reference_service.resolve_many(&docket);
 
@@ -197,7 +186,6 @@ fn run(addr: &str, claims: usize, kernel: Kernel, auth: Option<ClientAuth>) -> R
 fn main() -> ExitCode {
     let mut addr = None;
     let mut claims = 64usize;
-    let mut kernel = Kernel::default();
     let mut key_file: Option<String> = None;
     let mut tenant: Option<String> = None;
     let mut argv = std::env::args().skip(1);
@@ -211,19 +199,12 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--kernel" => match argv.next().map(|v| v.parse::<Kernel>()) {
-                Some(Ok(k)) => kernel = k,
-                _ => {
-                    eprintln!("judge_smoke: --kernel needs one of scalar, blocked, quantized, auto");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--key-file" => key_file = argv.next(),
             "--tenant" => tenant = argv.next(),
             other => {
                 eprintln!(
                     "judge_smoke: unknown flag `{other}` \
-                     (usage: --addr HOST:PORT [--claims N] [--kernel NAME] \
+                     (usage: --addr HOST:PORT [--claims N] \
                      [--key-file PATH --tenant NAME])"
                 );
                 return ExitCode::FAILURE;
@@ -262,7 +243,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match run(&addr, claims, kernel, auth) {
+    match run(&addr, claims, auth) {
         Ok(()) => {
             println!("judge_smoke: PASS");
             ExitCode::SUCCESS

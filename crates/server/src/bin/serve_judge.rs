@@ -9,8 +9,8 @@
 //! serve_judge [--addr 127.0.0.1:7431] [--warm-start DIR]...
 //!             [--port-file PATH] [--max-docket N] [--shard-rows N]
 //!             [--workers N] [--max-connections N] [--max-pipeline N]
-//!             [--claim-cache-mb N] [--model-cache-mb N] [--kernel NAME]
-//!             [--key-file PATH] [--quota-models N] [--quota-docket N]
+//!             [--claim-cache-mb N] [--model-cache-mb N] [--key-file PATH]
+//!             [--quota-models N] [--quota-docket N]
 //!             [--quota-claim-mb N] [--quota-in-flight N]
 //!             [--stats-interval-secs N]
 //! ```
@@ -49,11 +49,6 @@
 //! connections comes from work stealing's fine task granularity, and
 //! admission control from `--max-connections` / `--max-docket`.
 //!
-//! `--kernel NAME` selects the batch-inference kernel every resolution
-//! runs (`scalar`, `blocked`, `quantized`, or the default `auto`, which
-//! microprobes candidates on each model's first batch). Kernel choice
-//! never changes verdicts — only throughput.
-//!
 //! ## Router mode
 //!
 //! `--router --backends HOST:PORT,HOST:PORT,...` serves the *fleet
@@ -63,7 +58,7 @@
 //! a dead backend degrades to bounded sibling retry
 //! (`--retry-siblings`) or typed faults. `--spawn-backends N` launches
 //! N child `serve_judge` processes on ephemeral ports (inheriting
-//! `--warm-start`, `--kernel`, `--key-file`, cache and quota flags, so
+//! `--warm-start`, `--key-file`, cache and quota flags, so
 //! every backend replicates the same warm start) and routes across
 //! them; the children are killed when the router exits cleanly.
 //! `--ring-replicas` sets the virtual points per backend and
@@ -74,7 +69,7 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
-use wdte_core::{DisputeService, Kernel, KeyRing, TenantQuotas};
+use wdte_core::{DisputeService, KeyRing, TenantQuotas};
 use wdte_server::{JudgeRouter, JudgeServer, RouterConfig, ServerConfig};
 
 struct Args {
@@ -89,7 +84,6 @@ struct Args {
     claim_cache_mb: Option<usize>,
     model_cache_mb: Option<usize>,
     read_timeout_secs: Option<u64>,
-    kernel: Kernel,
     key_file: Option<String>,
     quotas: TenantQuotas,
     stats_interval_secs: u64,
@@ -114,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
         claim_cache_mb: None,
         model_cache_mb: None,
         read_timeout_secs: None,
-        kernel: Kernel::default(),
         key_file: None,
         quotas: TenantQuotas::default(),
         stats_interval_secs: 60,
@@ -198,9 +191,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--stats-interval-secs: {e}"))?
             }
-            "--kernel" => {
-                args.kernel = value("--kernel")?.parse().map_err(|e| format!("--kernel: {e}"))?
-            }
             "--router" => args.router = true,
             "--backends" => args
                 .backends
@@ -234,7 +224,6 @@ fn parse_args() -> Result<Args, String> {
                      [--claim-cache-mb N (content-addressed claim cache; 0 = unbounded)] \
                      [--model-cache-mb N (resident compiled forests; 0 = unbounded)] \
                      [--read-timeout-secs N (0 = never)] \
-                     [--kernel scalar|blocked|quantized|auto] \
                      [--key-file PATH (tenant:secret lines; enables authentication)] \
                      [--quota-models N] [--quota-docket N] [--quota-claim-mb N] \
                      [--quota-in-flight N (all quotas per tenant; 0 = unlimited)] \
@@ -274,9 +263,7 @@ fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>
             .arg("--stats-interval-secs")
             .arg("0")
             .arg("--workers")
-            .arg(args.workers.to_string())
-            .arg("--kernel")
-            .arg(args.kernel.to_string());
+            .arg(args.workers.to_string());
         for dir in &args.warm_start {
             cmd.arg("--warm-start").arg(dir);
         }
@@ -456,7 +443,7 @@ fn main() -> ExitCode {
         return run_router(args, key_ring);
     }
 
-    let mut builder = DisputeService::builder().kernel(args.kernel).tenant_quotas(args.quotas);
+    let mut builder = DisputeService::builder().tenant_quotas(args.quotas);
     if let Some(rows) = args.shard_rows {
         builder = builder.batch_shard_rows(rows);
     }

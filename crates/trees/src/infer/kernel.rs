@@ -1,263 +1,117 @@
-//! Pluggable batch-inference kernels over a [`CompiledForest`].
+//! The exact batch walk over a [`CompiledForest`].
 //!
-//! The compiled node arrays admit more than one way to walk a batch, and
-//! the winner depends on the machine and the model shape. This module
-//! makes the choice explicit: a [`Kernel`] names a strategy, an
-//! [`InferenceKernel`] implements it, and every implementation is
-//! **bit-identical** to the recursive walk — the kernel knob trades
-//! speed, never verdicts.
+//! Fixed-width blocks of samples descend one tree in lockstep through a
+//! *per-level breadth-first* node layout (`LevelLayout`). The
+//! compare→child-select step over a block is branchless straight-line code
+//! over fixed-size arrays, so the optimizer can keep the whole block in
+//! registers and vectorize the compares, and a level's nodes are
+//! contiguous in memory. The walk is **bit-identical** to the recursive
+//! one for every input, including `NaN` and `±inf` feature values.
 //!
-//! Three families are provided:
-//!
-//! * **scalar** — the reference walk from PR 2 (sample blocks of 64, or
-//!   the per-sample tree-lockstep layout for wide rows). Always safe,
-//!   always exact, the baseline every other kernel is measured against.
-//! * **blocked** — fixed-width blocks of samples (8 to 64 lanes) descend one tree
-//!   in lockstep through a *per-level breadth-first* node layout
-//!   (`LevelLayout`). The compare→child-select step over a block is
-//!   branchless straight-line code over fixed-size arrays, so the
-//!   optimizer can keep the whole block in registers and vectorize the
-//!   compares, and a level's nodes are contiguous in memory.
-//! * **quantized** — the blocked walk, but comparing against `f32`
-//!   thresholds (half the node bytes on the hot path). Exactness is
-//!   preserved by a compile-time screen: every threshold `t` is rounded
-//!   *down* to the nearest `f32` `q_lo`, and the open interval
-//!   `(q_lo, q_hi)` with `q_hi = next_up(q_lo)` (collapsed to a point
-//!   when `t` is exactly representable) is the only region where
-//!   `value <= q_lo` can disagree with `value <= t`. Lanes whose feature
-//!   value ever lands in that one-ULP window are *tainted* and re-walked
-//!   with exact `f64` thresholds — bit-identical results guaranteed, not
-//!   approximated.
-//!
-//! [`Kernel::Auto`] (the service default) times a microprobe of every
-//! candidate on a prefix of the first real batch and memoizes the winner
-//! per compiled forest, so long-lived judges settle onto the fastest
-//! kernel for their actual model/hardware combination without any
-//! configuration.
+//! The walk is compiled for the block widths in [`ResolvedKernel`]: a width
+//! earns its place only by winning by more than 5% over
+//! [`DEFAULT_BLOCK_WIDTH`] on the image-784, tabular or dispute fixture.
+//! On the committed matrix none does, so both [`Kernel`]s resolve to the
+//! default width and [`Kernel::Auto`] has nothing to probe.
 
 use super::{CompiledForest, LEAF_MARKER};
-use wdte_data::Label;
 
-/// Block widths the blocked/quantized kernels are compiled for. Narrow
-/// blocks vectorize compactly; wide blocks keep more independent gathers
-/// in flight, which wins on latency-bound memory systems. The autotuner
-/// probes them all.
-pub const BLOCK_WIDTHS: [usize; 4] = [8, 16, 32, 64];
-
-/// Block width used when a blocked kernel is requested without autotuning.
+/// Samples walked together per block: narrow enough to vectorize
+/// compactly, wide enough to keep several independent gathers in flight.
 pub const DEFAULT_BLOCK_WIDTH: usize = 16;
 
-/// Rows the [`Kernel::Auto`] microprobe times each candidate on.
-const PROBE_ROWS: usize = 128;
-
-/// Timing repetitions per candidate in the autotune microprobe; the best
-/// (minimum) of the repetitions is scored, which discards warm-up noise.
-const PROBE_REPS: usize = 2;
-
-/// Batch-inference strategy selector, as requested by callers (CLI flags,
-/// the service builder, bench fixtures).
-///
-/// Every kernel returns bit-identical predictions; the choice only moves
-/// throughput. `Auto` defers to a first-batch microprobe.
+/// Batch-inference kernel selector, as requested by callers (the service,
+/// bench fixtures). Every kernel returns bit-identical predictions; the
+/// choice only moves throughput.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// The reference scalar walk (PR 2 behaviour).
-    Scalar,
-    /// Fixed-width sample blocks over the per-level layout.
+    /// The blocked walk at [`DEFAULT_BLOCK_WIDTH`]; what the kernel-free
+    /// methods run, so per-round compiles (Algorithm 1, the attacks) never
+    /// pay a probe.
     Blocked,
-    /// Blocked walk over `f32` thresholds with the exactness screen.
-    Quantized,
-    /// Time all candidates on the first batch and memoize the winner.
+    /// The service's choice: the fastest retained width for this model
+    /// and machine. With a single retained width it is that width.
     #[default]
     Auto,
 }
 
 impl Kernel {
-    /// All selectable kernels, in the order the autotuner probes them.
-    pub const ALL: [Kernel; 4] = [Kernel::Scalar, Kernel::Blocked, Kernel::Quantized, Kernel::Auto];
-}
+    /// Every selectable kernel.
+    pub const ALL: [Kernel; 2] = [Kernel::Blocked, Kernel::Auto];
 
-impl std::str::FromStr for Kernel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(Kernel::Scalar),
-            "blocked" => Ok(Kernel::Blocked),
-            "quantized" => Ok(Kernel::Quantized),
-            "auto" => Ok(Kernel::Auto),
-            other => Err(format!(
-                "unknown kernel `{other}` (expected scalar, blocked, quantized or auto)"
-            )),
-        }
+    /// The concrete walk this kernel runs as.
+    pub(super) fn resolve(self) -> ResolvedKernel {
+        ResolvedKernel::Blocked16
     }
 }
 
 impl std::fmt::Display for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
-            Kernel::Scalar => "scalar",
             Kernel::Blocked => "blocked",
-            Kernel::Quantized => "quantized",
             Kernel::Auto => "auto",
         })
     }
 }
 
-/// A concrete kernel choice after `Auto` resolution: the strategy plus the
-/// block width it runs at. This is what autotuning memoizes and what
-/// diagnostics (`scaling_smoke`, the service) report.
+/// A concrete kernel choice: one block width the walk is compiled for, so
+/// it can only name a width that dispatch actually runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedKernel {
-    /// The reference scalar walk.
-    Scalar,
-    /// Blocked walk at the given width (one of [`BLOCK_WIDTHS`]).
-    Blocked {
-        /// Samples per lockstep block.
-        width: usize,
-    },
-    /// Quantized blocked walk at the given width (one of [`BLOCK_WIDTHS`]).
-    Quantized {
-        /// Samples per lockstep block.
-        width: usize,
-    },
+    /// The blocked walk at 16 lanes ([`DEFAULT_BLOCK_WIDTH`]).
+    Blocked16,
 }
 
 impl ResolvedKernel {
-    /// Samples walked together per block (1 for the scalar kernel's
-    /// conceptual lane — its internal blocking is an implementation
-    /// detail, not a lockstep width).
+    /// Every width the walk is compiled for.
+    pub const ALL: [ResolvedKernel; 1] = [ResolvedKernel::Blocked16];
+
+    /// Samples walked together per block.
     pub fn block_width(&self) -> usize {
         match self {
-            ResolvedKernel::Scalar => 1,
-            ResolvedKernel::Blocked { width } | ResolvedKernel::Quantized { width } => *width,
+            ResolvedKernel::Blocked16 => DEFAULT_BLOCK_WIDTH,
         }
     }
 
-    /// The strategy family without the width.
-    pub fn family(&self) -> Kernel {
+    /// Runs the walk at this width over `samples` rows of `values`,
+    /// emitting every tree's leaf class via `sink(sample, tree, label)`.
+    pub(super) fn run(
+        self,
+        forest: &CompiledForest,
+        values: &[f64],
+        cols: usize,
+        samples: usize,
+        sink: impl FnMut(usize, usize, u32),
+    ) {
         match self {
-            ResolvedKernel::Scalar => Kernel::Scalar,
-            ResolvedKernel::Blocked { .. } => Kernel::Blocked,
-            ResolvedKernel::Quantized { .. } => Kernel::Quantized,
-        }
-    }
-
-    /// The static implementation behind this choice. Widths other than
-    /// those in [`BLOCK_WIDTHS`] fall back to the nearest compiled width.
-    pub(super) fn implementation(&self) -> &'static dyn InferenceKernel {
-        match self {
-            ResolvedKernel::Scalar => &ScalarKernel,
-            ResolvedKernel::Blocked { width } if *width <= 8 => &BLOCKED_8,
-            ResolvedKernel::Blocked { width } if *width <= 16 => &BLOCKED_16,
-            ResolvedKernel::Blocked { width } if *width <= 32 => &BLOCKED_32,
-            ResolvedKernel::Blocked { .. } => &BLOCKED_64,
-            ResolvedKernel::Quantized { width } if *width <= 8 => &QUANTIZED_8,
-            ResolvedKernel::Quantized { width } if *width <= 16 => &QUANTIZED_16,
-            ResolvedKernel::Quantized { width } if *width <= 32 => &QUANTIZED_32,
-            ResolvedKernel::Quantized { .. } => &QUANTIZED_64,
+            ResolvedKernel::Blocked16 => {
+                run_blocked::<DEFAULT_BLOCK_WIDTH>(forest, values, cols, samples, sink)
+            }
         }
     }
 }
 
 impl std::fmt::Display for ResolvedKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResolvedKernel::Scalar => f.write_str("scalar"),
-            ResolvedKernel::Blocked { width } => write!(f, "blocked{width}"),
-            ResolvedKernel::Quantized { width } => write!(f, "quantized{width}"),
-        }
+        write!(f, "blocked{}", self.block_width())
     }
 }
 
-/// One batch-inference strategy. Implementations must produce results
-/// bit-identical to the recursive walk for every input, including `NaN`
-/// and `±inf` feature values.
-pub trait InferenceKernel: Send + Sync {
-    /// Short stable name for logs and bench rows.
-    fn name(&self) -> &'static str;
-
-    /// Fills `labels` (sample-major, `samples × num_trees`) with every
-    /// tree's vote for every row of the batch.
-    fn predict_all_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        labels: &mut [Label],
-    );
-
-    /// Adds each row's per-class vote counts into `votes` (sample-major,
-    /// `forest.num_classes()` slots per sample; callers pass zeroed
-    /// buffers).
-    fn vote_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        votes: &mut [u32],
-    );
-}
-
-/// The reference kernel: delegates to the scalar walks on
-/// [`CompiledForest`] (sample blocks of 64, or tree-lockstep for wide
-/// rows).
-pub(super) struct ScalarKernel;
-
-impl InferenceKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn predict_all_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        labels: &mut [Label],
-    ) {
-        forest.scalar_predict_all_rows(values, cols, samples, labels);
-    }
-
-    fn vote_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        votes: &mut [u32],
-    ) {
-        forest.scalar_vote_rows(values, cols, samples, votes);
-    }
-}
-
-/// Per-level breadth-first node layout driving the blocked and quantized
-/// kernels.
+/// Per-level breadth-first node layout driving the blocked walk.
 ///
 /// Each tree's nodes are renumbered in BFS order, so one lockstep step of
 /// a sample block reads from a contiguous slab of one level. Leaves are
-/// self loops on both children (mirroring [`super::HotNode`]); their
-/// label lives in a separate `leaf_label` array rather than overloading
+/// *self loops* on both children: a finished lane spins on its leaf, so
+/// every lane advances exactly `depth(tree)` steps with no leaf test. Leaf
+/// labels live in a separate `leaf_label` array rather than overloading
 /// the feature slot, so the gather index of a finished lane stays a valid
-/// feature. Alongside each exact `f64` threshold the layout stores the
-/// quantized pair `q_lo = round_down_f32(t)` and
-/// `q_hi = next_up(q_lo)` (collapsed to `q_lo` when `t` is exactly
-/// representable): the open window `(q_lo, q_hi)` is precisely where the
-/// `f32` compare can disagree with the `f64` one.
+/// feature.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LevelLayout {
-    /// Packed exact-walk nodes (24 bytes each), BFS-ordered per tree —
-    /// the blocked kernel's hot stream and the quantized fallback's
-    /// exact reference. One struct per node keeps each visit to a single
-    /// cache-line stream (split arrays touch three lines per node).
+    /// Packed nodes (24 bytes each), BFS-ordered per tree. One struct per
+    /// node keeps each visit to a single cache-line stream (split arrays
+    /// touch three lines per node).
     walk: Vec<WalkNode>,
-    /// Packed quantized nodes (20 bytes each), same BFS order — the
-    /// quantized kernel's hot stream carries only the `f32` window, so
-    /// it moves fewer node bytes per level than the exact walk.
-    quant: Vec<QuantNode>,
     /// Class index of each leaf (0 for internal nodes); only read once a
     /// lane's walk has finished, so it stays out of the hot node bytes.
     leaf_label: Vec<u32>,
@@ -265,11 +119,11 @@ pub(super) struct LevelLayout {
     roots: Vec<u32>,
 }
 
-/// One exact node of the per-level layout.
+/// One node of the per-level layout.
 #[derive(Debug, Clone, Copy)]
 struct WalkNode {
-    /// Exact split threshold (`NaN` for leaves, so `value <= t` is false
-    /// and the self loop is taken through `kids[0]`).
+    /// Split threshold (`NaN` for leaves, so `value <= t` is false and the
+    /// self loop is taken through `kids[0]`).
     threshold: f64,
     /// Feature tested (0 for leaves; never gathered out-of-bounds because
     /// leaves keep descending via their self loop).
@@ -277,31 +131,6 @@ struct WalkNode {
     /// `kids[usize::from(value <= t)]`: index 0 is the right child (the
     /// branch `NaN` takes), index 1 the left. Leaves self-loop on both.
     kids: [u32; 2],
-}
-
-/// One quantized node: the `f32` window standing in for the threshold.
-#[derive(Debug, Clone, Copy)]
-struct QuantNode {
-    /// Largest `f32` not above the exact threshold (`NaN` for leaves).
-    q_lo: f32,
-    /// `next_up(q_lo)` when rounding was inexact, else `q_lo`.
-    q_hi: f32,
-    /// Feature tested (0 for leaves), as in [`WalkNode`].
-    feature: u32,
-    /// Child pair, as in [`WalkNode`].
-    kids: [u32; 2],
-}
-
-/// Largest `f32` whose value does not exceed `t` (`NaN` stays `NaN`;
-/// values beyond `f32` range round toward zero-side neighbours of `±inf`
-/// as dictated by the cast, then step down if the cast rounded up).
-fn round_down_to_f32(t: f64) -> f32 {
-    let cast = t as f32;
-    if f64::from(cast) > t {
-        cast.next_down()
-    } else {
-        cast
-    }
 }
 
 impl LevelLayout {
@@ -316,7 +145,6 @@ impl LevelLayout {
         let nodes = feature.len();
         let mut layout = LevelLayout {
             walk: Vec::with_capacity(nodes),
-            quant: Vec::with_capacity(nodes),
             leaf_label: Vec::with_capacity(nodes),
             roots: Vec::with_capacity(tree_starts.len().saturating_sub(1)),
         };
@@ -349,28 +177,12 @@ impl LevelLayout {
                         feature: 0,
                         kids: [new, new],
                     });
-                    layout.quant.push(QuantNode {
-                        q_lo: f32::NAN,
-                        q_hi: f32::NAN,
-                        feature: 0,
-                        kids: [new, new],
-                    });
                     layout.leaf_label.push(left[old]);
                 } else {
-                    let t = threshold[old];
-                    let lo = round_down_to_f32(t);
-                    let hi = if f64::from(lo) == t { lo } else { lo.next_up() };
-                    let kids = [remap[right[old] as usize], remap[left[old] as usize]];
                     layout.walk.push(WalkNode {
-                        threshold: t,
+                        threshold: threshold[old],
                         feature: feature[old],
-                        kids,
-                    });
-                    layout.quant.push(QuantNode {
-                        q_lo: lo,
-                        q_hi: hi,
-                        feature: feature[old],
-                        kids,
+                        kids: [remap[right[old] as usize], remap[left[old] as usize]],
                     });
                     layout.leaf_label.push(0);
                 }
@@ -379,252 +191,67 @@ impl LevelLayout {
         layout
     }
 
-    /// Exact `f64` re-walk of one row through one tree — the fallback for
-    /// lanes the quantized screen tainted.
-    fn exact_label(&self, root: u32, depth: u32, row: &[f64]) -> u32 {
-        let mut state = root as usize;
-        for _ in 0..depth {
-            let node = &self.walk[state];
-            let value = row[node.feature as usize];
-            state = node.kids[usize::from(value <= node.threshold)] as usize;
-        }
-        self.leaf_label[state]
+    /// Resident bytes of the layout's arrays.
+    pub(super) fn bytes(&self) -> usize {
+        std::mem::size_of_val(self.walk.as_slice())
+            + std::mem::size_of_val(self.leaf_label.as_slice())
+            + std::mem::size_of_val(self.roots.as_slice())
     }
 }
 
-/// Advances `lanes` samples through one tree in lockstep over the level
-/// layout. With `QUANT`, compares run against the `f32` `q_lo` thresholds
-/// and `taint` records lanes whose value fell inside a node's one-ULP
-/// disagreement window `(q_lo, q_hi)`; those lanes need the exact
-/// fallback. Fixed-width callers pass `&mut [u32; W]` slices so the loops
-/// unroll to straight-line branchless code.
+/// Advances `states.len()` samples through one tree in lockstep over the
+/// level layout. Fixed-width callers pass `&mut [u32; W]` slices so the
+/// loops unroll to straight-line branchless code.
 #[inline(always)]
-fn descend<const QUANT: bool>(
-    level: &LevelLayout,
-    root: u32,
-    depth: u32,
-    rows: &[f64],
-    cols: usize,
-    states: &mut [u32],
-    taint: &mut [bool],
-) {
+fn descend(level: &LevelLayout, root: u32, depth: u32, rows: &[f64], cols: usize, states: &mut [u32]) {
     for state in states.iter_mut() {
         *state = root;
     }
-    if QUANT {
-        let nodes = level.quant.as_slice();
-        for lane_taint in taint.iter_mut() {
-            *lane_taint = false;
-        }
-        for _ in 0..depth {
-            for (lane, state) in states.iter_mut().enumerate() {
-                let node = nodes[*state as usize];
-                let value = rows[lane * cols + node.feature as usize];
-                let lo = f64::from(node.q_lo);
-                let hi = f64::from(node.q_hi);
-                // Non-short-circuiting `&` keeps the window test branchless;
-                // NaN values and NaN leaf sentinels both compare false.
-                taint[lane] |= (value > lo) & (value < hi);
-                *state = if value <= lo { node.kids[1] } else { node.kids[0] };
-            }
-        }
-    } else {
-        let nodes = level.walk.as_slice();
-        for _ in 0..depth {
-            for (lane, state) in states.iter_mut().enumerate() {
-                let node = nodes[*state as usize];
-                let value = rows[lane * cols + node.feature as usize];
-                // NaN compares false, taking `kids[0]`: into the right
-                // child of an internal node or around a leaf's self loop.
-                *state = if value <= node.threshold {
-                    node.kids[1]
-                } else {
-                    node.kids[0]
-                };
-            }
+    let nodes = level.walk.as_slice();
+    for _ in 0..depth {
+        for (lane, state) in states.iter_mut().enumerate() {
+            let node = nodes[*state as usize];
+            let value = rows[lane * cols + node.feature as usize];
+            // NaN compares false, taking `kids[0]`: into the right child
+            // of an internal node or around a leaf's self loop.
+            *state = if value <= node.threshold {
+                node.kids[1]
+            } else {
+                node.kids[0]
+            };
         }
     }
 }
 
-/// The blocked/quantized batch walk: whole blocks of `W` samples descend
-/// each tree in lockstep, the tail block runs the same code at its actual
-/// length, and (with `QUANT`) tainted lanes are re-walked exactly before
-/// their label is emitted via `sink(sample, tree, label)`.
-fn run_blocked<const W: usize, const QUANT: bool, F: FnMut(usize, usize, u32)>(
+/// The blocked batch walk: whole blocks of `W` samples descend each tree
+/// in lockstep, the tail block runs the same code at its actual length,
+/// and every label is emitted via `sink(sample, tree, label)`.
+fn run_blocked<const W: usize>(
     forest: &CompiledForest,
     values: &[f64],
     cols: usize,
     samples: usize,
-    mut sink: F,
+    mut sink: impl FnMut(usize, usize, u32),
 ) {
     let level = &forest.level;
-    let num_trees = forest.num_trees();
     let mut states = [0u32; W];
-    let mut taint = [false; W];
     let mut block_start = 0;
     while block_start < samples {
         let lanes = W.min(samples - block_start);
         let rows = &values[block_start * cols..(block_start + lanes) * cols];
-        for tree in 0..num_trees {
-            let root = level.roots[tree];
-            let depth = forest.depths[tree];
+        for (tree, (&root, &depth)) in level.roots.iter().zip(&forest.depths).enumerate() {
             if lanes == W {
                 // Full block: fixed-length slices unroll and vectorize.
-                descend::<QUANT>(level, root, depth, rows, cols, &mut states, &mut taint);
+                descend(level, root, depth, rows, cols, &mut states);
             } else {
-                descend::<QUANT>(
-                    level,
-                    root,
-                    depth,
-                    rows,
-                    cols,
-                    &mut states[..lanes],
-                    &mut taint[..lanes],
-                );
+                descend(level, root, depth, rows, cols, &mut states[..lanes]);
             }
-            for lane in 0..lanes {
-                let label = if QUANT && taint[lane] {
-                    level.exact_label(root, depth, &rows[lane * cols..(lane + 1) * cols])
-                } else {
-                    level.leaf_label[states[lane] as usize]
-                };
-                sink(block_start + lane, tree, label);
+            for (lane, &state) in states[..lanes].iter().enumerate() {
+                sink(block_start + lane, tree, level.leaf_label[state as usize]);
             }
         }
         block_start += lanes;
     }
-}
-
-/// Blocked kernel at compile-time width `W`.
-pub(super) struct BlockedKernel<const W: usize>;
-
-/// Quantized kernel at compile-time width `W`.
-pub(super) struct QuantizedKernel<const W: usize>;
-
-pub(super) static BLOCKED_8: BlockedKernel<8> = BlockedKernel;
-pub(super) static BLOCKED_16: BlockedKernel<16> = BlockedKernel;
-pub(super) static BLOCKED_32: BlockedKernel<32> = BlockedKernel;
-pub(super) static BLOCKED_64: BlockedKernel<64> = BlockedKernel;
-pub(super) static QUANTIZED_8: QuantizedKernel<8> = QuantizedKernel;
-pub(super) static QUANTIZED_16: QuantizedKernel<16> = QuantizedKernel;
-pub(super) static QUANTIZED_32: QuantizedKernel<32> = QuantizedKernel;
-pub(super) static QUANTIZED_64: QuantizedKernel<64> = QuantizedKernel;
-
-impl<const W: usize> InferenceKernel for BlockedKernel<W> {
-    fn name(&self) -> &'static str {
-        match W {
-            8 => "blocked8",
-            16 => "blocked16",
-            32 => "blocked32",
-            _ => "blocked64",
-        }
-    }
-
-    fn predict_all_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        labels: &mut [Label],
-    ) {
-        let num_trees = forest.num_trees();
-        run_blocked::<W, false, _>(forest, values, cols, samples, |sample, tree, label| {
-            labels[sample * num_trees + tree] =
-                Label::from_index(label as usize).expect("validated leaf class");
-        });
-    }
-
-    fn vote_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        votes: &mut [u32],
-    ) {
-        let classes = forest.num_classes().max(2);
-        run_blocked::<W, false, _>(forest, values, cols, samples, |sample, _, label| {
-            votes[sample * classes + label as usize] += 1;
-        });
-    }
-}
-
-impl<const W: usize> InferenceKernel for QuantizedKernel<W> {
-    fn name(&self) -> &'static str {
-        match W {
-            8 => "quantized8",
-            16 => "quantized16",
-            32 => "quantized32",
-            _ => "quantized64",
-        }
-    }
-
-    fn predict_all_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        labels: &mut [Label],
-    ) {
-        let num_trees = forest.num_trees();
-        run_blocked::<W, true, _>(forest, values, cols, samples, |sample, tree, label| {
-            labels[sample * num_trees + tree] =
-                Label::from_index(label as usize).expect("validated leaf class");
-        });
-    }
-
-    fn vote_rows(
-        &self,
-        forest: &CompiledForest,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        votes: &mut [u32],
-    ) {
-        let classes = forest.num_classes().max(2);
-        run_blocked::<W, true, _>(forest, values, cols, samples, |sample, _, label| {
-            votes[sample * classes + label as usize] += 1;
-        });
-    }
-}
-
-/// Times every candidate kernel on a prefix of the first real batch and
-/// returns the fastest. Ties keep the earlier candidate, so the probe is
-/// deterministic up to timer noise; the scalar reference is probed first
-/// and therefore wins exact ties.
-pub(super) fn autotune(
-    forest: &CompiledForest,
-    values: &[f64],
-    cols: usize,
-    samples: usize,
-) -> ResolvedKernel {
-    let probe_rows = samples.min(PROBE_ROWS);
-    let probe = &values[..probe_rows * cols];
-    let mut candidates = [ResolvedKernel::Scalar; 1 + 2 * BLOCK_WIDTHS.len()];
-    for (i, &width) in BLOCK_WIDTHS.iter().enumerate() {
-        candidates[1 + 2 * i] = ResolvedKernel::Blocked { width };
-        candidates[2 + 2 * i] = ResolvedKernel::Quantized { width };
-    }
-    let mut votes = vec![0u32; probe_rows * forest.num_classes().max(2)];
-    let mut best = candidates[0];
-    let mut best_ns = u128::MAX;
-    for candidate in candidates {
-        let implementation = candidate.implementation();
-        let mut candidate_ns = u128::MAX;
-        for _ in 0..PROBE_REPS {
-            votes.iter_mut().for_each(|v| *v = 0);
-            let start = std::time::Instant::now();
-            implementation.vote_rows(forest, probe, cols, probe_rows, &mut votes);
-            candidate_ns = candidate_ns.min(start.elapsed().as_nanos());
-        }
-        if candidate_ns < best_ns {
-            best_ns = candidate_ns;
-            best = candidate;
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -632,72 +259,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_down_to_f32_is_the_largest_f32_at_most_t() {
-        for t in [
-            0.5,
-            -0.5,
-            0.1,
-            -0.1,
-            1.0 + f64::EPSILON,
-            1e300,
-            -1e300,
-            1e-300,
-            -1e-300,
-            0.0,
-            -0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::from(f32::MAX) * 2.0,
-        ] {
-            let lo = round_down_to_f32(t);
-            assert!(f64::from(lo) <= t, "round_down({t}) = {lo} overshoots");
-            // Maximality: the next f32 up must overshoot (vacuous at +inf,
-            // where next_up saturates and lo == t already).
-            assert!(
-                lo == f32::INFINITY || f64::from(lo.next_up()) > t,
-                "round_down({t}) = {lo} is not the largest candidate"
-            );
-        }
-        assert!(round_down_to_f32(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn quantized_window_is_exactly_the_disagreement_region() {
-        // For thresholds both representable and not, `value <= q_lo` must
-        // agree with `value <= t` for every value outside (q_lo, q_hi).
-        for t in [0.5, 0.1, -0.1, 1.0 + f64::EPSILON, 1e-40, -1e-40] {
-            let lo = round_down_to_f32(t);
-            let hi = if f64::from(lo) == t { lo } else { lo.next_up() };
-            for value in [
-                f64::from(lo),
-                f64::from(hi),
-                t,
-                t - 1.0,
-                t + 1.0,
-                f64::NEG_INFINITY,
-                f64::INFINITY,
-                f64::NAN,
-            ] {
-                let in_window = value > f64::from(lo) && value < f64::from(hi);
-                if !in_window {
-                    assert_eq!(
-                        value <= f64::from(lo),
-                        value <= t,
-                        "t={t} lo={lo} hi={hi} value={value}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_names_parse_and_render() {
-        for kernel in Kernel::ALL {
-            assert_eq!(kernel.to_string().parse::<Kernel>(), Ok(kernel));
-        }
-        assert!("warp".parse::<Kernel>().is_err());
-        assert_eq!(ResolvedKernel::Blocked { width: 16 }.to_string(), "blocked16");
-        assert_eq!(ResolvedKernel::Quantized { width: 8 }.block_width(), 8);
-        assert_eq!(ResolvedKernel::Scalar.block_width(), 1);
+    fn kernel_names_render() {
+        assert_eq!(Kernel::Blocked.to_string(), "blocked");
+        assert_eq!(Kernel::Auto.to_string(), "auto");
+        assert_eq!(ResolvedKernel::Blocked16.to_string(), "blocked16");
+        assert_eq!(ResolvedKernel::Blocked16.block_width(), DEFAULT_BLOCK_WIDTH);
     }
 }

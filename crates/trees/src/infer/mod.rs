@@ -24,9 +24,10 @@
 //! A leaf is marked by `feature == LEAF_MARKER` and stores its predicted
 //! label's class index in `left`. Trees are laid out in depth-first
 //! preorder with the left subtree adjacent to its parent, so the common
-//! `x[f] <= t` branch continues on the next node. Batch prediction walks
-//! all trees over fixed-size sample blocks, keeping one tree's nodes and
-//! one block of rows hot in cache.
+//! `x[f] <= t` branch continues on the next node. These arrays are the
+//! canonical (and serialized) form and drive the single-row walk; batches
+//! run the blocked lockstep walk of [`kernel`] over a derived per-level
+//! layout.
 //!
 //! Traversal semantics are bit-identical to [`DecisionTree::predict`]:
 //! the test is `x[feature] <= threshold`, so `NaN` features compare false
@@ -35,32 +36,16 @@
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node, TreeStats};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::OnceLock;
+use std::mem::size_of_val;
 use wdte_data::{Dataset, DenseMatrix, Label};
 
 pub mod kernel;
 
 use kernel::LevelLayout;
-pub use kernel::{InferenceKernel, Kernel, ResolvedKernel, DEFAULT_BLOCK_WIDTH};
+pub use kernel::{Kernel, ResolvedKernel, DEFAULT_BLOCK_WIDTH};
 
 /// Sentinel in the `feature` array marking a leaf node.
 pub const LEAF_MARKER: u32 = u32::MAX;
-
-/// Number of samples walked together per tree during batch prediction;
-/// sized so a block of rows plus one tree's node arrays fit in L1/L2.
-pub const BLOCK_SIZE: usize = 64;
-
-/// Column count from which batch prediction considers the per-sample
-/// tree-lockstep walk: a block of wide (image) rows no longer fits in
-/// cache, so keeping one row hot in L1 while every tree advances wins over
-/// blocking samples.
-pub const WIDE_ROW_THRESHOLD: usize = 256;
-
-/// Minimum ensemble depth (deepest tree) for the tree-lockstep walk: on
-/// very shallow ensembles its lockstep lanes drain after a handful of
-/// steps, leaving a serial tail, while sample blocks keep all lanes busy
-/// for every tree.
-pub const DEEP_ENSEMBLE_DEPTH: usize = 12;
 
 /// A trained forest flattened into contiguous structure-of-arrays node
 /// storage for fast batch inference (see the module documentation for the
@@ -80,24 +65,12 @@ pub struct CompiledForest {
     /// Number of classes `k` of the label space; leaf class indices are
     /// validated to stay below it.
     num_classes: usize,
-    /// Branchless traversal table derived from the SoA arrays (see
-    /// [`HotNode`]); never serialized.
-    hot: Vec<HotNode>,
     /// Maximum depth of each tree; the number of lockstep steps the batch
     /// walk performs. Derived, never serialized.
     depths: Vec<u32>,
-    /// Tree indices sorted by descending depth; the lane order of the
-    /// per-sample tree-lockstep walk. Derived, never serialized.
-    depth_order: Vec<u32>,
-    /// `active_counts[s]` = number of trees deeper than `s` — the prefix of
-    /// `depth_order` still walking at step `s`. Derived, never serialized.
-    active_counts: Vec<u32>,
-    /// Per-level breadth-first node layout driving the blocked and
-    /// quantized kernels (see [`kernel`]). Derived, never serialized.
+    /// Per-level breadth-first node layout driving the batch walk (see
+    /// [`kernel`]). Derived, never serialized.
     level: LevelLayout,
-    /// Kernel choice memoized by [`Kernel::Auto`]'s first-batch
-    /// microprobe. Derived (and machine-local), never serialized.
-    auto: OnceLock<ResolvedKernel>,
 }
 
 /// Equality compares only the canonical SoA arrays; the derived traversal
@@ -113,60 +86,6 @@ impl PartialEq for CompiledForest {
             && self.num_features == other.num_features
             && self.num_classes == other.num_classes
     }
-}
-
-/// One node packed into a single 24-byte record for the batch walk.
-///
-/// The SoA arrays are the canonical (and serialized) representation; this
-/// derived table re-encodes leaves as *self loops*: a leaf stores
-/// `threshold = NaN` (so `value <= threshold` is always false), its own
-/// index in `right` (the branch NaN takes) and its label's class index in
-/// `left`. Every sample can then advance exactly `depth(tree)` steps with
-/// no leaf test at all — finished samples spin on their leaf — which
-/// removes the one unpredictable branch from the inner loop and lets a
-/// whole block of independent walks overlap in the memory pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HotNode {
-    threshold: f64,
-    feature: u32,
-    left: u32,
-    right: u32,
-}
-
-fn build_hot(feature: &[u32], threshold: &[f64], left: &[u32], right: &[u32]) -> Vec<HotNode> {
-    (0..feature.len())
-        .map(|n| {
-            if feature[n] == LEAF_MARKER {
-                HotNode {
-                    threshold: f64::NAN,
-                    feature: 0,
-                    left: left[n],
-                    right: n as u32,
-                }
-            } else {
-                HotNode {
-                    threshold: threshold[n],
-                    feature: feature[n],
-                    left: left[n],
-                    right: right[n],
-                }
-            }
-        })
-        .collect()
-}
-
-/// Builds the schedule of the per-sample tree-lockstep walk: the trees
-/// sorted by descending depth, and for every step the count of trees still
-/// active (a prefix of that order). Walking only the active prefix keeps
-/// total lane-steps at `sum(depths)` instead of `max_depth × num_trees`.
-fn build_schedule(depths: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut depth_order: Vec<u32> = (0..depths.len() as u32).collect();
-    depth_order.sort_by_key(|&tree| std::cmp::Reverse(depths[tree as usize]));
-    let max_depth = depths.iter().copied().max().unwrap_or(0);
-    let active_counts: Vec<u32> = (0..max_depth)
-        .map(|step| depth_order.iter().take_while(|&&tree| depths[tree as usize] > step).count() as u32)
-        .collect();
-    (depth_order, active_counts)
 }
 
 /// Maximum depth of every tree, computed from the SoA arrays.
@@ -192,10 +111,10 @@ fn build_depths(feature: &[u32], left: &[u32], right: &[u32], tree_starts: &[u32
 /// Index of the class with the most votes; ties go to the lowest class
 /// index, which for binary labels reproduces the paper's tie-to-negative
 /// majority rule (`positive` wins iff `2 * positive > m`).
-fn argmax_class(counts: &[u32]) -> usize {
+fn argmax_class<T: PartialOrd>(counts: &[T]) -> usize {
     let mut winner = 0usize;
-    for (class, &count) in counts.iter().enumerate().skip(1) {
-        if count > counts[winner] {
+    for (class, count) in counts.iter().enumerate().skip(1) {
+        if *count > counts[winner] {
             winner = class;
         }
     }
@@ -254,14 +173,7 @@ impl BatchPredictions {
     /// which for binary labels is the negative class, matching
     /// [`RandomForest::predict`]).
     pub fn majority(&self, sample: usize) -> Label {
-        let counts = self.class_votes(sample);
-        let mut winner = 0usize;
-        for (class, &count) in counts.iter().enumerate().skip(1) {
-            if count > counts[winner] {
-                winner = class;
-            }
-        }
-        Label::from_index(winner).expect("class index fits u16")
+        Label::from_index(argmax_class(&self.class_votes(sample))).expect("class index fits u16")
     }
 
     /// Iterator over per-sample vote slices.
@@ -282,41 +194,28 @@ impl CompiledForest {
             tree_starts: Vec::with_capacity(forest.num_trees() + 1),
             num_features: forest.num_features(),
             num_classes: forest.num_classes(),
-            hot: Vec::new(),
             depths: Vec::new(),
-            depth_order: Vec::new(),
-            active_counts: Vec::new(),
             level: LevelLayout::default(),
-            auto: OnceLock::new(),
         };
         for tree in forest.trees() {
             compiled.tree_starts.push(compiled.feature.len() as u32);
             compiled.emit(tree, tree.root());
         }
         compiled.tree_starts.push(compiled.feature.len() as u32);
-        compiled.hot = build_hot(
-            &compiled.feature,
-            &compiled.threshold,
-            &compiled.left,
-            &compiled.right,
-        );
-        compiled.depths = build_depths(
-            &compiled.feature,
-            &compiled.left,
-            &compiled.right,
-            &compiled.tree_starts,
-        );
-        let (depth_order, active_counts) = build_schedule(&compiled.depths);
-        compiled.depth_order = depth_order;
-        compiled.active_counts = active_counts;
-        compiled.level = LevelLayout::build(
-            &compiled.feature,
-            &compiled.threshold,
-            &compiled.left,
-            &compiled.right,
-            &compiled.tree_starts,
-        );
+        compiled.derive_tables();
         compiled
+    }
+
+    /// Rebuilds the derived batch-walk tables from the SoA arrays.
+    fn derive_tables(&mut self) {
+        self.depths = build_depths(&self.feature, &self.left, &self.right, &self.tree_starts);
+        self.level = LevelLayout::build(
+            &self.feature,
+            &self.threshold,
+            &self.left,
+            &self.right,
+            &self.tree_starts,
+        );
     }
 
     /// Emits the subtree rooted at arena index `node` in preorder (left
@@ -368,6 +267,20 @@ impl CompiledForest {
         self.feature.len()
     }
 
+    /// Resident bytes of this forest: the struct itself plus every array
+    /// it holds, canonical and derived. The dispute service charges this
+    /// against its model-cache budget.
+    pub fn resident_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + size_of_val(self.feature.as_slice())
+            + size_of_val(self.threshold.as_slice())
+            + size_of_val(self.left.as_slice())
+            + size_of_val(self.right.as_slice())
+            + size_of_val(self.tree_starts.as_slice())
+            + size_of_val(self.depths.as_slice())
+            + self.level.bytes()
+    }
+
     /// Node index range `[lo, hi)` of one tree; `lo` is its root.
     fn segment(&self, tree: usize) -> (usize, usize) {
         (
@@ -377,7 +290,7 @@ impl CompiledForest {
     }
 
     /// Walks one tree for one instance (the protocol-scale single-query
-    /// path; batches go through the lockstep walk instead).
+    /// path; batches go through the blocked walk instead).
     #[inline]
     fn walk(&self, root: usize, instance: &[f64]) -> Label {
         let mut node = root;
@@ -392,87 +305,6 @@ impl CompiledForest {
             } else {
                 self.right[node] as usize
             };
-        }
-    }
-
-    /// Advances every sample of `block` through one tree in lockstep and
-    /// returns each sample's final leaf via `sink(block_offset, leaf)`.
-    ///
-    /// `states[i]` must enter holding the tree's root index for every lane;
-    /// after `depth` steps every lane provably sits on a leaf (leaves spin
-    /// on themselves), so the inner loop needs no leaf test.
-    #[inline]
-    fn lockstep_block(
-        &self,
-        tree: usize,
-        values: &[f64],
-        cols: usize,
-        block: std::ops::Range<usize>,
-        states: &mut [u32],
-        mut sink: impl FnMut(usize, u32),
-    ) {
-        let root = self.tree_starts[tree];
-        let depth = self.depths[tree];
-        let lanes = block.len();
-        let nodes = self.hot.as_slice();
-        let rows = &values[block.start * cols..block.end * cols];
-        for state in states[..lanes].iter_mut() {
-            *state = root;
-        }
-        for _ in 0..depth {
-            for (lane, state) in states[..lanes].iter_mut().enumerate() {
-                let node = nodes[*state as usize];
-                let value = rows[lane * cols + node.feature as usize];
-                // NaN compares false, taking `right`: into the right child
-                // of an internal node (the recursive semantics) or back to
-                // the same leaf (the self loop).
-                *state = if value <= node.threshold {
-                    node.left
-                } else {
-                    node.right
-                };
-            }
-        }
-        for (lane, state) in states[..lanes].iter().enumerate() {
-            sink(lane, nodes[*state as usize].left);
-        }
-    }
-
-    /// Picks the batch-walk layout for a matrix of `cols` columns: the
-    /// per-sample tree-lockstep walk for wide rows over a deep ensemble
-    /// (row stays in L1, lanes stay busy), sample blocks otherwise.
-    #[inline]
-    fn prefers_tree_lockstep(&self, cols: usize) -> bool {
-        cols >= WIDE_ROW_THRESHOLD && self.active_counts.len() >= DEEP_ENSEMBLE_DEPTH
-    }
-
-    /// Advances *all trees* through one sample in lockstep, visiting trees
-    /// in descending-depth order so that at step `s` only the still-active
-    /// prefix is walked. The sample's row stays hot in L1 for the whole
-    /// ensemble — the winning layout for wide (image-like) rows, where a
-    /// block of rows would not fit in cache.
-    ///
-    /// `states` must have `num_trees` slots; `sink(tree, label)` receives
-    /// every tree's leaf label (class index).
-    #[inline]
-    fn tree_lockstep(&self, row: &[f64], states: &mut [u32], mut sink: impl FnMut(usize, u32)) {
-        let nodes = self.hot.as_slice();
-        for (lane, &tree) in self.depth_order.iter().enumerate() {
-            states[lane] = self.tree_starts[tree as usize];
-        }
-        for &active in &self.active_counts {
-            for state in states[..active as usize].iter_mut() {
-                let node = nodes[*state as usize];
-                let value = row[node.feature as usize];
-                *state = if value <= node.threshold {
-                    node.left
-                } else {
-                    node.right
-                };
-            }
-        }
-        for (lane, &tree) in self.depth_order.iter().enumerate() {
-            sink(tree as usize, nodes[states[lane] as usize].left);
         }
     }
 
@@ -497,144 +329,67 @@ impl CompiledForest {
         Label::from_index(argmax_class(&counts)).expect("class index fits u16")
     }
 
-    /// Block-wise plurality-vote predictions for every row of a feature
-    /// matrix. This is the deployment hot path: all trees are walked over
-    /// one block of samples before moving to the next block, so a tree's
-    /// node arrays stay cached across the whole block.
+    /// Panics unless a batch of `cols` columns covers every model feature.
+    fn check_cols(&self, cols: usize) {
+        assert!(
+            cols >= self.num_features,
+            "batch has {cols} features but the model needs {}",
+            self.num_features
+        );
+    }
+
+    /// Plurality-vote predictions for every row of a feature matrix. This
+    /// is the deployment hot path: blocks of samples walk every tree in
+    /// lockstep, so a tree's nodes stay cached across the whole block.
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
     pub fn predict_batch(&self, features: &DenseMatrix) -> Vec<Label> {
-        self.predict_batch_with(features, Kernel::Scalar)
+        let classes = self.num_classes.max(2);
+        self.class_vote_counts(features)
+            .chunks_exact(classes)
+            .map(|row| Label::from_index(argmax_class(row)).expect("class index fits u16"))
+            .collect()
     }
 
-    /// Block-wise per-class vote counts, sample-major (`samples × k`, one
-    /// `u32` per class per row), through the scalar reference kernel.
+    /// Per-class vote counts, sample-major (`samples × k`, one `u32` per
+    /// class per row).
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
     pub fn class_vote_counts(&self, features: &DenseMatrix) -> Vec<u32> {
-        self.class_vote_counts_with(features, Kernel::Scalar)
-    }
-
-    /// [`Self::class_vote_counts`] through an explicitly selected kernel;
-    /// every kernel returns bit-identical counts.
-    ///
-    /// # Panics
-    /// Panics if `features.cols() < num_features()`.
-    pub fn class_vote_counts_with(&self, features: &DenseMatrix, kernel: Kernel) -> Vec<u32> {
-        assert!(
-            features.cols() >= self.num_features,
-            "batch has {} features but the model needs {}",
+        self.check_cols(features.cols());
+        let classes = self.num_classes.max(2);
+        let mut votes = vec![0u32; features.rows() * classes];
+        // Leaf labels are class indices, so each vote is one increment of
+        // that class's slot.
+        Kernel::Blocked.resolve().run(
+            self,
+            features.as_slice(),
             features.cols(),
-            self.num_features
+            features.rows(),
+            |sample, _, label| votes[sample * classes + label as usize] += 1,
         );
-        let samples = features.rows();
-        let values = features.as_slice();
-        let cols = features.cols();
-        let mut votes = vec![0u32; samples * self.num_classes.max(2)];
-        let resolved = self.resolve_kernel(kernel, values, cols, samples);
-        resolved.implementation().vote_rows(self, values, cols, samples, &mut votes);
         votes
     }
 
-    /// Block-wise count of trees voting positive (class 1), per row,
-    /// through the scalar reference kernel; the one-vs-rest view of class
-    /// 1 for `k > 2`.
+    /// Count of trees voting positive (class 1), per row; the one-vs-rest
+    /// view of class 1 for `k > 2`.
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
     pub fn positive_vote_counts(&self, features: &DenseMatrix) -> Vec<u32> {
-        self.positive_vote_counts_with(features, Kernel::Scalar)
-    }
-
-    /// [`Self::positive_vote_counts`] through an explicitly selected
-    /// kernel; every kernel returns bit-identical counts.
-    ///
-    /// # Panics
-    /// Panics if `features.cols() < num_features()`.
-    pub fn positive_vote_counts_with(&self, features: &DenseMatrix, kernel: Kernel) -> Vec<u32> {
         let classes = self.num_classes.max(2);
-        self.class_vote_counts_with(features, kernel)
+        self.class_vote_counts(features)
             .chunks_exact(classes)
             .map(|row| row[1])
             .collect()
     }
 
-    /// Scalar per-class-vote kernel body: the tree-lockstep walk for wide
-    /// rows over deep ensembles, 64-sample blocks otherwise. `votes` is
-    /// sample-major with `num_classes` slots per row.
-    fn scalar_vote_rows(&self, values: &[f64], cols: usize, samples: usize, votes: &mut [u32]) {
-        let classes = self.num_classes.max(2);
-        if self.prefers_tree_lockstep(cols) {
-            let mut states = vec![0u32; self.num_trees()];
-            for (sample, row_votes) in votes.chunks_exact_mut(classes).enumerate().take(samples) {
-                let row = &values[sample * cols..(sample + 1) * cols];
-                // Leaf labels are class indices, so each vote is one
-                // increment of that class's slot.
-                self.tree_lockstep(row, &mut states, |_, label| row_votes[label as usize] += 1);
-            }
-            return;
-        }
-        let mut states = [0u32; BLOCK_SIZE];
-        for block_start in (0..samples).step_by(BLOCK_SIZE) {
-            let block_end = (block_start + BLOCK_SIZE).min(samples);
-            let block = block_start..block_end;
-            for tree in 0..self.num_trees() {
-                self.lockstep_block(tree, values, cols, block.clone(), &mut states, |lane, label| {
-                    votes[(block_start + lane) * classes + label as usize] += 1;
-                });
-            }
-        }
-    }
-
-    /// Resolves a requested [`Kernel`] into the concrete strategy used for
-    /// a batch of this shape. Zero-column batches (leaf-only models over
-    /// empty rows) always take the scalar walk, whose gathers never touch
-    /// the row; `Auto` is resolved by a one-time microprobe on the first
-    /// non-empty batch and memoized for the lifetime of this compiled
-    /// forest.
-    fn resolve_kernel(
-        &self,
-        kernel: Kernel,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-    ) -> ResolvedKernel {
-        if cols == 0 {
-            return ResolvedKernel::Scalar;
-        }
-        match kernel {
-            Kernel::Scalar => ResolvedKernel::Scalar,
-            Kernel::Blocked => ResolvedKernel::Blocked {
-                width: DEFAULT_BLOCK_WIDTH,
-            },
-            Kernel::Quantized => ResolvedKernel::Quantized {
-                width: DEFAULT_BLOCK_WIDTH,
-            },
-            Kernel::Auto => {
-                if samples == 0 {
-                    // Nothing to probe on; do not memoize a degenerate choice.
-                    return ResolvedKernel::Scalar;
-                }
-                *self.auto.get_or_init(|| kernel::autotune(self, values, cols, samples))
-            }
-        }
-    }
-
-    /// The concrete kernel a request would run as, for diagnostics:
-    /// `Auto` reports `None` until its first-batch microprobe has run.
+    /// The concrete walk a kernel runs as, for diagnostics. Always `Some`:
+    /// every kernel resolves without a probe.
     pub fn resolved_kernel(&self, kernel: Kernel) -> Option<ResolvedKernel> {
-        match kernel {
-            Kernel::Scalar => Some(ResolvedKernel::Scalar),
-            Kernel::Blocked => Some(ResolvedKernel::Blocked {
-                width: DEFAULT_BLOCK_WIDTH,
-            }),
-            Kernel::Quantized => Some(ResolvedKernel::Quantized {
-                width: DEFAULT_BLOCK_WIDTH,
-            }),
-            Kernel::Auto => self.auto.get().copied(),
-        }
+        Some(kernel.resolve())
     }
 
     /// Fraction of trees voting positive, per row; the calibrated score
@@ -647,15 +402,14 @@ impl CompiledForest {
             .collect()
     }
 
-    /// Block-wise per-tree predictions for every row — the batch form of
+    /// Per-tree predictions for every row — the batch form of
     /// [`CompiledForest::predict_all`], which black-box verification
-    /// consumes. Runs the scalar reference kernel; see
-    /// [`Self::predict_all_batch_with`] for kernel selection.
+    /// consumes. Runs [`Kernel::Blocked`].
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
     pub fn predict_all_batch(&self, features: &DenseMatrix) -> BatchPredictions {
-        self.predict_all_batch_with(features, Kernel::Scalar)
+        self.predict_all_batch_with(features, Kernel::Blocked)
     }
 
     /// [`Self::predict_all_batch`] through an explicitly selected kernel;
@@ -664,31 +418,26 @@ impl CompiledForest {
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
     pub fn predict_all_batch_with(&self, features: &DenseMatrix, kernel: Kernel) -> BatchPredictions {
-        assert!(
-            features.cols() >= self.num_features,
-            "batch has {} features but the model needs {}",
-            features.cols(),
-            self.num_features
-        );
-        let (values, cols, samples) = (features.as_slice(), features.cols(), features.rows());
-        let resolved = self.resolve_kernel(kernel, values, cols, samples);
-        self.predict_all_rows(values, cols, samples, resolved)
+        self.check_cols(features.cols());
+        self.predict_all_rows(features.as_slice(), features.cols(), features.rows(), kernel)
     }
 
-    /// [`Self::predict_all_batch`] over a raw row-major slice; lets the
-    /// sharded path predict sub-ranges of a matrix without copying rows.
+    /// [`Self::predict_all_batch_with`] over a raw row-major slice; lets
+    /// the sharded path predict sub-ranges of a matrix without copying
+    /// rows.
     fn predict_all_rows(
         &self,
         values: &[f64],
         cols: usize,
         samples: usize,
-        resolved: ResolvedKernel,
+        kernel: Kernel,
     ) -> BatchPredictions {
         let num_trees = self.num_trees();
         let mut labels = vec![Label::Negative; samples * num_trees];
-        resolved
-            .implementation()
-            .predict_all_rows(self, values, cols, samples, &mut labels);
+        kernel.resolve().run(self, values, cols, samples, |sample, tree, label| {
+            labels[sample * num_trees + tree] =
+                Label::from_index(label as usize).expect("validated leaf class");
+        });
         BatchPredictions {
             labels,
             num_trees,
@@ -696,66 +445,22 @@ impl CompiledForest {
         }
     }
 
-    /// Scalar per-tree-prediction kernel body: the tree-lockstep walk for
-    /// wide rows over deep ensembles, 64-sample blocks otherwise.
-    fn scalar_predict_all_rows(
-        &self,
-        values: &[f64],
-        cols: usize,
-        samples: usize,
-        labels: &mut [Label],
-    ) {
-        let num_trees = self.num_trees();
-        if self.prefers_tree_lockstep(cols) {
-            let mut states = vec![0u32; num_trees];
-            for sample in 0..samples {
-                let row = &values[sample * cols..(sample + 1) * cols];
-                let out = &mut labels[sample * num_trees..(sample + 1) * num_trees];
-                self.tree_lockstep(row, &mut states, |tree, label| {
-                    out[tree] = Label::from_index(label as usize).expect("validated leaf class");
-                });
-            }
-            return;
-        }
-        let mut states = [0u32; BLOCK_SIZE];
-        for block_start in (0..samples).step_by(BLOCK_SIZE) {
-            let block_end = (block_start + BLOCK_SIZE).min(samples);
-            let block = block_start..block_end;
-            for tree in 0..num_trees {
-                self.lockstep_block(tree, values, cols, block.clone(), &mut states, |lane, label| {
-                    labels[(block_start + lane) * num_trees + tree] =
-                        Label::from_index(label as usize).expect("validated leaf class");
-                });
-            }
-        }
-    }
-
-    /// [`Self::predict_all_batch`] sharded across the work-stealing pool:
-    /// rows are split into contiguous shards of at most `shard_rows`, each
-    /// shard is predicted independently, and the per-sample votes are
-    /// stitched back in row order — bit-identical to the single-threaded
-    /// call for every shard size and worker count. This is the
-    /// dispute-service hot path, where one verification batch can carry
-    /// thousands of disguised queries; called from inside an outer
-    /// per-dispute fan-out, the shards become nested pool jobs that idle
-    /// workers steal, rather than serializing on the dispute's thread.
+    /// [`Self::predict_all_batch_with`] sharded across the work-stealing
+    /// pool: rows are split into contiguous shards of at most
+    /// `shard_rows`, each shard is predicted independently, and the
+    /// per-sample votes are stitched back in row order — bit-identical to
+    /// the single-threaded call for every shard size and worker count.
+    /// This is the dispute-service hot path, where one verification batch
+    /// can carry thousands of disguised queries; called from inside an
+    /// outer per-dispute fan-out, the shards become nested pool jobs that
+    /// idle workers steal, rather than serializing on the dispute's
+    /// thread. Batches that would fit in a single shard — and any batch on
+    /// a single-worker pool, where sharding could only add stitch overhead
+    /// — take the serial path directly.
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
-    pub fn par_predict_all_batch(&self, features: &DenseMatrix, shard_rows: usize) -> BatchPredictions {
-        self.par_predict_all_batch_with(features, shard_rows, Kernel::Scalar)
-    }
-
-    /// [`Self::par_predict_all_batch`] through an explicitly selected
-    /// kernel. `Auto` is resolved once on the whole batch before sharding,
-    /// so every shard runs the same concrete kernel. Batches that would
-    /// fit in a single shard — and any batch on a single-worker pool,
-    /// where sharding could only add stitch overhead — take the serial
-    /// path directly.
-    ///
-    /// # Panics
-    /// Panics if `features.cols() < num_features()`.
-    pub fn par_predict_all_batch_with(
+    pub fn par_predict_all_batch(
         &self,
         features: &DenseMatrix,
         shard_rows: usize,
@@ -765,17 +470,11 @@ impl CompiledForest {
         let shard_rows = shard_rows.max(1);
         let samples = features.rows();
         let cols = features.cols();
-        if samples <= shard_rows || cols == 0 || rayon::current_num_threads() <= 1 {
+        if samples <= shard_rows || rayon::current_num_threads() <= 1 {
             return self.predict_all_batch_with(features, kernel);
         }
-        assert!(
-            cols >= self.num_features,
-            "batch has {} features but the model needs {}",
-            cols,
-            self.num_features
-        );
+        self.check_cols(cols);
         let values = features.as_slice();
-        let resolved = self.resolve_kernel(kernel, values, cols, samples);
         let starts: Vec<usize> = (0..samples).step_by(shard_rows).collect();
         let shards: Vec<BatchPredictions> = starts
             .into_par_iter()
@@ -783,7 +482,7 @@ impl CompiledForest {
                 let end = (start + shard_rows).min(samples);
                 // Rows are contiguous in row-major storage, so a shard is a
                 // borrowed subslice — no copy.
-                self.predict_all_rows(&values[start * cols..end * cols], cols, end - start, resolved)
+                self.predict_all_rows(&values[start * cols..end * cols], cols, end - start, kernel)
             })
             .collect();
         let num_trees = self.num_trees();
@@ -796,18 +495,6 @@ impl CompiledForest {
             num_trees,
             num_classes: self.num_classes,
         }
-    }
-
-    /// [`Self::predict_batch`] through an explicitly selected kernel.
-    ///
-    /// # Panics
-    /// Panics if `features.cols() < num_features()`.
-    pub fn predict_batch_with(&self, features: &DenseMatrix, kernel: Kernel) -> Vec<Label> {
-        let classes = self.num_classes.max(2);
-        self.class_vote_counts_with(features, kernel)
-            .chunks_exact(classes)
-            .map(|row| Label::from_index(argmax_class(row)).expect("class index fits u16"))
-            .collect()
     }
 
     /// Plurality-vote predictions for every instance of a dataset.
@@ -933,11 +620,7 @@ impl CompiledForest {
                 }
             }
         }
-        let hot = build_hot(&feature, &threshold, &left, &right);
-        let depths = build_depths(&feature, &left, &right, &tree_starts);
-        let (depth_order, active_counts) = build_schedule(&depths);
-        let level = LevelLayout::build(&feature, &threshold, &left, &right, &tree_starts);
-        Ok(CompiledForest {
+        let mut forest = CompiledForest {
             feature,
             threshold,
             left,
@@ -945,13 +628,11 @@ impl CompiledForest {
             tree_starts,
             num_features,
             num_classes,
-            hot,
-            depths,
-            depth_order,
-            active_counts,
-            level,
-            auto: OnceLock::new(),
-        })
+            depths: Vec::new(),
+            level: LevelLayout::default(),
+        };
+        forest.derive_tables();
+        Ok(forest)
     }
 }
 
@@ -1097,14 +778,37 @@ mod tests {
     fn batch_blocks_cover_sizes_around_the_block_boundary() {
         let (dataset, forest) = trained();
         let compiled = CompiledForest::compile(&forest);
-        for size in [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1] {
-            let size = size.min(dataset.len());
-            let indices: Vec<usize> = (0..size).collect();
-            let subset = dataset.select(&indices).unwrap();
-            let compiled_out = compiled.predict_batch(subset.features());
-            let recursive_out = forest.predict_dataset(&subset);
-            assert_eq!(compiled_out, recursive_out, "batch size {size}");
+        for width in ResolvedKernel::ALL.map(|resolved| resolved.block_width()) {
+            for size in [1, width - 1, width, width + 1, 2 * width + 1] {
+                let size = size.min(dataset.len());
+                let indices: Vec<usize> = (0..size).collect();
+                let subset = dataset.select(&indices).unwrap();
+                let compiled_out = compiled.predict_batch(subset.features());
+                let recursive_out = forest.predict_dataset(&subset);
+                assert_eq!(compiled_out, recursive_out, "width {width}, batch size {size}");
+            }
         }
+    }
+
+    #[test]
+    fn resident_bytes_count_every_array() {
+        // A two-tree forest of 3 + 1 nodes: 20 B of SoA words and 28 B of
+        // level layout (24 B node + 4 B leaf label) per node, plus
+        // tree_starts (3 × 4 B), depths and BFS roots (2 × 4 B each).
+        let compiled = CompiledForest::from_raw_parts(
+            vec![0, LEAF_MARKER, LEAF_MARKER, LEAF_MARKER],
+            vec![0.5, 0.0, 0.0, 0.0],
+            vec![1, 0, 1, 1],
+            vec![2, 0, 0, 0],
+            vec![0, 3, 4],
+            1,
+            2,
+        )
+        .unwrap();
+        assert_eq!(
+            compiled.resident_bytes() - std::mem::size_of::<CompiledForest>(),
+            4 * 48 + 12 + 8 + 8
+        );
     }
 
     #[test]

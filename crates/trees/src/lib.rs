@@ -23,7 +23,7 @@ pub mod tree;
 
 pub use forest::{derive_seeds, rng_from_seed, RandomForest};
 pub use grid::{GridPointResult, GridSearch, GridSearchResult, ParamGrid};
-pub use infer::{BatchPredictions, CompiledForest, InferenceKernel, Kernel, ResolvedKernel};
+pub use infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
 pub use params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
 pub use split::{best_split, impurity, Split};
 pub use splitter::SplitWorkspace;
@@ -33,7 +33,7 @@ pub use tree::{DecisionTree, LeafRegion, Node, TreeStats};
 pub mod prelude {
     pub use crate::forest::RandomForest;
     pub use crate::grid::{GridSearch, GridSearchResult, ParamGrid};
-    pub use crate::infer::{BatchPredictions, CompiledForest, InferenceKernel, Kernel, ResolvedKernel};
+    pub use crate::infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
     pub use crate::params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
     pub use crate::splitter::SplitWorkspace;
     pub use crate::tree::{DecisionTree, LeafRegion, Node, TreeStats};

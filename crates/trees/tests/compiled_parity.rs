@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdte_data::{Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, ForestParams, RandomForest, TreeParams};
+use wdte_trees::{CompiledForest, ForestParams, Kernel, RandomForest, TreeParams};
 
 /// Feature values drawn from a finite range plus the non-finite specials
 /// the split search and traversal must handle deterministically.
@@ -76,7 +76,10 @@ proptest! {
         // The thread-sharded path must stitch shards back bit-identically,
         // for shard sizes smaller and larger than the batch.
         for shard_rows in [1usize, 3, 1024] {
-            prop_assert_eq!(&compiled.par_predict_all_batch(dataset.features(), shard_rows), &batch);
+            prop_assert_eq!(
+                &compiled.par_predict_all_batch(dataset.features(), shard_rows, Kernel::Auto),
+                &batch
+            );
         }
 
         // Probe-set parity on instances the forest never saw, including

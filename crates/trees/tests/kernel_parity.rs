@@ -1,18 +1,16 @@
-//! Kernel parity: every inference kernel — scalar, blocked, quantized and
-//! the autotuned `Auto` — must be bit-identical to the recursive walk, on
-//! trained forests over adversarial feature values (`NaN`, `±inf`, signed
-//! zeros), on hand-built trees whose thresholds sit exactly on the
-//! `f32`/`f64` rounding boundary (the quantized kernel's taint window),
-//! and on the degenerate shapes the scalar tests already pin: leaf-only
-//! trees and very deep chains.
+//! Kernel parity: every kernel, and through them every block width the
+//! batch walk is compiled for, must be bit-identical to the single-row
+//! walk, on trained forests over adversarial feature values (`NaN`,
+//! `±inf`, signed zeros), on hand-built trees whose thresholds sit exactly
+//! on or between adjacent `f32` values (where any lossy compare would
+//! lie), and on the degenerate shapes: leaf-only trees and very deep
+//! chains.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use wdte_data::{Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, ForestParams, Kernel, RandomForest, TreeParams};
-
-const KERNELS: [Kernel; 4] = [Kernel::Scalar, Kernel::Blocked, Kernel::Quantized, Kernel::Auto];
+use wdte_trees::{CompiledForest, ForestParams, Kernel, RandomForest, ResolvedKernel, TreeParams};
 
 /// Feature values drawn from a finite range plus the non-finite specials
 /// traversal must handle deterministically.
@@ -28,9 +26,8 @@ fn feature_value() -> impl Strategy<Value = f64> {
 }
 
 /// Thresholds sitting exactly on, between, or one step past adjacent
-/// `f32` values — the only region where an `f32` compare can disagree
-/// with the exact `f64` one, which the quantized kernel's screen must
-/// catch.
+/// `f32` values — the region where an `f32` compare would disagree with
+/// the exact `f64` one.
 struct BoundaryThreshold;
 
 impl Strategy for BoundaryThreshold {
@@ -106,12 +103,13 @@ fn chain_forest(thresholds: &[f64], num_classes: usize) -> CompiledForest {
     .expect("chain forest is structurally valid")
 }
 
-/// Asserts every kernel reproduces the recursive per-tree walk on `rows`,
-/// through the batch, vote and sharded entry points.
+/// Asserts every kernel reproduces the single-row per-tree walk on
+/// `rows`, through the batch and sharded entry points, and that the vote
+/// entry points reconcile with the per-tree labels.
 fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
     let matrix = DenseMatrix::from_rows(rows).unwrap();
     let reference: Vec<Vec<Label>> = rows.iter().map(|row| compiled.predict_all(row)).collect();
-    for kernel in KERNELS {
+    for kernel in Kernel::ALL {
         let batch = compiled.predict_all_batch_with(&matrix, kernel);
         for (index, expected) in reference.iter().enumerate() {
             assert_eq!(
@@ -120,50 +118,55 @@ fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
                 "kernel {kernel}, row {index}"
             );
         }
-        let votes = compiled.positive_vote_counts_with(&matrix, kernel);
-        for (index, &vote) in votes.iter().enumerate() {
-            assert_eq!(
-                vote as usize,
-                batch.positive_votes(index),
-                "kernel {kernel}, row {index}"
-            );
-        }
-        // Per-class counts: every row sums to the tree count, matches the
-        // per-tree labels class by class, and its class-1 column is the
-        // one-vs-rest positive count above.
-        let classes = compiled.num_classes().max(2);
-        let class_votes = compiled.class_vote_counts_with(&matrix, kernel);
-        assert_eq!(class_votes.len(), rows.len() * classes, "kernel {kernel}");
-        for (index, row_votes) in class_votes.chunks_exact(classes).enumerate() {
-            assert_eq!(
-                row_votes.iter().map(|&v| v as usize).sum::<usize>(),
-                compiled.num_trees(),
-                "kernel {kernel}, row {index}"
-            );
-            assert_eq!(
-                row_votes.iter().map(|&v| v as usize).collect::<Vec<_>>(),
-                batch.class_votes(index),
-                "kernel {kernel}, row {index}"
-            );
-            assert_eq!(row_votes[1] as usize, batch.positive_votes(index));
-        }
-        assert_eq!(
-            compiled.predict_batch_with(&matrix, kernel),
-            (0..rows.len()).map(|i| batch.majority(i)).collect::<Vec<_>>(),
-            "kernel {kernel}"
-        );
         // The sharded path must stitch bit-identically under every kernel;
         // a width-3 install forces real sharding even on one core.
         rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap().install(|| {
             for shard_rows in [1usize, 3, 1024] {
                 assert_eq!(
-                    &compiled.par_predict_all_batch_with(&matrix, shard_rows, kernel),
+                    &compiled.par_predict_all_batch(&matrix, shard_rows, kernel),
                     &batch,
                     "kernel {kernel}, shard_rows {shard_rows}"
                 );
             }
         });
     }
+    let votes = compiled.positive_vote_counts(&matrix);
+    for (index, (&vote, expected)) in votes.iter().zip(&reference).enumerate() {
+        let positive = expected.iter().filter(|&&l| l == Label::Positive).count();
+        assert_eq!(vote as usize, positive, "row {index}");
+    }
+    // Per-class counts match the per-tree labels class by class, and the
+    // class-1 column is the one-vs-rest positive count above.
+    let classes = compiled.num_classes().max(2);
+    let class_votes = compiled.class_vote_counts(&matrix);
+    assert_eq!(class_votes.len(), rows.len() * classes);
+    let mut majorities = Vec::new();
+    for (index, (row_votes, expected)) in class_votes.chunks_exact(classes).zip(&reference).enumerate() {
+        let mut counts = vec![0u32; classes];
+        for label in expected {
+            counts[label.index()] += 1;
+        }
+        assert_eq!(row_votes, counts.as_slice(), "row {index}");
+        assert_eq!(row_votes[1], votes[index], "row {index}");
+        // Plurality with ties to the lowest class index.
+        let winner = (0..classes).rev().max_by_key(|&class| counts[class]).unwrap();
+        majorities.push(Label::from_index(winner).unwrap());
+    }
+    assert_eq!(compiled.predict_batch(&matrix), majorities);
+}
+
+/// Every width the walk is compiled for is reached by some kernel, so the
+/// parity tests above exercise each one deterministically rather than
+/// whenever a timing probe happens to pick it.
+#[test]
+fn kernels_reach_every_compiled_width() {
+    let compiled = chain_forest(&[0.5], 2);
+    let mut reached: Vec<ResolvedKernel> = Kernel::ALL
+        .iter()
+        .filter_map(|&kernel| compiled.resolved_kernel(kernel))
+        .collect();
+    reached.dedup();
+    assert_eq!(reached, ResolvedKernel::ALL);
 }
 
 proptest! {
@@ -270,7 +273,7 @@ fn leaf_only_trees_agree_across_kernels() {
 #[test]
 fn deep_chains_walk_identically_across_kernels() {
     // 2048 levels — deeper than any trained tree, stressing the lockstep
-    // step count, the BFS renumbering and the quantized fallback re-walk.
+    // step count and the BFS renumbering.
     // Run the chain with every k of the sweep: the leaf labels cycle, so
     // for k > 2 a mis-stepped walk lands on a different class index.
     let thresholds: Vec<f64> = (0..2048).map(|i| f64::from(i) * 0.001 - 1.0).collect();
@@ -287,7 +290,7 @@ fn deep_chains_walk_identically_across_kernels() {
 /// k = 2 bit-identity regression: a fixed-seed forest over a fixed
 /// dataset must keep producing exactly these majority labels and positive
 /// vote counts, under every kernel. The parity properties above tie all
-/// kernels to the recursive walk for *one* build; pinning literal values
+/// kernels to the single-row walk for *one* build; pinning literal values
 /// additionally catches any future change that shifts training or
 /// inference for binary models, however internally consistent.
 #[test]
@@ -313,17 +316,14 @@ fn fixed_seed_binary_outputs_are_pinned() {
 
     let expected_labels: Vec<usize> = vec![1, 1, 1, 0, 1, 0, 0, 1, 0, 0, 0, 0];
     let expected_votes: Vec<u32> = vec![8, 8, 8, 4, 7, 2, 0, 9, 4, 4, 4, 4];
-    for kernel in KERNELS {
-        let labels: Vec<usize> = compiled
-            .predict_batch_with(&matrix, kernel)
-            .iter()
-            .map(|label| label.index())
-            .collect();
+    let labels: Vec<usize> = compiled.predict_batch(&matrix).iter().map(|label| label.index()).collect();
+    assert_eq!(labels, expected_labels);
+    assert_eq!(compiled.positive_vote_counts(&matrix), expected_votes);
+    for kernel in Kernel::ALL {
+        let batch = compiled.predict_all_batch_with(&matrix, kernel);
+        let votes: Vec<u32> = (0..probes.len()).map(|i| batch.positive_votes(i) as u32).collect();
+        assert_eq!(votes, expected_votes, "kernel {kernel}");
+        let labels: Vec<usize> = (0..probes.len()).map(|i| batch.majority(i).index()).collect();
         assert_eq!(labels, expected_labels, "kernel {kernel}");
-        assert_eq!(
-            compiled.positive_vote_counts_with(&matrix, kernel),
-            expected_votes,
-            "kernel {kernel}"
-        );
     }
 }
