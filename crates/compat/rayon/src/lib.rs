@@ -97,6 +97,9 @@ impl JobRef {
     /// executed — guaranteed by the queue's exactly-once pop and the
     /// creator blocking until completion.
     unsafe fn run(self) {
+        // SAFETY: the caller upholds this function's contract — `data`
+        // points to a live, not-yet-executed job of exactly the type
+        // `execute` was instantiated for.
         unsafe { (self.execute)(self.data) }
     }
 }
@@ -484,11 +487,16 @@ impl<T: Send, U: Send, F: Fn(T) -> U + Sync> RangeJob<T, U, F> {
     /// Processes the range front to back, lazily splitting off the far
     /// half whenever idle demand is observed between items.
     fn run(mut self) {
-        // Safety: the creator blocks on the task group until this job
-        // completes, so the shared state, the group and the result slots
-        // are all alive for the duration of `run`.
+        // SAFETY: `shared` lives in the creator's frame, and the creator
+        // blocks on the task group until this job completes, so it is
+        // alive for the duration of `run`.
         let shared = unsafe { &*self.shared };
+        // SAFETY: the group is the one the creator is blocked on, so it
+        // outlives every job counted against it, this one included.
         let group = unsafe { &*shared.group };
+        // SAFETY: the closure is borrowed by the creator for its whole
+        // call, which blocks until the group completes; `F: Sync`, and
+        // jobs only take shared references to it.
         let f = unsafe { &*shared.f };
         let shared_ptr = self.shared;
         let mut items = std::mem::take(&mut self.items);

@@ -21,9 +21,12 @@
 //!
 //! The hash is a from-scratch SHA-256 (FIPS 180-4) rather than the FNV
 //! [`proto::PayloadDigest`] machinery: FNV is a fine cache key but is
-//! trivially forgeable, and an authentication tag must not be. HMAC is the
-//! standard RFC 2104 construction; both are pinned against published test
-//! vectors below. No new dependencies are involved.
+//! trivially forgeable, and an authentication tag must not be. Its block
+//! compress is chosen at run time: Intel's SHA extensions on x86-64 CPUs
+//! that report them, the portable compress everywhere else; the portable
+//! one is also the reference the hardware path is tested against. HMAC is
+//! the standard RFC 2104 construction; both are pinned against published
+//! test vectors below. No new dependencies are involved.
 
 use crate::error::{WatermarkError, WatermarkResult};
 use crate::proto::{self, FrameHeader, TAG_BYTES, TENANT_FIELD_BYTES};
@@ -167,80 +170,32 @@ const SHA256_K: [u32; 64] = [
     0x748f_82ee, 0x78a5_636f, 0x84c8_7814, 0x8cc7_0208, 0x90be_fffa, 0xa450_6ceb, 0xbef9_a3f7, 0xc671_78f2,
 ];
 
-/// Streaming SHA-256: feed bytes with [`Sha256::update`], close with
-/// [`Sha256::finalize`]. Streaming matters on the frame-tag hot path — the
-/// payload is hashed in place instead of being copied into a transcript
-/// buffer first.
-#[derive(Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    buffer: [u8; 64],
-    buffered: usize,
-    total: u64,
+/// A SHA-256 block compress: folds every whole 64-byte block of its input
+/// into the state.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// SHA-NI compression, compiled only for x86-64 and selected at run time.
+/// The crate's one module allowed to use `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sha_ni;
+
+/// The fastest compress this CPU runs: SHA-NI when it reports the SHA
+/// extensions, [`compress_portable`] otherwise. Both produce the same
+/// digest bit for bit.
+fn select_compress() -> Compress {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(compress) = sha_ni::detect() {
+        return compress;
+    }
+    compress_portable
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Sha256 {
-    /// Fresh hash state.
-    pub fn new() -> Self {
-        Self {
-            state: SHA256_INIT,
-            buffer: [0u8; 64],
-            buffered: 0,
-            total: 0,
-        }
-    }
-
-    /// Absorbs `data`.
-    pub fn update(&mut self, mut data: &[u8]) {
-        self.total = self.total.wrapping_add(data.len() as u64);
-        if self.buffered > 0 {
-            let take = (64 - self.buffered).min(data.len());
-            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
-            self.buffered += take;
-            data = &data[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-            // Everything fit in the partial block: the tail below must not
-            // run, or it would reset `buffered` and drop those bytes.
-            if data.is_empty() {
-                return;
-            }
-        }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            self.compress(block.try_into().expect("split_at(64) yields 64 bytes"));
-            data = rest;
-        }
-        self.buffer[..data.len()].copy_from_slice(data);
-        self.buffered = data.len();
-    }
-
-    /// Pads and produces the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
-        let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable FIPS 180-4 compress, one block at a time: the fallback on
+/// CPUs without SHA extensions and the reference the hardware path is
+/// tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (t, chunk) in block.chunks_exact(4).enumerate() {
             w[t] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
@@ -250,7 +205,7 @@ impl Sha256 {
             let s1 = w[t - 2].rotate_right(17) ^ w[t - 2].rotate_right(19) ^ (w[t - 2] >> 10);
             w[t] = w[t - 16].wrapping_add(s0).wrapping_add(w[t - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for t in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -267,9 +222,86 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// Streaming SHA-256: feed bytes with [`Sha256::update`], close with
+/// [`Sha256::finalize`]. Streaming matters on the frame-tag hot path — the
+/// payload is hashed in place instead of being copied into a transcript
+/// buffer first. The block compress is chosen at run time (SHA-NI when the
+/// CPU reports it, portable otherwise); the digest is the same either way.
+#[derive(Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    buffer: [u8; 64],
+    buffered: usize,
+    total: u64,
+    compress: Compress,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sha256 {
+    /// Fresh hash state.
+    pub fn new() -> Self {
+        Self::with_compress(select_compress())
+    }
+
+    fn with_compress(compress: Compress) -> Self {
+        Self {
+            state: SHA256_INIT,
+            buffer: [0u8; 64],
+            buffered: 0,
+            total: 0,
+            compress,
+        }
+    }
+
+    /// Absorbs `data`.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
+            self.buffered += take;
+            data = &data[take..];
+            // Everything fit in the partial block: keep it buffered.
+            if self.buffered < 64 {
+                return;
+            }
+            (self.compress)(&mut self.state, &self.buffer);
+            self.buffered = 0;
+        }
+        // All whole blocks go to the compress in one call.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        (self.compress)(&mut self.state, blocks);
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffered = tail.len();
+    }
+
+    /// Pads and produces the 32-byte digest.
+    pub fn finalize(mut self) -> [u8; 32] {
+        let bit_len = self.total.wrapping_mul(8);
+        // FIPS 180-4 §5.1.1: 0x80, then zeros up to 56 bytes mod 64, then
+        // the message length in bits, big-endian — one or two blocks.
+        let zeros = (119 - self.buffered) % 64;
+        let mut padding = [0u8; 72];
+        padding[0] = 0x80;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.update(&padding[..9 + zeros]);
+        debug_assert_eq!(self.buffered, 0);
+        let mut out = [0u8; 32];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
     }
 }
 
@@ -694,6 +726,8 @@ pub struct TenantStatsEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -718,6 +752,18 @@ mod tests {
         );
     }
 
+    /// The long NIST vector: one million repetitions of `a`, fed through
+    /// both compresses.
+    #[test]
+    fn sha256_matches_the_million_a_vector() {
+        let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        let message = vec![b'a'; 1_000_000];
+        assert_eq!(hex(&sha256(&message)), expected);
+        let mut portable = Sha256::with_compress(compress_portable);
+        portable.update(&message);
+        assert_eq!(hex(&portable.finalize()), expected);
+    }
+
     /// Streaming in odd-sized pieces must match the one-shot digest.
     #[test]
     fn sha256_streaming_is_chunking_invariant() {
@@ -732,17 +778,97 @@ mod tests {
         }
     }
 
-    /// RFC 4231 test cases 1 and 2.
+    /// The runtime-selected compress (SHA-NI where the CPU has it) and the
+    /// portable one produce the same digest for random messages of every
+    /// length up to 4096, each fed in random chunk sizes so the buffered
+    /// head, the bulk path and both padding shapes are covered. The
+    /// portable side is called directly, so the fallback is exercised on
+    /// every host.
+    #[test]
+    fn selected_compress_matches_the_portable_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x5a256);
+        for len in 0..=4096usize {
+            let message: Vec<u8> = (0..len).map(|_| rng.gen::<u32>() as u8).collect();
+            let mut selected = Sha256::new();
+            let mut portable = Sha256::with_compress(compress_portable);
+            let mut rest = message.as_slice();
+            while !rest.is_empty() {
+                let take = rng.gen_range(1..=rest.len().min(200));
+                let (piece, tail) = rest.split_at(take);
+                selected.update(piece);
+                portable.update(piece);
+                rest = tail;
+            }
+            let expected = portable.finalize();
+            assert_eq!(selected.finalize(), expected, "length {len}");
+            assert_eq!(sha256(&message), expected, "one-shot, length {len}");
+        }
+    }
+
+    /// The SHA-NI compress, where this CPU has it, matches the portable one
+    /// from arbitrary states over runs of one to nine blocks.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sha_ni_compress_matches_the_portable_reference() {
+        let Some(fast) = sha_ni::detect() else {
+            return;
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5eed);
+        for blocks in 1..=9usize {
+            for _ in 0..32 {
+                let state: [u32; 8] = std::array::from_fn(|_| rng.gen());
+                let data: Vec<u8> = (0..64 * blocks).map(|_| rng.gen::<u32>() as u8).collect();
+                let (mut hardware, mut reference) = (state, state);
+                fast(&mut hardware, &data);
+                compress_portable(&mut reference, &data);
+                assert_eq!(hardware, reference, "{blocks} blocks from {state:08x?}");
+            }
+        }
+    }
+
+    /// RFC 4231 test cases 1–4, 6 and 7 (case 5 tests truncation, which
+    /// `frame_tag` does itself). Cases 6 and 7 use a 131-byte key, the only
+    /// path through the hash-the-key-first branch of [`HmacSha256::new`].
     #[test]
     fn hmac_sha256_matches_rfc_4231() {
-        assert_eq!(
-            hex(&hmac_sha256(&[0x0b; 20], b"Hi There")),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-        );
-        assert_eq!(
-            hex(&hmac_sha256(b"Jefe", b"what do ya want for nothing?")),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-        );
+        let key_1_to_25: Vec<u8> = (1..=25).collect();
+        let cases: [(&[u8], &[u8], &str); 6] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &key_1_to_25,
+                &[0xcd; 50],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                &[0xaa; 131],
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+            (
+                &[0xaa; 131],
+                b"This is a test using a larger than block-size key and a larger than \
+                  block-size data. The key needs to be hashed before being used by the \
+                  HMAC algorithm.",
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ];
+        for (case, (key, message, expected)) in cases.into_iter().enumerate() {
+            assert_eq!(hex(&hmac_sha256(key, message)), expected, "case index {case}");
+        }
     }
 
     #[test]

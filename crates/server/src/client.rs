@@ -7,9 +7,11 @@
 //! in flight at once; responses are matched back by correlation id, and
 //! out-of-order arrivals for other in-flight dockets are stashed until
 //! their ticket is redeemed. Claim bodies travel once per connection:
-//! later dockets reference them by content digest, and a judge that has
-//! evicted a body answers `NeedPayload`, which the client recovers from
-//! transparently by resending the docket with the missing bodies inlined.
+//! later dockets reference them by content digest (the client remembers
+//! up to [`MAX_REMEMBERED_CLAIMS`] digests, then starts over), and a
+//! judge that has evicted a body answers `NeedPayload`, which the client
+//! recovers from transparently by resending the docket with the missing
+//! bodies inlined.
 
 use serde::{Serialize, Value};
 use std::collections::{HashMap, HashSet};
@@ -208,6 +210,14 @@ struct PendingDocket {
 /// peer is not honouring the protocol.
 const MAX_NEED_PAYLOAD_RETRIES: u8 = 3;
 
+/// Most claim digests a connection remembers as already uploaded. When a
+/// docket would push the set past this, it is cleared first: a forgotten
+/// digest only means that body travels inline once more (the judge
+/// recomputes digests anyway), while an unbounded set would grow for the
+/// life of a connection carrying distinct claims — a router's long-lived
+/// backend clients included.
+pub const MAX_REMEMBERED_CLAIMS: usize = 4096;
+
 /// Outcome of redeeming a docket ticket with
 /// [`DisputeClient::recv_docket_outcome`], the variant of
 /// [`DisputeClient::recv_docket`] that does **not** treat an
@@ -254,7 +264,7 @@ pub struct DisputeClient {
     pending: HashMap<u64, PendingDocket>,
     /// Digests of claim bodies this connection has already uploaded; such
     /// claims travel as digest-only references until the judge reports an
-    /// eviction.
+    /// eviction. Bounded by [`MAX_REMEMBERED_CLAIMS`].
     sent_claims: HashSet<PayloadDigest>,
     /// Digests of models this connection has already uploaded.
     sent_models: HashSet<PayloadDigest>,
@@ -402,6 +412,21 @@ impl DisputeClient {
     /// Number of dockets sent and not yet received.
     pub fn pending_dockets(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Number of claim digests this connection currently sends digest-only
+    /// (at most [`MAX_REMEMBERED_CLAIMS`]).
+    pub fn remembered_claims(&self) -> usize {
+        self.sent_claims.len()
+    }
+
+    /// Records freshly uploaded claim digests, clearing the set first if
+    /// they would push it past [`MAX_REMEMBERED_CLAIMS`].
+    fn remember_claims(&mut self, uploaded: HashSet<PayloadDigest>) {
+        if self.sent_claims.len() + uploaded.len() > MAX_REMEMBERED_CLAIMS {
+            self.sent_claims.clear();
+        }
+        self.sent_claims.extend(uploaded.into_iter().take(MAX_REMEMBERED_CLAIMS));
     }
 
     fn ensure_usable(&self) -> WatermarkResult<()> {
@@ -660,7 +685,7 @@ impl DisputeClient {
             },
         )?;
         self.write_frame(&frame)?;
-        self.sent_claims.extend(inline_digests);
+        self.remember_claims(inline_digests);
         self.outstanding.insert(correlation_id);
         self.pending.insert(
             correlation_id,
@@ -715,7 +740,7 @@ impl DisputeClient {
             },
         )?;
         self.write_frame(&frame)?;
-        self.sent_claims.extend(inline_digests);
+        self.remember_claims(inline_digests);
         self.outstanding.insert(correlation_id);
         self.pending.insert(
             correlation_id,

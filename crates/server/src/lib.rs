@@ -54,6 +54,9 @@ mod client;
 mod router;
 mod server;
 
-pub use client::{ClientAuth, ClientConfig, DisputeClient, DocketOutcome, DocketTicket, PongInfo};
+pub use client::{
+    ClientAuth, ClientConfig, DisputeClient, DocketOutcome, DocketTicket, PongInfo,
+    MAX_REMEMBERED_CLAIMS,
+};
 pub use router::{JudgeRouter, RouterConfig, RouterHandle, RunningRouter};
 pub use server::{JudgeServer, RunningServer, ServerConfig, ServerHandle};

@@ -39,8 +39,9 @@ use wdte_core::{
 compile_error!("wdte-server's readiness loop is built on poll(2) and requires a unix target");
 
 /// Minimal FFI surface over `poll(2)`. This module is the only place in
-/// the workspace allowed to use `unsafe` (the crate root carries
-/// `#![deny(unsafe_code)]`): the build environment is offline, so the
+/// this crate allowed to use `unsafe` (the crate root carries
+/// `#![deny(unsafe_code)]`; the workspace-wide policy is in
+/// `docs/ARCHITECTURE.md`): the build environment is offline, so the
 /// usual `libc`/`mio` crates are unavailable and the one syscall std does
 /// not wrap has to be declared by hand. std itself links libc, so the
 /// symbol is always present.

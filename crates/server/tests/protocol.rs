@@ -18,7 +18,10 @@ use wdte_core::{
     WatermarkConfig, WatermarkOutcome, Watermarker,
 };
 use wdte_data::{Dataset, SyntheticSpec};
-use wdte_server::{ClientAuth, ClientConfig, DisputeClient, JudgeServer, RunningServer, ServerConfig};
+use wdte_server::{
+    ClientAuth, ClientConfig, DisputeClient, JudgeServer, RunningServer, ServerConfig,
+    MAX_REMEMBERED_CLAIMS,
+};
 use wdte_trees::{ForestParams, RandomForest};
 
 fn embedded(seed: u64) -> (Dataset, WatermarkOutcome) {
@@ -247,6 +250,59 @@ fn need_payload_recovery_survives_a_tiny_claim_cache() {
     // Second docket references the claim digest-only, the judge answers
     // NeedPayload, and the client resends with the body inlined.
     assert_eq!(client.resolve_docket(&docket).unwrap(), reference);
+    assert!(!client.is_broken());
+    server.shutdown().unwrap();
+}
+
+/// One connection carrying more distinct claims than the client
+/// remembers: the remembered-digest set stays bounded (it is cleared when
+/// full, so later bodies simply travel inline again) and every verdict is
+/// still bit-identical to in-process resolution.
+#[test]
+fn remembered_claim_digests_stay_bounded_on_distinct_traffic() {
+    let (model, claim) = plain_fixture(81);
+    let rows = claim.test_set.len();
+    let test_pair = claim.test_set.select(&[0, 1]).unwrap();
+    let mut rng = SmallRng::seed_from_u64(82);
+    // Tiny distinct claims: a two-row trigger set drawn from the test rows
+    // (every index pair is distinct) and a fresh signature.
+    let dockets: Vec<Vec<Dispute>> = (0..MAX_REMEMBERED_CLAIMS + 600)
+        .map(|i| {
+            let trigger = claim.test_set.select(&[i % rows, i / rows]).unwrap();
+            let signature = Signature::random(claim.signature.len(), 0.5, &mut rng);
+            Dispute::new("m", OwnershipClaim::new(signature, trigger, test_pair.clone()))
+        })
+        .collect::<Vec<_>>()
+        .chunks(200)
+        .map(<[Dispute]>::to_vec)
+        .collect();
+    assert!(
+        MAX_REMEMBERED_CLAIMS + 600 < rows * rows,
+        "the fixture yields distinct claims"
+    );
+
+    let service = Arc::new(DisputeService::builder().build().unwrap());
+    service.register("m", &model);
+    let server = start_server(Arc::clone(&service));
+    let mut client = DisputeClient::connect(server.addr()).unwrap();
+    let mut peak = 0;
+    for docket in &dockets {
+        assert_eq!(
+            client.resolve_docket(docket).unwrap(),
+            service.resolve_many(docket)
+        );
+        peak = peak.max(client.remembered_claims());
+    }
+    assert!(peak <= MAX_REMEMBERED_CLAIMS, "peak {peak} over the cap");
+    assert!(
+        peak > MAX_REMEMBERED_CLAIMS / 2,
+        "the set filled before clearing (peak {peak})"
+    );
+    // A docket repeated after the clears still resolves identically.
+    assert_eq!(
+        client.resolve_docket(&dockets[0]).unwrap(),
+        service.resolve_many(&dockets[0])
+    );
     assert!(!client.is_broken());
     server.shutdown().unwrap();
 }
