@@ -3,17 +3,24 @@
 //! `crates/compat/` because the build environment has no registry access.
 //!
 //! Instead of serde's generic serializer/deserializer architecture, this
-//! shim routes everything through one self-describing [`Value`] tree (the
-//! JSON data model). [`Serialize`] renders a type into a [`Value`],
-//! [`Deserialize`] rebuilds it, and `serde_json` (also vendored) converts
-//! between [`Value`] and JSON text. The `#[derive(Serialize, Deserialize)]`
-//! macros are provided by the companion `serde_derive` shim and re-exported
-//! here exactly like the real crate does with its `derive` feature.
+//! shim knows two formats. Text goes through one self-describing [`Value`]
+//! tree (the JSON data model): [`Serialize::to_value`] renders a type into
+//! a [`Value`], [`Deserialize::from_value`] rebuilds it, and `serde_json`
+//! (also vendored) converts between [`Value`] and JSON text. The binary
+//! tag-length-value codec in [`binary`] skips the tree:
+//! [`Serialize::write_binary`] and [`Deserialize::read_binary`] go straight
+//! between typed values and bytes, with defaults that route through
+//! [`Value`] for types that only implement the tree methods. The
+//! `#[derive(Serialize, Deserialize)]` macros are provided by the
+//! companion `serde_derive` shim and re-exported here exactly like the
+//! real crate does with its `derive` feature.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serde_derive::{Deserialize, Serialize};
+
+pub mod binary;
 
 /// Self-describing serialized representation (the JSON data model).
 #[derive(Debug, Clone, PartialEq)]
@@ -131,21 +138,43 @@ pub fn map_get<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a Valu
         .ok_or_else(|| DeError::new(format!("missing field `{key}`")))
 }
 
-/// Types that can render themselves into a [`Value`].
+/// Types that can render themselves into a [`Value`] and the binary codec.
 pub trait Serialize {
     /// Renders `self` into the serde data model.
     fn to_value(&self) -> Value;
+
+    /// Appends the [`binary`] encoding of `self` to `out`. It must equal
+    /// the encoding of [`to_value`](Self::to_value), which is what the
+    /// default writes.
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::encode_value(&self.to_value(), out);
+    }
 }
 
-/// Types that can be rebuilt from a [`Value`].
+/// Types that can be rebuilt from a [`Value`] and the binary codec.
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from the serde data model.
     fn from_value(value: &Value) -> Result<Self, DeError>;
+
+    /// Reads `Self` from its [`binary`] encoding at nesting `depth`. It
+    /// must accept exactly what decoding a [`Value`] and calling
+    /// [`from_value`](Self::from_value) accepts, which is what the default
+    /// does.
+    #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        binary::via_value(reader, depth)
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_bool(out, *self);
     }
 }
 
@@ -156,42 +185,60 @@ impl Deserialize for bool {
             _ => Err(DeError::expected("bool", "bool")),
         }
     }
+
+    #[inline(always)]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if reader.accept(depth, binary::TAG_TRUE)? {
+            Ok(true)
+        } else if reader.accept(depth, binary::TAG_FALSE)? {
+            Ok(false)
+        } else {
+            binary::via_value(reader, depth)
+        }
+    }
 }
 
-macro_rules! impl_serde_unsigned {
-    ($($t:ty),*) => {$(
+/// Integers: the canonical tag (`U64` for unsigned, `I64` for signed) is
+/// read directly; any other tag goes through the lenient [`Value`] views.
+macro_rules! impl_serde_integer {
+    ($variant:ident, $raw:ty, $tag:ident, $write:ident, $view:ident, $what:literal: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn to_value(&self) -> Value { Value::$variant(*self as $raw) }
+
+            #[inline]
+            fn write_binary(&self, out: &mut Vec<u8>) {
+                binary::$write(out, *self as $raw);
+            }
         }
         impl Deserialize for $t {
             fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw = value.as_u64().ok_or_else(|| DeError::expected("unsigned integer", stringify!($t)))?;
+                let raw = value.$view().ok_or_else(|| DeError::expected($what, stringify!($t)))?;
+                <$t>::try_from(raw).map_err(|_| DeError::new(format!("{raw} out of range for {}", stringify!($t))))
+            }
+
+            #[inline(always)]
+            fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+                if !reader.accept(depth, binary::$tag)? {
+                    return binary::via_value(reader, depth);
+                }
+                let raw = reader.take_u64()? as $raw;
                 <$t>::try_from(raw).map_err(|_| DeError::new(format!("{raw} out of range for {}", stringify!($t))))
             }
         }
     )*};
 }
 
-macro_rules! impl_serde_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::I64(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let raw = value.as_i64().ok_or_else(|| DeError::expected("integer", stringify!($t)))?;
-                <$t>::try_from(raw).map_err(|_| DeError::new(format!("{raw} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_serde_unsigned!(u8, u16, u32, u64, usize);
-impl_serde_signed!(i8, i16, i32, i64, isize);
+impl_serde_integer!(U64, u64, TAG_U64, write_u64, as_u64, "unsigned integer": u8, u16, u32, u64, usize);
+impl_serde_integer!(I64, i64, TAG_I64, write_i64, as_i64, "integer": i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::F64(*self)
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_f64(out, *self);
     }
 }
 
@@ -199,11 +246,25 @@ impl Deserialize for f64 {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         value.as_f64().ok_or_else(|| DeError::expected("number", "f64"))
     }
+
+    #[inline(always)]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if reader.accept(depth, binary::TAG_F64)? {
+            Ok(f64::from_bits(reader.take_u64()?))
+        } else {
+            binary::via_value(reader, depth)
+        }
+    }
 }
 
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::F64(f64::from(*self))
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_f64(out, f64::from(*self));
     }
 }
 
@@ -214,11 +275,21 @@ impl Deserialize for f32 {
             .map(|v| v as f32)
             .ok_or_else(|| DeError::expected("number", "f32"))
     }
+
+    #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        f64::read_binary(reader, depth).map(|v| v as f32)
+    }
 }
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_str(out, self);
     }
 }
 
@@ -229,17 +300,36 @@ impl Deserialize for String {
             .map(str::to_owned)
             .ok_or_else(|| DeError::expected("string", "String"))
     }
+
+    #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if reader.accept(depth, binary::TAG_STR)? {
+            Ok(reader.take_str()?.to_owned())
+        } else {
+            binary::via_value(reader, depth)
+        }
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_owned())
     }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_str(out, self);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_seq(out, self);
     }
 }
 
@@ -252,11 +342,21 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             .map(T::from_value)
             .collect()
     }
+
+    #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        binary::read_seq(reader, depth)
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Seq(self.iter().map(Serialize::to_value).collect())
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_seq(out, self);
     }
 }
 
@@ -265,6 +365,14 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(inner) => inner.to_value(),
             None => Value::Null,
+        }
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(inner) => inner.write_binary(out),
+            None => binary::write_null(out),
         }
     }
 }
@@ -276,11 +384,25 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => T::from_value(other).map(Some),
         }
     }
+
+    #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if reader.accept(depth, binary::TAG_NULL)? {
+            Ok(None)
+        } else {
+            T::read_binary(reader, depth).map(Some)
+        }
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        (**self).write_binary(out);
     }
 }
 
@@ -289,6 +411,12 @@ macro_rules! impl_serde_tuple {
         impl<$($name: Serialize),+> Serialize for ($($name,)+) {
             fn to_value(&self) -> Value {
                 Value::Seq(vec![$(self.$index.to_value()),+])
+            }
+
+            #[inline]
+    fn write_binary(&self, out: &mut Vec<u8>) {
+                binary::write_seq_header(out, [$($index,)+].len());
+                $(self.$index.write_binary(out);)+
             }
         }
         impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
@@ -302,6 +430,21 @@ macro_rules! impl_serde_tuple {
                     )));
                 }
                 Ok(($($name::from_value(&items[$index])?,)+))
+            }
+
+            #[inline]
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+                if !reader.accept(depth, binary::TAG_SEQ)? {
+                    return Err(DeError::expected("array", "tuple"));
+                }
+                let expected = [$($index,)+].len();
+                let found = reader.take_len()?;
+                if found != expected {
+                    return Err(DeError::new(format!(
+                        "tuple length mismatch: expected {expected}, found {found}"
+                    )));
+                }
+                Ok(($($name::read_binary(reader, depth + 1)?,)+))
             }
         }
     )*};

@@ -18,6 +18,11 @@
 //!   the header `"WDTE"` + `'B'` + `u16` version, followed by a
 //!   tag-length-value rendering of the serde data model. `f64`s are stored
 //!   as their raw IEEE-754 bit pattern, preserving even `NaN` payloads.
+//!   The codec, with its bounds checks, capped reservations and depth
+//!   limit, is [`serde::binary`]; WDTP frames ([`crate::proto`]) carry the
+//!   same encoding. Types are written and read directly between their
+//!   fields and the bytes, with no intermediate [`Value`] tree; JSON still
+//!   goes through [`Value`].
 //!
 //! **Version policy:** the header version is bumped whenever the encoding
 //! of existing data changes shape. Readers accept the versions in
@@ -30,7 +35,7 @@
 //! [`WatermarkError::CorruptedArtifact`], never as a panic.
 
 use crate::error::{WatermarkError, WatermarkResult};
-use serde::{Deserialize, Serialize, Value};
+use serde::{binary, Deserialize, Serialize, Value};
 use std::path::Path;
 
 /// Magic bytes opening every binary artefact (and the `"magic"` field of
@@ -46,10 +51,6 @@ pub const FORMAT_VERSION: u16 = 2;
 /// Oldest format version this build still reads. Version-1 artefacts
 /// predate the k-class label model and decode as binary (`k = 2`).
 pub const MIN_SUPPORTED_VERSION: u16 = 1;
-
-/// Nesting depth accepted by the binary decoder; deeper input is treated
-/// as corrupted rather than risking unbounded recursion.
-const MAX_DEPTH: usize = 128;
 
 /// On-disk encoding of an artefact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -79,7 +80,7 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T, format: Format) -> Vec<u8> {
             bytes.extend_from_slice(MAGIC);
             bytes.push(BINARY_TAG);
             bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            encode_value(&value.to_value(), &mut bytes);
+            value.write_binary(&mut bytes);
             bytes
         }
     }
@@ -89,8 +90,16 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T, format: Format) -> Vec<u8> {
 /// the header. Fails with typed errors on unknown containers, version
 /// mismatches, and corrupted or truncated payloads.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> WatermarkResult<T> {
-    let value = payload_value(bytes)?;
-    T::from_value(&value).map_err(|err| WatermarkError::CorruptedArtifact {
+    let decoded = match detect_format(bytes) {
+        Some(Format::Binary) => binary::from_slice(binary_payload(bytes)?),
+        Some(Format::Json) => T::from_value(&json_payload(bytes)?),
+        None => {
+            return Err(WatermarkError::UnrecognizedFormat {
+                detail: "file starts with neither the WDTE magic nor a JSON envelope".to_string(),
+            })
+        }
+    };
+    decoded.map_err(|err| WatermarkError::CorruptedArtifact {
         detail: err.to_string(),
     })
 }
@@ -106,82 +115,63 @@ pub fn detect_format(bytes: &[u8]) -> Option<Format> {
     }
 }
 
-/// Extracts the payload [`Value`] after validating magic and version.
-fn payload_value(bytes: &[u8]) -> WatermarkResult<Value> {
-    match detect_format(bytes) {
-        Some(Format::Binary) => {
-            let rest = &bytes[MAGIC.len()..];
-            let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("container tag"))?;
-            if tag != BINARY_TAG {
-                return Err(WatermarkError::UnrecognizedFormat {
-                    detail: format!("unknown container tag {:#04x} after WDTE magic", tag),
-                });
-            }
-            if rest.len() < 2 {
-                return Err(truncated("format version"));
-            }
-            let found = u16::from_le_bytes([rest[0], rest[1]]);
-            check_version(found)?;
-            let mut cursor = Cursor {
-                bytes: &rest[2..],
-                pos: 0,
-            };
-            let value = decode_value(&mut cursor, 0)?;
-            if cursor.pos != cursor.bytes.len() {
-                return Err(WatermarkError::CorruptedArtifact {
-                    detail: format!(
-                        "{} trailing bytes after the payload",
-                        cursor.bytes.len() - cursor.pos
-                    ),
-                });
-            }
-            Ok(value)
-        }
-        Some(Format::Json) => {
-            let text = std::str::from_utf8(bytes).map_err(|_| WatermarkError::UnrecognizedFormat {
-                detail: "file is neither valid UTF-8 JSON nor WDTE binary".to_string(),
-            })?;
-            let envelope =
-                serde_json::parse_value_str(text).map_err(|err| WatermarkError::CorruptedArtifact {
-                    detail: format!("invalid JSON: {err}"),
-                })?;
-            let entries = envelope.as_map().ok_or_else(|| WatermarkError::UnrecognizedFormat {
-                detail: "JSON artefact must be an envelope object".to_string(),
-            })?;
-            let magic = entries
-                .iter()
-                .find(|(key, _)| key == "magic")
-                .and_then(|(_, value)| value.as_str());
-            if magic != Some("WDTE") {
-                return Err(WatermarkError::UnrecognizedFormat {
-                    detail: "JSON envelope is missing the \"magic\": \"WDTE\" field".to_string(),
-                });
-            }
-            let found = entries
-                .iter()
-                .find(|(key, _)| key == "version")
-                .and_then(|(_, value)| value.as_u64())
-                .ok_or_else(|| WatermarkError::CorruptedArtifact {
-                    detail: "JSON envelope is missing a numeric \"version\" field".to_string(),
-                })?;
-            let found = u16::try_from(found).map_err(|_| WatermarkError::UnsupportedFormatVersion {
-                found: u16::MAX,
-                supported: FORMAT_VERSION,
-            })?;
-            check_version(found)?;
-            let payload = entries
-                .iter()
-                .find(|(key, _)| key == "payload")
-                .map(|(_, value)| value.clone())
-                .ok_or_else(|| WatermarkError::CorruptedArtifact {
-                    detail: "JSON envelope has no \"payload\" field".to_string(),
-                })?;
-            Ok(payload)
-        }
-        None => Err(WatermarkError::UnrecognizedFormat {
-            detail: "file starts with neither the WDTE magic nor a JSON envelope".to_string(),
-        }),
+/// Validates the binary header (magic, container tag, version) and
+/// returns the payload bytes after it.
+fn binary_payload(bytes: &[u8]) -> WatermarkResult<&[u8]> {
+    let rest = &bytes[MAGIC.len()..];
+    let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("container tag"))?;
+    if tag != BINARY_TAG {
+        return Err(WatermarkError::UnrecognizedFormat {
+            detail: format!("unknown container tag {:#04x} after WDTE magic", tag),
+        });
     }
+    if rest.len() < 2 {
+        return Err(truncated("format version"));
+    }
+    check_version(u16::from_le_bytes([rest[0], rest[1]]))?;
+    Ok(&rest[2..])
+}
+
+/// Validates the JSON envelope (magic, version) and returns its payload.
+fn json_payload(bytes: &[u8]) -> WatermarkResult<Value> {
+    let text = std::str::from_utf8(bytes).map_err(|_| WatermarkError::UnrecognizedFormat {
+        detail: "file is neither valid UTF-8 JSON nor WDTE binary".to_string(),
+    })?;
+    let envelope =
+        serde_json::parse_value_str(text).map_err(|err| WatermarkError::CorruptedArtifact {
+            detail: format!("invalid JSON: {err}"),
+        })?;
+    let entries = envelope.as_map().ok_or_else(|| WatermarkError::UnrecognizedFormat {
+        detail: "JSON artefact must be an envelope object".to_string(),
+    })?;
+    let magic = entries
+        .iter()
+        .find(|(key, _)| key == "magic")
+        .and_then(|(_, value)| value.as_str());
+    if magic != Some("WDTE") {
+        return Err(WatermarkError::UnrecognizedFormat {
+            detail: "JSON envelope is missing the \"magic\": \"WDTE\" field".to_string(),
+        });
+    }
+    let found = entries
+        .iter()
+        .find(|(key, _)| key == "version")
+        .and_then(|(_, value)| value.as_u64())
+        .ok_or_else(|| WatermarkError::CorruptedArtifact {
+            detail: "JSON envelope is missing a numeric \"version\" field".to_string(),
+        })?;
+    let found = u16::try_from(found).map_err(|_| WatermarkError::UnsupportedFormatVersion {
+        found: u16::MAX,
+        supported: FORMAT_VERSION,
+    })?;
+    check_version(found)?;
+    entries
+        .iter()
+        .find(|(key, _)| key == "payload")
+        .map(|(_, value)| value.clone())
+        .ok_or_else(|| WatermarkError::CorruptedArtifact {
+            detail: "JSON envelope has no \"payload\" field".to_string(),
+        })
 }
 
 fn check_version(found: u16) -> WatermarkResult<()> {
@@ -239,193 +229,13 @@ impl Serialize for ValueCarrier {
     }
 }
 
-/// Encodes one [`Value`] with the binary tag-length-value codec, without
-/// any container header. The wire protocol ([`crate::proto`]) frames its
-/// payloads with this exact codec, so artefacts and wire messages share
-/// one decoder (and its bounds/allocation hardening).
-pub(crate) fn encode_value_bytes(value: &Value) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    encode_value(value, &mut bytes);
-    bytes
-}
-
-/// Decodes one header-less [`Value`] produced by [`encode_value_bytes`],
-/// rejecting trailing bytes. Shares all the hardening of the artefact
-/// decoder: bounds-checked lengths, capped up-front allocations and a
-/// nesting-depth limit.
-pub(crate) fn decode_value_bytes(bytes: &[u8]) -> WatermarkResult<Value> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let value = decode_value(&mut cursor, 0)?;
-    if cursor.pos != cursor.bytes.len() {
-        return Err(WatermarkError::CorruptedArtifact {
-            detail: format!(
-                "{} trailing bytes after the payload",
-                cursor.bytes.len() - cursor.pos
-            ),
-        });
-    }
-    Ok(value)
-}
-
-// ---------------------------------------------------------------------------
-// Binary Value codec (little-endian, tag-length-value)
-// ---------------------------------------------------------------------------
-
-const TAG_NULL: u8 = 0;
-const TAG_FALSE: u8 = 1;
-const TAG_TRUE: u8 = 2;
-const TAG_U64: u8 = 3;
-const TAG_I64: u8 = 4;
-const TAG_F64: u8 = 5;
-const TAG_STR: u8 = 6;
-const TAG_SEQ: u8 = 7;
-const TAG_MAP: u8 = 8;
-
-fn encode_value(value: &Value, out: &mut Vec<u8>) {
-    match value {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(false) => out.push(TAG_FALSE),
-        Value::Bool(true) => out.push(TAG_TRUE),
-        Value::U64(v) => {
-            out.push(TAG_U64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::I64(v) => {
-            out.push(TAG_I64);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        Value::F64(v) => {
-            out.push(TAG_F64);
-            // Raw IEEE-754 bits: every f64 (including NaN payloads and
-            // signed zeros) round-trips exactly.
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Seq(items) => {
-            out.push(TAG_SEQ);
-            out.extend_from_slice(&(items.len() as u64).to_le_bytes());
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Map(entries) => {
-            out.push(TAG_MAP);
-            out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-            for (key, item) in entries {
-                out.extend_from_slice(&(key.len() as u64).to_le_bytes());
-                out.extend_from_slice(key.as_bytes());
-                encode_value(item, out);
-            }
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, count: usize) -> WatermarkResult<&'a [u8]> {
-        let end =
-            self.pos
-                .checked_add(count)
-                .filter(|&end| end <= self.bytes.len())
-                .ok_or_else(|| WatermarkError::CorruptedArtifact {
-                    detail: format!(
-                        "truncated payload: wanted {count} bytes at offset {}, file has {}",
-                        self.pos,
-                        self.bytes.len()
-                    ),
-                })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn take_u64(&mut self) -> WatermarkResult<u64> {
-        let bytes = self.take(8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a length field, rejecting values that cannot possibly fit in
-    /// the remaining bytes (each encoded element needs at least one byte),
-    /// so corrupted lengths fail fast instead of attempting huge
-    /// allocations.
-    fn take_len(&mut self) -> WatermarkResult<usize> {
-        let raw = self.take_u64()?;
-        let remaining = (self.bytes.len() - self.pos) as u64;
-        if raw > remaining {
-            return Err(WatermarkError::CorruptedArtifact {
-                detail: format!("length {raw} exceeds the {remaining} bytes left in the file"),
-            });
-        }
-        Ok(raw as usize)
-    }
-
-    fn take_string(&mut self) -> WatermarkResult<String> {
-        let len = self.take_len()?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WatermarkError::CorruptedArtifact {
-            detail: "string payload is not valid UTF-8".to_string(),
-        })
-    }
-}
-
-fn decode_value(cursor: &mut Cursor<'_>, depth: usize) -> WatermarkResult<Value> {
-    if depth > MAX_DEPTH {
-        return Err(WatermarkError::CorruptedArtifact {
-            detail: format!("payload nests deeper than {MAX_DEPTH} levels"),
-        });
-    }
-    let tag = cursor.take(1)?[0];
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_FALSE => Ok(Value::Bool(false)),
-        TAG_TRUE => Ok(Value::Bool(true)),
-        TAG_U64 => Ok(Value::U64(cursor.take_u64()?)),
-        TAG_I64 => Ok(Value::I64(cursor.take_u64()? as i64)),
-        TAG_F64 => Ok(Value::F64(f64::from_bits(cursor.take_u64()?))),
-        TAG_STR => Ok(Value::Str(cursor.take_string()?)),
-        TAG_SEQ => {
-            let len = cursor.take_len()?;
-            // `take_len` bounds `len` by the remaining *bytes*, but one
-            // `Value` is ~32–56× larger than its one-byte minimum
-            // encoding; capping the up-front reservation keeps a crafted
-            // length from amplifying into a multi-gigabyte allocation
-            // before the first element fails to decode.
-            let mut items = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                items.push(decode_value(cursor, depth + 1)?);
-            }
-            Ok(Value::Seq(items))
-        }
-        TAG_MAP => {
-            let len = cursor.take_len()?;
-            let mut entries = Vec::with_capacity(len.min(4096));
-            for _ in 0..len {
-                let key = cursor.take_string()?;
-                let value = decode_value(cursor, depth + 1)?;
-                entries.push((key, value));
-            }
-            Ok(Value::Map(entries))
-        }
-        other => Err(WatermarkError::CorruptedArtifact {
-            detail: format!("unknown value tag {other:#04x}"),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::signature::Signature;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use serde::binary::{MAX_DEPTH, TAG_NULL, TAG_SEQ};
 
     #[test]
     fn both_formats_round_trip_a_signature() {
@@ -581,6 +391,34 @@ mod tests {
             from_bytes::<Vec<u64>>(hostile.as_bytes()).unwrap_err(),
             WatermarkError::CorruptedArtifact { .. }
         ));
+    }
+
+    /// `Signature::from_bits` refuses an empty signature, so a decoded one
+    /// must be refused too, in both formats, as a corrupted artefact.
+    #[test]
+    fn a_claim_with_an_empty_signature_is_a_corrupted_artifact() {
+        use crate::verify::OwnershipClaim;
+        let dataset = wdte_data::SyntheticSpec::breast_cancer_like()
+            .scaled(0.1)
+            .generate(&mut SmallRng::seed_from_u64(3));
+        let claim = OwnershipClaim::new(Signature::from_bits(vec![true]), dataset.clone(), dataset);
+        let mut value = claim.to_value();
+        let Value::Map(fields) = &mut value else {
+            unreachable!("a claim is a map")
+        };
+        fields[0] = (
+            "signature".to_string(),
+            Value::Map(vec![("bits".to_string(), Value::Seq(Vec::new()))]),
+        );
+        for format in [Format::Binary, Format::Json] {
+            let bytes = to_bytes(&ValueCarrier(value.clone()), format);
+            match from_bytes::<OwnershipClaim>(&bytes).unwrap_err() {
+                WatermarkError::CorruptedArtifact { detail } => {
+                    assert!(detail.contains("at least one bit"), "{format:?}: {detail}")
+                }
+                other => panic!("{format:?}: expected CorruptedArtifact, got {other:?}"),
+            }
+        }
     }
 
     #[test]

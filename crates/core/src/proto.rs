@@ -22,7 +22,7 @@
 //! 38      16    authentication tag (truncated HMAC-SHA-256; zero when
 //!               anonymous)
 //! 54      4     payload length in bytes (little-endian u32)
-//! 58      len   payload: one value in the persist binary codec
+//! 58      len   payload: one value in the binary codec (serde::binary)
 //! ```
 //!
 //! v4 widens the header with the three authentication fields of the
@@ -48,15 +48,18 @@
 //! server crate). Id `0` is reserved for server errors answering a frame
 //! whose header could not be parsed (there is no request id to echo).
 //!
-//! The payload is a [`serde::Value`] rendered with the exact
-//! tag-length-value codec `persist` uses for binary artefacts, so forests,
+//! The payload is one value in the binary tag-length-value codec
+//! persist uses for binary artefacts ([`serde::binary`]), so forests,
 //! [`OwnershipClaim`]s and [`VerificationReport`]s cross the wire in the
 //! same bounds-checked, allocation-capped, depth-limited encoding they are
-//! stored in. Decoding is hardened end to end: the length prefix is
-//! validated against a receiver-side cap *before* any allocation
-//! ([`WatermarkError::FrameTooLarge`]), unknown magic and truncated frames
-//! surface as [`WatermarkError::ProtocolViolation`], and a frame written by
-//! a different protocol version fails with
+//! stored in. Messages are encoded straight into the frame buffer and
+//! decoded straight from the payload bytes, with no intermediate
+//! [`serde::Value`] tree. Decoding is hardened end to end: the length
+//! prefix is validated against a receiver-side cap *before* any
+//! allocation ([`WatermarkError::FrameTooLarge`]), unknown magic,
+//! truncated frames and payloads that do not decode surface as
+//! [`WatermarkError::ProtocolViolation`], and a frame written by a
+//! different protocol version fails with
 //! [`WatermarkError::UnsupportedProtocolVersion`]. Magic and version are
 //! checked from the first [`FRAME_PRELUDE_BYTES`] bytes alone, before the
 //! rest of the header is awaited: a v1 frame (whose header was 8 bytes
@@ -85,11 +88,10 @@
 //! an existing message changes. Peers accept exactly the version they were
 //! built with — adding a *new* request kind is also a bump, because an old
 //! judge must refuse it loudly rather than answer garbage. The protocol
-//! version is deliberately independent of [`persist::FORMAT_VERSION`]: the
+//! version is deliberately independent of [`crate::persist::FORMAT_VERSION`]: the
 //! wire and the disk evolve separately.
 
 use crate::error::{WatermarkError, WatermarkResult};
-use crate::persist;
 use crate::service::Dispute;
 use crate::verify::{OwnershipClaim, VerificationReport};
 use serde::{Deserialize, Serialize};
@@ -97,7 +99,7 @@ use std::io::{Read, Write};
 use wdte_trees::{Node, RandomForest};
 
 /// Magic bytes opening every protocol frame ("WDTP" = WDTE protocol; the
-/// final byte differs from the on-disk [`persist::MAGIC`] so a stray
+/// final byte differs from the on-disk [`crate::persist::MAGIC`] so a stray
 /// artefact file can never be mistaken for a frame, or vice versa).
 pub const PROTO_MAGIC: &[u8; 4] = b"WDTP";
 
@@ -303,7 +305,7 @@ pub enum Request {
     RegisterModel {
         /// Registry id the model will be reachable under.
         model_id: String,
-        /// The suspect model, in the persist value encoding.
+        /// The suspect model, in the persist binary encoding.
         model: RandomForest,
     },
     /// Registers an already-uploaded model under a (possibly new) id by
@@ -649,14 +651,9 @@ pub fn encode_frame<T: Serialize + ?Sized>(
     correlation_id: u64,
     message: &T,
 ) -> WatermarkResult<Vec<u8>> {
-    let payload = persist::encode_value_bytes(&message.to_value());
-    assemble_frame(
-        correlation_id,
-        0,
-        &[0u8; TENANT_FIELD_BYTES],
-        &[0u8; TAG_BYTES],
-        &payload,
-    )
+    encode_frame_with(correlation_id, 0, &[0u8; TENANT_FIELD_BYTES], message, |_| {
+        [0u8; TAG_BYTES]
+    })
 }
 
 /// Encodes one message into an *authenticated* frame: the tenant id and
@@ -669,34 +666,40 @@ pub fn encode_frame_auth<T: Serialize + ?Sized>(
     sequence: u64,
     key: &[u8],
 ) -> WatermarkResult<Vec<u8>> {
-    let payload = persist::encode_value_bytes(&message.to_value());
     let tenant_field = tenant.field();
-    let tag = crate::tenant::frame_tag(key, correlation_id, sequence, &tenant_field, &payload);
-    assemble_frame(correlation_id, sequence, &tenant_field, &tag, &payload)
+    encode_frame_with(correlation_id, sequence, &tenant_field, message, |payload| {
+        crate::tenant::frame_tag(key, correlation_id, sequence, &tenant_field, payload)
+    })
 }
 
-fn assemble_frame(
+/// Writes the header with placeholder tag and length, encodes the payload
+/// in place after it, then patches in the length and the tag `tag_of`
+/// computes over the payload.
+fn encode_frame_with<T: Serialize + ?Sized>(
     correlation_id: u64,
     sequence: u64,
     tenant_field: &[u8; TENANT_FIELD_BYTES],
-    tag: &[u8; TAG_BYTES],
-    payload: &[u8],
+    message: &T,
+    tag_of: impl FnOnce(&[u8]) -> [u8; TAG_BYTES],
 ) -> WatermarkResult<Vec<u8>> {
-    if u32::try_from(payload.len()).is_err() {
-        return Err(WatermarkError::FrameTooLarge {
-            size: payload.len() as u64,
-            max: u64::from(u32::MAX),
-        });
-    }
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + 64);
     frame.extend_from_slice(PROTO_MAGIC);
     frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     frame.extend_from_slice(&correlation_id.to_le_bytes());
     frame.extend_from_slice(&sequence.to_le_bytes());
     frame.extend_from_slice(tenant_field);
-    frame.extend_from_slice(tag);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(payload);
+    frame.resize(FRAME_HEADER_BYTES, 0);
+    message.write_binary(&mut frame);
+    let payload = &frame[FRAME_HEADER_BYTES..];
+    let Ok(announced) = u32::try_from(payload.len()) else {
+        return Err(WatermarkError::FrameTooLarge {
+            size: payload.len() as u64,
+            max: u64::from(u32::MAX),
+        });
+    };
+    let tag = tag_of(payload);
+    frame[LENGTH_OFFSET - TAG_BYTES..LENGTH_OFFSET].copy_from_slice(&tag);
+    frame[LENGTH_OFFSET..FRAME_HEADER_BYTES].copy_from_slice(&announced.to_le_bytes());
     Ok(frame)
 }
 
@@ -729,8 +732,8 @@ pub fn decode_frame<T: Deserialize>(frame: &[u8], max_frame_bytes: usize) -> Wat
 /// Decodes a message from raw payload bytes (the part after the header, as
 /// returned by [`read_frame`]).
 pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> WatermarkResult<T> {
-    let value = persist::decode_value_bytes(payload).map_err(|err| violation(err.to_string()))?;
-    T::from_value(&value).map_err(|err| violation(format!("payload does not decode: {err}")))
+    serde::binary::from_slice(payload)
+        .map_err(|err| violation(format!("payload does not decode: {err}")))
 }
 
 /// Validates the magic + version prelude of a frame header.
@@ -960,7 +963,7 @@ mod tests {
         let digest = PayloadDigest { hi: 1, lo: 2 };
         round_trip(&Response::Pong {
             protocol_version: PROTOCOL_VERSION,
-            format_version: persist::FORMAT_VERSION,
+            format_version: crate::persist::FORMAT_VERSION,
             models_registered: 3,
             claims_cached: 9,
         });

@@ -7,17 +7,47 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use wdte_data::Label;
 
 /// A multi-bit owner signature.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Signature {
     bits: Vec<bool>,
 }
 
+/// The serialized fields of a [`Signature`], before the non-empty check.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct Signature {
+        pub(super) bits: Vec<bool>,
+    }
+}
+
+/// Deserialization refuses an empty signature, which [`Signature::from_bits`]
+/// would refuse too: a claim or artefact carrying `bits: []` is malformed
+/// evidence, not a signature.
+impl Deserialize for Signature {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Self::checked(unchecked::Signature::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::Signature::read_binary(reader, depth)?)
+    }
+}
+
 impl Signature {
+    fn checked(parts: unchecked::Signature) -> Result<Self, DeError> {
+        if parts.bits.is_empty() {
+            return Err(DeError::new(
+                "invalid Signature: a signature needs at least one bit",
+            ));
+        }
+        Ok(Self { bits: parts.bits })
+    }
+
     /// Builds a signature from explicit bits (`true` = 1).
     ///
     /// # Panics

@@ -1,0 +1,568 @@
+//! Parity of the direct binary codec with the `Value` route it replaced.
+//!
+//! `serde::binary` writes and reads typed values straight from the bytes;
+//! the `Value` route (`to_value` + `encode_value`, `decode_value` +
+//! `from_value`) is kept as the reference. This suite holds the direct
+//! path to it on generated WDTP messages (same bytes out), on every
+//! single-bit flip, byte inversion and truncation of a valid docket
+//! payload (same accept/refuse decision, same value, same error variant),
+//! and on hand-built payloads the encoder never writes: permuted,
+//! duplicated and unknown map keys, legacy encodings, non-canonical number
+//! tags, and nesting past `MAX_DEPTH`.
+
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use serde::binary::{self, MAX_DEPTH};
+use serde::{Deserialize, Serialize, Value};
+use std::mem::discriminant;
+use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
+use wdte_core::verify::VerificationReport;
+use wdte_core::{Dispute, OwnershipClaim, Signature, TenantStatsEntry, WatermarkError, WatermarkResult};
+use wdte_data::{Dataset, DenseMatrix, Label, MultiClassSpec};
+use wdte_trees::{ForestParams, RandomForest};
+
+/// Renders an arbitrary [`Value`] through the `Serialize` plumbing, so
+/// hand-built trees can be framed like typed messages.
+struct Raw(Value);
+
+impl Serialize for Raw {
+    fn to_value(&self) -> Value {
+        self.0.clone()
+    }
+}
+
+/// The reference encoder: the `Value` tree, then the tree codec.
+fn value_route_bytes<T: Serialize + ?Sized>(message: &T) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    binary::encode_value(&message.to_value(), &mut bytes);
+    bytes
+}
+
+/// The reference decoder, with the error mapping `proto::decode_payload`
+/// applies.
+fn value_route_decode<T: Deserialize>(payload: &[u8]) -> WatermarkResult<T> {
+    let violation = |detail: String| WatermarkError::ProtocolViolation { detail };
+    let value = binary::decode_value_bytes(payload).map_err(|err| violation(err.to_string()))?;
+    T::from_value(&value).map_err(|err| violation(format!("payload does not decode: {err}")))
+}
+
+/// Both decoders agree on `payload`: both accept it with bit-identical
+/// values, or both refuse it with the same error variant. Returns whether
+/// it was accepted.
+fn assert_decoders_agree<T: Deserialize + Serialize>(payload: &[u8], context: &str) -> bool {
+    let direct = proto::decode_payload::<T>(payload);
+    let reference = value_route_decode::<T>(payload);
+    match (&direct, &reference) {
+        (Ok(direct), Ok(reference)) => {
+            // Compared through the reference encoder: bit-exact, NaN-safe.
+            assert_eq!(
+                value_route_bytes(direct),
+                value_route_bytes(reference),
+                "{context}: both decoders accept but decode different values"
+            );
+            true
+        }
+        (Err(direct), Err(reference)) => {
+            assert_eq!(
+                discriminant(direct),
+                discriminant(reference),
+                "{context}: refused as {direct:?} directly but {reference:?} through Value"
+            );
+            false
+        }
+        _ => panic!(
+            "{context}: direct decoder says {:?} but the Value route says {:?}",
+            direct.as_ref().err(),
+            reference.as_ref().err()
+        ),
+    }
+}
+
+/// An `f64` feature, often one of the values codecs get wrong.
+fn feature(rng: &mut SmallRng) -> f64 {
+    match rng.gen_range(0..8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => f64::from_bits(0x7ff8_0000_dead_beef),
+        _ => rng.gen_range(-1.0..1.0),
+    }
+}
+
+/// A small k-class dataset with special floats among its features.
+fn dataset(rng: &mut SmallRng) -> Dataset {
+    let (rows, cols, classes) = (rng.gen_range(0..6), rng.gen_range(1..5), rng.gen_range(2..7));
+    let values = (0..rows * cols).map(|_| feature(rng)).collect();
+    let labels = (0..rows)
+        .map(|_| Label::new(rng.gen_range(0..classes), classes).unwrap())
+        .collect();
+    Dataset::with_classes(
+        format!("gen-{rows}x{cols}"),
+        DenseMatrix::from_vec(rows, cols, values).unwrap(),
+        labels,
+        classes,
+    )
+    .unwrap()
+}
+
+fn claim(rng: &mut SmallRng) -> OwnershipClaim {
+    let bits = (0..rng.gen_range(1..20)).map(|_| rng.gen()).collect();
+    OwnershipClaim::new(Signature::from_bits(bits), dataset(rng), dataset(rng))
+}
+
+fn forest(rng: &mut SmallRng) -> RandomForest {
+    let data = MultiClassSpec::k_class(rng.gen_range(2..5)).scaled(0.1).generate(rng);
+    RandomForest::fit(&data, &ForestParams::with_trees(rng.gen_range(1..4)), rng)
+}
+
+fn digest(rng: &mut SmallRng) -> PayloadDigest {
+    PayloadDigest {
+        hi: rng.gen(),
+        lo: rng.gen(),
+    }
+}
+
+fn report(rng: &mut SmallRng) -> VerificationReport {
+    VerificationReport {
+        verified: rng.gen(),
+        instance_matches: (0..rng.gen_range(0..8)).map(|_| rng.gen()).collect(),
+        bit_agreement: feature(rng),
+        queries_issued: rng.gen_range(0..1000),
+    }
+}
+
+fn every_request(rng: &mut SmallRng) -> Vec<Request> {
+    let bodies: Vec<OwnershipClaim> = (0..rng.gen_range(0..3)).map(|_| claim(rng)).collect();
+    vec![
+        Request::Ping,
+        Request::RegisterModel {
+            model_id: "model-α".into(),
+            model: forest(rng),
+        },
+        Request::RegisterModelRef {
+            model_id: String::new(),
+            digest: digest(rng),
+        },
+        Request::Resolve {
+            model_id: "m".into(),
+            claim: claim(rng),
+        },
+        Request::ResolveDocket {
+            disputes: bodies.iter().map(|c| Dispute::new("m", c.clone())).collect(),
+        },
+        Request::ResolveDocketRef {
+            disputes: bodies
+                .iter()
+                .map(|c| DisputeRef::new("m", PayloadDigest::of_claim(c)))
+                .collect(),
+            bodies: bodies.clone(),
+        },
+        Request::Payload { claims: bodies },
+        Request::ListModels,
+        Request::Deregister { model_id: "m".into() },
+        Request::Stats,
+    ]
+}
+
+fn every_response(rng: &mut SmallRng) -> Vec<Response> {
+    let faults = vec![
+        WireFault::UnknownModel { model_id: "x".into() },
+        WireFault::DocketTooLarge {
+            size: rng.gen(),
+            max: 64,
+        },
+        WireFault::BadRequest {
+            detail: "junk".into(),
+        },
+        WireFault::UnsupportedProtocolVersion {
+            found: rng.gen::<u32>() as u16,
+            supported: proto::PROTOCOL_VERSION,
+        },
+        WireFault::FrameTooLarge {
+            size: rng.gen(),
+            max: rng.gen(),
+        },
+        WireFault::Internal {
+            detail: String::new(),
+        },
+        WireFault::AuthFailed {
+            detail: "bad tag".into(),
+        },
+        WireFault::Forbidden {
+            detail: "other tenant".into(),
+        },
+        WireFault::QuotaExceeded {
+            resource: "models".into(),
+            used: rng.gen(),
+            limit: rng.gen(),
+        },
+    ];
+    let mut responses = vec![
+        Response::Pong {
+            protocol_version: rng.gen::<u32>() as u16,
+            format_version: rng.gen::<u32>() as u16,
+            models_registered: rng.gen(),
+            claims_cached: rng.gen(),
+        },
+        Response::Registered {
+            model_id: "m".into(),
+            num_trees: rng.gen(),
+            digest: digest(rng),
+        },
+        Response::Resolved { report: report(rng) },
+        Response::Docket {
+            verdicts: vec![
+                DocketVerdict::Report(report(rng)),
+                DocketVerdict::UnknownModel {
+                    model_id: "ghost".into(),
+                },
+                DocketVerdict::Failed {
+                    message: "boom".into(),
+                },
+            ],
+        },
+        Response::NeedPayload {
+            digests: (0..rng.gen_range(0..4)).map(|_| digest(rng)).collect(),
+        },
+        Response::PayloadStored {
+            digests: vec![digest(rng)],
+        },
+        Response::Models {
+            model_ids: vec!["a".into(), "b".into()],
+        },
+        Response::Deregistered {
+            model_id: "m".into(),
+            existed: rng.gen(),
+        },
+        Response::Stats {
+            tenants: vec![TenantStatsEntry {
+                tenant: "alice".into(),
+                models: rng.gen(),
+                dockets: rng.gen(),
+                claims: rng.gen(),
+                cache_hits: rng.gen(),
+                cache_misses: rng.gen(),
+                evictions: rng.gen(),
+                auth_failures: rng.gen(),
+                claim_bytes: rng.gen(),
+                in_flight: rng.gen(),
+            }],
+        },
+    ];
+    responses.extend(faults.into_iter().map(|fault| Response::Error { fault }));
+    responses
+}
+
+/// Encodes `message` both ways, checks the bytes match, and checks both
+/// decoders read the bytes back to `message`.
+fn assert_parity<T: Serialize + Deserialize + std::fmt::Debug>(message: &T) {
+    let direct = binary::to_vec(message);
+    assert_eq!(
+        direct,
+        value_route_bytes(message),
+        "encoders differ on {message:?}"
+    );
+    assert!(assert_decoders_agree::<T>(&direct, "round trip"));
+    let decoded: T = proto::decode_payload(&direct).unwrap();
+    assert_eq!(binary::to_vec(&decoded), direct, "decoding changed {message:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn every_request_kind_encodes_and_decodes_like_the_value_route(seed in any::<u64>()) {
+        for request in every_request(&mut SmallRng::seed_from_u64(seed)) {
+            assert_parity(&request);
+        }
+    }
+
+    #[test]
+    fn every_response_kind_encodes_and_decodes_like_the_value_route(seed in any::<u64>()) {
+        for response in every_response(&mut SmallRng::seed_from_u64(seed)) {
+            assert_parity(&response);
+        }
+    }
+}
+
+/// A small valid docket payload: two inlined claims and their references.
+fn docket_payload() -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(0xD0C);
+    let bodies = vec![claim(&mut rng), claim(&mut rng)];
+    let request = Request::ResolveDocketRef {
+        disputes: bodies
+            .iter()
+            .map(|c| DisputeRef::new("m", PayloadDigest::of_claim(c)))
+            .collect(),
+        bodies,
+    };
+    binary::to_vec(&request)
+}
+
+#[test]
+fn every_bit_flip_and_byte_inversion_is_judged_alike() {
+    let payload = docket_payload();
+    let mut accepted = 0;
+    for position in 0..payload.len() {
+        for mask in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+            let mut mutated = payload.clone();
+            mutated[position] ^= mask;
+            let context = format!("byte {position} ^ {mask:#04x}");
+            accepted += usize::from(assert_decoders_agree::<Request>(&mutated, &context));
+        }
+    }
+    // Flips inside float payloads still decode: the sweep must exercise
+    // the accept side too, not only refusals.
+    assert!(accepted > 0);
+}
+
+#[test]
+fn every_truncation_is_refused_alike() {
+    let payload = docket_payload();
+    for cut in 0..payload.len() {
+        assert!(!assert_decoders_agree::<Request>(
+            &payload[..cut],
+            &format!("cut at {cut}")
+        ));
+    }
+    assert!(assert_decoders_agree::<Request>(&payload, "the whole payload"));
+}
+
+/// The entries of one `Value::Map`.
+type Entries = Vec<(String, Value)>;
+
+/// Applies `edit` to every struct map in `value` (maps whose keys are
+/// field names, not enum variant tags), innermost first.
+fn edit_struct_maps(value: &mut Value, edit: &mut dyn FnMut(&mut Entries)) {
+    match value {
+        Value::Seq(items) => items.iter_mut().for_each(|item| edit_struct_maps(item, edit)),
+        Value::Map(entries) => {
+            for (_, item) in entries.iter_mut() {
+                edit_struct_maps(item, edit);
+            }
+            if entries.first().is_some_and(|(key, _)| key.starts_with(char::is_lowercase)) {
+                edit(entries);
+            }
+        }
+        _ => {}
+    }
+}
+
+fn docket_value() -> Value {
+    Request::from_value(&binary::decode_value_bytes(&docket_payload()).unwrap())
+        .unwrap()
+        .to_value()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Fields in any order, later duplicates (even ill-typed ones) and
+    /// unknown keys (even deeply nested ones) are read the same way: the
+    /// first occurrence wins and the rest only has to be well-formed.
+    #[test]
+    fn permuted_duplicated_and_unknown_keys_decode_alike(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut value = docket_value();
+        edit_struct_maps(&mut value, &mut |entries| {
+            match rng.gen_range(0..4) {
+                0 => entries.reverse(),
+                1 => entries.rotate_left(1),
+                _ => {}
+            }
+            if rng.gen_bool(0.5) {
+                let (key, _) = entries[rng.gen_range(0..entries.len())].clone();
+                entries.push((key, Value::Str("a later duplicate".into())));
+            }
+            if rng.gen_bool(0.5) {
+                let junk = Value::Map(vec![("nested".into(), Value::Seq(vec![Value::Null; 3]))]);
+                entries.insert(rng.gen_range(0..=entries.len()), ("unknown".into(), junk));
+            }
+        });
+        let payload = binary::to_vec(&Raw(value));
+        prop_assert!(assert_decoders_agree::<Request>(&payload, "shuffled keys"));
+        let decoded: Request = proto::decode_payload(&payload).unwrap();
+        prop_assert_eq!(binary::to_vec(&decoded), docket_payload());
+    }
+}
+
+#[test]
+fn a_duplicate_key_counts_only_once_it_is_well_formed_and_first() {
+    // An ill-typed *first* occurrence is refused even if a good one follows.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        if let Some(index) = entries.iter().position(|(key, _)| key == "rows") {
+            entries.insert(index, ("rows".into(), Value::Str("four".into())));
+        }
+    });
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&Raw(value)),
+        "ill-typed first"
+    ));
+
+    // A missing field is refused.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        entries.retain(|(key, _)| key != "cols")
+    });
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&Raw(value)),
+        "missing field"
+    ));
+
+    // A truncated unknown entry is refused although nothing reads it.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        entries.push(("unknown".into(), Value::Str("tail".into())));
+    });
+    let mut payload = binary::to_vec(&Raw(value));
+    payload.pop();
+    assert!(!assert_decoders_agree::<Request>(&payload, "truncated unknown"));
+}
+
+/// Nests `inner` inside `levels` single-element sequences.
+fn nested(levels: usize, inner: Value) -> Value {
+    (0..levels).fold(inner, |value, _| Value::Seq(vec![value]))
+}
+
+#[test]
+fn nesting_past_max_depth_is_refused_alike_wherever_it_sits() {
+    for levels in [MAX_DEPTH - 8, MAX_DEPTH, MAX_DEPTH + 1, MAX_DEPTH + 8] {
+        // Under an unknown key, where nothing reads it.
+        let mut value = docket_value();
+        edit_struct_maps(&mut value, &mut |entries| {
+            entries.push(("unknown".into(), nested(levels, Value::Null)));
+        });
+        let payload = binary::to_vec(&Raw(value));
+        let accepted =
+            assert_decoders_agree::<Request>(&payload, &format!("unknown key, {levels} levels"));
+        // The struct maps sit a few levels down, so only the shallowest
+        // nesting fits under the limit.
+        assert_eq!(accepted, levels == MAX_DEPTH - 8, "{levels} levels");
+
+        // In place of a typed field.
+        let mut value = docket_value();
+        edit_struct_maps(&mut value, &mut |entries| {
+            for (key, item) in entries.iter_mut() {
+                if key == "values" {
+                    *item = nested(levels, Value::F64(1.0));
+                }
+            }
+        });
+        let payload = binary::to_vec(&Raw(value));
+        assert!(!assert_decoders_agree::<Request>(
+            &payload,
+            &format!("typed field, {levels} levels")
+        ));
+    }
+    // A bare deep sequence is the same refusal for any target type.
+    let deep = binary::to_vec(&Raw(nested(MAX_DEPTH + 1, Value::Null)));
+    assert!(!assert_decoders_agree::<Vec<Vec<f64>>>(&deep, "bare nesting"));
+    assert!(!assert_decoders_agree::<Request>(&deep, "bare nesting"));
+}
+
+#[test]
+fn lenient_and_legacy_encodings_decode_alike() {
+    // Features as U64 / I64 / Null (NaN), labels as legacy variant names,
+    // a dataset without `num_classes` (inferred through `Dataset::new`).
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            match (key.as_str(), item) {
+                ("values", Value::Seq(values)) => {
+                    for (i, v) in values.iter_mut().enumerate() {
+                        *v = [Value::U64(3), Value::I64(-2), Value::Null, v.clone()][i % 4].clone();
+                    }
+                }
+                ("labels", Value::Seq(labels)) => {
+                    for label in labels.iter_mut() {
+                        match label {
+                            Value::U64(0) => *label = Value::Str("Negative".into()),
+                            Value::U64(1) => *label = Value::Str("Positive".into()),
+                            Value::U64(other) => *label = Value::I64(*other as i64),
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        entries.retain(|(key, _)| key != "num_classes");
+    });
+    let payload = binary::to_vec(&Raw(value));
+    assert!(assert_decoders_agree::<Request>(&payload, "lenient encodings"));
+}
+
+#[test]
+fn typed_constructors_still_validate_on_the_direct_path() {
+    // A matrix whose shape disagrees with its values.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "rows" {
+                *item = Value::U64(1_000);
+            }
+        }
+    });
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&Raw(value)),
+        "bad shape"
+    ));
+
+    // A label outside the declared class count.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "num_classes" {
+                *item = Value::U64(1);
+            }
+        }
+    });
+    let payload = binary::to_vec(&Raw(value));
+    // k is clamped to 2, so only datasets using class >= 2 are refused;
+    // either way both routes must agree.
+    assert_decoders_agree::<Request>(&payload, "too few classes");
+
+    // An empty signature.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "bits" {
+                *item = Value::Seq(Vec::new());
+            }
+        }
+    });
+    let payload = binary::to_vec(&Raw(value));
+    assert!(!assert_decoders_agree::<Request>(&payload, "empty signature"));
+    assert!(matches!(
+        proto::decode_payload::<Request>(&payload).unwrap_err(),
+        WatermarkError::ProtocolViolation { .. }
+    ));
+}
+
+/// A recursive type, the only kind whose typed reads can reach the depth
+/// limit on their own.
+#[derive(Debug, serde::Serialize, serde::Deserialize)]
+struct Chain {
+    next: Option<Vec<Chain>>,
+}
+
+fn chain(links: usize) -> Chain {
+    (0..links).fold(Chain { next: None }, |chain, _| Chain {
+        next: Some(vec![chain]),
+    })
+}
+
+#[test]
+fn recursive_types_hit_the_depth_limit_at_the_same_level() {
+    // Each link adds a map and a sequence level: the innermost `next`
+    // value sits at depth 2 * links + 1.
+    for links in [1, MAX_DEPTH / 2 - 1, MAX_DEPTH / 2, MAX_DEPTH / 2 + 1, MAX_DEPTH] {
+        let payload = binary::to_vec(&chain(links));
+        assert_eq!(payload, value_route_bytes(&chain(links)));
+        let accepted = assert_decoders_agree::<Chain>(&payload, &format!("{links} links"));
+        assert_eq!(accepted, 2 * links < MAX_DEPTH, "{links} links");
+    }
+}

@@ -6,7 +6,7 @@ use crate::matrix::DenseMatrix;
 use crate::presort::{Binning, Presort};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{binary, DeError, Deserialize, Serialize, Value};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Lazily built, shared training-time views of a dataset's features: the
@@ -63,6 +63,18 @@ impl Serialize for Dataset {
             ("num_classes".to_string(), self.num_classes.to_value()),
         ])
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_map_header(out, 4);
+        binary::write_key(out, "name");
+        self.name.write_binary(out);
+        binary::write_key(out, "features");
+        self.features.write_binary(out);
+        binary::write_key(out, "labels");
+        self.labels.write_binary(out);
+        binary::write_key(out, "num_classes");
+        self.num_classes.write_binary(out);
+    }
 }
 
 impl Deserialize for Dataset {
@@ -71,25 +83,58 @@ impl Deserialize for Dataset {
         let name = String::from_value(serde::map_get(entries, "name")?)?;
         let features = DenseMatrix::from_value(serde::map_get(entries, "features")?)?;
         let labels: Vec<Label> = Vec::from_value(serde::map_get(entries, "labels")?)?;
-        // Re-validate through the checked constructors so a corrupted
-        // serialized dataset (label count disagreeing with the feature
-        // rows, labels outside the class count) is rejected instead of
-        // panicking during verification. Pre-k-class artifacts have no
-        // `num_classes` entry; they are binary by construction, so the
-        // inferring constructor restores them as k = 2.
-        let num_classes = entries.iter().find(|(key, _)| key == "num_classes");
-        match num_classes {
-            Some((_, value)) => {
-                let num_classes = usize::from_value(value)?;
-                Dataset::with_classes(name, features, labels, num_classes)
+        let num_classes = match entries.iter().find(|(key, _)| key == "num_classes") {
+            Some((_, value)) => Some(usize::from_value(value)?),
+            None => None,
+        };
+        Dataset::checked(name, features, labels, num_classes)
+    }
+
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        let (mut name, mut features, mut labels, mut num_classes) = (None, None, None, None);
+        binary::read_map(reader, depth, "Dataset", |reader, key| {
+            match key {
+                "name" if name.is_none() => name = Some(String::read_binary(reader, depth + 1)?),
+                "features" if features.is_none() => {
+                    features = Some(DenseMatrix::read_binary(reader, depth + 1)?)
+                }
+                "labels" if labels.is_none() => labels = Some(Vec::read_binary(reader, depth + 1)?),
+                "num_classes" if num_classes.is_none() => {
+                    num_classes = Some(usize::read_binary(reader, depth + 1)?)
+                }
+                _ => return Ok(false),
             }
-            None => Dataset::new(name, features, labels),
-        }
-        .map_err(|err| DeError::new(format!("invalid Dataset: {err}")))
+            Ok(true)
+        })?;
+        Dataset::checked(
+            binary::required(name, "name")?,
+            binary::required(features, "features")?,
+            binary::required(labels, "labels")?,
+            num_classes,
+        )
     }
 }
 
 impl Dataset {
+    /// Re-validates deserialized parts through the checked constructors,
+    /// so a corrupted serialized dataset (label count disagreeing with the
+    /// feature rows, labels outside the class count) is rejected instead of
+    /// panicking during verification. Pre-k-class artifacts have no
+    /// `num_classes` entry; they are binary by construction, so the
+    /// inferring constructor restores them as k = 2.
+    fn checked(
+        name: String,
+        features: DenseMatrix,
+        labels: Vec<Label>,
+        num_classes: Option<usize>,
+    ) -> Result<Self, DeError> {
+        match num_classes {
+            Some(num_classes) => Dataset::with_classes(name, features, labels, num_classes),
+            None => Dataset::new(name, features, labels),
+        }
+        .map_err(|err| DeError::new(format!("invalid Dataset: {err}")))
+    }
+
     /// Builds a dataset, validating that the number of labels matches the
     /// number of feature rows. The class count is inferred as
     /// `max(2, largest label index + 1)`; use [`Dataset::with_classes`]

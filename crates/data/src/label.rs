@@ -200,19 +200,36 @@ impl Serialize for Label {
     fn to_value(&self) -> Value {
         Value::U64(u64::from(self.0))
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        serde::binary::write_u64(out, u64::from(self.0));
+    }
+}
+
+fn label_from_u64(index: u64) -> Result<Label, DeError> {
+    u16::try_from(index)
+        .map(Label)
+        .map_err(|_| DeError::new(format!("class index {index} exceeds the label range")))
 }
 
 impl Deserialize for Label {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         if let Some(index) = value.as_u64() {
-            return u16::try_from(index)
-                .map(Label)
-                .map_err(|_| DeError::new(format!("class index {index} exceeds the label range")));
+            return label_from_u64(index);
         }
         match value.as_str() {
             Some("Negative") => Ok(Label::Negative),
             Some("Positive") => Ok(Label::Positive),
             _ => Err(DeError::expected("class index or legacy variant name", "Label")),
+        }
+    }
+
+    #[inline(always)]
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if reader.accept(depth, serde::binary::TAG_U64)? {
+            label_from_u64(reader.take_u64()?)
+        } else {
+            serde::binary::via_value(reader, depth)
         }
     }
 }

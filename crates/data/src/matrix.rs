@@ -26,16 +26,32 @@ pub struct DenseMatrix {
     values: Vec<f64>,
 }
 
-/// Deserialization re-validates the shape invariant through
-/// [`DenseMatrix::from_vec`], so a corrupted serialized matrix (bit-flipped
-/// dimensions, truncated value buffer) is rejected instead of panicking on
-/// a later row access.
+/// The serialized fields of a [`DenseMatrix`], before the shape check.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct DenseMatrix {
+        pub(super) rows: usize,
+        pub(super) cols: usize,
+        pub(super) values: Vec<f64>,
+    }
+}
+
+/// Deserialization re-validates the shape invariant, so a corrupted
+/// serialized matrix (bit-flipped dimensions, truncated value buffer) is
+/// rejected instead of panicking on a later row access.
 impl Deserialize for DenseMatrix {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "DenseMatrix"))?;
-        let rows = usize::from_value(serde::map_get(entries, "rows")?)?;
-        let cols = usize::from_value(serde::map_get(entries, "cols")?)?;
-        let values: Vec<f64> = Vec::from_value(serde::map_get(entries, "values")?)?;
+        Self::checked(unchecked::DenseMatrix::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::DenseMatrix::read_binary(reader, depth)?)
+    }
+}
+
+impl DenseMatrix {
+    fn checked(parts: unchecked::DenseMatrix) -> Result<Self, DeError> {
+        let unchecked::DenseMatrix { rows, cols, values } = parts;
         if rows.checked_mul(cols).is_none_or(|expected| expected != values.len()) {
             return Err(DeError::new(format!(
                 "invalid DenseMatrix: {rows}x{cols} dimensions but {} values",
@@ -44,9 +60,7 @@ impl Deserialize for DenseMatrix {
         }
         Ok(DenseMatrix { rows, cols, values })
     }
-}
 
-impl DenseMatrix {
     /// Creates a matrix from a flat row-major buffer.
     ///
     /// Returns an error if `values.len() != rows * cols`. `NaN` values are

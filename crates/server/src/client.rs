@@ -13,7 +13,7 @@
 //! recovers from transparently by resending the docket with the missing
 //! bodies inlined.
 
-use serde::{Serialize, Value};
+use serde::Serialize;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -54,66 +54,24 @@ impl ClientAuth {
 /// Wire encodings of the payload-heavy requests, built from *borrowed*
 /// data. `Request`'s derive needs an owned enum, which would force every
 /// docket call to deep-copy the full docket (trigger + disguise datasets
-/// per claim) just to serialize it; these mirrors produce the exact same
-/// [`Value`] — and therefore the exact same frame bytes — from
-/// references. Parity with the derive is locked down by the
+/// per claim) just to serialize it; this mirror has `Request`'s variant
+/// and field names, so its derive writes the exact same frame bytes from
+/// references. Parity is locked down by the
 /// `borrowed_requests_encode_identically_to_the_owned_enum` test.
-struct BorrowedRegisterModel<'a> {
-    model_id: &'a str,
-    model: &'a RandomForest,
-}
-
-struct BorrowedResolve<'a> {
-    model_id: &'a str,
-    claim: &'a OwnershipClaim,
-}
-
-struct BorrowedResolveDocketRef<'a> {
-    bodies: &'a [&'a OwnershipClaim],
-    disputes: &'a [DisputeRef],
-}
-
-fn variant(name: &str, fields: Vec<(String, Value)>) -> Value {
-    Value::Map(vec![(name.to_string(), Value::Map(fields))])
-}
-
-impl Serialize for BorrowedRegisterModel<'_> {
-    fn to_value(&self) -> Value {
-        variant(
-            "RegisterModel",
-            vec![
-                ("model_id".to_string(), Value::Str(self.model_id.to_string())),
-                ("model".to_string(), self.model.to_value()),
-            ],
-        )
-    }
-}
-
-impl Serialize for BorrowedResolve<'_> {
-    fn to_value(&self) -> Value {
-        variant(
-            "Resolve",
-            vec![
-                ("model_id".to_string(), Value::Str(self.model_id.to_string())),
-                ("claim".to_string(), self.claim.to_value()),
-            ],
-        )
-    }
-}
-
-impl Serialize for BorrowedResolveDocketRef<'_> {
-    fn to_value(&self) -> Value {
-        variant(
-            "ResolveDocketRef",
-            vec![
-                (
-                    "bodies".to_string(),
-                    Value::Seq(self.bodies.iter().map(|claim| claim.to_value()).collect()),
-                ),
-                ("disputes".to_string(), self.disputes.to_value()),
-            ],
-        )
-    }
+#[derive(Serialize)]
+enum BorrowedRequest<'a> {
+    RegisterModel {
+        model_id: &'a str,
+        model: &'a RandomForest,
+    },
+    Resolve {
+        model_id: &'a str,
+        claim: &'a OwnershipClaim,
+    },
+    ResolveDocketRef {
+        bodies: &'a [&'a OwnershipClaim],
+        disputes: &'a [DisputeRef],
+    },
 }
 
 /// Connection and retry knobs of a [`DisputeClient`].
@@ -608,7 +566,7 @@ impl DisputeClient {
                 other => return Err(Self::unexpected(other, "Registered")),
             }
         }
-        let request = BorrowedRegisterModel {
+        let request = BorrowedRequest::RegisterModel {
             model_id: &model_id,
             model,
         };
@@ -640,7 +598,7 @@ impl DisputeClient {
         claim: &OwnershipClaim,
     ) -> WatermarkResult<VerificationReport> {
         let model_id = model_id.into();
-        let request = BorrowedResolve {
+        let request = BorrowedRequest::Resolve {
             model_id: &model_id,
             claim,
         };
@@ -679,7 +637,7 @@ impl DisputeClient {
         }
         let frame = self.encode_request(
             correlation_id,
-            &BorrowedResolveDocketRef {
+            &BorrowedRequest::ResolveDocketRef {
                 bodies: &inline,
                 disputes: &refs,
             },
@@ -734,7 +692,7 @@ impl DisputeClient {
         }
         let frame = self.encode_request(
             correlation_id,
-            &BorrowedResolveDocketRef {
+            &BorrowedRequest::ResolveDocketRef {
                 bodies: &inline,
                 disputes,
             },
@@ -966,7 +924,7 @@ impl DisputeClient {
             &self.auth,
             &mut self.next_sequence,
             correlation_id,
-            &BorrowedResolveDocketRef {
+            &BorrowedRequest::ResolveDocketRef {
                 bodies: &inline,
                 disputes: &refs,
             },
@@ -1008,7 +966,7 @@ mod tests {
 
         let frame = |value: &dyn Serialize| proto::encode_frame(41, value).unwrap();
         assert_eq!(
-            frame(&BorrowedRegisterModel {
+            frame(&BorrowedRequest::RegisterModel {
                 model_id: "m",
                 model: &model
             }),
@@ -1018,7 +976,7 @@ mod tests {
             })
         );
         assert_eq!(
-            frame(&BorrowedResolve {
+            frame(&BorrowedRequest::Resolve {
                 model_id: "m",
                 claim: &claim
             }),
@@ -1028,7 +986,7 @@ mod tests {
             })
         );
         assert_eq!(
-            frame(&BorrowedResolveDocketRef {
+            frame(&BorrowedRequest::ResolveDocketRef {
                 bodies: &[&claim],
                 disputes: &refs
             }),
