@@ -15,7 +15,7 @@
 
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -365,6 +365,16 @@ impl DisputeClient {
     /// fresh [`DisputeClient::connect`].
     pub fn is_broken(&self) -> bool {
         self.broken
+    }
+
+    /// Whether an idle connection can carry a fresh request. A judge
+    /// reaps idle connections, so a non-blocking peek that finds end of
+    /// stream, or bytes nobody asked for, rules it out.
+    pub(crate) fn is_reusable(&self) -> bool {
+        let stream = self.reader.get_ref();
+        let quiet = stream.set_nonblocking(true).is_ok()
+            && matches!(stream.peek(&mut [0u8; 1]), Err(err) if err.kind() == ErrorKind::WouldBlock);
+        stream.set_nonblocking(false).is_ok() && quiet && self.reader.buffer().is_empty()
     }
 
     /// Number of dockets sent and not yet received.

@@ -11,25 +11,27 @@
 //! scopes models, claims and quotas to the sending tenant.
 //!
 //! Everything is hand-rolled on `std::net` — the build environment is
-//! offline. The server is a readiness-driven event loop: one thread
-//! `poll(2)`s the listener and every connection's read side, reassembles
-//! frames, and hands each decoded request to the one process-global
-//! work-stealing pool (`serve_judge --workers` sizes it;
+//! offline. Both front ends run one readiness-driven event loop: one
+//! thread `poll(2)`s the listener and every connection's read side,
+//! reassembles and authenticates frames, and hands each decoded request
+//! to its front end's handler. The judge runs requests on the one
+//! process-global work-stealing pool (`serve_judge --workers` sizes it;
 //! [`ServerConfig::worker_threads`] scopes a per-request width limit over
-//! it). Responses are written by the workers as they complete — out of
-//! order across a connection's pipelined requests, matched back by
-//! correlation id — so an idle connection costs a file descriptor, not a
-//! parked thread. Claims and models are content-addressed: bodies travel
-//! once, later requests reference them by digest and the judge answers a
-//! miss with `NeedPayload`.
+//! it). Responses are written as they complete — out of order across a
+//! connection's pipelined requests, matched back by correlation id — so
+//! an idle connection costs a file descriptor, not a parked thread.
+//! Claims and models are content-addressed: bodies travel once, later
+//! requests reference them by digest and the judge answers a miss with
+//! `NeedPayload`.
 //!
 //! For horizontal scale, a [`JudgeRouter`] fronts N backend judge
 //! processes: it consistent-hashes `(tenant, model id)` keys across the
 //! fleet (the [`wdte_core::fleet`] ring), splits dockets into
 //! per-backend shards, stitches verdicts back into input order, and
 //! degrades a dead backend to bounded retry-on-sibling or typed faults —
-//! never a hung connection. Clients speak to the router exactly as to a
-//! single judge.
+//! never a hung connection. It is the same event loop with a routing
+//! handler that runs each request on its own thread, so clients speak to
+//! the router exactly as to a single judge, pipelining included.
 //!
 //! ```rust,ignore
 //! // Judge process:
@@ -58,5 +60,5 @@ pub use client::{
     ClientAuth, ClientConfig, DisputeClient, DocketOutcome, DocketTicket, PongInfo,
     MAX_REMEMBERED_CLAIMS,
 };
-pub use router::{JudgeRouter, RouterConfig, RouterHandle, RunningRouter};
+pub use router::{JudgeRouter, RouterConfig, RunningRouter};
 pub use server::{JudgeServer, RunningServer, ServerConfig, ServerHandle};

@@ -23,21 +23,28 @@
 //! backend degrades to bounded retry-on-sibling with bit-identical
 //! verdicts; models only the dead backend knew degrade to *typed*
 //! faults for exactly their disputes — never a hung connection.
+//!
+//! The router is served by the judge's own `poll(2)` event loop: framing,
+//! frame authentication with its sequence floor, pipelining, the
+//! connection cap, idle reaping, write deadlines and panic containment
+//! all live there, and this module is only the routing handler. Each
+//! request runs on its own thread, because it blocks on backend sockets,
+//! and checks its backend clients out of one router-wide pool keyed by
+//! `(backend, tenant)`, so a connection's pipelined requests route
+//! concurrently.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::io::{BufReader, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 use wdte_core::error::{WatermarkError, WatermarkResult};
 use wdte_core::fleet::{self, HashRing};
-use wdte_core::proto::{
-    self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault, NO_CORRELATION,
-};
+use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
 use wdte_core::{persist, KeyRing, OwnershipClaim, TenantId, TenantStatsEntry};
 
 use crate::client::{ClientAuth, ClientConfig, DisputeClient, DocketOutcome};
+use crate::server::{fault_response, FrontEnd, Handler, RunningServer, ServerConfig, ServerHandle};
 
 /// Tuning knobs of a [`JudgeRouter`].
 #[derive(Debug, Clone)]
@@ -62,8 +69,9 @@ pub struct RouterConfig {
     /// Receiver-side cap on one frame's payload, applied to both client
     /// frames and backend responses.
     pub max_frame_bytes: usize,
-    /// Idle deadline on a client connection: a connection that sends no
-    /// frame for this long is closed. `None` keeps idle clients forever.
+    /// Idle deadline on a client connection: a connection with no
+    /// request in flight that sends nothing for this long is closed.
+    /// `None` keeps idle clients forever.
     pub read_timeout: Option<Duration>,
     /// Per-frame write deadline towards clients and backends.
     pub write_timeout: Option<Duration>,
@@ -110,21 +118,24 @@ struct Backend {
     healthy: AtomicBool,
 }
 
-/// State shared between the accept loop, the health monitor and every
-/// connection handler thread.
+/// The routing handler: state shared between the event loop's request
+/// threads and the health monitor.
 #[derive(Debug)]
 struct RouterShared {
     ring: HashRing,
     backends: Vec<Backend>,
     key_ring: Option<Arc<KeyRing>>,
     retry_siblings: usize,
-    max_frame_bytes: usize,
-    read_timeout: Option<Duration>,
-    write_timeout: Option<Duration>,
-    backend_read_timeout: Option<Duration>,
-    connect_timeout: Duration,
     health_interval: Duration,
-    stop: Arc<AtomicBool>,
+    /// Configuration of every backend client; `auth` is filled in per
+    /// tenant when a client connects.
+    client: ClientConfig,
+    /// Idle backend clients, keyed by `(backend, tenant)` because each
+    /// backend connection authenticates as one tenant and carries its own
+    /// sequence counter. Requests check clients out and return them, so
+    /// one client never carries two requests at once.
+    idle: Mutex<HashMap<(usize, TenantId), Vec<DisputeClient>>>,
+    threads: RouteThreads,
 }
 
 impl RouterShared {
@@ -149,34 +160,103 @@ impl RouterShared {
             ),
         }
     }
-}
 
-/// Cloneable remote control for a serving [`JudgeRouter`]: signals the
-/// accept loop to stop from any thread.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// Requests shutdown. The accept loop is blocking, so a nudge
-    /// connection (to the loopback rendering of the bound address, for
-    /// the same reason as [`ServerHandle`](crate::ServerHandle)) wakes
-    /// it; connection handler threads notice the flag at their next
-    /// frame boundary.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let ip = if self.addr.ip().is_unspecified() {
-            match self.addr {
-                SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+    /// Checks out a client for `backend` as `tenant`: an idle one the
+    /// backend has not closed meanwhile, or a fresh connection. A failed
+    /// connect demotes the backend. [`restore`](Self::restore) hands the
+    /// client back.
+    fn lease(&self, backend: usize, tenant: &TenantId) -> WatermarkResult<DisputeClient> {
+        let key = (backend, tenant.clone());
+        while let Some(client) = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_mut(&key)
+            .and_then(Vec::pop)
+        {
+            if client.is_reusable() {
+                return Ok(client);
             }
-        } else {
-            self.addr.ip()
+        }
+        let auth = match &self.key_ring {
+            Some(ring) if !tenant.is_anonymous() => {
+                let secret = ring.key(tenant).ok_or_else(|| WatermarkError::ProtocolViolation {
+                    detail: format!("tenant `{tenant}` is missing from the router's key ring"),
+                })?;
+                Some(ClientAuth::new(tenant.clone(), secret.to_vec()))
+            }
+            _ => None,
         };
-        let nudge = SocketAddr::new(ip, self.addr.port());
-        let _ = TcpStream::connect_timeout(&nudge, Duration::from_millis(250));
+        let config = ClientConfig {
+            auth,
+            ..self.client.clone()
+        };
+        DisputeClient::connect_with(self.backends[backend].addr.as_str(), config)
+            .inspect_err(|_| self.demote(backend))
+    }
+
+    /// Returns a leased client to the pool, unless it is broken. A client
+    /// with a docket still in flight is never returned: the early exits
+    /// of docket routing drop theirs.
+    fn restore(&self, backend: usize, tenant: &TenantId, client: DisputeClient) {
+        if !client.is_broken() {
+            let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+            idle.entry((backend, tenant.clone())).or_default().push(client);
+        }
+    }
+}
+
+impl Handler for RouterShared {
+    fn handle(&self, tenant: &TenantId, request: Request) -> Response {
+        route_request(self, tenant, request)
+    }
+
+    /// A routed request blocks on backend sockets, so each one runs on a
+    /// thread of its own, never on the shared pool: an in-process fleet
+    /// whose pool workers were all blocked in router requests could not
+    /// resolve the backend shards those requests wait for.
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        self.threads.run(Box::new(job));
+    }
+}
+
+/// One routed request's job.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The threads routed requests run on, one request per thread at a time.
+/// A job goes to a parked thread if there is one, else to a new thread,
+/// so no request waits behind a blocked one; the event loop's connection
+/// cap times its pipeline depth bounds the threads. A finished thread
+/// parks for the next job instead of exiting, because spawning a thread
+/// costs more than routing a small docket. Parked threads exit once the
+/// router is dropped.
+#[derive(Debug, Default)]
+struct RouteThreads {
+    parked: Arc<Mutex<Vec<mpsc::Sender<Job>>>>,
+}
+
+impl RouteThreads {
+    fn run(&self, mut job: Job) {
+        if let Some(thread) = self.parked.lock().unwrap_or_else(PoisonError::into_inner).pop() {
+            // A parked thread waits in `recv` until it gets a job, so the
+            // send cannot fail; if it did, the dropped job still answers.
+            let _ = thread.send(job);
+            return;
+        }
+        let parked = Arc::downgrade(&self.parked);
+        // A failed spawn drops the job, whose reply answers with a fault.
+        let _ = std::thread::Builder::new().name("wdte-route".to_string()).spawn(move || loop {
+            job();
+            let (wake, next) = mpsc::channel();
+            match parked.upgrade() {
+                Some(parked) => parked.lock().unwrap_or_else(PoisonError::into_inner).push(wake),
+                None => return,
+            }
+            match next.recv() {
+                Ok(next) => job = next,
+                Err(_) => return,
+            }
+        });
     }
 }
 
@@ -185,23 +265,19 @@ impl RouterHandle {
 /// a background thread and returns a [`RunningRouter`].
 #[derive(Debug)]
 pub struct JudgeRouter {
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
+    front: FrontEnd<RouterShared>,
 }
 
 impl JudgeRouter {
     /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
     /// Refuses an empty backend list — a router with nowhere to route is
-    /// a misconfiguration, not a degraded fleet.
+    /// a misconfiguration, not a degraded fleet. The router's connection
+    /// cap and pipeline depth are those of [`ServerConfig::default`].
     pub fn bind(
         addr: impl ToSocketAddrs + std::fmt::Display,
         config: RouterConfig,
     ) -> WatermarkResult<Self> {
         let ring = HashRing::new(config.backends.len(), config.ring_replicas)?;
-        let listener = TcpListener::bind(&addr).map_err(|err| WatermarkError::Io {
-            path: addr.to_string(),
-            message: err.to_string(),
-        })?;
         let backends = config
             .backends
             .into_iter()
@@ -210,123 +286,84 @@ impl JudgeRouter {
                 healthy: AtomicBool::new(true),
             })
             .collect();
-        Ok(Self {
-            listener,
-            shared: Arc::new(RouterShared {
-                ring,
-                backends,
-                key_ring: config.key_ring,
-                retry_siblings: config.retry_siblings,
-                max_frame_bytes: config.max_frame_bytes,
-                read_timeout: config.read_timeout,
+        let shared = RouterShared {
+            ring,
+            backends,
+            key_ring: config.key_ring.clone(),
+            retry_siblings: config.retry_siblings,
+            health_interval: config.health_interval,
+            client: ClientConfig {
+                connect_attempts: 1,
+                connect_timeout: Some(config.connect_timeout),
+                read_timeout: config.backend_read_timeout,
                 write_timeout: config.write_timeout,
-                backend_read_timeout: config.backend_read_timeout,
-                connect_timeout: config.connect_timeout,
-                health_interval: config.health_interval,
-                stop: Arc::new(AtomicBool::new(false)),
-            }),
+                max_frame_bytes: config.max_frame_bytes,
+                ..ClientConfig::default()
+            },
+            idle: Mutex::default(),
+            threads: RouteThreads::default(),
+        };
+        let front = ServerConfig {
+            max_frame_bytes: config.max_frame_bytes,
+            read_timeout: config.read_timeout,
+            write_timeout: config.write_timeout,
+            key_ring: config.key_ring,
+            ..ServerConfig::default()
+        };
+        Ok(Self {
+            front: FrontEnd::bind(addr, Arc::new(shared), front)?,
         })
     }
 
     /// The address actually bound (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr().expect("a bound listener has a local address")
+        self.front.local_addr()
     }
 
     /// A shutdown handle for this router.
-    pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            stop: Arc::clone(&self.shared.stop),
-            addr: self.local_addr(),
-        }
+    pub fn handle(&self) -> ServerHandle {
+        self.front.handle()
     }
 
-    /// Runs the accept loop until [`RouterHandle::shutdown`] is called,
-    /// blocking the calling thread. Each client connection is served by
-    /// its own thread: a handful of claimant connections each fanning
-    /// out to N backends is thread-per-connection's sweet spot, and the
-    /// docket parallelism lives in the fan-out, not the accept path.
+    /// Runs the event loop and the backend health monitor until
+    /// [`ServerHandle::shutdown`] is called, blocking the calling thread.
     pub fn serve(self) -> WatermarkResult<()> {
-        let JudgeRouter { listener, shared } = self;
+        let stop = Arc::clone(&self.front.stop);
         let monitor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || health_monitor(&shared))
+            let (shared, stop) = (Arc::clone(&self.front.handler), Arc::clone(&stop));
+            std::thread::spawn(move || health_monitor(&shared, &stop))
         };
-        loop {
-            if shared.stop.load(Ordering::SeqCst) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let shared = Arc::clone(&shared);
-                    std::thread::spawn(move || serve_connection(&shared, stream));
-                }
-                Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Persistent accept failures (fd exhaustion) must not
-                    // spin the loop at 100% CPU.
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
+        let result = self.front.serve();
+        // The loop also ends on a poll failure, which sets no flag.
+        stop.store(true, Ordering::SeqCst);
         let _ = monitor.join();
-        Ok(())
+        result
     }
 
     /// Serves from a background thread, returning immediately.
     pub fn spawn(self) -> RunningRouter {
-        let addr = self.local_addr();
-        let handle = self.handle();
-        let join = std::thread::spawn(move || self.serve());
-        RunningRouter { addr, handle, join }
+        RunningServer::start(self.handle(), move || self.serve())
     }
 }
 
 /// A [`JudgeRouter`] serving from a background thread.
-#[derive(Debug)]
-pub struct RunningRouter {
-    addr: SocketAddr,
-    handle: RouterHandle,
-    join: std::thread::JoinHandle<WatermarkResult<()>>,
-}
-
-impl RunningRouter {
-    /// The address the router is reachable on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// A cloneable shutdown handle.
-    pub fn handle(&self) -> RouterHandle {
-        self.handle.clone()
-    }
-
-    /// Stops the accept loop and joins the serving thread.
-    pub fn shutdown(self) -> WatermarkResult<()> {
-        self.handle.shutdown();
-        self.join.join().map_err(|_| WatermarkError::Remote {
-            message: "judge router thread panicked".to_string(),
-        })?
-    }
-}
+pub type RunningRouter = RunningServer;
 
 /// TCP-probes every backend, then sleeps `health_interval` (in short
 /// slices, so shutdown is prompt), until stopped.
-fn health_monitor(shared: &RouterShared) {
-    while !shared.stop.load(Ordering::SeqCst) {
+fn health_monitor(shared: &RouterShared, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
         for backend in &shared.backends {
-            let alive = probe(&backend.addr, shared.connect_timeout);
+            let timeout = shared.client.connect_timeout.expect("bind sets a connect deadline");
+            let alive = probe(&backend.addr, timeout);
             backend.healthy.store(alive, Ordering::Relaxed);
-            if shared.stop.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return;
             }
         }
         let mut slept = Duration::ZERO;
         while slept < shared.health_interval {
-            if shared.stop.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return;
             }
             let nap = (shared.health_interval - slept).min(Duration::from_millis(50));
@@ -346,154 +383,10 @@ fn probe(addr: &str, timeout: Duration) -> bool {
     }
 }
 
-/// Per-client-connection routing state: the backend clients opened on
-/// behalf of this connection, keyed by `(backend, tenant)` because each
-/// backend connection authenticates as one tenant and carries its own
-/// sequence counter.
-struct ConnState {
-    clients: HashMap<(usize, String), DisputeClient>,
-    /// Highest frame sequence accepted from the client on this
-    /// connection — the same replay floor a backend judge keeps, so the
-    /// router is exactly as strict as the judge it fronts.
-    last_sequence: u64,
-}
-
-/// Returns a usable (fresh or cached, never broken) client for
-/// `backend` as `tenant`, demoting the backend if the connect fails.
-fn backend_client<'a>(
-    shared: &RouterShared,
-    state: &'a mut ConnState,
-    backend: usize,
-    tenant: &TenantId,
-) -> WatermarkResult<&'a mut DisputeClient> {
-    let key = (backend, tenant.as_str().to_string());
-    let reusable = state.clients.get(&key).is_some_and(|client| !client.is_broken());
-    if !reusable {
-        let auth = match &shared.key_ring {
-            Some(ring) if !tenant.is_anonymous() => {
-                let secret = ring.key(tenant).ok_or_else(|| WatermarkError::ProtocolViolation {
-                    detail: format!("tenant `{tenant}` is missing from the router's key ring"),
-                })?;
-                Some(ClientAuth::new(tenant.clone(), secret.to_vec()))
-            }
-            _ => None,
-        };
-        let config = ClientConfig {
-            connect_attempts: 1,
-            connect_timeout: Some(shared.connect_timeout),
-            read_timeout: shared.backend_read_timeout,
-            write_timeout: shared.write_timeout,
-            max_frame_bytes: shared.max_frame_bytes,
-            auth,
-            ..ClientConfig::default()
-        };
-        let addr: &str = &shared.backends[backend].addr;
-        match DisputeClient::connect_with(addr, config) {
-            Ok(client) => {
-                state.clients.insert(key.clone(), client);
-            }
-            Err(err) => {
-                shared.demote(backend);
-                return Err(err);
-            }
-        }
-    }
-    Ok(state.clients.get_mut(&key).expect("the entry was just inserted or verified"))
-}
-
-/// Wire rendering of a routing-layer refusal.
-fn fault_response(err: &WatermarkError) -> Response {
-    Response::Error {
-        fault: WireFault::from_error(err),
-    }
-}
-
-/// Serves one client connection to completion: read a frame,
-/// authenticate it, route the request, answer under the client's
-/// correlation id. Requests are handled one at a time per connection —
-/// pipelined clients still overlap across *connections*, and one
-/// docket's parallelism comes from its backend fan-out.
-fn serve_connection(shared: &RouterShared, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(shared.read_timeout);
-    let _ = stream.set_write_timeout(shared.write_timeout);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut state = ConnState {
-        clients: HashMap::new(),
-        last_sequence: 0,
-    };
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let (header, payload) = match proto::read_frame(&mut reader, shared.max_frame_bytes) {
-            Ok(Some(frame)) => frame,
-            // Clean EOF between frames: the client is done.
-            Ok(None) => return,
-            // Torn frame, oversized payload, bad magic, or the idle
-            // deadline: framing is unrecoverable either way.
-            Err(err) => {
-                send_response(&mut writer, NO_CORRELATION, &fault_response(&err));
-                return;
-            }
-        };
-        let tenant = match &shared.key_ring {
-            None => TenantId::anonymous(),
-            Some(ring) => match ring.verify_frame(&header, &payload, state.last_sequence) {
-                Ok(tenant) => tenant,
-                // Framing is intact, so the refusal is answered inline
-                // and the connection kept — same policy as the judge.
-                Err(err) => {
-                    if !send_response(&mut writer, header.correlation_id, &fault_response(&err)) {
-                        return;
-                    }
-                    continue;
-                }
-            },
-        };
-        state.last_sequence = state.last_sequence.max(header.sequence);
-        let request = match proto::decode_payload::<Request>(&payload) {
-            Ok(request) => request,
-            Err(err) => {
-                if !send_response(&mut writer, header.correlation_id, &fault_response(&err)) {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = route_request(shared, &mut state, &tenant, request);
-        if !send_response(&mut writer, header.correlation_id, &response) {
-            return;
-        }
-    }
-}
-
-/// Writes one response frame to the client; `false` means the client is
-/// gone and the connection should be dropped. Responses travel
-/// anonymous, exactly as a judge's do.
-fn send_response(writer: &mut TcpStream, correlation_id: u64, response: &Response) -> bool {
-    let frame = match proto::encode_frame(correlation_id, response) {
-        Ok(frame) => frame,
-        Err(err) => match proto::encode_frame(correlation_id, &fault_response(&err)) {
-            Ok(frame) => frame,
-            Err(_) => return false,
-        },
-    };
-    writer.write_all(&frame).and_then(|()| writer.flush()).is_ok()
-}
-
 /// Maps one decoded request onto the fleet.
-fn route_request(
-    shared: &RouterShared,
-    state: &mut ConnState,
-    tenant: &TenantId,
-    request: Request,
-) -> Response {
+fn route_request(shared: &RouterShared, tenant: &TenantId, request: Request) -> Response {
     match request {
-        Request::Ping => aggregate_ping(shared, state, tenant),
+        Request::Ping => aggregate_ping(shared, tenant),
         // Single-model requests go to the key's home backend, with
         // bounded failover onto ring siblings.
         Request::RegisterModel { .. } | Request::RegisterModelRef { .. } | Request::Resolve { .. } => {
@@ -503,7 +396,7 @@ fn route_request(
                 | Request::Resolve { model_id, .. } => model_id.clone(),
                 _ => unreachable!("the outer match admits only model-bearing arms"),
             };
-            route_single(shared, state, tenant, &model_id, &request)
+            route_single(shared, tenant, &model_id, &request)
         }
         Request::ResolveDocket { disputes } => {
             // Unify onto the ref form the backends already speak: digest
@@ -517,7 +410,7 @@ fn route_request(
                 bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim));
                 refs.push(DisputeRef::new(dispute.model_id, digest));
             }
-            route_docket(shared, state, tenant, &bodies, refs)
+            route_docket(shared, tenant, &bodies, refs)
         }
         Request::ResolveDocketRef { bodies, disputes } => {
             let mut map: HashMap<PayloadDigest, Arc<OwnershipClaim>> =
@@ -526,7 +419,7 @@ fn route_request(
                 let digest = PayloadDigest::of_claim(&body);
                 map.entry(digest).or_insert_with(|| Arc::new(body));
             }
-            route_docket(shared, state, tenant, &map, disputes)
+            route_docket(shared, tenant, &map, disputes)
         }
         Request::Payload { claims } => {
             // Replicate stored bodies to every reachable backend so
@@ -534,7 +427,7 @@ fn route_request(
             // dispute lands.
             let digests: Vec<PayloadDigest> = claims.iter().map(PayloadDigest::of_claim).collect();
             let request = Request::Payload { claims };
-            let (successes, first_failure) = broadcast(shared, state, tenant, &request);
+            let (successes, first_failure) = broadcast(shared, tenant, &request);
             if successes == 0 {
                 return first_failure.unwrap_or_else(|| fault_response(&no_backends_error(shared)));
             }
@@ -545,7 +438,7 @@ fn route_request(
             let mut answered = 0usize;
             let request = Request::ListModels;
             for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
+                let Some(response) = backend_call(shared, tenant, backend, &request) else {
                     continue;
                 };
                 match response {
@@ -574,7 +467,7 @@ fn route_request(
                 model_id: model_id.clone(),
             };
             for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
+                let Some(response) = backend_call(shared, tenant, backend, &request) else {
                     continue;
                 };
                 match response {
@@ -596,7 +489,7 @@ fn route_request(
             let mut answered = 0usize;
             let request = Request::Stats;
             for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, state, tenant, backend, &request) else {
+                let Some(response) = backend_call(shared, tenant, backend, &request) else {
                     continue;
                 };
                 match response {
@@ -643,7 +536,6 @@ fn unexpected(response: &Response, wanted: &str) -> WatermarkError {
 /// partial fleets.
 fn backend_call(
     shared: &RouterShared,
-    state: &mut ConnState,
     tenant: &TenantId,
     backend: usize,
     request: &Request,
@@ -651,30 +543,22 @@ fn backend_call(
     if !shared.healthy(backend) {
         return None;
     }
-    let client = backend_client(shared, state, backend, tenant).ok()?;
-    match client.raw_request(request) {
-        Ok(response) => Some(response),
-        Err(_err) => {
-            if client.is_broken() {
-                shared.demote(backend);
-            }
-            None
-        }
+    let mut client = shared.lease(backend, tenant).ok()?;
+    let response = client.raw_request(request);
+    if client.is_broken() {
+        shared.demote(backend);
     }
+    shared.restore(backend, tenant, client);
+    response.ok()
 }
 
 /// Broadcasts one request to every healthy backend, returning how many
 /// succeeded and the first typed refusal (if any) for error reporting.
-fn broadcast(
-    shared: &RouterShared,
-    state: &mut ConnState,
-    tenant: &TenantId,
-    request: &Request,
-) -> (usize, Option<Response>) {
+fn broadcast(shared: &RouterShared, tenant: &TenantId, request: &Request) -> (usize, Option<Response>) {
     let mut successes = 0usize;
     let mut first_failure = None;
     for backend in 0..shared.backends.len() {
-        match backend_call(shared, state, tenant, backend, request) {
+        match backend_call(shared, tenant, backend, request) {
             Some(Response::Error { fault }) => {
                 first_failure.get_or_insert(Response::Error { fault });
             }
@@ -690,7 +574,7 @@ fn broadcast(
 /// negotiates with); model and claim counts aggregate whatever part of
 /// the fleet is reachable — a ping is a liveness probe, so a degraded
 /// fleet still pongs.
-fn aggregate_ping(shared: &RouterShared, state: &mut ConnState, tenant: &TenantId) -> Response {
+fn aggregate_ping(shared: &RouterShared, tenant: &TenantId) -> Response {
     let mut models_registered = 0u64;
     let mut claims_cached = 0u64;
     for backend in 0..shared.backends.len() {
@@ -698,7 +582,7 @@ fn aggregate_ping(shared: &RouterShared, state: &mut ConnState, tenant: &TenantI
             models_registered: models,
             claims_cached: claims,
             ..
-        }) = backend_call(shared, state, tenant, backend, &Request::Ping)
+        }) = backend_call(shared, tenant, backend, &Request::Ping)
         {
             models_registered += models;
             claims_cached += claims;
@@ -720,7 +604,6 @@ fn aggregate_ping(shared: &RouterShared, state: &mut ConnState, tenant: &TenantI
 /// process, and "unknown" would mislead the claimant.
 fn route_single(
     shared: &RouterShared,
-    state: &mut ConnState,
     tenant: &TenantId,
     model_id: &str,
     request: &Request,
@@ -737,11 +620,13 @@ fn route_single(
             continue;
         }
         attempts += 1;
-        let client = match backend_client(shared, state, backend, tenant) {
-            Ok(client) => client,
-            Err(_err) => continue,
+        let Ok(mut client) = shared.lease(backend, tenant) else {
+            continue;
         };
-        match client.raw_request(request) {
+        let response = client.raw_request(request);
+        let broken = client.is_broken();
+        shared.restore(backend, tenant, client);
+        match response {
             Ok(Response::Error { fault }) => {
                 if backend != home && matches!(fault, WireFault::UnknownModel { .. }) {
                     return fault_response(&shared.unreachable(home, model_id));
@@ -750,7 +635,7 @@ fn route_single(
             }
             Ok(response) => return response,
             Err(err) => {
-                if client.is_broken() {
+                if broken {
                     shared.demote(backend);
                     continue;
                 }
@@ -777,7 +662,6 @@ fn route_single(
 /// same verdict a single judge would have given.
 fn route_docket(
     shared: &RouterShared,
-    state: &mut ConnState,
     tenant: &TenantId,
     bodies: &HashMap<PayloadDigest, Arc<OwnershipClaim>>,
     disputes: Vec<DisputeRef>,
@@ -832,9 +716,9 @@ fn route_docket(
         let mut next_pending: Vec<usize> = Vec::new();
         for (backend, indices) in plan {
             let shard: Vec<DisputeRef> = indices.iter().map(|&idx| disputes[idx].clone()).collect();
-            match backend_client(shared, state, backend, tenant) {
-                Ok(client) => match client.send_docket_ref(bodies, &shard) {
-                    Ok(ticket) => sent.push((backend, indices, ticket)),
+            match shared.lease(backend, tenant) {
+                Ok(mut client) => match client.send_docket_ref(bodies, &shard) {
+                    Ok(ticket) => sent.push((backend, indices, ticket, client)),
                     Err(err) => {
                         if client.is_broken() {
                             shared.demote(backend);
@@ -852,13 +736,11 @@ fn route_docket(
             }
         }
         // Receive phase, in send order.
-        for (backend, indices, ticket) in sent {
-            let key = (backend, tenant.as_str().to_string());
-            let client = state
-                .clients
-                .get_mut(&key)
-                .expect("this shard was sent on this connection's client");
-            match client.recv_docket_outcome(ticket) {
+        for (backend, indices, ticket, mut client) in sent {
+            let outcome = client.recv_docket_outcome(ticket);
+            let broken = client.is_broken();
+            shared.restore(backend, tenant, client);
+            match outcome {
                 Ok(DocketOutcome::Verdicts(verdicts)) => {
                     if let Err(err) = fleet::scatter(&mut slots, &indices, verdicts) {
                         return fault_response(&err);
@@ -888,7 +770,7 @@ fn route_docket(
                     }
                 }
                 Err(err) => {
-                    if client.is_broken() {
+                    if broken {
                         shared.demote(backend);
                         failed.insert(backend);
                         next_pending.extend(indices);

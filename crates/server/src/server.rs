@@ -1,23 +1,26 @@
-//! The judge's side of the wire: a readiness-driven accept/read loop
-//! (non-blocking sockets + `poll(2)`) feeding decoded requests into the
-//! shared work-stealing pool.
+//! The one front end: a readiness-driven accept/read loop (non-blocking
+//! sockets + `poll(2)`) that serves both the judge and the fleet router.
 //!
 //! One event-loop thread owns every socket's *read* side: it polls the
 //! listener and all connections, runs each connection's frame state
-//! machine on readable bytes, and hands complete requests to
-//! `rayon::spawn`. Responses are written by the pool workers through a
-//! per-connection [`ConnWriter`] (a `try_clone`d socket behind a mutex),
-//! so out-of-order completion across a connection's in-flight requests is
-//! the normal case — WDTP correlation ids let the client match them
-//! up. Idle connections therefore cost one file descriptor and a little
-//! state, not a parked thread.
+//! machine on readable bytes, authenticates and decodes each complete
+//! frame, and hands the request to its front end's [`Handler`]. The
+//! judge's handler runs requests on the shared work-stealing pool
+//! (`rayon::spawn`); the router's runs each on its own thread, because a
+//! routed request blocks on backend sockets. Responses are written by
+//! those jobs through a per-connection [`ConnWriter`] (a `try_clone`d
+//! socket behind a mutex), so out-of-order completion across a
+//! connection's in-flight requests is the normal case — WDTP correlation
+//! ids let the client match them up. Idle connections therefore cost one
+//! file descriptor and a little state, not a parked thread.
 //!
 //! When a [`KeyRing`] is configured, each frame's tenant/sequence/tag
 //! fields (WDTP v4) are verified before the payload is decoded: a bad tag
 //! or a replayed sequence is answered with a structured `AuthFailed`
 //! fault and the connection stays open (framing is intact), while the
-//! offending frame is dropped without touching the service. Without a key
-//! ring the judge is open and every frame maps to the anonymous tenant.
+//! offending frame is dropped without reaching the handler. Without a key
+//! ring the front end is open and every frame maps to the anonymous
+//! tenant.
 
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -202,24 +205,71 @@ impl ServerHandle {
     }
 }
 
-/// A bound, not-yet-serving judge. [`serve`](JudgeServer::serve) blocks
-/// the calling thread; [`spawn`](JudgeServer::spawn) serves from a
-/// background thread and returns a [`RunningServer`].
-#[derive(Debug)]
-pub struct JudgeServer {
-    service: Arc<DisputeService>,
-    listener: TcpListener,
-    config: ServerConfig,
-    stop: Arc<AtomicBool>,
+/// What a front end does with an authenticated, decoded request. The
+/// event loop owns everything else: accept, framing, authentication with
+/// the sequence floor, payload decode, the pipeline cap, write deadlines,
+/// panic containment, idle reaping and shutdown.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// Admission charged before the request is queued (the judge's
+    /// per-tenant in-flight quota); a refusal is answered inline.
+    fn admit(&self, _tenant: &TenantId) -> WatermarkResult<()> {
+        Ok(())
+    }
+
+    /// Releases what [`admit`](Handler::admit) charged, on every exit
+    /// path of the request.
+    fn release(&self, _tenant: &TenantId) {}
+
+    /// Records a frame refused by authentication, under the tenant its
+    /// header claimed.
+    fn refused(&self, _claimed: &TenantId) {}
+
+    /// Answers one request as `tenant`. A panic here becomes a
+    /// `WireFault::Internal` answer; the connection survives.
+    fn handle(&self, tenant: &TenantId, request: Request) -> Response;
+
+    /// Runs one request's job off the event-loop thread.
+    fn execute(&self, job: impl FnOnce() + Send + 'static);
 }
 
-impl JudgeServer {
-    /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port). The
-    /// service is shared: the caller can keep registering models on its
-    /// own `Arc` while the server resolves claims against them.
-    pub fn bind(
+/// The judge's handler: requests resolve against the shared service on
+/// the process-global work-stealing pool, charged to the tenant's ledger.
+impl Handler for DisputeService {
+    fn admit(&self, tenant: &TenantId) -> WatermarkResult<()> {
+        self.ledger().try_begin_request(tenant, self.quotas())
+    }
+
+    fn release(&self, tenant: &TenantId) {
+        self.ledger().end_request(tenant);
+    }
+
+    fn refused(&self, claimed: &TenantId) {
+        self.ledger().record_auth_failure(claimed);
+    }
+
+    fn handle(&self, tenant: &TenantId, request: Request) -> Response {
+        handle_request(self, tenant, request)
+    }
+
+    fn execute(&self, job: impl FnOnce() + Send + 'static) {
+        rayon::spawn(job);
+    }
+}
+
+/// A bound listener and the handler it serves: the event loop behind both
+/// [`JudgeServer`] and [`JudgeRouter`](crate::JudgeRouter).
+#[derive(Debug)]
+pub(crate) struct FrontEnd<H> {
+    listener: TcpListener,
+    config: ServerConfig,
+    pub(crate) stop: Arc<AtomicBool>,
+    pub(crate) handler: Arc<H>,
+}
+
+impl<H: Handler> FrontEnd<H> {
+    pub(crate) fn bind(
         addr: impl ToSocketAddrs + std::fmt::Display,
-        service: Arc<DisputeService>,
+        handler: Arc<H>,
         config: ServerConfig,
     ) -> WatermarkResult<Self> {
         let listener = TcpListener::bind(&addr).map_err(|err| WatermarkError::Io {
@@ -227,36 +277,34 @@ impl JudgeServer {
             message: err.to_string(),
         })?;
         Ok(Self {
-            service,
             listener,
             config,
             stop: Arc::new(AtomicBool::new(false)),
+            handler,
         })
     }
 
-    /// The address actually bound (resolves ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener.local_addr().expect("a bound listener has a local address")
     }
 
-    /// A shutdown handle for this server.
-    pub fn handle(&self) -> ServerHandle {
+    pub(crate) fn handle(&self) -> ServerHandle {
         ServerHandle {
             stop: Arc::clone(&self.stop),
             addr: self.local_addr(),
         }
     }
 
-    /// Runs the event loop until [`ServerHandle::shutdown`] is called,
-    /// blocking the calling thread. Requests already handed to the worker
-    /// pool at shutdown finish and their responses are still delivered
-    /// (each worker holds its connection's writer alive).
-    pub fn serve(self) -> WatermarkResult<()> {
-        let JudgeServer {
-            service,
+    /// Runs the event loop until [`ServerHandle::shutdown`] is called.
+    /// Requests already handed to a job at shutdown finish and their
+    /// responses are still delivered (each job holds its connection's
+    /// writer alive).
+    pub(crate) fn serve(self) -> WatermarkResult<()> {
+        let FrontEnd {
             listener,
             config,
             stop,
+            handler,
         } = self;
         listener.set_nonblocking(true).map_err(|err| WatermarkError::Io {
             path: "listener".to_string(),
@@ -306,7 +354,7 @@ impl JudgeServer {
                 if fds[offset + slot].revents == 0 {
                     continue;
                 }
-                if !conns[index].drain(&service, &config) {
+                if !conns[index].drain(&handler, &config) {
                     closing.push(index);
                 }
             }
@@ -331,7 +379,7 @@ impl JudgeServer {
                             // are exhausted, for instance) keep the
                             // listener readable; without a pause the loop
                             // would spin at 100% CPU exactly when the
-                            // judge should be shedding load.
+                            // front end should be shedding load.
                             std::thread::sleep(Duration::from_millis(20));
                             break;
                         }
@@ -359,17 +407,56 @@ impl JudgeServer {
         }
         Ok(())
     }
+}
+
+/// A bound, not-yet-serving judge. [`serve`](JudgeServer::serve) blocks
+/// the calling thread; [`spawn`](JudgeServer::spawn) serves from a
+/// background thread and returns a [`RunningServer`].
+#[derive(Debug)]
+pub struct JudgeServer {
+    front: FrontEnd<DisputeService>,
+}
+
+impl JudgeServer {
+    /// Binds to `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port). The
+    /// service is shared: the caller can keep registering models on its
+    /// own `Arc` while the server resolves claims against them.
+    pub fn bind(
+        addr: impl ToSocketAddrs + std::fmt::Display,
+        service: Arc<DisputeService>,
+        config: ServerConfig,
+    ) -> WatermarkResult<Self> {
+        Ok(Self {
+            front: FrontEnd::bind(addr, service, config)?,
+        })
+    }
+
+    /// The address actually bound (resolves ephemeral ports).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.front.local_addr()
+    }
+
+    /// A shutdown handle for this server.
+    pub fn handle(&self) -> ServerHandle {
+        self.front.handle()
+    }
+
+    /// Runs the event loop until [`ServerHandle::shutdown`] is called,
+    /// blocking the calling thread. Requests already handed to the worker
+    /// pool at shutdown finish and their responses are still delivered
+    /// (each worker holds its connection's writer alive).
+    pub fn serve(self) -> WatermarkResult<()> {
+        self.front.serve()
+    }
 
     /// Serves from a background thread, returning immediately.
     pub fn spawn(self) -> RunningServer {
-        let addr = self.local_addr();
-        let handle = self.handle();
-        let join = std::thread::spawn(move || self.serve());
-        RunningServer { addr, handle, join }
+        RunningServer::start(self.handle(), move || self.serve())
     }
 }
 
-/// A [`JudgeServer`] serving from a background thread.
+/// A [`JudgeServer`] or [`JudgeRouter`](crate::JudgeRouter) serving from
+/// a background thread.
 #[derive(Debug)]
 pub struct RunningServer {
     addr: SocketAddr,
@@ -378,6 +465,18 @@ pub struct RunningServer {
 }
 
 impl RunningServer {
+    /// Runs `serve` on a background thread; `handle` stops it.
+    pub(crate) fn start(
+        handle: ServerHandle,
+        serve: impl FnOnce() -> WatermarkResult<()> + Send + 'static,
+    ) -> Self {
+        Self {
+            addr: handle.addr,
+            handle,
+            join: std::thread::spawn(serve),
+        }
+    }
+
     /// The address the server is reachable on.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -392,15 +491,15 @@ impl RunningServer {
     pub fn shutdown(self) -> WatermarkResult<()> {
         self.handle.shutdown();
         self.join.join().map_err(|_| WatermarkError::Remote {
-            message: "judge server thread panicked".to_string(),
+            message: "serving thread panicked".to_string(),
         })?
     }
 }
 
 /// The write half of a connection, shared between the event loop (error
-/// replies) and every pool worker carrying one of its responses. The
-/// mutex spans a whole frame so concurrent responses never interleave;
-/// the socket is non-blocking, so a full send buffer parks the writer in
+/// replies) and every job carrying one of its responses. The mutex spans
+/// a whole frame so concurrent responses never interleave; the socket is
+/// non-blocking, so a full send buffer parks the writer in
 /// `poll(POLLOUT)` up to the configured deadline instead of forever.
 #[derive(Debug)]
 struct ConnWriter {
@@ -421,18 +520,13 @@ impl ConnWriter {
             Ok(frame) => frame,
             // The response itself cannot be framed (a >4 GiB payload);
             // tell the peer which request died rather than hanging it.
-            Err(err) => {
-                let fallback = Response::Error {
-                    fault: WireFault::from_error(&err),
-                };
-                match proto::encode_frame(correlation_id, &fallback) {
-                    Ok(frame) => frame,
-                    Err(_) => {
-                        self.dead.store(true, Ordering::Release);
-                        return false;
-                    }
+            Err(err) => match proto::encode_frame(correlation_id, &fault_response(&err)) {
+                Ok(frame) => frame,
+                Err(_) => {
+                    self.dead.store(true, Ordering::Release);
+                    return false;
                 }
-            }
+            },
         };
         let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
         let deadline = self.write_timeout.map(|timeout| Instant::now() + timeout);
@@ -470,6 +564,11 @@ impl ConnWriter {
         }
         true
     }
+
+    /// Best-effort structured error reply for frame-level failures.
+    fn send_fault(&self, correlation_id: u64, err: &WatermarkError) {
+        let _ = self.send(correlation_id, &fault_response(err));
+    }
 }
 
 /// Frame-reassembly state of one connection's read side.
@@ -504,9 +603,10 @@ struct Conn {
     /// The shared write half (a `try_clone`d descriptor).
     writer: Arc<ConnWriter>,
     state: ReadState,
-    /// Requests dispatched to the pool whose responses have not been
-    /// written yet. Incremented synchronously at dispatch, decremented by
-    /// a drop guard in the worker, so the pipeline cap can never leak.
+    /// Requests dispatched to a job whose responses have not been written
+    /// yet. Incremented synchronously at dispatch, decremented by the
+    /// job's [`Reply`] on every exit path, so the pipeline cap can never
+    /// leak.
     in_flight: Arc<AtomicUsize>,
     /// The peer half-closed its write side; the connection lingers only
     /// to deliver in-flight responses.
@@ -543,22 +643,6 @@ impl Conn {
         })
     }
 
-    /// Resolves the tenant a frame runs as. An open judge (no key ring)
-    /// ignores the auth fields entirely; a keyed judge delegates to
-    /// [`KeyRing::verify_frame`] (tenant lookup, constant-time tag check,
-    /// strictly increasing sequence).
-    fn authenticate(
-        key_ring: Option<&KeyRing>,
-        header: &FrameHeader,
-        payload: &[u8],
-        last_sequence: u64,
-    ) -> WatermarkResult<TenantId> {
-        match key_ring {
-            None => Ok(TenantId::anonymous()),
-            Some(ring) => ring.verify_frame(header, payload, last_sequence),
-        }
-    }
-
     /// Whether the pipeline cap forbids reading more requests for now.
     fn paused(&self, config: &ServerConfig) -> bool {
         config.max_pipeline > 0 && self.in_flight.load(Ordering::SeqCst) >= config.max_pipeline
@@ -568,7 +652,7 @@ impl Conn {
     /// Returns `false` when the connection must be dropped now (protocol
     /// violation or transport error); a clean half-close and the pipeline
     /// cap both return `true` and are handled by the caller's bookkeeping.
-    fn drain(&mut self, service: &Arc<DisputeService>, config: &ServerConfig) -> bool {
+    fn drain<H: Handler>(&mut self, handler: &Arc<H>, config: &ServerConfig) -> bool {
         let mut scratch = [0u8; 16 << 10];
         loop {
             if self.paused(config) {
@@ -585,8 +669,7 @@ impl Conn {
                             self.read_closed = true;
                             return true;
                         }
-                        Self::send_fault(
-                            &self.writer,
+                        self.writer.send_fault(
                             NO_CORRELATION,
                             &WatermarkError::ProtocolViolation {
                                 detail: format!(
@@ -601,7 +684,7 @@ impl Conn {
                         self.last_activity = Instant::now();
                         if !*prelude_checked && *filled >= FRAME_PRELUDE_BYTES {
                             if let Err(err) = proto::check_prelude(&buf[..FRAME_PRELUDE_BYTES]) {
-                                Self::send_fault(&self.writer, NO_CORRELATION, &err);
+                                self.writer.send_fault(NO_CORRELATION, &err);
                                 return false;
                             }
                             *prelude_checked = true;
@@ -617,7 +700,7 @@ impl Conn {
                                     let correlation_id = u64::from_le_bytes(
                                         buf[6..14].try_into().expect("header slice is 8 bytes"),
                                     );
-                                    Self::send_fault(&self.writer, correlation_id, &err);
+                                    self.writer.send_fault(correlation_id, &err);
                                     return false;
                                 }
                             };
@@ -644,46 +727,37 @@ impl Conn {
                         let payload = std::mem::take(buf);
                         self.state = ReadState::header();
                         // Authenticate before decoding: a frame that
-                        // fails verification must not reach the service.
-                        // Framing is intact either way, so the failure is
-                        // answered inline and the connection kept; the
-                        // sequence floor only advances on success, so a
-                        // replayed frame stays refusable forever.
-                        let tenant = match Self::authenticate(
-                            config.key_ring.as_deref(),
-                            &header,
-                            &payload,
-                            self.last_sequence,
-                        ) {
+                        // fails verification must not reach the handler.
+                        // An open front end ignores the auth fields; a
+                        // keyed one checks the tenant, the tag and the
+                        // strictly increasing sequence. Framing is intact
+                        // either way, so a failure is answered inline and
+                        // the connection kept; the sequence floor only
+                        // advances on success, so a replayed frame stays
+                        // refusable forever.
+                        let verified = match config.key_ring.as_deref() {
+                            None => Ok(TenantId::anonymous()),
+                            Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence),
+                        };
+                        match verified {
                             Ok(tenant) => {
                                 self.last_sequence = self.last_sequence.max(header.sequence);
-                                tenant
+                                self.dispatch(handler, config, header.correlation_id, tenant, payload);
                             }
                             Err(err) => {
                                 let claimed = TenantId::from_field(&header.tenant)
                                     .unwrap_or_else(|_| TenantId::anonymous());
-                                service.ledger().record_auth_failure(&claimed);
-                                Self::send_fault(&self.writer, header.correlation_id, &err);
-                                continue;
+                                handler.refused(&claimed);
+                                self.writer.send_fault(header.correlation_id, &err);
                             }
-                        };
-                        Self::dispatch(
-                            service,
-                            config,
-                            &self.writer,
-                            &self.in_flight,
-                            header.correlation_id,
-                            tenant,
-                            payload,
-                        );
+                        }
                         continue;
                     }
                     let announced = header.announced;
                     let want = (announced - buf.len()).min(scratch.len());
                     match self.stream.read(&mut scratch[..want]) {
                         Ok(0) => {
-                            Self::send_fault(
-                                &self.writer,
+                            self.writer.send_fault(
                                 header.correlation_id,
                                 &WatermarkError::ProtocolViolation {
                                     detail: format!(
@@ -710,100 +784,101 @@ impl Conn {
         }
     }
 
-    /// Best-effort structured error reply for frame-level failures.
-    fn send_fault(writer: &ConnWriter, correlation_id: u64, err: &WatermarkError) {
-        let _ = writer.send(
-            correlation_id,
-            &Response::Error {
-                fault: WireFault::from_error(err),
-            },
-        );
-    }
-
-    /// Hands one complete frame to the worker pool. A payload that does
-    /// not decode as a [`Request`] is answered inline and the connection
-    /// kept: framing is intact, so the next frame is readable. The
-    /// tenant's in-flight quota is charged here, before the spawn, so a
-    /// tenant at its cap is refused with a structured fault instead of
-    /// queueing work.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        service: &Arc<DisputeService>,
+    /// Hands one authenticated frame to its handler's job. A payload that
+    /// does not decode as a [`Request`] is answered inline and the
+    /// connection kept: framing is intact, so the next frame is readable.
+    /// Admission (the judge's tenant in-flight quota) is charged here,
+    /// before the job starts, so a tenant at its cap is refused with a
+    /// structured fault instead of queueing work.
+    fn dispatch<H: Handler>(
+        &self,
+        handler: &Arc<H>,
         config: &ServerConfig,
-        writer: &Arc<ConnWriter>,
-        in_flight: &Arc<AtomicUsize>,
         correlation_id: u64,
         tenant: TenantId,
         payload: Vec<u8>,
     ) {
         let request = match proto::decode_payload::<Request>(&payload) {
             Ok(request) => request,
-            Err(err) => {
-                Self::send_fault(writer, correlation_id, &err);
-                return;
-            }
+            Err(err) => return self.writer.send_fault(correlation_id, &err),
         };
-        if let Err(err) = service.ledger().try_begin_request(&tenant, service.quotas()) {
-            Self::send_fault(writer, correlation_id, &err);
-            return;
+        if let Err(err) = handler.admit(&tenant) {
+            return self.writer.send_fault(correlation_id, &err);
         }
-        in_flight.fetch_add(1, Ordering::SeqCst);
-        let service = Arc::clone(service);
-        let writer = Arc::clone(writer);
-        let in_flight = Arc::clone(in_flight);
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let mut reply = Reply {
+            handler: Arc::clone(handler),
+            tenant,
+            in_flight: Arc::clone(&self.in_flight),
+            writer: Arc::clone(&self.writer),
+            correlation_id,
+            response: None,
+        };
         let width = config.worker_threads;
-        rayon::spawn(move || {
-            /// Decrements (and releases the tenant's in-flight slot) on
-            /// every exit path, including a panicking handler, so a
-            /// poisoned request can never wedge its connection at the
-            /// pipeline cap or leak quota.
-            struct Guard {
-                in_flight: Arc<AtomicUsize>,
-                service: Arc<DisputeService>,
-                tenant: TenantId,
-            }
-            impl Drop for Guard {
-                fn drop(&mut self) {
-                    self.service.ledger().end_request(&self.tenant);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let guard = Guard {
-                in_flight,
-                service: Arc::clone(&service),
-                tenant,
-            };
-            let tenant = &guard.tenant;
+        handler.execute(move || {
+            let (handler, tenant) = (&reply.handler, &reply.tenant);
             let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if width > 0 {
                     // A scoped width override, not a thread spawn: the
                     // handle owns no threads, and the request still
-                    // executes on the shared global work-stealing pool.
+                    // executes wherever its handler placed it.
                     rayon::ThreadPoolBuilder::new()
                         .num_threads(width)
                         .build()
                         .expect("the rayon shim never fails to build a pool handle")
-                        .install(|| handle_request(&service, tenant, request))
+                        .install(|| handler.handle(tenant, request))
                 } else {
-                    handle_request(&service, tenant, request)
+                    handler.handle(tenant, request)
                 }
             }))
-            .unwrap_or_else(|_| Response::Error {
-                fault: WireFault::Internal {
-                    detail: "judge panicked while serving the request".to_string(),
-                },
-            });
-            // Release the slot *before* the response is written: a client
-            // that has already read this verdict must be able to pipeline
-            // its next request without racing the guard drop.
-            drop(guard);
-            writer.send(correlation_id, &response);
+            .unwrap_or_else(|_| internal_fault("front end panicked while serving the request"));
+            // Dropping the reply releases the slot and writes.
+            reply.response = Some(response);
+            drop(reply);
         });
     }
 }
 
-/// Wire rendering of a service-layer refusal.
-fn fault_response(err: &WatermarkError) -> Response {
+/// One dispatched request's way back. Dropping it releases the pipeline
+/// slot and the handler's admission, then writes the response — on every
+/// exit path, so a panicking handler can never wedge its connection at
+/// the pipeline cap or leak quota, and a job dropped before it ran (a
+/// failed thread spawn) still answers, with an internal fault.
+struct Reply<H: Handler> {
+    handler: Arc<H>,
+    tenant: TenantId,
+    in_flight: Arc<AtomicUsize>,
+    writer: Arc<ConnWriter>,
+    correlation_id: u64,
+    response: Option<Response>,
+}
+
+impl<H: Handler> Drop for Reply<H> {
+    fn drop(&mut self) {
+        // Release the slot *before* the response is written: a client
+        // that has already read this verdict must be able to pipeline its
+        // next request without racing the release.
+        self.handler.release(&self.tenant);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        let response = self
+            .response
+            .take()
+            .unwrap_or_else(|| internal_fault("the request was dropped before it ran"));
+        self.writer.send(self.correlation_id, &response);
+    }
+}
+
+/// The answer to a request the front end failed internally.
+fn internal_fault(detail: &str) -> Response {
+    Response::Error {
+        fault: WireFault::Internal {
+            detail: detail.to_string(),
+        },
+    }
+}
+
+/// Wire rendering of a refusal, shared by both front ends.
+pub(crate) fn fault_response(err: &WatermarkError) -> Response {
     Response::Error {
         fault: WireFault::from_error(err),
     }
@@ -961,8 +1036,6 @@ fn docket_response(result: WatermarkResult<Vec<WatermarkResult<VerificationRepor
         Ok(verdicts) => Response::Docket {
             verdicts: verdicts.into_iter().map(DocketVerdict::from_result).collect(),
         },
-        Err(err) => Response::Error {
-            fault: WireFault::from_error(&err),
-        },
+        Err(err) => fault_response(&err),
     }
 }

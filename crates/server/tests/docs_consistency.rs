@@ -9,6 +9,7 @@
 //! and exempt.
 
 use std::collections::BTreeSet;
+use wdte_server::ServerConfig;
 
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
 const SERVE_JUDGE: &str = include_str!("../src/bin/serve_judge.rs");
@@ -85,6 +86,22 @@ fn operations_book_documents_exactly_the_judge_smoke_flags() {
 #[test]
 fn operations_book_documents_exactly_the_fleet_smoke_flags() {
     assert_flags_match("fleet_smoke", FLEET_SMOKE);
+}
+
+/// `serve_judge` leaves `--max-pipeline` unset unless given, so the
+/// documented default is the library's.
+#[test]
+fn max_pipeline_default_is_the_server_config_default() {
+    let row = doc_section("serve_judge")
+        .lines()
+        .find(|line| line.starts_with("| `--max-pipeline"))
+        .expect("docs/OPERATIONS.md has a `--max-pipeline` row");
+    let default = row.split('|').nth(2).expect("the row has a default cell").trim();
+    assert_eq!(
+        default.trim_matches('`'),
+        ServerConfig::default().max_pipeline.to_string(),
+        "the `--max-pipeline` default cell is `{default}`"
+    );
 }
 
 /// The scanner itself: accepts real flags, rejects table rules,

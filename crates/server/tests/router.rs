@@ -8,6 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
 use wdte_core::error::WatermarkError;
 use wdte_core::{
     persist, Dispute, DisputeService, HashRing, KeyRing, ManifestEntry, ModelManifest, OwnershipClaim,
@@ -427,6 +428,43 @@ fn fleet_wide_requests_aggregate_across_backends() {
     }
     assert!(client.list_models().unwrap().is_empty());
     router.shutdown().unwrap();
+}
+
+/// Pooled backend clients outlive the client connections that opened
+/// them, so a backend may reap one while it sits idle in the pool. The
+/// router must then connect afresh, not mistake the closed socket for a
+/// dead backend: with a single backend, a demotion would turn every
+/// later dispute into an unreachable fault.
+#[test]
+fn a_backend_reaping_an_idle_pooled_client_is_not_a_failure() {
+    let (test, outcome) = embedded(76);
+    let claim = claim_for(&outcome, &test);
+    let service = Arc::new(DisputeService::builder().build().unwrap());
+    service.register("m", &outcome.model);
+    let reference = service.resolve("m", &claim).unwrap();
+    let backend = JudgeServer::bind(
+        "127.0.0.1:0",
+        service,
+        ServerConfig {
+            read_timeout: Some(Duration::from_millis(200)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("loopback bind succeeds")
+    .spawn();
+    let router = start_router(&[&backend], None);
+    for round in 0..3 {
+        let mut client = DisputeClient::connect(router.addr().to_string()).unwrap();
+        assert_eq!(
+            client.resolve("m", &claim).unwrap(),
+            reference,
+            "round {round} after the backend reaped the pooled client"
+        );
+        drop(client);
+        std::thread::sleep(Duration::from_millis(600));
+    }
+    router.shutdown().unwrap();
+    backend.shutdown().unwrap();
 }
 
 /// A router without backends is a configuration error, refused at bind.
