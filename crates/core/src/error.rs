@@ -70,7 +70,9 @@ pub enum WatermarkError {
     },
     /// A docket exceeded the service's configured
     /// [`max_docket`](crate::service::DisputeServiceBuilder::max_docket)
-    /// cap and was refused whole, before resolving anything.
+    /// cap and was refused whole, before resolving anything. The cap is
+    /// the one docket-size limit and applies to every tenant, so an
+    /// oversized docket is never a [`QuotaExceeded`](Self::QuotaExceeded).
     DocketTooLarge {
         /// Number of disputes in the refused docket.
         size: usize,
@@ -122,8 +124,8 @@ pub enum WatermarkError {
     /// A per-tenant quota would be exceeded; refused before allocating,
     /// like the frame caps.
     QuotaExceeded {
-        /// Which quota axis was hit (`"models"`, `"docket"`,
-        /// `"claim-bytes"`, `"in-flight"`).
+        /// Which quota axis was hit (`"models"`, `"claim-bytes"`,
+        /// `"in-flight"`).
         resource: String,
         /// Usage the request would have reached.
         used: u64,

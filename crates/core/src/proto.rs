@@ -1295,7 +1295,7 @@ mod tests {
                 detail: "model `m` belongs to another tenant".into(),
             },
             WatermarkError::QuotaExceeded {
-                resource: "docket".into(),
+                resource: "models".into(),
                 used: 100,
                 limit: 64,
             },

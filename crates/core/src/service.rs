@@ -25,6 +25,14 @@
 //! The service is `&self`-only and `Sync`: one instance can be shared
 //! behind an `Arc` by any number of request threads.
 //!
+//! **Tenancy** — every model lives in a tenant namespace, and each
+//! registry operation has one entry point that names the tenant
+//! (`model_as`, `register_digested_as`, `deregister_as`, …). In-process
+//! callers with no tenant pass [`TenantId::anonymous`]. `register`,
+//! `register_from_file`, `resolve` and `resolve_many` are the trusted
+//! in-process conveniences: they act on the anonymous namespace and
+//! check no quota.
+//!
 //! **Construction** goes through [`DisputeService::builder`], which also
 //! warm-starts the registry from a directory of persisted model artefacts
 //! (a [`ModelManifest`] written by the `table2` experiment), so a judge
@@ -94,7 +102,7 @@ impl Dispute {
 
 /// One dispute of a content-addressed docket, claims shared rather than
 /// owned: the form the wire front-end hands to
-/// [`DisputeService::resolve_docket_shared`] after resolving digest
+/// [`DisputeService::resolve_docket_shared_as`] after resolving digest
 /// references against the claim cache. The digest keys the deduplication —
 /// two disputes with the same `(model_id, digest)` pair are resolved once
 /// and share the verdict.
@@ -102,7 +110,8 @@ impl Dispute {
 pub struct SharedDispute {
     /// Registry id of the suspect model.
     pub model_id: String,
-    /// Content digest of the claim (as computed by [`ClaimCache::insert`]).
+    /// Content digest of the claim (as computed by
+    /// [`ClaimCache::insert_for`]).
     pub digest: PayloadDigest,
     /// The owner's evidence, shared with the cache.
     pub claim: Arc<OwnershipClaim>,
@@ -187,23 +196,15 @@ impl ClaimCache {
         self.inner.lock().expect("claim cache lock is never poisoned")
     }
 
-    /// Inserts a claim, computing its digest from the content, and returns
-    /// the digest with the (possibly pre-existing) shared body. Re-inserting
-    /// an equal claim refreshes its recency instead of duplicating it.
-    /// Attributes the bytes to the anonymous tenant with no quota — the
-    /// in-process path; the wire front-end uses
-    /// [`insert_for`](Self::insert_for).
-    pub fn insert(&self, claim: OwnershipClaim) -> (PayloadDigest, Arc<OwnershipClaim>) {
-        self.insert_for(&TenantId::anonymous(), &TenantQuotas::default(), claim)
-            .expect("unlimited quotas never refuse an insert")
-    }
-
-    /// [`insert`](Self::insert) with per-tenant attribution: the tenant's
-    /// `max_claim_bytes` quota is checked against its *attributed* bytes
-    /// **before** the claim body is allocated into the cache, and refused
-    /// inserts leave the cache untouched. Re-inserting a claim another
-    /// tenant already uploaded charges this tenant too (content is shared,
-    /// accountability is not).
+    /// Inserts a claim on `tenant`'s behalf, computing its digest from the
+    /// content, and returns the digest with the (possibly pre-existing)
+    /// shared body. Re-inserting an equal claim refreshes its recency
+    /// instead of duplicating it. The tenant's `max_claim_bytes` quota is
+    /// checked against its *attributed* bytes **before** the claim body
+    /// is allocated into the cache, and refused inserts leave the cache
+    /// untouched. Re-inserting a claim another tenant already uploaded
+    /// charges this tenant too (content is shared, accountability is
+    /// not).
     pub fn insert_for(
         &self,
         tenant: &TenantId,
@@ -407,11 +408,13 @@ impl DisputeServiceBuilder {
         self
     }
 
-    /// Caps the number of disputes [`DisputeService::resolve_docket`]
-    /// accepts in one docket; oversized dockets are refused whole with
-    /// [`WatermarkError::DocketTooLarge`]. Unlimited by default; passing
-    /// `0` also means unlimited, matching the 0-disables convention of the
-    /// `serve_judge` flags.
+    /// Caps the number of disputes one docket may hold, for every tenant
+    /// including the anonymous one (`serve_judge --max-docket`).
+    /// [`DisputeService::resolve_docket_shared_as`] refuses an oversized
+    /// docket whole with [`WatermarkError::DocketTooLarge`], and the wire
+    /// front end checks the cap before it caches any claim body.
+    /// Unlimited by default; passing `0` also means unlimited, matching
+    /// the 0-disables convention of the `serve_judge` flags.
     pub fn max_docket(mut self, max: usize) -> Self {
         self.max_docket = (max > 0).then_some(max);
         self
@@ -439,13 +442,14 @@ impl DisputeServiceBuilder {
         self
     }
 
-    /// Per-tenant quotas enforced on the wire-facing (`*_as`) entry points
-    /// — models registered, docket size, attributed claim-cache bytes and
-    /// in-flight requests — each checked *before* the corresponding
-    /// allocation. Defaults to [`TenantQuotas::default`] (every axis
-    /// unlimited). The same quotas apply to every tenant, including the
-    /// anonymous one; trusted in-process callers using the legacy entry
-    /// points are never quota-checked.
+    /// Per-tenant quotas — models registered, attributed claim-cache bytes
+    /// and in-flight requests — each checked *before* the corresponding
+    /// allocation, by `register_digested_as`/`register_by_digest_as`,
+    /// [`ClaimCache::insert_for`] and the server front end respectively.
+    /// Defaults to [`TenantQuotas::default`] (every axis unlimited). The
+    /// same quotas apply to every tenant, including the anonymous one;
+    /// the trusted in-process `register` and `register_from_file` check
+    /// none.
     pub fn tenant_quotas(mut self, quotas: TenantQuotas) -> Self {
         self.tenant_quotas = Some(quotas);
         self
@@ -556,16 +560,15 @@ impl ModelRegistry {
 /// A registry of compiled suspect models plus a concurrent resolver for
 /// ownership claims against them. See the module docs for the guarantees.
 ///
-/// Every model lives in a tenant namespace (see [`TenantId`]); the
-/// original single-tenant entry points operate on the anonymous namespace
-/// and behave exactly as before, while the `*_as` variants the wire
-/// front-end drives enforce namespace isolation
-/// ([`WatermarkError::Forbidden`]) and [`TenantQuotas`].
+/// Every model lives in a tenant namespace (see [`TenantId`]). The
+/// tenant-taking entry points enforce namespace isolation
+/// ([`WatermarkError::Forbidden`]) and [`TenantQuotas`]; anonymous
+/// callers pass [`TenantId::anonymous`].
 #[derive(Debug)]
 pub struct DisputeService {
     registry: Mutex<ModelRegistry>,
     /// Compiled models by tenant-scoped content digest, for digest-only
-    /// re-registration ([`Self::register_by_digest`]). Scoping by tenant
+    /// re-registration ([`Self::register_by_digest_as`]). Scoping by tenant
     /// means a digest learned out of band cannot resurrect another
     /// tenant's model. Entries are pruned when the last registry id
     /// sharing the compiled form is deregistered or evicted.
@@ -652,40 +655,28 @@ impl DisputeService {
     pub fn register(&self, model_id: impl Into<String>, model: &RandomForest) -> Arc<CompiledForest> {
         // Compile outside the registry lock: registration of a large model
         // must not block resolutions against other models.
-        let compiled = Arc::new(CompiledForest::compile(model));
+        let compiled = self.compile(model);
+        self.publish_model(
+            &TenantId::anonymous(),
+            model_id.into(),
+            Arc::clone(&compiled),
+            false,
+            None,
+        );
+        compiled
+    }
+
+    /// Compiles a pointer-tree model, counting the compile.
+    fn compile(&self, model: &RandomForest) -> Arc<CompiledForest> {
         self.compile_count.fetch_add(1, Ordering::Relaxed);
-        self.publish_model(
-            &TenantId::anonymous(),
-            model_id.into(),
-            Arc::clone(&compiled),
-            false,
-            None,
-        );
-        compiled
+        Arc::new(CompiledForest::compile(model))
     }
 
-    /// Registers an already-compiled model (e.g. loaded from a persisted
-    /// artefact) without paying another compilation.
-    pub fn register_compiled(
-        &self,
-        model_id: impl Into<String>,
-        compiled: CompiledForest,
-    ) -> Arc<CompiledForest> {
-        let compiled = Arc::new(compiled);
-        self.publish_model(
-            &TenantId::anonymous(),
-            model_id.into(),
-            Arc::clone(&compiled),
-            false,
-            None,
-        );
-        compiled
-    }
-
-    /// Registers a model from a persisted artefact: either a
-    /// [`CompiledForest`] (as written by `save_model_artifacts` /
-    /// `persist::save`) or a pointer-tree [`RandomForest`], which is then
-    /// compiled once. File-backed models are *evictable* under the
+    /// Registers a model in the anonymous namespace from a persisted
+    /// artefact: either a [`CompiledForest`] (as written by
+    /// `save_model_artifacts` / `persist::save`) or a pointer-tree
+    /// [`RandomForest`], which is then compiled once. File-backed models
+    /// are *evictable* under the
     /// [`model_cache_bytes`](DisputeServiceBuilder::model_cache_bytes)
     /// budget: the artefact path is retained and the model is recompiled
     /// transparently on the next resolution after an eviction.
@@ -735,11 +726,7 @@ impl DisputeService {
             // report the first decode error, which names the corruption
             // precisely rather than a misleading shape mismatch.
             Err(first) => match persist::from_bytes::<RandomForest>(&bytes) {
-                Ok(model) => {
-                    let compiled = Arc::new(CompiledForest::compile(&model));
-                    self.compile_count.fetch_add(1, Ordering::Relaxed);
-                    Ok(compiled)
-                }
+                Ok(model) => Ok(self.compile(&model)),
                 Err(_) => Err(first),
             },
         }
@@ -810,53 +797,56 @@ impl DisputeService {
         }
     }
 
-    /// The compiled model registered under `model_id` in the anonymous
-    /// namespace, if any; an evicted file-backed model is transparently
-    /// recompiled (errors from the reload surface as `None` here — use
-    /// [`model_as`](Self::model_as) for the typed error).
-    pub fn model(&self, model_id: &str) -> Option<Arc<CompiledForest>> {
-        self.model_as(&TenantId::anonymous(), model_id).ok()
-    }
-
     /// The compiled model registered under `model_id` in `tenant`'s
     /// namespace. An evicted entry is recompiled from its persisted
     /// artefact before returning (counted as a cache miss in the ledger);
     /// an id held by another tenant is [`WatermarkError::Forbidden`].
     pub fn model_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<Arc<CompiledForest>> {
         let key = (tenant.clone(), model_id.to_string());
-        let source = {
-            let mut reg = self.lock_registry();
-            let resident = match reg.map.get(&key) {
-                Some(entry) => match &entry.compiled {
-                    Some(compiled) => Some((Arc::clone(compiled), entry.evictable())),
-                    None => None,
-                },
-                None => return Err(reg.missing(tenant, model_id)),
-            };
-            if let Some((compiled, evictable)) = resident {
-                if evictable {
-                    reg.touch(&key);
+        loop {
+            let source = {
+                let mut reg = self.lock_registry();
+                let Some(entry) = reg.map.get(&key) else {
+                    return Err(reg.missing(tenant, model_id));
+                };
+                if let Some(compiled) = entry.compiled.clone() {
+                    if entry.evictable() {
+                        reg.touch(&key);
+                    }
+                    return Ok(compiled);
                 }
+                entry.source.clone().expect("evicted entries always retain their artefact path")
+            };
+            // Transparent recompile-on-miss, outside the lock so
+            // resolutions against other models proceed. If the entry
+            // changed meanwhile, the reload is dropped and the entry is
+            // read again.
+            self.ledger.record_cache_misses(tenant, 1);
+            let compiled = self.load_artefact(&source)?;
+            if self.install_reload(&key, &source, &compiled) {
                 return Ok(compiled);
             }
-            reg.map
-                .get(&key)
-                .and_then(|entry| entry.source.clone())
-                .expect("evicted entries always retain their artefact path")
+        }
+    }
+
+    /// Makes a reloaded compiled form resident, but only if `key` is still
+    /// registered, still evicted and still backed by `source`: a
+    /// deregistration or re-registration that ran during the reload wins
+    /// over the stale artefact. Returns whether the form was installed.
+    fn install_reload(&self, key: &ModelKey, source: &Path, compiled: &Arc<CompiledForest>) -> bool {
+        let mut reg = self.lock_registry();
+        let Some(entry) = reg.map.get_mut(key) else {
+            return false;
         };
-        // Transparent recompile-on-miss, outside the lock so resolutions
-        // against other models proceed. Two racing misses may both reload;
-        // the second publish wins and the budget holds either way.
-        self.ledger.record_cache_misses(tenant, 1);
-        let compiled = self.load_artefact(&source)?;
-        self.publish_model(
-            tenant,
-            model_id.to_string(),
-            Arc::clone(&compiled),
-            false,
-            Some(source),
-        );
-        Ok(compiled)
+        if entry.compiled.is_some() || entry.source.as_deref() != Some(source) {
+            return false;
+        }
+        entry.compiled = Some(Arc::clone(compiled));
+        entry.footprint = compiled.resident_bytes();
+        reg.resident_bytes += compiled.resident_bytes();
+        reg.order.push_back(key.clone());
+        self.enforce_model_budget(&mut reg, key);
+        true
     }
 
     /// Checks the models-registered quota for registering `model_id`
@@ -867,22 +857,12 @@ impl DisputeService {
         self.quotas.check_models(reg.tenant_models(tenant) + additional)
     }
 
-    /// Registers a pointer-tree model like [`register`](Self::register) and
-    /// additionally indexes the compiled form under the model's content
-    /// digest, so a later [`register_by_digest`](Self::register_by_digest)
-    /// can reuse it without re-uploading the model. The returned digest is
-    /// echoed to the client.
-    pub fn register_digested(
-        &self,
-        model_id: impl Into<String>,
-        model: &RandomForest,
-    ) -> (PayloadDigest, Arc<CompiledForest>) {
-        self.register_digested_inner(&TenantId::anonymous(), model_id.into(), model)
-    }
-
-    /// [`register_digested`](Self::register_digested) in `tenant`'s
-    /// namespace, with the models-registered quota checked before
-    /// compiling. This is the registration path the wire front-end drives.
+    /// Registers a pointer-tree model in `tenant`'s namespace and indexes
+    /// the compiled form under the model's content digest, so a later
+    /// [`register_by_digest_as`](Self::register_by_digest_as) can reuse it
+    /// without re-uploading the model. The models-registered quota is
+    /// checked before compiling, and the returned digest is echoed to the
+    /// client. This is the registration path the wire front-end drives.
     pub fn register_digested_as(
         &self,
         tenant: &TenantId,
@@ -891,40 +871,21 @@ impl DisputeService {
     ) -> WatermarkResult<(PayloadDigest, Arc<CompiledForest>)> {
         let model_id = model_id.into();
         self.check_model_quota(tenant, &model_id)?;
-        Ok(self.register_digested_inner(tenant, model_id, model))
-    }
-
-    fn register_digested_inner(
-        &self,
-        tenant: &TenantId,
-        model_id: String,
-        model: &RandomForest,
-    ) -> (PayloadDigest, Arc<CompiledForest>) {
         let digest = PayloadDigest::of_model(model);
-        let compiled = Arc::new(CompiledForest::compile(model));
-        self.compile_count.fetch_add(1, Ordering::Relaxed);
+        let compiled = self.compile(model);
         self.publish_model(tenant, model_id, Arc::clone(&compiled), false, None);
         self.model_digests
             .write()
             .expect("model digest index lock is never poisoned")
             .insert((tenant.clone(), digest), Arc::clone(&compiled));
-        (digest, compiled)
+        Ok((digest, compiled))
     }
 
-    /// Registers an already-uploaded model under a (possibly new) id by
-    /// content digest alone; `None` if no model with that digest is
-    /// indexed (the caller should fall back to a full upload).
-    pub fn register_by_digest(
-        &self,
-        model_id: impl Into<String>,
-        digest: PayloadDigest,
-    ) -> Option<Arc<CompiledForest>> {
-        self.register_by_digest_inner(&TenantId::anonymous(), model_id.into(), digest)
-    }
-
-    /// [`register_by_digest`](Self::register_by_digest) in `tenant`'s
-    /// namespace: only digests this tenant uploaded can match, and the
-    /// models-registered quota is checked first.
+    /// Registers an already-uploaded model under a (possibly new) id in
+    /// `tenant`'s namespace by content digest alone. Only digests this
+    /// tenant uploaded can match, and the models-registered quota is
+    /// checked first. `None` if no model with that digest is indexed (the
+    /// caller should fall back to a full upload).
     pub fn register_by_digest_as(
         &self,
         tenant: &TenantId,
@@ -933,69 +894,41 @@ impl DisputeService {
     ) -> WatermarkResult<Option<Arc<CompiledForest>>> {
         let model_id = model_id.into();
         self.check_model_quota(tenant, &model_id)?;
-        Ok(self.register_by_digest_inner(tenant, model_id, digest))
-    }
-
-    fn register_by_digest_inner(
-        &self,
-        tenant: &TenantId,
-        model_id: String,
-        digest: PayloadDigest,
-    ) -> Option<Arc<CompiledForest>> {
-        let compiled = self
+        let Some(compiled) = self
             .model_digests
             .read()
             .expect("model digest index lock is never poisoned")
             .get(&(tenant.clone(), digest))
-            .cloned()?;
+            .cloned()
+        else {
+            return Ok(None);
+        };
         self.publish_model(tenant, model_id, Arc::clone(&compiled), false, None);
-        Some(compiled)
+        Ok(Some(compiled))
     }
 
-    /// Removes a model from the anonymous namespace; returns the compiled
-    /// form if the id was registered *and resident*. In-flight resolutions
-    /// holding the `Arc` finish unaffected. Digest-index entries are
-    /// pruned once no registry id shares the removed compiled form, so a
-    /// deregistered model cannot be resurrected by digest — and the
-    /// model's cached claims are dropped (see [`ClaimCache::drop_model`]).
-    pub fn deregister(&self, model_id: &str) -> Option<Arc<CompiledForest>> {
-        match self.deregister_inner(&TenantId::anonymous(), model_id) {
-            Ok((_, removed)) => removed,
-            Err(_) => None,
-        }
-    }
-
-    /// [`deregister`](Self::deregister) in `tenant`'s namespace. Returns
-    /// whether the id existed; attempting to deregister an id held by
-    /// another tenant is [`WatermarkError::Forbidden`].
+    /// Removes a model from `tenant`'s namespace; returns whether the id
+    /// existed. Deregistering an id held by another tenant is
+    /// [`WatermarkError::Forbidden`]. In-flight resolutions holding the
+    /// `Arc` finish unaffected. Digest-index entries are pruned once no
+    /// registry id shares the removed compiled form, so a deregistered
+    /// model cannot be resurrected by digest — and the model's cached
+    /// claims are dropped (see [`ClaimCache::drop_model`]).
     pub fn deregister_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<bool> {
-        self.deregister_inner(tenant, model_id).map(|(existed, _)| existed)
-    }
-
-    fn deregister_inner(
-        &self,
-        tenant: &TenantId,
-        model_id: &str,
-    ) -> WatermarkResult<(bool, Option<Arc<CompiledForest>>)> {
         let key = (tenant.clone(), model_id.to_string());
         let removed = {
             let mut reg = self.lock_registry();
-            match reg.map.remove(&key) {
-                Some(entry) => {
-                    reg.order.retain(|k| k != &key);
-                    if entry.compiled.is_some() {
-                        reg.resident_bytes = reg.resident_bytes.saturating_sub(entry.footprint);
-                    }
-                    entry.compiled
-                }
-                None => {
-                    let missing = reg.missing(tenant, model_id);
-                    return match missing {
-                        WatermarkError::UnknownModel { .. } => Ok((false, None)),
-                        forbidden => Err(forbidden),
-                    };
-                }
+            let Some(entry) = reg.map.remove(&key) else {
+                return match reg.missing(tenant, model_id) {
+                    WatermarkError::UnknownModel { .. } => Ok(false),
+                    forbidden => Err(forbidden),
+                };
+            };
+            reg.order.retain(|k| k != &key);
+            if entry.compiled.is_some() {
+                reg.resident_bytes = reg.resident_bytes.saturating_sub(entry.footprint);
             }
+            entry.compiled
         };
         if let Some(removed_arc) = &removed {
             let still_registered = self.lock_registry().map.iter().any(|((owner, _), entry)| {
@@ -1017,20 +950,15 @@ impl DisputeService {
         // Evidence adjudicated only against the retired model must not be
         // silently replayable against a successor under a stale digest.
         self.claims.drop_model(tenant, model_id);
-        Ok((true, removed))
+        Ok(true)
     }
 
-    /// Ids of every model in the anonymous namespace, sorted
+    /// Ids of every model in `tenant`'s namespace, sorted
     /// lexicographically. The registry is a hash map, whose iteration
     /// order varies across runs (and Rust releases); sorting here makes
     /// registry listings — and the wire protocol's `ListModels` response
-    /// built on top — deterministic.
-    pub fn model_ids(&self) -> Vec<String> {
-        self.model_ids_for(&TenantId::anonymous())
-    }
-
-    /// Ids of every model in `tenant`'s namespace, sorted. A tenant can
-    /// never list another namespace — there is no cross-tenant variant.
+    /// built on top — deterministic. A tenant can never list another
+    /// namespace — there is no cross-tenant variant.
     pub fn model_ids_for(&self, tenant: &TenantId) -> Vec<String> {
         let reg = self.lock_registry();
         let mut ids: Vec<String> = reg
@@ -1152,57 +1080,20 @@ impl DisputeService {
             .collect()
     }
 
-    /// [`resolve_many`](Self::resolve_many) with the configured
-    /// [`max_docket`](DisputeServiceBuilder::max_docket) cap enforced:
-    /// oversized dockets are refused whole, before any resolution work.
-    /// This is the entry point the network front-end drives.
-    pub fn resolve_docket(
-        &self,
-        disputes: &[Dispute],
-    ) -> WatermarkResult<Vec<WatermarkResult<VerificationReport>>> {
-        if let Some(max) = self.max_docket {
-            if disputes.len() > max {
-                return Err(WatermarkError::DocketTooLarge {
-                    size: disputes.len(),
-                    max,
-                });
-            }
-        }
-        Ok(self.resolve_many(disputes))
-    }
-
-    /// Resolves a content-addressed docket with deduplication: disputes
-    /// sharing a `(model_id, digest)` pair are resolved once and the
-    /// verdict is scattered back to every duplicate position. Resolution
-    /// is deterministic in the claim content (the disguise permutation is
+    /// Resolves a content-addressed docket in `tenant`'s namespace — the
+    /// entry point the wire front-end drives. Disputes sharing a
+    /// `(model_id, digest)` pair are resolved once and the verdict is
+    /// scattered back to every duplicate position. Resolution is
+    /// deterministic in the claim content (the disguise permutation is
     /// seeded from the claim itself), so the scattered verdicts are
     /// bit-identical to resolving each dispute independently — this is the
     /// wire path's throughput win, not a semantic change.
     ///
     /// The [`max_docket`](DisputeServiceBuilder::max_docket) cap counts
-    /// the *pre-deduplication* docket size, mirroring
-    /// [`resolve_docket`](Self::resolve_docket).
-    pub fn resolve_docket_shared(
-        &self,
-        disputes: &[SharedDispute],
-    ) -> WatermarkResult<Vec<WatermarkResult<VerificationReport>>> {
-        if let Some(max) = self.max_docket {
-            if disputes.len() > max {
-                return Err(WatermarkError::DocketTooLarge {
-                    size: disputes.len(),
-                    max,
-                });
-            }
-        }
-        Ok(self.resolve_shared_inner(&TenantId::anonymous(), disputes))
-    }
-
-    /// [`resolve_docket_shared`](Self::resolve_docket_shared) in
-    /// `tenant`'s namespace — the entry point the wire front-end drives.
-    /// Enforces the tighter of the global docket cap and the tenant's
-    /// docket quota (both pre-dedup, both before any resolution work),
-    /// records the docket in the ledger, and associates every referenced
-    /// claim with its model so deregistration can drop them.
+    /// the *pre-deduplication* docket size and is checked before any
+    /// resolution work. An accepted docket is recorded in the ledger, and
+    /// every referenced claim is associated with its model so
+    /// deregistration can drop them.
     pub fn resolve_docket_shared_as(
         &self,
         tenant: &TenantId,
@@ -1213,27 +1104,6 @@ impl DisputeService {
             self.claims.associate(&dispute.digest, tenant, &dispute.model_id);
         }
         self.ledger.record_docket(tenant, disputes.len() as u64);
-        Ok(self.resolve_shared_inner(tenant, disputes))
-    }
-
-    /// Checks a docket size against the global cap and the per-tenant
-    /// docket quota (the smaller of the two wins), without resolving
-    /// anything. Quotas are uniform across tenants, so no tenant argument
-    /// is needed.
-    pub fn check_docket_size(&self, size: usize) -> WatermarkResult<()> {
-        if let Some(max) = self.max_docket {
-            if size > max {
-                return Err(WatermarkError::DocketTooLarge { size, max });
-            }
-        }
-        self.quotas.check_docket(size)
-    }
-
-    fn resolve_shared_inner(
-        &self,
-        tenant: &TenantId,
-        disputes: &[SharedDispute],
-    ) -> Vec<WatermarkResult<VerificationReport>> {
         let mut index_of: HashMap<(&str, PayloadDigest), usize> = HashMap::new();
         let mut distinct: Vec<&SharedDispute> = Vec::new();
         let slots: Vec<usize> = disputes
@@ -1249,7 +1119,18 @@ impl DisputeService {
             .par_iter()
             .map(|dispute| self.resolve_as(tenant, &dispute.model_id, &dispute.claim))
             .collect();
-        slots.into_iter().map(|slot| resolved[slot].clone()).collect()
+        Ok(slots.into_iter().map(|slot| resolved[slot].clone()).collect())
+    }
+
+    /// Checks a docket size against the
+    /// [`max_docket`](DisputeServiceBuilder::max_docket) cap without
+    /// resolving anything, so the wire front end can refuse an oversized
+    /// docket before it caches a single claim body.
+    pub fn check_docket_size(&self, size: usize) -> WatermarkResult<()> {
+        match self.max_docket {
+            Some(max) if size > max => Err(WatermarkError::DocketTooLarge { size, max }),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -1312,6 +1193,13 @@ mod tests {
         )
     }
 
+    /// Caches `claim` for the anonymous tenant, with no quota.
+    fn insert(cache: &ClaimCache, claim: OwnershipClaim) -> (PayloadDigest, Arc<OwnershipClaim>) {
+        cache
+            .insert_for(&TenantId::anonymous(), &TenantQuotas::default(), claim)
+            .unwrap()
+    }
+
     #[test]
     fn resolve_matches_the_one_shot_path_and_compiles_once() {
         let (test, outcome) = embedded();
@@ -1372,19 +1260,24 @@ mod tests {
     fn registry_lifecycle() {
         let (_, outcome) = embedded();
         let service = DisputeService::builder().build().unwrap();
+        let anon = TenantId::anonymous();
         assert!(service.is_empty());
-        service.register("a", &outcome.model);
-        let compiled = CompiledForest::compile(&outcome.model);
-        service.register_compiled("b", compiled);
+        let (digest, _) = service.register_digested_as(&anon, "a", &outcome.model).unwrap();
+        service.register_by_digest_as(&anon, "b", digest).unwrap().unwrap();
         assert_eq!(service.len(), 2);
-        let mut ids = service.model_ids();
-        ids.sort();
-        assert_eq!(ids, ["a", "b"]);
-        // Only the pointer-tree registration paid a compile.
+        assert_eq!(service.model_ids_for(&anon), ["a", "b"]);
+        // Only the pointer-tree upload paid a compile.
         assert_eq!(service.compile_count(), 1);
-        assert!(service.deregister("a").is_some());
-        assert!(service.model("a").is_none());
-        assert!(service.model("b").is_some());
+        assert!(service.deregister_as(&anon, "a").unwrap());
+        assert!(
+            !service.deregister_as(&anon, "a").unwrap(),
+            "a second deregister finds nothing"
+        );
+        assert!(matches!(
+            service.model_as(&anon, "a").unwrap_err(),
+            WatermarkError::UnknownModel { .. }
+        ));
+        assert!(service.model_as(&anon, "b").is_ok());
         assert_eq!(service.len(), 1);
     }
 
@@ -1482,7 +1375,10 @@ mod tests {
         for id in ["zeta", "alpha", "mid", "beta"] {
             service.register(id, &outcome.model);
         }
-        assert_eq!(service.model_ids(), ["alpha", "beta", "mid", "zeta"]);
+        assert_eq!(
+            service.model_ids_for(&TenantId::anonymous()),
+            ["alpha", "beta", "mid", "zeta"]
+        );
     }
 
     #[test]
@@ -1514,7 +1410,10 @@ mod tests {
         assert_eq!(ModelManifest::load_dir(&dir).unwrap(), manifest);
 
         let service = DisputeService::builder().warm_start_dir(&dir).build().unwrap();
-        assert_eq!(service.model_ids(), ["deployment-a", "deployment-b"]);
+        assert_eq!(
+            service.model_ids_for(&TenantId::anonymous()),
+            ["deployment-a", "deployment-b"]
+        );
         // Only the pointer-tree artefact needed a compile at boot.
         assert_eq!(service.compile_count(), 1);
         assert!(service.resolve("deployment-a", &claim).unwrap().verified);
@@ -1546,19 +1445,30 @@ mod tests {
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
         let service = DisputeService::builder().max_docket(2).build().unwrap();
+        let anon = TenantId::anonymous();
         service.register("m", &outcome.model);
         assert_eq!(service.max_docket(), Some(2));
-        let small: Vec<Dispute> = (0..2).map(|_| Dispute::new("m", claim.clone())).collect();
-        let verdicts = service.resolve_docket(&small).unwrap();
+        let (digest, shared) = insert(service.claims(), claim.clone());
+        let docket: Vec<SharedDispute> =
+            (0..3).map(|_| SharedDispute::new("m", digest, Arc::clone(&shared))).collect();
+        let verdicts = service.resolve_docket_shared_as(&anon, &docket[..2]).unwrap();
         assert!(verdicts.iter().all(|v| v.as_ref().unwrap().verified));
-        let big: Vec<Dispute> = (0..3).map(|_| Dispute::new("m", claim.clone())).collect();
-        match service.resolve_docket(&big).unwrap_err() {
+        assert_eq!(service.stats_for(&anon).dockets, 1);
+        match service.resolve_docket_shared_as(&anon, &docket).unwrap_err() {
             WatermarkError::DocketTooLarge { size, max } => {
                 assert_eq!((size, max), (3, 2));
             }
             other => panic!("expected DocketTooLarge, got {other:?}"),
         }
+        assert_eq!(
+            service.stats_for(&anon).dockets,
+            1,
+            "a refused docket is not recorded"
+        );
+        assert!(service.check_docket_size(2).is_ok());
+        assert!(service.check_docket_size(3).is_err());
         // `resolve_many` stays uncapped for in-process callers.
+        let big: Vec<Dispute> = (0..3).map(|_| Dispute::new("m", claim.clone())).collect();
         assert_eq!(service.resolve_many(&big).len(), 3);
         // 0 means unlimited (the 0-disables convention of serve_judge).
         let uncapped = DisputeService::builder().max_docket(0).build().unwrap();
@@ -1597,8 +1507,8 @@ mod tests {
         // Unlimited cache: re-inserting an equal claim dedups to one entry
         // sharing one body.
         let cache = ClaimCache::new(0);
-        let (digest_a, body_a) = cache.insert(big.clone());
-        let (digest_b, body_b) = cache.insert(big.clone());
+        let (digest_a, body_a) = insert(&cache, big.clone());
+        let (digest_b, body_b) = insert(&cache, big.clone());
         assert_eq!(digest_a, digest_b);
         assert!(Arc::ptr_eq(&body_a, &body_b));
         assert_eq!(cache.len(), 1);
@@ -1611,8 +1521,8 @@ mod tests {
         // recency.
         let budget = 2 * claim_footprint(&big) + claim_footprint(&small) - 1;
         let cache = ClaimCache::new(budget);
-        let (big_digest, _) = cache.insert(big.clone());
-        let (small_digest, _) = cache.insert(small.clone());
+        let (big_digest, _) = insert(&cache, big.clone());
+        let (small_digest, _) = insert(&cache, small.clone());
         assert_eq!(cache.len(), 2, "both claims fit the budget exactly");
         // Touch the big claim so the small one is now least recently used,
         // then overflow the budget: the small claim is evicted.
@@ -1622,7 +1532,7 @@ mod tests {
             outcome.trigger_set.clone(),
             test.clone(),
         );
-        let (third_digest, _) = cache.insert(third);
+        let (third_digest, _) = insert(&cache, third);
         assert!(cache.get(&small_digest).is_none(), "LRU entry evicted");
         assert!(cache.get(&big_digest).is_some());
         assert!(cache.get(&third_digest).is_some());
@@ -1657,12 +1567,13 @@ mod tests {
         let shared: Vec<SharedDispute> = disputes
             .iter()
             .map(|dispute| {
-                let (digest, claim) = service.claims().insert(dispute.claim.clone());
+                let (digest, claim) = insert(service.claims(), dispute.claim.clone());
                 SharedDispute::new(dispute.model_id.clone(), digest, claim)
             })
             .collect();
         let reference = service.resolve_many(&disputes);
-        let deduped = service.resolve_docket_shared(&shared).unwrap();
+        let anon = TenantId::anonymous();
+        let deduped = service.resolve_docket_shared_as(&anon, &shared).unwrap();
         assert_eq!(deduped.len(), reference.len());
         for (i, (a, b)) in deduped.iter().zip(&reference).enumerate() {
             assert_eq!(a, b, "dispute {i}");
@@ -1675,7 +1586,7 @@ mod tests {
         capped.register("m", &outcome.model);
         let oversized: Vec<SharedDispute> = shared[..4].to_vec();
         assert!(matches!(
-            capped.resolve_docket_shared(&oversized).unwrap_err(),
+            capped.resolve_docket_shared_as(&anon, &oversized).unwrap_err(),
             WatermarkError::DocketTooLarge { size: 4, max: 3 }
         ));
     }
@@ -1685,24 +1596,26 @@ mod tests {
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
         let service = DisputeService::builder().build().unwrap();
-        let (digest, compiled) = service.register_digested("a", &outcome.model);
+        let anon = TenantId::anonymous();
+        let (digest, compiled) = service.register_digested_as(&anon, "a", &outcome.model).unwrap();
         assert_eq!(digest, PayloadDigest::of_model(&outcome.model));
         // Digest-only registration under a second id: no recompilation,
         // same compiled form, resolvable.
-        let reused = service.register_by_digest("b", digest).unwrap();
+        let reused = service.register_by_digest_as(&anon, "b", digest).unwrap().unwrap();
         assert!(Arc::ptr_eq(&compiled, &reused));
         assert_eq!(service.compile_count(), 1);
         assert!(service.resolve("b", &claim).unwrap().verified);
         // Unknown digests miss.
-        assert!(service.register_by_digest("c", PayloadDigest { hi: 1, lo: 2 }).is_none());
+        let unknown = PayloadDigest { hi: 1, lo: 2 };
+        assert!(service.register_by_digest_as(&anon, "c", unknown).unwrap().is_none());
         // The index survives while any id still serves the compiled form …
-        service.deregister("a");
-        assert!(service.register_by_digest("a2", digest).is_some());
+        assert!(service.deregister_as(&anon, "a").unwrap());
+        assert!(service.register_by_digest_as(&anon, "a2", digest).unwrap().is_some());
         // … and is pruned once the last id is gone.
-        service.deregister("a2");
-        service.deregister("b");
+        assert!(service.deregister_as(&anon, "a2").unwrap());
+        assert!(service.deregister_as(&anon, "b").unwrap());
         assert!(
-            service.register_by_digest("d", digest).is_none(),
+            service.register_by_digest_as(&anon, "d", digest).unwrap().is_none(),
             "a fully deregistered model must not be resurrectable by digest"
         );
     }
@@ -1752,11 +1665,10 @@ mod tests {
         let claim = claim_for(&outcome, &test);
         let quotas = TenantQuotas {
             max_models: 1,
-            max_docket: 2,
             max_claim_bytes: claim_footprint(&claim) + 10,
             max_in_flight: 0,
         };
-        let service = DisputeService::builder().tenant_quotas(quotas).build().unwrap();
+        let service = DisputeService::builder().tenant_quotas(quotas).max_docket(2).build().unwrap();
         let acme = tenant("acme");
         service.register_digested_as(&acme, "one", &outcome.model).unwrap();
         let err = service.register_digested_as(&acme, "two", &outcome.model).unwrap_err();
@@ -1769,17 +1681,20 @@ mod tests {
         // Every tenant gets its own budget.
         service.register_digested_as(&tenant("other"), "one", &outcome.model).unwrap();
 
-        // Docket axis: the per-tenant quota applies even with no global cap.
+        // The docket cap applies to an authenticated tenant too, and a
+        // refused docket is not recorded.
         let (digest, shared) =
             service.claims().insert_for(&acme, service.quotas(), claim.clone()).unwrap();
         let disputes: Vec<SharedDispute> =
             (0..3).map(|_| SharedDispute::new("one", digest, Arc::clone(&shared))).collect();
         assert!(matches!(
             service.resolve_docket_shared_as(&acme, &disputes).unwrap_err(),
-            WatermarkError::QuotaExceeded { ref resource, .. } if resource == "docket"
+            WatermarkError::DocketTooLarge { size: 3, max: 2 }
         ));
+        assert_eq!(service.stats_for(&acme).dockets, 0);
         let verdicts = service.resolve_docket_shared_as(&acme, &disputes[..2]).unwrap();
         assert!(verdicts.iter().all(|v| v.as_ref().unwrap().verified));
+        assert_eq!(service.stats_for(&acme).dockets, 1);
 
         // Claim-bytes axis: the refused insert allocates nothing, and
         // re-inserting an already-owned claim is never re-charged.
@@ -1819,7 +1734,7 @@ mod tests {
         service.register_from_file("a", &path_a).unwrap();
         service.register_from_file("b", &path_b).unwrap();
         assert_eq!(service.len(), 2, "an evicted model stays registered");
-        assert_eq!(service.model_ids(), ["a", "b"]);
+        assert_eq!(service.model_ids_for(&anon), ["a", "b"]);
         assert!(service.resident_model_bytes() <= budget);
         assert_eq!(
             service.ledger().counters(&anon).evictions,
@@ -1847,6 +1762,76 @@ mod tests {
             2,
             "resident models never miss"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reload that races a re-registration or a deregistration of the
+    /// same id must not install its stale artefact. Each interleaving is
+    /// staged step by step: reload the evicted entry's artefact, change
+    /// the registry, then try to install the reload.
+    #[test]
+    fn a_stale_reload_never_overwrites_or_resurrects_a_model() {
+        let (test, outcome) = embedded();
+        let claim = claim_for(&outcome, &test);
+        let dataset = SyntheticSpec::breast_cancer_like()
+            .scaled(0.4)
+            .generate(&mut SmallRng::seed_from_u64(76));
+        let unrelated = Watermarker::new(WatermarkConfig {
+            num_trees: 10,
+            ..WatermarkConfig::fast()
+        })
+        .train_baseline(&dataset, &mut SmallRng::seed_from_u64(77));
+        let dir = std::env::temp_dir().join(format!("wdte-reload-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path_a = dir.join("a.wdte");
+        let path_b = dir.join("b.wdte");
+        persist::save(&path_a, &outcome.model, persist::Format::Binary).unwrap();
+        persist::save(&path_b, &outcome.model, persist::Format::Binary).unwrap();
+        // A budget that fits one compiled forest but not two, so
+        // registering b evicts a.
+        let budget = CompiledForest::compile(&outcome.model).resident_bytes() * 3 / 2;
+        let anon = TenantId::anonymous();
+        let key = (anon.clone(), "a".to_string());
+        let with_a_evicted = || {
+            let service = DisputeService::builder().model_cache_bytes(budget).build().unwrap();
+            service.register_from_file("a", &path_a).unwrap();
+            service.register_from_file("b", &path_b).unwrap();
+            assert_eq!(service.ledger().counters(&anon).evictions, 1);
+            service
+        };
+
+        // Re-registered during the reload: the new model stays, and the
+        // registry, the digest index and the verdicts all agree on it.
+        let service = with_a_evicted();
+        let stale = service.load_artefact(&path_a).unwrap();
+        let (digest, fresh) = service.register_digested_as(&anon, "a", &unrelated).unwrap();
+        assert!(!service.install_reload(&key, &path_a, &stale));
+        let served = service.model_as(&anon, "a").unwrap();
+        assert!(
+            Arc::ptr_eq(&served, &fresh),
+            "the stale artefact overwrote a newer model"
+        );
+        assert!(!service.resolve("a", &claim).unwrap().verified);
+        let copy = service.register_by_digest_as(&anon, "copy", digest).unwrap().unwrap();
+        assert!(Arc::ptr_eq(&copy, &served));
+
+        // Deregistered during the reload: the id stays gone.
+        let service = with_a_evicted();
+        let stale = service.load_artefact(&path_a).unwrap();
+        assert!(service.deregister_as(&anon, "a").unwrap());
+        assert!(!service.install_reload(&key, &path_a, &stale));
+        assert!(matches!(
+            service.model_as(&anon, "a").unwrap_err(),
+            WatermarkError::UnknownModel { .. }
+        ));
+        assert_eq!(service.model_ids_for(&anon), ["b"]);
+
+        // Untouched during the reload: it installs, and is served.
+        let service = with_a_evicted();
+        let reloaded = service.load_artefact(&path_a).unwrap();
+        assert!(service.install_reload(&key, &path_a, &reloaded));
+        assert!(Arc::ptr_eq(&service.model_as(&anon, "a").unwrap(), &reloaded));
+        assert!(service.resident_model_bytes() <= budget);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1893,7 +1878,7 @@ mod tests {
         assert_eq!(claim_footprint(&claim), payload + CLAIM_ENTRY_OVERHEAD_BYTES);
 
         let cache = ClaimCache::new(0);
-        cache.insert(claim.clone());
+        insert(&cache, claim.clone());
         assert_eq!(cache.bytes(), claim_footprint(&claim));
         assert_eq!(
             cache.tenant_bytes(&TenantId::anonymous()),

@@ -14,8 +14,9 @@
 //!   strictly monotonic per-connection sequence number folded into the tag
 //!   so a replayed frame is refused even though its tag is genuine.
 //! * [`TenantQuotas`] — per-tenant resource limits (models registered,
-//!   docket size, claim-cache bytes, in-flight requests), checked *before*
-//!   allocation like the frame caps.
+//!   claim-cache bytes, in-flight requests), checked *before* allocation
+//!   like the frame caps. Docket size has one service-wide cap,
+//!   `DisputeServiceBuilder::max_docket`.
 //! * [`TenantLedger`] / [`TenantStatsEntry`] — per-tenant counters behind
 //!   the `Stats` request and the `serve_judge` periodic log line.
 //!
@@ -536,9 +537,6 @@ impl KeyRing {
 pub struct TenantQuotas {
     /// Maximum models registered per tenant.
     pub max_models: usize,
-    /// Maximum disputes per docket per tenant (tightens the service-wide
-    /// `max_docket` cap; the smaller of the two wins).
-    pub max_docket: usize,
     /// Maximum claim-cache bytes attributed to one tenant.
     pub max_claim_bytes: usize,
     /// Maximum requests one tenant may have in flight at once.
@@ -556,7 +554,6 @@ impl TenantQuotas {
     pub fn unlimited() -> Self {
         Self {
             max_models: 0,
-            max_docket: 0,
             max_claim_bytes: 0,
             max_in_flight: 0,
         }
@@ -578,11 +575,6 @@ impl TenantQuotas {
     /// would reach.
     pub fn check_models(&self, would_hold: usize) -> WatermarkResult<()> {
         Self::check("models", would_hold, self.max_models)
-    }
-
-    /// Checks a docket's size against the per-tenant docket axis.
-    pub fn check_docket(&self, size: usize) -> WatermarkResult<()> {
-        Self::check("docket", size, self.max_docket)
     }
 
     /// Checks the claim-cache byte axis against the bytes a tenant would
@@ -942,21 +934,17 @@ mod tests {
     fn quotas_refuse_beyond_each_axis_and_zero_is_unlimited() {
         let quotas = TenantQuotas {
             max_models: 2,
-            max_docket: 3,
             max_claim_bytes: 100,
             max_in_flight: 1,
         };
         assert!(quotas.check_models(2).is_ok());
         assert!(quotas.check_models(3).is_err());
-        assert!(quotas.check_docket(3).is_ok());
-        assert!(quotas.check_docket(4).is_err());
         assert!(quotas.check_claim_bytes(100).is_ok());
         assert!(quotas.check_claim_bytes(101).is_err());
         assert!(quotas.check_in_flight(1).is_ok());
         assert!(quotas.check_in_flight(2).is_err());
         let unlimited = TenantQuotas::unlimited();
         assert!(unlimited.check_models(usize::MAX).is_ok());
-        assert!(unlimited.check_docket(usize::MAX).is_ok());
         match quotas.check_models(5).unwrap_err() {
             WatermarkError::QuotaExceeded {
                 resource,

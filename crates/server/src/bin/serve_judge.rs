@@ -10,9 +10,8 @@
 //!             [--port-file PATH] [--max-docket N] [--shard-rows N]
 //!             [--workers N] [--max-connections N] [--max-pipeline N]
 //!             [--claim-cache-mb N] [--model-cache-mb N] [--key-file PATH]
-//!             [--quota-models N] [--quota-docket N]
-//!             [--quota-claim-mb N] [--quota-in-flight N]
-//!             [--stats-interval-secs N]
+//!             [--quota-models N] [--quota-claim-mb N]
+//!             [--quota-in-flight N] [--stats-interval-secs N]
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; `--port-file` writes the
@@ -37,8 +36,9 @@
 //! over budget, the least-recently-used file-backed model is evicted and
 //! transparently recompiled from its artefact on next use (warm-started
 //! models are pinned). The `--quota-*` flags cap each tenant's models,
-//! docket size, attributed claim-cache bytes and in-flight requests
-//! (`0` = unlimited); `--stats-interval-secs` logs one per-tenant
+//! attributed claim-cache bytes and in-flight requests (`0` =
+//! unlimited); docket size has the one cap `--max-docket`, which applies
+//! to every tenant. `--stats-interval-secs` logs one per-tenant
 //! accounting line at that cadence (`0` = never).
 //!
 //! `--workers N` sizes the one process-global work-stealing pool every
@@ -58,9 +58,10 @@
 //! a dead backend degrades to bounded sibling retry
 //! (`--retry-siblings`) or typed faults. `--spawn-backends N` launches
 //! N child `serve_judge` processes on ephemeral ports (inheriting
-//! `--warm-start`, `--key-file`, cache and quota flags, so
-//! every backend replicates the same warm start) and routes across
-//! them; the children are killed when the router exits cleanly.
+//! `--workers`, `--warm-start`, `--key-file`, `--max-docket`,
+//! `--shard-rows`, the cache flags and the quota flags, so every backend
+//! replicates the same warm start) and routes across them; the children
+//! are killed when the router exits cleanly.
 //! `--ring-replicas` sets the virtual points per backend and
 //! `--health-interval-secs` the cadence of the TCP health probe. The
 //! same `--key-file` both verifies client frames at the router and
@@ -171,10 +172,6 @@ fn parse_args() -> Result<Args, String> {
                 args.quotas.max_models =
                     value("--quota-models")?.parse().map_err(|e| format!("--quota-models: {e}"))?
             }
-            "--quota-docket" => {
-                args.quotas.max_docket =
-                    value("--quota-docket")?.parse().map_err(|e| format!("--quota-docket: {e}"))?
-            }
             "--quota-claim-mb" => {
                 let mb: usize = value("--quota-claim-mb")?
                     .parse()
@@ -225,7 +222,7 @@ fn parse_args() -> Result<Args, String> {
                      [--model-cache-mb N (resident compiled forests; 0 = unbounded)] \
                      [--read-timeout-secs N (0 = never)] \
                      [--key-file PATH (tenant:secret lines; enables authentication)] \
-                     [--quota-models N] [--quota-docket N] [--quota-claim-mb N] \
+                     [--quota-models N] [--quota-claim-mb N] \
                      [--quota-in-flight N (all quotas per tenant; 0 = unlimited)] \
                      [--stats-interval-secs N (per-tenant accounting log; 0 = never)] \
                      [--router (serve the fleet router instead of a judge)] \
@@ -284,9 +281,6 @@ fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>
         }
         if args.quotas.max_models > 0 {
             cmd.arg("--quota-models").arg(args.quotas.max_models.to_string());
-        }
-        if args.quotas.max_docket > 0 {
-            cmd.arg("--quota-docket").arg(args.quotas.max_docket.to_string());
         }
         if args.quotas.max_claim_bytes > 0 {
             cmd.arg("--quota-claim-mb").arg((args.quotas.max_claim_bytes >> 20).to_string());

@@ -156,8 +156,7 @@ impl DocketTicket {
 /// evicted since).
 #[derive(Debug)]
 struct PendingDocket {
-    model_ids: Vec<String>,
-    digests: Vec<PayloadDigest>,
+    disputes: Vec<DisputeRef>,
     bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>>,
     retries: u8,
 }
@@ -625,46 +624,19 @@ impl DisputeClient {
     ///
     /// Claims are deduplicated by content digest: bodies the judge has
     /// not seen on this connection are inlined, everything else travels
-    /// as an 16-byte digest reference.
+    /// as an 16-byte digest reference. The digested docket goes out
+    /// through [`send_docket_ref`](Self::send_docket_ref).
     pub fn send_docket(&mut self, disputes: &[Dispute]) -> WatermarkResult<DocketTicket> {
-        self.ensure_usable()?;
-        let correlation_id = self.next_id();
-        let mut model_ids = Vec::with_capacity(disputes.len());
-        let mut digests = Vec::with_capacity(disputes.len());
         let mut bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>> = HashMap::new();
-        let mut refs = Vec::with_capacity(disputes.len());
-        let mut inline: Vec<&OwnershipClaim> = Vec::new();
-        let mut inline_digests: HashSet<PayloadDigest> = HashSet::new();
-        for dispute in disputes {
-            let digest = PayloadDigest::of_claim(&dispute.claim);
-            if !self.sent_claims.contains(&digest) && inline_digests.insert(digest) {
-                inline.push(&dispute.claim);
-            }
-            bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim.clone()));
-            refs.push(DisputeRef::new(dispute.model_id.clone(), digest));
-            model_ids.push(dispute.model_id.clone());
-            digests.push(digest);
-        }
-        let frame = self.encode_request(
-            correlation_id,
-            &BorrowedRequest::ResolveDocketRef {
-                bodies: &inline,
-                disputes: &refs,
-            },
-        )?;
-        self.write_frame(&frame)?;
-        self.remember_claims(inline_digests);
-        self.outstanding.insert(correlation_id);
-        self.pending.insert(
-            correlation_id,
-            PendingDocket {
-                model_ids,
-                digests,
-                bodies,
-                retries: 0,
-            },
-        );
-        Ok(DocketTicket { correlation_id })
+        let refs: Vec<DisputeRef> = disputes
+            .iter()
+            .map(|dispute| {
+                let digest = PayloadDigest::of_claim(&dispute.claim);
+                bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim.clone()));
+                DisputeRef::new(dispute.model_id.clone(), digest)
+            })
+            .collect();
+        self.send_docket_ref(&bodies, &refs)
     }
 
     /// [`send_docket`](Self::send_docket) from pre-digested parts: the
@@ -684,8 +656,6 @@ impl DisputeClient {
     ) -> WatermarkResult<DocketTicket> {
         self.ensure_usable()?;
         let correlation_id = self.next_id();
-        let mut model_ids = Vec::with_capacity(disputes.len());
-        let mut digests = Vec::with_capacity(disputes.len());
         let mut retained: HashMap<PayloadDigest, Arc<OwnershipClaim>> = HashMap::new();
         let mut inline: Vec<&OwnershipClaim> = Vec::new();
         let mut inline_digests: HashSet<PayloadDigest> = HashSet::new();
@@ -697,8 +667,6 @@ impl DisputeClient {
                 }
                 retained.entry(digest).or_insert_with(|| Arc::clone(body));
             }
-            model_ids.push(dispute.model_id.clone());
-            digests.push(digest);
         }
         let frame = self.encode_request(
             correlation_id,
@@ -713,8 +681,7 @@ impl DisputeClient {
         self.pending.insert(
             correlation_id,
             PendingDocket {
-                model_ids,
-                digests,
+                disputes: disputes.to_vec(),
                 bodies: retained,
                 retries: 0,
             },
@@ -924,19 +891,13 @@ impl DisputeClient {
                 })
                 .collect::<WatermarkResult<_>>()?
         };
-        let refs: Vec<DisputeRef> = entry
-            .model_ids
-            .iter()
-            .zip(&entry.digests)
-            .map(|(model_id, digest)| DisputeRef::new(model_id.clone(), *digest))
-            .collect();
         Self::encode_with(
             &self.auth,
             &mut self.next_sequence,
             correlation_id,
             &BorrowedRequest::ResolveDocketRef {
                 bodies: &inline,
-                disputes: &refs,
+                disputes: &entry.disputes,
             },
         )
     }
@@ -1005,5 +966,55 @@ mod tests {
                 disputes: refs.clone()
             })
         );
+    }
+
+    /// `send_docket` digests its disputes and hands them to
+    /// `send_docket_ref`; the first frame a fresh client writes must be
+    /// the same bytes through either entry point.
+    #[test]
+    fn send_docket_writes_the_same_frame_as_send_docket_ref() {
+        let mut rng = SmallRng::seed_from_u64(18);
+        let dataset = SyntheticSpec::breast_cancer_like().scaled(0.2).generate(&mut rng);
+        let (trigger, test) = dataset.split_train_test(0.2, &mut rng);
+        let genuine = OwnershipClaim::new(Signature::random(3, 0.5, &mut rng), trigger.clone(), test);
+        let forged = OwnershipClaim::new(Signature::random(3, 0.5, &mut rng), trigger.clone(), trigger);
+        let disputes: Vec<Dispute> = [
+            ("m", &genuine),
+            ("other", &forged),
+            ("m", &genuine),
+            ("m", &forged),
+        ]
+        .into_iter()
+        .map(|(model_id, claim)| Dispute::new(model_id, claim.clone()))
+        .collect();
+        let bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>> = disputes
+            .iter()
+            .map(|d| (PayloadDigest::of_claim(&d.claim), Arc::new(d.claim.clone())))
+            .collect();
+        let refs: Vec<DisputeRef> = disputes
+            .iter()
+            .map(|d| DisputeRef::new(d.model_id.clone(), PayloadDigest::of_claim(&d.claim)))
+            .collect();
+
+        // Everything a fresh client writes after one send, as recorded by
+        // a listener that never answers.
+        let first_frame = |send: &dyn Fn(&mut DisputeClient)| {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut client = DisputeClient::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut peer, _) = listener.accept().unwrap();
+            send(&mut client);
+            drop(client);
+            let mut bytes = Vec::new();
+            std::io::Read::read_to_end(&mut peer, &mut bytes).unwrap();
+            bytes
+        };
+        let owned = first_frame(&|client| {
+            client.send_docket(&disputes).unwrap();
+        });
+        let by_ref = first_frame(&|client| {
+            client.send_docket_ref(&bodies, &refs).unwrap();
+        });
+        assert!(!owned.is_empty());
+        assert_eq!(owned, by_ref);
     }
 }

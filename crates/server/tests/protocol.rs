@@ -347,6 +347,12 @@ fn full_client_surface_round_trips() {
         client.resolve_docket(&oversized).unwrap_err(),
         WatermarkError::DocketTooLarge { size: 5, max: 4 }
     ));
+    // The cap is checked before any claim body is cached.
+    assert_eq!(
+        client.ping().unwrap().claims_cached,
+        0,
+        "refused dockets cache nothing"
+    );
 
     // Dockets feed the judge's content cache, visible in the next pong.
     let docket: Vec<Dispute> = (0..2).map(|_| Dispute::new("m", claim.clone())).collect();
@@ -771,7 +777,7 @@ fn cross_tenant_model_access_is_forbidden() {
     server.shutdown().unwrap();
 }
 
-/// The models, docket and claim-bytes quotas each refuse with a typed
+/// The models and claim-bytes quotas each refuse with a typed
 /// `QuotaExceeded` naming the exhausted axis, and a refusal never poisons
 /// the connection.
 #[test]
@@ -779,7 +785,6 @@ fn quota_refusals_name_the_axis_and_keep_the_connection() {
     let (model, claim) = plain_fixture(42);
     let quotas = TenantQuotas {
         max_models: 1,
-        max_docket: 2,
         max_claim_bytes: 1,
         max_in_flight: 0,
     };
@@ -803,16 +808,8 @@ fn quota_refusals_name_the_axis_and_keep_the_connection() {
     // ...but re-registering the held id is not growth.
     client.register_model("first", &model).unwrap();
 
-    // Docket axis: checked before any claim body is cached.
-    let oversized: Vec<Dispute> = (0..3).map(|_| Dispute::new("first", claim.clone())).collect();
-    match client.resolve_docket(&oversized).unwrap_err() {
-        WatermarkError::QuotaExceeded { resource, .. } => assert_eq!(resource, "docket"),
-        other => panic!("expected a docket quota refusal, got {other:?}"),
-    }
-    assert_eq!(service.claims().len(), 0, "refused dockets cache nothing");
-
-    // Claim-bytes axis: a docket within the size cap still cannot
-    // allocate cache bytes beyond the tenant's budget.
+    // Claim-bytes axis: a docket cannot allocate cache bytes beyond the
+    // tenant's budget.
     let docket: Vec<Dispute> = (0..2).map(|_| Dispute::new("first", claim.clone())).collect();
     match client.resolve_docket(&docket).unwrap_err() {
         WatermarkError::QuotaExceeded { resource, .. } => assert_eq!(resource, "claim-bytes"),

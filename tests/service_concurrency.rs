@@ -135,7 +135,7 @@ fn resolution_never_observes_a_partially_compiled_forest() {
                 let id = format!("churn-{round}");
                 service.register(&id, &model);
                 service.register("target", &model);
-                service.deregister(&id);
+                service.deregister_as(&TenantId::anonymous(), &id).unwrap();
             }
         })
     };
@@ -146,7 +146,7 @@ fn resolution_never_observes_a_partially_compiled_forest() {
         }
     }
     churn.join().unwrap();
-    assert!(service.model("target").is_some());
+    assert!(service.model_as(&TenantId::anonymous(), "target").is_ok());
 }
 
 #[test]
