@@ -53,7 +53,7 @@ use crate::tenant::{TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};
 use crate::verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -150,8 +150,11 @@ pub struct ClaimCache {
 #[derive(Debug, Default)]
 struct ClaimCacheInner {
     map: HashMap<PayloadDigest, ClaimEntry>,
-    /// Digests in least-recently-used-first order.
-    order: VecDeque<PayloadDigest>,
+    /// Digests keyed by their entry's last-use stamp, so the first key is
+    /// the least recently used and a touch is O(log n).
+    order: BTreeMap<u64, PayloadDigest>,
+    /// The stamp the next insert or touch takes; strictly increasing.
+    next_stamp: u64,
     bytes: usize,
     /// Bytes attributed to each tenant: every owner of an entry is charged
     /// its full footprint (each of them uploaded it independently), so a
@@ -164,6 +167,8 @@ struct ClaimCacheInner {
 struct ClaimEntry {
     claim: Arc<OwnershipClaim>,
     footprint: usize,
+    /// This entry's key in [`ClaimCacheInner::order`].
+    stamp: u64,
     /// Tenants charged for this entry.
     owners: HashSet<TenantId>,
     /// Models the claim has been adjudicated against, for
@@ -234,21 +239,24 @@ impl ClaimCache {
             return Ok((digest, shared));
         }
         let shared = Arc::new(claim);
+        let stamp = inner.next_stamp;
+        inner.next_stamp += 1;
         inner.map.insert(
             digest,
             ClaimEntry {
                 claim: Arc::clone(&shared),
                 footprint,
+                stamp,
                 owners: HashSet::from([tenant.clone()]),
                 models: HashSet::new(),
             },
         );
-        inner.order.push_back(digest);
+        inner.order.insert(stamp, digest);
         inner.bytes += footprint;
         *inner.tenant_bytes.entry(tenant.clone()).or_insert(0) += footprint;
         if self.budget_bytes > 0 {
             while inner.bytes > self.budget_bytes {
-                let Some(oldest) = inner.order.pop_front() else {
+                let Some((_, &oldest)) = inner.order.first_key_value() else {
                     break;
                 };
                 Self::drop_entry(&mut inner, &oldest);
@@ -257,10 +265,11 @@ impl ClaimCache {
         Ok((digest, shared))
     }
 
-    /// Removes `digest` from the map and refunds its bytes to every owner.
-    /// The caller is responsible for the `order` deque.
+    /// Removes `digest` from the map and the recency order, and refunds its
+    /// bytes to every owner.
     fn drop_entry(inner: &mut ClaimCacheInner, digest: &PayloadDigest) {
         if let Some(evicted) = inner.map.remove(digest) {
+            inner.order.remove(&evicted.stamp);
             inner.bytes = inner.bytes.saturating_sub(evicted.footprint);
             for owner in &evicted.owners {
                 if let Some(held) = inner.tenant_bytes.get_mut(owner) {
@@ -307,14 +316,22 @@ impl ClaimCache {
         for digest in &dropped {
             Self::drop_entry(&mut inner, digest);
         }
-        inner.order.retain(|d| !dropped.contains(d));
         dropped.len()
     }
 
+    /// Makes `digest` the most recently used entry; no-op if absent.
     fn touch(inner: &mut ClaimCacheInner, digest: PayloadDigest) {
-        if let Some(position) = inner.order.iter().position(|d| *d == digest) {
-            inner.order.remove(position);
-            inner.order.push_back(digest);
+        let ClaimCacheInner {
+            map,
+            order,
+            next_stamp,
+            ..
+        } = inner;
+        if let Some(entry) = map.get_mut(&digest) {
+            order.remove(&entry.stamp);
+            entry.stamp = *next_stamp;
+            order.insert(entry.stamp, digest);
+            *next_stamp += 1;
         }
     }
 
@@ -1151,12 +1168,11 @@ impl ModelOracle for ShardedOracle<'_> {
         self.compiled.predict_all(instance)
     }
 
-    fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
+    fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
         self.compiled
             .par_predict_all_batch(batch.features(), self.shard_rows, self.kernel)
             .iter()
-            .map(<[Label]>::to_vec)
-            .collect()
+            .for_each(visit);
     }
 }
 
@@ -1537,6 +1553,80 @@ mod tests {
         assert!(cache.get(&big_digest).is_some());
         assert!(cache.get(&third_digest).is_some());
         assert!(cache.bytes() <= budget);
+    }
+
+    #[test]
+    fn claim_cache_recency_matches_the_lru_deque() {
+        use rand::Rng;
+        // The recency list the stamps replaced: a least-recently-used-first
+        // deque, scanned and rotated on every touch.
+        #[derive(Default)]
+        struct DequeLru {
+            order: VecDeque<PayloadDigest>,
+            footprint: HashMap<PayloadDigest, usize>,
+            bytes: usize,
+        }
+        impl DequeLru {
+            fn touch(&mut self, digest: PayloadDigest) -> bool {
+                let Some(position) = self.order.iter().position(|d| *d == digest) else {
+                    return false;
+                };
+                self.order.remove(position);
+                self.order.push_back(digest);
+                true
+            }
+            fn insert(&mut self, digest: PayloadDigest, footprint: usize, budget: usize) {
+                if self.touch(digest) {
+                    return;
+                }
+                self.order.push_back(digest);
+                self.footprint.insert(digest, footprint);
+                self.bytes += footprint;
+                while self.bytes > budget {
+                    let oldest = self.order.pop_front().expect("over budget means non-empty");
+                    self.bytes -= self.footprint.remove(&oldest).expect("tracked");
+                }
+            }
+        }
+
+        let mut rng = SmallRng::seed_from_u64(0x1AC);
+        // Claims of 1..=4 disguise rows, so footprints differ and one
+        // insert can evict several entries.
+        let claims: Vec<OwnershipClaim> = (0..32)
+            .map(|i| {
+                let rows: Vec<Vec<f64>> = (0..1 + i % 4).map(|_| vec![rng.gen(), rng.gen()]).collect();
+                let set = Dataset::new(
+                    "c",
+                    wdte_data::DenseMatrix::from_rows(&rows).unwrap(),
+                    vec![Label::Positive; rows.len()],
+                )
+                .unwrap();
+                OwnershipClaim::new(Signature::from_bits(vec![i % 2 == 0; 3]), set.clone(), set)
+            })
+            .collect();
+        let budget = 6 * claim_footprint(&claims[1]);
+        let cache = ClaimCache::new(budget);
+        let mut reference = DequeLru::default();
+        let quotas = TenantQuotas::unlimited();
+        for step in 0..600 {
+            let claim = &claims[rng.gen_range(0..claims.len())];
+            let digest = PayloadDigest::of_claim(claim);
+            if rng.gen_bool(0.5) {
+                let owner = tenant(["a", "b"][step % 2]);
+                cache.insert_for(&owner, &quotas, claim.clone()).unwrap();
+                reference.insert(digest, claim_footprint(claim), budget);
+            } else {
+                assert_eq!(
+                    cache.get(&digest).is_some(),
+                    reference.touch(digest),
+                    "step {step}"
+                );
+            }
+            let order: Vec<PayloadDigest> = cache.lock().order.values().copied().collect();
+            assert_eq!(order, Vec::from(reference.order.clone()), "step {step}");
+            assert_eq!(cache.bytes(), reference.bytes, "step {step}");
+        }
+        assert!(cache.len() > 1, "the budget holds several claims");
     }
 
     #[test]

@@ -11,27 +11,42 @@ use crate::signature::Signature;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use wdte_data::{Dataset, Label};
+use wdte_data::{Dataset, DenseMatrix, Label};
 use wdte_trees::{CompiledForest, RandomForest};
 
 /// Black-box access to a suspected model: per-tree predictions only, no
 /// visibility of the model parameters. The paper assumes the ensemble
 /// output is the sequence of individual tree predictions (R's
 /// `predict.all` / a thin sklearn wrapper).
+///
+/// A remote oracle implements [`query`](Self::query) and, if it can
+/// answer many instances per round trip, [`query_batch`](Self::query_batch).
+/// Oracles backed by an in-process model (`RandomForest`,
+/// `CompiledForest`, the dispute service's) also override
+/// [`for_each_response`](Self::for_each_response) to lend slices of one
+/// flat [`wdte_trees::BatchPredictions`] instead of allocating a vector
+/// per instance.
 pub trait ModelOracle {
     /// Number of trees the model reports.
     fn num_trees(&self) -> usize;
     /// Per-tree predictions for one instance, in tree order.
     fn query(&self, instance: &[f64]) -> Vec<Label>;
     /// Per-tree predictions for every instance of a batch, in batch order.
-    ///
-    /// The protocol queries the whole verification batch at once, so this
-    /// is the verification hot path; implementations backed by an
-    /// in-process model override it with
-    /// [`CompiledForest::predict_all_batch`]. The default answers one
-    /// instance at a time, which is the right model for a remote oracle.
+    /// The default answers one instance at a time, which is the right
+    /// model for a remote oracle.
     fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
         batch.iter().map(|(instance, _)| self.query(instance)).collect()
+    }
+    /// Hands each row's per-tree predictions to `visit`, in batch order.
+    ///
+    /// This is how [`verify_ownership`] reads the model: the protocol
+    /// queries the whole verification batch at once, so this is the
+    /// verification hot path. The default visits the rows of
+    /// [`query_batch`](Self::query_batch) as returned, ragged or not.
+    fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
+        for responses in self.query_batch(batch) {
+            visit(&responses);
+        }
     }
 }
 
@@ -47,8 +62,8 @@ impl ModelOracle for RandomForest {
     /// Batched queries compile the forest once and answer the whole batch
     /// through the flattened representation; compilation is linear in the
     /// model size and amortized over every sample of the batch.
-    fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
-        CompiledForest::compile(self).query_batch(batch)
+    fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
+        CompiledForest::compile(self).for_each_response(batch, visit);
     }
 }
 
@@ -61,9 +76,8 @@ impl ModelOracle for CompiledForest {
         self.predict_all(instance)
     }
 
-    fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
-        let predictions = self.predict_all_batch(batch.features());
-        predictions.iter().map(<[Label]>::to_vec).collect()
+    fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
+        self.predict_all_batch(batch.features()).iter().for_each(visit);
     }
 }
 
@@ -133,16 +147,52 @@ impl OwnershipClaim {
     /// disguise instances shuffled together. Returns the batch and, for
     /// each batch position, the index of the trigger instance it came from
     /// (or `None` for disguise instances).
+    ///
+    /// The batch is gathered in one pass from both sets in shuffled order:
+    /// it equals concatenating trigger and test set and then selecting the
+    /// rows by the permutation, without the intermediate copy.
+    ///
+    /// # Panics
+    /// Panics if both sets hold rows of different widths.
     pub fn verification_batch<R: Rng + ?Sized>(&self, rng: &mut R) -> (Dataset, Vec<Option<usize>>) {
-        let combined = self.trigger_set.concat(&self.test_set).expect("claim datasets are compatible");
-        let mut origin: Vec<Option<usize>> = (0..self.trigger_set.len())
-            .map(Some)
-            .chain(std::iter::repeat_n(None, self.test_set.len()))
-            .collect();
-        let mut order: Vec<usize> = (0..combined.len()).collect();
+        let (trigger, test) = (&self.trigger_set, &self.test_set);
+        let (trigger_features, test_features) = (trigger.features(), test.features());
+        // The concatenation's width: the trigger set's, unless it is an
+        // empty matrix that has never been given one.
+        let cols = if trigger_features.rows() == 0 && trigger_features.cols() == 0 && !test.is_empty() {
+            test_features.cols()
+        } else {
+            trigger_features.cols()
+        };
+        assert!(
+            test.is_empty() || test_features.cols() == cols,
+            "claim datasets are compatible"
+        );
+        let mut order: Vec<usize> = (0..trigger.len() + test.len()).collect();
         order.shuffle(rng);
-        let batch = combined.select(&order).expect("shuffle order is valid");
-        origin = order.into_iter().map(|i| origin[i]).collect();
+        let mut values = Vec::with_capacity(order.len() * cols);
+        let mut labels = Vec::with_capacity(order.len());
+        let origin = order
+            .into_iter()
+            .map(|index| {
+                let (set, row, origin) = match index.checked_sub(trigger.len()) {
+                    None => (trigger, index, Some(index)),
+                    Some(row) => (test, row, None),
+                };
+                values.extend_from_slice(set.instance(row));
+                labels.push(set.label(row));
+                origin
+            })
+            .collect();
+        let features =
+            DenseMatrix::from_vec(labels.len(), cols, values).expect("gathered rows fill the matrix");
+        let batch = Dataset::with_classes(
+            trigger.name.clone(),
+            features,
+            labels,
+            trigger.num_classes().max(test.num_classes()),
+        )
+        .expect("claim labels fit the combined class count");
         (batch, origin)
     }
 }
@@ -166,10 +216,10 @@ pub struct VerificationReport {
 /// Verifies an ownership claim against a black-box model.
 ///
 /// The whole verification batch (trigger instances disguised among test
-/// instances) is submitted in one [`ModelOracle::query_batch`] call; for
-/// in-process models this runs through the compiled block-wise inference
-/// path. Only the responses of trigger instances are used for the
-/// decision.
+/// instances) is submitted in one [`ModelOracle::for_each_response`]
+/// call; for in-process models this runs through the compiled block-wise
+/// inference path. Only the responses of trigger instances are used for
+/// the decision.
 pub fn verify_ownership<O: ModelOracle + ?Sized>(
     model: &O,
     claim: &OwnershipClaim,
@@ -200,10 +250,12 @@ pub fn verify_ownership_with_rng<O: ModelOracle + ?Sized, R: Rng + ?Sized>(
     let mut matching_bits = 0usize;
     let mut total_bits = 0usize;
     let num_classes = claim.trigger_set.num_classes();
-    let batch_responses = model.query_batch(&batch);
-    for (position, responses) in batch_responses.iter().enumerate() {
-        let Some(trigger_index) = origin[position] else {
-            continue;
+    let mut position = 0usize;
+    model.for_each_response(&batch, &mut |responses| {
+        let from = origin[position];
+        position += 1;
+        let Some(trigger_index) = from else {
+            return;
         };
         let label = claim.trigger_set.label(trigger_index);
         let mut all_match = responses.len() == claim.signature.len();
@@ -217,7 +269,7 @@ pub fn verify_ownership_with_rng<O: ModelOracle + ?Sized, R: Rng + ?Sized>(
             total_bits += 1;
         }
         instance_matches[trigger_index] = all_match;
-    }
+    });
     let verified = !instance_matches.is_empty() && instance_matches.iter().all(|&m| m);
     let bit_agreement = if total_bits == 0 {
         0.0
@@ -398,6 +450,198 @@ mod tests {
             claim.verification_batch(&mut SmallRng::seed_from_u64(claim.disguise_seed())).1;
         let external_origin = claim.verification_batch(&mut SmallRng::seed_from_u64(0xFEED)).1;
         assert_ne!(derived_origin, external_origin);
+    }
+
+    /// The disguise batch as it was built before the one-pass gather:
+    /// concatenate trigger and test set, then select rows in shuffled
+    /// order. Kept as the reference the gather is pinned to.
+    fn concat_select_batch<R: Rng + ?Sized>(
+        claim: &OwnershipClaim,
+        rng: &mut R,
+    ) -> (Dataset, Vec<Option<usize>>) {
+        let combined = claim
+            .trigger_set
+            .concat(&claim.test_set)
+            .expect("claim datasets are compatible");
+        let origin: Vec<Option<usize>> = (0..claim.trigger_set.len())
+            .map(Some)
+            .chain(std::iter::repeat_n(None, claim.test_set.len()))
+            .collect();
+        let mut order: Vec<usize> = (0..combined.len()).collect();
+        order.shuffle(rng);
+        let batch = combined.select(&order).expect("shuffle order is valid");
+        (batch, order.into_iter().map(|i| origin[i]).collect())
+    }
+
+    /// The scoring loop as it was before oracles lent flat responses: one
+    /// `query_batch` call over the reference batch, one owned vector per
+    /// row.
+    fn query_batch_report<O: ModelOracle + ?Sized>(
+        model: &O,
+        claim: &OwnershipClaim,
+    ) -> VerificationReport {
+        let mut rng = SmallRng::seed_from_u64(claim.disguise_seed());
+        let (batch, origin) = concat_select_batch(claim, &mut rng);
+        let mut instance_matches = vec![false; claim.trigger_set.len()];
+        let (mut matching_bits, mut total_bits) = (0usize, 0usize);
+        let num_classes = claim.trigger_set.num_classes();
+        for (position, responses) in model.query_batch(&batch).iter().enumerate() {
+            let Some(trigger_index) = origin[position] else {
+                continue;
+            };
+            let label = claim.trigger_set.label(trigger_index);
+            let mut all_match = responses.len() == claim.signature.len();
+            for (i, &response) in responses.iter().enumerate().take(claim.signature.len()) {
+                if response == claim.signature.required_prediction_k(i, label, num_classes) {
+                    matching_bits += 1;
+                } else {
+                    all_match = false;
+                }
+                total_bits += 1;
+            }
+            instance_matches[trigger_index] = all_match;
+        }
+        VerificationReport {
+            verified: !instance_matches.is_empty() && instance_matches.iter().all(|&m| m),
+            instance_matches,
+            bit_agreement: if total_bits == 0 {
+                0.0
+            } else {
+                matching_bits as f64 / total_bits as f64
+            },
+            queries_issued: batch.len(),
+        }
+    }
+
+    /// Bit patterns of every feature, so `NaN` rows compare equal.
+    fn feature_bits(dataset: &Dataset) -> Vec<u64> {
+        dataset.features().as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn feature_value() -> impl proptest::prelude::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            -2.0f64..2.0,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(0.0),
+            Just(-0.0),
+        ]
+    }
+
+    /// A `k`-class dataset of `rows`; an empty one is built either with no
+    /// width at all or with the width of its non-empty siblings.
+    fn k_class_set(rows: &[Vec<f64>], picks: &[u8], k: usize, sized_when_empty: bool) -> Dataset {
+        let features = if rows.is_empty() && sized_when_empty {
+            wdte_data::DenseMatrix::zeros(0, 3)
+        } else {
+            wdte_data::DenseMatrix::from_rows(rows).unwrap()
+        };
+        let labels = picks[..rows.len()]
+            .iter()
+            .map(|&pick| Label::from_index(pick as usize % k).unwrap())
+            .collect();
+        Dataset::with_classes("claim", features, labels, k).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_gather_batch_matches_concat_then_select(
+            trigger_rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 0..9),
+            test_rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 0..14),
+            picks in proptest::collection::vec(proptest::prelude::any::<u8>(), 17),
+            k_pick in 0usize..3,
+            sized_when_empty in proptest::prelude::any::<bool>(),
+            bits in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..6),
+            seed in 0u64..1_000_000,
+        ) {
+            let k = [2usize, 3, 5][k_pick];
+            let claim = OwnershipClaim::new(
+                Signature::from_bits(bits),
+                k_class_set(&trigger_rows, &picks, k, sized_when_empty),
+                k_class_set(&test_rows, &picks[3..], k, sized_when_empty),
+            );
+            let (batch, origin) = claim.verification_batch(&mut SmallRng::seed_from_u64(seed));
+            let (reference, reference_origin) = concat_select_batch(&claim, &mut SmallRng::seed_from_u64(seed));
+            proptest::prop_assert_eq!(&origin, &reference_origin);
+            proptest::prop_assert_eq!(feature_bits(&batch), feature_bits(&reference));
+            proptest::prop_assert_eq!(batch.features().rows(), reference.features().rows());
+            proptest::prop_assert_eq!(batch.features().cols(), reference.features().cols());
+            proptest::prop_assert_eq!(batch.labels(), reference.labels());
+            proptest::prop_assert_eq!(batch.num_classes(), reference.num_classes());
+            proptest::prop_assert_eq!(&batch.name, &reference.name);
+        }
+    }
+
+    #[test]
+    fn every_oracle_kind_scores_like_the_query_batch_reference() {
+        /// Answers only `query`, so `query_batch` and `for_each_response`
+        /// run their defaults.
+        struct QueryOnly<'a>(&'a wdte_trees::RandomForest);
+        impl ModelOracle for QueryOnly<'_> {
+            fn num_trees(&self) -> usize {
+                self.0.num_trees()
+            }
+            fn query(&self, instance: &[f64]) -> Vec<Label> {
+                self.0.predict_all(instance)
+            }
+        }
+        /// A black box whose `query_batch` rows are cut short or padded
+        /// past the signature length, alternating by row.
+        struct Ragged<'a>(&'a wdte_trees::RandomForest);
+        impl ModelOracle for Ragged<'_> {
+            fn num_trees(&self) -> usize {
+                self.0.num_trees()
+            }
+            fn query(&self, instance: &[f64]) -> Vec<Label> {
+                self.0.predict_all(instance)
+            }
+            fn query_batch(&self, batch: &Dataset) -> Vec<Vec<Label>> {
+                batch
+                    .iter()
+                    .enumerate()
+                    .map(|(row, (instance, _))| {
+                        let mut responses = self.query(instance);
+                        match row % 3 {
+                            0 => responses.truncate(responses.len() / 2),
+                            1 => responses.extend_from_slice(&[Label::Negative, Label::Positive]),
+                            _ => {}
+                        }
+                        responses
+                    })
+                    .collect()
+            }
+        }
+
+        let (_, test, outcome, _) = embed();
+        let claims = [
+            OwnershipClaim::new(
+                outcome.signature.clone(),
+                outcome.trigger_set.clone(),
+                test.clone(),
+            ),
+            OwnershipClaim::new(
+                Signature::from_bits(outcome.signature.bits().iter().map(|&b| !b).collect()),
+                outcome.trigger_set.clone(),
+                test.clone(),
+            ),
+        ];
+        let compiled = CompiledForest::compile(&outcome.model);
+        let service = crate::service::DisputeService::builder().batch_shard_rows(7).build().unwrap();
+        service.register("m", &outcome.model);
+        for claim in &claims {
+            let reference = query_batch_report(&outcome.model, claim);
+            assert_eq!(verify_ownership(&outcome.model, claim), reference);
+            assert_eq!(verify_ownership(&QueryOnly(&outcome.model), claim), reference);
+            assert_eq!(verify_ownership(&compiled, claim), reference);
+            assert_eq!(service.resolve("m", claim).unwrap(), reference);
+            let ragged = verify_ownership(&Ragged(&outcome.model), claim);
+            assert_eq!(ragged, query_batch_report(&Ragged(&outcome.model), claim));
+            assert!(!ragged.verified, "ragged rows never match the whole signature");
+        }
     }
 
     #[test]

@@ -1,24 +1,27 @@
 //! The exact batch walk over a [`CompiledForest`].
 //!
 //! Fixed-width blocks of samples descend one tree in lockstep through a
-//! *per-level breadth-first* node layout (`LevelLayout`). The
-//! compare→child-select step over a block is branchless straight-line code
-//! over fixed-size arrays, so the optimizer can keep the whole block in
-//! registers and vectorize the compares, and a level's nodes are
-//! contiguous in memory. The walk is **bit-identical** to the recursive
-//! one for every input, including `NaN` and `±inf` feature values.
+//! *per-level breadth-first* node layout (`LevelLayout`) of packed 16-byte
+//! nodes. BFS order puts every node's two children side by side, so the
+//! compare→child-select step is one add, `first_child + !(x <= t)`,
+//! with no child load; over a block it is branchless straight-line code
+//! over fixed-size arrays that the optimizer keeps in registers, and a
+//! level's nodes are contiguous in memory. The walk is **bit-identical**
+//! to the recursive one for every input, including `NaN` and `±inf`
+//! feature values.
 //!
-//! The walk is compiled for the block widths in [`ResolvedKernel`]: a width
-//! earns its place only by winning by more than 5% over
-//! [`DEFAULT_BLOCK_WIDTH`] on the image-784, tabular or dispute fixture.
-//! On the committed matrix none does, so both [`Kernel`]s resolve to the
-//! default width and [`Kernel::Auto`] has nothing to probe.
+//! The walk is compiled for exactly one block width,
+//! [`DEFAULT_BLOCK_WIDTH`]. Eight lanes with the 16-byte node beat the
+//! 24-byte node at sixteen lanes on the dispute and tabular fixtures and
+//! are no slower on image-784, while the 16-byte node at sixteen lanes
+//! measured level with the old walk. Both [`Kernel`]s resolve to that
+//! width and [`Kernel::Auto`] has nothing to probe.
 
 use super::{CompiledForest, LEAF_MARKER};
 
 /// Samples walked together per block: narrow enough to vectorize
 /// compactly, wide enough to keep several independent gathers in flight.
-pub const DEFAULT_BLOCK_WIDTH: usize = 16;
+pub const DEFAULT_BLOCK_WIDTH: usize = 8;
 
 /// Batch-inference kernel selector, as requested by callers (the service,
 /// bench fixtures). Every kernel returns bit-identical predictions; the
@@ -41,7 +44,7 @@ impl Kernel {
 
     /// The concrete walk this kernel runs as.
     pub(super) fn resolve(self) -> ResolvedKernel {
-        ResolvedKernel::Blocked16
+        ResolvedKernel::Blocked8
     }
 }
 
@@ -58,18 +61,18 @@ impl std::fmt::Display for Kernel {
 /// it can only name a width that dispatch actually runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedKernel {
-    /// The blocked walk at 16 lanes ([`DEFAULT_BLOCK_WIDTH`]).
-    Blocked16,
+    /// The blocked walk at 8 lanes ([`DEFAULT_BLOCK_WIDTH`]).
+    Blocked8,
 }
 
 impl ResolvedKernel {
     /// Every width the walk is compiled for.
-    pub const ALL: [ResolvedKernel; 1] = [ResolvedKernel::Blocked16];
+    pub const ALL: [ResolvedKernel; 1] = [ResolvedKernel::Blocked8];
 
     /// Samples walked together per block.
     pub fn block_width(&self) -> usize {
         match self {
-            ResolvedKernel::Blocked16 => DEFAULT_BLOCK_WIDTH,
+            ResolvedKernel::Blocked8 => DEFAULT_BLOCK_WIDTH,
         }
     }
 
@@ -84,7 +87,7 @@ impl ResolvedKernel {
         sink: impl FnMut(usize, usize, u32),
     ) {
         match self {
-            ResolvedKernel::Blocked16 => {
+            ResolvedKernel::Blocked8 => {
                 run_blocked::<DEFAULT_BLOCK_WIDTH>(forest, values, cols, samples, sink)
             }
         }
@@ -100,15 +103,17 @@ impl std::fmt::Display for ResolvedKernel {
 /// Per-level breadth-first node layout driving the blocked walk.
 ///
 /// Each tree's nodes are renumbered in BFS order, so one lockstep step of
-/// a sample block reads from a contiguous slab of one level. Leaves are
-/// *self loops* on both children: a finished lane spins on its leaf, so
-/// every lane advances exactly `depth(tree)` steps with no leaf test. Leaf
-/// labels live in a separate `leaf_label` array rather than overloading
-/// the feature slot, so the gather index of a finished lane stays a valid
-/// feature.
+/// a sample block reads from a contiguous slab of one level, and the two
+/// children of every internal node are adjacent: left at `first_child`,
+/// right at `first_child + 1`. Leaves are *self loops*: a `NaN` threshold
+/// always takes the `+ 1` branch and `first_child` is the leaf's own index
+/// minus one, so a finished lane spins on its leaf and every lane advances
+/// exactly `depth(tree)` steps with no leaf test. Leaf labels live in a
+/// separate `leaf_label` array rather than overloading the feature slot,
+/// so the gather index of a finished lane stays a valid feature.
 #[derive(Debug, Clone, Default)]
 pub(super) struct LevelLayout {
-    /// Packed nodes (24 bytes each), BFS-ordered per tree. One struct per
+    /// Packed nodes (16 bytes each), BFS-ordered per tree. One struct per
     /// node keeps each visit to a single cache-line stream (split arrays
     /// touch three lines per node).
     walk: Vec<WalkNode>,
@@ -123,15 +128,18 @@ pub(super) struct LevelLayout {
 #[derive(Debug, Clone, Copy)]
 struct WalkNode {
     /// Split threshold (`NaN` for leaves, so `value <= t` is false and the
-    /// self loop is taken through `kids[0]`).
+    /// step takes `first_child + 1`, which for a leaf is the leaf itself).
     threshold: f64,
     /// Feature tested (0 for leaves; never gathered out-of-bounds because
     /// leaves keep descending via their self loop).
     feature: u32,
-    /// `kids[usize::from(value <= t)]`: index 0 is the right child (the
-    /// branch `NaN` takes), index 1 the left. Leaves self-loop on both.
-    kids: [u32; 2],
+    /// BFS index of the left child; the right child (the branch `NaN`
+    /// takes) is the next node. A leaf stores its own index minus one,
+    /// wrapping for a lone leaf at index 0.
+    first_child: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<WalkNode>() == 16);
 
 impl LevelLayout {
     /// Builds the layout from the canonical SoA arrays.
@@ -162,6 +170,7 @@ impl LevelLayout {
                 let node = order[head];
                 head += 1;
                 if feature[node] != LEAF_MARKER {
+                    // Left then right: the pair lands on adjacent slots.
                     order.push(left[node] as usize);
                     order.push(right[node] as usize);
                 }
@@ -170,19 +179,20 @@ impl LevelLayout {
                 remap[old] = (base + offset) as u32;
             }
             for &old in &order {
-                let new = remap[old];
                 if feature[old] == LEAF_MARKER {
                     layout.walk.push(WalkNode {
                         threshold: f64::NAN,
                         feature: 0,
-                        kids: [new, new],
+                        first_child: remap[old].wrapping_sub(1),
                     });
                     layout.leaf_label.push(left[old]);
                 } else {
+                    let first_child = remap[left[old] as usize];
+                    debug_assert_eq!(remap[right[old] as usize], first_child + 1);
                     layout.walk.push(WalkNode {
                         threshold: threshold[old],
                         feature: feature[old],
-                        kids: [remap[right[old] as usize], remap[left[old] as usize]],
+                        first_child,
                     });
                     layout.leaf_label.push(0);
                 }
@@ -212,13 +222,10 @@ fn descend(level: &LevelLayout, root: u32, depth: u32, rows: &[f64], cols: usize
         for (lane, state) in states.iter_mut().enumerate() {
             let node = nodes[*state as usize];
             let value = rows[lane * cols + node.feature as usize];
-            // NaN compares false, taking `kids[0]`: into the right child
-            // of an internal node or around a leaf's self loop.
-            *state = if value <= node.threshold {
-                node.kids[1]
-            } else {
-                node.kids[0]
-            };
+            // `+ 1` unless `value <= t`: NaN compares false and takes it,
+            // into the right child of an internal node or around a leaf's
+            // self loop.
+            *state = node.first_child.wrapping_add(u32::from(value <= node.threshold) ^ 1);
         }
     }
 }
@@ -262,7 +269,7 @@ mod tests {
     fn kernel_names_render() {
         assert_eq!(Kernel::Blocked.to_string(), "blocked");
         assert_eq!(Kernel::Auto.to_string(), "auto");
-        assert_eq!(ResolvedKernel::Blocked16.to_string(), "blocked16");
-        assert_eq!(ResolvedKernel::Blocked16.block_width(), DEFAULT_BLOCK_WIDTH);
+        assert_eq!(ResolvedKernel::Blocked8.to_string(), "blocked8");
+        assert_eq!(ResolvedKernel::Blocked8.block_width(), DEFAULT_BLOCK_WIDTH);
     }
 }

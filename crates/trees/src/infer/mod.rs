@@ -792,8 +792,8 @@ mod tests {
 
     #[test]
     fn resident_bytes_count_every_array() {
-        // A two-tree forest of 3 + 1 nodes: 20 B of SoA words and 28 B of
-        // level layout (24 B node + 4 B leaf label) per node, plus
+        // A two-tree forest of 3 + 1 nodes: 20 B of SoA words and 20 B of
+        // level layout (16 B node + 4 B leaf label) per node, plus
         // tree_starts (3 × 4 B), depths and BFS roots (2 × 4 B each).
         let compiled = CompiledForest::from_raw_parts(
             vec![0, LEAF_MARKER, LEAF_MARKER, LEAF_MARKER],
@@ -807,7 +807,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             compiled.resident_bytes() - std::mem::size_of::<CompiledForest>(),
-            4 * 48 + 12 + 8 + 8
+            4 * 40 + 12 + 8 + 8
         );
     }
 

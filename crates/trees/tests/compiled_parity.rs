@@ -2,13 +2,15 @@
 //! reference: for arbitrary datasets — including `NaN` and `±inf` feature
 //! values — every compiled prediction must be bit-identical to the
 //! pointer-tree walk, and serialization round-trips must preserve the
-//! model's behaviour exactly.
+//! model's behaviour exactly. Hand-built forests add the shapes training
+//! rarely yields: a lone leaf as the first tree, forests of only leaves
+//! and mixed tree depths, at batch sizes around the block width.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use wdte_data::{Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, ForestParams, Kernel, RandomForest, TreeParams};
+use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label};
+use wdte_trees::{CompiledForest, DecisionTree, ForestParams, Kernel, Node, RandomForest, TreeParams};
 
 /// Feature values drawn from a finite range plus the non-finite specials
 /// the split search and traversal must handle deterministically.
@@ -47,8 +49,94 @@ fn k_class_dataset_from(rows: Vec<Vec<f64>>, class_picks: &[u8], num_classes: us
     .unwrap()
 }
 
+/// Pointer forests over three features whose trees grow their leftmost
+/// path to a per-tree depth cap (0 makes a lone leaf) and stop other
+/// branches at random. Half start with a lone leaf and one in six hold
+/// only leaves; thresholds include both signed zeros.
+struct HandBuiltForest;
+
+impl HandBuiltForest {
+    fn grow(
+        rng: &mut proptest::TestRng,
+        depth_left: u32,
+        leftmost: bool,
+        k: usize,
+        nodes: &mut Vec<Node>,
+    ) -> usize {
+        let slot = nodes.len();
+        let label = Label::from_index((0..k).generate(rng)).unwrap();
+        nodes.push(Node::Leaf {
+            label,
+            counts: ClassCounts::new(),
+        });
+        if depth_left == 0 || (!leftmost && (0u32..3).generate(rng) == 0) {
+            return slot;
+        }
+        let feature = (0usize..3).generate(rng);
+        let threshold = match (0u32..4).generate(rng) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (-1.5f64..1.5).generate(rng),
+        };
+        let left = Self::grow(rng, depth_left - 1, leftmost, k, nodes);
+        let right = Self::grow(rng, depth_left - 1, false, k, nodes);
+        nodes[slot] = Node::Internal {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        slot
+    }
+}
+
+impl Strategy for HandBuiltForest {
+    type Value = RandomForest;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> RandomForest {
+        let k = [2usize, 3, 5][(0usize..3).generate(rng)];
+        let leaves_only = (0u32..6).generate(rng) == 0;
+        let lone_leaf_first = (0u32..2).generate(rng) == 0;
+        let trees = (0..(1usize..6).generate(rng))
+            .map(|tree| {
+                let cap = if leaves_only || (tree == 0 && lone_leaf_first) {
+                    0
+                } else {
+                    (0u32..7).generate(rng)
+                };
+                let mut nodes = Vec::new();
+                Self::grow(rng, cap, true, k, &mut nodes);
+                DecisionTree::from_nodes(nodes, 3)
+            })
+            .collect();
+        RandomForest::from_trees_with_classes(trees, k)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn hand_built_shapes_match_recursive_predictions_at_block_edges(
+        forest in HandBuiltForest,
+        rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 17),
+    ) {
+        let compiled = CompiledForest::compile(&forest);
+        for size in [0usize, 1, 7, 8, 9, 15, 16, 17] {
+            let matrix = DenseMatrix::from_vec(size, 3, rows[..size].concat()).unwrap();
+            let batch = compiled.predict_all_batch(&matrix);
+            prop_assert_eq!(batch.num_samples(), size);
+            let majorities = compiled.predict_batch(&matrix);
+            for (index, row) in rows[..size].iter().enumerate() {
+                prop_assert_eq!(compiled.predict_all(row), forest.predict_all(row));
+                prop_assert_eq!(batch.sample(index), forest.predict_all(row).as_slice());
+                prop_assert_eq!(majorities[index], forest.predict(row));
+            }
+            for shard_rows in [1usize, 3, 1024] {
+                prop_assert_eq!(&compiled.par_predict_all_batch(&matrix, shard_rows, Kernel::Auto), &batch);
+            }
+        }
+    }
 
     #[test]
     fn compiled_batch_is_bit_identical_to_recursive_predictions(

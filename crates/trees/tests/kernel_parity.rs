@@ -3,8 +3,10 @@
 //! walk, on trained forests over adversarial feature values (`NaN`,
 //! `±inf`, signed zeros), on hand-built trees whose thresholds sit exactly
 //! on or between adjacent `f32` values (where any lossy compare would
-//! lie), and on the degenerate shapes: leaf-only trees and very deep
-//! chains.
+//! lie), and on the degenerate shapes: leaf-only trees and forests, a
+//! lone leaf as the first tree (whose self loop wraps below node 0),
+//! mixed tree depths, batches on either side of the block width, and
+//! very deep chains.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -107,7 +109,9 @@ fn chain_forest(thresholds: &[f64], num_classes: usize) -> CompiledForest {
 /// `rows`, through the batch and sharded entry points, and that the vote
 /// entry points reconcile with the per-tree labels.
 fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
-    let matrix = DenseMatrix::from_rows(rows).unwrap();
+    // An empty batch still has the model's width.
+    let cols = rows.first().map_or(compiled.num_features(), Vec::len);
+    let matrix = DenseMatrix::from_vec(rows.len(), cols, rows.concat()).unwrap();
     let reference: Vec<Vec<Label>> = rows.iter().map(|row| compiled.predict_all(row)).collect();
     for kernel in Kernel::ALL {
         let batch = compiled.predict_all_batch_with(&matrix, kernel);
@@ -153,6 +157,92 @@ fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
         majorities.push(Label::from_index(winner).unwrap());
     }
     assert_eq!(compiled.predict_batch(&matrix), majorities);
+}
+
+/// Batch sizes on both sides of one and two blocks, plus the empty batch.
+const BLOCK_EDGE_SIZES: [usize; 8] = [0, 1, 7, 8, 9, 15, 16, 17];
+
+/// Hand-built forests of mixed shapes, as canonical preorder arrays over
+/// three features: every tree grows its leftmost path to its own depth
+/// cap (0 makes a lone leaf) and stops other branches at random. Half the
+/// forests start with a lone leaf, so that leaf's BFS self loop wraps
+/// below node 0, and one in six holds only leaves. Thresholds include
+/// both signed zeros.
+struct MixedShapes;
+
+/// The canonical preorder node arrays of a forest under construction.
+#[derive(Default)]
+struct NodeArrays {
+    feature: Vec<u32>,
+    threshold: Vec<f64>,
+    left: Vec<u32>,
+    right: Vec<u32>,
+}
+
+impl NodeArrays {
+    /// Appends a subtree in preorder and returns its root's index.
+    fn grow(
+        &mut self,
+        rng: &mut proptest::TestRng,
+        depth_left: u32,
+        leftmost: bool,
+        num_classes: u32,
+    ) -> u32 {
+        let slot = self.feature.len();
+        self.feature.push(u32::MAX);
+        self.threshold.push(0.0);
+        self.left.push((0..num_classes).generate(rng));
+        self.right.push(0);
+        if depth_left == 0 || (!leftmost && (0u32..3).generate(rng) == 0) {
+            return slot as u32;
+        }
+        self.feature[slot] = (0u32..3).generate(rng);
+        self.threshold[slot] = match (0u32..4).generate(rng) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => (-1.5f64..1.5).generate(rng),
+        };
+        self.left[slot] = self.grow(rng, depth_left - 1, leftmost, num_classes);
+        self.right[slot] = self.grow(rng, depth_left - 1, false, num_classes);
+        slot as u32
+    }
+}
+
+impl Strategy for MixedShapes {
+    type Value = CompiledForest;
+
+    fn generate(&self, rng: &mut proptest::TestRng) -> CompiledForest {
+        let num_classes = [2u32, 3, 5][(0usize..3).generate(rng)];
+        let leaves_only = (0u32..6).generate(rng) == 0;
+        let lone_leaf_first = (0u32..2).generate(rng) == 0;
+        let mut nodes = NodeArrays::default();
+        let mut tree_starts = vec![0u32];
+        for tree in 0..(1usize..6).generate(rng) {
+            let cap = if leaves_only || (tree == 0 && lone_leaf_first) {
+                0
+            } else {
+                (0u32..7).generate(rng)
+            };
+            nodes.grow(rng, cap, true, num_classes);
+            tree_starts.push(nodes.feature.len() as u32);
+        }
+        let NodeArrays {
+            feature,
+            threshold,
+            left,
+            right,
+        } = nodes;
+        CompiledForest::from_raw_parts(
+            feature,
+            threshold,
+            left,
+            right,
+            tree_starts,
+            3,
+            num_classes as usize,
+        )
+        .expect("grown trees are structurally valid")
+    }
 }
 
 /// Every width the walk is compiled for is reached by some kernel, so the
@@ -229,6 +319,16 @@ proptest! {
     }
 
     #[test]
+    fn kernels_match_on_mixed_shapes_at_block_edges(
+        compiled in MixedShapes,
+        rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 17),
+    ) {
+        for size in BLOCK_EDGE_SIZES {
+            assert_kernels_match(&compiled, &rows[..size]);
+        }
+    }
+
+    #[test]
     fn kernels_agree_on_f32_boundary_thresholds(
         thresholds in proptest::collection::vec(BoundaryThreshold, 1..24),
         extra in proptest::collection::vec(feature_value(), 8),
@@ -265,9 +365,29 @@ fn leaf_only_trees_agree_across_kernels() {
         },
         &mut SmallRng::seed_from_u64(7),
     );
-    let compiled = CompiledForest::compile(&forest);
-    let probes = vec![vec![0.25], vec![f64::NAN], vec![f64::INFINITY]];
-    assert_kernels_match(&compiled, &probes);
+    let leaves = CompiledForest::compile(&forest);
+    // Tree 0 is a lone leaf at BFS index 0, so its self loop must wrap
+    // below zero; tree 1 is a depth-2 tree whose children sit on adjacent
+    // slots; tree 2 is another lone leaf.
+    let mixed = CompiledForest::from_raw_parts(
+        vec![u32::MAX, 0, 0, u32::MAX, u32::MAX, u32::MAX, u32::MAX],
+        vec![0.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0],
+        vec![2, 2, 3, 0, 1, 2, 1],
+        vec![0, 5, 4, 0, 0, 0, 0],
+        vec![0, 1, 6, 7],
+        1,
+        3,
+    )
+    .unwrap();
+    let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -0.5, 0.25];
+    let probes: Vec<Vec<f64>> = (0..17).map(|i| vec![specials[i % specials.len()]]).collect();
+    for size in BLOCK_EDGE_SIZES {
+        assert_kernels_match(&leaves, &probes[..size]);
+        assert_kernels_match(&mixed, &probes[..size]);
+    }
+    // -0.0 <= 0.0 and -0.0 > -0.5: left, then right to the class-1 leaf.
+    let expected = vec![Label::from_index(2).unwrap(), Label::Positive, Label::Positive];
+    assert_eq!(mixed.predict_all(&[-0.0]), expected);
 }
 
 #[test]
