@@ -2,10 +2,14 @@
 //!
 //! Shared fixtures for the Criterion benchmark suite: small, deterministic
 //! datasets and pre-trained models reused across benchmarks so each bench
-//! measures the operation of interest rather than setup cost.
+//! measures the operation of interest rather than setup cost. The
+//! [`smoke`] module holds the fixture and served-versus-in-process checks
+//! of the smoke binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod smoke;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;

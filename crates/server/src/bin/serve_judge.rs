@@ -115,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
         router: false,
         backends: Vec::new(),
         spawn_backends: 0,
-        ring_replicas: 64,
+        ring_replicas: RouterConfig::default().ring_replicas,
         retry_siblings: 1,
         health_interval_secs: 1,
     };

@@ -13,8 +13,8 @@ use wdte_server::ServerConfig;
 
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
 const SERVE_JUDGE: &str = include_str!("../src/bin/serve_judge.rs");
-const JUDGE_SMOKE: &str = include_str!("../src/bin/judge_smoke.rs");
-const FLEET_SMOKE: &str = include_str!("../src/bin/fleet_smoke.rs");
+const JUDGE_SMOKE: &str = include_str!("../../bench/src/bin/judge_smoke.rs");
+const FLEET_SMOKE: &str = include_str!("../../bench/src/bin/fleet_smoke.rs");
 
 /// Every `--flag` token in `text`: a `--` immediately followed by an
 /// ASCII lowercase letter, preceded by neither an alphanumeric nor
