@@ -8,14 +8,14 @@
 //! on-disk artefacts — a dispute must never be decided on a silently
 //! misread message.
 //!
-//! ## Frame format (v4)
+//! ## Frame format (v5)
 //!
 //! Every message travels as one length-prefixed frame:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "WDTP"
-//! 4       2     protocol version (little-endian u16, currently 4)
+//! 4       2     protocol version (little-endian u16, currently 5)
 //! 6       8     correlation id (little-endian u64)
 //! 14      8     sequence number (little-endian u64; 0 on anonymous frames)
 //! 22      16    tenant id (ASCII, zero-padded; all-zero = anonymous)
@@ -39,6 +39,9 @@
 //! always travel with zeroed auth fields (the judge is the trusted party
 //! of the paper's protocol). v3 had an 18-byte header without these
 //! fields; v3 model payloads (k-class forests) are carried unchanged.
+//! v5 keeps the v4 header and cuts the request set to one way of sending
+//! a claim, [`Request::ResolveDocketRef`] (a single resolution is a docket
+//! of one), and docket verdicts carry a [`WireFault`].
 //!
 //! The **correlation id** (since v2) lets a client stamp every request
 //! with an id of its choosing, echoed on the response frame. Responses
@@ -75,8 +78,8 @@
 //! every practical purpose. [`Request::ResolveDocketRef`] names each
 //! dispute's claim by digest and inlines only bodies the judge has not
 //! seen; the judge answers a reference it cannot resolve with
-//! [`Response::NeedPayload`], and [`Request::Payload`] uploads bodies
-//! explicitly ([`Response::PayloadStored`]). The digest is a cache key,
+//! [`Response::NeedPayload`], and the client resends the docket with the
+//! named bodies inlined. The digest is a cache key,
 //! not an authentication mechanism: the judge computes digests itself
 //! from the bytes it received (a peer cannot bind a digest to foreign
 //! content), but the construction is not collision-resistant against a
@@ -92,7 +95,6 @@
 //! wire and the disk evolve separately.
 
 use crate::error::{WatermarkError, WatermarkResult};
-use crate::service::Dispute;
 use crate::verify::{OwnershipClaim, VerificationReport};
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
@@ -103,10 +105,11 @@ use wdte_trees::{Node, RandomForest};
 /// artefact file can never be mistaken for a frame, or vice versa).
 pub const PROTO_MAGIC: &[u8; 4] = b"WDTP";
 
-/// Protocol version this build speaks and accepts. v4 = the authenticated
-/// multi-tenant header (sequence + tenant + tag fields) carrying v3's
-/// k-class message payloads.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// Protocol version this build speaks and accepts. v5 = the v4
+/// authenticated multi-tenant header (sequence + tenant + tag fields)
+/// with one claim-carrying request, [`Request::ResolveDocketRef`], whose
+/// per-dispute failures travel as [`WireFault`]s.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Bytes of the header prelude: magic + version. The prelude is validated
 /// on its own before the rest of the header is read, so a frame from a
@@ -318,35 +321,18 @@ pub enum Request {
         /// Content digest of a previously registered model.
         digest: PayloadDigest,
     },
-    /// Resolves one claim against a registered model.
-    Resolve {
-        /// Registry id of the suspect model.
-        model_id: String,
-        /// The owner's evidence.
-        claim: OwnershipClaim,
-    },
-    /// Resolves a whole docket concurrently, one verdict per dispute in
-    /// input order, claims carried in full.
-    ResolveDocket {
-        /// The disputes to adjudicate.
-        disputes: Vec<Dispute>,
-    },
-    /// Resolves a whole docket with content-addressed claims: `bodies`
-    /// carries only claims the client believes the judge has not cached,
-    /// and each dispute names its claim by digest. A digest the judge can
-    /// resolve from neither `bodies` nor its cache is answered with
-    /// [`Response::NeedPayload`] (no partial verdicts).
+    /// Resolves a docket concurrently, one verdict per dispute in input
+    /// order — the only request that carries claims; a single resolution
+    /// is a docket of one. `bodies` carries only claims the client
+    /// believes the judge has not cached, and each dispute names its claim
+    /// by digest. A digest the judge can resolve from neither `bodies` nor
+    /// its cache is answered with [`Response::NeedPayload`] (no partial
+    /// verdicts).
     ResolveDocketRef {
         /// Claim bodies inlined with this docket (deduplicated).
         bodies: Vec<OwnershipClaim>,
         /// The disputes to adjudicate, claims by digest.
         disputes: Vec<DisputeRef>,
-    },
-    /// Uploads claim bodies into the judge's content cache without
-    /// resolving anything.
-    Payload {
-        /// The claim bodies to cache.
-        claims: Vec<OwnershipClaim>,
     },
     /// Lists the ids of every registered model, sorted.
     ListModels,
@@ -387,12 +373,7 @@ pub enum Response {
         /// this echo.
         digest: PayloadDigest,
     },
-    /// Answer to [`Request::Resolve`].
-    Resolved {
-        /// The verification verdict.
-        report: VerificationReport,
-    },
-    /// Answer to [`Request::ResolveDocket`] / [`Request::ResolveDocketRef`].
+    /// Answer to [`Request::ResolveDocketRef`].
     Docket {
         /// One verdict per dispute, in input order.
         verdicts: Vec<DocketVerdict>,
@@ -403,12 +384,6 @@ pub enum Response {
     NeedPayload {
         /// The digests the judge could not resolve, deduplicated, in first
         /// reference order.
-        digests: Vec<PayloadDigest>,
-    },
-    /// Answer to [`Request::Payload`].
-    PayloadStored {
-        /// Digest of each uploaded claim, in upload order (computed by the
-        /// judge from the received bytes).
         digests: Vec<PayloadDigest>,
     },
     /// Answer to [`Request::ListModels`].
@@ -442,16 +417,9 @@ pub enum Response {
 pub enum DocketVerdict {
     /// The dispute was adjudicated.
     Report(VerificationReport),
-    /// The dispute named a model the judge does not know.
-    UnknownModel {
-        /// The model id the claim was filed against.
-        model_id: String,
-    },
-    /// Any other failure, rendered as text (forward-compatible catch-all).
-    Failed {
-        /// The rendered error message.
-        message: String,
-    },
+    /// The dispute was refused, exactly as a request-level refusal would
+    /// have been.
+    Fault(WireFault),
 }
 
 impl DocketVerdict {
@@ -459,26 +427,22 @@ impl DocketVerdict {
     pub fn from_result(result: WatermarkResult<VerificationReport>) -> Self {
         match result {
             Ok(report) => DocketVerdict::Report(report),
-            Err(WatermarkError::UnknownModel { model_id }) => DocketVerdict::UnknownModel { model_id },
-            Err(other) => DocketVerdict::Failed {
-                message: other.to_string(),
-            },
+            Err(err) => DocketVerdict::Fault(WireFault::from_error(&err)),
         }
     }
 
-    /// Reconstructs the in-process verdict on the client side. Structured
-    /// variants round-trip exactly; [`DocketVerdict::Failed`] surfaces as
-    /// [`WatermarkError::Remote`].
+    /// Reconstructs the in-process verdict on the client side, through
+    /// [`WireFault::into_error`].
     pub fn into_result(self) -> WatermarkResult<VerificationReport> {
         match self {
             DocketVerdict::Report(report) => Ok(report),
-            DocketVerdict::UnknownModel { model_id } => Err(WatermarkError::UnknownModel { model_id }),
-            DocketVerdict::Failed { message } => Err(WatermarkError::Remote { message }),
+            DocketVerdict::Fault(fault) => Err(fault.into_error()),
         }
     }
 }
 
-/// Structured rendering of a request-level failure for [`Response::Error`].
+/// Structured rendering of a refusal: of a whole request in
+/// [`Response::Error`], of one dispute in [`DocketVerdict::Fault`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WireFault {
     /// The request named a model the judge does not know.
@@ -581,6 +545,11 @@ impl WireFault {
                 used: *used,
                 limit: *limit,
             },
+            // A relayed failure keeps its message as is, so each hop
+            // does not prefix it again.
+            WatermarkError::Remote { message } => WireFault::Internal {
+                detail: message.clone(),
+            },
             other => WireFault::Internal {
                 detail: other.to_string(),
             },
@@ -618,7 +587,7 @@ impl WireFault {
     }
 }
 
-/// The parsed fixed-size part of one v4 frame: everything the receiver
+/// The parsed fixed-size part of one v5 frame: everything the receiver
 /// knows before (and about) the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
@@ -935,18 +904,10 @@ mod tests {
             model_id: "m2".into(),
             digest,
         });
-        round_trip(&Request::Resolve {
-            model_id: "m".into(),
-            claim: claim.clone(),
-        });
-        round_trip(&Request::ResolveDocket {
-            disputes: vec![Dispute::new("m", claim.clone())],
-        });
         round_trip(&Request::ResolveDocketRef {
-            bodies: vec![claim.clone()],
             disputes: vec![DisputeRef::new("m", PayloadDigest::of_claim(&claim))],
+            bodies: vec![claim],
         });
-        round_trip(&Request::Payload { claims: vec![claim] });
         round_trip(&Request::ListModels);
         round_trip(&Request::Deregister { model_id: "m".into() });
         round_trip(&Request::Stats);
@@ -972,25 +933,19 @@ mod tests {
             num_trees: 16,
             digest,
         });
-        round_trip(&Response::Resolved {
-            report: report.clone(),
-        });
         round_trip(&Response::Docket {
             verdicts: vec![
                 DocketVerdict::Report(report),
-                DocketVerdict::UnknownModel {
+                DocketVerdict::Fault(WireFault::UnknownModel {
                     model_id: "ghost".into(),
-                },
-                DocketVerdict::Failed {
-                    message: "boom".into(),
-                },
+                }),
+                DocketVerdict::Fault(WireFault::Forbidden {
+                    detail: "other tenant".into(),
+                }),
             ],
         });
         round_trip(&Response::NeedPayload {
             digests: vec![digest, PayloadDigest { hi: 3, lo: 4 }],
-        });
-        round_trip(&Response::PayloadStored {
-            digests: vec![digest],
         });
         round_trip(&Response::Models {
             model_ids: vec!["a".into(), "b".into()],
@@ -1115,9 +1070,9 @@ mod tests {
     fn truncated_frames_are_protocol_violations() {
         let frame = encode_frame(
             1,
-            &Request::Resolve {
-                model_id: "m".into(),
-                claim: sample_claim(),
+            &Request::ResolveDocketRef {
+                bodies: vec![sample_claim()],
+                disputes: vec![],
             },
         )
         .unwrap();
@@ -1301,6 +1256,11 @@ mod tests {
             },
         ] {
             assert_eq!(WireFault::from_error(&structured).into_error(), structured);
+            // A refused dispute in a docket comes back as the same error.
+            assert_eq!(
+                DocketVerdict::from_result(Err(structured.clone())).into_result().unwrap_err(),
+                structured
+            );
         }
         // Unstructured errors degrade to Remote but keep the message.
         let odd = WatermarkError::EmptyTrainingSet;
@@ -1308,5 +1268,19 @@ mod tests {
             WatermarkError::Remote { message } => assert_eq!(message, odd.to_string()),
             other => panic!("expected Remote, got {other:?}"),
         }
+    }
+
+    /// A relayed failure crosses a router hop unchanged: its message is
+    /// not prefixed again by each hop.
+    #[test]
+    fn relayed_remote_errors_keep_their_message() {
+        let remote = WatermarkError::Remote {
+            message: "model `m` is homed on backend 0, which is unreachable".into(),
+        };
+        assert_eq!(WireFault::from_error(&remote).into_error(), remote);
+        assert_eq!(
+            DocketVerdict::from_result(Err(remote.clone())).into_result().unwrap_err(),
+            remote
+        );
     }
 }

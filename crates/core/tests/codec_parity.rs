@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize, Value};
 use std::mem::discriminant;
 use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
 use wdte_core::verify::VerificationReport;
-use wdte_core::{Dispute, OwnershipClaim, Signature, TenantStatsEntry, WatermarkError, WatermarkResult};
+use wdte_core::{OwnershipClaim, Signature, TenantStatsEntry, WatermarkError, WatermarkResult};
 use wdte_data::{Dataset, DenseMatrix, Label, MultiClassSpec};
 use wdte_trees::{ForestParams, RandomForest};
 
@@ -145,21 +145,13 @@ fn every_request(rng: &mut SmallRng) -> Vec<Request> {
             model_id: String::new(),
             digest: digest(rng),
         },
-        Request::Resolve {
-            model_id: "m".into(),
-            claim: claim(rng),
-        },
-        Request::ResolveDocket {
-            disputes: bodies.iter().map(|c| Dispute::new("m", c.clone())).collect(),
-        },
         Request::ResolveDocketRef {
             disputes: bodies
                 .iter()
                 .map(|c| DisputeRef::new("m", PayloadDigest::of_claim(c)))
                 .collect(),
-            bodies: bodies.clone(),
+            bodies,
         },
-        Request::Payload { claims: bodies },
         Request::ListModels,
         Request::Deregister { model_id: "m".into() },
         Request::Stats,
@@ -211,23 +203,14 @@ fn every_response(rng: &mut SmallRng) -> Vec<Response> {
             num_trees: rng.gen(),
             digest: digest(rng),
         },
-        Response::Resolved { report: report(rng) },
         Response::Docket {
-            verdicts: vec![
-                DocketVerdict::Report(report(rng)),
-                DocketVerdict::UnknownModel {
-                    model_id: "ghost".into(),
-                },
-                DocketVerdict::Failed {
-                    message: "boom".into(),
-                },
-            ],
+            // Every fault can also refuse a single dispute.
+            verdicts: std::iter::once(DocketVerdict::Report(report(rng)))
+                .chain(faults.iter().cloned().map(DocketVerdict::Fault))
+                .collect(),
         },
         Response::NeedPayload {
             digests: (0..rng.gen_range(0..4)).map(|_| digest(rng)).collect(),
-        },
-        Response::PayloadStored {
-            digests: vec![digest(rng)],
         },
         Response::Models {
             model_ids: vec!["a".into(), "b".into()],

@@ -18,7 +18,7 @@
 //! actually-bound address to a file once listening, so scripts (the CI
 //! smoke job) can discover it race-free.
 //!
-//! The judge speaks WDTP v4: every connection may pipeline requests (up
+//! The judge speaks WDTP v5: every connection may pipeline requests (up
 //! to `--max-pipeline` in flight each; `0` = unbounded) and claims are
 //! content-addressed — bodies travel once and later dockets reference
 //! them by digest against a bounded claim cache (`--claim-cache-mb`, `0`

@@ -64,10 +64,6 @@ enum BorrowedRequest<'a> {
         model_id: &'a str,
         model: &'a RandomForest,
     },
-    Resolve {
-        model_id: &'a str,
-        claim: &'a OwnershipClaim,
-    },
     ResolveDocketRef {
         bodies: &'a [&'a OwnershipClaim],
         disputes: &'a [DisputeRef],
@@ -600,20 +596,20 @@ impl DisputeClient {
         }
     }
 
-    /// Resolves one claim against a registered model.
+    /// Resolves one claim against a registered model: a docket of one,
+    /// so the claim is cached and referenced by digest like any other, and
+    /// a refusal arrives as the same typed error.
     pub fn resolve(
         &mut self,
         model_id: impl Into<String>,
         claim: &OwnershipClaim,
     ) -> WatermarkResult<VerificationReport> {
-        let model_id = model_id.into();
-        let request = BorrowedRequest::Resolve {
-            model_id: &model_id,
-            claim,
-        };
-        match self.call(&request)? {
-            Response::Resolved { report } => Ok(report),
-            other => Err(Self::unexpected(other, "Resolved")),
+        let ticket = self.send_docket(&[Dispute::new(model_id, claim.clone())])?;
+        match <[_; 1]>::try_from(self.recv_docket(ticket)?) {
+            Ok([verdict]) => verdict,
+            Err(verdicts) => Err(WatermarkError::ProtocolViolation {
+                detail: format!("judge answered a docket of one with {} verdicts", verdicts.len()),
+            }),
         }
     }
 
@@ -944,16 +940,6 @@ mod tests {
             frame(&Request::RegisterModel {
                 model_id: "m".into(),
                 model: model.clone()
-            })
-        );
-        assert_eq!(
-            frame(&BorrowedRequest::Resolve {
-                model_id: "m",
-                claim: &claim
-            }),
-            frame(&Request::Resolve {
-                model_id: "m".into(),
-                claim: claim.clone()
             })
         );
         assert_eq!(

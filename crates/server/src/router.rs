@@ -40,7 +40,7 @@ use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
 use wdte_core::error::{WatermarkError, WatermarkResult};
 use wdte_core::fleet::{self, HashRing};
-use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
+use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response};
 use wdte_core::{persist, KeyRing, OwnershipClaim, TenantId, TenantStatsEntry};
 
 use crate::client::{ClientAuth, ClientConfig, DisputeClient, DocketOutcome};
@@ -387,30 +387,10 @@ fn probe(addr: &str, timeout: Duration) -> bool {
 fn route_request(shared: &RouterShared, tenant: &TenantId, request: Request) -> Response {
     match request {
         Request::Ping => aggregate_ping(shared, tenant),
-        // Single-model requests go to the key's home backend, with
-        // bounded failover onto ring siblings.
-        Request::RegisterModel { .. } | Request::RegisterModelRef { .. } | Request::Resolve { .. } => {
-            let model_id = match &request {
-                Request::RegisterModel { model_id, .. }
-                | Request::RegisterModelRef { model_id, .. }
-                | Request::Resolve { model_id, .. } => model_id.clone(),
-                _ => unreachable!("the outer match admits only model-bearing arms"),
-            };
-            route_single(shared, tenant, &model_id, &request)
-        }
-        Request::ResolveDocket { disputes } => {
-            // Unify onto the ref form the backends already speak: digest
-            // every body once, share it across whichever shards reference
-            // it, and let the per-backend clients decide what to inline.
-            let mut bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>> =
-                HashMap::with_capacity(disputes.len());
-            let mut refs = Vec::with_capacity(disputes.len());
-            for dispute in disputes {
-                let digest = PayloadDigest::of_claim(&dispute.claim);
-                bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim));
-                refs.push(DisputeRef::new(dispute.model_id, digest));
-            }
-            route_docket(shared, tenant, &bodies, refs)
+        // Registrations go to the key's home backend, with bounded
+        // failover onto ring siblings.
+        Request::RegisterModel { ref model_id, .. } | Request::RegisterModelRef { ref model_id, .. } => {
+            route_single(shared, tenant, model_id, &request)
         }
         Request::ResolveDocketRef { bodies, disputes } => {
             let mut map: HashMap<PayloadDigest, Arc<OwnershipClaim>> =
@@ -421,119 +401,95 @@ fn route_request(shared: &RouterShared, tenant: &TenantId, request: Request) -> 
             }
             route_docket(shared, tenant, &map, disputes)
         }
-        Request::Payload { claims } => {
-            // Replicate stored bodies to every reachable backend so
-            // later digest-only references resolve wherever their
-            // dispute lands.
-            let digests: Vec<PayloadDigest> = claims.iter().map(PayloadDigest::of_claim).collect();
-            let request = Request::Payload { claims };
-            let (successes, first_failure) = broadcast(shared, tenant, &request);
-            if successes == 0 {
-                return first_failure.unwrap_or_else(|| fault_response(&no_backends_error(shared)));
-            }
-            Response::PayloadStored { digests }
-        }
         Request::ListModels => {
             let mut union: BTreeSet<String> = BTreeSet::new();
-            let mut answered = 0usize;
-            let request = Request::ListModels;
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
-                    Response::Models { model_ids } => {
-                        answered += 1;
-                        union.extend(model_ids);
-                    }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Models")),
+            fan_out(shared, tenant, &request, "Models", |answer| match answer {
+                Response::Models { model_ids } => {
+                    union.extend(model_ids);
+                    Ok(())
                 }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Models {
+                other => Err(other),
+            })
+            .unwrap_or_else(|| Response::Models {
                 model_ids: union.into_iter().collect(),
-            }
+            })
         }
-        Request::Deregister { model_id } => {
-            // Broadcast: replicated warm starts put the model on every
-            // backend, and degradation-era registrations may have landed
-            // it on a sibling.
+        // Every backend: replicated warm starts put the model on each of
+        // them, and degradation-era registrations may have landed it on a
+        // sibling.
+        Request::Deregister { ref model_id } => {
             let mut existed = false;
-            let mut answered = 0usize;
-            let request = Request::Deregister {
-                model_id: model_id.clone(),
-            };
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
-                    Response::Deregistered { existed: here, .. } => {
-                        answered += 1;
-                        existed |= here;
-                    }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Deregistered")),
+            fan_out(shared, tenant, &request, "Deregistered", |answer| match answer {
+                Response::Deregistered { existed: here, .. } => {
+                    existed |= here;
+                    Ok(())
                 }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Deregistered { model_id, existed }
+                other => Err(other),
+            })
+            .unwrap_or_else(|| Response::Deregistered {
+                model_id: model_id.clone(),
+                existed,
+            })
         }
         Request::Stats => {
             let mut merged: BTreeMap<String, TenantStatsEntry> = BTreeMap::new();
-            let mut answered = 0usize;
-            let request = Request::Stats;
-            for backend in 0..shared.backends.len() {
-                let Some(response) = backend_call(shared, tenant, backend, &request) else {
-                    continue;
-                };
-                match response {
-                    Response::Stats { tenants } => {
-                        answered += 1;
-                        for entry in tenants {
-                            merge_stats(merged.entry(entry.tenant.clone()).or_default(), entry);
-                        }
+            fan_out(shared, tenant, &request, "Stats", |answer| match answer {
+                Response::Stats { tenants } => {
+                    for entry in tenants {
+                        merge_stats(merged.entry(entry.tenant.clone()).or_default(), entry);
                     }
-                    Response::Error { fault } => return Response::Error { fault },
-                    other => return fault_response(&unexpected(&other, "Stats")),
+                    Ok(())
                 }
-            }
-            if answered == 0 {
-                return fault_response(&no_backends_error(shared));
-            }
-            Response::Stats {
+                other => Err(other),
+            })
+            .unwrap_or_else(|| Response::Stats {
                 tenants: merged.into_values().collect(),
-            }
+            })
         }
     }
 }
 
-/// The fault for "not a single backend could be reached".
-fn no_backends_error(shared: &RouterShared) -> WatermarkError {
-    WatermarkError::Remote {
-        message: format!(
-            "no reachable backend among the {} configured",
-            shared.backends.len()
-        ),
+/// Sends `request` to every reachable backend and hands each answer to
+/// `merge`, which gives back an answer of the wrong kind. Unreachable
+/// backends are skipped. Returns the refusal to answer with instead of
+/// the merged result, if any: the first typed `Error` a backend sent, an
+/// answer of the wrong kind, or no backend answering at all.
+fn fan_out(
+    shared: &RouterShared,
+    tenant: &TenantId,
+    request: &Request,
+    wanted: &str,
+    mut merge: impl FnMut(Response) -> Result<(), Response>,
+) -> Option<Response> {
+    let mut answered = false;
+    for backend in 0..shared.backends.len() {
+        match backend_call(shared, tenant, backend, request) {
+            None => {}
+            Some(Response::Error { fault }) => return Some(Response::Error { fault }),
+            Some(answer) => {
+                if let Err(other) = merge(answer) {
+                    return Some(fault_response(&WatermarkError::ProtocolViolation {
+                        detail: format!("expected a {wanted} response, backend answered {other:?}"),
+                    }));
+                }
+                answered = true;
+            }
+        }
     }
-}
-
-/// Converts an unexpected backend response kind into a typed error.
-fn unexpected(response: &Response, wanted: &str) -> WatermarkError {
-    WatermarkError::ProtocolViolation {
-        detail: format!("expected a {wanted} response, backend answered {response:?}"),
-    }
+    (!answered).then(|| {
+        fault_response(&WatermarkError::Remote {
+            message: format!(
+                "no reachable backend among the {} configured",
+                shared.backends.len()
+            ),
+        })
+    })
 }
 
 /// One best-effort call to one backend: `None` means the backend was
 /// skipped (unhealthy) or failed at the transport level (and has been
-/// demoted). Used by the broadcast/aggregate arms, which tolerate
-/// partial fleets.
+/// demoted). Used by the fleet-wide requests, which tolerate partial
+/// fleets.
 fn backend_call(
     shared: &RouterShared,
     tenant: &TenantId,
@@ -550,23 +506,6 @@ fn backend_call(
     }
     shared.restore(backend, tenant, client);
     response.ok()
-}
-
-/// Broadcasts one request to every healthy backend, returning how many
-/// succeeded and the first typed refusal (if any) for error reporting.
-fn broadcast(shared: &RouterShared, tenant: &TenantId, request: &Request) -> (usize, Option<Response>) {
-    let mut successes = 0usize;
-    let mut first_failure = None;
-    for backend in 0..shared.backends.len() {
-        match backend_call(shared, tenant, backend, request) {
-            Some(Response::Error { fault }) => {
-                first_failure.get_or_insert(Response::Error { fault });
-            }
-            Some(_) => successes += 1,
-            None => {}
-        }
-    }
-    (successes, first_failure)
 }
 
 /// Sums every backend's pong into a fleet-wide view. The router answers
@@ -596,12 +535,9 @@ fn aggregate_ping(shared: &RouterShared, tenant: &TenantId) -> Response {
     }
 }
 
-/// Routes one single-model request: home first, then ring siblings in
+/// Routes one registration: home first, then ring siblings in
 /// deterministic order, skipping unhealthy backends, bounded by
-/// `1 + retry_siblings` actual attempts. A sibling answering
-/// `UnknownModel` for a key whose home is down is rewritten to the
-/// unreachable fault — the model may well exist, just behind a dead
-/// process, and "unknown" would mislead the claimant.
+/// `1 + retry_siblings` actual attempts.
 fn route_single(
     shared: &RouterShared,
     tenant: &TenantId,
@@ -627,12 +563,6 @@ fn route_single(
         let broken = client.is_broken();
         shared.restore(backend, tenant, client);
         match response {
-            Ok(Response::Error { fault }) => {
-                if backend != home && matches!(fault, WireFault::UnknownModel { .. }) {
-                    return fault_response(&shared.unreachable(home, model_id));
-                }
-                return Response::Error { fault };
-            }
             Ok(response) => return response,
             Err(err) => {
                 if broken {

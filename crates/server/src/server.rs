@@ -15,7 +15,7 @@
 //! file descriptor and a little state, not a parked thread.
 //!
 //! When a [`KeyRing`] is configured, each frame's tenant/sequence/tag
-//! fields (WDTP v4) are verified before the payload is decoded: a bad tag
+//! fields (WDTP v5) are verified before the payload is decoded: a bad tag
 //! or a replayed sequence is answered with a structured `AuthFailed`
 //! fault and the connection stays open (framing is intact), while the
 //! offending frame is dropped without reaching the handler. Without a key
@@ -34,9 +34,7 @@ use wdte_core::proto::{
     self, DocketVerdict, FrameHeader, PayloadDigest, Request, Response, WireFault, FRAME_HEADER_BYTES,
     FRAME_PRELUDE_BYTES, NO_CORRELATION,
 };
-use wdte_core::{
-    persist, DisputeService, KeyRing, OwnershipClaim, SharedDispute, TenantId, VerificationReport,
-};
+use wdte_core::{persist, DisputeService, KeyRing, OwnershipClaim, SharedDispute, TenantId};
 
 #[cfg(not(unix))]
 compile_error!("wdte-server's readiness loop is built on poll(2) and requires a unix target");
@@ -920,38 +918,9 @@ fn handle_request(service: &DisputeService, tenant: &TenantId, request: Request)
                 Err(err) => fault_response(&err),
             }
         }
-        Request::Resolve { model_id, claim } => match service.resolve_as(tenant, &model_id, &claim) {
-            Ok(report) => {
-                // A single resolution is a docket of one for accounting.
-                service.ledger().record_docket(tenant, 1);
-                Response::Resolved { report }
-            }
-            Err(err) => fault_response(&err),
-        },
-        Request::ResolveDocket { disputes } => {
-            // Full-body dockets go through the same content cache and
-            // dedup path as digest dockets: duplicate claims inside one
-            // docket resolve once, and their bodies become available for
-            // later digest-only references. The docket-size check runs
-            // *before* any claim is cached, so an oversized docket cannot
-            // allocate claim bytes on its way to being refused.
-            if let Err(err) = service.check_docket_size(disputes.len()) {
-                return fault_response(&err);
-            }
-            let mut shared: Vec<SharedDispute> = Vec::with_capacity(disputes.len());
-            for dispute in disputes {
-                match service.claims().insert_for(tenant, service.quotas(), dispute.claim) {
-                    Ok((digest, claim)) => {
-                        shared.push(SharedDispute::new(dispute.model_id, digest, claim));
-                    }
-                    Err(err) => return fault_response(&err),
-                }
-            }
-            docket_response(service.resolve_docket_shared_as(tenant, &shared))
-        }
         Request::ResolveDocketRef { bodies, disputes } => {
-            // Same ordering as the full-body path: an oversized docket is
-            // refused before any inlined body can allocate cache bytes.
+            // An oversized docket is refused before any inlined body can
+            // allocate cache bytes.
             if let Err(err) = service.check_docket_size(disputes.len()) {
                 return fault_response(&err);
             }
@@ -997,17 +966,12 @@ fn handle_request(service: &DisputeService, tenant: &TenantId, request: Request)
             if !missing.is_empty() {
                 return Response::NeedPayload { digests: missing };
             }
-            docket_response(service.resolve_docket_shared_as(tenant, &shared))
-        }
-        Request::Payload { claims } => {
-            let mut digests: Vec<PayloadDigest> = Vec::with_capacity(claims.len());
-            for claim in claims {
-                match service.claims().insert_for(tenant, service.quotas(), claim) {
-                    Ok((digest, _claim)) => digests.push(digest),
-                    Err(err) => return fault_response(&err),
-                }
+            match service.resolve_docket_shared_as(tenant, &shared) {
+                Ok(verdicts) => Response::Docket {
+                    verdicts: verdicts.into_iter().map(DocketVerdict::from_result).collect(),
+                },
+                Err(err) => fault_response(&err),
             }
-            Response::PayloadStored { digests }
         }
         Request::ListModels => Response::Models {
             model_ids: service.model_ids_for(tenant),
@@ -1027,15 +991,5 @@ fn handle_request(service: &DisputeService, tenant: &TenantId, request: Request)
             };
             Response::Stats { tenants }
         }
-    }
-}
-
-/// Wire rendering of a docket resolution outcome.
-fn docket_response(result: WatermarkResult<Vec<WatermarkResult<VerificationReport>>>) -> Response {
-    match result {
-        Ok(verdicts) => Response::Docket {
-            verdicts: verdicts.into_iter().map(DocketVerdict::from_result).collect(),
-        },
-        Err(err) => fault_response(&err),
     }
 }

@@ -1,7 +1,10 @@
-//! Keeps `docs/OPERATIONS.md` honest: the flag set documented for each
-//! binary is diffed against the flags its argument parser actually
-//! accepts, in both directions. Adding a flag without documenting it —
-//! or documenting a flag that no longer exists — fails this test.
+//! Keeps the docs honest against the sources, in both directions:
+//! - the flag set `docs/OPERATIONS.md` documents for each binary is
+//!   diffed against the flags its argument parser actually accepts, so
+//!   adding a flag without documenting it — or documenting a flag that
+//!   no longer exists — fails;
+//! - the request table of `docs/WDTP.md` must name exactly the variants
+//!   of `Request` in `proto.rs`.
 //!
 //! No regex: flags are collected by scanning for `--name` tokens, which
 //! appear in the parsers as quoted match arms and in the book as table
@@ -12,6 +15,8 @@ use std::collections::BTreeSet;
 use wdte_server::ServerConfig;
 
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
+const WDTP: &str = include_str!("../../../docs/WDTP.md");
+const PROTO: &str = include_str!("../../core/src/proto.rs");
 const SERVE_JUDGE: &str = include_str!("../src/bin/serve_judge.rs");
 const JUDGE_SMOKE: &str = include_str!("../../bench/src/bin/judge_smoke.rs");
 const FLEET_SMOKE: &str = include_str!("../../bench/src/bin/fleet_smoke.rs");
@@ -45,15 +50,15 @@ fn flags(text: &str) -> BTreeSet<String> {
     found
 }
 
-/// The body of the `## <binary>` section of OPERATIONS.md, up to the
-/// next `## ` heading.
-fn doc_section(binary: &str) -> &'static str {
-    let heading = format!("\n## {binary}\n");
-    let start = OPERATIONS
+/// The body of the `## <title>` section of `doc`, up to the next `## `
+/// heading.
+fn section(doc: &'static str, title: &str) -> &'static str {
+    let heading = format!("\n## {title}\n");
+    let start = doc
         .find(&heading)
-        .unwrap_or_else(|| panic!("docs/OPERATIONS.md has no `## {binary}` section"))
+        .unwrap_or_else(|| panic!("the document has no `## {title}` section"))
         + heading.len();
-    let rest = &OPERATIONS[start..];
+    let rest = &doc[start..];
     match rest.find("\n## ") {
         Some(end) => &rest[..end],
         None => rest,
@@ -61,7 +66,7 @@ fn doc_section(binary: &str) -> &'static str {
 }
 
 fn assert_flags_match(binary: &str, source: &str) {
-    let documented = flags(doc_section(binary));
+    let documented = flags(section(OPERATIONS, binary));
     let parsed = flags(source);
     let undocumented: Vec<&String> = parsed.difference(&documented).collect();
     let phantom: Vec<&String> = documented.difference(&parsed).collect();
@@ -92,7 +97,7 @@ fn operations_book_documents_exactly_the_fleet_smoke_flags() {
 /// documented default is the library's.
 #[test]
 fn max_pipeline_default_is_the_server_config_default() {
-    let row = doc_section("serve_judge")
+    let row = section(OPERATIONS, "serve_judge")
         .lines()
         .find(|line| line.starts_with("| `--max-pipeline"))
         .expect("docs/OPERATIONS.md has a `--max-pipeline` row");
@@ -101,6 +106,51 @@ fn max_pipeline_default_is_the_server_config_default() {
         default.trim_matches('`'),
         ServerConfig::default().max_pipeline.to_string(),
         "the `--max-pipeline` default cell is `{default}`"
+    );
+}
+
+/// `text` up to its first character that cannot continue an identifier.
+fn leading_identifier(text: &str) -> String {
+    text.split(|c: char| !c.is_ascii_alphanumeric())
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+/// The variant names of `pub enum <name>` in Rust source text: the
+/// leading identifiers of the lines of its body indented by exactly four
+/// spaces that start with an uppercase letter.
+fn enum_variants(source: &str, name: &str) -> BTreeSet<String> {
+    let opening = format!("pub enum {name} {{\n");
+    let start = source.find(&opening).unwrap_or_else(|| panic!("no `pub enum {name}`")) + opening.len();
+    let body = &source[start..start + source[start..].find("\n}\n").expect("the enum body closes")];
+    body.lines()
+        .filter_map(|line| line.strip_prefix("    "))
+        .filter(|rest| rest.starts_with(|c: char| c.is_ascii_uppercase()))
+        .map(leading_identifier)
+        .collect()
+}
+
+/// The leading identifier of each table row's first cell (`` | `Name {
+/// .. }` | ``) in `text`; header and rule rows have no backticked cell.
+fn table_names(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix("| `"))
+        .map(leading_identifier)
+        .collect()
+}
+
+#[test]
+fn wdtp_request_table_names_exactly_the_request_variants() {
+    let declared = enum_variants(PROTO, "Request");
+    assert!(
+        declared.contains("Ping"),
+        "the variant scanner found {declared:?}"
+    );
+    let documented = table_names(section(WDTP, "Requests and responses"));
+    assert_eq!(
+        documented, declared,
+        "docs/WDTP.md's request table drifted from `Request` in proto.rs"
     );
 }
 

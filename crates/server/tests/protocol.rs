@@ -342,6 +342,9 @@ fn full_client_surface_round_trips() {
         client.resolve("ghost", &claim).unwrap_err(),
         WatermarkError::UnknownModel { model_id } if model_id == "ghost"
     ));
+    // A single resolution is a docket of one, so its claim is cached.
+    let cached = client.ping().unwrap().claims_cached;
+    assert_eq!(cached, 1);
     let oversized: Vec<Dispute> = (0..5).map(|_| Dispute::new("m", claim.clone())).collect();
     assert!(matches!(
         client.resolve_docket(&oversized).unwrap_err(),
@@ -350,7 +353,7 @@ fn full_client_surface_round_trips() {
     // The cap is checked before any claim body is cached.
     assert_eq!(
         client.ping().unwrap().claims_cached,
-        0,
+        cached,
         "refused dockets cache nothing"
     );
 
@@ -421,8 +424,9 @@ fn exchange(reader: &mut BufReader<TcpStream>, corr: u64, request: &Request) -> 
 
 /// A digest the judge has never seen — in a docket reference or a model
 /// reference — is answered with `NeedPayload` naming exactly that digest;
-/// uploading the body via `Payload` then makes the same reference
-/// resolvable.
+/// resending the docket with the body inlined (the client's recovery)
+/// resolves it and caches the body, so the digest-only docket then
+/// resolves too.
 #[test]
 fn unknown_digests_get_a_need_payload_answer_and_uploads_cure_it() {
     let (test, outcome) = embedded(78);
@@ -448,31 +452,22 @@ fn unknown_digests_get_a_need_payload_answer_and_uploads_cure_it() {
         }
     );
 
-    // Upload the body; the judge echoes the digest it computed.
-    let (corr, response) = exchange(
-        &mut reader,
-        6,
-        &Request::Payload {
-            claims: vec![claim.clone()],
-        },
-    );
-    assert_eq!(corr, 6);
-    assert_eq!(
-        response,
-        Response::PayloadStored {
-            digests: vec![digest]
+    // Resend with the body inlined, then digest-only again: both
+    // resolve, bit-identical.
+    let resend = Request::ResolveDocketRef {
+        bodies: vec![claim.clone()],
+        disputes: vec![DisputeRef::new("m", digest)],
+    };
+    for (corr_sent, request) in [(6, &resend), (7, &request)] {
+        let (corr, response) = exchange(&mut reader, corr_sent, request);
+        assert_eq!(corr, corr_sent);
+        match response {
+            Response::Docket { verdicts } => {
+                assert_eq!(verdicts.len(), 1);
+                assert_eq!(verdicts[0].clone().into_result().unwrap(), reference);
+            }
+            other => panic!("expected verdicts, got {other:?}"),
         }
-    );
-
-    // The same digest-only docket now resolves, bit-identical.
-    let (corr, response) = exchange(&mut reader, 7, &request);
-    assert_eq!(corr, 7);
-    match response {
-        Response::Docket { verdicts } => {
-            assert_eq!(verdicts.len(), 1);
-            assert_eq!(verdicts[0].clone().into_result().unwrap(), reference);
-        }
-        other => panic!("expected verdicts, got {other:?}"),
     }
 
     // Model references behave the same way.
@@ -850,17 +845,15 @@ fn the_in_flight_quota_sheds_pipelined_load() {
     // socket read (loopback may split the burst and let the docket
     // finish in the gap), so the burst retries until the shed is
     // observed — each round also re-proves the slot was released.
-    let docket = Request::ResolveDocket {
-        disputes: (0..64)
-            .map(|_| {
-                let claim = OwnershipClaim::new(
-                    Signature::random(8, 0.5, &mut rng),
-                    trigger.clone(),
-                    test.clone(),
-                );
-                Dispute::new("m", claim)
-            })
+    let claims: Vec<OwnershipClaim> = (0..64)
+        .map(|_| OwnershipClaim::new(Signature::random(8, 0.5, &mut rng), trigger.clone(), test.clone()))
+        .collect();
+    let docket = Request::ResolveDocketRef {
+        disputes: claims
+            .iter()
+            .map(|claim| DisputeRef::new("m", PayloadDigest::of_claim(claim)))
             .collect(),
+        bodies: claims,
     };
     let mut shed = None;
     for round in 0..50u64 {
@@ -995,12 +988,14 @@ fn deregistration_drops_cached_claims_over_the_wire() {
     );
     assert!(matches!(registered, Response::Registered { .. }));
 
-    // Full-body docket caches the claim and associates it with "m".
+    // A docket with the body inlined caches the claim and associates it
+    // with "m".
     let (_, first) = exchange(
         &mut reader,
         2,
-        &Request::ResolveDocket {
-            disputes: vec![Dispute::new("m", claim.clone())],
+        &Request::ResolveDocketRef {
+            bodies: vec![claim.clone()],
+            disputes: vec![DisputeRef::new("m", digest)],
         },
     );
     assert!(matches!(first, Response::Docket { .. }));
@@ -1197,6 +1192,7 @@ on_both_front_ends!(
     a_replayed_frame_is_refused_by_the_sequence_check,
     interleaved_requests_complete_out_of_order_by_correlation_id,
     shutdown_completes_on_an_unspecified_address_bind,
+    each_dispute_of_a_docket_is_refused_with_its_own_typed_error,
 );
 
 mod cases {
@@ -1521,8 +1517,10 @@ mod cases {
         let mut reader = BufReader::new(raw_connection(&server));
 
         // A slow docket then a fast ping, pipelined in one write burst.
-        let docket = Request::ResolveDocket {
-            disputes: (0..8).map(|_| Dispute::new("m", claim.clone())).collect(),
+        let digest = PayloadDigest::of_claim(&claim);
+        let docket = Request::ResolveDocketRef {
+            bodies: vec![claim],
+            disputes: (0..8).map(|_| DisputeRef::new("m", digest)).collect(),
         };
         let mut burst = proto::encode_frame(100, &docket).unwrap();
         burst.extend_from_slice(&proto::encode_frame(101, &Request::Ping).unwrap());
@@ -1541,6 +1539,42 @@ mod cases {
             Some(Response::Docket { verdicts }) => assert_eq!(verdicts.len(), 8),
             other => panic!("expected docket verdicts, got {other:?}"),
         }
+        server.shutdown().unwrap();
+    }
+
+    /// A docket's refusals are per dispute and typed: one docket holding
+    /// the caller's own model, another tenant's model and an unregistered
+    /// id answers a report, `Forbidden` and `UnknownModel`, in that order.
+    pub(crate) fn each_dispute_of_a_docket_is_refused_with_its_own_typed_error(front: Front) {
+        let (model, claim) = plain_fixture(47);
+        let ring = two_tenant_ring();
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let server = keyed_front(front, Arc::clone(&service), two_tenant_ring());
+        let mut acme =
+            DisputeClient::connect_authenticated(server.addr(), auth_for(&ring, "acme")).unwrap();
+        let mut globex =
+            DisputeClient::connect_authenticated(server.addr(), auth_for(&ring, "globex")).unwrap();
+        acme.register_model("mine", &model).unwrap();
+        globex.register_model("theirs", &model).unwrap();
+
+        let docket: Vec<Dispute> = ["mine", "theirs", "nowhere"]
+            .into_iter()
+            .map(|model_id| Dispute::new(model_id, claim.clone()))
+            .collect();
+        let verdicts = acme.resolve_docket(&docket).unwrap();
+        assert_eq!(verdicts.len(), 3);
+        let reference = service.resolve_as(&TenantId::new("acme").unwrap(), "mine", &claim).unwrap();
+        assert_eq!(verdicts[0], Ok(reference));
+        assert!(
+            matches!(verdicts[1], Err(WatermarkError::Forbidden { .. })),
+            "another tenant's model: {:?}",
+            verdicts[1]
+        );
+        assert!(
+            matches!(&verdicts[2], Err(WatermarkError::UnknownModel { model_id }) if model_id == "nowhere"),
+            "an unregistered id: {:?}",
+            verdicts[2]
+        );
         server.shutdown().unwrap();
     }
 
