@@ -67,6 +67,7 @@
 //! checked from the first [`FRAME_PRELUDE_BYTES`] bytes alone, before the
 //! rest of the header is awaited: a v1 frame (whose header was 8 bytes
 //! shorter) is refused with a *version* error, not misread as truncation.
+//! Every receiver runs these checks through one [`FrameReader`].
 //!
 //! ## Content addressing
 //!
@@ -672,30 +673,19 @@ fn encode_frame_with<T: Serialize + ?Sized>(
     Ok(frame)
 }
 
-/// Decodes one message from a complete frame produced by [`encode_frame`],
-/// validating magic, version, the length prefix (against `max_frame_bytes`)
-/// and the absence of trailing bytes. Returns the frame's correlation id
-/// with the message.
+/// Decodes one message from a complete frame produced by [`encode_frame`]:
+/// a [`FrameReader`] runs over the slice, so every check of the streamed
+/// path applies, and bytes left after the frame are refused. Returns the
+/// frame's correlation id with the message.
 pub fn decode_frame<T: Deserialize>(frame: &[u8], max_frame_bytes: usize) -> WatermarkResult<(u64, T)> {
-    if frame.len() >= FRAME_PRELUDE_BYTES {
-        check_prelude(&frame[..FRAME_PRELUDE_BYTES])?;
+    let mut rest = frame;
+    let Some((header, payload)) = read_frame(&mut rest, max_frame_bytes)? else {
+        return Err(violation("an empty slice holds no frame"));
+    };
+    if !rest.is_empty() {
+        return Err(violation(format!("{} bytes follow the frame", rest.len())));
     }
-    if frame.len() < FRAME_HEADER_BYTES {
-        return Err(violation(format!(
-            "frame of {} bytes is shorter than the {FRAME_HEADER_BYTES}-byte header",
-            frame.len()
-        )));
-    }
-    let (header, payload) = frame.split_at(FRAME_HEADER_BYTES);
-    let header = check_header(header, max_frame_bytes)?;
-    if payload.len() != header.announced {
-        return Err(violation(format!(
-            "frame announces a {}-byte payload but carries {} bytes",
-            header.announced,
-            payload.len()
-        )));
-    }
-    Ok((header.correlation_id, decode_payload(payload)?))
+    Ok((header.correlation_id, decode_payload(&payload)?))
 }
 
 /// Decodes a message from raw payload bytes (the part after the header, as
@@ -705,16 +695,21 @@ pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> WatermarkResult<T> {
         .map_err(|err| violation(format!("payload does not decode: {err}")))
 }
 
-/// Validates the magic + version prelude of a frame header.
-pub fn check_prelude(prelude: &[u8]) -> WatermarkResult<()> {
-    debug_assert!(prelude.len() >= FRAME_PRELUDE_BYTES);
-    if &prelude[..4] != PROTO_MAGIC {
+/// Validates the magic + version prelude at the start of `prelude`.
+fn check_prelude(prelude: &[u8]) -> WatermarkResult<()> {
+    let Some(&[m0, m1, m2, m3, v0, v1]) = prelude.first_chunk::<FRAME_PRELUDE_BYTES>() else {
+        return Err(violation(format!(
+            "a prelude of {} bytes is shorter than {FRAME_PRELUDE_BYTES}",
+            prelude.len()
+        )));
+    };
+    if &[m0, m1, m2, m3] != PROTO_MAGIC {
         return Err(violation(format!(
             "bad frame magic {:02x?} (expected \"WDTP\")",
-            &prelude[..4]
+            [m0, m1, m2, m3]
         )));
     }
-    let version = u16::from_le_bytes([prelude[4], prelude[5]]);
+    let version = u16::from_le_bytes([v0, v1]);
     if version != PROTOCOL_VERSION {
         return Err(WatermarkError::UnsupportedProtocolVersion {
             found: version,
@@ -724,11 +719,18 @@ pub fn check_prelude(prelude: &[u8]) -> WatermarkResult<()> {
     Ok(())
 }
 
-/// Validates a full frame header, returning its parsed fields (including
-/// the authentication fields a keyed receiver verifies once the payload
-/// has arrived).
+/// Validates the frame header at the start of `header`, returning its
+/// parsed fields (including the authentication fields a keyed receiver
+/// verifies once the payload has arrived). A slice shorter than the
+/// header is a [`WatermarkError::ProtocolViolation`].
 pub fn check_header(header: &[u8], max_frame_bytes: usize) -> WatermarkResult<FrameHeader> {
-    check_prelude(&header[..FRAME_PRELUDE_BYTES])?;
+    check_prelude(header)?;
+    let Some(header) = header.first_chunk::<FRAME_HEADER_BYTES>() else {
+        return Err(violation(format!(
+            "a header of {} bytes is shorter than {FRAME_HEADER_BYTES}",
+            header.len()
+        )));
+    };
     let correlation_id = u64::from_le_bytes(header[6..14].try_into().expect("header slice is 8 bytes"));
     let sequence = u64::from_le_bytes(header[14..22].try_into().expect("header slice is 8 bytes"));
     let tenant: [u8; TENANT_FIELD_BYTES] = header[22..22 + TENANT_FIELD_BYTES]
@@ -768,62 +770,160 @@ pub fn write_message<T: Serialize + ?Sized, W: Write>(
     writer.flush().map_err(io_violation)
 }
 
-/// Reads one frame from `reader` and returns its parsed header and
-/// payload bytes.
+/// Payload bytes a [`FrameReader`] makes room for before any arrive.
+/// Past this the buffer at most doubles per step, so a hostile length
+/// prefix below the cap cannot reserve much more than the peer sends.
+const FIRST_PAYLOAD_BYTES: usize = 64 << 10;
+
+/// What one [`FrameReader::read_from`] call produced.
+#[derive(Debug)]
+pub enum FrameRead {
+    /// A whole frame: its checked header and its payload bytes.
+    Frame(FrameHeader, Vec<u8>),
+    /// The source would block; call again once it is readable.
+    Pending,
+    /// The source ended cleanly between frames.
+    Closed,
+}
+
+/// The one place WDTP frames are reassembled: a resumable reader over
+/// any [`Read`] source. The judge's poll loop keeps one per non-blocking
+/// connection, [`read_frame`] drives one over a blocking stream, and
+/// [`decode_frame`] runs one over a slice.
 ///
-/// Returns `Ok(None)` on a clean end-of-stream (the peer closed between
-/// frames); a stream that ends *inside* a frame — a half-closed socket
-/// mid-message — is a [`WatermarkError::ProtocolViolation`]. Magic and
-/// version are validated as soon as the prelude arrives (so a v1 peer is
-/// refused with a version error before its shorter header runs out), the
-/// announced payload length is validated against `max_frame_bytes` before
-/// any allocation, and the read buffer grows with the bytes actually
-/// received rather than trusting the prefix. Authentication fields are
-/// parsed but *not* verified here — a keyed receiver runs
-/// [`crate::tenant::KeyRing::verify_frame`] on the result.
+/// Magic and version are validated as soon as the prelude arrives (so a
+/// v1 peer is refused with a version error before its shorter header
+/// runs out), and the announced payload length against the cap once the
+/// header is whole, before any payload is allocated. A stream that ends
+/// inside a frame is a [`WatermarkError::ProtocolViolation`]; a failing
+/// source is a [`WatermarkError::Io`]; `EINTR` is retried.
+/// Authentication fields are parsed but *not* verified — a keyed
+/// receiver runs [`crate::tenant::KeyRing::verify_frame`] on the result.
+///
+/// The reader never asks the source for a byte past the frame in
+/// progress, so later pipelined frames stay in the kernel buffer (the
+/// pipeline cap's backpressure), and it reads the payload in place. After
+/// an error the stream is out of step; drop the reader.
+#[derive(Debug)]
+pub struct FrameReader {
+    max_frame_bytes: usize,
+    raw: [u8; FRAME_HEADER_BYTES],
+    /// Header bytes received (and, past the prelude, checked).
+    filled: usize,
+    /// The checked header, once all of it has arrived.
+    header: Option<FrameHeader>,
+    /// The payload buffer, zeroed ahead of the bytes read into it.
+    payload: Vec<u8>,
+    /// Payload bytes received.
+    received: usize,
+}
+
+impl FrameReader {
+    /// A reader awaiting the first byte of a frame whose payload may be
+    /// at most `max_frame_bytes`.
+    pub fn new(max_frame_bytes: usize) -> Self {
+        Self {
+            max_frame_bytes,
+            raw: [0; FRAME_HEADER_BYTES],
+            filled: 0,
+            header: None,
+            payload: Vec::new(),
+            received: 0,
+        }
+    }
+
+    /// The correlation id a failure of the frame in progress is answered
+    /// under: the header's once all of it has arrived behind a valid
+    /// prelude, [`NO_CORRELATION`] before that.
+    pub fn correlation_id(&self) -> u64 {
+        if self.filled < FRAME_HEADER_BYTES {
+            return NO_CORRELATION;
+        }
+        u64::from_le_bytes(self.raw[6..14].try_into().expect("header slice is 8 bytes"))
+    }
+
+    /// Reads from `source` until a whole frame has arrived, the source
+    /// would block, or it ends.
+    pub fn read_from<R: Read>(&mut self, source: &mut R) -> WatermarkResult<FrameRead> {
+        loop {
+            let Some(header) = self.header else {
+                let Some(n) = read_some(source, &mut self.raw[self.filled..])? else {
+                    return Ok(FrameRead::Pending);
+                };
+                if n == 0 {
+                    if self.filled == 0 {
+                        return Ok(FrameRead::Closed);
+                    }
+                    return Err(violation(format!(
+                        "stream closed after {} of {FRAME_HEADER_BYTES} header bytes",
+                        self.filled
+                    )));
+                }
+                // A refused prelude is never counted as received, so its
+                // failure blames no correlation id.
+                if self.filled < FRAME_PRELUDE_BYTES && self.filled + n >= FRAME_PRELUDE_BYTES {
+                    check_prelude(&self.raw)?;
+                }
+                self.filled += n;
+                if self.filled == FRAME_HEADER_BYTES {
+                    self.header = Some(check_header(&self.raw, self.max_frame_bytes)?);
+                }
+                continue;
+            };
+            if self.received == header.announced {
+                let payload = std::mem::take(&mut self.payload);
+                (self.filled, self.header, self.received) = (0, None, 0);
+                return Ok(FrameRead::Frame(header, payload));
+            }
+            if self.received == self.payload.len() {
+                let grown = (2 * self.received).max(FIRST_PAYLOAD_BYTES).min(header.announced);
+                self.payload.reserve_exact(grown - self.received);
+                self.payload.resize(grown, 0);
+            }
+            match read_some(source, &mut self.payload[self.received..])? {
+                None => return Ok(FrameRead::Pending),
+                Some(0) => {
+                    return Err(violation(format!(
+                        "stream closed after {} of {} payload bytes",
+                        self.received, header.announced
+                    )))
+                }
+                Some(n) => self.received += n,
+            }
+        }
+    }
+}
+
+/// One `read` into `buf`, retried on `EINTR`; `None` if the source would
+/// block.
+fn read_some<R: Read>(source: &mut R, buf: &mut [u8]) -> WatermarkResult<Option<usize>> {
+    loop {
+        match source.read(buf) {
+            Ok(n) => return Ok(Some(n)),
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => return Ok(None),
+            Err(err) => return Err(io_violation(err)),
+        }
+    }
+}
+
+/// Reads one frame from `reader` and returns its parsed header and
+/// payload bytes, or `Ok(None)` on a clean end-of-stream (the peer closed
+/// between frames). See [`FrameReader`] for the checks. A blocking
+/// socket would-blocks only when its read timeout expires, which is a
+/// [`WatermarkError::Io`].
 pub fn read_frame<R: Read>(
     reader: &mut R,
     max_frame_bytes: usize,
 ) -> WatermarkResult<Option<(FrameHeader, Vec<u8>)>> {
-    let mut header = [0u8; FRAME_HEADER_BYTES];
-    let mut filled = 0usize;
-    let mut prelude_checked = false;
-    while filled < header.len() {
-        let n = match reader.read(&mut header[filled..]) {
-            Ok(n) => n,
-            // Retry on signal interruption, as `read_to_end` does for the
-            // payload half: a mid-header signal is not a protocol event.
-            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(err) => return Err(io_violation(err)),
-        };
-        if n == 0 {
-            if filled == 0 {
-                return Ok(None);
-            }
-            return Err(violation(format!(
-                "stream closed after {filled} of {FRAME_HEADER_BYTES} header bytes"
-            )));
-        }
-        filled += n;
-        if !prelude_checked && filled >= FRAME_PRELUDE_BYTES {
-            check_prelude(&header[..FRAME_PRELUDE_BYTES])?;
-            prelude_checked = true;
-        }
+    match FrameReader::new(max_frame_bytes).read_from(reader)? {
+        FrameRead::Frame(header, payload) => Ok(Some((header, payload))),
+        FrameRead::Closed => Ok(None),
+        FrameRead::Pending => Err(WatermarkError::Io {
+            path: "socket".to_string(),
+            message: "read timed out before a whole frame arrived".to_string(),
+        }),
     }
-    let header = check_header(&header, max_frame_bytes)?;
-    let announced = header.announced;
-    // Allocation cap: reserve at most 64 KiB up front; everything past that
-    // is grown by `read_to_end` as bytes actually arrive, so a hostile
-    // length prefix below the cap still cannot reserve more memory than the
-    // peer is willing to send.
-    let mut payload = Vec::with_capacity(announced.min(64 << 10));
-    let read = reader.take(announced as u64).read_to_end(&mut payload).map_err(io_violation)?;
-    if read != announced {
-        return Err(violation(format!(
-            "stream closed after {read} of {announced} payload bytes"
-        )));
-    }
-    Ok(Some((header, payload)))
 }
 
 /// Reads one message from `reader`, returning its correlation id.
@@ -1282,5 +1382,175 @@ mod tests {
             DocketVerdict::from_result(Err(remote.clone())).into_result().unwrap_err(),
             remote
         );
+    }
+
+    /// The public header check refuses a short slice, as does the
+    /// prelude check behind it, instead of slicing out of bounds.
+    #[test]
+    fn header_checks_refuse_short_slices() {
+        let frame = encode_frame(1, &Request::Ping).unwrap();
+        for cut in 0..FRAME_HEADER_BYTES {
+            assert!(
+                matches!(
+                    check_header(&frame[..cut], DEFAULT_MAX_FRAME_BYTES),
+                    Err(WatermarkError::ProtocolViolation { .. })
+                ),
+                "a {cut}-byte header"
+            );
+        }
+        for cut in 0..FRAME_PRELUDE_BYTES {
+            assert!(
+                matches!(
+                    check_prelude(&frame[..cut]),
+                    Err(WatermarkError::ProtocolViolation { .. })
+                ),
+                "a {cut}-byte prelude"
+            );
+        }
+        assert_eq!(
+            check_header(&frame[..FRAME_HEADER_BYTES], DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .correlation_id,
+            1
+        );
+    }
+
+    /// Serves `bytes` in chunks ending at `ends` (the last is the whole
+    /// stream), answering `WouldBlock` once between chunks.
+    struct Drip<'a> {
+        bytes: &'a [u8],
+        ends: Vec<usize>,
+        chunk: usize,
+        pos: usize,
+    }
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.pos == self.ends[self.chunk] && self.chunk + 1 < self.ends.len() {
+                self.chunk += 1;
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.ends[self.chunk] - self.pos);
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Every frame `source` yields until it ends, checking that each is
+    /// returned with the source read exactly to that frame's end.
+    fn drain_frames(source: &mut Drip<'_>, frame_ends: &[usize]) -> Vec<(FrameHeader, Vec<u8>)> {
+        let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+        let mut frames = Vec::new();
+        loop {
+            match reader.read_from(source).unwrap() {
+                FrameRead::Frame(header, payload) => {
+                    assert_eq!(source.pos, frame_ends[frames.len()], "read past the frame");
+                    frames.push((header, payload));
+                }
+                FrameRead::Pending => {}
+                FrameRead::Closed => return frames,
+            }
+        }
+    }
+
+    /// Reassembly is one state machine over any source, so every way a
+    /// pipelined stream can arrive is checked without a socket: split in
+    /// two at every offset, one byte at a time, and cut off anywhere.
+    #[test]
+    fn every_split_point_of_a_pipelined_stream_reassembles_the_same_frames() {
+        use crate::tenant::TenantId;
+        let rows = [vec![0.5, -1.0], vec![2.0, 0.25]];
+        let labels = vec![wdte_data::Label::Negative, wdte_data::Label::Positive];
+        let tiny = |name: &str| {
+            let features = wdte_data::DenseMatrix::from_rows(&rows).unwrap();
+            wdte_data::Dataset::new(name, features, labels.clone()).unwrap()
+        };
+        let claim = OwnershipClaim::new(
+            Signature::from_bits(vec![true, false, true]),
+            tiny("trigger"),
+            tiny("test"),
+        );
+        let docket = Request::ResolveDocketRef {
+            disputes: vec![DisputeRef::new("m", PayloadDigest::of_claim(&claim))],
+            bodies: vec![claim],
+        };
+        let tenant = TenantId::new("alice").unwrap();
+        let frames = [
+            encode_frame(11, &Request::Ping).unwrap(),
+            encode_frame_auth(12, &docket, &tenant, 1, b"s3cret").unwrap(),
+            encode_frame(13, &Request::ListModels).unwrap(),
+        ];
+        let stream = frames.concat();
+        assert!(stream.len() < 2048, "a {}-byte stream", stream.len());
+        let mut frame_ends = Vec::new();
+        let mut end = 0;
+        for frame in &frames {
+            end += frame.len();
+            frame_ends.push(end);
+        }
+
+        let mut whole = std::io::Cursor::new(&stream);
+        let expected: Vec<(FrameHeader, Vec<u8>)> = (0..frames.len())
+            .map(|_| read_frame(&mut whole, DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap())
+            .collect();
+        assert_eq!(
+            expected.iter().map(|(header, _)| header.correlation_id).collect::<Vec<_>>(),
+            [11, 12, 13]
+        );
+        assert!(!expected[1].0.is_anonymous());
+
+        let mut splits: Vec<Vec<usize>> =
+            (0..=stream.len()).map(|cut| vec![cut, stream.len()]).collect();
+        splits.push((1..=stream.len()).collect());
+        for ends in splits {
+            let mut source = Drip {
+                bytes: &stream,
+                ends: ends.clone(),
+                chunk: 0,
+                pos: 0,
+            };
+            assert_eq!(
+                drain_frames(&mut source, &frame_ends),
+                expected,
+                "chunks ending at {:?}",
+                &ends[..ends.len().min(3)]
+            );
+        }
+
+        for cut in 1..stream.len() {
+            let broken = frame_ends
+                .iter()
+                .position(|&end| end > cut)
+                .expect("the cut is inside the stream");
+            let start = if broken == 0 { 0 } else { frame_ends[broken - 1] };
+            let mut prefix = &stream[..cut];
+            let mut reader = FrameReader::new(DEFAULT_MAX_FRAME_BYTES);
+            let mut returned = 0;
+            let outcome = loop {
+                match reader.read_from(&mut prefix) {
+                    Ok(FrameRead::Frame(..)) => returned += 1,
+                    other => break other,
+                }
+            };
+            assert_eq!(returned, broken, "frames whole before the cut at {cut}");
+            if cut == start {
+                assert!(
+                    matches!(outcome, Ok(FrameRead::Closed)),
+                    "a cut between frames at {cut}"
+                );
+                continue;
+            }
+            assert!(
+                matches!(outcome, Err(WatermarkError::ProtocolViolation { .. })),
+                "a cut at {cut}: {outcome:?}"
+            );
+            let blamed = if cut - start < FRAME_HEADER_BYTES {
+                NO_CORRELATION
+            } else {
+                expected[broken].0.correlation_id
+            };
+            assert_eq!(reader.correlation_id(), blamed, "a cut at {cut}");
+        }
     }
 }

@@ -2,8 +2,8 @@
 //! sockets + `poll(2)`) that serves both the judge and the fleet router.
 //!
 //! One event-loop thread owns every socket's *read* side: it polls the
-//! listener and all connections, runs each connection's frame state
-//! machine on readable bytes, authenticates and decodes each complete
+//! listener and all connections, feeds each connection's readable bytes
+//! to its [`proto::FrameReader`], authenticates and decodes each complete
 //! frame, and hands the request to its front end's [`Handler`]. The
 //! judge's handler runs requests on the shared work-stealing pool
 //! (`rayon::spawn`); the router's runs each on its own thread, because a
@@ -23,7 +23,7 @@
 //! tenant.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -31,8 +31,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use wdte_core::error::{WatermarkError, WatermarkResult};
 use wdte_core::proto::{
-    self, DocketVerdict, FrameHeader, PayloadDigest, Request, Response, WireFault, FRAME_HEADER_BYTES,
-    FRAME_PRELUDE_BYTES, NO_CORRELATION,
+    self, DocketVerdict, FrameRead, FrameReader, PayloadDigest, Request, Response, WireFault,
 };
 use wdte_core::{persist, DisputeService, KeyRing, OwnershipClaim, SharedDispute, TenantId};
 
@@ -569,38 +568,14 @@ impl ConnWriter {
     }
 }
 
-/// Frame-reassembly state of one connection's read side.
-enum ReadState {
-    /// Collecting the 58-byte header; the magic + version prelude is
-    /// validated as soon as its 6 bytes arrive, so an older peer (whose
-    /// header is shorter) is refused with a version error instead of a
-    /// confusing truncation diagnostic.
-    Header {
-        buf: [u8; FRAME_HEADER_BYTES],
-        filled: usize,
-        prelude_checked: bool,
-    },
-    /// Collecting `header.announced` payload bytes for one frame.
-    Payload { header: FrameHeader, buf: Vec<u8> },
-}
-
-impl ReadState {
-    fn header() -> Self {
-        ReadState::Header {
-            buf: [0u8; FRAME_HEADER_BYTES],
-            filled: 0,
-            prelude_checked: false,
-        }
-    }
-}
-
 /// One accepted connection as the event loop sees it.
 struct Conn {
     /// The read half (the accepted socket itself, non-blocking).
     stream: TcpStream,
     /// The shared write half (a `try_clone`d descriptor).
     writer: Arc<ConnWriter>,
-    state: ReadState,
+    /// Reassembles the frames arriving on `stream`.
+    reader: FrameReader,
     /// Requests dispatched to a job whose responses have not been written
     /// yet. Incremented synchronously at dispatch, decremented by the
     /// job's [`Reply`] on every exit path, so the pipeline cap can never
@@ -633,7 +608,7 @@ impl Conn {
                 dead: AtomicBool::new(false),
                 write_timeout: config.write_timeout,
             }),
-            state: ReadState::header(),
+            reader: FrameReader::new(config.max_frame_bytes),
             in_flight: Arc::new(AtomicUsize::new(0)),
             read_closed: false,
             last_activity: Instant::now(),
@@ -651,132 +626,50 @@ impl Conn {
     /// violation or transport error); a clean half-close and the pipeline
     /// cap both return `true` and are handled by the caller's bookkeeping.
     fn drain<H: Handler>(&mut self, handler: &Arc<H>, config: &ServerConfig) -> bool {
-        let mut scratch = [0u8; 16 << 10];
+        // The poll reported bytes (or the end of the stream) on this
+        // socket, so a peer still dripping a frame is not idle.
+        self.last_activity = Instant::now();
         loop {
             if self.paused(config) {
                 return true;
             }
-            match &mut self.state {
-                ReadState::Header {
-                    buf,
-                    filled,
-                    prelude_checked,
-                } => match self.stream.read(&mut buf[*filled..]) {
-                    Ok(0) => {
-                        if *filled == 0 {
-                            self.read_closed = true;
-                            return true;
-                        }
-                        self.writer.send_fault(
-                            NO_CORRELATION,
-                            &WatermarkError::ProtocolViolation {
-                                detail: format!(
-                                    "stream closed after {filled} of {FRAME_HEADER_BYTES} header bytes"
-                                ),
-                            },
-                        );
-                        return false;
-                    }
-                    Ok(n) => {
-                        *filled += n;
-                        self.last_activity = Instant::now();
-                        if !*prelude_checked && *filled >= FRAME_PRELUDE_BYTES {
-                            if let Err(err) = proto::check_prelude(&buf[..FRAME_PRELUDE_BYTES]) {
-                                self.writer.send_fault(NO_CORRELATION, &err);
-                                return false;
-                            }
-                            *prelude_checked = true;
-                        }
-                        if *filled == FRAME_HEADER_BYTES {
-                            let header = match proto::check_header(buf, config.max_frame_bytes) {
-                                Ok(header) => header,
-                                Err(err) => {
-                                    // The correlation id bytes are fixed
-                                    // by the layout even when the rest of
-                                    // the header is refused, so the fault
-                                    // can still name the request it kills.
-                                    let correlation_id = u64::from_le_bytes(
-                                        buf[6..14].try_into().expect("header slice is 8 bytes"),
-                                    );
-                                    self.writer.send_fault(correlation_id, &err);
-                                    return false;
-                                }
-                            };
-                            // Reserve at most 64 KiB up front; the rest
-                            // grows as bytes actually arrive, so a
-                            // hostile prefix below the cap still cannot
-                            // reserve more memory than the peer sends.
-                            self.state = ReadState::Payload {
-                                buf: Vec::with_capacity(header.announced.min(64 << 10)),
-                                header,
-                            };
-                        }
-                    }
-                    Err(err) if err.kind() == ErrorKind::WouldBlock => return true,
-                    Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.writer.dead.store(true, Ordering::Release);
-                        return false;
-                    }
-                },
-                ReadState::Payload { header, buf } => {
-                    if buf.len() == header.announced {
-                        let header = *header;
-                        let payload = std::mem::take(buf);
-                        self.state = ReadState::header();
-                        // Authenticate before decoding: a frame that
-                        // fails verification must not reach the handler.
-                        // An open front end ignores the auth fields; a
-                        // keyed one checks the tenant, the tag and the
-                        // strictly increasing sequence. Framing is intact
-                        // either way, so a failure is answered inline and
-                        // the connection kept; the sequence floor only
-                        // advances on success, so a replayed frame stays
-                        // refusable forever.
-                        let verified = match config.key_ring.as_deref() {
-                            None => Ok(TenantId::anonymous()),
-                            Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence),
-                        };
-                        match verified {
-                            Ok(tenant) => {
-                                self.last_sequence = self.last_sequence.max(header.sequence);
-                                self.dispatch(handler, config, header.correlation_id, tenant, payload);
-                            }
-                            Err(err) => {
-                                let claimed = TenantId::from_field(&header.tenant)
-                                    .unwrap_or_else(|_| TenantId::anonymous());
-                                handler.refused(&claimed);
-                                self.writer.send_fault(header.correlation_id, &err);
-                            }
-                        }
-                        continue;
-                    }
-                    let announced = header.announced;
-                    let want = (announced - buf.len()).min(scratch.len());
-                    match self.stream.read(&mut scratch[..want]) {
-                        Ok(0) => {
-                            self.writer.send_fault(
-                                header.correlation_id,
-                                &WatermarkError::ProtocolViolation {
-                                    detail: format!(
-                                        "stream closed after {} of {announced} payload bytes",
-                                        buf.len()
-                                    ),
-                                },
-                            );
-                            return false;
-                        }
-                        Ok(n) => {
-                            buf.extend_from_slice(&scratch[..n]);
-                            self.last_activity = Instant::now();
-                        }
-                        Err(err) if err.kind() == ErrorKind::WouldBlock => return true,
-                        Err(err) if err.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            self.writer.dead.store(true, Ordering::Release);
-                            return false;
-                        }
-                    }
+            let (header, payload) = match self.reader.read_from(&mut self.stream) {
+                Ok(FrameRead::Frame(header, payload)) => (header, payload),
+                Ok(FrameRead::Pending) => return true,
+                Ok(FrameRead::Closed) => {
+                    self.read_closed = true;
+                    return true;
+                }
+                Err(WatermarkError::Io { .. }) => {
+                    self.writer.dead.store(true, Ordering::Release);
+                    return false;
+                }
+                Err(err) => {
+                    self.writer.send_fault(self.reader.correlation_id(), &err);
+                    return false;
+                }
+            };
+            // Authenticate before decoding: a frame that fails
+            // verification must not reach the handler. An open front end
+            // ignores the auth fields; a keyed one checks the tenant, the
+            // tag and the strictly increasing sequence. Framing is intact
+            // either way, so a failure is answered inline and the
+            // connection kept; the sequence floor only advances on
+            // success, so a replayed frame stays refusable forever.
+            let verified = match config.key_ring.as_deref() {
+                None => Ok(TenantId::anonymous()),
+                Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence),
+            };
+            match verified {
+                Ok(tenant) => {
+                    self.last_sequence = self.last_sequence.max(header.sequence);
+                    self.dispatch(handler, config, header.correlation_id, tenant, payload);
+                }
+                Err(err) => {
+                    let claimed =
+                        TenantId::from_field(&header.tenant).unwrap_or_else(|_| TenantId::anonymous());
+                    handler.refused(&claimed);
+                    self.writer.send_fault(header.correlation_id, &err);
                 }
             }
         }

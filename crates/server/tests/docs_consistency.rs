@@ -4,7 +4,9 @@
 //!   adding a flag without documenting it — or documenting a flag that
 //!   no longer exists — fails;
 //! - the request table of `docs/WDTP.md` must name exactly the variants
-//!   of `Request` in `proto.rs`.
+//!   of `Request` in `proto.rs`;
+//! - the frame table of `docs/WDTP.md` must add up and agree with the
+//!   header constants of `proto.rs`.
 //!
 //! No regex: flags are collected by scanning for `--name` tokens, which
 //! appear in the parsers as quoted match arms and in the book as table
@@ -12,6 +14,7 @@
 //! and exempt.
 
 use std::collections::BTreeSet;
+use wdte_core::proto::{FRAME_HEADER_BYTES, LENGTH_OFFSET, TAG_BYTES, TENANT_FIELD_BYTES};
 use wdte_server::ServerConfig;
 
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
@@ -152,6 +155,48 @@ fn wdtp_request_table_names_exactly_the_request_variants() {
         documented, declared,
         "docs/WDTP.md's request table drifted from `Request` in proto.rs"
     );
+}
+
+/// The rows of the offset/size table under `## The frame` in
+/// `docs/WDTP.md` as `(offset, size, field)`; the payload's `*len*` size
+/// is `None`. Header and rule rows have no numeric offset.
+fn frame_rows() -> Vec<(usize, Option<usize>, &'static str)> {
+    section(WDTP, "The frame")
+        .lines()
+        .filter_map(|line| {
+            let mut cells = line.strip_prefix('|')?.split('|').map(str::trim);
+            let offset = cells.next()?.parse().ok()?;
+            let size = cells.next()?.parse().ok();
+            Some((offset, size, cells.next()?))
+        })
+        .collect()
+}
+
+#[test]
+fn wdtp_frame_table_matches_the_header_layout() {
+    let rows = frame_rows();
+    assert_eq!(rows.len(), 8, "docs/WDTP.md's frame table has rows {rows:?}");
+    assert_eq!(rows[0].0, 0, "the frame table starts at offset 0");
+    for pair in rows.windows(2) {
+        let ((offset, size, field), (next, _, next_field)) = (pair[0], pair[1]);
+        let size = size.unwrap_or_else(|| panic!("only the last row may be unsized, not `{field}`"));
+        assert_eq!(
+            offset + size,
+            next,
+            "docs/WDTP.md: `{next_field}` is at {next}, but the fields before it end at {}",
+            offset + size
+        );
+    }
+    let row = |prefix: &str| {
+        *rows
+            .iter()
+            .find(|(_, _, field)| field.starts_with(prefix))
+            .unwrap_or_else(|| panic!("docs/WDTP.md's frame table has no `{prefix}` row"))
+    };
+    assert_eq!(row("tenant id").1, Some(TENANT_FIELD_BYTES));
+    assert_eq!(row("truncated HMAC-SHA-256 tag").1, Some(TAG_BYTES));
+    assert_eq!(row("payload length").0, LENGTH_OFFSET);
+    assert_eq!(row("payload:").0, FRAME_HEADER_BYTES);
 }
 
 /// The scanner itself: accepts real flags, rejects table rules,

@@ -1193,6 +1193,7 @@ on_both_front_ends!(
     interleaved_requests_complete_out_of_order_by_correlation_id,
     shutdown_completes_on_an_unspecified_address_bind,
     each_dispute_of_a_docket_is_refused_with_its_own_typed_error,
+    a_slow_drip_is_answered_like_whole_frames,
 );
 
 mod cases {
@@ -1575,6 +1576,64 @@ mod cases {
             "an unregistered id: {:?}",
             verdicts[2]
         );
+        server.shutdown().unwrap();
+    }
+
+    /// Two pipelined frames written one byte per `write` are answered
+    /// bit-identically to the same frames sent whole. The drip outlasts
+    /// the idle timeout, so the partial reads must keep it from reaping
+    /// the connection.
+    pub(crate) fn a_slow_drip_is_answered_like_whole_frames(front: Front) {
+        let (model, claim) = plain_fixture(53);
+        let config = ServerConfig {
+            read_timeout: Some(Duration::from_millis(1000)),
+            ..ServerConfig::default()
+        };
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        let server = Fixture::start_at(front, "127.0.0.1:0", service, config);
+        let mut client = DisputeClient::connect(server.addr()).unwrap();
+        client.register_model("m", &model).unwrap();
+        // Caches the claim body, so the dripped docket can name it by digest.
+        assert!(client.resolve_docket(&[Dispute::new("m", claim.clone())]).unwrap()[0].is_ok());
+
+        let docket = Request::ResolveDocketRef {
+            bodies: vec![],
+            disputes: vec![DisputeRef::new("m", PayloadDigest::of_claim(&claim))],
+        };
+        let mut burst = proto::encode_frame(31, &docket).unwrap();
+        burst.extend_from_slice(&proto::encode_frame(32, &Request::Ping).unwrap());
+        let answers = |stream: TcpStream| {
+            let mut reader = BufReader::new(stream);
+            (0..2)
+                .map(|_| {
+                    let (header, payload) =
+                        proto::read_frame(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                            .unwrap()
+                            .expect("both pipelined requests are answered");
+                    (header.correlation_id, payload)
+                })
+                .collect::<std::collections::HashMap<u64, Vec<u8>>>()
+        };
+        let mut whole = raw_connection(&server);
+        whole.write_all(&burst).unwrap();
+        let expected = answers(whole);
+        match proto::decode_payload::<Response>(&expected[&31]).unwrap() {
+            Response::Docket { verdicts } => assert!(verdicts[0].clone().into_result().is_ok()),
+            other => panic!("expected docket verdicts, got {other:?}"),
+        }
+
+        let mut drip = raw_connection(&server);
+        drip.set_nodelay(true).unwrap();
+        let started = Instant::now();
+        for byte in &burst {
+            drip.write_all(std::slice::from_ref(byte)).unwrap();
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            started.elapsed() > Duration::from_millis(1000),
+            "the drip outlasts the idle timeout"
+        );
+        assert_eq!(answers(drip), expected);
         server.shutdown().unwrap();
     }
 
