@@ -20,9 +20,11 @@
 //!   as their raw IEEE-754 bit pattern, preserving even `NaN` payloads.
 //!   The codec, with its bounds checks, capped reservations and depth
 //!   limit, is [`serde::binary`]; WDTP frames ([`crate::proto`]) carry the
-//!   same encoding. Types are written and read directly between their
-//!   fields and the bytes, with no intermediate [`Value`] tree; JSON still
-//!   goes through [`Value`].
+//!   same encoding. Most types are written and read directly between
+//!   their fields and the bytes, with no intermediate [`Value`] tree. The
+//!   exceptions are `RandomForest`, `DecisionTree`, `CompiledForest`,
+//!   `ClassCounts`, `ConfusionMatrix` and `TenantId`, which still decode
+//!   through a [`Value`] tree. JSON always goes through [`Value`].
 //!
 //! **Version policy:** the header version is bumped whenever the encoding
 //! of existing data changes shape. Readers accept the versions in

@@ -57,7 +57,10 @@
 //! same bounds-checked, allocation-capped, depth-limited encoding they are
 //! stored in. Messages are encoded straight into the frame buffer and
 //! decoded straight from the payload bytes, with no intermediate
-//! [`serde::Value`] tree. Decoding is hardened end to end: the length
+//! [`serde::Value`] tree, except for the parts that are a
+//! `RandomForest`, `DecisionTree`, `CompiledForest`, `ClassCounts`,
+//! `ConfusionMatrix` or `TenantId`, which still decode through one.
+//! Decoding is hardened end to end: the length
 //! prefix is validated against a receiver-side cap *before* any
 //! allocation ([`WatermarkError::FrameTooLarge`]), unknown magic,
 //! truncated frames and payloads that do not decode surface as
@@ -84,7 +87,9 @@
 //! not an authentication mechanism: the judge computes digests itself
 //! from the bytes it received (a peer cannot bind a digest to foreign
 //! content), but the construction is not collision-resistant against a
-//! cryptographic adversary.
+//! cryptographic adversary. The judge's claim cache therefore compares a
+//! body whose digest it already holds with the cached one bit for bit,
+//! and refuses a different body.
 //!
 //! ## Version policy
 //!
@@ -205,11 +210,13 @@ impl DigestStream {
 }
 
 impl PayloadDigest {
-    /// Digest of an ownership claim's full logical content: signature bits,
+    /// Digest of an ownership claim's logical content: signature bits,
     /// trigger set and test set (rows, labels, shapes). Unlike
     /// `disguise_seed`, which deliberately skips the disguise set to stay
-    /// off the verification hot path, this covers *everything* — two claims
-    /// must compare equal field-for-field to share a digest.
+    /// off the verification hot path, this covers the test set too. It
+    /// does not cover the sets' `num_classes`, and it is not
+    /// collision-resistant, so two different claims can share a digest;
+    /// the claim cache compares bodies on a digest hit.
     pub fn of_claim(claim: &OwnershipClaim) -> Self {
         let mut stream = DigestStream::new("wdtp:claim");
         stream.eat(claim.signature.len() as u64);

@@ -53,7 +53,7 @@ use crate::tenant::{TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};
 use crate::verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -132,8 +132,9 @@ impl SharedDispute {
 /// protocol's content addressing: a claim uploaded once is later
 /// referenced by its [`PayloadDigest`] alone. Digests are always computed
 /// *here*, from the bytes actually received — a peer cannot bind a digest
-/// to content the judge never saw, so a poisoned entry would require a
-/// digest collision, not a lying client.
+/// to content the judge never saw. The digest is not collision-resistant,
+/// so an upload whose digest is already cached is compared with the
+/// cached body bit for bit, and a different body is refused.
 ///
 /// Eviction is least-recently-used over a byte budget estimated from the
 /// claim's dataset payloads (`0` = unlimited, matching the codebase's
@@ -176,6 +177,24 @@ struct ClaimEntry {
     models: HashSet<(TenantId, String)>,
 }
 
+/// Whether two claims are the same input to verification, bit for bit:
+/// the signature bits and, for each set, its shape, class count, label
+/// indices and the bits of every feature value. Comparing features with
+/// `==` would refuse an identical claim that holds a NaN.
+fn same_claim(a: &OwnershipClaim, b: &OwnershipClaim) -> bool {
+    let same_set = |x: &Dataset, y: &Dataset| {
+        let (xs, ys) = (x.features().as_slice(), y.features().as_slice());
+        x.len() == y.len()
+            && x.num_features() == y.num_features()
+            && x.num_classes() == y.num_classes()
+            && x.labels() == y.labels()
+            && xs.iter().zip(ys).all(|(a, b)| a.to_bits() == b.to_bits())
+    };
+    a.signature.bits() == b.signature.bits()
+        && same_set(&a.trigger_set, &b.trigger_set)
+        && same_set(&a.test_set, &b.test_set)
+}
+
 /// Approximate heap footprint of a claim: the dataset payloads dominate
 /// (8 bytes per feature value), signature and labels are rounding error
 /// but counted for claims with degenerate shapes, plus the fixed
@@ -204,12 +223,14 @@ impl ClaimCache {
     /// Inserts a claim on `tenant`'s behalf, computing its digest from the
     /// content, and returns the digest with the (possibly pre-existing)
     /// shared body. Re-inserting an equal claim refreshes its recency
-    /// instead of duplicating it. The tenant's `max_claim_bytes` quota is
-    /// checked against its *attributed* bytes **before** the claim body
-    /// is allocated into the cache, and refused inserts leave the cache
-    /// untouched. Re-inserting a claim another tenant already uploaded
-    /// charges this tenant too (content is shared, accountability is
-    /// not).
+    /// instead of duplicating it. A claim whose digest is cached for a
+    /// body that differs in any input verification reads is refused with
+    /// [`WatermarkError::ProtocolViolation`], and the cached body is kept.
+    /// The tenant's `max_claim_bytes` quota is checked against its
+    /// *attributed* bytes **before** the claim body is allocated into the
+    /// cache, and refused inserts leave the cache untouched. Re-inserting
+    /// a claim another tenant already uploaded charges this tenant too
+    /// (content is shared, accountability is not).
     pub fn insert_for(
         &self,
         tenant: &TenantId,
@@ -219,7 +240,13 @@ impl ClaimCache {
         let digest = PayloadDigest::of_claim(&claim);
         let footprint = claim_footprint(&claim);
         let mut inner = self.lock();
-        let already_owner = inner.map.get(&digest).is_some_and(|entry| entry.owners.contains(tenant));
+        let cached = inner.map.get(&digest);
+        if cached.is_some_and(|entry| !same_claim(&entry.claim, &claim)) {
+            return Err(WatermarkError::ProtocolViolation {
+                detail: format!("claim body differs from the cached body with digest {digest}"),
+            });
+        }
+        let already_owner = cached.is_some_and(|entry| entry.owners.contains(tenant));
         if !already_owner {
             let held = inner.tenant_bytes.get(tenant).copied().unwrap_or(0);
             quotas.check_claim_bytes(held + footprint)?;
@@ -413,7 +440,6 @@ pub struct DisputeServiceBuilder {
     max_docket: Option<usize>,
     warm_start_dirs: Vec<PathBuf>,
     claim_cache_bytes: Option<usize>,
-    model_cache_bytes: Option<usize>,
     tenant_quotas: Option<TenantQuotas>,
 }
 
@@ -446,19 +472,6 @@ impl DisputeServiceBuilder {
         self
     }
 
-    /// Byte budget for resident compiled forests (`serve_judge
-    /// --model-cache-mb`). When the resident set exceeds the budget, the
-    /// least-recently-used *evictable* model is dropped to its persisted
-    /// artefact and transparently recompiled on the next resolution
-    /// against it. Only file-backed models are evictable (a wire-uploaded
-    /// model has no artefact to fall back to), and warm-start models are
-    /// pinned. `0` means unlimited (the default), matching the 0-disables
-    /// convention.
-    pub fn model_cache_bytes(mut self, bytes: usize) -> Self {
-        self.model_cache_bytes = Some(bytes);
-        self
-    }
-
     /// Per-tenant quotas — models registered, attributed claim-cache bytes
     /// and in-flight requests — each checked *before* the corresponding
     /// allocation, by `register_digested_as`/`register_by_digest_as`,
@@ -476,8 +489,7 @@ impl DisputeServiceBuilder {
     /// [`ModelManifest`] plus the artefact files it names (as written by
     /// the `table2` experiment under `results/models/`). May be called
     /// multiple times; directories are loaded in call order at
-    /// [`build`](Self::build) time. Warm-start models are *pinned*: they
-    /// count toward the model-cache budget but are never evicted.
+    /// [`build`](Self::build) time.
     pub fn warm_start_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.warm_start_dirs.push(dir.into());
         self
@@ -491,18 +503,12 @@ impl DisputeServiceBuilder {
             self.batch_shard_rows.unwrap_or(DEFAULT_BATCH_SHARD_ROWS),
             self.max_docket,
             self.claim_cache_bytes.unwrap_or(DEFAULT_CLAIM_CACHE_BYTES),
-            self.model_cache_bytes.unwrap_or(0),
             self.tenant_quotas.unwrap_or_default(),
         );
         for dir in &self.warm_start_dirs {
             let manifest = ModelManifest::load_dir(dir)?;
             for entry in &manifest.models {
-                service.register_file_inner(
-                    &TenantId::anonymous(),
-                    entry.model_id.clone(),
-                    dir.join(&entry.file),
-                    true,
-                )?;
+                service.register_from_file(entry.model_id.clone(), dir.join(&entry.file))?;
             }
         }
         Ok(service)
@@ -514,62 +520,25 @@ impl DisputeServiceBuilder {
 /// without ever observing each other's models.
 type ModelKey = (TenantId, String);
 
-/// One registered model. `compiled: None` means the model was evicted to
-/// its persisted artefact and will be transparently recompiled on the next
-/// resolution against it.
-#[derive(Debug)]
-struct ModelEntry {
-    compiled: Option<Arc<CompiledForest>>,
-    /// Estimated resident bytes of the compiled form (counted while
-    /// resident, refunded on eviction).
-    footprint: usize,
-    /// Pinned entries (warm-start models) are never evicted.
-    pinned: bool,
-    /// Persisted artefact backing the entry; only file-backed models are
-    /// evictable, because a wire-uploaded model has nothing to fall back
-    /// to.
-    source: Option<PathBuf>,
+/// The registry: every model's compiled form, by tenant and id.
+type ModelRegistry = HashMap<ModelKey, Arc<CompiledForest>>;
+
+/// Number of models in `tenant`'s namespace.
+fn tenant_models(reg: &ModelRegistry, tenant: &TenantId) -> usize {
+    reg.keys().filter(|(owner, _)| owner == tenant).count()
 }
 
-impl ModelEntry {
-    fn evictable(&self) -> bool {
-        !self.pinned && self.source.is_some()
-    }
-}
-
-#[derive(Debug, Default)]
-struct ModelRegistry {
-    map: HashMap<ModelKey, ModelEntry>,
-    /// Resident, evictable keys in least-recently-used-first order.
-    order: VecDeque<ModelKey>,
-    /// Estimated bytes of all resident compiled forests.
-    resident_bytes: usize,
-}
-
-impl ModelRegistry {
-    fn touch(&mut self, key: &ModelKey) {
-        if let Some(position) = self.order.iter().position(|k| k == key) {
-            let key = self.order.remove(position).expect("position is in bounds");
-            self.order.push_back(key);
+/// The typed error for a model id absent from `tenant`'s namespace:
+/// [`WatermarkError::Forbidden`] if another tenant holds the id (a
+/// cross-namespace probe), [`WatermarkError::UnknownModel`] otherwise.
+fn missing_model(reg: &ModelRegistry, tenant: &TenantId, model_id: &str) -> WatermarkError {
+    if reg.keys().any(|(owner, id)| id == model_id && owner != tenant) {
+        WatermarkError::Forbidden {
+            detail: format!("model `{model_id}` is not in tenant `{tenant}`'s namespace"),
         }
-    }
-
-    fn tenant_models(&self, tenant: &TenantId) -> usize {
-        self.map.keys().filter(|(owner, _)| owner == tenant).count()
-    }
-
-    /// The typed error for a model id absent from `tenant`'s namespace:
-    /// [`WatermarkError::Forbidden`] if another tenant holds the id (a
-    /// cross-namespace probe), [`WatermarkError::UnknownModel`] otherwise.
-    fn missing(&self, tenant: &TenantId, model_id: &str) -> WatermarkError {
-        if self.map.keys().any(|(owner, id)| id == model_id && owner != tenant) {
-            WatermarkError::Forbidden {
-                detail: format!("model `{model_id}` is not in tenant `{tenant}`'s namespace"),
-            }
-        } else {
-            WatermarkError::UnknownModel {
-                model_id: model_id.to_string(),
-            }
+    } else {
+        WatermarkError::UnknownModel {
+            model_id: model_id.to_string(),
         }
     }
 }
@@ -588,14 +557,13 @@ pub struct DisputeService {
     /// re-registration ([`Self::register_by_digest_as`]). Scoping by tenant
     /// means a digest learned out of band cannot resurrect another
     /// tenant's model. Entries are pruned when the last registry id
-    /// sharing the compiled form is deregistered or evicted.
+    /// sharing the compiled form is deregistered.
     model_digests: RwLock<HashMap<(TenantId, PayloadDigest), Arc<CompiledForest>>>,
     claims: ClaimCache,
     ledger: TenantLedger,
     compile_count: AtomicUsize,
     batch_shard_rows: usize,
     max_docket: Option<usize>,
-    model_cache_bytes: usize,
     quotas: TenantQuotas,
 }
 
@@ -605,7 +573,6 @@ impl Default for DisputeService {
             DEFAULT_BATCH_SHARD_ROWS,
             None,
             DEFAULT_CLAIM_CACHE_BYTES,
-            0,
             TenantQuotas::default(),
         )
     }
@@ -621,7 +588,6 @@ impl DisputeService {
         batch_shard_rows: usize,
         max_docket: Option<usize>,
         claim_cache_bytes: usize,
-        model_cache_bytes: usize,
         quotas: TenantQuotas,
     ) -> Self {
         Self {
@@ -632,7 +598,6 @@ impl DisputeService {
             compile_count: AtomicUsize::new(0),
             batch_shard_rows,
             max_docket,
-            model_cache_bytes,
             quotas,
         }
     }
@@ -647,8 +612,8 @@ impl DisputeService {
     }
 
     /// The per-tenant accounting ledger. The server front end records auth
-    /// failures and the in-flight gauge here; the service itself records
-    /// dockets, cache traffic and evictions.
+    /// failures, claim-cache traffic and the in-flight gauge here; the
+    /// service itself records dockets.
     pub fn ledger(&self) -> &TenantLedger {
         &self.ledger
     }
@@ -673,13 +638,7 @@ impl DisputeService {
         // Compile outside the registry lock: registration of a large model
         // must not block resolutions against other models.
         let compiled = self.compile(model);
-        self.publish_model(
-            &TenantId::anonymous(),
-            model_id.into(),
-            Arc::clone(&compiled),
-            false,
-            None,
-        );
+        self.publish_model(&TenantId::anonymous(), model_id.into(), Arc::clone(&compiled));
         compiled
     }
 
@@ -692,33 +651,14 @@ impl DisputeService {
     /// Registers a model in the anonymous namespace from a persisted
     /// artefact: either a [`CompiledForest`] (as written by
     /// `save_model_artifacts` / `persist::save`) or a pointer-tree
-    /// [`RandomForest`], which is then compiled once. File-backed models
-    /// are *evictable* under the
-    /// [`model_cache_bytes`](DisputeServiceBuilder::model_cache_bytes)
-    /// budget: the artefact path is retained and the model is recompiled
-    /// transparently on the next resolution after an eviction.
+    /// [`RandomForest`], which is then compiled once.
     pub fn register_from_file(
         &self,
         model_id: impl Into<String>,
         path: impl AsRef<Path>,
     ) -> WatermarkResult<Arc<CompiledForest>> {
-        self.register_file_inner(
-            &TenantId::anonymous(),
-            model_id.into(),
-            path.as_ref().to_path_buf(),
-            false,
-        )
-    }
-
-    fn register_file_inner(
-        &self,
-        tenant: &TenantId,
-        model_id: String,
-        path: PathBuf,
-        pinned: bool,
-    ) -> WatermarkResult<Arc<CompiledForest>> {
-        let compiled = self.load_artefact(&path)?;
-        self.publish_model(tenant, model_id, Arc::clone(&compiled), pinned, Some(path));
+        let compiled = self.load_artefact(path.as_ref())?;
+        self.publish_model(&TenantId::anonymous(), model_id.into(), Arc::clone(&compiled));
         Ok(compiled)
     }
 
@@ -749,129 +689,28 @@ impl DisputeService {
         }
     }
 
-    /// Inserts (or replaces) a registry entry and enforces the model-cache
-    /// byte budget, evicting least-recently-used file-backed models.
-    fn publish_model(
-        &self,
-        tenant: &TenantId,
-        model_id: String,
-        compiled: Arc<CompiledForest>,
-        pinned: bool,
-        source: Option<PathBuf>,
-    ) {
-        let key = (tenant.clone(), model_id);
-        let footprint = compiled.resident_bytes();
-        let mut reg = self.lock_registry();
-        if let Some(old) = reg.map.remove(&key) {
-            if old.compiled.is_some() {
-                reg.resident_bytes = reg.resident_bytes.saturating_sub(old.footprint);
-            }
-            reg.order.retain(|k| k != &key);
-        }
-        let entry = ModelEntry {
-            compiled: Some(compiled),
-            footprint,
-            pinned,
-            source,
-        };
-        if entry.evictable() {
-            reg.order.push_back(key.clone());
-        }
-        reg.resident_bytes += footprint;
-        reg.map.insert(key.clone(), entry);
-        self.enforce_model_budget(&mut reg, &key);
-    }
-
-    /// Evicts least-recently-used evictable models until the resident set
-    /// fits the budget. The entry just published (`keep`) is exempt, so a
-    /// budget smaller than one model degrades to cache-nothing rather than
-    /// evicting what the caller is about to use.
-    fn enforce_model_budget(&self, reg: &mut ModelRegistry, keep: &ModelKey) {
-        if self.model_cache_bytes == 0 {
-            return;
-        }
-        while reg.resident_bytes > self.model_cache_bytes {
-            let Some(position) = reg.order.iter().position(|key| key != keep) else {
-                break;
-            };
-            let key = reg.order.remove(position).expect("position is in bounds");
-            let Some(entry) = reg.map.get_mut(&key) else {
-                continue;
-            };
-            if let Some(evicted) = entry.compiled.take() {
-                reg.resident_bytes = reg.resident_bytes.saturating_sub(entry.footprint);
-                self.ledger.record_evictions(&key.0, 1);
-                // The digest index must not keep the evicted form resident:
-                // prune this tenant's entries sharing it. A later
-                // RegisterByDigest misses and falls back to a full upload.
-                self.model_digests
-                    .write()
-                    .expect("model digest index lock is never poisoned")
-                    .retain(|(owner, _), compiled| {
-                        !(owner == &key.0 && Arc::ptr_eq(compiled, &evicted))
-                    });
-            }
-        }
+    /// Inserts (or replaces) a registry entry.
+    fn publish_model(&self, tenant: &TenantId, model_id: String, compiled: Arc<CompiledForest>) {
+        self.lock_registry().insert((tenant.clone(), model_id), compiled);
     }
 
     /// The compiled model registered under `model_id` in `tenant`'s
-    /// namespace. An evicted entry is recompiled from its persisted
-    /// artefact before returning (counted as a cache miss in the ledger);
-    /// an id held by another tenant is [`WatermarkError::Forbidden`].
+    /// namespace; an id held by another tenant is
+    /// [`WatermarkError::Forbidden`].
     pub fn model_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<Arc<CompiledForest>> {
-        let key = (tenant.clone(), model_id.to_string());
-        loop {
-            let source = {
-                let mut reg = self.lock_registry();
-                let Some(entry) = reg.map.get(&key) else {
-                    return Err(reg.missing(tenant, model_id));
-                };
-                if let Some(compiled) = entry.compiled.clone() {
-                    if entry.evictable() {
-                        reg.touch(&key);
-                    }
-                    return Ok(compiled);
-                }
-                entry.source.clone().expect("evicted entries always retain their artefact path")
-            };
-            // Transparent recompile-on-miss, outside the lock so
-            // resolutions against other models proceed. If the entry
-            // changed meanwhile, the reload is dropped and the entry is
-            // read again.
-            self.ledger.record_cache_misses(tenant, 1);
-            let compiled = self.load_artefact(&source)?;
-            if self.install_reload(&key, &source, &compiled) {
-                return Ok(compiled);
-            }
+        let reg = self.lock_registry();
+        match reg.get(&(tenant.clone(), model_id.to_string())) {
+            Some(compiled) => Ok(Arc::clone(compiled)),
+            None => Err(missing_model(&reg, tenant, model_id)),
         }
-    }
-
-    /// Makes a reloaded compiled form resident, but only if `key` is still
-    /// registered, still evicted and still backed by `source`: a
-    /// deregistration or re-registration that ran during the reload wins
-    /// over the stale artefact. Returns whether the form was installed.
-    fn install_reload(&self, key: &ModelKey, source: &Path, compiled: &Arc<CompiledForest>) -> bool {
-        let mut reg = self.lock_registry();
-        let Some(entry) = reg.map.get_mut(key) else {
-            return false;
-        };
-        if entry.compiled.is_some() || entry.source.as_deref() != Some(source) {
-            return false;
-        }
-        entry.compiled = Some(Arc::clone(compiled));
-        entry.footprint = compiled.resident_bytes();
-        reg.resident_bytes += compiled.resident_bytes();
-        reg.order.push_back(key.clone());
-        self.enforce_model_budget(&mut reg, key);
-        true
     }
 
     /// Checks the models-registered quota for registering `model_id`
     /// (re-registering an existing id never counts as growth).
     fn check_model_quota(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<()> {
         let reg = self.lock_registry();
-        let additional = usize::from(!reg.map.contains_key(&(tenant.clone(), model_id.to_string())));
-        self.quotas.check_models(reg.tenant_models(tenant) + additional)
+        let additional = usize::from(!reg.contains_key(&(tenant.clone(), model_id.to_string())));
+        self.quotas.check_models(tenant_models(&reg, tenant) + additional)
     }
 
     /// Registers a pointer-tree model in `tenant`'s namespace and indexes
@@ -890,7 +729,7 @@ impl DisputeService {
         self.check_model_quota(tenant, &model_id)?;
         let digest = PayloadDigest::of_model(model);
         let compiled = self.compile(model);
-        self.publish_model(tenant, model_id, Arc::clone(&compiled), false, None);
+        self.publish_model(tenant, model_id, Arc::clone(&compiled));
         self.model_digests
             .write()
             .expect("model digest index lock is never poisoned")
@@ -920,7 +759,7 @@ impl DisputeService {
         else {
             return Ok(None);
         };
-        self.publish_model(tenant, model_id, Arc::clone(&compiled), false, None);
+        self.publish_model(tenant, model_id, Arc::clone(&compiled));
         Ok(Some(compiled))
     }
 
@@ -933,36 +772,24 @@ impl DisputeService {
     /// claims are dropped (see [`ClaimCache::drop_model`]).
     pub fn deregister_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<bool> {
         let key = (tenant.clone(), model_id.to_string());
-        let removed = {
+        let (removed, still_registered) = {
             let mut reg = self.lock_registry();
-            let Some(entry) = reg.map.remove(&key) else {
-                return match reg.missing(tenant, model_id) {
+            let Some(removed) = reg.remove(&key) else {
+                return match missing_model(&reg, tenant, model_id) {
                     WatermarkError::UnknownModel { .. } => Ok(false),
                     forbidden => Err(forbidden),
                 };
             };
-            reg.order.retain(|k| k != &key);
-            if entry.compiled.is_some() {
-                reg.resident_bytes = reg.resident_bytes.saturating_sub(entry.footprint);
-            }
-            entry.compiled
+            let still_registered = reg
+                .iter()
+                .any(|((owner, _), compiled)| owner == tenant && Arc::ptr_eq(compiled, &removed));
+            (removed, still_registered)
         };
-        if let Some(removed_arc) = &removed {
-            let still_registered = self.lock_registry().map.iter().any(|((owner, _), entry)| {
-                owner == tenant
-                    && entry
-                        .compiled
-                        .as_ref()
-                        .is_some_and(|compiled| Arc::ptr_eq(compiled, removed_arc))
-            });
-            if !still_registered {
-                self.model_digests
-                    .write()
-                    .expect("model digest index lock is never poisoned")
-                    .retain(|(owner, _), compiled| {
-                        !(owner == tenant && Arc::ptr_eq(compiled, removed_arc))
-                    });
-            }
+        if !still_registered {
+            self.model_digests
+                .write()
+                .expect("model digest index lock is never poisoned")
+                .retain(|(owner, _), compiled| !(owner == tenant && Arc::ptr_eq(compiled, &removed)));
         }
         // Evidence adjudicated only against the retired model must not be
         // silently replayable against a successor under a stale digest.
@@ -979,7 +806,6 @@ impl DisputeService {
     pub fn model_ids_for(&self, tenant: &TenantId) -> Vec<String> {
         let reg = self.lock_registry();
         let mut ids: Vec<String> = reg
-            .map
             .keys()
             .filter(|(owner, _)| owner == tenant)
             .map(|(_, id)| id.clone())
@@ -994,21 +820,9 @@ impl DisputeService {
         self.max_docket
     }
 
-    /// The model-cache byte budget (`0` = unlimited).
-    pub fn model_cache_bytes(&self) -> usize {
-        self.model_cache_bytes
-    }
-
-    /// Estimated bytes of all resident compiled forests, across tenants.
-    pub fn resident_model_bytes(&self) -> usize {
-        self.lock_registry().resident_bytes
-    }
-
-    /// Number of registered models across every namespace (evicted
-    /// file-backed models still count — they are registered, just not
-    /// resident).
+    /// Number of registered models across every namespace.
     pub fn len(&self) -> usize {
-        self.lock_registry().map.len()
+        self.lock_registry().len()
     }
 
     /// Whether the registry is empty.
@@ -1018,9 +832,7 @@ impl DisputeService {
 
     /// Total number of [`CompiledForest::compile`] calls this service has
     /// performed — the compile-once guarantee made observable: resolving
-    /// any number of claims never increments it (evicting a model under
-    /// the byte budget and resolving against it again does, once per
-    /// reload of a pointer-tree artefact).
+    /// any number of claims never increments it.
     pub fn compile_count(&self) -> usize {
         self.compile_count.load(Ordering::Relaxed)
     }
@@ -1029,7 +841,7 @@ impl DisputeService {
     /// (models registered, attributed claim-cache bytes).
     pub fn stats_for(&self, tenant: &TenantId) -> TenantStatsEntry {
         let counters = self.ledger.counters(tenant);
-        let models = self.lock_registry().tenant_models(tenant) as u64;
+        let models = tenant_models(&self.lock_registry(), tenant) as u64;
         TenantStatsEntry {
             tenant: tenant.to_string(),
             models,
@@ -1037,7 +849,7 @@ impl DisputeService {
             claims: counters.claims,
             cache_hits: counters.cache_hits,
             cache_misses: counters.cache_misses,
-            evictions: counters.evictions,
+            evictions: 0,
             auth_failures: counters.auth_failures,
             claim_bytes: self.claims.tenant_bytes(tenant) as u64,
             in_flight: counters.in_flight,
@@ -1051,7 +863,7 @@ impl DisputeService {
     pub fn stats_all(&self) -> Vec<TenantStatsEntry> {
         let mut tenants: BTreeSet<TenantId> =
             self.ledger.snapshot().into_iter().map(|(tenant, _)| tenant).collect();
-        tenants.extend(self.lock_registry().map.keys().map(|(owner, _)| owner.clone()));
+        tenants.extend(self.lock_registry().keys().map(|(owner, _)| owner.clone()));
         tenants.extend(self.claims.owner_tenants());
         tenants.iter().map(|tenant| self.stats_for(tenant)).collect()
     }
@@ -1068,8 +880,7 @@ impl DisputeService {
     }
 
     /// [`resolve`](Self::resolve) in `tenant`'s namespace: resolving
-    /// against another tenant's model is [`WatermarkError::Forbidden`],
-    /// and an evicted model is transparently recompiled first.
+    /// against another tenant's model is [`WatermarkError::Forbidden`].
     pub fn resolve_as(
         &self,
         tenant: &TenantId,
@@ -1184,6 +995,7 @@ mod tests {
     use crate::watermark::Watermarker;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::collections::VecDeque;
     use wdte_data::SyntheticSpec;
 
     fn embedded() -> (Dataset, crate::watermark::WatermarkOutcome) {
@@ -1805,156 +1617,6 @@ mod tests {
         service.claims().insert_for(&tenant("other"), service.quotas(), small).unwrap();
     }
 
-    #[test]
-    fn model_cache_evicts_lru_and_recompiles_transparently() {
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let reference = verify_ownership(&outcome.model, &claim);
-        let dir = std::env::temp_dir().join(format!("wdte-evict-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path_a = dir.join("a.wdte");
-        let path_b = dir.join("b.wdte");
-        persist::save(&path_a, &outcome.model, persist::Format::Binary).unwrap();
-        persist::save(&path_b, &outcome.model, persist::Format::Binary).unwrap();
-        // A budget that fits one compiled forest but not two.
-        let budget = CompiledForest::compile(&outcome.model).resident_bytes() * 3 / 2;
-        let service = DisputeService::builder().model_cache_bytes(budget).build().unwrap();
-        let anon = TenantId::anonymous();
-
-        service.register_from_file("a", &path_a).unwrap();
-        service.register_from_file("b", &path_b).unwrap();
-        assert_eq!(service.len(), 2, "an evicted model stays registered");
-        assert_eq!(service.model_ids_for(&anon), ["a", "b"]);
-        assert!(service.resident_model_bytes() <= budget);
-        assert_eq!(
-            service.ledger().counters(&anon).evictions,
-            1,
-            "registering b evicted a"
-        );
-
-        // Resolving against the evicted model transparently reloads and
-        // recompiles it — bit-identical verdict, one recorded cache miss —
-        // and LRU pressure then pushes b out.
-        assert_eq!(service.resolve("a", &claim).unwrap(), reference);
-        assert_eq!(service.ledger().counters(&anon).cache_misses, 1);
-        assert_eq!(service.ledger().counters(&anon).evictions, 2);
-        assert!(service.resident_model_bytes() <= budget);
-        assert_eq!(service.resolve("b", &claim).unwrap(), reference);
-        assert_eq!(service.ledger().counters(&anon).cache_misses, 2);
-
-        // A wire-registered model has no artefact to fall back to: it is
-        // never evicted, whatever the budget says.
-        service.register("wire-only", &outcome.model);
-        assert!(service.resolve("wire-only", &claim).unwrap().verified);
-        assert!(service.resolve("wire-only", &claim).unwrap().verified);
-        assert_eq!(
-            service.ledger().counters(&anon).cache_misses,
-            2,
-            "resident models never miss"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A reload that races a re-registration or a deregistration of the
-    /// same id must not install its stale artefact. Each interleaving is
-    /// staged step by step: reload the evicted entry's artefact, change
-    /// the registry, then try to install the reload.
-    #[test]
-    fn a_stale_reload_never_overwrites_or_resurrects_a_model() {
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let dataset = SyntheticSpec::breast_cancer_like()
-            .scaled(0.4)
-            .generate(&mut SmallRng::seed_from_u64(76));
-        let unrelated = Watermarker::new(WatermarkConfig {
-            num_trees: 10,
-            ..WatermarkConfig::fast()
-        })
-        .train_baseline(&dataset, &mut SmallRng::seed_from_u64(77));
-        let dir = std::env::temp_dir().join(format!("wdte-reload-race-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path_a = dir.join("a.wdte");
-        let path_b = dir.join("b.wdte");
-        persist::save(&path_a, &outcome.model, persist::Format::Binary).unwrap();
-        persist::save(&path_b, &outcome.model, persist::Format::Binary).unwrap();
-        // A budget that fits one compiled forest but not two, so
-        // registering b evicts a.
-        let budget = CompiledForest::compile(&outcome.model).resident_bytes() * 3 / 2;
-        let anon = TenantId::anonymous();
-        let key = (anon.clone(), "a".to_string());
-        let with_a_evicted = || {
-            let service = DisputeService::builder().model_cache_bytes(budget).build().unwrap();
-            service.register_from_file("a", &path_a).unwrap();
-            service.register_from_file("b", &path_b).unwrap();
-            assert_eq!(service.ledger().counters(&anon).evictions, 1);
-            service
-        };
-
-        // Re-registered during the reload: the new model stays, and the
-        // registry, the digest index and the verdicts all agree on it.
-        let service = with_a_evicted();
-        let stale = service.load_artefact(&path_a).unwrap();
-        let (digest, fresh) = service.register_digested_as(&anon, "a", &unrelated).unwrap();
-        assert!(!service.install_reload(&key, &path_a, &stale));
-        let served = service.model_as(&anon, "a").unwrap();
-        assert!(
-            Arc::ptr_eq(&served, &fresh),
-            "the stale artefact overwrote a newer model"
-        );
-        assert!(!service.resolve("a", &claim).unwrap().verified);
-        let copy = service.register_by_digest_as(&anon, "copy", digest).unwrap().unwrap();
-        assert!(Arc::ptr_eq(&copy, &served));
-
-        // Deregistered during the reload: the id stays gone.
-        let service = with_a_evicted();
-        let stale = service.load_artefact(&path_a).unwrap();
-        assert!(service.deregister_as(&anon, "a").unwrap());
-        assert!(!service.install_reload(&key, &path_a, &stale));
-        assert!(matches!(
-            service.model_as(&anon, "a").unwrap_err(),
-            WatermarkError::UnknownModel { .. }
-        ));
-        assert_eq!(service.model_ids_for(&anon), ["b"]);
-
-        // Untouched during the reload: it installs, and is served.
-        let service = with_a_evicted();
-        let reloaded = service.load_artefact(&path_a).unwrap();
-        assert!(service.install_reload(&key, &path_a, &reloaded));
-        assert!(Arc::ptr_eq(&service.model_as(&anon, "a").unwrap(), &reloaded));
-        assert!(service.resident_model_bytes() <= budget);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn warm_start_models_are_pinned_and_never_evicted() {
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let dir = std::env::temp_dir().join(format!("wdte-pinned-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        persist::save(dir.join("m.wdte"), &outcome.model, persist::Format::Binary).unwrap();
-        ModelManifest {
-            models: vec![ManifestEntry {
-                model_id: "warm".into(),
-                file: "m.wdte".into(),
-            }],
-        }
-        .save_dir(&dir)
-        .unwrap();
-        // A budget far smaller than the model: a pinned entry still boots
-        // resident and stays resident.
-        let service = DisputeService::builder()
-            .warm_start_dir(&dir)
-            .model_cache_bytes(1)
-            .build()
-            .unwrap();
-        assert_eq!(service.compile_count(), 1);
-        assert!(service.resolve("warm", &claim).unwrap().verified);
-        assert!(service.resolve("warm", &claim).unwrap().verified);
-        assert_eq!(service.compile_count(), 1, "pinned models never leave residency");
-        assert_eq!(service.ledger().counters(&TenantId::anonymous()).evictions, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// Pins the claim-cache byte accounting: dataset payloads + signature +
     /// the documented fixed per-entry overhead, with every owner of a
     /// deduplicated entry charged its full footprint.
@@ -2054,5 +1716,81 @@ mod tests {
         assert_eq!(names, ["anonymous", "acme"]);
         assert_eq!(all[0].models, 1);
         assert_eq!(all[1].dockets, 1);
+    }
+
+    /// The claim `proto`'s tests digest, built the same way.
+    fn victim_claim() -> OwnershipClaim {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let dataset = SyntheticSpec::breast_cancer_like().scaled(0.2).generate(&mut rng);
+        let (trigger, test) = dataset.split_train_test(0.2, &mut rng);
+        OwnershipClaim::new(Signature::random(8, 0.5, &mut rng), trigger, test)
+    }
+
+    /// Rebuilds `set` over `features` and a `num_classes`-class label space.
+    fn rebuilt(set: &Dataset, features: wdte_data::DenseMatrix, num_classes: usize) -> Dataset {
+        Dataset::with_classes(set.name.clone(), features, set.labels().to_vec(), num_classes).unwrap()
+    }
+
+    /// Two different claims with the victim claim's digest: an FNV second
+    /// preimage that rewrites three feature values of test row 0, and a
+    /// trigger set relabelled as a 3-class space, which the digest does
+    /// not cover but verification reads (labels rotate modulo k).
+    fn colliding_forgeries(victim: &OwnershipClaim) -> [OwnershipClaim; 2] {
+        let genuine = [0x3fe496beec9c3a74_u64, 0x3fd9fa00c38c8249, 0x3fe72b98598a8374];
+        let forged = [0xe74ed74462c1c566_u64, 0x8b7340840858353e, 0x9a27196e3dde97f3];
+        let mut features = victim.test_set.features().clone();
+        for (col, (&was, &now)) in genuine.iter().zip(&forged).enumerate() {
+            assert_eq!(features.value(0, col).to_bits(), was, "fixture drifted");
+            features.set(0, col, f64::from_bits(now));
+        }
+        let mut preimage = victim.clone();
+        preimage.test_set = rebuilt(&victim.test_set, features, victim.test_set.num_classes());
+        let mut relabelled = victim.clone();
+        assert_eq!(victim.trigger_set.num_classes(), 2);
+        relabelled.trigger_set = rebuilt(&victim.trigger_set, victim.trigger_set.features().clone(), 3);
+        [preimage, relabelled]
+    }
+
+    #[test]
+    fn a_colliding_claim_never_replaces_the_cached_body() {
+        let victim = victim_claim();
+        let quotas = TenantQuotas::unlimited();
+        for (case, forged) in colliding_forgeries(&victim).into_iter().enumerate() {
+            assert_eq!(
+                PayloadDigest::of_claim(&forged),
+                PayloadDigest::of_claim(&victim),
+                "case {case}: the forgery must collide"
+            );
+            assert_ne!(forged, victim, "case {case}");
+            let cache = ClaimCache::new(0);
+            let (digest, _) = cache.insert_for(&tenant("mallory"), &quotas, forged.clone()).unwrap();
+            let refused = cache.insert_for(&tenant("victim"), &quotas, victim.clone());
+            assert!(
+                matches!(refused, Err(WatermarkError::ProtocolViolation { .. })),
+                "case {case}: the genuine claim was handed the forged body"
+            );
+            assert_eq!(
+                *cache.get(&digest).unwrap(),
+                forged,
+                "case {case}: the cached body is kept"
+            );
+            assert_eq!(cache.tenant_bytes(&tenant("victim")), 0, "case {case}");
+        }
+    }
+
+    #[test]
+    fn an_identical_claim_with_nan_is_shared_across_tenants() {
+        let victim = victim_claim();
+        let mut features = victim.test_set.features().clone();
+        features.set(0, 0, f64::NAN);
+        let mut claim = victim.clone();
+        claim.test_set = rebuilt(&victim.test_set, features, victim.test_set.num_classes());
+        let cache = ClaimCache::new(0);
+        let quotas = TenantQuotas::unlimited();
+        let (first, body) = cache.insert_for(&tenant("a"), &quotas, claim.clone()).unwrap();
+        let (second, shared) = cache.insert_for(&tenant("b"), &quotas, claim).unwrap();
+        assert_eq!(first, second);
+        assert!(Arc::ptr_eq(&body, &shared));
+        assert_eq!(cache.len(), 1);
     }
 }

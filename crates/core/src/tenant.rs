@@ -596,12 +596,10 @@ pub struct TenantCounters {
     pub dockets: u64,
     /// Individual claims adjudicated across those dockets.
     pub claims: u64,
-    /// Model/claim cache hits (compiled form or claim body already held).
+    /// Claim cache hits (claim body already held).
     pub cache_hits: u64,
-    /// Cache misses (claim body absent, or compiled model recompiled).
+    /// Cache misses (claim body absent).
     pub cache_misses: u64,
-    /// Compiled models evicted from this tenant's namespace.
-    pub evictions: u64,
     /// Frames from this tenant that failed authentication.
     pub auth_failures: u64,
     /// Requests currently in flight.
@@ -609,8 +607,8 @@ pub struct TenantCounters {
 }
 
 /// Per-tenant accounting: a small mutex-guarded counter map shared by the
-/// service (dockets, claims, cache traffic, evictions) and the server
-/// front end (auth failures, in-flight gauge).
+/// service (dockets, claims) and the server front end (cache traffic,
+/// auth failures, in-flight gauge).
 #[derive(Debug, Default)]
 pub struct TenantLedger {
     inner: Mutex<HashMap<TenantId, TenantCounters>>,
@@ -645,13 +643,9 @@ impl TenantLedger {
         self.with(tenant, |c| c.cache_misses += n);
     }
 
-    /// Records evicted compiled models.
-    pub fn record_evictions(&self, tenant: &TenantId, n: u64) {
-        self.with(tenant, |c| c.evictions += n);
-    }
-
     /// Records one authentication failure attributed to `tenant` (the
-    /// claimed tenant when parsable, the anonymous tenant otherwise).
+    /// claimed tenant when it parses and the key ring enrolls it, the
+    /// anonymous tenant otherwise).
     pub fn record_auth_failure(&self, tenant: &TenantId) {
         self.with(tenant, |c| c.auth_failures += 1);
     }
@@ -705,7 +699,8 @@ pub struct TenantStatsEntry {
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
-    /// Compiled models evicted.
+    /// Always 0: the judge evicts no compiled model. The field is kept so
+    /// the WDTP v5 `Stats` bytes stay the same.
     pub evictions: u64,
     /// Frames that failed authentication.
     pub auth_failures: u64,

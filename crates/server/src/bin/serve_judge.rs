@@ -9,7 +9,7 @@
 //! serve_judge [--addr 127.0.0.1:7431] [--warm-start DIR]...
 //!             [--port-file PATH] [--max-docket N] [--shard-rows N]
 //!             [--workers N] [--max-connections N] [--max-pipeline N]
-//!             [--claim-cache-mb N] [--model-cache-mb N] [--key-file PATH]
+//!             [--claim-cache-mb N] [--key-file PATH]
 //!             [--quota-models N] [--quota-claim-mb N]
 //!             [--quota-in-flight N] [--stats-interval-secs N]
 //! ```
@@ -32,14 +32,11 @@
 //! its own models, claims and stats. Without the flag the judge is open:
 //! auth fields are ignored and everything runs as the anonymous tenant.
 //!
-//! `--model-cache-mb N` bounds the bytes of resident compiled forests;
-//! over budget, the least-recently-used file-backed model is evicted and
-//! transparently recompiled from its artefact on next use (warm-started
-//! models are pinned). The `--quota-*` flags cap each tenant's models,
-//! attributed claim-cache bytes and in-flight requests (`0` =
-//! unlimited); docket size has the one cap `--max-docket`, which applies
-//! to every tenant. `--stats-interval-secs` logs one per-tenant
-//! accounting line at that cadence (`0` = never).
+//! The `--quota-*` flags cap each tenant's models, attributed
+//! claim-cache bytes and in-flight requests (`0` = unlimited); docket
+//! size has the one cap `--max-docket`, which applies to every tenant.
+//! `--stats-interval-secs` logs one per-tenant accounting line at that
+//! cadence (`0` = never).
 //!
 //! `--workers N` sizes the one process-global work-stealing pool every
 //! connection shares (`0` = one worker per core) and is also installed as
@@ -83,7 +80,6 @@ struct Args {
     max_connections: usize,
     max_pipeline: Option<usize>,
     claim_cache_mb: Option<usize>,
-    model_cache_mb: Option<usize>,
     read_timeout_secs: Option<u64>,
     key_file: Option<String>,
     quotas: TenantQuotas,
@@ -107,7 +103,6 @@ fn parse_args() -> Result<Args, String> {
         max_connections: 64,
         max_pipeline: None,
         claim_cache_mb: None,
-        model_cache_mb: None,
         read_timeout_secs: None,
         key_file: None,
         quotas: TenantQuotas::default(),
@@ -151,13 +146,6 @@ fn parse_args() -> Result<Args, String> {
                     value("--claim-cache-mb")?
                         .parse()
                         .map_err(|e| format!("--claim-cache-mb: {e}"))?,
-                )
-            }
-            "--model-cache-mb" => {
-                args.model_cache_mb = Some(
-                    value("--model-cache-mb")?
-                        .parse()
-                        .map_err(|e| format!("--model-cache-mb: {e}"))?,
                 )
             }
             "--read-timeout-secs" => {
@@ -219,7 +207,6 @@ fn parse_args() -> Result<Args, String> {
                      [--max-connections N (0 = unlimited)] \
                      [--max-pipeline N (in-flight requests per connection; 0 = unbounded)] \
                      [--claim-cache-mb N (content-addressed claim cache; 0 = unbounded)] \
-                     [--model-cache-mb N (resident compiled forests; 0 = unbounded)] \
                      [--read-timeout-secs N (0 = never)] \
                      [--key-file PATH (tenant:secret lines; enables authentication)] \
                      [--quota-models N] [--quota-claim-mb N] \
@@ -275,9 +262,6 @@ fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>
         }
         if let Some(mb) = args.claim_cache_mb {
             cmd.arg("--claim-cache-mb").arg(mb.to_string());
-        }
-        if let Some(mb) = args.model_cache_mb {
-            cmd.arg("--model-cache-mb").arg(mb.to_string());
         }
         if args.quotas.max_models > 0 {
             cmd.arg("--quota-models").arg(args.quotas.max_models.to_string());
@@ -446,9 +430,6 @@ fn main() -> ExitCode {
         // as the other limits.
         builder = builder.claim_cache_bytes(mb << 20);
     }
-    if let Some(mb) = args.model_cache_mb {
-        builder = builder.model_cache_bytes(mb << 20);
-    }
     if let Some(max) = args.max_docket {
         builder = builder.max_docket(max);
     }
@@ -512,7 +493,7 @@ fn main() -> ExitCode {
                 .iter()
                 .map(|row| {
                     format!(
-                        "{}: models={} dockets={} claims={} hits={} misses={} evictions={} \
+                        "{}: models={} dockets={} claims={} hits={} misses={} \
                          auth_failures={} claim_bytes={} in_flight={}",
                         row.tenant,
                         row.models,
@@ -520,7 +501,6 @@ fn main() -> ExitCode {
                         row.claims,
                         row.cache_hits,
                         row.cache_misses,
-                        row.evictions,
                         row.auth_failures,
                         row.claim_bytes,
                         row.in_flight

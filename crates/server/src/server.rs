@@ -658,16 +658,23 @@ impl Conn {
             // success, so a replayed frame stays refusable forever.
             let verified = match config.key_ring.as_deref() {
                 None => Ok(TenantId::anonymous()),
-                Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence),
+                Some(ring) => ring.verify_frame(&header, &payload, self.last_sequence).map_err(|err| {
+                    // The failure is charged to the claimed tenant only if
+                    // the ring enrolls it: a peer with no key must not add
+                    // a ledger row per name it makes up.
+                    let claimed = TenantId::from_field(&header.tenant)
+                        .ok()
+                        .filter(|tenant| ring.key(tenant).is_some())
+                        .unwrap_or_else(TenantId::anonymous);
+                    (claimed, err)
+                }),
             };
             match verified {
                 Ok(tenant) => {
                     self.last_sequence = self.last_sequence.max(header.sequence);
                     self.dispatch(handler, config, header.correlation_id, tenant, payload);
                 }
-                Err(err) => {
-                    let claimed =
-                        TenantId::from_field(&header.tenant).unwrap_or_else(|_| TenantId::anonymous());
+                Err((claimed, err)) => {
                     handler.refused(&claimed);
                     self.writer.send_fault(header.correlation_id, &err);
                 }

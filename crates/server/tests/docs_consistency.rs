@@ -6,7 +6,9 @@
 //! - the request table of `docs/WDTP.md` must name exactly the variants
 //!   of `Request` in `proto.rs`;
 //! - the frame table of `docs/WDTP.md` must add up and agree with the
-//!   header constants of `proto.rs`.
+//!   header constants of `proto.rs`;
+//! - the stats table of `docs/OPERATIONS.md` must name exactly the
+//!   counters of `TenantStatsEntry` in `tenant.rs`.
 //!
 //! No regex: flags are collected by scanning for `--name` tokens, which
 //! appear in the parsers as quoted match arms and in the book as table
@@ -20,6 +22,7 @@ use wdte_server::ServerConfig;
 const OPERATIONS: &str = include_str!("../../../docs/OPERATIONS.md");
 const WDTP: &str = include_str!("../../../docs/WDTP.md");
 const PROTO: &str = include_str!("../../core/src/proto.rs");
+const TENANT: &str = include_str!("../../core/src/tenant.rs");
 const SERVE_JUDGE: &str = include_str!("../src/bin/serve_judge.rs");
 const JUDGE_SMOKE: &str = include_str!("../../bench/src/bin/judge_smoke.rs");
 const FLEET_SMOKE: &str = include_str!("../../bench/src/bin/fleet_smoke.rs");
@@ -197,6 +200,51 @@ fn wdtp_frame_table_matches_the_header_layout() {
     assert_eq!(row("truncated HMAC-SHA-256 tag").1, Some(TAG_BYTES));
     assert_eq!(row("payload length").0, LENGTH_OFFSET);
     assert_eq!(row("payload:").0, FRAME_HEADER_BYTES);
+}
+
+/// The field names of `pub struct <name>` in Rust source text: the
+/// identifiers after `pub ` on the lines of its body indented by exactly
+/// four spaces.
+fn struct_fields(source: &str, name: &str) -> BTreeSet<String> {
+    let opening = format!("pub struct {name} {{\n");
+    let start =
+        source.find(&opening).unwrap_or_else(|| panic!("no `pub struct {name}`")) + opening.len();
+    let body = &source[start..start + source[start..].find("\n}\n").expect("the struct body closes")];
+    body.lines()
+        .filter_map(|line| line.strip_prefix("    pub "))
+        .filter_map(|rest| rest.split(':').next())
+        .map(str::to_string)
+        .collect()
+}
+
+/// Every backticked name in the first cell of each table row of `text`
+/// (a row may name two counters, as in `` `cache_hits` / `cache_misses` ``).
+fn first_cell_names(text: &str) -> BTreeSet<String> {
+    text.lines()
+        .filter_map(|line| line.strip_prefix('|')?.split('|').next())
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2).map(str::to_string))
+        .collect()
+}
+
+/// The body of the `### <title>` subsection of `doc`, up to the next
+/// heading.
+fn subsection(doc: &'static str, title: &str) -> &'static str {
+    let body = doc
+        .split(&format!("\n### {title}\n"))
+        .nth(1)
+        .unwrap_or_else(|| panic!("the document has no `### {title}` section"));
+    body.split("\n#").next().unwrap_or(body)
+}
+
+#[test]
+fn stats_table_names_exactly_the_tenant_stats_fields() {
+    let mut declared = struct_fields(TENANT, "TenantStatsEntry");
+    assert!(declared.remove("tenant"), "the field scanner found {declared:?}");
+    let documented = first_cell_names(subsection(OPERATIONS, "Reading the stats line"));
+    assert_eq!(
+        documented, declared,
+        "docs/OPERATIONS.md's stats table drifted from `TenantStatsEntry` in tenant.rs"
+    );
 }
 
 /// The scanner itself: accepts real flags, rejects table rules,

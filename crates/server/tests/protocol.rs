@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use wdte_core::error::{WatermarkError, WatermarkResult};
 use wdte_core::proto::{self, DisputeRef, PayloadDigest, Request, Response, WireFault};
 use wdte_core::{
-    persist, Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, TenantQuotas,
+    Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, TenantQuotas,
     WatermarkConfig, WatermarkOutcome, Watermarker,
 };
 use wdte_data::{Dataset, SyntheticSpec};
@@ -910,62 +910,6 @@ fn the_in_flight_quota_sheds_pipelined_load() {
     server.shutdown().unwrap();
 }
 
-/// A judge whose model-cache budget holds one compiled forest keeps
-/// serving both registered models over the wire: the LRU one is evicted
-/// and transparently recompiled from its artefact on demand, verdicts
-/// bit-identical throughout.
-#[test]
-fn evicted_models_recompile_transparently_over_the_wire() {
-    let (model, claim) = plain_fixture(44);
-    let dir = std::env::temp_dir().join(format!("wdte-wire-evict-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path_a = dir.join("a.wdte");
-    let path_b = dir.join("b.wdte");
-    persist::save(&path_a, &model, persist::Format::Binary).unwrap();
-    persist::save(&path_b, &model, persist::Format::Binary).unwrap();
-
-    // A 1-byte budget keeps only the most recently published model
-    // resident (the budget never evicts the model being published).
-    let service = Arc::new(DisputeService::builder().model_cache_bytes(1).build().unwrap());
-    service.register_from_file("a", &path_a).unwrap();
-    service.register_from_file("b", &path_b).unwrap();
-
-    let reference = {
-        let plain = DisputeService::builder().build().unwrap();
-        plain.register("any", &model);
-        plain.resolve("any", &claim).unwrap()
-    };
-
-    let server = start_server(Arc::clone(&service));
-    let mut client = DisputeClient::connect(server.addr()).unwrap();
-    // Alternating resolutions force evict → recompile each time.
-    for round in 0..3 {
-        for id in ["a", "b"] {
-            assert_eq!(
-                client.resolve(id, &claim).unwrap(),
-                reference,
-                "round {round}, model {id}: recompiled verdicts must not drift"
-            );
-        }
-    }
-    let anonymous = TenantId::anonymous();
-    let counters = service.ledger().counters(&anonymous);
-    assert!(
-        counters.evictions >= 5,
-        "alternating under a 1-byte budget must evict every round (saw {})",
-        counters.evictions
-    );
-    assert!(
-        counters.cache_misses >= 5,
-        "every eviction shows up as a later recompile miss (saw {})",
-        counters.cache_misses
-    );
-    // Both models are still *registered* — eviction only drops residency.
-    assert_eq!(client.list_models().unwrap(), ["a", "b"]);
-    std::fs::remove_dir_all(&dir).ok();
-    server.shutdown().unwrap();
-}
-
 /// Deregistering a model drops its cached claim bodies: a digest-only
 /// docket that resolved before the deregistration demands the payload
 /// again afterwards — stale digests can never be served against a new
@@ -1081,6 +1025,41 @@ fn authenticated_verdicts_are_bit_identical_to_anonymous_ones() {
     assert_eq!(stats[0].claims, 4);
     open.shutdown().unwrap();
     keyed.shutdown().unwrap();
+}
+
+/// A peer with no key cannot grow the ledger by naming tenants: a failed
+/// frame from a tenant the ring does not enroll is charged to the
+/// anonymous row, however many names the peer makes up.
+#[test]
+fn auth_failures_from_unenrolled_tenants_share_the_anonymous_row() {
+    let service = Arc::new(DisputeService::builder().build().unwrap());
+    let server = keyed_server(Arc::clone(&service), two_tenant_ring());
+    let mut reader = BufReader::new(raw_connection(&server));
+    for i in 0..200u64 {
+        let intruder = TenantId::new(format!("intruder{i}")).unwrap();
+        let frame = proto::encode_frame_auth(i + 1, &Request::Ping, &intruder, 1, b"no key").unwrap();
+        reader.get_mut().write_all(&frame).unwrap();
+        let (corr, response): (u64, Response) =
+            proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+                .unwrap()
+                .unwrap();
+        assert_eq!(corr, i + 1);
+        assert!(
+            matches!(response, Response::Error { .. }),
+            "frame {i}: {response:?}"
+        );
+    }
+    let rows = service.ledger().snapshot();
+    assert!(
+        rows.len() <= 3,
+        "one ledger row per made-up tenant: {}",
+        rows.len()
+    );
+    assert_eq!(
+        service.ledger().counters(&TenantId::anonymous()).auth_failures,
+        200
+    );
+    server.shutdown().unwrap();
 }
 
 // ---------------------------------------------------------------------------

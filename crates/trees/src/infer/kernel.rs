@@ -200,13 +200,6 @@ impl LevelLayout {
         }
         layout
     }
-
-    /// Resident bytes of the layout's arrays.
-    pub(super) fn bytes(&self) -> usize {
-        std::mem::size_of_val(self.walk.as_slice())
-            + std::mem::size_of_val(self.leaf_label.as_slice())
-            + std::mem::size_of_val(self.roots.as_slice())
-    }
 }
 
 /// Advances `states.len()` samples through one tree in lockstep over the

@@ -36,7 +36,6 @@
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node, TreeStats};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::mem::size_of_val;
 use wdte_data::{Dataset, DenseMatrix, Label};
 
 pub mod kernel;
@@ -265,20 +264,6 @@ impl CompiledForest {
     /// Total number of nodes across all trees.
     pub fn total_nodes(&self) -> usize {
         self.feature.len()
-    }
-
-    /// Resident bytes of this forest: the struct itself plus every array
-    /// it holds, canonical and derived. The dispute service charges this
-    /// against its model-cache budget.
-    pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + size_of_val(self.feature.as_slice())
-            + size_of_val(self.threshold.as_slice())
-            + size_of_val(self.left.as_slice())
-            + size_of_val(self.right.as_slice())
-            + size_of_val(self.tree_starts.as_slice())
-            + size_of_val(self.depths.as_slice())
-            + self.level.bytes()
     }
 
     /// Node index range `[lo, hi)` of one tree; `lo` is its root.
@@ -788,27 +773,6 @@ mod tests {
                 assert_eq!(compiled_out, recursive_out, "width {width}, batch size {size}");
             }
         }
-    }
-
-    #[test]
-    fn resident_bytes_count_every_array() {
-        // A two-tree forest of 3 + 1 nodes: 20 B of SoA words and 20 B of
-        // level layout (16 B node + 4 B leaf label) per node, plus
-        // tree_starts (3 × 4 B), depths and BFS roots (2 × 4 B each).
-        let compiled = CompiledForest::from_raw_parts(
-            vec![0, LEAF_MARKER, LEAF_MARKER, LEAF_MARKER],
-            vec![0.5, 0.0, 0.0, 0.0],
-            vec![1, 0, 1, 1],
-            vec![2, 0, 0, 0],
-            vec![0, 3, 4],
-            1,
-            2,
-        )
-        .unwrap();
-        assert_eq!(
-            compiled.resident_bytes() - std::mem::size_of::<CompiledForest>(),
-            4 * 40 + 12 + 8 + 8
-        );
     }
 
     #[test]
