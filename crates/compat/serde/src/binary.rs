@@ -13,13 +13,17 @@
 //!
 //! * **Direct** — [`Serialize::write_binary`] writes the bytes straight
 //!   from typed values and [`Deserialize::read_binary`] builds typed values
-//!   straight from the bytes, with no intermediate [`Value`] tree. The
-//!   derives, the primitives and the containers take this path.
-//! * **Through [`Value`]** — [`encode_value`] and [`decode_value`]. Types
-//!   that only implement `to_value`/`from_value` use it through the trait
-//!   defaults, and a direct reader falls back to it whenever the next tag
-//!   is not the canonical one for its type (an `f64` stored as `U64`, a
-//!   legacy label string), so both paths accept the same inputs.
+//!   straight from the bytes, with no intermediate [`Value`] tree. Every
+//!   type takes this path: the derives, the primitives, the containers and
+//!   the hand-written model types alike. Map entries a reader does not
+//!   want are checked and stepped over by [`skip_value`], which builds
+//!   nothing.
+//! * **Through [`Value`]** — [`encode_value`] and [`decode_value`]. They
+//!   serve the tree itself (JSON goes through it) and the reference route
+//!   the parity tests hold the direct path to. A direct reader falls back
+//!   to [`via_value`] only when the next tag is not the canonical one for
+//!   its type (an `f64` stored as `U64`, a legacy label string), so both
+//!   paths accept the same inputs.
 //!
 //! Decoding is hardened the same way on both paths: every length is
 //! checked against the bytes left before it is trusted, up-front
@@ -319,8 +323,38 @@ pub fn decode_value(reader: &mut Reader<'_>, depth: usize) -> Result<Value, DeEr
     }
 }
 
-/// Reads `T` through a decoded [`Value`]: the default of
-/// [`Deserialize::read_binary`], and the fallback of every direct reader
+/// Steps over one value at nesting `depth`, refusing exactly what
+/// [`decode_value`] refuses (bad tags, lengths past the end, non-UTF-8
+/// strings or keys, nesting past [`MAX_DEPTH`]) but building nothing.
+pub fn skip_value(reader: &mut Reader<'_>, depth: usize) -> Result<(), DeError> {
+    if depth > MAX_DEPTH {
+        return Err(too_deep());
+    }
+    match reader.take(1)?[0] {
+        TAG_NULL | TAG_FALSE | TAG_TRUE => {}
+        TAG_U64 | TAG_I64 | TAG_F64 => {
+            reader.take(8)?;
+        }
+        TAG_STR => {
+            reader.take_str()?;
+        }
+        TAG_SEQ => {
+            for _ in 0..reader.take_len()? {
+                skip_value(reader, depth + 1)?;
+            }
+        }
+        TAG_MAP => {
+            for _ in 0..reader.take_len()? {
+                reader.take_str()?;
+                skip_value(reader, depth + 1)?;
+            }
+        }
+        other => return Err(DeError::new(format!("unknown value tag {other:#04x}"))),
+    }
+    Ok(())
+}
+
+/// Reads `T` through a decoded [`Value`]: the fallback of a direct reader
 /// when the next tag is not its canonical one.
 #[cold]
 #[inline(never)]
@@ -361,7 +395,7 @@ pub fn read_map<'a>(
     for _ in 0..len {
         let key = reader.take_str()?;
         if !field(reader, key)? {
-            decode_value(reader, depth + 1)?;
+            skip_value(reader, depth + 1)?;
         }
     }
     Ok(())
@@ -395,4 +429,57 @@ pub fn read_enum<'a, T>(
     }
     let key = reader.take_str()?;
     tagged(reader, key)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Where `skip_value` and `decode_value` leave `bytes`: both refuse,
+    /// or both accept and stop at the same offset.
+    fn assert_skip_matches_decode(bytes: &[u8], context: &str) {
+        let mut skipped = Reader::new(bytes);
+        let mut decoded = Reader::new(bytes);
+        match (skip_value(&mut skipped, 0), decode_value(&mut decoded, 0)) {
+            (Ok(()), Ok(_)) => assert_eq!(skipped.pos, decoded.pos, "{context}"),
+            (Err(_), Err(_)) => {}
+            (skip, decode) => panic!("{context}: skip {skip:?} but decode {:?}", decode.err()),
+        }
+    }
+
+    #[test]
+    fn skip_value_refuses_exactly_what_decode_value_refuses() {
+        let value = Value::Map(vec![
+            (
+                "ké".to_string(),
+                Value::Seq(vec![
+                    Value::Str("é".to_string()),
+                    Value::F64(1.5),
+                    Value::Null,
+                    Value::Bool(true),
+                    Value::I64(-3),
+                    Value::U64(7),
+                ]),
+            ),
+            ("m".to_string(), Value::Map(Vec::new())),
+        ]);
+        let mut bytes = Vec::new();
+        encode_value(&value, &mut bytes);
+        for position in 0..bytes.len() {
+            for mask in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut mutated = bytes.clone();
+                mutated[position] ^= mask;
+                assert_skip_matches_decode(&mutated, &format!("byte {position} ^ {mask:#04x}"));
+            }
+        }
+        for cut in 0..=bytes.len() {
+            assert_skip_matches_decode(&bytes[..cut], &format!("cut at {cut}"));
+        }
+        for levels in [MAX_DEPTH, MAX_DEPTH + 1] {
+            let nested = (0..levels).fold(Value::Null, |inner, _| Value::Seq(vec![inner]));
+            let mut deep = Vec::new();
+            encode_value(&nested, &mut deep);
+            assert_skip_matches_decode(&deep, &format!("{levels} levels"));
+        }
+    }
 }

@@ -9,8 +9,8 @@
 //! (also vendored) converts between [`Value`] and JSON text. The binary
 //! tag-length-value codec in [`binary`] skips the tree:
 //! [`Serialize::write_binary`] and [`Deserialize::read_binary`] go straight
-//! between typed values and bytes, with defaults that route through
-//! [`Value`] for types that only implement the tree methods. The
+//! between typed values and bytes. Every type implements both routes; none
+//! has a default that falls back to the tree. The
 //! `#[derive(Serialize, Deserialize)]` macros are provided by the
 //! companion `serde_derive` shim and re-exported here exactly like the
 //! real crate does with its `derive` feature.
@@ -138,18 +138,35 @@ pub fn map_get<'a>(entries: &'a [(String, Value)], key: &str) -> Result<&'a Valu
         .ok_or_else(|| DeError::new(format!("missing field `{key}`")))
 }
 
+/// Reads a required field of a map value; used by generated code.
+pub fn map_get_deserialize<T: Deserialize>(
+    entries: &[(String, Value)],
+    key: &str,
+) -> Result<T, DeError> {
+    T::from_value(map_get(entries, key)?)
+}
+
+/// Reads a field that may be absent (an `Option`) from a map value: a
+/// missing key reads as the default, `None`. Used by generated code.
+pub fn map_get_or_default<T: Deserialize + Default>(
+    entries: &[(String, Value)],
+    key: &str,
+) -> Result<T, DeError> {
+    match entries.iter().find(|(k, _)| k == key) {
+        Some((_, value)) => T::from_value(value),
+        None => Ok(T::default()),
+    }
+}
+
 /// Types that can render themselves into a [`Value`] and the binary codec.
 pub trait Serialize {
     /// Renders `self` into the serde data model.
     fn to_value(&self) -> Value;
 
-    /// Appends the [`binary`] encoding of `self` to `out`. It must equal
-    /// the encoding of [`to_value`](Self::to_value), which is what the
-    /// default writes.
-    #[inline]
-    fn write_binary(&self, out: &mut Vec<u8>) {
-        binary::encode_value(&self.to_value(), out);
-    }
+    /// Appends the [`binary`] encoding of `self` to `out`, straight from
+    /// the fields. It must equal [`binary::encode_value`] of
+    /// [`to_value`](Self::to_value).
+    fn write_binary(&self, out: &mut Vec<u8>);
 }
 
 /// Types that can be rebuilt from a [`Value`] and the binary codec.
@@ -157,13 +174,23 @@ pub trait Deserialize: Sized {
     /// Rebuilds `Self` from the serde data model.
     fn from_value(value: &Value) -> Result<Self, DeError>;
 
-    /// Reads `Self` from its [`binary`] encoding at nesting `depth`. It
-    /// must accept exactly what decoding a [`Value`] and calling
-    /// [`from_value`](Self::from_value) accepts, which is what the default
-    /// does.
-    #[inline]
-    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
-        binary::via_value(reader, depth)
+    /// Reads `Self` from its [`binary`] encoding at nesting `depth`,
+    /// straight into the fields. It must accept exactly what
+    /// [`binary::decode_value`] followed by [`from_value`](Self::from_value)
+    /// accepts, and build the same value; a reader may hand a
+    /// non-canonical tag to [`binary::via_value`] to get that.
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError>;
+}
+
+/// A [`Value`] tree is its own data model; its binary form is the tree
+/// codec itself. JSON envelopes and hand-built test payloads use it.
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::encode_value(self, out);
     }
 }
 
@@ -414,7 +441,7 @@ macro_rules! impl_serde_tuple {
             }
 
             #[inline]
-    fn write_binary(&self, out: &mut Vec<u8>) {
+            fn write_binary(&self, out: &mut Vec<u8>) {
                 binary::write_seq_header(out, [$($index,)+].len());
                 $(self.$index.write_binary(out);)+
             }
@@ -433,7 +460,7 @@ macro_rules! impl_serde_tuple {
             }
 
             #[inline]
-    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+            fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
                 if !reader.accept(depth, binary::TAG_SEQ)? {
                     return Err(DeError::expected("array", "tuple"));
                 }

@@ -12,7 +12,9 @@
 //! named-field structs and enums with unit, tuple and struct variants.
 //! `Serialize` also accepts lifetime parameters (`Borrowed<'a>`); other
 //! generic parameters are not supported. Field and variant attributes
-//! (`#[serde(...)]`) are not supported and doc comments are ignored.
+//! (`#[serde(...)]`) are not supported and doc comments are ignored. As
+//! in real serde, a field of type `Option<...>` may be absent: a missing
+//! key reads as `None`, like `null`; any other missing field is refused.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -21,6 +23,24 @@ struct FieldDef {
     name: String,
     /// The field's type, as source text.
     ty: String,
+}
+
+impl FieldDef {
+    /// Whether the field may be absent (its type is an `Option`).
+    fn optional(&self) -> bool {
+        self.ty.starts_with("Option <")
+    }
+
+    /// The struct-literal initializer reading the field from the map
+    /// entries bound to `entries`.
+    fn read_from_entries(&self, entries: &str) -> String {
+        let lookup = if self.optional() {
+            "map_get_or_default"
+        } else {
+            "map_get_deserialize"
+        };
+        format!("{0}: ::serde::{lookup}({entries}, \"{0}\")?,\n", self.name)
+    }
 }
 
 #[derive(Debug)]
@@ -305,10 +325,7 @@ fn serialize_struct(fields: &[FieldDef]) -> String {
 fn deserialize_struct(name: &str, fields: &[FieldDef]) -> String {
     let mut inits = String::new();
     for field in fields {
-        inits.push_str(&format!(
-            "{0}: ::serde::Deserialize::from_value(::serde::map_get(__entries, \"{0}\")?)?,\n",
-            field.name
-        ));
+        inits.push_str(&field.read_from_entries("__entries"));
     }
     format!(
         "let __entries = __value.as_map().ok_or_else(|| \
@@ -420,11 +437,7 @@ fn deserialize_enum(name: &str, variants: &[VariantDef]) -> String {
             VariantShape::Struct(fields) => {
                 let mut inits = String::new();
                 for field in fields {
-                    inits.push_str(&format!(
-                        "{0}: ::serde::Deserialize::from_value(\
-                         ::serde::map_get(__fields, \"{0}\")?)?,\n",
-                        field.name
-                    ));
+                    inits.push_str(&field.read_from_entries("__fields"));
                 }
                 tagged_arms.push_str(&format!(
                     "\"{v}\" => {{\n\
@@ -539,9 +552,11 @@ fn read_fields(ctor: &str, fields: &[FieldDef], depth: &str) -> String {
             "\"{f}\" if __slot_{f}.is_none() => __slot_{f} = ::core::option::Option::Some(\
              ::serde::Deserialize::read_binary(__reader, {depth} + 1)?),\n"
         ));
-        inits.push_str(&format!(
-            "{f}: ::serde::binary::required(__slot_{f}, \"{f}\")?,\n"
-        ));
+        inits.push_str(&if field.optional() {
+            format!("{f}: __slot_{f}.unwrap_or_default(),\n")
+        } else {
+            format!("{f}: ::serde::binary::required(__slot_{f}, \"{f}\")?,\n")
+        });
     }
     let visit = if fields.is_empty() {
         "|_, _| ::core::result::Result::Ok(false)".to_string()

@@ -20,11 +20,9 @@
 //!   as their raw IEEE-754 bit pattern, preserving even `NaN` payloads.
 //!   The codec, with its bounds checks, capped reservations and depth
 //!   limit, is [`serde::binary`]; WDTP frames ([`crate::proto`]) carry the
-//!   same encoding. Most types are written and read directly between
-//!   their fields and the bytes, with no intermediate [`Value`] tree. The
-//!   exceptions are `RandomForest`, `DecisionTree`, `CompiledForest`,
-//!   `ClassCounts`, `ConfusionMatrix` and `TenantId`, which still decode
-//!   through a [`Value`] tree. JSON always goes through [`Value`].
+//!   same encoding. Every type, models included, is written and read
+//!   directly between its fields and the bytes, with no intermediate
+//!   [`Value`] tree. JSON always goes through [`Value`].
 //!
 //! **Version policy:** the header version is bumped whenever the encoding
 //! of existing data changes shape. Readers accept the versions in
@@ -73,8 +71,8 @@ pub fn to_bytes<T: Serialize + ?Sized>(value: &T, format: Format) -> Vec<u8> {
                 ("version".to_string(), Value::U64(u64::from(FORMAT_VERSION))),
                 ("payload".to_string(), value.to_value()),
             ]);
-            let text = serde_json::to_string_pretty(&ValueCarrier(envelope))
-                .expect("the value data model always serializes");
+            let text =
+                serde_json::to_string_pretty(&envelope).expect("the value data model always serializes");
             text.into_bytes()
         }
         Format::Binary => {
@@ -218,16 +216,6 @@ fn io_error(path: &Path, err: &std::io::Error) -> WatermarkError {
     WatermarkError::Io {
         path: path.display().to_string(),
         message: err.to_string(),
-    }
-}
-
-/// Thin wrapper letting a raw [`Value`] flow through the `Serialize`
-/// plumbing unchanged.
-struct ValueCarrier(Value);
-
-impl Serialize for ValueCarrier {
-    fn to_value(&self) -> Value {
-        self.0.clone()
     }
 }
 
@@ -413,7 +401,7 @@ mod tests {
             Value::Map(vec![("bits".to_string(), Value::Seq(Vec::new()))]),
         );
         for format in [Format::Binary, Format::Json] {
-            let bytes = to_bytes(&ValueCarrier(value.clone()), format);
+            let bytes = to_bytes(&value, format);
             match from_bytes::<OwnershipClaim>(&bytes).unwrap_err() {
                 WatermarkError::CorruptedArtifact { detail } => {
                     assert!(detail.contains("at least one bit"), "{format:?}: {detail}")

@@ -55,13 +55,10 @@
 //! persist uses for binary artefacts ([`serde::binary`]), so forests,
 //! [`OwnershipClaim`]s and [`VerificationReport`]s cross the wire in the
 //! same bounds-checked, allocation-capped, depth-limited encoding they are
-//! stored in. Messages are encoded straight into the frame buffer and
-//! decoded straight from the payload bytes, with no intermediate
-//! [`serde::Value`] tree, except for the parts that are a
-//! `RandomForest`, `DecisionTree`, `CompiledForest`, `ClassCounts`,
-//! `ConfusionMatrix` or `TenantId`, which still decode through one.
-//! Decoding is hardened end to end: the length
-//! prefix is validated against a receiver-side cap *before* any
+//! stored in. Messages, models included, are encoded straight into the
+//! frame buffer and decoded straight from the payload bytes, with no
+//! intermediate [`serde::Value`] tree. Decoding is hardened end to end:
+//! the length prefix is validated against a receiver-side cap *before* any
 //! allocation ([`WatermarkError::FrameTooLarge`]), unknown magic,
 //! truncated frames and payloads that do not decode surface as
 //! [`WatermarkError::ProtocolViolation`], and a frame written by a

@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use wdte_data::{Dataset, Label};
 use wdte_trees::{CompiledForest, Kernel, RandomForest};
 
@@ -520,25 +520,73 @@ impl DisputeServiceBuilder {
 /// without ever observing each other's models.
 type ModelKey = (TenantId, String);
 
-/// The registry: every model's compiled form, by tenant and id.
-type ModelRegistry = HashMap<ModelKey, Arc<CompiledForest>>;
-
-/// Number of models in `tenant`'s namespace.
-fn tenant_models(reg: &ModelRegistry, tenant: &TenantId) -> usize {
-    reg.keys().filter(|(owner, _)| owner == tenant).count()
+/// The registry: every model's compiled form by tenant and id, and the
+/// digest index over them. Both sit under one lock, so a registration's
+/// quota check, its insert and the pruning of the form it replaces are
+/// one step that concurrent registrations cannot interleave.
+#[derive(Debug, Default)]
+struct ModelRegistry {
+    models: HashMap<ModelKey, Arc<CompiledForest>>,
+    /// Compiled models by tenant-scoped content digest, for digest-only
+    /// re-registration ([`DisputeService::register_by_digest_as`]).
+    /// Scoping by tenant means a digest learned out of band cannot
+    /// resurrect another tenant's model. An entry is pruned when the last
+    /// id serving its compiled form is deregistered or re-registered.
+    digests: HashMap<(TenantId, PayloadDigest), Arc<CompiledForest>>,
 }
 
-/// The typed error for a model id absent from `tenant`'s namespace:
-/// [`WatermarkError::Forbidden`] if another tenant holds the id (a
-/// cross-namespace probe), [`WatermarkError::UnknownModel`] otherwise.
-fn missing_model(reg: &ModelRegistry, tenant: &TenantId, model_id: &str) -> WatermarkError {
-    if reg.keys().any(|(owner, id)| id == model_id && owner != tenant) {
-        WatermarkError::Forbidden {
-            detail: format!("model `{model_id}` is not in tenant `{tenant}`'s namespace"),
+impl ModelRegistry {
+    /// Number of models in `tenant`'s namespace.
+    fn tenant_models(&self, tenant: &TenantId) -> usize {
+        self.models.keys().filter(|(owner, _)| owner == tenant).count()
+    }
+
+    /// The typed error for a model id absent from `tenant`'s namespace:
+    /// [`WatermarkError::Forbidden`] if another tenant holds the id (a
+    /// cross-namespace probe), [`WatermarkError::UnknownModel`] otherwise.
+    fn missing_model(&self, tenant: &TenantId, model_id: &str) -> WatermarkError {
+        if self.models.keys().any(|(owner, id)| id == model_id && owner != tenant) {
+            WatermarkError::Forbidden {
+                detail: format!("model `{model_id}` is not in tenant `{tenant}`'s namespace"),
+            }
+        } else {
+            WatermarkError::UnknownModel {
+                model_id: model_id.to_string(),
+            }
         }
-    } else {
-        WatermarkError::UnknownModel {
-            model_id: model_id.to_string(),
+    }
+
+    /// Checks `tenant`'s models-registered quota for registering `key`
+    /// (re-registering a held id is replacement, not growth).
+    fn check_quota(&self, quotas: &TenantQuotas, key: &ModelKey) -> WatermarkResult<()> {
+        let additional = usize::from(!self.models.contains_key(key));
+        quotas.check_models(self.tenant_models(&key.0) + additional)
+    }
+
+    /// Inserts (or replaces) an entry, pruning the replaced form.
+    fn insert(&mut self, key: ModelKey, compiled: Arc<CompiledForest>) {
+        let tenant = key.0.clone();
+        if let Some(replaced) = self.models.insert(key, compiled) {
+            self.prune(&tenant, &replaced);
+        }
+    }
+
+    /// Removes an entry, pruning the removed form.
+    fn remove(&mut self, key: &ModelKey) -> Option<Arc<CompiledForest>> {
+        let removed = self.models.remove(key)?;
+        self.prune(&key.0, &removed);
+        Some(removed)
+    }
+
+    /// Drops `compiled` from `tenant`'s digest index once no id of the
+    /// tenant serves it, so it can be neither kept resident nor brought
+    /// back by digest.
+    fn prune(&mut self, tenant: &TenantId, compiled: &Arc<CompiledForest>) {
+        let serves = |owner: &TenantId, form: &Arc<CompiledForest>| {
+            owner == tenant && Arc::ptr_eq(form, compiled)
+        };
+        if !self.models.iter().any(|((owner, _), form)| serves(owner, form)) {
+            self.digests.retain(|(owner, _), form| !serves(owner, form));
         }
     }
 }
@@ -553,12 +601,6 @@ fn missing_model(reg: &ModelRegistry, tenant: &TenantId, model_id: &str) -> Wate
 #[derive(Debug)]
 pub struct DisputeService {
     registry: Mutex<ModelRegistry>,
-    /// Compiled models by tenant-scoped content digest, for digest-only
-    /// re-registration ([`Self::register_by_digest_as`]). Scoping by tenant
-    /// means a digest learned out of band cannot resurrect another
-    /// tenant's model. Entries are pruned when the last registry id
-    /// sharing the compiled form is deregistered.
-    model_digests: RwLock<HashMap<(TenantId, PayloadDigest), Arc<CompiledForest>>>,
     claims: ClaimCache,
     ledger: TenantLedger,
     compile_count: AtomicUsize,
@@ -592,7 +634,6 @@ impl DisputeService {
     ) -> Self {
         Self {
             registry: Mutex::new(ModelRegistry::default()),
-            model_digests: RwLock::new(HashMap::new()),
             claims: ClaimCache::new(claim_cache_bytes),
             ledger: TenantLedger::new(),
             compile_count: AtomicUsize::new(0),
@@ -689,7 +730,7 @@ impl DisputeService {
         }
     }
 
-    /// Inserts (or replaces) a registry entry.
+    /// Inserts (or replaces) a registry entry without a quota check.
     fn publish_model(&self, tenant: &TenantId, model_id: String, compiled: Arc<CompiledForest>) {
         self.lock_registry().insert((tenant.clone(), model_id), compiled);
     }
@@ -699,41 +740,34 @@ impl DisputeService {
     /// [`WatermarkError::Forbidden`].
     pub fn model_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<Arc<CompiledForest>> {
         let reg = self.lock_registry();
-        match reg.get(&(tenant.clone(), model_id.to_string())) {
+        match reg.models.get(&(tenant.clone(), model_id.to_string())) {
             Some(compiled) => Ok(Arc::clone(compiled)),
-            None => Err(missing_model(&reg, tenant, model_id)),
+            None => Err(reg.missing_model(tenant, model_id)),
         }
-    }
-
-    /// Checks the models-registered quota for registering `model_id`
-    /// (re-registering an existing id never counts as growth).
-    fn check_model_quota(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<()> {
-        let reg = self.lock_registry();
-        let additional = usize::from(!reg.contains_key(&(tenant.clone(), model_id.to_string())));
-        self.quotas.check_models(tenant_models(&reg, tenant) + additional)
     }
 
     /// Registers a pointer-tree model in `tenant`'s namespace and indexes
     /// the compiled form under the model's content digest, so a later
     /// [`register_by_digest_as`](Self::register_by_digest_as) can reuse it
     /// without re-uploading the model. The models-registered quota is
-    /// checked before compiling, and the returned digest is echoed to the
-    /// client. This is the registration path the wire front-end drives.
+    /// checked before compiling, and again in the same lock acquisition as
+    /// the insert, so concurrent registrations cannot overshoot it. The
+    /// returned digest is echoed to the client. This is the registration
+    /// path the wire front-end drives.
     pub fn register_digested_as(
         &self,
         tenant: &TenantId,
         model_id: impl Into<String>,
         model: &RandomForest,
     ) -> WatermarkResult<(PayloadDigest, Arc<CompiledForest>)> {
-        let model_id = model_id.into();
-        self.check_model_quota(tenant, &model_id)?;
+        let key = (tenant.clone(), model_id.into());
+        self.lock_registry().check_quota(&self.quotas, &key)?;
         let digest = PayloadDigest::of_model(model);
         let compiled = self.compile(model);
-        self.publish_model(tenant, model_id, Arc::clone(&compiled));
-        self.model_digests
-            .write()
-            .expect("model digest index lock is never poisoned")
-            .insert((tenant.clone(), digest), Arc::clone(&compiled));
+        let mut reg = self.lock_registry();
+        reg.check_quota(&self.quotas, &key)?;
+        reg.digests.insert((tenant.clone(), digest), Arc::clone(&compiled));
+        reg.insert(key, Arc::clone(&compiled));
         Ok((digest, compiled))
     }
 
@@ -748,18 +782,13 @@ impl DisputeService {
         model_id: impl Into<String>,
         digest: PayloadDigest,
     ) -> WatermarkResult<Option<Arc<CompiledForest>>> {
-        let model_id = model_id.into();
-        self.check_model_quota(tenant, &model_id)?;
-        let Some(compiled) = self
-            .model_digests
-            .read()
-            .expect("model digest index lock is never poisoned")
-            .get(&(tenant.clone(), digest))
-            .cloned()
-        else {
+        let key = (tenant.clone(), model_id.into());
+        let mut reg = self.lock_registry();
+        reg.check_quota(&self.quotas, &key)?;
+        let Some(compiled) = reg.digests.get(&(tenant.clone(), digest)).cloned() else {
             return Ok(None);
         };
-        self.publish_model(tenant, model_id, Arc::clone(&compiled));
+        reg.insert(key, Arc::clone(&compiled));
         Ok(Some(compiled))
     }
 
@@ -771,25 +800,14 @@ impl DisputeService {
     /// model cannot be resurrected by digest — and the model's cached
     /// claims are dropped (see [`ClaimCache::drop_model`]).
     pub fn deregister_as(&self, tenant: &TenantId, model_id: &str) -> WatermarkResult<bool> {
-        let key = (tenant.clone(), model_id.to_string());
-        let (removed, still_registered) = {
+        {
             let mut reg = self.lock_registry();
-            let Some(removed) = reg.remove(&key) else {
-                return match missing_model(&reg, tenant, model_id) {
+            if reg.remove(&(tenant.clone(), model_id.to_string())).is_none() {
+                return match reg.missing_model(tenant, model_id) {
                     WatermarkError::UnknownModel { .. } => Ok(false),
                     forbidden => Err(forbidden),
                 };
-            };
-            let still_registered = reg
-                .iter()
-                .any(|((owner, _), compiled)| owner == tenant && Arc::ptr_eq(compiled, &removed));
-            (removed, still_registered)
-        };
-        if !still_registered {
-            self.model_digests
-                .write()
-                .expect("model digest index lock is never poisoned")
-                .retain(|(owner, _), compiled| !(owner == tenant && Arc::ptr_eq(compiled, &removed)));
+            }
         }
         // Evidence adjudicated only against the retired model must not be
         // silently replayable against a successor under a stale digest.
@@ -806,6 +824,7 @@ impl DisputeService {
     pub fn model_ids_for(&self, tenant: &TenantId) -> Vec<String> {
         let reg = self.lock_registry();
         let mut ids: Vec<String> = reg
+            .models
             .keys()
             .filter(|(owner, _)| owner == tenant)
             .map(|(_, id)| id.clone())
@@ -822,7 +841,7 @@ impl DisputeService {
 
     /// Number of registered models across every namespace.
     pub fn len(&self) -> usize {
-        self.lock_registry().len()
+        self.lock_registry().models.len()
     }
 
     /// Whether the registry is empty.
@@ -841,7 +860,7 @@ impl DisputeService {
     /// (models registered, attributed claim-cache bytes).
     pub fn stats_for(&self, tenant: &TenantId) -> TenantStatsEntry {
         let counters = self.ledger.counters(tenant);
-        let models = tenant_models(&self.lock_registry(), tenant) as u64;
+        let models = self.lock_registry().tenant_models(tenant) as u64;
         TenantStatsEntry {
             tenant: tenant.to_string(),
             models,
@@ -863,7 +882,7 @@ impl DisputeService {
     pub fn stats_all(&self) -> Vec<TenantStatsEntry> {
         let mut tenants: BTreeSet<TenantId> =
             self.ledger.snapshot().into_iter().map(|(tenant, _)| tenant).collect();
-        tenants.extend(self.lock_registry().keys().map(|(owner, _)| owner.clone()));
+        tenants.extend(self.lock_registry().models.keys().map(|(owner, _)| owner.clone()));
         tenants.extend(self.claims.owner_tenants());
         tenants.iter().map(|tenant| self.stats_for(tenant)).collect()
     }
@@ -1524,6 +1543,69 @@ mod tests {
 
     fn tenant(name: &str) -> TenantId {
         TenantId::new(name).unwrap()
+    }
+
+    #[test]
+    fn concurrent_registrations_never_overshoot_the_model_quota() {
+        let (_, outcome) = embedded();
+        let quotas = TenantQuotas {
+            max_models: 1,
+            ..TenantQuotas::default()
+        };
+        let acme = tenant("acme");
+        for round in 0..20 {
+            let service = DisputeService::builder().tenant_quotas(quotas).build().unwrap();
+            let barrier = std::sync::Barrier::new(8);
+            let results: Vec<WatermarkResult<()>> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..8)
+                    .map(|thread| {
+                        let (service, barrier, acme, model) =
+                            (&service, &barrier, &acme, &outcome.model);
+                        scope.spawn(move || {
+                            barrier.wait();
+                            service.register_digested_as(acme, format!("m{thread}"), model).map(drop)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|worker| worker.join().unwrap()).collect()
+            });
+            assert_eq!(service.model_ids_for(&acme).len(), 1, "round {round}");
+            assert_eq!(
+                results.iter().filter(|result| result.is_ok()).count(),
+                1,
+                "round {round}"
+            );
+            for refused in results.iter().filter_map(|result| result.as_ref().err()) {
+                assert!(
+                    matches!(refused, WatermarkError::QuotaExceeded { resource, .. } if resource == "models"),
+                    "round {round}: {refused:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn re_registration_prunes_the_replaced_model_from_the_digest_index() {
+        let (_, outcome) = embedded();
+        let dataset = SyntheticSpec::breast_cancer_like()
+            .scaled(0.4)
+            .generate(&mut SmallRng::seed_from_u64(75));
+        let replacement = Watermarker::new(WatermarkConfig {
+            num_trees: 10,
+            ..WatermarkConfig::fast()
+        })
+        .train_baseline(&dataset, &mut SmallRng::seed_from_u64(74));
+        let service = DisputeService::builder().build().unwrap();
+        let acme = tenant("acme");
+        let (first, _) = service.register_digested_as(&acme, "a", &outcome.model).unwrap();
+        let (second, _) = service.register_digested_as(&acme, "a", &replacement).unwrap();
+        assert_ne!(first, second);
+        assert!(
+            service.register_by_digest_as(&acme, "b", first).unwrap().is_none(),
+            "a replaced model must not be re-registrable by its digest"
+        );
+        assert!(service.register_by_digest_as(&acme, "b", second).unwrap().is_some());
+        assert_eq!(service.model_ids_for(&acme), ["a", "b"]);
     }
 
     #[test]

@@ -53,19 +53,42 @@ impl Serialize for TenantId {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.0.clone())
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        serde::binary::write_str(out, &self.0);
+    }
 }
 
 impl Deserialize for TenantId {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
         match value {
-            serde::Value::Str(name) if name.is_empty() => Ok(Self::anonymous()),
-            serde::Value::Str(name) => {
-                Self::new(name.clone()).map_err(|err| serde::DeError::new(err.to_string()))
-            }
+            serde::Value::Str(name) => Self::checked(name),
             other => Err(serde::DeError::new(format!(
                 "tenant id must be a string, got {other:?}"
             ))),
         }
+    }
+
+    fn read_binary(
+        reader: &mut serde::binary::Reader<'_>,
+        depth: usize,
+    ) -> Result<Self, serde::DeError> {
+        if reader.accept(depth, serde::binary::TAG_STR)? {
+            Self::checked(reader.take_str()?)
+        } else {
+            Err(serde::DeError::expected("string", "TenantId"))
+        }
+    }
+}
+
+impl TenantId {
+    /// A decoded tenant name: empty is the anonymous tenant, anything else
+    /// must pass [`TenantId::new`].
+    fn checked(name: &str) -> Result<Self, serde::DeError> {
+        if name.is_empty() {
+            return Ok(Self::anonymous());
+        }
+        Self::new(name).map_err(|err| serde::DeError::new(err.to_string()))
     }
 }
 

@@ -3,12 +3,13 @@
 //! `serde::binary` writes and reads typed values straight from the bytes;
 //! the `Value` route (`to_value` + `encode_value`, `decode_value` +
 //! `from_value`) is kept as the reference. This suite holds the direct
-//! path to it on generated WDTP messages (same bytes out), on every
-//! single-bit flip, byte inversion and truncation of a valid docket
-//! payload (same accept/refuse decision, same value, same error variant),
-//! and on hand-built payloads the encoder never writes: permuted,
-//! duplicated and unknown map keys, legacy encodings, non-canonical number
-//! tags, and nesting past `MAX_DEPTH`.
+//! path to it on generated WDTP messages and models (same bytes out), on
+//! every single-bit flip, byte inversion and truncation of a valid docket
+//! payload, `RegisterModel` payload and compiled-forest artefact (same
+//! accept/refuse decision, same value, same error variant), and on
+//! hand-built payloads the encoder never writes: permuted, duplicated and
+//! unknown map keys, legacy encodings, non-canonical number tags, and
+//! nesting past `MAX_DEPTH`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,21 +17,14 @@ use rand::{Rng, SeedableRng};
 use serde::binary::{self, MAX_DEPTH};
 use serde::{Deserialize, Serialize, Value};
 use std::mem::discriminant;
+use wdte_core::persist::{self, Format};
 use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
 use wdte_core::verify::VerificationReport;
-use wdte_core::{OwnershipClaim, Signature, TenantStatsEntry, WatermarkError, WatermarkResult};
-use wdte_data::{Dataset, DenseMatrix, Label, MultiClassSpec};
-use wdte_trees::{ForestParams, RandomForest};
-
-/// Renders an arbitrary [`Value`] through the `Serialize` plumbing, so
-/// hand-built trees can be framed like typed messages.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
+use wdte_core::{
+    OwnershipClaim, Signature, TenantId, TenantStatsEntry, WatermarkError, WatermarkResult,
+};
+use wdte_data::{ConfusionMatrix, Dataset, DenseMatrix, Label, MultiClassSpec};
+use wdte_trees::{CompiledForest, ForestParams, RandomForest, TreeParams};
 
 /// The reference encoder: the `Value` tree, then the tree codec.
 fn value_route_bytes<T: Serialize + ?Sized>(message: &T) -> Vec<u8> {
@@ -113,7 +107,12 @@ fn claim(rng: &mut SmallRng) -> OwnershipClaim {
 }
 
 fn forest(rng: &mut SmallRng) -> RandomForest {
-    let data = MultiClassSpec::k_class(rng.gen_range(2..5)).scaled(0.1).generate(rng);
+    let classes = rng.gen_range(2..5);
+    forest_of(classes, rng)
+}
+
+fn forest_of(classes: usize, rng: &mut SmallRng) -> RandomForest {
+    let data = MultiClassSpec::k_class(classes).scaled(0.1).generate(rng);
     RandomForest::fit(&data, &ForestParams::with_trees(rng.gen_range(1..4)), rng)
 }
 
@@ -268,6 +267,16 @@ proptest! {
             assert_parity(&response);
         }
     }
+
+    #[test]
+    fn models_encode_to_the_value_route_bytes_for_every_k(seed in any::<u64>(), pick in 0usize..3) {
+        let classes = [2, 3, 5][pick];
+        let model = forest_of(classes, &mut SmallRng::seed_from_u64(seed));
+        prop_assert_eq!(model.num_classes(), classes);
+        assert_parity(&model);
+        assert_parity(&CompiledForest::compile(&model));
+        assert_parity(&Request::RegisterModel { model_id: "m".into(), model });
+    }
 }
 
 /// A small valid docket payload: two inlined claims and their references.
@@ -284,33 +293,79 @@ fn docket_payload() -> Vec<u8> {
     binary::to_vec(&request)
 }
 
-#[test]
-fn every_bit_flip_and_byte_inversion_is_judged_alike() {
-    let payload = docket_payload();
+/// A small binary forest: two shallow trees, so a byte sweep stays short.
+fn small_forest() -> RandomForest {
+    let mut rng = SmallRng::seed_from_u64(0xF0);
+    let data = MultiClassSpec::k_class(2).scaled(0.05).generate(&mut rng);
+    let params = ForestParams {
+        tree: TreeParams::with_max_depth(3),
+        ..ForestParams::with_trees(2)
+    };
+    RandomForest::fit(&data, &params, &mut rng)
+}
+
+/// A valid `RegisterModel` payload carrying [`small_forest`].
+fn register_payload() -> Vec<u8> {
+    binary::to_vec(&Request::RegisterModel {
+        model_id: "m".into(),
+        model: small_forest(),
+    })
+}
+
+/// The payload of a binary compiled-forest artefact, after its header.
+fn compiled_artefact_payload() -> Vec<u8> {
+    let compiled = CompiledForest::compile(&small_forest());
+    let artefact = persist::to_bytes(&compiled, Format::Binary);
+    assert_eq!(
+        persist::from_bytes::<CompiledForest>(&artefact).unwrap(),
+        compiled
+    );
+    artefact[persist::MAGIC.len() + 3..].to_vec()
+}
+
+/// Every single-bit flip and byte inversion of `payload` is judged alike
+/// by both decoders; returns how many mutations still decoded.
+fn flip_sweep<T: Deserialize + Serialize>(payload: &[u8], name: &str) -> usize {
     let mut accepted = 0;
     for position in 0..payload.len() {
         for mask in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
-            let mut mutated = payload.clone();
+            let mut mutated = payload.to_vec();
             mutated[position] ^= mask;
-            let context = format!("byte {position} ^ {mask:#04x}");
-            accepted += usize::from(assert_decoders_agree::<Request>(&mutated, &context));
+            let context = format!("{name}: byte {position} ^ {mask:#04x}");
+            accepted += usize::from(assert_decoders_agree::<T>(&mutated, &context));
         }
     }
-    // Flips inside float payloads still decode: the sweep must exercise
+    accepted
+}
+
+/// Every strict prefix of `payload` is refused by both decoders.
+fn truncation_sweep<T: Deserialize + Serialize>(payload: &[u8], name: &str) {
+    for cut in 0..payload.len() {
+        assert!(!assert_decoders_agree::<T>(
+            &payload[..cut],
+            &format!("{name}: cut at {cut}")
+        ));
+    }
+    assert!(assert_decoders_agree::<T>(
+        payload,
+        &format!("{name}: the whole payload")
+    ));
+}
+
+#[test]
+fn every_bit_flip_and_byte_inversion_is_judged_alike() {
+    // Flips inside float payloads still decode: each sweep must exercise
     // the accept side too, not only refusals.
-    assert!(accepted > 0);
+    assert!(flip_sweep::<Request>(&docket_payload(), "docket") > 0);
+    assert!(flip_sweep::<Request>(&register_payload(), "RegisterModel") > 0);
+    assert!(flip_sweep::<CompiledForest>(&compiled_artefact_payload(), "compiled forest") > 0);
 }
 
 #[test]
 fn every_truncation_is_refused_alike() {
-    let payload = docket_payload();
-    for cut in 0..payload.len() {
-        assert!(!assert_decoders_agree::<Request>(
-            &payload[..cut],
-            &format!("cut at {cut}")
-        ));
-    }
-    assert!(assert_decoders_agree::<Request>(&payload, "the whole payload"));
+    truncation_sweep::<Request>(&docket_payload(), "docket");
+    truncation_sweep::<Request>(&register_payload(), "RegisterModel");
+    truncation_sweep::<CompiledForest>(&compiled_artefact_payload(), "compiled forest");
 }
 
 /// The entries of one `Value::Map`.
@@ -364,7 +419,7 @@ proptest! {
                 entries.insert(rng.gen_range(0..=entries.len()), ("unknown".into(), junk));
             }
         });
-        let payload = binary::to_vec(&Raw(value));
+        let payload = binary::to_vec(&value);
         prop_assert!(assert_decoders_agree::<Request>(&payload, "shuffled keys"));
         let decoded: Request = proto::decode_payload(&payload).unwrap();
         prop_assert_eq!(binary::to_vec(&decoded), docket_payload());
@@ -381,7 +436,7 @@ fn a_duplicate_key_counts_only_once_it_is_well_formed_and_first() {
         }
     });
     assert!(!assert_decoders_agree::<Request>(
-        &binary::to_vec(&Raw(value)),
+        &binary::to_vec(&value),
         "ill-typed first"
     ));
 
@@ -391,7 +446,7 @@ fn a_duplicate_key_counts_only_once_it_is_well_formed_and_first() {
         entries.retain(|(key, _)| key != "cols")
     });
     assert!(!assert_decoders_agree::<Request>(
-        &binary::to_vec(&Raw(value)),
+        &binary::to_vec(&value),
         "missing field"
     ));
 
@@ -400,7 +455,7 @@ fn a_duplicate_key_counts_only_once_it_is_well_formed_and_first() {
     edit_struct_maps(&mut value, &mut |entries| {
         entries.push(("unknown".into(), Value::Str("tail".into())));
     });
-    let mut payload = binary::to_vec(&Raw(value));
+    let mut payload = binary::to_vec(&value);
     payload.pop();
     assert!(!assert_decoders_agree::<Request>(&payload, "truncated unknown"));
 }
@@ -418,7 +473,7 @@ fn nesting_past_max_depth_is_refused_alike_wherever_it_sits() {
         edit_struct_maps(&mut value, &mut |entries| {
             entries.push(("unknown".into(), nested(levels, Value::Null)));
         });
-        let payload = binary::to_vec(&Raw(value));
+        let payload = binary::to_vec(&value);
         let accepted =
             assert_decoders_agree::<Request>(&payload, &format!("unknown key, {levels} levels"));
         // The struct maps sit a few levels down, so only the shallowest
@@ -434,14 +489,14 @@ fn nesting_past_max_depth_is_refused_alike_wherever_it_sits() {
                 }
             }
         });
-        let payload = binary::to_vec(&Raw(value));
+        let payload = binary::to_vec(&value);
         assert!(!assert_decoders_agree::<Request>(
             &payload,
             &format!("typed field, {levels} levels")
         ));
     }
     // A bare deep sequence is the same refusal for any target type.
-    let deep = binary::to_vec(&Raw(nested(MAX_DEPTH + 1, Value::Null)));
+    let deep = binary::to_vec(&nested(MAX_DEPTH + 1, Value::Null));
     assert!(!assert_decoders_agree::<Vec<Vec<f64>>>(&deep, "bare nesting"));
     assert!(!assert_decoders_agree::<Request>(&deep, "bare nesting"));
 }
@@ -474,8 +529,62 @@ fn lenient_and_legacy_encodings_decode_alike() {
         }
         entries.retain(|(key, _)| key != "num_classes");
     });
-    let payload = binary::to_vec(&Raw(value));
+    let payload = binary::to_vec(&value);
     assert!(assert_decoders_agree::<Request>(&payload, "lenient encodings"));
+
+    // The same legacy and lenient forms inside models: leaf weights
+    // tagged `U64`, `I64` or `Null`, every other leaf's counts as the
+    // pre-k-class `{negative, positive}` map, and no `num_classes` on the
+    // forest or the compiled forest (k is then inferred from the leaves).
+    let mut request = Request::from_value(&binary::decode_value_bytes(&register_payload()).unwrap())
+        .unwrap()
+        .to_value();
+    assert!(
+        legacy_model(&mut request) > 1,
+        "the fixture has leaves to rewrite"
+    );
+    let payload = binary::to_vec(&request);
+    assert!(assert_decoders_agree::<Request>(&payload, "legacy forest"));
+    let Request::RegisterModel { model, .. } = proto::decode_payload(&payload).unwrap() else {
+        unreachable!("the payload is a registration")
+    };
+    assert_eq!(model.num_classes(), 2);
+
+    let mut compiled = CompiledForest::compile(&small_forest()).to_value();
+    legacy_model(&mut compiled);
+    let payload = binary::to_vec(&compiled);
+    assert!(assert_decoders_agree::<CompiledForest>(
+        &payload,
+        "legacy compiled forest"
+    ));
+    let decoded: CompiledForest = proto::decode_payload(&payload).unwrap();
+    assert_eq!(decoded, CompiledForest::compile(&small_forest()));
+}
+
+/// Rewrites a model the way older or lenient writers did (see
+/// [`lenient_and_legacy_encodings_decode_alike`]); returns the number of
+/// leaves rewritten.
+fn legacy_model(value: &mut Value) -> usize {
+    let mut leaves = 0;
+    edit_struct_maps(value, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if let ("counts", Value::Seq(counts)) = (key.as_str(), &mut *item) {
+                leaves += 1;
+                if leaves % 2 == 0 {
+                    *item = Value::Map(vec![
+                        ("positive".into(), counts[1].clone()),
+                        ("negative".into(), counts[0].clone()),
+                    ]);
+                    continue;
+                }
+                for (i, count) in counts.iter_mut().enumerate() {
+                    *count = [Value::U64(3), Value::I64(-2), Value::Null][(leaves + i) % 3].clone();
+                }
+            }
+        }
+        entries.retain(|(key, _)| key != "num_classes");
+    });
+    leaves
 }
 
 #[test]
@@ -490,7 +599,7 @@ fn typed_constructors_still_validate_on_the_direct_path() {
         }
     });
     assert!(!assert_decoders_agree::<Request>(
-        &binary::to_vec(&Raw(value)),
+        &binary::to_vec(&value),
         "bad shape"
     ));
 
@@ -503,7 +612,7 @@ fn typed_constructors_still_validate_on_the_direct_path() {
             }
         }
     });
-    let payload = binary::to_vec(&Raw(value));
+    let payload = binary::to_vec(&value);
     // k is clamped to 2, so only datasets using class >= 2 are refused;
     // either way both routes must agree.
     assert_decoders_agree::<Request>(&payload, "too few classes");
@@ -517,12 +626,138 @@ fn typed_constructors_still_validate_on_the_direct_path() {
             }
         }
     });
-    let payload = binary::to_vec(&Raw(value));
+    let payload = binary::to_vec(&value);
     assert!(!assert_decoders_agree::<Request>(&payload, "empty signature"));
     assert!(matches!(
         proto::decode_payload::<Request>(&payload).unwrap_err(),
         WatermarkError::ProtocolViolation { .. }
     ));
+}
+
+/// The `Value` tree of [`register_payload`] with `edit` applied to every
+/// struct map, re-encoded.
+fn edited_registration(edit: &mut dyn FnMut(&mut Entries)) -> Vec<u8> {
+    let mut value = Request::from_value(&binary::decode_value_bytes(&register_payload()).unwrap())
+        .unwrap()
+        .to_value();
+    edit_struct_maps(&mut value, edit);
+    binary::to_vec(&value)
+}
+
+#[test]
+fn model_checks_still_refuse_on_the_direct_path() {
+    let refused = |context: &str, edit: &mut dyn FnMut(&mut Entries)| {
+        let payload = edited_registration(edit);
+        assert!(!assert_decoders_agree::<Request>(&payload, context), "{context}");
+    };
+    // A child index past the arena, and a child pointing back at the root.
+    for child in [Value::U64(10_000), Value::U64(0)] {
+        refused("bad child", &mut |entries| {
+            for (key, item) in entries.iter_mut() {
+                if key == "right" {
+                    *item = child.clone();
+                }
+            }
+        });
+    }
+    // A node testing a feature the tree does not have.
+    refused("feature out of range", &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "feature" {
+                *item = Value::U64(1 << 20);
+            }
+        }
+    });
+    // An empty feature subset, and a subset naming a missing feature.
+    for subset in [Value::Seq(Vec::new()), Value::Seq(vec![Value::U64(1 << 20)])] {
+        refused("bad subset", &mut |entries| {
+            for (key, item) in entries.iter_mut() {
+                if let ("feature_subsets", Value::Seq(subsets)) = (key.as_str(), item) {
+                    subsets[0] = subset.clone();
+                }
+            }
+        });
+    }
+    // Fewer declared classes than a leaf predicts.
+    refused("too few classes", &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "num_classes" {
+                *item = Value::U64(1);
+            }
+            if key == "label" {
+                *item = Value::U64(2);
+            }
+        }
+    });
+    // Leaf counts tracking more classes than a label can name.
+    let mut first = true;
+    refused("too many counts", &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if key == "counts" && std::mem::take(&mut first) {
+                *item = Value::Seq(vec![Value::F64(0.0); Label::MAX_CLASSES + 1]);
+            }
+        }
+    });
+    // A compiled forest whose tree segments do not span its nodes.
+    let mut compiled = CompiledForest::compile(&small_forest()).to_value();
+    edit_struct_maps(&mut compiled, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if let ("tree_starts", Value::Seq(starts)) = (key.as_str(), item) {
+                starts.pop();
+            }
+        }
+    });
+    assert!(!assert_decoders_agree::<CompiledForest>(
+        &binary::to_vec(&compiled),
+        "short tree_starts"
+    ));
+}
+
+#[test]
+fn confusion_matrices_and_tenant_ids_decode_like_the_value_route() {
+    let truth = [0, 1, 2, 1].map(|i| Label::new(i, 3).unwrap());
+    let predicted = [0, 2, 2, 1].map(|i| Label::new(i, 3).unwrap());
+    assert_parity(&ConfusionMatrix::from_predictions(&truth, &predicted));
+    let count = |key: &str, n: u64| (key.to_string(), Value::U64(n));
+    let legacy = Value::Map(vec![
+        count("true_positive", 2),
+        count("true_negative", 1),
+        count("false_positive", 3),
+        count("false_negative", 4),
+    ]);
+    assert!(assert_decoders_agree::<ConfusionMatrix>(
+        &binary::to_vec(&legacy),
+        "legacy matrix"
+    ));
+    let Value::Map(mut short) = legacy else {
+        unreachable!()
+    };
+    short.pop();
+    assert!(!assert_decoders_agree::<ConfusionMatrix>(
+        &binary::to_vec(&Value::Map(short)),
+        "legacy matrix without a count"
+    ));
+    let ragged = Value::Map(vec![
+        count("classes", 3),
+        ("cells".into(), Value::Seq(vec![Value::U64(1); 8])),
+    ]);
+    assert!(!assert_decoders_agree::<ConfusionMatrix>(
+        &binary::to_vec(&ragged),
+        "8 cells for 3 classes"
+    ));
+
+    assert_parity(&TenantId::new("acme-1").unwrap());
+    assert_parity(&TenantId::anonymous());
+    for bad in [
+        Value::Str("no spaces".into()),
+        Value::Str("x".repeat(17)),
+        Value::U64(7),
+    ] {
+        assert!(!assert_decoders_agree::<TenantId>(
+            &binary::to_vec(&bad),
+            &format!("{bad:?}")
+        ));
+    }
 }
 
 /// A recursive type, the only kind whose typed reads can reach the depth

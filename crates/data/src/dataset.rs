@@ -77,41 +77,25 @@ impl Serialize for Dataset {
     }
 }
 
+/// The serialized fields of a [`Dataset`], before the label checks.
+/// Pre-k-class artifacts carry no `num_classes`.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct Dataset {
+        pub(super) name: String,
+        pub(super) features: super::DenseMatrix,
+        pub(super) labels: Vec<super::Label>,
+        pub(super) num_classes: Option<usize>,
+    }
+}
+
 impl Deserialize for Dataset {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "Dataset"))?;
-        let name = String::from_value(serde::map_get(entries, "name")?)?;
-        let features = DenseMatrix::from_value(serde::map_get(entries, "features")?)?;
-        let labels: Vec<Label> = Vec::from_value(serde::map_get(entries, "labels")?)?;
-        let num_classes = match entries.iter().find(|(key, _)| key == "num_classes") {
-            Some((_, value)) => Some(usize::from_value(value)?),
-            None => None,
-        };
-        Dataset::checked(name, features, labels, num_classes)
+        Self::checked(unchecked::Dataset::from_value(value)?)
     }
 
     fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
-        let (mut name, mut features, mut labels, mut num_classes) = (None, None, None, None);
-        binary::read_map(reader, depth, "Dataset", |reader, key| {
-            match key {
-                "name" if name.is_none() => name = Some(String::read_binary(reader, depth + 1)?),
-                "features" if features.is_none() => {
-                    features = Some(DenseMatrix::read_binary(reader, depth + 1)?)
-                }
-                "labels" if labels.is_none() => labels = Some(Vec::read_binary(reader, depth + 1)?),
-                "num_classes" if num_classes.is_none() => {
-                    num_classes = Some(usize::read_binary(reader, depth + 1)?)
-                }
-                _ => return Ok(false),
-            }
-            Ok(true)
-        })?;
-        Dataset::checked(
-            binary::required(name, "name")?,
-            binary::required(features, "features")?,
-            binary::required(labels, "labels")?,
-            num_classes,
-        )
+        Self::checked(unchecked::Dataset::read_binary(reader, depth)?)
     }
 }
 
@@ -122,12 +106,13 @@ impl Dataset {
     /// panicking during verification. Pre-k-class artifacts have no
     /// `num_classes` entry; they are binary by construction, so the
     /// inferring constructor restores them as k = 2.
-    fn checked(
-        name: String,
-        features: DenseMatrix,
-        labels: Vec<Label>,
-        num_classes: Option<usize>,
-    ) -> Result<Self, DeError> {
+    fn checked(parts: unchecked::Dataset) -> Result<Self, DeError> {
+        let unchecked::Dataset {
+            name,
+            features,
+            labels,
+            num_classes,
+        } = parts;
         match num_classes {
             Some(num_classes) => Dataset::with_classes(name, features, labels, num_classes),
             None => Dataset::new(name, features, labels),

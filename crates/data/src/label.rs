@@ -9,7 +9,7 @@
 //! original two-variant implementation.
 
 use crate::error::DataError;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{binary, DeError, Deserialize, Serialize, Value};
 
 /// A class label, stored as a validated class index.
 ///
@@ -502,27 +502,61 @@ impl Serialize for ClassCounts {
     fn to_value(&self) -> Value {
         Value::Seq(self.slice().iter().map(|count| count.to_value()).collect())
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_seq(out, self.slice());
+    }
+}
+
+/// The pre-k-class struct encoding of [`ClassCounts`].
+mod legacy {
+    #[derive(serde::Deserialize)]
+    pub(super) struct ClassCounts {
+        pub(super) negative: f64,
+        pub(super) positive: f64,
+    }
 }
 
 impl Deserialize for ClassCounts {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        if let Some(items) = value.as_seq() {
-            if items.len() > Label::MAX_CLASSES {
-                return Err(DeError::new(format!(
-                    "ClassCounts tracks {} classes but at most {} are supported",
-                    items.len(),
-                    Label::MAX_CLASSES
-                )));
-            }
-            let counts: Vec<f64> = items.iter().map(f64::from_value).collect::<Result<_, _>>()?;
-            return Ok(ClassCounts::from_slice(&counts));
+        let Some(items) = value.as_seq() else {
+            let legacy::ClassCounts { negative, positive } = legacy::ClassCounts::from_value(value)?;
+            return Ok(ClassCounts::binary(negative, positive));
+        };
+        let mut counts = ClassCounts::checked(items.len())?;
+        for (slot, item) in counts.slice_mut().iter_mut().zip(items) {
+            *slot = f64::from_value(item)?;
         }
-        if let Some(entries) = value.as_map() {
-            let negative = f64::from_value(serde::map_get(entries, "negative")?)?;
-            let positive = f64::from_value(serde::map_get(entries, "positive")?)?;
+        Ok(counts)
+    }
+
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        if !reader.accept(depth, binary::TAG_SEQ)? {
+            let legacy::ClassCounts { negative, positive } =
+                legacy::ClassCounts::read_binary(reader, depth)?;
             return Ok(ClassCounts::binary(negative, positive));
         }
-        Err(DeError::expected("sequence or legacy map", "ClassCounts"))
+        let len = reader.take_len()?;
+        let mut counts = ClassCounts::checked(len)?;
+        for slot in &mut counts.slice_mut()[..len] {
+            *slot = f64::read_binary(reader, depth + 1)?;
+        }
+        Ok(counts)
+    }
+}
+
+impl ClassCounts {
+    /// An all-zero counter for a decoded sequence of `len` weights, which
+    /// the caller fills in. A sequence longer than [`Label::MAX_CLASSES`]
+    /// is refused before anything is allocated for it.
+    fn checked(len: usize) -> Result<Self, DeError> {
+        if len > Label::MAX_CLASSES {
+            return Err(DeError::new(format!(
+                "ClassCounts tracks {len} classes but at most {} are supported",
+                Label::MAX_CLASSES
+            )));
+        }
+        Ok(ClassCounts::with_classes(len))
     }
 }
 

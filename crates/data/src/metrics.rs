@@ -219,28 +219,64 @@ impl Serialize for ConfusionMatrix {
             ("cells".to_string(), self.cells.to_value()),
         ])
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        serde::binary::write_map_header(out, 2);
+        serde::binary::write_key(out, "classes");
+        self.classes.write_binary(out);
+        serde::binary::write_key(out, "cells");
+        self.cells.write_binary(out);
+    }
+}
+
+/// The serialized fields of a [`ConfusionMatrix`] in either form: the
+/// current `{classes, cells}`, or the pre-k-class binary counts.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct ConfusionMatrix {
+        pub(super) classes: Option<usize>,
+        pub(super) cells: Option<Vec<usize>>,
+        pub(super) true_positive: Option<usize>,
+        pub(super) true_negative: Option<usize>,
+        pub(super) false_positive: Option<usize>,
+        pub(super) false_negative: Option<usize>,
+    }
 }
 
 impl Deserialize for ConfusionMatrix {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "ConfusionMatrix"))?;
-        if entries.iter().any(|(key, _)| key == "cells") {
-            let classes = usize::from_value(serde::map_get(entries, "classes")?)?;
-            let cells: Vec<usize> = Vec::from_value(serde::map_get(entries, "cells")?)?;
-            if classes < 2 || cells.len() != classes * classes {
-                return Err(DeError::new(format!(
-                    "invalid ConfusionMatrix: {} cells for {classes} classes",
-                    cells.len()
-                )));
-            }
-            return Ok(ConfusionMatrix { cells, classes });
+        Self::checked(unchecked::ConfusionMatrix::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::ConfusionMatrix::read_binary(reader, depth)?)
+    }
+}
+
+impl ConfusionMatrix {
+    /// A decoded matrix: `cells` marks the current form, which needs at
+    /// least two classes and one cell per class pair; without it all four
+    /// legacy binary counts are required.
+    fn checked(parts: unchecked::ConfusionMatrix) -> Result<Self, DeError> {
+        let required = serde::binary::required;
+        let Some(cells) = parts.cells else {
+            let mut matrix = ConfusionMatrix::with_classes(2);
+            matrix.cells = vec![
+                required(parts.true_negative, "true_negative")?,
+                required(parts.false_positive, "false_positive")?,
+                required(parts.false_negative, "false_negative")?,
+                required(parts.true_positive, "true_positive")?,
+            ];
+            return Ok(matrix);
+        };
+        let classes = required(parts.classes, "classes")?;
+        if classes < 2 || classes.checked_mul(classes) != Some(cells.len()) {
+            return Err(DeError::new(format!(
+                "invalid ConfusionMatrix: {} cells for {classes} classes",
+                cells.len()
+            )));
         }
-        let mut matrix = ConfusionMatrix::with_classes(2);
-        matrix.cells[3] = usize::from_value(serde::map_get(entries, "true_positive")?)?;
-        matrix.cells[0] = usize::from_value(serde::map_get(entries, "true_negative")?)?;
-        matrix.cells[1] = usize::from_value(serde::map_get(entries, "false_positive")?)?;
-        matrix.cells[2] = usize::from_value(serde::map_get(entries, "false_negative")?)?;
-        Ok(matrix)
+        Ok(ConfusionMatrix { cells, classes })
     }
 }
 

@@ -15,15 +15,6 @@ use wdte_data::SyntheticSpec;
 use wdte_server::{JudgeServer, ServerConfig};
 use wdte_trees::{ForestParams, RandomForest};
 
-/// Renders an arbitrary [`Value`] as a message payload.
-struct Raw(Value);
-
-impl Serialize for Raw {
-    fn to_value(&self) -> Value {
-        self.0.clone()
-    }
-}
-
 fn docket(claim: &OwnershipClaim) -> Request {
     Request::ResolveDocketRef {
         bodies: vec![claim.clone()],
@@ -32,7 +23,7 @@ fn docket(claim: &OwnershipClaim) -> Request {
 }
 
 /// `docket(claim)` with the claim's signature bits replaced by `[]`.
-fn docket_with_empty_signature(claim: &OwnershipClaim) -> Raw {
+fn docket_with_empty_signature(claim: &OwnershipClaim) -> Value {
     let mut value = docket(claim).to_value();
     let Value::Map(variant) = &mut value else {
         unreachable!("a request is a map")
@@ -47,7 +38,7 @@ fn docket_with_empty_signature(claim: &OwnershipClaim) -> Raw {
         unreachable!("a claim is a map")
     };
     claim_fields[0].1 = Value::Map(vec![("bits".to_string(), Value::Seq(Vec::new()))]);
-    Raw(value)
+    value
 }
 
 #[test]

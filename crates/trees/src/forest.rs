@@ -40,16 +40,45 @@ fn max_leaf_classes(trees: &[DecisionTree]) -> usize {
         .max(2)
 }
 
+/// The serialized fields of a [`RandomForest`], before the forest checks.
+/// Forests serialized before the k-class generalization carry no
+/// `num_classes`.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct RandomForest {
+        pub(super) trees: Vec<super::DecisionTree>,
+        pub(super) feature_subsets: Vec<Vec<usize>>,
+        pub(super) num_features: usize,
+        pub(super) num_classes: Option<usize>,
+    }
+}
+
 /// Deserialization validates the forest-level invariants (each tree's
 /// arena is already validated by [`DecisionTree`]'s deserializer), so a
 /// corrupted serialized model is rejected instead of panicking later.
 impl Deserialize for RandomForest {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "RandomForest"))?;
-        let trees: Vec<DecisionTree> = Vec::from_value(serde::map_get(entries, "trees")?)?;
-        let feature_subsets: Vec<Vec<usize>> =
-            Vec::from_value(serde::map_get(entries, "feature_subsets")?)?;
-        let num_features = usize::from_value(serde::map_get(entries, "num_features")?)?;
+        Self::checked(unchecked::RandomForest::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::RandomForest::read_binary(reader, depth)?)
+    }
+}
+
+impl RandomForest {
+    /// Validates deserialized parts: at least one tree, one non-empty
+    /// in-range feature subset per tree, a feature count covering every
+    /// tree, and a class count covering every leaf. A forest without a
+    /// class count is binary by construction, so k is inferred from the
+    /// leaf labels instead of rejecting the artefact.
+    fn checked(parts: unchecked::RandomForest) -> Result<Self, DeError> {
+        let unchecked::RandomForest {
+            trees,
+            feature_subsets,
+            num_features,
+            num_classes,
+        } = parts;
         if trees.is_empty() {
             return Err(DeError::new(
                 "invalid RandomForest: a forest needs at least one tree",
@@ -81,21 +110,15 @@ impl Deserialize for RandomForest {
                 )));
             }
         }
-        // Forests serialized before the k-class generalization carry no
-        // class count; they are binary by construction, so infer k from the
-        // leaf labels instead of rejecting the artefact.
         let leaf_classes = max_leaf_classes(&trees);
-        let num_classes = match entries.iter().find(|(key, _)| key == "num_classes") {
-            Some((_, value)) => {
-                let declared = usize::from_value(value)?;
-                if declared < leaf_classes {
-                    return Err(DeError::new(format!(
-                        "invalid RandomForest: claims {declared} classes but a leaf predicts class {}",
-                        leaf_classes - 1
-                    )));
-                }
-                declared
+        let num_classes = match num_classes {
+            Some(declared) if declared < leaf_classes => {
+                return Err(DeError::new(format!(
+                    "invalid RandomForest: claims {declared} classes but a leaf predicts class {}",
+                    leaf_classes - 1
+                )));
             }
+            Some(declared) => declared,
             None => leaf_classes,
         };
         Ok(RandomForest {
@@ -105,9 +128,7 @@ impl Deserialize for RandomForest {
             num_classes,
         })
     }
-}
 
-impl RandomForest {
     /// Trains a forest on `dataset` with unit sample weights.
     pub fn fit<R: Rng + ?Sized>(dataset: &Dataset, params: &ForestParams, rng: &mut R) -> Self {
         let weights = vec![1.0; dataset.len()];

@@ -35,7 +35,7 @@
 
 use crate::forest::RandomForest;
 use crate::tree::{DecisionTree, Node, TreeStats};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{binary, DeError, Deserialize, Serialize, Value};
 use wdte_data::{Dataset, DenseMatrix, Label};
 
 pub mod kernel;
@@ -635,6 +635,24 @@ impl Serialize for CompiledForest {
             ("num_classes".to_string(), self.num_classes.to_value()),
         ])
     }
+
+    fn write_binary(&self, out: &mut Vec<u8>) {
+        binary::write_map_header(out, 7);
+        binary::write_key(out, "feature");
+        self.feature.write_binary(out);
+        binary::write_key(out, "threshold");
+        self.threshold.write_binary(out);
+        binary::write_key(out, "left");
+        self.left.write_binary(out);
+        binary::write_key(out, "right");
+        self.right.write_binary(out);
+        binary::write_key(out, "tree_starts");
+        self.tree_starts.write_binary(out);
+        binary::write_key(out, "num_features");
+        self.num_features.write_binary(out);
+        binary::write_key(out, "num_classes");
+        self.num_classes.write_binary(out);
+    }
 }
 
 impl From<&RandomForest> for CompiledForest {
@@ -643,33 +661,60 @@ impl From<&RandomForest> for CompiledForest {
     }
 }
 
+/// The serialized SoA arrays of a [`CompiledForest`], before validation.
+/// Artifacts written before the k-class generalization carry no
+/// `num_classes`.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct CompiledForest {
+        pub(super) feature: Vec<u32>,
+        pub(super) threshold: Vec<f64>,
+        pub(super) left: Vec<u32>,
+        pub(super) right: Vec<u32>,
+        pub(super) tree_starts: Vec<u32>,
+        pub(super) num_features: usize,
+        pub(super) num_classes: Option<usize>,
+    }
+}
+
 /// Deserialization is routed through [`CompiledForest::from_raw_parts`] so
 /// corrupted artifacts are rejected with an error instead of panicking
 /// later during traversal.
 impl Deserialize for CompiledForest {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "CompiledForest"))?;
-        let feature = Vec::from_value(serde::map_get(entries, "feature")?)?;
-        let threshold = Vec::from_value(serde::map_get(entries, "threshold")?)?;
-        let left = Vec::from_value(serde::map_get(entries, "left")?)?;
-        let right = Vec::from_value(serde::map_get(entries, "right")?)?;
-        let tree_starts: Vec<u32> = Vec::from_value(serde::map_get(entries, "tree_starts")?)?;
-        let num_features = usize::from_value(serde::map_get(entries, "num_features")?)?;
-        // Artifacts written before the k-class generalization carry no
-        // class count; they are binary by construction, except that any
-        // larger leaf index present still raises it so validation passes
-        // exactly when the arrays are self-consistent.
-        let num_classes = match entries.iter().find(|(key, _)| key == "num_classes") {
-            Some((_, value)) => usize::from_value(value)?,
-            None => feature
+        Self::checked(unchecked::CompiledForest::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::CompiledForest::read_binary(reader, depth)?)
+    }
+}
+
+impl CompiledForest {
+    /// Validates decoded parts through [`CompiledForest::from_raw_parts`].
+    /// Without a class count the artifact is binary by construction,
+    /// except that any larger leaf index present still raises it, so
+    /// validation passes exactly when the arrays are self-consistent.
+    fn checked(parts: unchecked::CompiledForest) -> Result<Self, DeError> {
+        let unchecked::CompiledForest {
+            feature,
+            threshold,
+            left,
+            right,
+            tree_starts,
+            num_features,
+            num_classes,
+        } = parts;
+        let num_classes = num_classes.unwrap_or_else(|| {
+            feature
                 .iter()
                 .zip(&left)
                 .filter(|(&f, _)| f == LEAF_MARKER)
                 .map(|(_, &label)| label as usize + 1)
                 .max()
                 .unwrap_or(2)
-                .max(2),
-        };
+                .max(2)
+        });
         CompiledForest::from_raw_parts(
             feature,
             threshold,

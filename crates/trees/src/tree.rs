@@ -39,15 +39,32 @@ pub struct DecisionTree {
     num_features: usize,
 }
 
+/// The serialized fields of a [`DecisionTree`], before the arena check.
+mod unchecked {
+    #[derive(serde::Deserialize)]
+    pub(super) struct DecisionTree {
+        pub(super) nodes: Vec<super::Node>,
+        pub(super) num_features: usize,
+    }
+}
+
 /// Deserialization validates the arena before constructing the tree, so a
 /// corrupted or hostile serialized model surfaces as an error instead of
 /// an out-of-bounds panic, an infinite traversal loop, or a stack
 /// overflow at prediction time.
 impl Deserialize for DecisionTree {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let entries = value.as_map().ok_or_else(|| DeError::expected("map", "DecisionTree"))?;
-        let nodes: Vec<Node> = Vec::from_value(serde::map_get(entries, "nodes")?)?;
-        let num_features = usize::from_value(serde::map_get(entries, "num_features")?)?;
+        Self::checked(unchecked::DecisionTree::from_value(value)?)
+    }
+
+    fn read_binary(reader: &mut serde::binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
+        Self::checked(unchecked::DecisionTree::read_binary(reader, depth)?)
+    }
+}
+
+impl DecisionTree {
+    fn checked(parts: unchecked::DecisionTree) -> Result<Self, DeError> {
+        let unchecked::DecisionTree { nodes, num_features } = parts;
         validate_arena(&nodes, num_features)
             .map_err(|detail| DeError::new(format!("invalid DecisionTree: {detail}")))?;
         Ok(DecisionTree { nodes, num_features })
