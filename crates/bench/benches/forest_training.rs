@@ -1,10 +1,9 @@
 //! Benchmarks of random-forest training (the substrate retrained repeatedly
 //! by Algorithm 1's weighting loop).
 //!
-//! Three split strategies are compared on the same fixtures:
-//! `exact` (presorted, the default), `naive` (per-node sort — the
-//! pre-refactor algorithm, kept as the baseline) and `histogram`
-//! (quantile bins). The `algorithm1_*` benches model the watermark
+//! Two split strategies are compared on the same fixtures: `exact`
+//! (presorted, the default) and `naive` (per-node sort — the pre-refactor
+//! algorithm, kept as the baseline). The `algorithm1_*` benches model the watermark
 //! embedding loop: repeated `fit_weighted` calls on one dataset with only
 //! the weights changing, all rounds sharing one presort cache.
 //!
@@ -60,11 +59,10 @@ fn bench_training(c: &mut Criterion) {
         )
     });
     // The headline comparison: presorted exact vs the naive per-node-sort
-    // baseline vs histogram bins on the wide (784-feature) image workload.
-    // The presort/binning caches are warmed up front so every strategy is
-    // measured in its steady state — exactly how Algorithm 1 sees them.
+    // baseline on the wide (784-feature) image workload. The presort cache
+    // is warmed up front so the exact search is measured in its steady
+    // state — exactly how Algorithm 1 sees it.
     let _ = image.presort();
-    let _ = image.binning(255);
     group.bench_function("image_784_features_10_trees", |b| {
         b.iter_batched(
             || SmallRng::seed_from_u64(2),
@@ -76,19 +74,6 @@ fn bench_training(c: &mut Criterion) {
         b.iter_batched(
             || SmallRng::seed_from_u64(2),
             |mut rng| RandomForest::fit(&image, &image_params(SplitStrategy::ExactNaive), &mut rng),
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function("image_784_features_10_trees_histogram", |b| {
-        b.iter_batched(
-            || SmallRng::seed_from_u64(2),
-            |mut rng| {
-                RandomForest::fit(
-                    &image,
-                    &image_params(SplitStrategy::Histogram { bins: 255 }),
-                    &mut rng,
-                )
-            },
             BatchSize::SmallInput,
         )
     });

@@ -39,8 +39,3 @@ pub fn serving_image() -> Dataset {
     spec.label_noise = 0.05;
     spec.scaled(0.1).generate(&mut bench_rng())
 }
-
-/// A reduced clustered, imbalanced dataset.
-pub fn small_clustered() -> Dataset {
-    SyntheticSpec::ijcnn1_like().scaled(0.05).generate(&mut bench_rng())
-}

@@ -1,11 +1,10 @@
-//! Accuracy acceptance tests for the split strategies on the benchmark
-//! fixtures: the histogram approximation must stay within 2% test accuracy
-//! of the exact search, and both must be no worse than the naive
-//! reference (which the exact search reproduces bit-for-bit).
+//! Accuracy acceptance test for the split strategies on the benchmark
+//! fixtures: the presorted exact search must reach the naive reference's
+//! test accuracy exactly (it reproduces the naive trees bit-for-bit).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use wdte_bench::{small_image, small_tabular};
+use wdte_bench::small_tabular;
 use wdte_trees::{ForestParams, RandomForest, SplitStrategy, TreeParams};
 
 fn accuracy_with(strategy: SplitStrategy, dataset: &wdte_data::Dataset, trees: usize) -> f64 {
@@ -24,32 +23,9 @@ fn accuracy_with(strategy: SplitStrategy, dataset: &wdte_data::Dataset, trees: u
 }
 
 #[test]
-fn histogram_stays_within_two_percent_of_exact_on_small_tabular() {
-    let dataset = small_tabular();
-    let exact = accuracy_with(SplitStrategy::Exact, &dataset, 20);
-    let histogram = accuracy_with(SplitStrategy::Histogram { bins: 64 }, &dataset, 20);
-    assert!(exact > 0.9, "exact accuracy degenerated: {exact}");
-    assert!(
-        exact - histogram <= 0.02,
-        "histogram trails exact by more than 2%: exact {exact}, histogram {histogram}"
-    );
-}
-
-#[test]
 fn exact_matches_naive_accuracy_exactly_on_small_tabular() {
     let dataset = small_tabular();
     let exact = accuracy_with(SplitStrategy::Exact, &dataset, 12);
     let naive = accuracy_with(SplitStrategy::ExactNaive, &dataset, 12);
     assert_eq!(exact, naive, "exact and naive must agree bit-for-bit");
-}
-
-#[test]
-fn histogram_stays_within_two_percent_of_exact_on_small_image() {
-    let dataset = small_image();
-    let exact = accuracy_with(SplitStrategy::Exact, &dataset, 10);
-    let histogram = accuracy_with(SplitStrategy::Histogram { bins: 255 }, &dataset, 10);
-    assert!(
-        exact - histogram <= 0.02,
-        "histogram trails exact by more than 2%: exact {exact}, histogram {histogram}"
-    );
 }

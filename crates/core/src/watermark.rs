@@ -318,16 +318,8 @@ pub fn train_with_trigger<R: Rng + ?Sized>(
     // keeps the one-time cost out of the per-tree hot path. Label-flipped
     // datasets share the original training set's cache (see
     // `Dataset::with_labels_flipped_at`), so `T1` rounds are free too.
-    match params.tree.strategy {
-        wdte_trees::SplitStrategy::Exact => {
-            let _ = dataset.presort();
-        }
-        wdte_trees::SplitStrategy::Histogram { bins } => {
-            // Same clamp as tree training, so this warms the exact cache
-            // entry the rounds will hit.
-            let _ = dataset.binning(bins.clamp(2, u16::MAX as usize));
-        }
-        wdte_trees::SplitStrategy::ExactNaive => {}
+    if params.tree.strategy == wdte_trees::SplitStrategy::Exact {
+        let _ = dataset.presort();
     }
     let mut weights = vec![1.0; dataset.len()];
     let mut current_params = *params;

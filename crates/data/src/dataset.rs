@@ -3,24 +3,11 @@
 use crate::error::{DataError, DataResult};
 use crate::label::{ClassCounts, Label};
 use crate::matrix::DenseMatrix;
-use crate::presort::{Binning, Presort};
+use crate::presort::Presort;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{binary, DeError, Deserialize, Serialize, Value};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Lazily built, shared training-time views of a dataset's features: the
-/// per-feature presorted order and any quantile binnings requested so far.
-///
-/// The cache is keyed purely by the *feature matrix*, which label edits do
-/// not touch — so the label-flipped copies Algorithm 1 trains on share the
-/// cache of the original training set, and the dozens of reweighted
-/// retraining rounds of `TrainWithTrigger` all reuse one presort.
-#[derive(Debug, Default)]
-pub struct TrainingCache {
-    presort: OnceLock<Arc<Presort>>,
-    binnings: Mutex<Vec<(usize, Arc<Binning>)>>,
-}
+use std::sync::{Arc, OnceLock};
 
 /// A labeled dataset of real-valued feature vectors and binary labels.
 ///
@@ -39,9 +26,12 @@ pub struct Dataset {
     /// Number of classes `k` of the label space (at least 2). Every label
     /// index is strictly below this.
     num_classes: usize,
-    /// Shared across clones and label-flipped copies; rebuilt on feature
-    /// mutation (`normalize`).
-    cache: Arc<TrainingCache>,
+    /// The lazily built presort of `features`. It depends on the feature
+    /// matrix alone, which label edits do not touch, so clones and the
+    /// label-flipped copies Algorithm 1 trains on share it, and every
+    /// reweighted retraining round of `TrainWithTrigger` reuses one
+    /// presort. Rebuilt on feature mutation (`normalize`).
+    cache: Arc<OnceLock<Arc<Presort>>>,
 }
 
 /// Equality ignores the derived training cache.
@@ -173,23 +163,7 @@ impl Dataset {
     /// forest training (Algorithm 1's retraining loop, grid search on the
     /// same dataset) pays the `O(d · n log n)` sort exactly once.
     pub fn presort(&self) -> Arc<Presort> {
-        self.cache
-            .presort
-            .get_or_init(|| Arc::new(Presort::build(&self.features)))
-            .clone()
-    }
-
-    /// The quantile binning of the features for `max_bins` bins, built on
-    /// first use (per distinct `max_bins`) and cached like
-    /// [`Dataset::presort`].
-    pub fn binning(&self, max_bins: usize) -> Arc<Binning> {
-        let mut binnings = self.cache.binnings.lock().expect("binning cache poisoned");
-        if let Some((_, binning)) = binnings.iter().find(|(bins, _)| *bins == max_bins) {
-            return binning.clone();
-        }
-        let binning = Arc::new(Binning::build(&self.presort(), max_bins));
-        binnings.push((max_bins, binning.clone()));
-        binning
+        self.cache.get_or_init(|| Arc::new(Presort::build(&self.features))).clone()
     }
 
     /// Number of instances.
@@ -622,10 +596,6 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&presort, &partial.presort()));
         // Repeated calls return the same instance.
         assert!(std::sync::Arc::ptr_eq(&presort, &dataset.presort()));
-        // Binnings are cached per bin count.
-        let b8 = dataset.binning(8);
-        assert!(std::sync::Arc::ptr_eq(&b8, &dataset.binning(8)));
-        assert!(!std::sync::Arc::ptr_eq(&b8, &dataset.binning(16)));
     }
 
     #[test]

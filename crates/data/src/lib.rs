@@ -24,13 +24,13 @@ pub mod metrics;
 pub mod presort;
 pub mod synth;
 
-pub use dataset::{Dataset, DatasetStats, TrainingCache};
+pub use dataset::{Dataset, DatasetStats};
 pub use error::{DataError, DataResult};
 pub use folds::{stratified_k_folds, Fold};
 pub use label::{entropy_of, gini_of, majority_of, total_of, ClassCounts, Label, LabelConvention};
 pub use matrix::{l2_distance, linf_distance, ColumnMajor, DenseMatrix};
 pub use metrics::{accuracy, mean_std, roc_auc, ConfusionMatrix};
-pub use presort::{Binning, Presort};
+pub use presort::Presort;
 pub use synth::{MultiClassSpec, SyntheticSpec, SyntheticStyle};
 
 /// Commonly used types, re-exported for `use wdte_data::prelude::*`.
@@ -42,6 +42,6 @@ pub mod prelude {
     pub use crate::label::{ClassCounts, Label, LabelConvention};
     pub use crate::matrix::{l2_distance, linf_distance, ColumnMajor, DenseMatrix};
     pub use crate::metrics::{accuracy, mean_std, roc_auc, ConfusionMatrix};
-    pub use crate::presort::{Binning, Presort};
+    pub use crate::presort::Presort;
     pub use crate::synth::{MultiClassSpec, SyntheticSpec, SyntheticStyle};
 }

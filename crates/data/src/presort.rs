@@ -1,4 +1,4 @@
-//! Presorted and quantile-binned feature views shared across tree training.
+//! The presorted feature view shared across tree training.
 //!
 //! CART split search needs, for every node and candidate feature, the
 //! node's samples ordered by feature value. Sorting per node costs
@@ -10,11 +10,8 @@
 //! dataset dozens of times with only the weights changing).
 //!
 //! [`Presort`] holds, per feature, the column-major values and the row
-//! indices sorted by value. [`Binning`] derives per-feature quantile bin
-//! edges and per-sample bin codes from a presort, enabling the
-//! LightGBM-style histogram split strategy for wide data. Both are cached
-//! at the [`crate::Dataset`] level (see `Dataset::presort` /
-//! `Dataset::binning`).
+//! indices sorted by value. It is cached at the [`crate::Dataset`] level
+//! (see `Dataset::presort`).
 
 use crate::matrix::{ColumnMajor, DenseMatrix};
 
@@ -111,137 +108,6 @@ impl Presort {
     }
 }
 
-/// Per-feature quantile binning derived from a [`Presort`], for the
-/// histogram split strategy.
-///
-/// Feature `f` is cut at up to `max_bins - 1` equal-frequency edges taken
-/// from the actual data values; sample `i` carries a bin code in
-/// `0..num_bins(f)` such that `code(x) <= b  ⇔  x <= edge(f, b)`. A split
-/// "after bin `b`" therefore uses the real data value `edge(f, b)` as its
-/// threshold and classifies exactly like the exact split search would.
-#[derive(Debug, Clone)]
-pub struct Binning {
-    rows: usize,
-    cols: usize,
-    max_bins: usize,
-    /// Per feature: ascending cut values (length `num_bins(f) - 1`).
-    edges: Vec<Vec<f64>>,
-    /// `cols × rows` per-sample bin codes, column-major.
-    codes: Vec<u16>,
-}
-
-impl Binning {
-    /// Builds quantile bins from a presorted view. `O(d · n)`.
-    ///
-    /// # Panics
-    /// Panics unless `2 <= max_bins <= u16::MAX`.
-    pub fn build(presort: &Presort, max_bins: usize) -> Binning {
-        assert!(
-            (2..=u16::MAX as usize).contains(&max_bins),
-            "max_bins must be in 2..=65535"
-        );
-        let rows = presort.rows();
-        let cols = presort.cols();
-        let mut edges = Vec::with_capacity(cols);
-        let mut codes = vec![0u16; rows * cols];
-        for feature in 0..cols {
-            let sorted_values = presort.sorted_values(feature);
-            let sorted_rows = presort.sorted_rows(feature);
-            let feature_edges = quantile_edges(sorted_values, max_bins);
-            // Assign codes by walking the sorted column once.
-            let code_column = &mut codes[feature * rows..(feature + 1) * rows];
-            let mut current = 0usize;
-            for (&value, &row) in sorted_values.iter().zip(sorted_rows) {
-                while current < feature_edges.len() && feature_edges[current] < value {
-                    current += 1;
-                }
-                // NaN never advances `current` (comparisons are false), but
-                // prediction routes NaN right at every threshold, so NaN
-                // samples must carry the last bin's code to train the same
-                // way. (+inf lands there naturally: every edge is finite.)
-                code_column[row as usize] = if value.is_nan() {
-                    feature_edges.len() as u16
-                } else {
-                    current as u16
-                };
-            }
-            edges.push(feature_edges);
-        }
-        Binning {
-            rows,
-            cols,
-            max_bins,
-            edges,
-            codes,
-        }
-    }
-
-    /// Number of rows (instances).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of features.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// The requested upper bound on bins per feature.
-    #[inline]
-    pub fn max_bins(&self) -> usize {
-        self.max_bins
-    }
-
-    /// Number of bins actually used by a feature (1 for constant columns).
-    #[inline]
-    pub fn num_bins(&self, feature: usize) -> usize {
-        self.edges[feature].len() + 1
-    }
-
-    /// The threshold value separating bin `b` from bin `b + 1`; an actual
-    /// data value, so `x <= edge` reproduces the bin boundary exactly.
-    #[inline]
-    pub fn edge(&self, feature: usize, bin: usize) -> f64 {
-        self.edges[feature][bin]
-    }
-
-    /// Per-sample bin codes of a feature (row order).
-    ///
-    /// # Panics
-    /// Panics if `feature >= cols()`.
-    #[inline]
-    pub fn codes(&self, feature: usize) -> &[u16] {
-        assert!(feature < self.cols, "feature {feature} out of bounds");
-        &self.codes[feature * self.rows..(feature + 1) * self.rows]
-    }
-}
-
-/// Picks up to `max_bins - 1` ascending, distinct, finite cut values at
-/// equal-frequency ranks of an already sorted column.
-fn quantile_edges(sorted_values: &[f64], max_bins: usize) -> Vec<f64> {
-    let n = sorted_values.len();
-    let mut edges: Vec<f64> = Vec::new();
-    if n < 2 {
-        return edges;
-    }
-    let last = sorted_values[n - 1];
-    for bin in 1..max_bins {
-        let rank = (n * bin).div_euclid(max_bins).min(n - 1);
-        let candidate = sorted_values[rank];
-        // An edge equal to the column maximum can never separate anything,
-        // and non-finite edges would poison thresholds.
-        if !candidate.is_finite() || candidate >= last {
-            continue;
-        }
-        if edges.last().is_none_or(|&previous| candidate > previous) {
-            edges.push(candidate);
-        }
-    }
-    edges
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,65 +139,5 @@ mod tests {
         let m = matrix(&[vec![f64::NAN], vec![0.5], vec![f64::INFINITY]]);
         let presort = Presort::build(&m);
         assert_eq!(presort.sorted_rows(0), &[1, 2, 0]);
-    }
-
-    #[test]
-    fn binning_codes_respect_edge_semantics() {
-        let values: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
-        let m = matrix(&values);
-        let presort = Presort::build(&m);
-        let binning = Binning::build(&presort, 4);
-        assert_eq!(binning.num_bins(0), 4);
-        let codes = binning.codes(0);
-        for (row, &code) in codes.iter().enumerate() {
-            let value = row as f64;
-            for bin in 0..binning.num_bins(0) - 1 {
-                assert_eq!(
-                    usize::from(code) <= bin,
-                    value <= binning.edge(0, bin),
-                    "row {row} bin {bin}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn nan_and_inf_samples_carry_the_last_bin_code() {
-        // Prediction sends NaN/+inf right at every threshold (`x <= t` is
-        // false), so training must bucket them past every edge.
-        let rows: Vec<Vec<f64>> = (0..20)
-            .map(|i| vec![i as f64])
-            .chain([vec![f64::NAN], vec![f64::INFINITY]])
-            .collect();
-        let m = matrix(&rows);
-        let presort = Presort::build(&m);
-        let binning = Binning::build(&presort, 4);
-        let last = binning.num_bins(0) as u16 - 1;
-        let codes = binning.codes(0);
-        assert_eq!(codes[20], last, "NaN row");
-        assert_eq!(codes[21], last, "+inf row");
-        // Edges stay finite so thresholds remain usable.
-        for bin in 0..binning.num_bins(0) - 1 {
-            assert!(binning.edge(0, bin).is_finite());
-        }
-    }
-
-    #[test]
-    fn constant_columns_get_a_single_bin() {
-        let m = matrix(&[vec![0.5], vec![0.5], vec![0.5]]);
-        let presort = Presort::build(&m);
-        let binning = Binning::build(&presort, 16);
-        assert_eq!(binning.num_bins(0), 1);
-        assert!(binning.codes(0).iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    fn few_distinct_values_collapse_bins() {
-        let m = matrix(&[vec![0.0], vec![0.0], vec![1.0], vec![1.0], vec![2.0]]);
-        let presort = Presort::build(&m);
-        let binning = Binning::build(&presort, 64);
-        // Only two usable cut points exist (after 0.0 and after 1.0).
-        assert_eq!(binning.num_bins(0), 3);
-        assert_eq!(binning.codes(0), &[0, 0, 1, 1, 2]);
     }
 }

@@ -100,15 +100,6 @@ impl SyntheticSpec {
         }
     }
 
-    /// The three paper datasets, in Table 1 order.
-    pub fn paper_trio() -> Vec<SyntheticSpec> {
-        vec![
-            Self::mnist2_6_like(),
-            Self::breast_cancer_like(),
-            Self::ijcnn1_like(),
-        ]
-    }
-
     /// Returns a copy with the instance count scaled by `factor`
     /// (never below 60 instances). Used to keep unit tests and the default
     /// experiment configuration laptop-sized while preserving the shape of

@@ -79,7 +79,7 @@ struct Args {
     workers: usize,
     max_connections: usize,
     max_pipeline: Option<usize>,
-    claim_cache_mb: Option<usize>,
+    claim_cache_bytes: Option<usize>,
     read_timeout_secs: Option<u64>,
     key_file: Option<String>,
     quotas: TenantQuotas,
@@ -102,7 +102,7 @@ fn parse_args() -> Result<Args, String> {
         workers: 0,
         max_connections: 64,
         max_pipeline: None,
-        claim_cache_mb: None,
+        claim_cache_bytes: None,
         read_timeout_secs: None,
         key_file: None,
         quotas: TenantQuotas::default(),
@@ -142,11 +142,8 @@ fn parse_args() -> Result<Args, String> {
                     Some(value("--max-pipeline")?.parse().map_err(|e| format!("--max-pipeline: {e}"))?)
             }
             "--claim-cache-mb" => {
-                args.claim_cache_mb = Some(
-                    value("--claim-cache-mb")?
-                        .parse()
-                        .map_err(|e| format!("--claim-cache-mb: {e}"))?,
-                )
+                args.claim_cache_bytes =
+                    Some(mib_to_bytes("--claim-cache-mb", &value("--claim-cache-mb")?)?)
             }
             "--read-timeout-secs" => {
                 args.read_timeout_secs = Some(
@@ -161,10 +158,8 @@ fn parse_args() -> Result<Args, String> {
                     value("--quota-models")?.parse().map_err(|e| format!("--quota-models: {e}"))?
             }
             "--quota-claim-mb" => {
-                let mb: usize = value("--quota-claim-mb")?
-                    .parse()
-                    .map_err(|e| format!("--quota-claim-mb: {e}"))?;
-                args.quotas.max_claim_bytes = mb << 20;
+                args.quotas.max_claim_bytes =
+                    mib_to_bytes("--quota-claim-mb", &value("--quota-claim-mb")?)?
             }
             "--quota-in-flight" => {
                 args.quotas.max_in_flight = value("--quota-in-flight")?
@@ -227,6 +222,14 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// Parses a MiB count into bytes. An overflow is refused: wrapping would
+/// turn a huge budget into 0, which every MiB flag reads as "no limit".
+fn mib_to_bytes(flag: &str, text: &str) -> Result<usize, String> {
+    let mb: usize = text.parse().map_err(|e| format!("{flag}: {e}"))?;
+    mb.checked_mul(1 << 20)
+        .ok_or_else(|| format!("{flag}: {mb} MiB overflows a byte count"))
+}
+
 /// Launches `count` child `serve_judge` processes on ephemeral ports,
 /// inheriting the service-shaping flags so every backend replicates the
 /// same warm start, and returns their bound addresses (discovered via
@@ -260,8 +263,8 @@ fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>
         if let Some(rows) = args.shard_rows {
             cmd.arg("--shard-rows").arg(rows.to_string());
         }
-        if let Some(mb) = args.claim_cache_mb {
-            cmd.arg("--claim-cache-mb").arg(mb.to_string());
+        if let Some(bytes) = args.claim_cache_bytes {
+            cmd.arg("--claim-cache-mb").arg((bytes >> 20).to_string());
         }
         if args.quotas.max_models > 0 {
             cmd.arg("--quota-models").arg(args.quotas.max_models.to_string());
@@ -425,10 +428,10 @@ fn main() -> ExitCode {
     if let Some(rows) = args.shard_rows {
         builder = builder.batch_shard_rows(rows);
     }
-    if let Some(mb) = args.claim_cache_mb {
+    if let Some(bytes) = args.claim_cache_bytes {
         // 0 disables the budget (unbounded cache) by the same convention
         // as the other limits.
-        builder = builder.claim_cache_bytes(mb << 20);
+        builder = builder.claim_cache_bytes(bytes);
     }
     if let Some(max) = args.max_docket {
         builder = builder.max_docket(max);

@@ -143,8 +143,8 @@ impl RandomForest {
     /// derived from `rng`, so results are deterministic for a fixed seed
     /// regardless of thread scheduling.
     ///
-    /// All trees share the dataset-level presorted columns (or quantile
-    /// binning, depending on `params.tree.strategy`), so only the first
+    /// All trees share the dataset-level presorted columns (with the
+    /// default [`crate::SplitStrategy::Exact`]), so only the first
     /// `fit_weighted` call on a dataset pays the `O(d · n log n)` sort;
     /// repeated calls with different weights — the watermark embedding
     /// loop — train from the cache.
@@ -311,14 +311,6 @@ impl RandomForest {
     /// other datasets.
     pub fn total_leaves(&self) -> usize {
         self.trees.iter().map(|t| t.num_leaves()).sum()
-    }
-
-    /// Replaces the `index`-th tree. Used by tamper-simulation tests.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn replace_tree(&mut self, index: usize, tree: DecisionTree) {
-        self.trees[index] = tree;
     }
 }
 

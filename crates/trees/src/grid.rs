@@ -51,8 +51,8 @@ impl ParamGrid {
     }
 
     /// Enumerates every [`TreeParams`] combination in the grid with the
-    /// given split strategy. The grid does not explore strategies — the
-    /// strategy is a speed/accuracy trade-off chosen per workload, not a
+    /// given split strategy. The grid does not explore strategies — they
+    /// grow identical trees at different speeds, so the strategy is not a
     /// tuned hyper-parameter.
     pub fn combinations_with(&self, strategy: SplitStrategy) -> Vec<TreeParams> {
         let mut combos = Vec::new();

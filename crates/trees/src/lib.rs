@@ -18,7 +18,7 @@ pub mod grid;
 pub mod infer;
 pub mod params;
 pub mod split;
-pub mod splitter;
+mod splitter;
 pub mod tree;
 
 pub use forest::{derive_seeds, rng_from_seed, RandomForest};
@@ -26,7 +26,6 @@ pub use grid::{GridPointResult, GridSearch, GridSearchResult, ParamGrid};
 pub use infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
 pub use params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
 pub use split::{best_split, impurity, Split};
-pub use splitter::SplitWorkspace;
 pub use tree::{DecisionTree, LeafRegion, Node, TreeStats};
 
 /// Commonly used types, re-exported for `use wdte_trees::prelude::*`.
@@ -35,6 +34,5 @@ pub mod prelude {
     pub use crate::grid::{GridSearch, GridSearchResult, ParamGrid};
     pub use crate::infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
     pub use crate::params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
-    pub use crate::splitter::SplitWorkspace;
     pub use crate::tree::{DecisionTree, LeafRegion, Node, TreeStats};
 }

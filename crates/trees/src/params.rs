@@ -14,21 +14,14 @@ pub enum SplitCriterion {
 
 /// Algorithm used to search for the best split of a node.
 ///
-/// All strategies optimize the same weighted impurity objective; they
-/// differ in how candidate thresholds are enumerated and what per-node
-/// work costs:
+/// Both strategies find the same exact CART splits; they differ only in
+/// what per-node work costs:
 ///
 /// * [`SplitStrategy::Exact`] — presorted CART: per-feature sorted orders
 ///   are computed **once per dataset** (`Dataset::presort`), kept
 ///   partitioned per node through training, and scanned sequentially from
-///   a column-major buffer. Equivalent splits to the naive algorithm with
-///   no per-node sorting. This is the default.
-/// * [`SplitStrategy::Histogram`] — LightGBM-style: feature values are
-///   pre-bucketed into at most `bins` per-dataset quantile bins
-///   (`Dataset::binning`); each node accumulates one weighted class
-///   histogram per feature and only bin edges are candidate thresholds.
-///   `O(s + bins)` per feature per node; an approximation suited to wide
-///   data such as the 784-feature image workload.
+///   a column-major buffer. Bit-identical trees to the naive algorithm
+///   with no per-node sorting. This is the default.
 /// * [`SplitStrategy::ExactNaive`] — the reference implementation that
 ///   re-sorts a gathered `(value, label, weight)` column for every
 ///   feature at every node. Kept as the parity oracle for `Exact` and as
@@ -38,11 +31,6 @@ pub enum SplitStrategy {
     /// Presorted exact split search (default).
     #[default]
     Exact,
-    /// Quantile-histogram approximate split search.
-    Histogram {
-        /// Maximum number of bins per feature (clamped to `2..=65535`).
-        bins: usize,
-    },
     /// Naive per-node-sort exact search (reference/baseline).
     ExactNaive,
 }
@@ -90,11 +78,6 @@ impl TreeParams {
             max_depth: Some(depth),
             ..Self::default()
         }
-    }
-
-    /// Returns a copy using the given split-search strategy.
-    pub fn with_strategy(&self, strategy: SplitStrategy) -> Self {
-        Self { strategy, ..*self }
     }
 
     /// Returns a copy with both structural budgets replaced. This is the

@@ -3,14 +3,13 @@
 //! [`best_split`] is the *naive reference* search
 //! ([`crate::SplitStrategy::ExactNaive`]): it gathers and re-sorts a
 //! `(value, label, weight)` column for every candidate feature at every
-//! node. The production strategies — presorted exact and quantile
-//! histogram — live in [`crate::splitter`] and avoid all per-node sorting;
-//! this implementation is kept as their parity oracle and benchmark
-//! baseline.
+//! node. The production strategy, presorted exact search, lives in
+//! `crate::splitter` and avoids all per-node sorting; this implementation
+//! is kept as its parity oracle and benchmark baseline.
 //!
 //! Note on the oracle's arithmetic: the gain scoring was refactored to the
 //! algebraically equivalent fused Gini form ([`children_impurity`]) shared
-//! with the production strategies. Scores can differ from the original
+//! with the production strategy. Scores can differ from the original
 //! seed implementation by rounding ulps, which may flip near-tie argmax
 //! decisions; the parity guarantee is therefore *Exact ≡ ExactNaive as
 //! implemented here* (bit-for-bit, enforced by
@@ -37,10 +36,6 @@ pub struct Split {
     pub left_samples: usize,
     /// Number of samples sent to the right child.
     pub right_samples: usize,
-    /// For histogram splits, the bin index whose upper edge is the
-    /// threshold (`None` for exact splits). Used to partition nodes by
-    /// precomputed bin codes instead of raw value comparisons.
-    pub bin: Option<usize>,
 }
 
 /// Impurity of weighted class counts under the chosen criterion.
@@ -226,7 +221,6 @@ pub fn best_split(
                     right_counts: right_counts.clone(),
                     left_samples,
                     right_samples,
-                    bin: None,
                 });
             }
         }

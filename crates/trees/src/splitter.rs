@@ -1,22 +1,15 @@
-//! Presorted and histogram split search over per-node segments.
+//! Presorted exact split search over per-node segments.
 //!
-//! This module implements the production split strategies
-//! ([`crate::SplitStrategy::Exact`] and
-//! [`crate::SplitStrategy::Histogram`]). Both avoid the naive search's
-//! per-node sort + gather by working over **dataset-level precomputed
-//! views** (`Dataset::presort` / `Dataset::binning`) and a reusable
-//! [`SplitWorkspace`]:
-//!
-//! * **Exact (presorted CART)** — at tree start the candidate features'
-//!   sorted `(value, row)` columns are copied from the shared presort into
-//!   the workspace. Each tree node owns one contiguous segment `[lo, hi)`
-//!   of every column; splitting a node stably partitions its segment into
-//!   the two children's segments, preserving sort order, so no node ever
-//!   sorts anything. Scans are sequential over column-major buffers.
-//! * **Histogram** — nodes own a segment of a single row-membership
-//!   buffer; for each candidate feature the node accumulates a weighted
-//!   class histogram over precomputed per-sample bin codes and considers
-//!   only bin edges as thresholds.
+//! This module implements the production split strategy,
+//! [`crate::SplitStrategy::Exact`]. It avoids the naive search's per-node
+//! sort + gather by working over the **dataset-level presort**
+//! (`Dataset::presort`) and a reusable [`SplitWorkspace`]: at tree start
+//! the candidate features' sorted `(value, row)` columns are copied from
+//! the shared presort into the workspace. Each tree node owns one
+//! contiguous segment `[lo, hi)` of every column; splitting a node stably
+//! partitions its segment into the two children's segments, preserving
+//! sort order, so no node ever sorts anything. Scans are sequential over
+//! column-major buffers.
 //!
 //! Class-weight bookkeeping is branchless: each gathered sample carries
 //! its class code and weight, and scans accumulate `acc[class] += weight`
@@ -33,25 +26,22 @@
 
 use crate::params::SplitCriterion;
 use crate::split::{children_impurity_parts, gini_scale, impurity, midpoint_threshold, Split};
-use std::sync::Arc;
-use wdte_data::{total_of, Binning, ClassCounts, Label, Presort};
+use wdte_data::{total_of, ClassCounts, Label, Presort};
 
-/// Reusable buffers for segment-based tree construction. Create once (or
-/// reuse across trees via [`crate::DecisionTree::fit_weighted_with_workspace`])
-/// and the builder resizes it as needed; steady-state node expansion
-/// allocates nothing.
+/// Reusable buffers for segment-based tree construction. One lives per
+/// thread (see [`crate::DecisionTree::fit_weighted`]) and the builder
+/// resizes it as needed; steady-state node expansion allocates nothing.
 #[derive(Debug, Default)]
-pub struct SplitWorkspace {
-    /// Exact mode: `k × n` feature values, per-candidate-feature columns,
-    /// each column segment-sorted. Histogram mode: unused.
+pub(crate) struct SplitWorkspace {
+    /// `k × n` feature values, per-candidate-feature columns, each column
+    /// segment-sorted.
     vals: Vec<f64>,
-    /// Exact mode: `k × n` row ids parallel to `vals`. Histogram mode:
-    /// unused.
+    /// `k × n` row ids parallel to `vals`.
     rows: Vec<u32>,
-    /// Exact mode: `k × n` per-sample weights, parallel to `vals`; gathered
-    /// once per tree so the scan reads sequentially.
+    /// `k × n` per-sample weights, parallel to `vals`; gathered once per
+    /// tree so the scan reads sequentially.
     wgt: Vec<f64>,
-    /// Exact mode: `k × n` per-sample class codes, parallel to `vals`.
+    /// `k × n` per-sample class codes, parallel to `vals`.
     cls: Vec<u16>,
     /// Node membership buffer (`n` row ids, ascending within each node's
     /// segment — the same iteration order as the naive builder's index
@@ -67,35 +57,14 @@ pub struct SplitWorkspace {
     scratch_wgt: Vec<f64>,
     /// Partition scratch for the right-child run (class codes).
     scratch_cls: Vec<u16>,
-    /// Histogram mode: per-(bin, class) weight, `num_classes`-strided,
-    /// reused per feature.
-    hist_w: Vec<f64>,
-    /// Histogram mode: per-bin sample counts, reused per feature.
-    hist_n: Vec<u32>,
     /// Per-class left-child weight accumulator, reused per scan.
     left_acc: Vec<f64>,
     /// Per-class right-child weight accumulator, reused per scan.
     right_acc: Vec<f64>,
 }
 
-impl SplitWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// The shared per-dataset view a splitter searches over.
-pub(crate) enum Backend {
-    /// Presorted exact search.
-    Exact(Arc<Presort>),
-    /// Quantile-histogram search.
-    Histogram(Arc<Binning>),
-}
-
 /// Segment-based split searcher; one per tree under construction.
 pub(crate) struct NodeSplitter<'a> {
-    backend: Backend,
     labels: &'a [Label],
     weights: &'a [f64],
     candidates: &'a [usize],
@@ -107,11 +76,12 @@ pub(crate) struct NodeSplitter<'a> {
 }
 
 impl<'a> NodeSplitter<'a> {
-    /// Prepares the workspace for a tree over `n` samples and hands back
+    /// Prepares the workspace for a tree over `n` samples, copying the
+    /// candidate features' sorted columns out of `presort`, and hands back
     /// the splitter. The root node owns the full segment `[0, n)`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        backend: Backend,
+        presort: &Presort,
         labels: &'a [Label],
         weights: &'a [f64],
         candidates: &'a [usize],
@@ -129,37 +99,27 @@ impl<'a> NodeSplitter<'a> {
         resize_buffer(&mut ws.goes_left, n, false);
         resize_buffer(&mut ws.scratch_vals, n, 0.0);
         resize_buffer(&mut ws.scratch_rows, n, 0);
+        resize_buffer(&mut ws.scratch_wgt, n, 0.0);
+        resize_buffer(&mut ws.scratch_cls, n, 0);
         resize_buffer(&mut ws.left_acc, classes, 0.0);
         resize_buffer(&mut ws.right_acc, classes, 0.0);
+        resize_buffer(&mut ws.vals, k * n, 0.0);
+        resize_buffer(&mut ws.rows, k * n, 0);
+        resize_buffer(&mut ws.wgt, k * n, 0.0);
+        resize_buffer(&mut ws.cls, k * n, 0);
         ws.member.clear();
         ws.member.extend(0..n as u32);
-        match &backend {
-            Backend::Exact(presort) => {
-                resize_buffer(&mut ws.vals, k * n, 0.0);
-                resize_buffer(&mut ws.rows, k * n, 0);
-                resize_buffer(&mut ws.wgt, k * n, 0.0);
-                resize_buffer(&mut ws.cls, k * n, 0);
-                resize_buffer(&mut ws.scratch_wgt, n, 0.0);
-                resize_buffer(&mut ws.scratch_cls, n, 0);
-                for (ci, &feature) in candidates.iter().enumerate() {
-                    let base = ci * n;
-                    ws.vals[base..base + n].copy_from_slice(presort.sorted_values(feature));
-                    ws.rows[base..base + n].copy_from_slice(presort.sorted_rows(feature));
-                    for position in 0..n {
-                        let row = ws.rows[base + position] as usize;
-                        ws.wgt[base + position] = weights[row];
-                        ws.cls[base + position] = labels[row].index() as u16;
-                    }
-                }
-            }
-            Backend::Histogram(binning) => {
-                let bins = binning.max_bins();
-                resize_buffer(&mut ws.hist_w, bins * classes, 0.0);
-                resize_buffer(&mut ws.hist_n, bins, 0);
+        for (ci, &feature) in candidates.iter().enumerate() {
+            let base = ci * n;
+            ws.vals[base..base + n].copy_from_slice(presort.sorted_values(feature));
+            ws.rows[base..base + n].copy_from_slice(presort.sorted_rows(feature));
+            for position in 0..n {
+                let row = ws.rows[base + position] as usize;
+                ws.wgt[base + position] = weights[row];
+                ws.cls[base + position] = labels[row].index() as u16;
             }
         }
         NodeSplitter {
-            backend,
             labels,
             weights,
             candidates,
@@ -210,25 +170,8 @@ impl<'a> NodeSplitter<'a> {
         if total_weight <= 0.0 {
             return None;
         }
-        match &self.backend {
-            Backend::Exact(_) => self.best_split_exact(lo, hi, parent_counts, parent_impurity),
-            Backend::Histogram(binning) => {
-                let binning = Arc::clone(binning);
-                self.best_split_histogram(&binning, lo, hi, parent_counts, parent_impurity)
-            }
-        }
-    }
-
-    fn best_split_exact(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        parent_counts: &ClassCounts,
-        parent_impurity: f64,
-    ) -> Option<Split> {
         let n = self.n;
         let len = hi - lo;
-        let total_weight = parent_counts.total();
         let scale = gini_scale(total_weight);
         let min1 = self.min_samples_leaf.max(1);
         let parent = parent_counts.slice();
@@ -282,99 +225,11 @@ impl<'a> NodeSplitter<'a> {
         best
     }
 
-    fn best_split_histogram(
-        &mut self,
-        binning: &Binning,
-        lo: usize,
-        hi: usize,
-        parent_counts: &ClassCounts,
-        parent_impurity: f64,
-    ) -> Option<Split> {
-        let len = hi - lo;
-        let total_weight = parent_counts.total();
-        let scale = gini_scale(total_weight);
-        let classes = self.num_classes;
-        let mut best: Option<Split> = None;
-        let ws = &mut *self.ws;
-        for &feature in self.candidates {
-            let bins = binning.num_bins(feature);
-            if bins < 2 {
-                continue; // constant feature
-            }
-            let codes = binning.codes(feature);
-            // Accumulate the node's weighted class histogram (branch-free,
-            // see the module docs).
-            ws.hist_w[..bins * classes].fill(0.0);
-            ws.hist_n[..bins].fill(0);
-            for &row in &ws.member[lo..hi] {
-                let row = row as usize;
-                let code = codes[row] as usize;
-                ws.hist_w[code * classes + self.labels[row].index()] += self.weights[row];
-                ws.hist_n[code] += 1;
-            }
-            // Scan bin boundaries left to right.
-            ws.left_acc.fill(0.0);
-            ws.right_acc.copy_from_slice(parent_counts.slice());
-            let mut left_samples = 0usize;
-            for bin in 0..bins - 1 {
-                for class in 0..classes {
-                    let w = ws.hist_w[bin * classes + class];
-                    ws.left_acc[class] += w;
-                    ws.right_acc[class] -= w;
-                }
-                left_samples += ws.hist_n[bin] as usize;
-                let right_samples = len - left_samples;
-                if left_samples < self.min_samples_leaf.max(1)
-                    || right_samples < self.min_samples_leaf.max(1)
-                {
-                    continue;
-                }
-                let left_weight = total_of(&ws.left_acc);
-                let right_weight = total_of(&ws.right_acc);
-                if left_weight <= 0.0 || right_weight <= 0.0 {
-                    continue;
-                }
-                let children = children_impurity_parts(
-                    &ws.left_acc,
-                    &ws.right_acc,
-                    total_weight,
-                    scale,
-                    self.criterion,
-                );
-                let gain = parent_impurity - children;
-                let better = best.as_ref().map_or(gain >= 0.0, |b| gain > b.gain);
-                if better {
-                    best = Some(Split {
-                        feature,
-                        threshold: binning.edge(feature, bin),
-                        gain,
-                        left_counts: ClassCounts::from_slice(&ws.left_acc),
-                        right_counts: ClassCounts::from_slice(&ws.right_acc),
-                        left_samples,
-                        right_samples,
-                        bin: Some(bin),
-                    });
-                }
-            }
-        }
-        best
-    }
-
     /// Partitions the node owning `[lo, hi)` by `split`, stably, in place.
     /// Returns `mid`: the left child owns `[lo, mid)`, the right child
-    /// `[mid, hi)`, in every per-feature column (exact) or the membership
-    /// buffer (histogram). Sort order within segments is preserved.
+    /// `[mid, hi)`, in every per-feature column and the membership buffer.
+    /// Sort order within segments is preserved.
     pub(crate) fn partition(&mut self, lo: usize, hi: usize, split: &Split) -> usize {
-        match &self.backend {
-            Backend::Exact(_) => self.partition_exact(lo, hi, split),
-            Backend::Histogram(binning) => {
-                let binning = Arc::clone(binning);
-                self.partition_histogram(&binning, lo, hi, split)
-            }
-        }
-    }
-
-    fn partition_exact(&mut self, lo: usize, hi: usize, split: &Split) -> usize {
         let n = self.n;
         let split_ci = self
             .candidates
@@ -420,17 +275,6 @@ impl<'a> NodeSplitter<'a> {
         }
         partition_member(ws, lo, hi);
         lo + left_size
-    }
-
-    fn partition_histogram(&mut self, binning: &Binning, lo: usize, hi: usize, split: &Split) -> usize {
-        let codes = binning.codes(split.feature);
-        let split_bin = split.bin.expect("histogram splits carry their bin") as u16;
-        let ws = &mut *self.ws;
-        for position in lo..hi {
-            let row = ws.member[position];
-            ws.goes_left[row as usize] = codes[row as usize] <= split_bin;
-        }
-        partition_member(ws, lo, hi)
     }
 }
 
@@ -519,7 +363,6 @@ fn scan_feature_exact<const ALL_FINITE: bool>(
                 right_counts: ClassCounts::from_slice(right),
                 left_samples,
                 right_samples: len - left_samples,
-                bin: None,
             });
         }
     }

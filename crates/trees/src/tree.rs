@@ -3,9 +3,9 @@
 
 use crate::params::{SplitStrategy, TreeParams};
 use crate::split::{best_split, Split};
-use crate::splitter::{Backend, NodeSplitter, SplitWorkspace};
+use crate::splitter::{NodeSplitter, SplitWorkspace};
 use serde::{DeError, Deserialize, Serialize, Value};
-use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label};
+use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label, Presort};
 
 /// A node of a decision tree, stored in an arena (`Vec<Node>`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,38 +165,6 @@ impl DecisionTree {
         allowed_features: Option<&[usize]>,
         params: &TreeParams,
     ) -> Self {
-        thread_local! {
-            /// Per-thread workspace reused by every tree trained on this
-            /// thread: all trees of a worker's batch during parallel
-            /// forest training, and — when training runs on a persistent
-            /// thread (serial mode, or a caller looping `fit_weighted` as
-            /// Algorithm 1 does) — every retraining round too, so
-            /// steady-state training performs no per-tree buffer
-            /// allocations.
-            static TREE_WORKSPACE: std::cell::RefCell<SplitWorkspace> =
-                std::cell::RefCell::new(SplitWorkspace::new());
-        }
-        TREE_WORKSPACE.with(|workspace| {
-            Self::fit_weighted_with_workspace(
-                dataset,
-                weights,
-                allowed_features,
-                params,
-                &mut workspace.borrow_mut(),
-            )
-        })
-    }
-
-    /// Like [`DecisionTree::fit_weighted`], but reuses a caller-provided
-    /// [`SplitWorkspace`] so that training many trees in a loop performs
-    /// no per-tree buffer allocations.
-    pub fn fit_weighted_with_workspace(
-        dataset: &Dataset,
-        weights: &[f64],
-        allowed_features: Option<&[usize]>,
-        params: &TreeParams,
-        workspace: &mut SplitWorkspace,
-    ) -> Self {
         assert_eq!(weights.len(), dataset.len(), "one weight per sample required");
         assert!(!dataset.is_empty(), "cannot train a tree on an empty dataset");
         let all_features: Vec<usize> = (0..dataset.num_features()).collect();
@@ -218,28 +186,28 @@ impl DecisionTree {
                 num_classes,
             ),
             SplitStrategy::Exact => {
-                let backend = Backend::Exact(dataset.presort());
-                grow_segmented(
-                    backend,
-                    labels,
-                    weights,
-                    candidate_features,
-                    params,
-                    num_classes,
-                    workspace,
-                )
-            }
-            SplitStrategy::Histogram { bins } => {
-                let backend = Backend::Histogram(dataset.binning(bins.clamp(2, u16::MAX as usize)));
-                grow_segmented(
-                    backend,
-                    labels,
-                    weights,
-                    candidate_features,
-                    params,
-                    num_classes,
-                    workspace,
-                )
+                thread_local! {
+                    /// Per-thread workspace reused by every tree trained on
+                    /// this thread: all trees of a worker's batch during
+                    /// parallel forest training, and — when training runs on
+                    /// a persistent thread (serial mode, or a caller looping
+                    /// `fit_weighted` as Algorithm 1 does) — every
+                    /// retraining round too, so steady-state training
+                    /// performs no per-tree buffer allocations.
+                    static TREE_WORKSPACE: std::cell::RefCell<SplitWorkspace> =
+                        std::cell::RefCell::default();
+                }
+                TREE_WORKSPACE.with(|workspace| {
+                    grow_segmented(
+                        &dataset.presort(),
+                        labels,
+                        weights,
+                        candidate_features,
+                        params,
+                        num_classes,
+                        &mut workspace.borrow_mut(),
+                    )
+                })
             }
         };
         DecisionTree {
@@ -414,7 +382,7 @@ pub struct LeafRegion {
 /// Grows a tree with the naive reference search
 /// ([`SplitStrategy::ExactNaive`]): per-node index vectors, per-node
 /// column gather + sort. Kept as the parity oracle and benchmark baseline
-/// for the segment-based strategies.
+/// for the segment-based search.
 fn grow_naive(
     features: &DenseMatrix,
     labels: &[Label],
@@ -451,11 +419,10 @@ fn grow_naive(
     builder.nodes
 }
 
-/// Grows a tree over per-node segments of presorted columns (exact) or a
-/// membership buffer (histogram); no per-node sorting, no allocations in
-/// steady state.
+/// Grows a tree over per-node segments of presorted columns; no per-node
+/// sorting, no allocations in steady state.
 fn grow_segmented(
-    backend: Backend,
+    presort: &Presort,
     labels: &[Label],
     weights: &[f64],
     candidate_features: &[usize],
@@ -465,7 +432,7 @@ fn grow_segmented(
 ) -> Vec<Node> {
     let max_leaves = params.max_leaves.unwrap_or(usize::MAX).max(1);
     let splitter = NodeSplitter::new(
-        backend,
+        presort,
         labels,
         weights,
         candidate_features,

@@ -2,9 +2,8 @@
 //!
 //! The presorted [`SplitStrategy::Exact`] search must reproduce the naive
 //! reference algorithm ([`SplitStrategy::ExactNaive`]) exactly: same
-//! thresholds, same structure, same predictions. The quantile
-//! [`SplitStrategy::Histogram`] search is an approximation and is held to
-//! a prediction-agreement tolerance instead.
+//! thresholds, same structure, same predictions — on finite data and on
+//! data holding NaN, ±inf, −0.0 and ties.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -28,15 +27,36 @@ fn dataset_from(rows: Vec<Vec<f64>>, label_bits: &[bool]) -> Dataset {
     Dataset::new("parity", DenseMatrix::from_rows(&rows).unwrap(), labels).unwrap()
 }
 
+/// Feature values for the parity proptest: half uniform draws, half the
+/// values that reach the scan's non-finite path (NaN, ±inf) or tie
+/// (`-0.0 == 0.0`, and a repeated `0.5`).
+fn feature_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+        0.0f64..1.0,
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(-0.0),
+        Just(0.0),
+        Just(0.5),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole guarantee: presorted exact trees are *identical* to
-    /// naive-search trees on NaN-free inputs — structure, thresholds and
-    /// all — for unit and non-unit weights alike.
+    /// naive-search trees — structure, thresholds and all — for unit and
+    /// non-unit weights alike, on finite segments (the scan's fast path)
+    /// and on segments holding NaN or ±inf (its fully checked path).
     #[test]
     fn presorted_exact_trees_match_the_naive_reference(
-        rows in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 5), 10..80),
+        rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 5), 10..80),
         label_bits in proptest::collection::vec(any::<bool>(), 80),
         weight_bumps in proptest::collection::vec(1.0f64..20.0, 80),
         max_depth in 2usize..8
@@ -83,33 +103,6 @@ proptest! {
             assert_trees_equivalent(a, b);
         }
     }
-
-    /// Histogram trees stay close to exact trees on training data: with
-    /// generous bins on small data the quantile edges recover most exact
-    /// thresholds.
-    #[test]
-    fn histogram_trees_agree_with_exact_on_most_training_points(
-        rows in proptest::collection::vec(proptest::collection::vec(0.0f64..1.0, 4), 30..80),
-        label_bits in proptest::collection::vec(any::<bool>(), 80)
-    ) {
-        let dataset = dataset_from(rows, &label_bits);
-        let exact = DecisionTree::fit(&dataset, &TreeParams {
-            max_depth: Some(4),
-            strategy: SplitStrategy::Exact,
-            ..TreeParams::default()
-        });
-        let histogram = DecisionTree::fit(&dataset, &TreeParams {
-            max_depth: Some(4),
-            strategy: SplitStrategy::Histogram { bins: 255 },
-            ..TreeParams::default()
-        });
-        let agree = dataset
-            .iter()
-            .filter(|(row, _)| exact.predict(row) == histogram.predict(row))
-            .count();
-        let agreement = agree as f64 / dataset.len() as f64;
-        prop_assert!(agreement >= 0.9, "histogram/exact agreement only {agreement}");
-    }
 }
 
 #[test]
@@ -117,11 +110,7 @@ fn all_strategies_are_deterministic_for_a_fixed_seed() {
     let dataset = SyntheticSpec::breast_cancer_like()
         .scaled(0.4)
         .generate(&mut SmallRng::seed_from_u64(3));
-    for strategy in [
-        SplitStrategy::Exact,
-        SplitStrategy::ExactNaive,
-        SplitStrategy::Histogram { bins: 64 },
-    ] {
+    for strategy in [SplitStrategy::Exact, SplitStrategy::ExactNaive] {
         let params = ForestParams {
             num_trees: 6,
             tree: TreeParams {
@@ -134,24 +123,6 @@ fn all_strategies_are_deterministic_for_a_fixed_seed() {
         let b = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(11));
         assert_eq!(a, b, "strategy {strategy:?} must be deterministic");
     }
-}
-
-#[test]
-fn histogram_forest_learns_the_tabular_standin() {
-    let dataset = SyntheticSpec::breast_cancer_like().generate(&mut SmallRng::seed_from_u64(5));
-    let mut rng = SmallRng::seed_from_u64(6);
-    let (train, test) = dataset.split_stratified(0.7, &mut rng);
-    let params = ForestParams {
-        num_trees: 20,
-        tree: TreeParams {
-            strategy: SplitStrategy::Histogram { bins: 64 },
-            ..TreeParams::default()
-        },
-        ..ForestParams::default()
-    };
-    let forest = RandomForest::fit(&train, &params, &mut rng);
-    let accuracy = forest.accuracy(&test);
-    assert!(accuracy > 0.9, "histogram forest accuracy too low: {accuracy}");
 }
 
 #[test]
