@@ -28,7 +28,7 @@ pub use dataset::{Dataset, DatasetStats};
 pub use error::{DataError, DataResult};
 pub use folds::{stratified_k_folds, Fold};
 pub use label::{entropy_of, gini_of, majority_of, total_of, ClassCounts, Label, LabelConvention};
-pub use matrix::{l2_distance, linf_distance, ColumnMajor, DenseMatrix};
+pub use matrix::{l2_distance, linf_distance, DenseMatrix};
 pub use metrics::{accuracy, mean_std, roc_auc, ConfusionMatrix};
 pub use presort::Presort;
 pub use synth::{MultiClassSpec, SyntheticSpec, SyntheticStyle};
@@ -40,7 +40,7 @@ pub mod prelude {
     pub use crate::error::{DataError, DataResult};
     pub use crate::folds::{stratified_k_folds, Fold};
     pub use crate::label::{ClassCounts, Label, LabelConvention};
-    pub use crate::matrix::{l2_distance, linf_distance, ColumnMajor, DenseMatrix};
+    pub use crate::matrix::{l2_distance, linf_distance, DenseMatrix};
     pub use crate::metrics::{accuracy, mean_std, roc_auc, ConfusionMatrix};
     pub use crate::presort::Presort;
     pub use crate::synth::{MultiClassSpec, SyntheticSpec, SyntheticStyle};

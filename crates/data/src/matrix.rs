@@ -293,74 +293,6 @@ impl DenseMatrix {
     pub fn has_non_finite(&self) -> bool {
         self.values.iter().any(|v| !v.is_finite())
     }
-
-    /// Builds a column-major copy of the matrix.
-    ///
-    /// The split search scans one feature at a time; in the row-major
-    /// layout those reads stride by `cols()` elements, which is
-    /// cache-hostile for wide data (784-feature images touch a new cache
-    /// line per sample). The column-major view makes per-feature scans
-    /// fully sequential. It is built once per dataset and shared by every
-    /// tree (see `Dataset::presort`).
-    pub fn to_column_major(&self) -> ColumnMajor {
-        let mut values = vec![0.0; self.values.len()];
-        for (row_index, row) in self.iter_rows().enumerate() {
-            for (col, &value) in row.iter().enumerate() {
-                values[col * self.rows + row_index] = value;
-            }
-        }
-        ColumnMajor {
-            rows: self.rows,
-            cols: self.cols,
-            values,
-        }
-    }
-}
-
-/// Column-major view of a feature matrix: all values of feature `f` are
-/// contiguous, so per-feature scans are sequential reads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnMajor {
-    rows: usize,
-    cols: usize,
-    values: Vec<f64>,
-}
-
-impl ColumnMajor {
-    /// Number of rows (instances).
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns (features).
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow of one feature column (all instances, in row order).
-    ///
-    /// # Panics
-    /// Panics if `col >= cols()`.
-    #[inline]
-    pub fn column(&self, col: usize) -> &[f64] {
-        assert!(
-            col < self.cols,
-            "column {col} out of bounds for {} columns",
-            self.cols
-        );
-        &self.values[col * self.rows..(col + 1) * self.rows]
-    }
-
-    /// Single element access.
-    ///
-    /// # Panics
-    /// Panics when the indices are out of bounds.
-    #[inline]
-    pub fn value(&self, row: usize, col: usize) -> f64 {
-        self.values[col * self.rows + row]
-    }
 }
 
 /// L∞ (Chebyshev) distance between two feature vectors.
@@ -467,21 +399,6 @@ mod tests {
     fn distances() {
         assert_eq!(linf_distance(&[0.0, 1.0, 3.0], &[1.0, 1.0, 0.5]), 2.5);
         assert!((l2_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn column_major_matches_row_major() {
-        let m = DenseMatrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let cm = m.to_column_major();
-        assert_eq!(cm.rows(), 3);
-        assert_eq!(cm.cols(), 2);
-        assert_eq!(cm.column(0), &[1.0, 3.0, 5.0]);
-        assert_eq!(cm.column(1), &[2.0, 4.0, 6.0]);
-        for row in 0..3 {
-            for col in 0..2 {
-                assert_eq!(cm.value(row, col), m.value(row, col));
-            }
-        }
     }
 
     #[test]

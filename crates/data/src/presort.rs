@@ -9,19 +9,17 @@
 //! round of the watermark embedding loop (Algorithm 1 retrains the same
 //! dataset dozens of times with only the weights changing).
 //!
-//! [`Presort`] holds, per feature, the column-major values and the row
-//! indices sorted by value. It is cached at the [`crate::Dataset`] level
+//! [`Presort`] holds, per feature, the row indices sorted by value and
+//! the values in that order. It is cached at the [`crate::Dataset`] level
 //! (see `Dataset::presort`).
 
-use crate::matrix::{ColumnMajor, DenseMatrix};
+use crate::matrix::DenseMatrix;
 
 /// Per-feature sorted order of a feature matrix, built once per dataset.
 #[derive(Debug, Clone)]
 pub struct Presort {
     rows: usize,
     cols: usize,
-    /// Column-major copy of the feature values (unsorted, row order).
-    columns: ColumnMajor,
     /// `cols × rows` row indices; the slice for feature `f` lists all rows
     /// sorted ascending by `x[f]` (ties broken by row index, `NaN` last
     /// per [`f64::total_cmp`]).
@@ -43,12 +41,15 @@ impl Presort {
             rows <= u32::MAX as usize,
             "presort supports at most 2^32 - 1 rows"
         );
-        let columns = matrix.to_column_major();
         let mut sorted_rows = Vec::with_capacity(rows * cols);
         let mut sorted_values = Vec::with_capacity(rows * cols);
         let mut order: Vec<u32> = Vec::with_capacity(rows);
+        // One feature's values in row order, gathered once per feature so
+        // the sort compares sequential reads.
+        let mut column: Vec<f64> = Vec::with_capacity(rows);
         for feature in 0..cols {
-            let column = columns.column(feature);
+            column.clear();
+            column.extend(matrix.iter_rows().map(|row| row[feature]));
             order.clear();
             order.extend(0..rows as u32);
             // total_cmp gives a total order (NaN sorts last among positive
@@ -63,7 +64,6 @@ impl Presort {
         Presort {
             rows,
             cols,
-            columns,
             sorted_rows,
             sorted_values,
         }
@@ -79,12 +79,6 @@ impl Presort {
     #[inline]
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// The column-major (unsorted) feature values.
-    #[inline]
-    pub fn columns(&self) -> &ColumnMajor {
-        &self.columns
     }
 
     /// Row indices sorted ascending by feature value.
@@ -124,7 +118,7 @@ mod tests {
         assert_eq!(presort.sorted_rows(0), &[1, 2, 0]);
         assert_eq!(presort.sorted_values(0), &[1.0, 2.0, 3.0]);
         assert_eq!(presort.sorted_rows(1), &[2, 0, 1]);
-        assert_eq!(presort.columns().column(1), &[0.5, 0.7, 0.1]);
+        assert_eq!(presort.sorted_values(1), &[0.1, 0.5, 0.7]);
     }
 
     #[test]

@@ -12,8 +12,18 @@
 //! judge that has evicted a body answers `NeedPayload`, which the client
 //! recovers from transparently by resending the docket with the missing
 //! bodies inlined.
+//!
+//! Retention is all-or-nothing. A docket whose every reference is
+//! inlined in its frame keeps no claim bodies while in flight: the judge
+//! resolves inlined digests from the request itself, so it can never
+//! need them again. A docket with any digest-only reference keeps every
+//! body until its verdicts arrive, so a resend can inline whatever the
+//! judge has evicted since. A judge that demands a body inlined in the
+//! very frame it is answering breaks the protocol, and the client fails
+//! the docket at once with [`WatermarkError::ProtocolViolation`].
 
 use serde::Serialize;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
 use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -145,14 +155,22 @@ impl DocketTicket {
     }
 }
 
-/// Everything needed to retry one in-flight docket if the judge answers
-/// `NeedPayload`: the dispute list by digest, plus a retained copy of
-/// every distinct claim body so the retry can always inline what the
-/// judge is missing (even bodies the judge had cached at send time and
-/// evicted since).
+/// What one in-flight docket needs to answer a `NeedPayload`.
+///
+/// A docket with any digest-only reference keeps the dispute list by
+/// digest and a shared handle on every distinct claim body it holds, so a
+/// retry can always inline what the judge is missing (even bodies the
+/// judge had cached at send time and evicted since). A fully inlined
+/// docket keeps neither: the judge resolves inlined digests from the
+/// request itself, so no demand for them is legitimate.
 #[derive(Debug)]
 struct PendingDocket {
+    /// Digests whose bodies the last frame sent for this docket inlined.
+    /// A judge demanding one of them is violating the protocol.
+    inlined: HashSet<PayloadDigest>,
+    /// Empty for a fully inlined docket.
     disputes: Vec<DisputeRef>,
+    /// Empty for a fully inlined docket.
     bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>>,
     retries: u8,
 }
@@ -385,11 +403,11 @@ impl DisputeClient {
 
     /// Records freshly uploaded claim digests, clearing the set first if
     /// they would push it past [`MAX_REMEMBERED_CLAIMS`].
-    fn remember_claims(&mut self, uploaded: HashSet<PayloadDigest>) {
+    fn remember_claims(&mut self, uploaded: &HashSet<PayloadDigest>) {
         if self.sent_claims.len() + uploaded.len() > MAX_REMEMBERED_CLAIMS {
             self.sent_claims.clear();
         }
-        self.sent_claims.extend(uploaded.into_iter().take(MAX_REMEMBERED_CLAIMS));
+        self.sent_claims.extend(uploaded.iter().take(MAX_REMEMBERED_CLAIMS));
     }
 
     fn ensure_usable(&self) -> WatermarkResult<()> {
@@ -620,19 +638,21 @@ impl DisputeClient {
     ///
     /// Claims are deduplicated by content digest: bodies the judge has
     /// not seen on this connection are inlined, everything else travels
-    /// as an 16-byte digest reference. The digested docket goes out
-    /// through [`send_docket_ref`](Self::send_docket_ref).
+    /// as an 16-byte digest reference. The frame is encoded straight
+    /// from `disputes`; the bodies are copied (into shared handles kept
+    /// for a `NeedPayload` resend) only when some reference goes
+    /// digest-only.
     pub fn send_docket(&mut self, disputes: &[Dispute]) -> WatermarkResult<DocketTicket> {
-        let mut bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>> = HashMap::new();
+        let mut claims: HashMap<PayloadDigest, &OwnershipClaim> = HashMap::new();
         let refs: Vec<DisputeRef> = disputes
             .iter()
             .map(|dispute| {
                 let digest = PayloadDigest::of_claim(&dispute.claim);
-                bodies.entry(digest).or_insert_with(|| Arc::new(dispute.claim.clone()));
+                claims.entry(digest).or_insert(&dispute.claim);
                 DisputeRef::new(dispute.model_id.clone(), digest)
             })
             .collect();
-        self.send_docket_ref(&bodies, &refs)
+        self.send_refs(&claims, &refs, |claim| Arc::new(OwnershipClaim::clone(claim)))
     }
 
     /// [`send_docket`](Self::send_docket) from pre-digested parts: the
@@ -650,18 +670,34 @@ impl DisputeClient {
         bodies: &HashMap<PayloadDigest, Arc<OwnershipClaim>>,
         disputes: &[DisputeRef],
     ) -> WatermarkResult<DocketTicket> {
+        self.send_refs(bodies, disputes, Arc::clone)
+    }
+
+    /// Writes one docket frame and records the docket as pending. Each
+    /// referenced body in `bodies` that this connection has not uploaded
+    /// is inlined, once, in first-reference order; the rest travel
+    /// digest-only. Only a docket with a digest-only reference keeps its
+    /// bodies, each turned into a shared handle by `share`.
+    fn send_refs<B: Borrow<OwnershipClaim>>(
+        &mut self,
+        bodies: &HashMap<PayloadDigest, B>,
+        disputes: &[DisputeRef],
+        share: impl Fn(&B) -> Arc<OwnershipClaim>,
+    ) -> WatermarkResult<DocketTicket> {
         self.ensure_usable()?;
         let correlation_id = self.next_id();
-        let mut retained: HashMap<PayloadDigest, Arc<OwnershipClaim>> = HashMap::new();
         let mut inline: Vec<&OwnershipClaim> = Vec::new();
-        let mut inline_digests: HashSet<PayloadDigest> = HashSet::new();
+        let mut inlined: HashSet<PayloadDigest> = HashSet::new();
+        let mut fully_inlined = true;
         for dispute in disputes {
             let digest = dispute.digest;
-            if let Some(body) = bodies.get(&digest) {
-                if !self.sent_claims.contains(&digest) && inline_digests.insert(digest) {
-                    inline.push(body.as_ref());
+            match bodies.get(&digest) {
+                Some(body) if !self.sent_claims.contains(&digest) => {
+                    if inlined.insert(digest) {
+                        inline.push(body.borrow());
+                    }
                 }
-                retained.entry(digest).or_insert_with(|| Arc::clone(body));
+                _ => fully_inlined = false,
             }
         }
         let frame = self.encode_request(
@@ -672,13 +708,25 @@ impl DisputeClient {
             },
         )?;
         self.write_frame(&frame)?;
-        self.remember_claims(inline_digests);
+        self.remember_claims(&inlined);
         self.outstanding.insert(correlation_id);
+        let (disputes, bodies) = if fully_inlined {
+            (Vec::new(), HashMap::new())
+        } else {
+            let mut retained = HashMap::new();
+            for dispute in disputes {
+                if let Some(body) = bodies.get(&dispute.digest) {
+                    retained.entry(dispute.digest).or_insert_with(|| share(body));
+                }
+            }
+            (disputes.to_vec(), retained)
+        };
         self.pending.insert(
             correlation_id,
             PendingDocket {
-                disputes: disputes.to_vec(),
-                bodies: retained,
+                inlined,
+                disputes,
+                bodies,
                 retries: 0,
             },
         );
@@ -700,7 +748,8 @@ impl DisputeClient {
     /// that arrive first are stashed, so tickets may be redeemed in any
     /// order. `NeedPayload` answers (the judge evicted a referenced claim
     /// body) are recovered transparently by resending the docket with the
-    /// missing bodies inlined.
+    /// missing bodies inlined. A demand for a body inlined in the frame
+    /// it answers fails at once with a protocol violation naming it.
     pub fn recv_docket(
         &mut self,
         ticket: DocketTicket,
@@ -722,7 +771,13 @@ impl DisputeClient {
     /// transparently; a demand naming *any* body it cannot supply is
     /// returned as [`DocketOutcome::NeedPayload`] (the full demanded
     /// list, so the upstream holder can inline everything in one retry).
-    /// The ticket is consumed in every case.
+    /// A fully inlined docket retains nothing, so any demand it gets is
+    /// answered this way unless it names a body that frame inlined.
+    /// Both receive paths fail at once with
+    /// [`WatermarkError::ProtocolViolation`], naming the digest, when the
+    /// judge demands a body inlined in the frame it is answering: the
+    /// judge resolves inlined bodies from the request itself. The ticket
+    /// is consumed in every case.
     pub fn recv_docket_outcome(&mut self, ticket: DocketTicket) -> WatermarkResult<DocketOutcome> {
         self.recv_docket_inner(ticket, true)
     }
@@ -765,15 +820,17 @@ impl DisputeClient {
                     for digest in &digests {
                         self.sent_claims.remove(digest);
                     }
-                    if surface {
-                        let entry = self
-                            .pending
-                            .get(&correlation_id)
-                            .expect("the pending entry was checked above");
-                        if digests.iter().any(|digest| !entry.bodies.contains_key(digest)) {
-                            self.finish(correlation_id);
-                            return Ok(DocketOutcome::NeedPayload(digests));
-                        }
+                    let entry =
+                        self.pending.get(&correlation_id).expect("the pending entry was checked above");
+                    if let Some(digest) = digests.iter().find(|digest| entry.inlined.contains(digest)) {
+                        let detail =
+                            format!("judge demanded body {digest}, which the frame it answered inlined");
+                        self.finish(correlation_id);
+                        return Err(WatermarkError::ProtocolViolation { detail });
+                    }
+                    if surface && digests.iter().any(|digest| !entry.bodies.contains_key(digest)) {
+                        self.finish(correlation_id);
+                        return Ok(DocketOutcome::NeedPayload(digests));
                     }
                     let frame = match self.build_resend(correlation_id, &digests) {
                         Ok(frame) => frame,
@@ -851,11 +908,11 @@ impl DisputeClient {
         self.stash.remove(&correlation_id);
     }
 
-    /// Builds the retry frame for a `NeedPayload` answer. The first retry
-    /// inlines exactly the demanded bodies; the second inlines every body
-    /// of the docket (which a correct judge answers from the request
-    /// alone, whatever its cache does); a third demand is a protocol
-    /// violation.
+    /// Builds the retry frame for a `NeedPayload` answer and records which
+    /// bodies it inlines. The first retry inlines exactly the demanded
+    /// bodies; the second inlines every body of the docket (which a
+    /// correct judge answers from the request alone, whatever its cache
+    /// does); a third demand is a protocol violation.
     fn build_resend(
         &mut self,
         correlation_id: u64,
@@ -872,8 +929,10 @@ impl DisputeClient {
             });
         }
         let inline: Vec<&OwnershipClaim> = if entry.retries >= 2 {
+            entry.inlined = entry.bodies.keys().copied().collect();
             entry.bodies.values().map(Arc::as_ref).collect()
         } else {
+            entry.inlined = missing.iter().copied().collect();
             missing
                 .iter()
                 .map(|digest| {
@@ -1002,5 +1061,45 @@ mod tests {
         });
         assert!(!owned.is_empty());
         assert_eq!(owned, by_ref);
+    }
+
+    /// A docket whose every reference is inlined keeps no bodies and no
+    /// dispute list while in flight; one with any digest-only reference
+    /// keeps every body it references, the inlined ones included.
+    #[test]
+    fn only_dockets_with_a_digest_only_reference_retain_bodies() {
+        let mut rng = SmallRng::seed_from_u64(19);
+        let dataset = SyntheticSpec::breast_cancer_like().scaled(0.2).generate(&mut rng);
+        let (trigger, test) = dataset.split_train_test(0.2, &mut rng);
+        let first = OwnershipClaim::new(Signature::random(3, 0.5, &mut rng), trigger.clone(), test);
+        let second = OwnershipClaim::new(Signature::random(3, 0.5, &mut rng), trigger.clone(), trigger);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = DisputeClient::connect(listener.local_addr().unwrap()).unwrap();
+        let _peer = listener.accept().unwrap();
+
+        let inlined = client
+            .send_docket(&[
+                Dispute::new("m", first.clone()),
+                Dispute::new("other", first.clone()),
+            ])
+            .unwrap();
+        let entry = &client.pending[&inlined.correlation_id()];
+        assert!(entry.bodies.is_empty() && entry.disputes.is_empty());
+        assert_eq!(entry.inlined, HashSet::from([PayloadDigest::of_claim(&first)]));
+
+        // `first` now travels digest-only, so this docket keeps both bodies.
+        let mixed = client
+            .send_docket(&[
+                Dispute::new("m", first.clone()),
+                Dispute::new("m", second.clone()),
+            ])
+            .unwrap();
+        let entry = &client.pending[&mixed.correlation_id()];
+        assert_eq!(entry.disputes.len(), 2);
+        assert_eq!(
+            entry.bodies.keys().copied().collect::<HashSet<_>>(),
+            HashSet::from([PayloadDigest::of_claim(&first), PayloadDigest::of_claim(&second)])
+        );
+        assert_eq!(entry.inlined, HashSet::from([PayloadDigest::of_claim(&second)]));
     }
 }

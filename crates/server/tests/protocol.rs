@@ -519,6 +519,58 @@ fn an_unknown_correlation_id_poisons_the_client() {
     rogue.join().unwrap();
 }
 
+/// A judge demanding a body that the frame it is answering inlined is
+/// breaking the protocol (inlined bodies resolve from the request
+/// itself): both receive paths fail the docket after that one demand,
+/// with a violation naming the digest, instead of resending.
+#[test]
+fn a_demand_for_an_inlined_body_fails_after_one_demand() {
+    let (_, claim) = plain_fixture(83);
+    let digest = PayloadDigest::of_claim(&claim);
+    for surface in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Answers every request frame with a demand for `digest` and
+        // counts the demands until the client hangs up.
+        let rogue = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut demands = 0;
+            while let Ok(Some((corr, _request))) =
+                proto::read_message::<Request, _>(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+            {
+                let demand = Response::NeedPayload {
+                    digests: vec![digest],
+                };
+                if proto::write_message(&mut stream, corr, &demand).is_err() {
+                    break;
+                }
+                demands += 1;
+            }
+            demands
+        });
+
+        let mut client = DisputeClient::connect(addr).unwrap();
+        let ticket = client.send_docket(&[Dispute::new("m", claim.clone())]).unwrap();
+        let err = if surface {
+            client.recv_docket_outcome(ticket).map(|_| ()).unwrap_err()
+        } else {
+            client.recv_docket(ticket).map(|_| ()).unwrap_err()
+        };
+        match err {
+            WatermarkError::ProtocolViolation { detail } => assert!(
+                detail.contains(&digest.to_string()) && detail.contains("inlined"),
+                "unexpected detail: {detail}"
+            ),
+            other => panic!("expected a protocol violation, got {other:?}"),
+        }
+        assert!(!client.is_broken());
+        assert_eq!(client.pending_dockets(), 0);
+        drop(client);
+        assert_eq!(rogue.join().unwrap(), 1, "surface = {surface}");
+    }
+}
+
 #[test]
 fn connect_retry_covers_a_late_binding_judge() {
     // Nothing is listening on this port yet.
@@ -1173,6 +1225,7 @@ on_both_front_ends!(
     shutdown_completes_on_an_unspecified_address_bind,
     each_dispute_of_a_docket_is_refused_with_its_own_typed_error,
     a_slow_drip_is_answered_like_whole_frames,
+    a_mixed_docket_survives_evicting_every_body_before_the_resend,
 );
 
 mod cases {
@@ -1555,6 +1608,36 @@ mod cases {
             "an unregistered id: {:?}",
             verdicts[2]
         );
+        server.shutdown().unwrap();
+    }
+
+    /// A docket mixing a digest-only reference with an inlined body,
+    /// against a judge whose 1-byte claim cache evicts every body as soon
+    /// as it is inserted: the demand for the digest-only body is answered
+    /// by a resend that sends the inlined body digest-only, the judge
+    /// demands that one too, and only a client that kept *every* body can
+    /// finish with the all-inline retry. The verdicts match `resolve_as`.
+    pub(crate) fn a_mixed_docket_survives_evicting_every_body_before_the_resend(front: Front) {
+        let (model, claim) = plain_fixture(84);
+        let other = OwnershipClaim::new(
+            claim.signature.clone(),
+            claim.test_set.clone(),
+            claim.trigger_set.clone(),
+        );
+        let service = Arc::new(DisputeService::builder().claim_cache_bytes(1).build().unwrap());
+        let server = start_front(front, Arc::clone(&service));
+        let mut client = DisputeClient::connect(server.addr()).unwrap();
+        client.register_model("m", &model).unwrap();
+        let anonymous = TenantId::anonymous();
+        let reference = |claim: &OwnershipClaim| service.resolve_as(&anonymous, "m", claim);
+
+        // Uploads `claim`, so the next docket references it digest-only.
+        let first = client.resolve_docket(&[Dispute::new("m", claim.clone())]).unwrap();
+        assert_eq!(first, vec![reference(&claim)]);
+        let mixed = [Dispute::new("m", claim.clone()), Dispute::new("m", other.clone())];
+        let verdicts = client.resolve_docket(&mixed).unwrap();
+        assert_eq!(verdicts, vec![reference(&claim), reference(&other)]);
+        assert!(!client.is_broken());
         server.shutdown().unwrap();
     }
 
