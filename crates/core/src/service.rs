@@ -281,35 +281,29 @@ impl ClaimCache {
         inner.order.insert(stamp, digest);
         inner.bytes += footprint;
         *inner.tenant_bytes.entry(tenant.clone()).or_insert(0) += footprint;
-        let mut evicted: Vec<ClaimEntry> = Vec::new();
         if self.budget_bytes > 0 {
             while inner.bytes > self.budget_bytes {
                 let Some((_, &oldest)) = inner.order.first_key_value() else {
                     break;
                 };
-                evicted.extend(Self::drop_entry(&mut inner, &oldest));
+                Self::drop_entry(&mut inner, &oldest);
             }
         }
-        // Evicted bodies are freed after the lock is released, so
-        // concurrent lookups do not wait on the deallocation.
-        drop(inner);
-        drop(evicted);
         Ok((digest, shared))
     }
 
-    /// Removes `digest` from the map and the recency order, refunds its
-    /// bytes to every owner and returns the entry, for the caller to drop
-    /// once it has released the lock.
-    fn drop_entry(inner: &mut ClaimCacheInner, digest: &PayloadDigest) -> Option<ClaimEntry> {
-        let evicted = inner.map.remove(digest)?;
-        inner.order.remove(&evicted.stamp);
-        inner.bytes = inner.bytes.saturating_sub(evicted.footprint);
-        for owner in &evicted.owners {
-            if let Some(held) = inner.tenant_bytes.get_mut(owner) {
-                *held = held.saturating_sub(evicted.footprint);
+    /// Removes `digest` from the map and the recency order, and refunds its
+    /// bytes to every owner.
+    fn drop_entry(inner: &mut ClaimCacheInner, digest: &PayloadDigest) {
+        if let Some(evicted) = inner.map.remove(digest) {
+            inner.order.remove(&evicted.stamp);
+            inner.bytes = inner.bytes.saturating_sub(evicted.footprint);
+            for owner in &evicted.owners {
+                if let Some(held) = inner.tenant_bytes.get_mut(owner) {
+                    *held = held.saturating_sub(evicted.footprint);
+                }
             }
         }
-        Some(evicted)
     }
 
     /// The cached claim with this digest, if present; refreshes recency.
@@ -346,13 +340,10 @@ impl ClaimCache {
                 dropped.push(*digest);
             }
         }
-        let evicted: Vec<ClaimEntry> = dropped
-            .iter()
-            .filter_map(|digest| Self::drop_entry(&mut inner, digest))
-            .collect();
-        // As in `insert_for`: free the bodies outside the lock.
-        drop(inner);
-        evicted.len()
+        for digest in &dropped {
+            Self::drop_entry(&mut inner, digest);
+        }
+        dropped.len()
     }
 
     /// Makes `digest` the most recently used entry; no-op if absent.

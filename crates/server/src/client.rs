@@ -18,9 +18,13 @@
 //! resolves inlined digests from the request itself, so it can never
 //! need them again. A docket with any digest-only reference keeps every
 //! body until its verdicts arrive, so a resend can inline whatever the
-//! judge has evicted since. A judge that demands a body inlined in the
-//! very frame it is answering breaks the protocol, and the client fails
-//! the docket at once with [`WatermarkError::ProtocolViolation`].
+//! judge has evicted since. A judge that demands any body for a fully
+//! inlined docket breaks the protocol, and the client fails the docket
+//! at once with [`WatermarkError::ProtocolViolation`]. A docket with a
+//! digest-only reference answers every demand through the resend path,
+//! even one naming a body its frame inlined: behind a fleet router the
+//! backend answers the router's frame, which may have sent that body
+//! digest-only.
 
 use serde::Serialize;
 use std::borrow::Borrow;
@@ -162,13 +166,10 @@ impl DocketTicket {
 /// retry can always inline what the judge is missing (even bodies the
 /// judge had cached at send time and evicted since). A fully inlined
 /// docket keeps neither: the judge resolves inlined digests from the
-/// request itself, so no demand for them is legitimate.
+/// request itself, so no demand for it is legitimate.
 #[derive(Debug)]
 struct PendingDocket {
-    /// Digests whose bodies the last frame sent for this docket inlined.
-    /// A judge demanding one of them is violating the protocol.
-    inlined: HashSet<PayloadDigest>,
-    /// Empty for a fully inlined docket.
+    /// Empty for a fully inlined docket, which is how one is recognised.
     disputes: Vec<DisputeRef>,
     /// Empty for a fully inlined docket.
     bodies: HashMap<PayloadDigest, Arc<OwnershipClaim>>,
@@ -403,11 +404,11 @@ impl DisputeClient {
 
     /// Records freshly uploaded claim digests, clearing the set first if
     /// they would push it past [`MAX_REMEMBERED_CLAIMS`].
-    fn remember_claims(&mut self, uploaded: &HashSet<PayloadDigest>) {
+    fn remember_claims(&mut self, uploaded: HashSet<PayloadDigest>) {
         if self.sent_claims.len() + uploaded.len() > MAX_REMEMBERED_CLAIMS {
             self.sent_claims.clear();
         }
-        self.sent_claims.extend(uploaded.iter().take(MAX_REMEMBERED_CLAIMS));
+        self.sent_claims.extend(uploaded.into_iter().take(MAX_REMEMBERED_CLAIMS));
     }
 
     fn ensure_usable(&self) -> WatermarkResult<()> {
@@ -708,7 +709,7 @@ impl DisputeClient {
             },
         )?;
         self.write_frame(&frame)?;
-        self.remember_claims(&inlined);
+        self.remember_claims(inlined);
         self.outstanding.insert(correlation_id);
         let (disputes, bodies) = if fully_inlined {
             (Vec::new(), HashMap::new())
@@ -724,7 +725,6 @@ impl DisputeClient {
         self.pending.insert(
             correlation_id,
             PendingDocket {
-                inlined,
                 disputes,
                 bodies,
                 retries: 0,
@@ -748,8 +748,8 @@ impl DisputeClient {
     /// that arrive first are stashed, so tickets may be redeemed in any
     /// order. `NeedPayload` answers (the judge evicted a referenced claim
     /// body) are recovered transparently by resending the docket with the
-    /// missing bodies inlined. A demand for a body inlined in the frame
-    /// it answers fails at once with a protocol violation naming it.
+    /// missing bodies inlined. A demand for a fully inlined docket fails
+    /// at once with a protocol violation naming the demanded digest.
     pub fn recv_docket(
         &mut self,
         ticket: DocketTicket,
@@ -771,13 +771,11 @@ impl DisputeClient {
     /// transparently; a demand naming *any* body it cannot supply is
     /// returned as [`DocketOutcome::NeedPayload`] (the full demanded
     /// list, so the upstream holder can inline everything in one retry).
-    /// A fully inlined docket retains nothing, so any demand it gets is
-    /// answered this way unless it names a body that frame inlined.
-    /// Both receive paths fail at once with
-    /// [`WatermarkError::ProtocolViolation`], naming the digest, when the
-    /// judge demands a body inlined in the frame it is answering: the
-    /// judge resolves inlined bodies from the request itself. The ticket
-    /// is consumed in every case.
+    /// A fully inlined docket retains nothing, yet a demand for it is
+    /// not handed back: both receive paths fail it at once with
+    /// [`WatermarkError::ProtocolViolation`], naming the demanded digest,
+    /// because the judge resolves inlined bodies from the request itself.
+    /// The ticket is consumed in every case.
     pub fn recv_docket_outcome(&mut self, ticket: DocketTicket) -> WatermarkResult<DocketOutcome> {
         self.recv_docket_inner(ticket, true)
     }
@@ -822,9 +820,13 @@ impl DisputeClient {
                     }
                     let entry =
                         self.pending.get(&correlation_id).expect("the pending entry was checked above");
-                    if let Some(digest) = digests.iter().find(|digest| entry.inlined.contains(digest)) {
-                        let detail =
-                            format!("judge demanded body {digest}, which the frame it answered inlined");
+                    if entry.disputes.is_empty() {
+                        let detail = match digests.first() {
+                            Some(digest) => format!(
+                                "judge demanded body {digest} for a docket whose frame inlined every body"
+                            ),
+                            None => "judge demanded no bodies for a fully inlined docket".to_string(),
+                        };
                         self.finish(correlation_id);
                         return Err(WatermarkError::ProtocolViolation { detail });
                     }
@@ -908,8 +910,7 @@ impl DisputeClient {
         self.stash.remove(&correlation_id);
     }
 
-    /// Builds the retry frame for a `NeedPayload` answer and records which
-    /// bodies it inlines. The first retry inlines exactly the demanded
+    /// Builds the retry frame for a `NeedPayload` answer. The first retry inlines exactly the demanded
     /// bodies; the second inlines every body of the docket (which a
     /// correct judge answers from the request alone, whatever its cache
     /// does); a third demand is a protocol violation.
@@ -929,10 +930,8 @@ impl DisputeClient {
             });
         }
         let inline: Vec<&OwnershipClaim> = if entry.retries >= 2 {
-            entry.inlined = entry.bodies.keys().copied().collect();
             entry.bodies.values().map(Arc::as_ref).collect()
         } else {
-            entry.inlined = missing.iter().copied().collect();
             missing
                 .iter()
                 .map(|digest| {
@@ -1085,7 +1084,6 @@ mod tests {
             .unwrap();
         let entry = &client.pending[&inlined.correlation_id()];
         assert!(entry.bodies.is_empty() && entry.disputes.is_empty());
-        assert_eq!(entry.inlined, HashSet::from([PayloadDigest::of_claim(&first)]));
 
         // `first` now travels digest-only, so this docket keeps both bodies.
         let mixed = client
@@ -1100,6 +1098,5 @@ mod tests {
             entry.bodies.keys().copied().collect::<HashSet<_>>(),
             HashSet::from([PayloadDigest::of_claim(&first), PayloadDigest::of_claim(&second)])
         );
-        assert_eq!(entry.inlined, HashSet::from([PayloadDigest::of_claim(&second)]));
     }
 }

@@ -519,8 +519,8 @@ fn an_unknown_correlation_id_poisons_the_client() {
     rogue.join().unwrap();
 }
 
-/// A judge demanding a body that the frame it is answering inlined is
-/// breaking the protocol (inlined bodies resolve from the request
+/// A judge demanding a body for a docket whose frame inlined every body
+/// is breaking the protocol (inlined bodies resolve from the request
 /// itself): both receive paths fail the docket after that one demand,
 /// with a violation naming the digest, instead of resending.
 #[test]

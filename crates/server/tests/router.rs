@@ -391,6 +391,39 @@ fn need_payload_is_relayed_through_the_router() {
     router.shutdown().unwrap();
 }
 
+/// Two client connections of one tenant share the router's pooled
+/// backend client. The second connection inlines a body the first
+/// already sent through that pooled client, next to a body it sends
+/// digest-only; the router forwards both digest-only, the evicting
+/// backend demands both, and the router relays the whole demand. The
+/// claimant's docket has a digest-only reference, so it must resend
+/// rather than call the demand for its inlined body a violation.
+#[test]
+fn a_relayed_demand_for_a_body_the_claimant_inlined_is_resent() {
+    let (test, outcome) = embedded(77);
+    let genuine = claim_for(&outcome, &test);
+    let docket = mixed_docket(&test, &outcome, 1, 2);
+    let forged = docket[1].claim.clone();
+    assert_ne!(genuine, forged);
+    // 1-byte claim budget: every body is evicted on arrival.
+    let service = DisputeService::builder().claim_cache_bytes(1).build().unwrap();
+    let backend = start_backend(Arc::new(service), None);
+    let router = start_router(&[&backend], None);
+    let mut first = DisputeClient::connect(router.addr().to_string()).unwrap();
+    let mut second = DisputeClient::connect(router.addr().to_string()).unwrap();
+    first.register_model("fleet-m0", &outcome.model).unwrap();
+
+    let by_first = first.resolve_docket(&[Dispute::new("fleet-m0", genuine.clone())]).unwrap();
+    let by_second = second.resolve_docket(&[Dispute::new("fleet-m0", forged.clone())]).unwrap();
+    // `genuine` is new to `second` and goes inline; `forged` goes by digest.
+    let both = [Dispute::new("fleet-m0", genuine), Dispute::new("fleet-m0", forged)];
+    let verdicts = second.resolve_docket(&both).unwrap();
+    assert_eq!(verdicts, [by_first, by_second].concat());
+    assert!(!second.is_broken());
+    router.shutdown().unwrap();
+    backend.shutdown().unwrap();
+}
+
 /// Fleet-wide requests: `Ping` sums registries, `Stats` merges tenant
 /// rows, `Deregister` removes a model wherever it lives.
 #[test]
