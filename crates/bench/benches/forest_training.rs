@@ -1,11 +1,13 @@
 //! Benchmarks of random-forest training (the substrate retrained repeatedly
 //! by Algorithm 1's weighting loop).
 //!
-//! Two split strategies are compared on the same fixtures: `exact`
-//! (presorted, the default) and `naive` (per-node sort — the pre-refactor
-//! algorithm, kept as the baseline). The `algorithm1_*` benches model the watermark
-//! embedding loop: repeated `fit_weighted` calls on one dataset with only
-//! the weights changing, all rounds sharing one presort cache.
+//! Forest rows time the presorted grower every forest uses. One pair of
+//! single-tree rows times it against the naive reference grower
+//! (`DecisionTree::fit_weighted_reference`, per-node sort — the
+//! pre-refactor algorithm, kept as the parity oracle) on the same image
+//! data, feature subset and params. The `algorithm1_*` benches model the
+//! watermark embedding loop: repeated `fit_weighted` calls on one dataset
+//! with only the weights changing, all rounds sharing one presort cache.
 //!
 //! A snapshot of this group's output is committed as
 //! `BENCH_forest_training.json` at the repository root.
@@ -13,16 +15,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdte_bench::{small_image, small_tabular};
-use wdte_trees::{ForestParams, RandomForest, SplitStrategy, TreeParams};
+use wdte_trees::{DecisionTree, ForestParams, RandomForest, TreeParams};
 
-fn image_params(strategy: SplitStrategy) -> ForestParams {
+fn image_params() -> ForestParams {
     ForestParams {
         num_trees: 10,
-        tree: TreeParams {
-            max_depth: Some(10),
-            strategy,
-            ..TreeParams::default()
-        },
+        tree: TreeParams::with_max_depth(10),
         ..ForestParams::default()
     }
 }
@@ -41,41 +39,35 @@ fn bench_training(c: &mut Criterion) {
             )
         });
     }
-    group.bench_function("tabular_10_trees_naive", |b| {
-        b.iter_batched(
-            || SmallRng::seed_from_u64(1),
-            |mut rng| {
-                let params = ForestParams {
-                    num_trees: 10,
-                    tree: TreeParams {
-                        strategy: SplitStrategy::ExactNaive,
-                        ..TreeParams::default()
-                    },
-                    ..ForestParams::default()
-                };
-                RandomForest::fit(&tabular, &params, &mut rng)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // The headline comparison: presorted exact vs the naive per-node-sort
-    // baseline on the wide (784-feature) image workload. The presort cache
-    // is warmed up front so the exact search is measured in its steady
-    // state — exactly how Algorithm 1 sees it.
+    // The presort cache is warmed up front so the presorted grower is
+    // measured in its steady state — exactly how Algorithm 1 sees it.
     let _ = image.presort();
     group.bench_function("image_784_features_10_trees", |b| {
         b.iter_batched(
             || SmallRng::seed_from_u64(2),
-            |mut rng| RandomForest::fit(&image, &image_params(SplitStrategy::Exact), &mut rng),
+            |mut rng| RandomForest::fit(&image, &image_params(), &mut rng),
             BatchSize::SmallInput,
         )
     });
-    group.bench_function("image_784_features_10_trees_naive", |b| {
-        b.iter_batched(
-            || SmallRng::seed_from_u64(2),
-            |mut rng| RandomForest::fit(&image, &image_params(SplitStrategy::ExactNaive), &mut rng),
-            BatchSize::SmallInput,
-        )
+    // The grower comparison: one tree of the image forest above (its
+    // first feature subset, unit weights), presorted vs the naive
+    // per-node-sort reference.
+    let params = image_params().tree;
+    let first = RandomForest::fit(
+        &image,
+        &ForestParams {
+            num_trees: 1,
+            ..image_params()
+        },
+        &mut SmallRng::seed_from_u64(2),
+    );
+    let subset = first.feature_subsets()[0].clone();
+    let weights = vec![1.0; image.len()];
+    group.bench_function("image_784_features_1_tree", |b| {
+        b.iter(|| DecisionTree::fit_weighted(&image, &weights, Some(&subset), &params))
+    });
+    group.bench_function("image_784_features_1_tree_reference", |b| {
+        b.iter(|| DecisionTree::fit_weighted_reference(&image, &weights, Some(&subset), &params))
     });
     // Algorithm-1-shaped: five retraining rounds with bumped trigger
     // weights on one shared dataset. With the presort cached at the
@@ -86,7 +78,7 @@ fn bench_training(c: &mut Criterion) {
             || SmallRng::seed_from_u64(3),
             |mut rng| {
                 let mut weights = vec![1.0; image.len()];
-                let params = image_params(SplitStrategy::Exact);
+                let params = image_params();
                 let mut forests = Vec::with_capacity(5);
                 for round in 0..5 {
                     for weight in weights.iter_mut().take(8) {

@@ -271,7 +271,6 @@ mod tests {
             tree: TreeParams {
                 max_depth: Some(3),
                 max_leaves: Some(8),
-                ..TreeParams::default()
             },
             ..ForestParams::default()
         };

@@ -55,8 +55,8 @@ pub struct WatermarkConfig {
     pub grid: Option<ParamGrid>,
     /// Number of cross-validation folds used by the grid search.
     pub grid_folds: usize,
-    /// Tree parameters used when no grid is given (and as the fallback
-    /// template for grid results).
+    /// Tree parameters used when no grid is given; a grid point sets both
+    /// budgets itself.
     pub tree_params: TreeParams,
     /// Whether to run the paper's `Adjust(H)` heuristic, shrinking the
     /// depth/leaf budget to `mean - std` of a standard ensemble so the
@@ -114,7 +114,6 @@ impl WatermarkConfig {
             tree_params: TreeParams {
                 max_depth: Some(8),
                 max_leaves: Some(64),
-                ..TreeParams::default()
             },
             adjust_hyperparams: true,
             weight_schedule: WeightSchedule::Multiplicative(3.0),

@@ -297,7 +297,10 @@ pub fn adjust_hyperparameters<R: Rng + ?Sized>(
     let (leaf_mean, leaf_std) = mean_std(&leaves);
     let max_depth = ((depth_mean - depth_std).floor() as usize).max(2);
     let max_leaves = ((leaf_mean - leaf_std).floor() as usize).max(4);
-    tuned.tree.with_budget(Some(max_depth), Some(max_leaves))
+    TreeParams {
+        max_depth: Some(max_depth),
+        max_leaves: Some(max_leaves),
+    }
 }
 
 /// The `TrainWithTrigger` function of Algorithm 1: retrains the forest with
@@ -318,9 +321,7 @@ pub fn train_with_trigger<R: Rng + ?Sized>(
     // keeps the one-time cost out of the per-tree hot path. Label-flipped
     // datasets share the original training set's cache (see
     // `Dataset::with_labels_flipped_at`), so `T1` rounds are free too.
-    if params.tree.strategy == wdte_trees::SplitStrategy::Exact {
-        let _ = dataset.presort();
-    }
+    let _ = dataset.presort();
     let mut weights = vec![1.0; dataset.len()];
     let mut current_params = *params;
     let mut relaxations = 0usize;
@@ -643,7 +644,6 @@ mod tests {
             tree: TreeParams {
                 max_depth: Some(8),
                 max_leaves: Some(64),
-                ..TreeParams::default()
             },
             feature_subset: FeatureSubset::Sqrt,
         };

@@ -422,12 +422,6 @@ impl ClassCounts {
     pub fn gini(&self) -> f64 {
         gini_of(self.slice())
     }
-
-    /// Shannon entropy (base 2) of the weighted class distribution.
-    #[inline]
-    pub fn entropy(&self) -> f64 {
-        entropy_of(self.slice())
-    }
 }
 
 /// Total weight of a per-class slice (left-to-right sum in class order —
@@ -475,24 +469,6 @@ pub fn gini_of(counts: &[f64]) -> f64 {
         gini -= p * p;
     }
     gini
-}
-
-/// Shannon entropy (base 2) of a per-class weight slice; the class-order
-/// loop matches the original binary implementation exactly for k=2.
-#[inline]
-pub fn entropy_of(counts: &[f64]) -> f64 {
-    let total = total_of(counts);
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let mut entropy = 0.0;
-    for &count in counts {
-        if count > 0.0 {
-            let p = count / total;
-            entropy -= p * p.log2();
-        }
-    }
-    entropy
 }
 
 /// Class counts serialize as the per-class weight sequence. Deserialization
@@ -686,22 +662,19 @@ mod tests {
     }
 
     #[test]
-    fn gini_and_entropy_extremes() {
+    fn gini_extremes() {
         let mut pure = ClassCounts::new();
         pure.add(Label::Positive, 10.0);
         assert!(pure.gini().abs() < 1e-12);
-        assert!(pure.entropy().abs() < 1e-12);
 
         let mut balanced = ClassCounts::new();
         balanced.add(Label::Positive, 5.0);
         balanced.add(Label::Negative, 5.0);
         assert!((balanced.gini() - 0.5).abs() < 1e-12);
-        assert!((balanced.entropy() - 1.0).abs() < 1e-12);
 
-        // Uniform over 4 classes: gini = 1 - 4·(1/4)² = 0.75, entropy = 2.
+        // Uniform over 4 classes: gini = 1 - 4·(1/4)² = 0.75.
         let uniform = ClassCounts::from_slice(&[1.0; 4]);
         assert!((uniform.gini() - 0.75).abs() < 1e-12);
-        assert!((uniform.entropy() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod synth;
 pub use dataset::{Dataset, DatasetStats};
 pub use error::{DataError, DataResult};
 pub use folds::{stratified_k_folds, Fold};
-pub use label::{entropy_of, gini_of, majority_of, total_of, ClassCounts, Label, LabelConvention};
+pub use label::{gini_of, majority_of, total_of, ClassCounts, Label, LabelConvention};
 pub use matrix::{l2_distance, linf_distance, DenseMatrix};
 pub use metrics::{accuracy, mean_std, roc_auc, ConfusionMatrix};
 pub use presort::Presort;

@@ -127,37 +127,33 @@ impl SyntheticSpec {
         let positives = positives.clamp(1, self.instances - 1);
         let negatives = self.instances - positives;
 
-        let mut rows = Vec::with_capacity(self.instances);
+        // Rows go straight into one row-major buffer that becomes the
+        // matrix, so generation holds the features once.
+        let mut values = Vec::with_capacity(self.instances * self.features);
         let mut labels = Vec::with_capacity(self.instances);
         match self.style {
             SyntheticStyle::ImageLike => {
-                self.generate_image_like(positives, negatives, &mut rows, &mut labels, rng)
+                self.generate_image_like(positives, negatives, &mut values, &mut labels, rng)
             }
             SyntheticStyle::Tabular => {
-                self.generate_tabular(positives, negatives, &mut rows, &mut labels, rng)
+                self.generate_tabular(positives, negatives, &mut values, &mut labels, rng)
             }
             SyntheticStyle::Clustered => {
-                self.generate_clustered(positives, negatives, &mut rows, &mut labels, rng)
+                self.generate_clustered(positives, negatives, &mut values, &mut labels, rng)
             }
         }
 
         // Shuffle instances and apply label noise.
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.shuffle(rng);
-        let mut shuffled_rows = Vec::with_capacity(rows.len());
-        let mut shuffled_labels = Vec::with_capacity(labels.len());
-        for &i in &order {
-            shuffled_rows.push(std::mem::take(&mut rows[i]));
-            shuffled_labels.push(labels[i]);
-        }
-        for label in shuffled_labels.iter_mut() {
+        shuffle_rows(&mut values, &mut labels, self.features, rng);
+        for label in labels.iter_mut() {
             if rng.gen_bool(self.label_noise.clamp(0.0, 1.0)) {
                 *label = label.flipped();
             }
         }
 
-        let features = DenseMatrix::from_rows(&shuffled_rows).expect("generated rows are rectangular");
-        Dataset::new(self.name.clone(), features, shuffled_labels).expect("labels align with rows")
+        let features = DenseMatrix::from_vec(labels.len(), self.features, values)
+            .expect("generated rows are rectangular");
+        Dataset::new(self.name.clone(), features, labels).expect("labels align with rows")
     }
 
     /// Image-like generation: each class owns a stroke prototype drawn as a
@@ -168,7 +164,7 @@ impl SyntheticSpec {
         &self,
         positives: usize,
         negatives: usize,
-        rows: &mut Vec<Vec<f64>>,
+        values: &mut Vec<f64>,
         labels: &mut Vec<Label>,
         rng: &mut R,
     ) {
@@ -182,11 +178,9 @@ impl SyntheticSpec {
         ] {
             for _ in 0..count {
                 let intensity: f64 = rng.gen_range(0.75..1.0);
-                let row: Vec<f64> = prototype
-                    .iter()
-                    .map(|&p| (p * intensity + noise.sample(rng)).clamp(0.0, 1.0))
-                    .collect();
-                rows.push(row);
+                values.extend(
+                    prototype.iter().map(|&p| (p * intensity + noise.sample(rng)).clamp(0.0, 1.0)),
+                );
                 labels.push(label);
             }
         }
@@ -199,7 +193,7 @@ impl SyntheticSpec {
         &self,
         positives: usize,
         negatives: usize,
-        rows: &mut Vec<Vec<f64>>,
+        values: &mut Vec<f64>,
         labels: &mut Vec<Label>,
         rng: &mut R,
     ) {
@@ -225,12 +219,11 @@ impl SyntheticSpec {
             (negatives, Label::Negative, &mean_neg),
         ] {
             for _ in 0..count {
-                let row: Vec<f64> = means.iter().map(|&m| m + noise.sample(rng)).collect();
-                rows.push(row);
+                values.extend(means.iter().map(|&m| m + noise.sample(rng)));
                 labels.push(label);
             }
         }
-        min_max_normalize_rows(rows);
+        min_max_normalize_columns(values, self.features);
     }
 
     /// Clustered generation: each class is a mixture of axis-aligned
@@ -241,7 +234,7 @@ impl SyntheticSpec {
         &self,
         positives: usize,
         negatives: usize,
-        rows: &mut Vec<Vec<f64>>,
+        values: &mut Vec<f64>,
         labels: &mut Vec<Label>,
         rng: &mut R,
     ) {
@@ -255,19 +248,7 @@ impl SyntheticSpec {
         ] {
             for _ in 0..count {
                 let center = &clusters[rng.gen_range(0..clusters.len())];
-                let mut row = Vec::with_capacity(self.features);
-                // An index loop (not an iterator chain) keeps the RNG call
-                // order explicit, which generated datasets depend on.
-                #[allow(clippy::needless_range_loop)]
-                for feature in 0..self.features {
-                    let value = if feature < informative {
-                        (center[feature] + noise.sample(rng)).clamp(0.0, 1.0)
-                    } else {
-                        rng.gen_range(0.0..1.0)
-                    };
-                    row.push(value);
-                }
-                rows.push(row);
+                push_clustered_row(values, center, self.features, &noise, rng);
                 labels.push(label);
             }
         }
@@ -336,46 +317,28 @@ impl MultiClassSpec {
         let base = self.instances / self.num_classes;
         let remainder = self.instances % self.num_classes;
         let noise = Normal::new(0.0, self.noise_std).expect("valid std");
-        let mut rows = Vec::with_capacity(self.instances);
+        let mut values = Vec::with_capacity(self.instances * self.features);
         let mut labels = Vec::with_capacity(self.instances);
         for (class, clusters) in centers.iter().enumerate() {
             let count = base + usize::from(class < remainder);
             let label = Label::from_index(class).expect("class fits a label");
             for _ in 0..count {
                 let center = &clusters[rng.gen_range(0..clusters.len())];
-                let mut row = Vec::with_capacity(self.features);
-                // An index loop (not an iterator chain) keeps the RNG call
-                // order explicit, which generated datasets depend on.
-                #[allow(clippy::needless_range_loop)]
-                for feature in 0..self.features {
-                    let value = if feature < informative {
-                        (center[feature] + noise.sample(rng)).clamp(0.0, 1.0)
-                    } else {
-                        rng.gen_range(0.0..1.0)
-                    };
-                    row.push(value);
-                }
-                rows.push(row);
+                push_clustered_row(&mut values, center, self.features, &noise, rng);
                 labels.push(label);
             }
         }
 
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        order.shuffle(rng);
-        let mut shuffled_rows = Vec::with_capacity(rows.len());
-        let mut shuffled_labels = Vec::with_capacity(labels.len());
-        for &i in &order {
-            shuffled_rows.push(std::mem::take(&mut rows[i]));
-            shuffled_labels.push(labels[i]);
-        }
-        for label in shuffled_labels.iter_mut() {
+        shuffle_rows(&mut values, &mut labels, self.features, rng);
+        for label in labels.iter_mut() {
             if rng.gen_bool(self.label_noise.clamp(0.0, 1.0)) {
                 *label = label.rotated(self.num_classes);
             }
         }
 
-        let features = DenseMatrix::from_rows(&shuffled_rows).expect("generated rows are rectangular");
-        Dataset::with_classes(self.name.clone(), features, shuffled_labels, self.num_classes)
+        let features = DenseMatrix::from_vec(labels.len(), self.features, values)
+            .expect("generated rows are rectangular");
+        Dataset::with_classes(self.name.clone(), features, labels, self.num_classes)
             .expect("labels align with rows")
     }
 }
@@ -439,21 +402,69 @@ fn sample_cluster_centers<R: Rng + ?Sized>(count: usize, dims: usize, rng: &mut 
         .collect()
 }
 
-/// Min-max normalizes a set of rows column-wise into `[0, 1]`, in place.
-fn min_max_normalize_rows(rows: &mut [Vec<f64>]) {
-    if rows.is_empty() {
-        return;
+/// Appends one clustered row: informative features are `center` plus
+/// Gaussian noise clamped into `[0, 1]`, the rest uniform noise.
+fn push_clustered_row<R: Rng + ?Sized>(
+    values: &mut Vec<f64>,
+    center: &[f64],
+    features: usize,
+    noise: &Normal,
+    rng: &mut R,
+) {
+    // An index loop (not an iterator chain) keeps the RNG call order
+    // explicit, which generated datasets depend on.
+    for feature in 0..features {
+        let value = match center.get(feature) {
+            Some(&mean) => (mean + noise.sample(rng)).clamp(0.0, 1.0),
+            None => rng.gen_range(0.0..1.0),
+        };
+        values.push(value);
     }
-    let cols = rows[0].len();
+}
+
+/// Shuffles the rows of a row-major `values` buffer of `cols` columns,
+/// together with their `labels`, in place. The shuffle draws exactly what
+/// `SliceRandom::shuffle` of the row order draws; row `j` then becomes
+/// the old row `order[j]`, moved one permutation cycle at a time through
+/// a single row of scratch.
+fn shuffle_rows<R: Rng + ?Sized>(values: &mut [f64], labels: &mut [Label], cols: usize, rng: &mut R) {
+    let mut order: Vec<usize> = (0..labels.len()).collect();
+    order.shuffle(rng);
+    let mut scratch = vec![0.0; cols];
+    for start in 0..order.len() {
+        if order[start] == start {
+            continue; // a fixed point, or a cycle already moved
+        }
+        scratch.copy_from_slice(&values[start * cols..(start + 1) * cols]);
+        let label = labels[start];
+        let mut hole = start;
+        loop {
+            let source = order[hole];
+            order[hole] = hole;
+            if source == start {
+                values[hole * cols..(hole + 1) * cols].copy_from_slice(&scratch);
+                labels[hole] = label;
+                break;
+            }
+            values.copy_within(source * cols..(source + 1) * cols, hole * cols);
+            labels[hole] = labels[source];
+            hole = source;
+        }
+    }
+}
+
+/// Min-max normalizes a row-major buffer column-wise into `[0, 1]`, in
+/// place.
+fn min_max_normalize_columns(values: &mut [f64], cols: usize) {
     for col in 0..cols {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
-        for row in rows.iter() {
+        for row in values.chunks_exact(cols) {
             min = min.min(row[col]);
             max = max.max(row[col]);
         }
         let span = max - min;
-        for row in rows.iter_mut() {
+        for row in values.chunks_exact_mut(cols) {
             row[col] = if span > 0.0 { (row[col] - min) / span } else { 0.0 };
         }
     }

@@ -68,7 +68,6 @@ pub fn multiclass_config(num_trees: usize) -> WatermarkConfig {
         tree_params: TreeParams {
             max_depth: Some(10),
             max_leaves: Some(128),
-            ..TreeParams::default()
         },
         adjust_hyperparams: true,
         weight_schedule: WeightSchedule::Multiplicative(3.0),

@@ -150,7 +150,6 @@ impl ExperimentSettings {
                 tree_params: TreeParams {
                     max_depth: Some(10),
                     max_leaves: Some(128),
-                    ..TreeParams::default()
                 },
                 adjust_hyperparams: true,
                 weight_schedule: WeightSchedule::Multiplicative(3.0),

@@ -910,7 +910,9 @@ impl DisputeClient {
         self.stash.remove(&correlation_id);
     }
 
-    /// Builds the retry frame for a `NeedPayload` answer. The first retry inlines exactly the demanded
+    /// Builds the retry frame for a `NeedPayload` answer. Every demand
+    /// must name bodies the docket holds, or the retry fails naming the
+    /// first foreign digest. The first retry inlines exactly the demanded
     /// bodies; the second inlines every body of the docket (which a
     /// correct judge answers from the request alone, whatever its cache
     /// does); a third demand is a protocol violation.
@@ -923,6 +925,11 @@ impl DisputeClient {
             .pending
             .get_mut(&correlation_id)
             .expect("recv_docket verified the ticket is pending");
+        if let Some(digest) = missing.iter().find(|digest| !entry.bodies.contains_key(digest)) {
+            return Err(WatermarkError::ProtocolViolation {
+                detail: format!("judge demanded body {digest}, which this docket does not hold"),
+            });
+        }
         entry.retries += 1;
         if entry.retries >= MAX_NEED_PAYLOAD_RETRIES {
             return Err(WatermarkError::ProtocolViolation {
@@ -932,18 +939,7 @@ impl DisputeClient {
         let inline: Vec<&OwnershipClaim> = if entry.retries >= 2 {
             entry.bodies.values().map(Arc::as_ref).collect()
         } else {
-            missing
-                .iter()
-                .map(|digest| {
-                    entry.bodies.get(digest).map(Arc::as_ref).ok_or_else(|| {
-                        WatermarkError::ProtocolViolation {
-                            detail: format!(
-                                "judge demanded body {digest}, which this docket never referenced"
-                            ),
-                        }
-                    })
-                })
-                .collect::<WatermarkResult<_>>()?
+            missing.iter().map(|digest| entry.bodies[digest].as_ref()).collect()
         };
         Self::encode_with(
             &self.auth,

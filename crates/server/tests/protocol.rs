@@ -21,8 +21,8 @@ use wdte_core::{
 };
 use wdte_data::{Dataset, SyntheticSpec};
 use wdte_server::{
-    ClientAuth, ClientConfig, DisputeClient, JudgeRouter, JudgeServer, RouterConfig, RunningServer,
-    ServerConfig, MAX_REMEMBERED_CLAIMS,
+    ClientAuth, ClientConfig, DisputeClient, DocketOutcome, JudgeRouter, JudgeServer, RouterConfig,
+    RunningServer, ServerConfig, MAX_REMEMBERED_CLAIMS,
 };
 use wdte_trees::{ForestParams, RandomForest};
 
@@ -568,6 +568,70 @@ fn a_demand_for_an_inlined_body_fails_after_one_demand() {
         assert_eq!(client.pending_dockets(), 0);
         drop(client);
         assert_eq!(rogue.join().unwrap(), 1, "surface = {surface}");
+    }
+}
+
+/// A judge that first demands a body the docket holds, then one it never
+/// held: `recv_docket` resends once and then fails naming the foreign
+/// digest, instead of resending everything and blaming inline bodies;
+/// `recv_docket_outcome` hands the second demand back to its caller.
+#[test]
+fn a_demand_for_a_body_the_docket_never_held_names_it() {
+    let (_, held) = plain_fixture(85);
+    let (_, foreign) = plain_fixture(86);
+    let held_digest = PayloadDigest::of_claim(&held);
+    let foreign_digest = PayloadDigest::of_claim(&foreign);
+    for surface in [false, true] {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Leaves the first docket (which uploads `held`) unanswered,
+        // demands `held` for the second (which references it digest-only)
+        // and answers every later frame with a demand for `foreign`.
+        let rogue = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut frames = 0;
+            while let Ok(Some((corr, _request))) =
+                proto::read_message::<Request, _>(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
+            {
+                frames += 1;
+                let digest = match frames {
+                    1 => continue,
+                    2 => held_digest,
+                    _ => foreign_digest,
+                };
+                let demand = Response::NeedPayload {
+                    digests: vec![digest],
+                };
+                if proto::write_message(&mut stream, corr, &demand).is_err() {
+                    break;
+                }
+            }
+            frames
+        });
+
+        let mut client = DisputeClient::connect(addr).unwrap();
+        let docket = [Dispute::new("m", held.clone())];
+        let _upload = client.send_docket(&docket).unwrap();
+        let ticket = client.send_docket(&docket).unwrap();
+        if surface {
+            match client.recv_docket_outcome(ticket).unwrap() {
+                DocketOutcome::NeedPayload(digests) => assert_eq!(digests, vec![foreign_digest]),
+                DocketOutcome::Verdicts(verdicts) => panic!("expected a demand, got {verdicts:?}"),
+            }
+        } else {
+            match client.recv_docket(ticket).map(|_| ()).unwrap_err() {
+                WatermarkError::ProtocolViolation { detail } => assert!(
+                    detail.contains(&foreign_digest.to_string()),
+                    "unexpected detail: {detail}"
+                ),
+                other => panic!("expected a protocol violation, got {other:?}"),
+            }
+        }
+        assert!(!client.is_broken());
+        drop(client);
+        // Two dockets and one resend; no all-inline second resend.
+        assert_eq!(rogue.join().unwrap(), 3, "surface = {surface}");
     }
 }
 

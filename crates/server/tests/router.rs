@@ -416,7 +416,10 @@ fn a_relayed_demand_for_a_body_the_claimant_inlined_is_resent() {
     let by_first = first.resolve_docket(&[Dispute::new("fleet-m0", genuine.clone())]).unwrap();
     let by_second = second.resolve_docket(&[Dispute::new("fleet-m0", forged.clone())]).unwrap();
     // `genuine` is new to `second` and goes inline; `forged` goes by digest.
-    let both = [Dispute::new("fleet-m0", genuine), Dispute::new("fleet-m0", forged)];
+    let both = [
+        Dispute::new("fleet-m0", genuine),
+        Dispute::new("fleet-m0", forged),
+    ];
     let verdicts = second.resolve_docket(&both).unwrap();
     assert_eq!(verdicts, [by_first, by_second].concat());
     assert!(!second.is_broken());

@@ -143,8 +143,7 @@ impl RandomForest {
     /// derived from `rng`, so results are deterministic for a fixed seed
     /// regardless of thread scheduling.
     ///
-    /// All trees share the dataset-level presorted columns (with the
-    /// default [`crate::SplitStrategy::Exact`]), so only the first
+    /// All trees share the dataset-level presorted columns, so only the first
     /// `fit_weighted` call on a dataset pays the `O(d · n log n)` sort;
     /// repeated calls with different weights — the watermark embedding
     /// loop — train from the cache.
@@ -329,7 +328,7 @@ pub fn rng_from_seed(seed: u64) -> SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{FeatureSubset, SplitCriterion, TreeParams};
+    use crate::params::{FeatureSubset, TreeParams};
     use wdte_data::SyntheticSpec;
 
     fn rng() -> SmallRng {
@@ -459,9 +458,8 @@ mod tests {
         let params = ForestParams {
             num_trees: 6,
             tree: TreeParams {
+                max_depth: None,
                 max_leaves: Some(8),
-                criterion: SplitCriterion::Entropy,
-                ..TreeParams::default()
             },
             ..ForestParams::default()
         };

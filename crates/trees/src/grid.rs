@@ -2,7 +2,7 @@
 //! validation (`GridSearch(D_train, m)` in Algorithm 1).
 
 use crate::forest::RandomForest;
-use crate::params::{ForestParams, SplitCriterion, SplitStrategy, TreeParams};
+use crate::params::{ForestParams, TreeParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -16,10 +16,6 @@ pub struct ParamGrid {
     pub max_depths: Vec<Option<usize>>,
     /// Candidate maximum leaf counts (`None` = unlimited).
     pub max_leaves: Vec<Option<usize>>,
-    /// Candidate minimum samples per leaf.
-    pub min_samples_leaf: Vec<usize>,
-    /// Candidate split criteria.
-    pub criteria: Vec<SplitCriterion>,
 }
 
 impl Default for ParamGrid {
@@ -27,8 +23,6 @@ impl Default for ParamGrid {
         Self {
             max_depths: vec![Some(4), Some(8), Some(12), None],
             max_leaves: vec![Some(16), Some(64), None],
-            min_samples_leaf: vec![1],
-            criteria: vec![SplitCriterion::Gini],
         }
     }
 }
@@ -39,40 +33,21 @@ impl ParamGrid {
         Self {
             max_depths: vec![Some(4), Some(8)],
             max_leaves: vec![Some(32), None],
-            min_samples_leaf: vec![1],
-            criteria: vec![SplitCriterion::Gini],
         }
     }
 
-    /// Enumerates every [`TreeParams`] combination in the grid, using the
-    /// default (exact presorted) split strategy.
+    /// Enumerates every [`TreeParams`] combination in the grid, depth-major
+    /// (every leaf budget of the first depth, then of the next).
     pub fn combinations(&self) -> Vec<TreeParams> {
-        self.combinations_with(SplitStrategy::default())
-    }
-
-    /// Enumerates every [`TreeParams`] combination in the grid with the
-    /// given split strategy. The grid does not explore strategies — they
-    /// grow identical trees at different speeds, so the strategy is not a
-    /// tuned hyper-parameter.
-    pub fn combinations_with(&self, strategy: SplitStrategy) -> Vec<TreeParams> {
-        let mut combos = Vec::new();
-        for &max_depth in &self.max_depths {
-            for &max_leaves in &self.max_leaves {
-                for &min_samples_leaf in &self.min_samples_leaf {
-                    for &criterion in &self.criteria {
-                        combos.push(TreeParams {
-                            max_depth,
-                            max_leaves,
-                            min_samples_split: 2,
-                            min_samples_leaf,
-                            criterion,
-                            strategy,
-                        });
-                    }
-                }
-            }
-        }
-        combos
+        self.max_depths
+            .iter()
+            .flat_map(|&max_depth| {
+                self.max_leaves.iter().map(move |&max_leaves| TreeParams {
+                    max_depth,
+                    max_leaves,
+                })
+            })
+            .collect()
     }
 }
 
@@ -154,8 +129,7 @@ impl GridSearch {
                 (train, validation)
             })
             .collect();
-        // Grid points inherit the base split strategy.
-        let combos = self.grid.combinations_with(self.base_params.tree.strategy);
+        let combos = self.grid.combinations();
         // One derived seed per (grid point, fold) pair, drawn before the
         // fan-out in (point-major, fold-minor) order, so results are
         // bit-identical no matter how tasks land on threads — and
@@ -243,12 +217,22 @@ mod tests {
     #[test]
     fn grid_enumerates_all_combinations() {
         let grid = ParamGrid::default();
+        let combos = grid.combinations();
+        assert_eq!(combos.len(), grid.max_depths.len() * grid.max_leaves.len());
+        // Depth-major order, which grid search's evaluation order follows.
+        let pairs: Vec<_> = ParamGrid::small()
+            .combinations()
+            .iter()
+            .map(|combo| (combo.max_depth, combo.max_leaves))
+            .collect();
         assert_eq!(
-            grid.combinations().len(),
-            grid.max_depths.len()
-                * grid.max_leaves.len()
-                * grid.min_samples_leaf.len()
-                * grid.criteria.len()
+            pairs,
+            [
+                (Some(4), Some(32)),
+                (Some(4), None),
+                (Some(8), Some(32)),
+                (Some(8), None)
+            ]
         );
     }
 

@@ -24,8 +24,8 @@ pub mod tree;
 pub use forest::{derive_seeds, rng_from_seed, RandomForest};
 pub use grid::{GridPointResult, GridSearch, GridSearchResult, ParamGrid};
 pub use infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
-pub use params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
-pub use split::{best_split, impurity, Split};
+pub use params::{FeatureSubset, ForestParams, TreeParams};
+pub use split::{best_split, Split};
 pub use tree::{DecisionTree, LeafRegion, Node, TreeStats};
 
 /// Commonly used types, re-exported for `use wdte_trees::prelude::*`.
@@ -33,6 +33,6 @@ pub mod prelude {
     pub use crate::forest::RandomForest;
     pub use crate::grid::{GridSearch, GridSearchResult, ParamGrid};
     pub use crate::infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
-    pub use crate::params::{FeatureSubset, ForestParams, SplitCriterion, SplitStrategy, TreeParams};
+    pub use crate::params::{FeatureSubset, ForestParams, TreeParams};
     pub use crate::tree::{DecisionTree, LeafRegion, Node, TreeStats};
 }

@@ -2,45 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Impurity criterion used to score candidate splits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SplitCriterion {
-    /// Gini impurity (CART default).
-    #[default]
-    Gini,
-    /// Shannon entropy / information gain.
-    Entropy,
-}
-
-/// Algorithm used to search for the best split of a node.
-///
-/// Both strategies find the same exact CART splits; they differ only in
-/// what per-node work costs:
-///
-/// * [`SplitStrategy::Exact`] — presorted CART: per-feature sorted orders
-///   are computed **once per dataset** (`Dataset::presort`), kept
-///   partitioned per node through training, and scanned sequentially from
-///   a column-major buffer. Bit-identical trees to the naive algorithm
-///   with no per-node sorting. This is the default.
-/// * [`SplitStrategy::ExactNaive`] — the reference implementation that
-///   re-sorts a gathered `(value, label, weight)` column for every
-///   feature at every node. Kept as the parity oracle for `Exact` and as
-///   the baseline the training benchmarks compare against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SplitStrategy {
-    /// Presorted exact split search (default).
-    #[default]
-    Exact,
-    /// Naive per-node-sort exact search (reference/baseline).
-    ExactNaive,
-}
-
 /// Structural hyper-parameters of a single decision tree.
 ///
 /// These are the hyper-parameters the paper's grid search tunes and its
 /// `Adjust(H)` heuristic later shrinks: maximum depth and maximum number of
-/// leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// leaves. Everything else about growth is fixed: splits minimize Gini
+/// impurity, a node needs two samples to split and each child receives at
+/// least one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct TreeParams {
     /// Maximum tree depth (root has depth 0); `None` means unlimited.
     pub max_depth: Option<usize>,
@@ -48,27 +17,6 @@ pub struct TreeParams {
     /// is grown best-first (largest impurity decrease first), matching
     /// sklearn's `max_leaf_nodes` behaviour.
     pub max_leaves: Option<usize>,
-    /// Minimum number of samples required to consider splitting a node.
-    pub min_samples_split: usize,
-    /// Minimum number of samples each child of a split must receive.
-    pub min_samples_leaf: usize,
-    /// Impurity criterion.
-    pub criterion: SplitCriterion,
-    /// Split search algorithm (exact presorted by default).
-    pub strategy: SplitStrategy,
-}
-
-impl Default for TreeParams {
-    fn default() -> Self {
-        Self {
-            max_depth: None,
-            max_leaves: None,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            criterion: SplitCriterion::Gini,
-            strategy: SplitStrategy::Exact,
-        }
-    }
 }
 
 impl TreeParams {
@@ -76,19 +24,7 @@ impl TreeParams {
     pub fn with_max_depth(depth: usize) -> Self {
         Self {
             max_depth: Some(depth),
-            ..Self::default()
-        }
-    }
-
-    /// Returns a copy with both structural budgets replaced. This is the
-    /// primitive used by the watermarking hyper-parameter adjustment
-    /// (`Adjust(H)`), which tightens depth and leaf count to
-    /// `mean - std` of the values observed in a standard ensemble.
-    pub fn with_budget(&self, max_depth: Option<usize>, max_leaves: Option<usize>) -> Self {
-        Self {
-            max_depth,
-            max_leaves,
-            ..*self
+            max_leaves: None,
         }
     }
 
@@ -99,7 +35,6 @@ impl TreeParams {
         Self {
             max_depth: self.max_depth.map(|d| d + 2),
             max_leaves: self.max_leaves.map(|l| (l * 2).max(l + 2)),
-            ..*self
         }
     }
 }
@@ -179,25 +114,14 @@ mod tests {
         let params = TreeParams::default();
         assert_eq!(params.max_depth, None);
         assert_eq!(params.max_leaves, None);
-        assert_eq!(params.criterion, SplitCriterion::Gini);
-        assert_eq!(params.min_samples_split, 2);
-    }
-
-    #[test]
-    fn budget_override_keeps_other_fields() {
-        let params = TreeParams {
-            min_samples_leaf: 5,
-            ..TreeParams::default()
-        };
-        let adjusted = params.with_budget(Some(4), Some(9));
-        assert_eq!(adjusted.max_depth, Some(4));
-        assert_eq!(adjusted.max_leaves, Some(9));
-        assert_eq!(adjusted.min_samples_leaf, 5);
     }
 
     #[test]
     fn relaxation_grows_both_budgets() {
-        let params = TreeParams::default().with_budget(Some(3), Some(4));
+        let params = TreeParams {
+            max_depth: Some(3),
+            max_leaves: Some(4),
+        };
         let relaxed = params.relaxed();
         assert_eq!(relaxed.max_depth, Some(5));
         assert_eq!(relaxed.max_leaves, Some(8));

@@ -1,23 +1,25 @@
 //! Weighted best-split search for CART trees.
 //!
-//! [`best_split`] is the *naive reference* search
-//! ([`crate::SplitStrategy::ExactNaive`]): it gathers and re-sorts a
-//! `(value, label, weight)` column for every candidate feature at every
-//! node. The production strategy, presorted exact search, lives in
+//! [`best_split`] is the *naive reference* search behind
+//! [`crate::DecisionTree::fit_weighted_reference`]: it gathers and re-sorts
+//! a `(value, label, weight)` column for every candidate feature at every
+//! node. The production search, presorted and exact, lives in
 //! `crate::splitter` and avoids all per-node sorting; this implementation
 //! is kept as its parity oracle and benchmark baseline.
 //!
 //! Note on the oracle's arithmetic: the gain scoring was refactored to the
 //! algebraically equivalent fused Gini form ([`children_impurity`]) shared
-//! with the production strategy. Scores can differ from the original
+//! with the production search. Scores can differ from the original
 //! seed implementation by rounding ulps, which may flip near-tie argmax
-//! decisions; the parity guarantee is therefore *Exact ≡ ExactNaive as
+//! decisions; the parity guarantee is therefore *presorted ≡ reference as
 //! implemented here* (bit-for-bit, enforced by
 //! `tests/strategy_parity.rs`), with identical split *semantics* to the
 //! seed (same candidate enumeration, thresholds, and zero-gain policy).
+//!
+//! Splits minimize weighted Gini impurity; every child of a split holds at
+//! least one sample.
 
-use crate::params::SplitCriterion;
-use wdte_data::{entropy_of, gini_of, total_of, ClassCounts, DenseMatrix, Label};
+use wdte_data::{gini_of, total_of, ClassCounts, DenseMatrix, Label};
 
 /// A candidate axis-aligned split `x[feature] <= threshold`.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,70 +40,33 @@ pub struct Split {
     pub right_samples: usize,
 }
 
-/// Impurity of weighted class counts under the chosen criterion.
-#[inline]
-pub fn impurity(counts: &ClassCounts, criterion: SplitCriterion) -> f64 {
-    match criterion {
-        SplitCriterion::Gini => counts.gini(),
-        SplitCriterion::Entropy => counts.entropy(),
-    }
-}
-
-/// Weighted impurity of a candidate partition:
-/// `(w_l/T)·I(left) + (w_r/T)·I(right)`.
+/// Weighted Gini impurity of a candidate partition,
+/// `(w_l/T)·gini(left) + (w_r/T)·gini(right)`, over per-class weight
+/// slices (index = class).
 ///
-/// Shared by every split-search implementation so their floating-point
-/// results are bit-identical (the presorted/naive parity guarantee). For
-/// Gini the algebraic identity `(w/T)·gini = 2·pos·neg/(w·T)` cuts the
+/// Shared by both split searches so their floating-point results are
+/// bit-identical (the presorted/reference parity guarantee). For two
+/// classes the algebraic identity `(w/T)·gini = 2·pos·neg/(w·T)` cuts the
 /// division count per evaluated boundary from six to two — and the
 /// `2/T` factor is constant per node, so callers pass it precomputed as
 /// `gini_scale` (see [`gini_scale`]), leaving two pipelinable divisions
-/// in the hottest expression of forest training.
+/// in the hottest expression of forest training. The fused path is taken
+/// exactly when both slices hold two classes.
 ///
 /// Callers must ensure both children have positive total weight.
 #[inline]
-pub fn children_impurity(
-    left: &ClassCounts,
-    right: &ClassCounts,
-    total_weight: f64,
-    gini_scale: f64,
-    criterion: SplitCriterion,
-) -> f64 {
-    children_impurity_parts(left.slice(), right.slice(), total_weight, gini_scale, criterion)
-}
-
-/// [`children_impurity`] over raw per-class weight slices (index = class),
-/// the form the segment splitter's branch-free accumulators produce. The
-/// two-class fused Gini fast path is taken exactly when both slices hold
-/// two classes, so every strategy working at the same class count stays
-/// bit-identical.
-#[inline]
-pub fn children_impurity_parts(
-    left: &[f64],
-    right: &[f64],
-    total_weight: f64,
-    gini_scale: f64,
-    criterion: SplitCriterion,
-) -> f64 {
-    match criterion {
-        SplitCriterion::Gini => {
-            if let ([left_negative, left_positive], [right_negative, right_positive]) = (left, right) {
-                // Fused over the common denominator: one division per boundary
-                // (`p_l·n_l/w_l + p_r·n_r/w_r = (p_l·n_l·w_r + p_r·n_r·w_l)/(w_l·w_r)`).
-                let left_weight = total_of(left);
-                let right_weight = total_of(right);
-                let numerator = left_positive * left_negative * right_weight
-                    + right_positive * right_negative * left_weight;
-                numerator / (left_weight * right_weight) * gini_scale
-            } else {
-                (total_of(left) / total_weight) * gini_of(left)
-                    + (total_of(right) / total_weight) * gini_of(right)
-            }
-        }
-        SplitCriterion::Entropy => {
-            (total_of(left) / total_weight) * entropy_of(left)
-                + (total_of(right) / total_weight) * entropy_of(right)
-        }
+pub fn children_impurity(left: &[f64], right: &[f64], total_weight: f64, gini_scale: f64) -> f64 {
+    if let ([left_negative, left_positive], [right_negative, right_positive]) = (left, right) {
+        // Fused over the common denominator: one division per boundary
+        // (`p_l·n_l/w_l + p_r·n_r/w_r = (p_l·n_l·w_r + p_r·n_r·w_l)/(w_l·w_r)`).
+        let left_weight = total_of(left);
+        let right_weight = total_of(right);
+        let numerator =
+            left_positive * left_negative * right_weight + right_positive * right_negative * left_weight;
+        numerator / (left_weight * right_weight) * gini_scale
+    } else {
+        (total_of(left) / total_weight) * gini_of(left)
+            + (total_of(right) / total_weight) * gini_of(right)
     }
 }
 
@@ -133,27 +98,24 @@ pub fn midpoint_threshold(value: f64, next_value: f64) -> f64 {
 ///
 /// Thresholds are midpoints between consecutive distinct feature values (so
 /// a split always separates at least one sample from the rest). Returns
-/// `None` when no split satisfies the `min_samples_leaf` constraint or no
-/// split has positive gain.
-#[allow(clippy::too_many_arguments)]
+/// `None` for fewer than two samples, a pure node, or when no boundary
+/// separates distinct finite values.
 pub fn best_split(
     features: &DenseMatrix,
     labels: &[Label],
     weights: &[f64],
     indices: &[usize],
     candidate_features: &[usize],
-    criterion: SplitCriterion,
-    min_samples_leaf: usize,
     num_classes: usize,
 ) -> Option<Split> {
-    if indices.len() < 2 * min_samples_leaf.max(1) {
+    if indices.len() < 2 {
         return None;
     }
     let mut parent_counts = ClassCounts::with_classes(num_classes);
     for &i in indices {
         parent_counts.add(labels[i], weights[i]);
     }
-    let parent_impurity = impurity(&parent_counts, criterion);
+    let parent_impurity = parent_counts.gini();
     if parent_impurity <= 0.0 {
         return None; // already pure
     }
@@ -192,18 +154,13 @@ pub fn best_split(
             if !(next_value > value) || !value.is_finite() || !next_value.is_finite() {
                 continue;
             }
-            let left_samples = position + 1;
-            let right_samples = column.len() - left_samples;
-            if left_samples < min_samples_leaf || right_samples < min_samples_leaf {
-                continue;
-            }
             let left_weight = left_counts.total();
             let right_weight = right_counts.total();
             if left_weight <= 0.0 || right_weight <= 0.0 {
                 continue;
             }
             let children =
-                children_impurity(&left_counts, &right_counts, total_weight, scale, criterion);
+                children_impurity(left_counts.slice(), right_counts.slice(), total_weight, scale);
             let gain = parent_impurity - children;
             // Zero-gain splits are still accepted when nothing better
             // exists: an impure node may require a locally useless split
@@ -219,8 +176,8 @@ pub fn best_split(
                     gain,
                     left_counts: left_counts.clone(),
                     right_counts: right_counts.clone(),
-                    left_samples,
-                    right_samples,
+                    left_samples: position + 1,
+                    right_samples: column.len() - position - 1,
                 });
             }
         }
@@ -244,17 +201,8 @@ mod tests {
         let features = matrix(&[vec![0.1], vec![0.2], vec![0.8], vec![0.9]]);
         let labels = [N, N, P, P];
         let weights = [1.0; 4];
-        let split = best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2, 3],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .expect("split exists");
+        let split =
+            best_split(&features, &labels, &weights, &[0, 1, 2, 3], &[0], 2).expect("split exists");
         assert_eq!(split.feature, 0);
         assert!(split.threshold > 0.2 && split.threshold < 0.8);
         assert!(
@@ -272,37 +220,9 @@ mod tests {
         let features = matrix(&[vec![0.5, 0.1], vec![0.9, 0.2], vec![0.4, 0.9], vec![0.8, 0.8]]);
         let labels = [N, N, P, P];
         let weights = [1.0; 4];
-        let split = best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2, 3],
-            &[0, 1],
-            SplitCriterion::Entropy,
-            1,
-            2,
-        )
-        .expect("split exists");
+        let split =
+            best_split(&features, &labels, &weights, &[0, 1, 2, 3], &[0, 1], 2).expect("split exists");
         assert_eq!(split.feature, 1);
-    }
-
-    #[test]
-    fn respects_min_samples_leaf() {
-        let features = matrix(&[vec![0.1], vec![0.5], vec![0.9]]);
-        let labels = [N, P, P];
-        let weights = [1.0; 3];
-        // min_samples_leaf = 2 makes every split position illegal for 3 samples.
-        assert!(best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2],
-            &[0],
-            SplitCriterion::Gini,
-            2,
-            2,
-        )
-        .is_none());
     }
 
     #[test]
@@ -310,17 +230,7 @@ mod tests {
         let features = matrix(&[vec![0.1], vec![0.9]]);
         let labels = [P, P];
         let weights = [1.0; 2];
-        assert!(best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .is_none());
+        assert!(best_split(&features, &labels, &weights, &[0, 1], &[0], 2,).is_none());
     }
 
     #[test]
@@ -328,17 +238,7 @@ mod tests {
         let features = matrix(&[vec![0.5], vec![0.5], vec![0.5], vec![0.5]]);
         let labels = [N, P, N, P];
         let weights = [1.0; 4];
-        assert!(best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2, 3],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .is_none());
+        assert!(best_split(&features, &labels, &weights, &[0, 1, 2, 3], &[0], 2,).is_none());
     }
 
     #[test]
@@ -349,28 +249,8 @@ mod tests {
         let labels = [P, N, N, N];
         let uniform = [1.0, 1.0, 1.0, 1.0];
         let weighted = [50.0, 1.0, 1.0, 1.0];
-        let split_uniform = best_split(
-            &features,
-            &labels,
-            &uniform,
-            &[0, 1, 2, 3],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .unwrap();
-        let split_weighted = best_split(
-            &features,
-            &labels,
-            &weighted,
-            &[0, 1, 2, 3],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .unwrap();
+        let split_uniform = best_split(&features, &labels, &uniform, &[0, 1, 2, 3], &[0], 2).unwrap();
+        let split_weighted = best_split(&features, &labels, &weighted, &[0, 1, 2, 3], &[0], 2).unwrap();
         // Both should cut immediately after the positive sample. The
         // weighted parent is almost pure (the positive holds ~94% of the
         // mass), so its achievable gain is *smaller* than the uniform one,
@@ -386,17 +266,8 @@ mod tests {
         let features = matrix(&[vec![0.1], vec![0.2], vec![f64::NAN], vec![0.9]]);
         let labels = [N, N, P, P];
         let weights = [1.0; 4];
-        let split = best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2, 3],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .expect("finite values still admit a split");
+        let split = best_split(&features, &labels, &weights, &[0, 1, 2, 3], &[0], 2)
+            .expect("finite values still admit a split");
         assert!(split.threshold.is_finite());
         // NaN sorts last (total_cmp), so the only boundaries considered lie
         // between the finite values.
@@ -408,17 +279,7 @@ mod tests {
         let features = matrix(&[vec![f64::NAN], vec![f64::NAN], vec![f64::NAN]]);
         let labels = [N, P, P];
         let weights = [1.0; 3];
-        assert!(best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1, 2],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .is_none());
+        assert!(best_split(&features, &labels, &weights, &[0, 1, 2], &[0], 2,).is_none());
     }
 
     #[test]
@@ -427,16 +288,6 @@ mod tests {
         let labels = [N, N, P, P];
         let weights = [1.0; 4];
         // Only negatives selected: node is pure, no split.
-        assert!(best_split(
-            &features,
-            &labels,
-            &weights,
-            &[0, 1],
-            &[0],
-            SplitCriterion::Gini,
-            1,
-            2,
-        )
-        .is_none());
+        assert!(best_split(&features, &labels, &weights, &[0, 1], &[0], 2,).is_none());
     }
 }

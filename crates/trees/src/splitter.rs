@@ -1,8 +1,8 @@
 //! Presorted exact split search over per-node segments.
 //!
-//! This module implements the production split strategy,
-//! [`crate::SplitStrategy::Exact`]. It avoids the naive search's per-node
-//! sort + gather by working over the **dataset-level presort**
+//! This module implements the production split search behind
+//! [`crate::DecisionTree::fit_weighted`]. It avoids the reference search's
+//! per-node sort + gather by working over the **dataset-level presort**
 //! (`Dataset::presort`) and a reusable [`SplitWorkspace`]: at tree start
 //! the candidate features' sorted `(value, row)` columns are copied from
 //! the shared presort into the workspace. Each tree node owns one
@@ -24,8 +24,7 @@
 //! preallocated scratch buffers and frontier bookkeeping stores plain
 //! index ranges.
 
-use crate::params::SplitCriterion;
-use crate::split::{children_impurity_parts, gini_scale, impurity, midpoint_threshold, Split};
+use crate::split::{children_impurity, gini_scale, midpoint_threshold, Split};
 use wdte_data::{total_of, ClassCounts, Label, Presort};
 
 /// Reusable buffers for segment-based tree construction. One lives per
@@ -68,8 +67,6 @@ pub(crate) struct NodeSplitter<'a> {
     labels: &'a [Label],
     weights: &'a [f64],
     candidates: &'a [usize],
-    criterion: SplitCriterion,
-    min_samples_leaf: usize,
     num_classes: usize,
     n: usize,
     ws: &'a mut SplitWorkspace,
@@ -79,14 +76,11 @@ impl<'a> NodeSplitter<'a> {
     /// Prepares the workspace for a tree over `n` samples, copying the
     /// candidate features' sorted columns out of `presort`, and hands back
     /// the splitter. The root node owns the full segment `[0, n)`.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         presort: &Presort,
         labels: &'a [Label],
         weights: &'a [f64],
         candidates: &'a [usize],
-        criterion: SplitCriterion,
-        min_samples_leaf: usize,
         num_classes: usize,
         ws: &'a mut SplitWorkspace,
     ) -> Self {
@@ -123,8 +117,6 @@ impl<'a> NodeSplitter<'a> {
             labels,
             weights,
             candidates,
-            criterion,
-            min_samples_leaf,
             num_classes: classes,
             n,
             ws,
@@ -151,18 +143,18 @@ impl<'a> NodeSplitter<'a> {
 
     /// Finds the best split of the node owning `[lo, hi)`; mirrors the
     /// acceptance rules of the naive reference search exactly (same
-    /// thresholds, same `min_samples_leaf` handling, same zero-gain
-    /// policy, same feature-order tie-breaking).
+    /// thresholds, same one-sample-per-child rule, same zero-gain policy,
+    /// same feature-order tie-breaking).
     pub(crate) fn best_split(
         &mut self,
         lo: usize,
         hi: usize,
         parent_counts: &ClassCounts,
     ) -> Option<Split> {
-        if hi - lo < 2 * self.min_samples_leaf.max(1) {
+        if hi - lo < 2 {
             return None;
         }
-        let parent_impurity = impurity(parent_counts, self.criterion);
+        let parent_impurity = parent_counts.gini();
         if parent_impurity <= 0.0 {
             return None; // already pure
         }
@@ -173,7 +165,6 @@ impl<'a> NodeSplitter<'a> {
         let n = self.n;
         let len = hi - lo;
         let scale = gini_scale(total_weight);
-        let min1 = self.min_samples_leaf.max(1);
         let parent = parent_counts.slice();
         let ws = &mut *self.ws;
         let mut best: Option<Split> = None;
@@ -200,8 +191,6 @@ impl<'a> NodeSplitter<'a> {
                 parent_impurity,
                 total_weight,
                 scale,
-                criterion: self.criterion,
-                min1,
                 feature,
             };
             if vals[0].is_finite() && vals[len - 1].is_finite() {
@@ -286,8 +275,6 @@ struct ScanArgs<'a> {
     parent_impurity: f64,
     total_weight: f64,
     scale: f64,
-    criterion: SplitCriterion,
-    min1: usize,
     feature: usize,
 }
 
@@ -305,17 +292,8 @@ fn scan_feature_exact<const ALL_FINITE: bool>(
     best_gain: &mut f64,
 ) {
     let len = args.vals.len();
-    let min1 = args.min1;
-    // Boundaries outside [min1 - 1, len - min1) can never satisfy
-    // `min_samples_leaf`; accumulating the prefix separately keeps those
-    // checks out of the hot loop entirely.
-    for position in 0..min1 - 1 {
-        let class = args.cls[position] as usize;
-        let weight = args.wgt[position];
-        left[class] += weight;
-        right[class] -= weight;
-    }
-    for position in min1 - 1..len - min1 {
+    // Every boundary between two samples leaves both children non-empty.
+    for position in 0..len - 1 {
         // Branch-free class accumulation: only the sample's own class cell
         // moves, which is bitwise identical to also adding 0.0 to every
         // other (non-negative) accumulator.
@@ -340,8 +318,7 @@ fn scan_feature_exact<const ALL_FINITE: bool>(
         if left_weight <= 0.0 || right_weight <= 0.0 {
             continue;
         }
-        let children =
-            children_impurity_parts(left, right, args.total_weight, args.scale, args.criterion);
+        let children = children_impurity(left, right, args.total_weight, args.scale);
         let gain = args.parent_impurity - children;
         // Zero-gain splits are accepted when nothing better exists (see
         // the naive search for the rationale: XOR-like patterns and the

@@ -1,10 +1,11 @@
 //! Binary decision trees for classification (CART-style), grown best-first
 //! with support for sample weights, depth limits and leaf-count limits.
 
-use crate::params::{SplitStrategy, TreeParams};
+use crate::params::TreeParams;
 use crate::split::{best_split, Split};
 use crate::splitter::{NodeSplitter, SplitWorkspace};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::borrow::Cow;
 use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label, Presort};
 
 /// A node of a decision tree, stored in an arena (`Vec<Node>`).
@@ -152,64 +153,70 @@ impl DecisionTree {
     /// restriction of the features the tree may split on (the per-tree
     /// feature subset of a random forest without bootstrap).
     ///
-    /// The split search algorithm is selected by `params.strategy`; the
-    /// default presorted [`SplitStrategy::Exact`] reuses the dataset-level
-    /// presort cache, so repeatedly retraining on the same dataset (the
-    /// watermark embedding loop) never re-sorts feature columns.
+    /// Splits are searched over the dataset-level presort cache, so
+    /// repeatedly retraining on the same dataset (the watermark embedding
+    /// loop) never re-sorts feature columns.
     ///
     /// # Panics
-    /// Panics if `weights.len() != dataset.len()` or the dataset is empty.
+    /// Panics if `weights.len() != dataset.len()`, the dataset is empty or
+    /// `allowed_features` is empty.
     pub fn fit_weighted(
         dataset: &Dataset,
         weights: &[f64],
         allowed_features: Option<&[usize]>,
         params: &TreeParams,
     ) -> Self {
-        assert_eq!(weights.len(), dataset.len(), "one weight per sample required");
-        assert!(!dataset.is_empty(), "cannot train a tree on an empty dataset");
-        let all_features: Vec<usize> = (0..dataset.num_features()).collect();
-        let candidate_features: &[usize] = allowed_features.unwrap_or(&all_features);
-        assert!(
-            !candidate_features.is_empty(),
-            "at least one candidate feature required"
-        );
-
-        let labels = dataset.labels();
-        let num_classes = dataset.num_classes();
-        let nodes = match params.strategy {
-            SplitStrategy::ExactNaive => grow_naive(
-                dataset.features(),
-                labels,
+        thread_local! {
+            /// Per-thread workspace reused by every tree trained on this
+            /// thread: all trees of a worker's batch during parallel forest
+            /// training, and — when training runs on a persistent thread
+            /// (serial mode, or a caller looping `fit_weighted` as
+            /// Algorithm 1 does) — every retraining round too, so
+            /// steady-state training performs no per-tree buffer
+            /// allocations.
+            static TREE_WORKSPACE: std::cell::RefCell<SplitWorkspace> =
+                std::cell::RefCell::default();
+        }
+        let candidates = candidate_features(dataset, weights, allowed_features);
+        let nodes = TREE_WORKSPACE.with(|workspace| {
+            grow_segmented(
+                &dataset.presort(),
+                dataset.labels(),
                 weights,
-                candidate_features,
+                &candidates,
                 params,
-                num_classes,
-            ),
-            SplitStrategy::Exact => {
-                thread_local! {
-                    /// Per-thread workspace reused by every tree trained on
-                    /// this thread: all trees of a worker's batch during
-                    /// parallel forest training, and — when training runs on
-                    /// a persistent thread (serial mode, or a caller looping
-                    /// `fit_weighted` as Algorithm 1 does) — every
-                    /// retraining round too, so steady-state training
-                    /// performs no per-tree buffer allocations.
-                    static TREE_WORKSPACE: std::cell::RefCell<SplitWorkspace> =
-                        std::cell::RefCell::default();
-                }
-                TREE_WORKSPACE.with(|workspace| {
-                    grow_segmented(
-                        &dataset.presort(),
-                        labels,
-                        weights,
-                        candidate_features,
-                        params,
-                        num_classes,
-                        &mut workspace.borrow_mut(),
-                    )
-                })
-            }
-        };
+                dataset.num_classes(),
+                &mut workspace.borrow_mut(),
+            )
+        });
+        DecisionTree {
+            nodes,
+            num_features: dataset.num_features(),
+        }
+    }
+
+    /// The parity oracle for [`fit_weighted`](Self::fit_weighted): grows
+    /// the same tree, bit for bit, with the naive reference search, which
+    /// gathers and re-sorts every candidate column at every node. Only the
+    /// parity tests and the training benchmark call it.
+    ///
+    /// # Panics
+    /// Panics exactly where [`fit_weighted`](Self::fit_weighted) does.
+    pub fn fit_weighted_reference(
+        dataset: &Dataset,
+        weights: &[f64],
+        allowed_features: Option<&[usize]>,
+        params: &TreeParams,
+    ) -> Self {
+        let candidates = candidate_features(dataset, weights, allowed_features);
+        let nodes = grow_naive(
+            dataset.features(),
+            dataset.labels(),
+            weights,
+            &candidates,
+            params,
+            dataset.num_classes(),
+        );
         DecisionTree {
             nodes,
             num_features: dataset.num_features(),
@@ -366,6 +373,23 @@ impl DecisionTree {
     }
 }
 
+/// Checks the inputs both growers share and returns the features a tree
+/// may split on: `allowed_features`, or every feature.
+fn candidate_features<'a>(
+    dataset: &Dataset,
+    weights: &[f64],
+    allowed_features: Option<&'a [usize]>,
+) -> Cow<'a, [usize]> {
+    assert_eq!(weights.len(), dataset.len(), "one weight per sample required");
+    assert!(!dataset.is_empty(), "cannot train a tree on an empty dataset");
+    let candidates = match allowed_features {
+        Some(features) => Cow::Borrowed(features),
+        None => Cow::Owned((0..dataset.num_features()).collect()),
+    };
+    assert!(!candidates.is_empty(), "at least one candidate feature required");
+    candidates
+}
+
 /// Axis-aligned region of the input space routed to a single leaf.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LeafRegion {
@@ -380,9 +404,9 @@ pub struct LeafRegion {
 }
 
 /// Grows a tree with the naive reference search
-/// ([`SplitStrategy::ExactNaive`]): per-node index vectors, per-node
-/// column gather + sort. Kept as the parity oracle and benchmark baseline
-/// for the segment-based search.
+/// ([`DecisionTree::fit_weighted_reference`]): per-node index vectors,
+/// per-node column gather + sort. Kept as the parity oracle and benchmark
+/// baseline for the segment-based search.
 fn grow_naive(
     features: &DenseMatrix,
     labels: &[Label],
@@ -436,8 +460,6 @@ fn grow_segmented(
         labels,
         weights,
         candidate_features,
-        params.criterion,
-        params.min_samples_leaf,
         num_classes,
         workspace,
     );
@@ -494,17 +516,14 @@ impl<'a> NaiveBuilder<'a> {
             counts,
         });
 
-        let depth_allows_split = self.params.max_depth.is_none_or(|max| depth < max);
-        let size_allows_split = indices.len() >= self.params.min_samples_split.max(2);
-        if depth_allows_split && size_allows_split {
+        // `best_split` refuses nodes of fewer than two samples.
+        if self.params.max_depth.is_none_or(|max| depth < max) {
             let split = best_split(
                 self.features,
                 self.labels,
                 self.weights,
                 &indices,
                 self.candidate_features,
-                self.params.criterion,
-                self.params.min_samples_leaf,
                 self.num_classes,
             );
             if split.is_some() {
@@ -585,9 +604,8 @@ impl<'a> SegmentBuilder<'a> {
             counts: counts.clone(),
         });
 
-        let depth_allows_split = self.params.max_depth.is_none_or(|max| depth < max);
-        let size_allows_split = hi - lo >= self.params.min_samples_split.max(2);
-        if depth_allows_split && size_allows_split {
+        // `best_split` refuses nodes of fewer than two samples.
+        if self.params.max_depth.is_none_or(|max| depth < max) {
             if let Some(split) = self.splitter.best_split(lo, hi, &counts) {
                 self.frontier.push(SegmentEntry {
                     node_slot: slot,

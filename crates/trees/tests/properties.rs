@@ -29,7 +29,6 @@ proptest! {
         let params = TreeParams {
             max_depth: Some(max_depth),
             max_leaves: Some(max_leaves),
-            ..TreeParams::default()
         };
         let tree = DecisionTree::fit(&dataset, &params);
         prop_assert!(tree.depth() <= max_depth);

@@ -1,18 +1,18 @@
-//! Parity and property tests for the split-search strategies.
+//! Parity and property tests for the presorted tree grower.
 //!
-//! The presorted [`SplitStrategy::Exact`] search must reproduce the naive
-//! reference algorithm ([`SplitStrategy::ExactNaive`]) exactly: same
-//! thresholds, same structure, same predictions — on finite data and on
-//! data holding NaN, ±inf, −0.0 and ties.
+//! [`DecisionTree::fit_weighted`] (presorted split search) must reproduce
+//! the naive reference algorithm, [`DecisionTree::fit_weighted_reference`],
+//! exactly: same thresholds, same structure, same predictions — on finite
+//! data and on data holding NaN, ±inf, −0.0 and ties.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdte_data::{Dataset, DenseMatrix, Label, SyntheticSpec};
-use wdte_trees::{DecisionTree, ForestParams, RandomForest, SplitStrategy, TreeParams};
+use wdte_trees::{DecisionTree, ForestParams, RandomForest, TreeParams};
 
 /// The presorted builder sums weighted counts in the same (ascending row)
-/// order as the naive builder's index lists, so parity is *bit-exact*:
+/// order as the reference builder's index lists, so parity is *bit-exact*:
 /// identical structure, thresholds, labels and leaf counts.
 fn assert_trees_equivalent(exact: &DecisionTree, naive: &DecisionTree) {
     assert_eq!(exact, naive, "presorted tree must equal naive tree bit-for-bit");
@@ -63,14 +63,9 @@ proptest! {
     ) {
         let dataset = dataset_from(rows, &label_bits);
         let weights: Vec<f64> = weight_bumps[..dataset.len()].to_vec();
-        let naive_params = TreeParams {
-            max_depth: Some(max_depth),
-            strategy: SplitStrategy::ExactNaive,
-            ..TreeParams::default()
-        };
-        let exact_params = TreeParams { strategy: SplitStrategy::Exact, ..naive_params };
-        let naive = DecisionTree::fit_weighted(&dataset, &weights, None, &naive_params);
-        let exact = DecisionTree::fit_weighted(&dataset, &weights, None, &exact_params);
+        let params = TreeParams::with_max_depth(max_depth);
+        let naive = DecisionTree::fit_weighted_reference(&dataset, &weights, None, &params);
+        let exact = DecisionTree::fit_weighted(&dataset, &weights, None, &params);
         assert_trees_equivalent(&exact, &naive);
         // Belt and braces: identical predictions on off-training probes.
         let mut rng = SmallRng::seed_from_u64(7);
@@ -81,26 +76,20 @@ proptest! {
         }
     }
 
-    /// Whole forests agree too: the strategy change must not perturb RNG
-    /// consumption (feature subsets) or tree interleaving.
+    /// Whole forests agree too: every tree of a fitted forest equals the
+    /// reference tree grown on that tree's feature subset with unit
+    /// weights, so forest training adds nothing to the tree a subset gets.
     #[test]
     fn presorted_exact_forests_match_the_naive_reference(seed in 0u64..24) {
         let dataset = SyntheticSpec::breast_cancer_like().scaled(0.3)
             .generate(&mut SmallRng::seed_from_u64(seed));
-        let naive_params = ForestParams {
-            num_trees: 5,
-            tree: TreeParams { strategy: SplitStrategy::ExactNaive, ..TreeParams::default() },
-            ..ForestParams::default()
-        };
-        let exact_params = ForestParams {
-            tree: TreeParams { strategy: SplitStrategy::Exact, ..TreeParams::default() },
-            ..naive_params
-        };
-        let naive = RandomForest::fit(&dataset, &naive_params, &mut SmallRng::seed_from_u64(seed + 1000));
-        let exact = RandomForest::fit(&dataset, &exact_params, &mut SmallRng::seed_from_u64(seed + 1000));
-        prop_assert_eq!(exact.feature_subsets(), naive.feature_subsets());
-        for (a, b) in exact.trees().iter().zip(naive.trees()) {
-            assert_trees_equivalent(a, b);
+        let params = ForestParams::with_trees(5);
+        let forest = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(seed + 1000));
+        let weights = vec![1.0; dataset.len()];
+        prop_assert_eq!(forest.trees().len(), forest.feature_subsets().len());
+        for (tree, subset) in forest.trees().iter().zip(forest.feature_subsets()) {
+            let naive = DecisionTree::fit_weighted_reference(&dataset, &weights, Some(subset), &params.tree);
+            assert_trees_equivalent(tree, &naive);
         }
     }
 }
@@ -110,19 +99,20 @@ fn all_strategies_are_deterministic_for_a_fixed_seed() {
     let dataset = SyntheticSpec::breast_cancer_like()
         .scaled(0.4)
         .generate(&mut SmallRng::seed_from_u64(3));
-    for strategy in [SplitStrategy::Exact, SplitStrategy::ExactNaive] {
-        let params = ForestParams {
-            num_trees: 6,
-            tree: TreeParams {
-                strategy,
-                ..TreeParams::default()
-            },
-            ..ForestParams::default()
-        };
-        let a = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(11));
-        let b = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(11));
-        assert_eq!(a, b, "strategy {strategy:?} must be deterministic");
-    }
+    let params = ForestParams::with_trees(6);
+    let a = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(11));
+    let b = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(11));
+    assert_eq!(a, b, "forest training must be deterministic");
+    let weights = vec![1.0; dataset.len()];
+    let reference = |subset: &[usize]| {
+        DecisionTree::fit_weighted_reference(&dataset, &weights, Some(subset), &params.tree)
+    };
+    let subset = &a.feature_subsets()[0];
+    assert_eq!(
+        reference(subset),
+        reference(subset),
+        "the reference must be deterministic"
+    );
 }
 
 #[test]
@@ -131,22 +121,26 @@ fn adjacent_double_values_terminate_and_separate_cleanly() {
     // value, which would send both samples left, desynchronize the
     // partition from the recorded split, and (in a two-value node) grow
     // the same split forever. `midpoint_threshold` falls back to the lower
-    // value; both exact strategies must terminate and classify perfectly.
+    // value; both growers must terminate and classify perfectly.
     let a = 1.0 + f64::EPSILON; // odd mantissa: midpoint rounds up to `b`
     let b = 1.0 + 2.0 * f64::EPSILON;
     let rows = vec![vec![a], vec![b], vec![a], vec![b]];
     let labels = vec![Label::Negative, Label::Positive, Label::Negative, Label::Positive];
     let dataset = Dataset::new("ulp", DenseMatrix::from_rows(&rows).unwrap(), labels).unwrap();
-    for strategy in [SplitStrategy::Exact, SplitStrategy::ExactNaive] {
-        let tree = DecisionTree::fit(
-            &dataset,
-            &TreeParams {
-                strategy,
-                ..TreeParams::default()
-            },
-        );
-        assert_eq!(tree.accuracy(&dataset), 1.0, "{strategy:?}");
-        assert_eq!(tree.num_leaves(), 2, "{strategy:?}");
+    let weights = vec![1.0; dataset.len()];
+    let params = TreeParams::default();
+    for (grower, tree) in [
+        (
+            "presorted",
+            DecisionTree::fit_weighted(&dataset, &weights, None, &params),
+        ),
+        (
+            "reference",
+            DecisionTree::fit_weighted_reference(&dataset, &weights, None, &params),
+        ),
+    ] {
+        assert_eq!(tree.accuracy(&dataset), 1.0, "{grower}");
+        assert_eq!(tree.num_leaves(), 2, "{grower}");
         assert_eq!(tree.predict(&[a]), Label::Negative);
         assert_eq!(tree.predict(&[b]), Label::Positive);
     }
@@ -155,7 +149,7 @@ fn adjacent_double_values_terminate_and_separate_cleanly() {
 #[test]
 fn sample_weights_behave_identically_across_exact_strategies() {
     // The watermark loop's mechanism: a heavily weighted flipped sample
-    // must be memorized — by both exact implementations, identically.
+    // must be memorized — by both growers, identically.
     let dataset = SyntheticSpec::breast_cancer_like()
         .scaled(0.3)
         .generate(&mut SmallRng::seed_from_u64(9));
@@ -163,21 +157,11 @@ fn sample_weights_behave_identically_across_exact_strategies() {
     let mut weights = vec![1.0; flipped.len()];
     weights[0] = 500.0;
     weights[1] = 500.0;
-    for strategy in [SplitStrategy::Exact, SplitStrategy::ExactNaive] {
-        let params = TreeParams {
-            strategy,
-            ..TreeParams::default()
-        };
-        let tree = DecisionTree::fit_weighted(&flipped, &weights, None, &params);
-        assert_eq!(
-            tree.predict(flipped.instance(0)),
-            flipped.label(0),
-            "{strategy:?}"
-        );
-        assert_eq!(
-            tree.predict(flipped.instance(1)),
-            flipped.label(1),
-            "{strategy:?}"
-        );
+    let params = TreeParams::default();
+    let tree = DecisionTree::fit_weighted(&flipped, &weights, None, &params);
+    let reference = DecisionTree::fit_weighted_reference(&flipped, &weights, None, &params);
+    assert_trees_equivalent(&tree, &reference);
+    for i in 0..2 {
+        assert_eq!(tree.predict(flipped.instance(i)), flipped.label(i));
     }
 }
