@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 use wdte_bench::smoke::{self, Fixture, GHOST_MODEL};
-use wdte_core::{HashRing, TenantId, WatermarkError, DEFAULT_BATCH_SHARD_ROWS};
+use wdte_core::{HashRing, TenantId, WatermarkError};
 use wdte_server::{ClientAuth, RouterConfig};
 
 /// Distinct model ids spread across the ring. Eight ids across two or
@@ -60,7 +60,7 @@ fn run_normal(
     let fixture = Fixture::smoke()?;
     let ids = model_ids();
     let docket = fixture.docket(claims, &ids, true);
-    let reference = fixture.service(&ids, DEFAULT_BATCH_SHARD_ROWS)?.resolve_many(&docket);
+    let reference = fixture.service(&ids)?.resolve_many(&docket);
     let tenant = auth.map_or_else(TenantId::anonymous, |a| a.tenant().clone());
     let homes = homes(backends.len(), &tenant)?;
 
@@ -141,7 +141,7 @@ fn run_degraded(
     let fixture = Fixture::smoke()?;
     let ids = model_ids();
     let docket = fixture.docket(claims, &ids, true);
-    let reference = fixture.service(&ids, DEFAULT_BATCH_SHARD_ROWS)?.resolve_many(&docket);
+    let reference = fixture.service(&ids)?.resolve_many(&docket);
     let tenant = auth.map_or_else(TenantId::anonymous, |a| a.tenant().clone());
     let homes = homes(backends.len(), &tenant)?;
 

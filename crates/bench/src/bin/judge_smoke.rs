@@ -19,7 +19,6 @@
 
 use std::process::ExitCode;
 use wdte_bench::smoke::{self, Fixture};
-use wdte_core::DEFAULT_BATCH_SHARD_ROWS;
 use wdte_server::ClientAuth;
 
 const MODEL_ID: &str = "smoke-deployment";
@@ -28,7 +27,7 @@ fn run(addr: &str, claims: usize, auth: Option<ClientAuth>) -> Result<(), String
     let fixture = Fixture::smoke()?;
     let ids = [MODEL_ID.to_string()];
     let docket = fixture.docket(claims, &ids, true);
-    let reference = fixture.service(&ids, DEFAULT_BATCH_SHARD_ROWS)?.resolve_many(&docket);
+    let reference = fixture.service(&ids)?.resolve_many(&docket);
 
     if let Some(auth) = &auth {
         println!("authenticating as tenant `{}`", auth.tenant());

@@ -18,8 +18,7 @@
 //!
 //! ```text
 //! scaling_smoke [--workers 1,2,4] [--claims N] [--samples N]
-//!               [--shard-rows N] [--out PATH]
-//!               [--enforce-speedup X.Y]
+//!               [--out PATH] [--enforce-speedup X.Y]
 //! ```
 //!
 //! The fixture is [`wdte_bench::smoke`]'s with its own seed and heavy
@@ -34,13 +33,12 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use wdte_bench::smoke::{self, Fixture};
-use wdte_core::{Dispute, DisputeService};
+use wdte_core::{Dispute, DisputeService, BATCH_SHARD_ROWS};
 
 struct Args {
     workers: Vec<usize>,
     claims: usize,
     samples: usize,
-    shard_rows: usize,
     out: String,
     enforce_speedup: Option<f64>,
     /// Hidden child mode: measure exactly one pool width and print a
@@ -53,7 +51,6 @@ fn parse_args() -> Result<Args, String> {
         workers: vec![1, 2, 4],
         claims: 48,
         samples: 5,
-        shard_rows: 256,
         out: "target/bench-results/scaling_smoke.json".to_string(),
         enforce_speedup: None,
         bench_one: None,
@@ -83,13 +80,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--samples must be at least 1".into());
                 }
             }
-            "--shard-rows" => {
-                args.shard_rows =
-                    value("--shard-rows")?.parse().map_err(|e| format!("--shard-rows: {e}"))?;
-                if args.shard_rows == 0 {
-                    return Err("--shard-rows must be at least 1".into());
-                }
-            }
             "--out" => args.out = value("--out")?,
             "--enforce-speedup" => {
                 args.enforce_speedup = Some(
@@ -105,8 +95,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: scaling_smoke [--workers 1,2,4] [--claims N] [--samples N] \
-                     [--shard-rows N] [--out PATH] \
-                     [--enforce-speedup X.Y]"
+                     [--out PATH] [--enforce-speedup X.Y]"
                 );
                 std::process::exit(0);
             }
@@ -125,18 +114,15 @@ struct Measurement {
     fingerprint: u64,
 }
 
-/// The fixture at `claims` disputes, served by an in-process judge whose
-/// small shards force a real inner fan-out: each dispute splits into
-/// several batch-shard jobs, the nesting this binary exists to measure.
-/// Its heavy decoy draw makes each claim's verification batch
-/// deployment-sized (thousands of disguised queries).
-fn build_docket(claims: usize, shard_rows: usize) -> Result<(DisputeService, Vec<Dispute>), String> {
+/// The fixture at `claims` disputes, served by an in-process judge. Its
+/// heavy decoy draw makes each claim's verification batch
+/// deployment-sized (thousands of disguised queries), so each dispute
+/// splits into several [`BATCH_SHARD_ROWS`]-row shard jobs: the real
+/// inner fan-out this binary exists to measure.
+fn build_docket(claims: usize) -> Result<(DisputeService, Vec<Dispute>), String> {
     let fixture = Fixture::embed(0x5CA1E, 0.8, Some(8.0))?;
     let ids = ["scaling-deployment".to_string()];
-    Ok((
-        fixture.service(&ids, shard_rows)?,
-        fixture.docket(claims, &ids, false),
-    ))
+    Ok((fixture.service(&ids)?, fixture.docket(claims, &ids, false)))
 }
 
 /// Child mode: size the global pool to exactly `width`, run the fixture,
@@ -146,7 +132,7 @@ fn bench_one(width: usize, args: &Args) -> ExitCode {
         eprintln!("scaling_smoke: could not size the global pool to {width}: {err}");
         return ExitCode::FAILURE;
     }
-    let (service, docket) = match build_docket(args.claims, args.shard_rows) {
+    let (service, docket) = match build_docket(args.claims) {
         Ok(built) => built,
         Err(message) => {
             eprintln!("scaling_smoke: {message}");
@@ -186,8 +172,6 @@ fn measure_width(width: usize, args: &Args) -> Result<Measurement, String> {
         .arg(args.claims.to_string())
         .arg("--samples")
         .arg(args.samples.to_string())
-        .arg("--shard-rows")
-        .arg(args.shard_rows.to_string())
         .output()
         .map_err(|e| format!("spawning the width-{width} child: {e}"))?;
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -227,7 +211,7 @@ fn json_artifact(args: &Args, host_cores: usize, rows: &[Measurement]) -> String
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!("  \"claims\": {},\n", args.claims));
-    json.push_str(&format!("  \"shard_rows\": {},\n", args.shard_rows));
+    json.push_str(&format!("  \"shard_rows\": {BATCH_SHARD_ROWS},\n"));
     json.push_str(&format!("  \"samples_per_width\": {},\n", args.samples));
     json.push_str("  \"pipeline\": \"resolve_many: disputes x batch shards (nested pool jobs)\",\n");
     json.push_str(

@@ -94,13 +94,9 @@ impl Fixture {
             .collect()
     }
 
-    /// An in-process judge holding the model under every id of `ids`,
-    /// splitting verification batches into shards of `shard_rows` rows.
-    pub fn service(&self, ids: &[String], shard_rows: usize) -> Result<DisputeService, String> {
-        let service = DisputeService::builder()
-            .batch_shard_rows(shard_rows)
-            .build()
-            .map_err(|err| err.to_string())?;
+    /// An in-process judge holding the model under every id of `ids`.
+    pub fn service(&self, ids: &[String]) -> Result<DisputeService, String> {
+        let service = DisputeService::builder().build().map_err(|err| err.to_string())?;
         for id in ids {
             service.register(id.clone(), &self.model);
         }
@@ -245,7 +241,7 @@ mod tests {
         let resolve = || {
             let fixture = Fixture::smoke().unwrap();
             let docket = fixture.docket(16, &ids, true);
-            fixture.service(&ids, 256).unwrap().resolve_many(&docket)
+            fixture.service(&ids).unwrap().resolve_many(&docket)
         };
         let verdicts = resolve();
         assert_eq!(verdicts.len(), 16);

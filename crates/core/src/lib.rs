@@ -67,7 +67,7 @@ pub use proto::{
 };
 pub use service::{
     ClaimCache, Dispute, DisputeService, DisputeServiceBuilder, ManifestEntry, ModelManifest,
-    SharedDispute, DEFAULT_BATCH_SHARD_ROWS, DEFAULT_CLAIM_CACHE_BYTES, MODEL_MANIFEST_FILE,
+    SharedDispute, BATCH_SHARD_ROWS, DEFAULT_CLAIM_CACHE_BYTES, MODEL_MANIFEST_FILE,
 };
 pub use signature::Signature;
 pub use tenant::{KeyRing, TenantCounters, TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};

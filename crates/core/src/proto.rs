@@ -100,7 +100,7 @@
 use crate::error::{WatermarkError, WatermarkResult};
 use crate::verify::{OwnershipClaim, VerificationReport};
 use serde::{Deserialize, Serialize};
-use std::io::{Read, Write};
+use std::io::Read;
 use wdte_trees::{Node, RandomForest};
 
 /// Magic bytes opening every protocol frame ("WDTP" = WDTE protocol; the
@@ -759,19 +759,6 @@ pub fn check_header(header: &[u8], max_frame_bytes: usize) -> WatermarkResult<Fr
         tag,
         announced,
     })
-}
-
-/// Writes one message as a frame carrying `correlation_id` to `writer`
-/// (single `write_all`, so a frame is never interleaved when the writer is
-/// shared carefully).
-pub fn write_message<T: Serialize + ?Sized, W: Write>(
-    writer: &mut W,
-    correlation_id: u64,
-    message: &T,
-) -> WatermarkResult<()> {
-    let frame = encode_frame(correlation_id, message)?;
-    writer.write_all(&frame).map_err(io_violation)?;
-    writer.flush().map_err(io_violation)
 }
 
 /// Payload bytes a [`FrameReader`] makes room for before any arrive.

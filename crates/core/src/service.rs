@@ -29,9 +29,8 @@
 //! registry operation has one entry point that names the tenant
 //! (`model_as`, `register_digested_as`, `deregister_as`, …). In-process
 //! callers with no tenant pass [`TenantId::anonymous`]. `register`,
-//! `register_from_file`, `resolve` and `resolve_many` are the trusted
-//! in-process conveniences: they act on the anonymous namespace and
-//! check no quota.
+//! `resolve` and `resolve_many` are the trusted in-process conveniences:
+//! they act on the anonymous namespace and check no quota.
 //!
 //! **Construction** goes through [`DisputeService::builder`], which also
 //! warm-starts the registry from a directory of persisted model artefacts
@@ -40,7 +39,6 @@
 //!
 //! ```rust,ignore
 //! let service = DisputeService::builder()
-//!     .batch_shard_rows(128)
 //!     .max_docket(1024)
 //!     .warm_start_dir("results/models")
 //!     .build()?;
@@ -60,10 +58,10 @@ use std::sync::{Arc, Mutex};
 use wdte_data::{Dataset, Label};
 use wdte_trees::{CompiledForest, Kernel, RandomForest};
 
-/// Default number of verification-batch rows each worker shard handles.
-/// Small enough to spread one large claim across every core, large enough
-/// that the per-shard row copy is negligible next to the tree walks.
-pub const DEFAULT_BATCH_SHARD_ROWS: usize = 256;
+/// Number of verification-batch rows each worker shard handles. Small
+/// enough to spread one large claim across every core, large enough that
+/// the per-shard row copy is negligible next to the tree walks.
+pub const BATCH_SHARD_ROWS: usize = 256;
 
 /// Default byte budget of the digest-keyed claim cache (256 MiB of claim
 /// payload — roughly a few hundred typical claims).
@@ -432,11 +430,10 @@ impl ModelManifest {
     }
 }
 
-/// Configures and builds a [`DisputeService`] — the one construction
-/// path besides [`DisputeService::default`].
+/// Configures and builds a [`DisputeService`] — its one construction
+/// path.
 #[derive(Debug, Clone, Default)]
 pub struct DisputeServiceBuilder {
-    batch_shard_rows: Option<usize>,
     max_docket: Option<usize>,
     warm_start_dirs: Vec<PathBuf>,
     claim_cache_bytes: Option<usize>,
@@ -444,13 +441,6 @@ pub struct DisputeServiceBuilder {
 }
 
 impl DisputeServiceBuilder {
-    /// Sets the verification-batch shard size (rows per worker task;
-    /// clamped to at least 1). Defaults to [`DEFAULT_BATCH_SHARD_ROWS`].
-    pub fn batch_shard_rows(mut self, rows: usize) -> Self {
-        self.batch_shard_rows = Some(rows.max(1));
-        self
-    }
-
     /// Caps the number of disputes one docket may hold, for every tenant
     /// including the anonymous one (`serve_judge --max-docket`).
     /// [`DisputeService::resolve_docket_shared_as`] refuses an oversized
@@ -478,8 +468,7 @@ impl DisputeServiceBuilder {
     /// [`ClaimCache::insert_for`] and the server front end respectively.
     /// Defaults to [`TenantQuotas::default`] (every axis unlimited). The
     /// same quotas apply to every tenant, including the anonymous one;
-    /// the trusted in-process `register` and `register_from_file` check
-    /// none.
+    /// the trusted in-process `register` and warm start check none.
     pub fn tenant_quotas(mut self, quotas: TenantQuotas) -> Self {
         self.tenant_quotas = Some(quotas);
         self
@@ -499,12 +488,14 @@ impl DisputeServiceBuilder {
     /// with the underlying `persist` error if a manifest or artefact is
     /// missing, corrupted, or written by an unsupported format version.
     pub fn build(self) -> WatermarkResult<DisputeService> {
-        let service = DisputeService::with_options(
-            self.batch_shard_rows.unwrap_or(DEFAULT_BATCH_SHARD_ROWS),
-            self.max_docket,
-            self.claim_cache_bytes.unwrap_or(DEFAULT_CLAIM_CACHE_BYTES),
-            self.tenant_quotas.unwrap_or_default(),
-        );
+        let service = DisputeService {
+            registry: Mutex::new(ModelRegistry::default()),
+            claims: ClaimCache::new(self.claim_cache_bytes.unwrap_or(DEFAULT_CLAIM_CACHE_BYTES)),
+            ledger: TenantLedger::new(),
+            compile_count: AtomicUsize::new(0),
+            max_docket: self.max_docket,
+            quotas: self.tenant_quotas.unwrap_or_default(),
+        };
         for dir in &self.warm_start_dirs {
             let manifest = ModelManifest::load_dir(dir)?;
             for entry in &manifest.models {
@@ -604,43 +595,14 @@ pub struct DisputeService {
     claims: ClaimCache,
     ledger: TenantLedger,
     compile_count: AtomicUsize,
-    batch_shard_rows: usize,
     max_docket: Option<usize>,
     quotas: TenantQuotas,
-}
-
-impl Default for DisputeService {
-    fn default() -> Self {
-        Self::with_options(
-            DEFAULT_BATCH_SHARD_ROWS,
-            None,
-            DEFAULT_CLAIM_CACHE_BYTES,
-            TenantQuotas::default(),
-        )
-    }
 }
 
 impl DisputeService {
     /// Starts configuring a service. See [`DisputeServiceBuilder`].
     pub fn builder() -> DisputeServiceBuilder {
         DisputeServiceBuilder::default()
-    }
-
-    fn with_options(
-        batch_shard_rows: usize,
-        max_docket: Option<usize>,
-        claim_cache_bytes: usize,
-        quotas: TenantQuotas,
-    ) -> Self {
-        Self {
-            registry: Mutex::new(ModelRegistry::default()),
-            claims: ClaimCache::new(claim_cache_bytes),
-            ledger: TenantLedger::new(),
-            compile_count: AtomicUsize::new(0),
-            batch_shard_rows,
-            max_docket,
-            quotas,
-        }
     }
 
     fn lock_registry(&self) -> std::sync::MutexGuard<'_, ModelRegistry> {
@@ -690,17 +652,17 @@ impl DisputeService {
     }
 
     /// Registers a model in the anonymous namespace from a persisted
-    /// artefact: either a [`CompiledForest`] (as written by
-    /// `save_model_artifacts` / `persist::save`) or a pointer-tree
-    /// [`RandomForest`], which is then compiled once.
-    pub fn register_from_file(
+    /// artefact (the builder's warm start): either a [`CompiledForest`]
+    /// (as written by `save_model_artifacts` / `persist::save`) or a
+    /// pointer-tree [`RandomForest`], which is then compiled once.
+    fn register_from_file(
         &self,
         model_id: impl Into<String>,
         path: impl AsRef<Path>,
-    ) -> WatermarkResult<Arc<CompiledForest>> {
+    ) -> WatermarkResult<()> {
         let compiled = self.load_artefact(path.as_ref())?;
-        self.publish_model(&TenantId::anonymous(), model_id.into(), Arc::clone(&compiled));
-        Ok(compiled)
+        self.publish_model(&TenantId::anonymous(), model_id.into(), compiled);
+        Ok(())
     }
 
     /// Decodes (and, for pointer-tree artefacts, compiles) a persisted
@@ -833,12 +795,6 @@ impl DisputeService {
         ids
     }
 
-    /// The docket-size cap configured via
-    /// [`DisputeServiceBuilder::max_docket`], if any.
-    pub fn max_docket(&self) -> Option<usize> {
-        self.max_docket
-    }
-
     /// Number of registered models across every namespace.
     pub fn len(&self) -> usize {
         self.lock_registry().models.len()
@@ -909,7 +865,7 @@ impl DisputeService {
         let compiled = self.model_as(tenant, model_id)?;
         let oracle = ShardedOracle {
             compiled: &compiled,
-            shard_rows: self.batch_shard_rows,
+            shard_rows: BATCH_SHARD_ROWS,
             kernel: self.kernel(),
         };
         Ok(verify_ownership(&oracle, claim))
@@ -1150,16 +1106,26 @@ mod tests {
         assert_eq!(service.len(), 1);
     }
 
+    /// Every shard size the kernel can be driven at, including the one
+    /// the service uses, resolves to the one-shot report.
+    const SHARD_SIZES: [usize; 5] = [1, 7, 64, BATCH_SHARD_ROWS, usize::MAX];
+
     #[test]
     fn sharded_batches_match_for_every_shard_size() {
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
         let reference = verify_ownership(&outcome.model, &claim);
-        for shard_rows in [1, 7, 64, DEFAULT_BATCH_SHARD_ROWS, usize::MAX] {
-            let service = DisputeService::builder().batch_shard_rows(shard_rows).build().unwrap();
-            service.register("m", &outcome.model);
+        let service = DisputeService::builder().build().unwrap();
+        let compiled = service.register("m", &outcome.model);
+        assert_eq!(service.resolve("m", &claim).unwrap(), reference);
+        for shard_rows in SHARD_SIZES {
+            let oracle = ShardedOracle {
+                compiled: &compiled,
+                shard_rows,
+                kernel: service.kernel(),
+            };
             assert_eq!(
-                service.resolve("m", &claim).unwrap(),
+                verify_ownership(&oracle, &claim),
                 reference,
                 "shard_rows={shard_rows}"
             );
@@ -1179,12 +1145,18 @@ mod tests {
         let compiled = service.register("m", &outcome.model);
         assert_eq!(service.resolve("m", &claim).unwrap(), reference);
         for kernel in Kernel::ALL {
-            let oracle = ShardedOracle {
-                compiled: &compiled,
-                shard_rows: 7,
-                kernel,
-            };
-            assert_eq!(verify_ownership(&oracle, &claim), reference, "kernel {kernel}");
+            for shard_rows in SHARD_SIZES {
+                let oracle = ShardedOracle {
+                    compiled: &compiled,
+                    shard_rows,
+                    kernel,
+                };
+                assert_eq!(
+                    verify_ownership(&oracle, &claim),
+                    reference,
+                    "kernel {kernel}, shard_rows={shard_rows}"
+                );
+            }
         }
     }
 
@@ -1294,7 +1266,6 @@ mod tests {
         let service = DisputeService::builder().max_docket(2).build().unwrap();
         let anon = TenantId::anonymous();
         service.register("m", &outcome.model);
-        assert_eq!(service.max_docket(), Some(2));
         let (digest, shared) = insert(service.claims(), claim.clone());
         let docket: Vec<SharedDispute> =
             (0..3).map(|_| SharedDispute::new("m", digest, Arc::clone(&shared))).collect();
@@ -1319,27 +1290,7 @@ mod tests {
         assert_eq!(service.resolve_many(&big).len(), 3);
         // 0 means unlimited (the 0-disables convention of serve_judge).
         let uncapped = DisputeService::builder().max_docket(0).build().unwrap();
-        assert_eq!(uncapped.max_docket(), None);
-    }
-
-    /// The builder with explicit options resolves identically to the
-    /// all-defaults service: shard size is a throughput knob, never a
-    /// behaviour knob.
-    #[test]
-    fn builder_shard_size_does_not_change_behaviour() {
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let via_default = DisputeService::default();
-        let via_shards = DisputeService::builder().batch_shard_rows(7).build().unwrap();
-        for service in [&via_default, &via_shards] {
-            service.register("m", &outcome.model);
-            assert!(service.resolve("m", &claim).unwrap().verified);
-            assert_eq!(service.max_docket(), None);
-        }
-        assert_eq!(
-            via_default.resolve("m", &claim).unwrap(),
-            via_shards.resolve("m", &claim).unwrap()
-        );
+        assert!(uncapped.check_docket_size(usize::MAX).is_ok());
     }
 
     #[test]

@@ -430,10 +430,15 @@ pub fn frame_tag(
 
 /// Shared secrets for frame authentication, loaded from a key file with
 /// one `tenant:secret` line per tenant (blank lines and `#` comments are
-/// skipped; the secret is everything after the first `:`, taken as raw
-/// bytes). A judge holding a non-empty key ring refuses unauthenticated
-/// frames; a judge without one ignores auth fields entirely and serves
-/// every connection as the anonymous tenant.
+/// skipped). Each line is trimmed first, so whitespace at either end of
+/// the line is dropped; the secret is then everything after the first
+/// `:`, taken as raw bytes, so a space right after the `:` is part of it
+/// (`bob: hunter2 ` enrolls the 8-byte secret ` hunter2`). A key file
+/// may enroll each tenant once, and never the name `anonymous`, which
+/// would be indistinguishable from the anonymous namespace in stats.
+/// A judge holding a non-empty key ring refuses unauthenticated frames;
+/// a judge without one ignores auth fields entirely and serves every
+/// connection as the anonymous tenant.
 #[derive(Debug, Clone, Default)]
 pub struct KeyRing {
     keys: HashMap<TenantId, Vec<u8>>,
@@ -450,9 +455,11 @@ impl KeyRing {
         self.keys.insert(tenant, secret.into());
     }
 
-    /// Parses key-file text.
+    /// Parses key-file text, refusing a tenant enrolled twice or named
+    /// `anonymous`.
     pub fn parse(text: &str) -> WatermarkResult<Self> {
         let mut ring = Self::new();
+        let mut enrolled_at: HashMap<TenantId, usize> = HashMap::new();
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -469,6 +476,23 @@ impl KeyRing {
             if secret.is_empty() {
                 return Err(WatermarkError::CorruptedArtifact {
                     detail: format!("key file line {}: empty secret", lineno + 1),
+                });
+            }
+            if tenant.as_str() == "anonymous" {
+                return Err(WatermarkError::CorruptedArtifact {
+                    detail: format!(
+                        "key file line {}: tenant `anonymous` would share its stats row \
+                         with the anonymous namespace",
+                        lineno + 1
+                    ),
+                });
+            }
+            if let Some(first) = enrolled_at.insert(tenant.clone(), lineno + 1) {
+                return Err(WatermarkError::CorruptedArtifact {
+                    detail: format!(
+                        "key file lines {first} and {}: tenant `{tenant}` is enrolled twice",
+                        lineno + 1
+                    ),
                 });
             }
             ring.insert(tenant, secret.as_bytes().to_vec());
@@ -925,6 +949,9 @@ mod tests {
         assert_eq!(ring.key(&TenantId::new("alice").unwrap()).unwrap(), b"s3cret");
         // Everything after the first colon is the secret, verbatim.
         assert_eq!(ring.key(&TenantId::new("acme-corp").unwrap()).unwrap(), b"a:b:c");
+        // The line is trimmed before it is split: trailing whitespace is
+        // not part of the secret, but a space after the colon is.
+        assert_eq!(ring.key(&TenantId::new("bob").unwrap()).unwrap(), b" hunter2");
         assert_eq!(
             ring.tenants().iter().map(TenantId::as_str).collect::<Vec<_>>(),
             vec!["acme-corp", "alice", "bob"]
@@ -932,6 +959,33 @@ mod tests {
         assert!(KeyRing::parse("no-colon-here").is_err());
         assert!(KeyRing::parse("alice:").is_err());
         assert!(KeyRing::parse("bad tenant:x").is_err());
+    }
+
+    #[test]
+    fn key_ring_refuses_a_tenant_enrolled_twice() {
+        match KeyRing::parse("alice:one\n# rotate\nbob:two\nalice:three\n").unwrap_err() {
+            WatermarkError::CorruptedArtifact { detail } => {
+                assert!(detail.contains("lines 1 and 4"), "unexpected detail: {detail}");
+                assert!(detail.contains("alice"), "unexpected detail: {detail}");
+            }
+            other => panic!("expected CorruptedArtifact, got {other:?}"),
+        }
+        // In-process enrollment still replaces a tenant's secret.
+        let mut ring = KeyRing::new();
+        ring.insert(TenantId::new("alice").unwrap(), "one");
+        ring.insert(TenantId::new("alice").unwrap(), "two");
+        assert_eq!(ring.key(&TenantId::new("alice").unwrap()).unwrap(), b"two");
+    }
+
+    #[test]
+    fn key_ring_refuses_a_tenant_named_anonymous() {
+        match KeyRing::parse("alice:one\nanonymous:two\n").unwrap_err() {
+            WatermarkError::CorruptedArtifact { detail } => {
+                assert!(detail.contains("line 2"), "unexpected detail: {detail}");
+                assert!(detail.contains("anonymous"), "unexpected detail: {detail}");
+            }
+            other => panic!("expected CorruptedArtifact, got {other:?}"),
+        }
     }
 
     #[test]

@@ -630,7 +630,7 @@ mod tests {
             ),
         ];
         let compiled = CompiledForest::compile(&outcome.model);
-        let service = crate::service::DisputeService::builder().batch_shard_rows(7).build().unwrap();
+        let service = crate::service::DisputeService::builder().build().unwrap();
         service.register("m", &outcome.model);
         for claim in &claims {
             let reference = query_batch_report(&outcome.model, claim);

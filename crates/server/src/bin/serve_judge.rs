@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! serve_judge [--addr 127.0.0.1:7431] [--warm-start DIR]...
-//!             [--port-file PATH] [--max-docket N] [--shard-rows N]
+//!             [--port-file PATH] [--max-docket N]
 //!             [--workers N] [--max-connections N] [--max-pipeline N]
 //!             [--claim-cache-mb N] [--key-file PATH]
 //!             [--quota-models N] [--quota-claim-mb N]
@@ -53,16 +53,18 @@
 //! `(tenant, model id)` across the listed backend judges, dockets are
 //! split into per-backend shards and stitched back in input order, and
 //! a dead backend degrades to bounded sibling retry
-//! (`--retry-siblings`) or typed faults. `--spawn-backends N` launches
-//! N child `serve_judge` processes on ephemeral ports (inheriting
-//! `--workers`, `--warm-start`, `--key-file`, `--max-docket`,
-//! `--shard-rows`, the cache flags and the quota flags, so every backend
-//! replicates the same warm start) and routes across them; the children
-//! are killed when the router exits cleanly.
-//! `--ring-replicas` sets the virtual points per backend and
-//! `--health-interval-secs` the cadence of the TCP health probe. The
-//! same `--key-file` both verifies client frames at the router and
-//! signs the router's requests towards the backends.
+//! (`--retry-siblings`) or typed faults. The backends are started
+//! separately, as ordinary judges. `--ring-replicas` sets the virtual
+//! points per backend and `--health-interval-secs` the cadence of the
+//! TCP health probe. The same `--key-file` both verifies client frames
+//! at the router and signs the router's requests towards the backends.
+//!
+//! A flag the chosen mode would ignore is refused: the judge-only flags
+//! (`--warm-start`, `--max-docket`, `--workers`, `--max-connections`,
+//! `--max-pipeline`, `--claim-cache-mb`, `--quota-*`,
+//! `--stats-interval-secs`) under `--router`, and the router-only flags
+//! (`--backends`, `--ring-replicas`, `--retry-siblings`,
+//! `--health-interval-secs`) without it.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -75,7 +77,6 @@ struct Args {
     warm_start: Vec<String>,
     port_file: Option<String>,
     max_docket: Option<usize>,
-    shard_rows: Option<usize>,
     workers: usize,
     max_connections: usize,
     max_pipeline: Option<usize>,
@@ -86,7 +87,6 @@ struct Args {
     stats_interval_secs: u64,
     router: bool,
     backends: Vec<String>,
-    spawn_backends: usize,
     ring_replicas: usize,
     retry_siblings: usize,
     health_interval_secs: u64,
@@ -98,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         warm_start: Vec::new(),
         port_file: None,
         max_docket: None,
-        shard_rows: None,
         workers: 0,
         max_connections: 64,
         max_pipeline: None,
@@ -109,11 +108,11 @@ fn parse_args() -> Result<Args, String> {
         stats_interval_secs: 60,
         router: false,
         backends: Vec::new(),
-        spawn_backends: 0,
         ring_replicas: RouterConfig::default().ring_replicas,
         retry_siblings: 1,
         health_interval_secs: 1,
     };
+    let mut given = Vec::new();
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
         let mut value = |name: &str| argv.next().ok_or_else(|| format!("{name} needs a value"));
@@ -124,10 +123,6 @@ fn parse_args() -> Result<Args, String> {
             "--max-docket" => {
                 args.max_docket =
                     Some(value("--max-docket")?.parse().map_err(|e| format!("--max-docket: {e}"))?)
-            }
-            "--shard-rows" => {
-                args.shard_rows =
-                    Some(value("--shard-rows")?.parse().map_err(|e| format!("--shard-rows: {e}"))?)
             }
             "--workers" => {
                 args.workers = value("--workers")?.parse().map_err(|e| format!("--workers: {e}"))?
@@ -175,11 +170,6 @@ fn parse_args() -> Result<Args, String> {
             "--backends" => args
                 .backends
                 .extend(value("--backends")?.split(',').map(|s| s.trim().to_string())),
-            "--spawn-backends" => {
-                args.spawn_backends = value("--spawn-backends")?
-                    .parse()
-                    .map_err(|e| format!("--spawn-backends: {e}"))?
-            }
             "--ring-replicas" => {
                 args.ring_replicas =
                     value("--ring-replicas")?.parse().map_err(|e| format!("--ring-replicas: {e}"))?
@@ -197,7 +187,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: serve_judge [--addr HOST:PORT] [--warm-start DIR]... \
-                     [--port-file PATH] [--max-docket N] [--shard-rows N] \
+                     [--port-file PATH] [--max-docket N] \
                      [--workers N (shared pool size; 0 = one per core)] \
                      [--max-connections N (0 = unlimited)] \
                      [--max-pipeline N (in-flight requests per connection; 0 = unbounded)] \
@@ -209,7 +199,6 @@ fn parse_args() -> Result<Args, String> {
                      [--stats-interval-secs N (per-tenant accounting log; 0 = never)] \
                      [--router (serve the fleet router instead of a judge)] \
                      [--backends HOST:PORT,... (router backends, comma-separated)] \
-                     [--spawn-backends N (launch N child judges on ephemeral ports)] \
                      [--ring-replicas N (virtual ring points per backend)] \
                      [--retry-siblings N (failover attempts beyond the home backend)] \
                      [--health-interval-secs N (backend TCP probe cadence)]"
@@ -218,9 +207,40 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
+        given.push(flag);
     }
-    Ok(args)
+    let (ignored, refusal) = if args.router {
+        (JUDGE_FLAGS, "has no effect under --router")
+    } else {
+        (ROUTER_FLAGS, "needs --router")
+    };
+    match given.iter().find(|flag| ignored.contains(&flag.as_str())) {
+        Some(flag) => Err(format!("{flag} {refusal}")),
+        None => Ok(args),
+    }
 }
+
+/// Flags only a judge reads; the router refuses them.
+const JUDGE_FLAGS: &[&str] = &[
+    "--warm-start",
+    "--max-docket",
+    "--workers",
+    "--max-connections",
+    "--max-pipeline",
+    "--claim-cache-mb",
+    "--quota-models",
+    "--quota-claim-mb",
+    "--quota-in-flight",
+    "--stats-interval-secs",
+];
+
+/// Flags only the router reads; a judge refuses them.
+const ROUTER_FLAGS: &[&str] = &[
+    "--backends",
+    "--ring-replicas",
+    "--retry-siblings",
+    "--health-interval-secs",
+];
 
 /// Parses a MiB count into bytes. An overflow is refused: wrapping would
 /// turn a huge budget into 0, which every MiB flag reads as "no limit".
@@ -230,111 +250,15 @@ fn mib_to_bytes(flag: &str, text: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("{flag}: {mb} MiB overflows a byte count"))
 }
 
-/// Launches `count` child `serve_judge` processes on ephemeral ports,
-/// inheriting the service-shaping flags so every backend replicates the
-/// same warm start, and returns their bound addresses (discovered via
-/// per-child `--port-file`s).
-fn spawn_backends(args: &Args, count: usize) -> Result<(Vec<std::process::Child>, Vec<String>), String> {
-    let exe = std::env::current_exe().map_err(|err| format!("cannot locate own binary: {err}"))?;
-    let mut children = Vec::with_capacity(count);
-    let mut port_files = Vec::with_capacity(count);
-    for index in 0..count {
-        let port_file =
-            std::env::temp_dir().join(format!("wdte-fleet-{}-{index}.port", std::process::id()));
-        let _ = std::fs::remove_file(&port_file);
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--addr")
-            .arg("127.0.0.1:0")
-            .arg("--port-file")
-            .arg(&port_file)
-            .arg("--stats-interval-secs")
-            .arg("0")
-            .arg("--workers")
-            .arg(args.workers.to_string());
-        for dir in &args.warm_start {
-            cmd.arg("--warm-start").arg(dir);
-        }
-        if let Some(path) = &args.key_file {
-            cmd.arg("--key-file").arg(path);
-        }
-        if let Some(max) = args.max_docket {
-            cmd.arg("--max-docket").arg(max.to_string());
-        }
-        if let Some(rows) = args.shard_rows {
-            cmd.arg("--shard-rows").arg(rows.to_string());
-        }
-        if let Some(bytes) = args.claim_cache_bytes {
-            cmd.arg("--claim-cache-mb").arg((bytes >> 20).to_string());
-        }
-        if args.quotas.max_models > 0 {
-            cmd.arg("--quota-models").arg(args.quotas.max_models.to_string());
-        }
-        if args.quotas.max_claim_bytes > 0 {
-            cmd.arg("--quota-claim-mb").arg((args.quotas.max_claim_bytes >> 20).to_string());
-        }
-        if args.quotas.max_in_flight > 0 {
-            cmd.arg("--quota-in-flight").arg(args.quotas.max_in_flight.to_string());
-        }
-        match cmd.spawn() {
-            Ok(child) => children.push(child),
-            Err(err) => {
-                for mut child in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(format!("could not spawn backend {index}: {err}"));
-            }
-        }
-        port_files.push(port_file);
-    }
-    // Discover each child's bound address race-free: the child writes the
-    // port file via write-then-rename only after it is listening.
-    let mut backends = Vec::with_capacity(count);
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    for (index, port_file) in port_files.iter().enumerate() {
-        loop {
-            if let Ok(contents) = std::fs::read_to_string(port_file) {
-                backends.push(contents.trim().to_string());
-                let _ = std::fs::remove_file(port_file);
-                break;
-            }
-            let died = children[index].try_wait().map(|status| status.is_some()).unwrap_or(true);
-            if died || std::time::Instant::now() >= deadline {
-                for mut child in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(format!("backend {index} never came up"));
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-    }
-    Ok((children, backends))
-}
-
 /// Serves the fleet router: health-checked consistent-hash routing of
-/// WDTP requests across the configured (or freshly spawned) backends.
+/// WDTP requests across the configured backends.
 fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
-    let mut backends = args.backends.clone();
-    let mut children = Vec::new();
-    if args.spawn_backends > 0 {
-        match spawn_backends(&args, args.spawn_backends) {
-            Ok((spawned, addrs)) => {
-                children = spawned;
-                backends.extend(addrs);
-            }
-            Err(message) => {
-                eprintln!("serve_judge: {message}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if backends.is_empty() {
-        eprintln!("serve_judge: --router needs --backends and/or --spawn-backends");
+    if args.backends.is_empty() {
+        eprintln!("serve_judge: --router needs --backends");
         return ExitCode::FAILURE;
     }
     let mut config = RouterConfig {
-        backends: backends.clone(),
+        backends: args.backends.clone(),
         ring_replicas: args.ring_replicas,
         retry_siblings: args.retry_siblings,
         health_interval: Duration::from_secs(args.health_interval_secs.max(1)),
@@ -348,10 +272,6 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
         Ok(router) => router,
         Err(err) => {
             eprintln!("serve_judge: {err}");
-            for mut child in children {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
             return ExitCode::FAILURE;
         }
     };
@@ -362,7 +282,7 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
     };
     println!(
         "serve_judge router listening on {addr} (backends [{}], protocol v{}, {auth})",
-        backends.join(", "),
+        args.backends.join(", "),
         wdte_core::PROTOCOL_VERSION,
     );
     if let Some(path) = &args.port_file {
@@ -373,12 +293,7 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let result = router.serve();
-    for mut child in children {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    match result {
+    match router.serve() {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("serve_judge: {err}");
@@ -420,14 +335,11 @@ fn main() -> ExitCode {
         None => None,
     };
 
-    if args.router || args.spawn_backends > 0 {
+    if args.router {
         return run_router(args, key_ring);
     }
 
     let mut builder = DisputeService::builder().tenant_quotas(args.quotas);
-    if let Some(rows) = args.shard_rows {
-        builder = builder.batch_shard_rows(rows);
-    }
     if let Some(bytes) = args.claim_cache_bytes {
         // 0 disables the budget (unbounded cache) by the same convention
         // as the other limits.

@@ -39,6 +39,8 @@ use wdte_core::verify::{OwnershipClaim, VerificationReport};
 use wdte_core::{Dispute, TenantId, TenantStatsEntry};
 use wdte_trees::RandomForest;
 
+use crate::server::WRITE_TIMEOUT;
+
 /// Credentials for an authenticated connection: the tenant this client
 /// acts as and the shared secret enrolled for it in the judge's key file.
 /// Every frame the client sends is stamped with the tenant id, a
@@ -105,10 +107,6 @@ pub struct ClientConfig {
     /// Socket read timeout while waiting for a response; `None` waits
     /// forever (a large docket can legitimately take a while).
     pub read_timeout: Option<Duration>,
-    /// Socket write timeout while sending a request.
-    pub write_timeout: Option<Duration>,
-    /// Receiver-side cap on one response frame's payload.
-    pub max_frame_bytes: usize,
     /// Frame-authentication credentials. `None` (the default) sends
     /// anonymous frames, which an open judge accepts and a keyed judge
     /// refuses with `AuthFailed`.
@@ -123,8 +121,6 @@ impl Default for ClientConfig {
             max_retry_backoff: Duration::from_secs(5),
             connect_timeout: Some(Duration::from_secs(5)),
             read_timeout: None,
-            write_timeout: Some(Duration::from_secs(30)),
-            max_frame_bytes: proto::DEFAULT_MAX_FRAME_BYTES,
             auth: None,
         }
     }
@@ -217,7 +213,6 @@ pub enum DocketOutcome {
 pub struct DisputeClient {
     reader: BufReader<TcpStream>,
     addr: String,
-    max_frame_bytes: usize,
     /// Set after any transport-level failure (write error, read
     /// error/timeout, unparseable response frame, unknown correlation
     /// id). Once the stream state is unknown, request/response pairing is
@@ -289,7 +284,7 @@ impl DisputeClient {
                         // precisely to ride out transient conditions.
                         let configured = stream
                             .set_read_timeout(config.read_timeout)
-                            .and_then(|()| stream.set_write_timeout(config.write_timeout));
+                            .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
                         if let Err(err) = configured {
                             last_error = err.to_string();
                             continue;
@@ -298,7 +293,6 @@ impl DisputeClient {
                         return Ok(Self {
                             reader: BufReader::new(stream),
                             addr: display,
-                            max_frame_bytes: config.max_frame_bytes,
                             broken: false,
                             next_correlation: 1,
                             outstanding: HashSet::new(),
@@ -457,7 +451,8 @@ impl DisputeClient {
             return Ok(response);
         }
         loop {
-            let received = proto::read_message::<Response, _>(&mut self.reader, self.max_frame_bytes);
+            let received =
+                proto::read_message::<Response, _>(&mut self.reader, proto::DEFAULT_MAX_FRAME_BYTES);
             let (corr, response) = match received {
                 Ok(Some(pair)) => pair,
                 Ok(None) => {

@@ -66,23 +66,15 @@ pub struct RouterConfig {
     /// keyed backends refuse anonymous frames, so a protocol-level ping
     /// would demote healthy keyed fleets.
     pub health_interval: Duration,
-    /// Receiver-side cap on one frame's payload, applied to both client
-    /// frames and backend responses.
-    pub max_frame_bytes: usize,
     /// Idle deadline on a client connection: a connection with no
     /// request in flight that sends nothing for this long is closed.
     /// `None` keeps idle clients forever.
     pub read_timeout: Option<Duration>,
-    /// Per-frame write deadline towards clients and backends.
-    pub write_timeout: Option<Duration>,
     /// Read deadline on backend responses. `None` (the default) waits as
     /// long as the backend needs — a large docket shard legitimately
     /// takes a while, and a *dead* backend fails the read immediately
     /// rather than timing out.
     pub backend_read_timeout: Option<Duration>,
-    /// Per-attempt TCP connect deadline for backend connections and
-    /// health probes.
-    pub connect_timeout: Duration,
     /// Tenant keys for frame authentication, shared with the backends.
     /// `None` runs an open fleet (anonymous frames end to end); `Some`
     /// verifies every client frame here at the edge and re-signs each
@@ -97,15 +89,16 @@ impl Default for RouterConfig {
             ring_replicas: 64,
             retry_siblings: 1,
             health_interval: Duration::from_secs(1),
-            max_frame_bytes: proto::DEFAULT_MAX_FRAME_BYTES,
             read_timeout: Some(Duration::from_secs(120)),
-            write_timeout: Some(Duration::from_secs(30)),
             backend_read_timeout: None,
-            connect_timeout: Duration::from_secs(1),
             key_ring: None,
         }
     }
 }
+
+/// Per-attempt TCP connect deadline for backend connections and health
+/// probes.
+const BACKEND_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// One backend judge as the router tracks it.
 #[derive(Debug)]
@@ -294,19 +287,15 @@ impl JudgeRouter {
             health_interval: config.health_interval,
             client: ClientConfig {
                 connect_attempts: 1,
-                connect_timeout: Some(config.connect_timeout),
+                connect_timeout: Some(BACKEND_CONNECT_TIMEOUT),
                 read_timeout: config.backend_read_timeout,
-                write_timeout: config.write_timeout,
-                max_frame_bytes: config.max_frame_bytes,
                 ..ClientConfig::default()
             },
             idle: Mutex::default(),
             threads: RouteThreads::default(),
         };
         let front = ServerConfig {
-            max_frame_bytes: config.max_frame_bytes,
             read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             key_ring: config.key_ring,
             ..ServerConfig::default()
         };
@@ -354,8 +343,7 @@ pub type RunningRouter = RunningServer;
 fn health_monitor(shared: &RouterShared, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         for backend in &shared.backends {
-            let timeout = shared.client.connect_timeout.expect("bind sets a connect deadline");
-            let alive = probe(&backend.addr, timeout);
+            let alive = probe(&backend.addr);
             backend.healthy.store(alive, Ordering::Relaxed);
             if stop.load(Ordering::SeqCst) {
                 return;
@@ -376,9 +364,11 @@ fn health_monitor(shared: &RouterShared, stop: &AtomicBool) {
 /// Connect-only liveness probe. Deliberately below the protocol: a keyed
 /// backend refuses anonymous frames, so any frame-level probe would need
 /// tenant credentials the monitor has no business holding.
-fn probe(addr: &str, timeout: Duration) -> bool {
+fn probe(addr: &str) -> bool {
     match addr.to_socket_addrs() {
-        Ok(addrs) => addrs.into_iter().any(|addr| TcpStream::connect_timeout(&addr, timeout).is_ok()),
+        Ok(addrs) => addrs
+            .into_iter()
+            .any(|addr| TcpStream::connect_timeout(&addr, BACKEND_CONNECT_TIMEOUT).is_ok()),
         Err(_) => false,
     }
 }

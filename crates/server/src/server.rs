@@ -108,6 +108,12 @@ mod sys {
 /// last resort.
 const POLL_TICK_MS: i32 = 20;
 
+/// Deadline on writing one frame, towards a client or (from the router)
+/// a backend. A worker delivering to a peer that stops draining its
+/// socket gives up, and closes the connection, after this long, so a
+/// stalled peer cannot pin pool workers indefinitely.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Tuning knobs of a [`JudgeServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -119,18 +125,10 @@ pub struct ServerConfig {
     /// descriptor, not a thread, so unlimited is a reasonable choice on
     /// trusted networks.
     pub max_connections: usize,
-    /// Receiver-side cap on one frame's payload; hostile length prefixes
-    /// beyond it are refused before any allocation.
-    pub max_frame_bytes: usize,
     /// Idle reaping: a connection with no in-flight requests and no bytes
     /// received for this long is closed. `None` keeps idle connections
     /// forever — only sensible on trusted networks.
     pub read_timeout: Option<Duration>,
-    /// Per-response write deadline. A worker delivering a response to a
-    /// peer that stops draining its socket gives up (and closes the
-    /// connection) after this long, so a stalled client cannot pin pool
-    /// workers indefinitely. `None` waits forever.
-    pub write_timeout: Option<Duration>,
     /// Per-connection cap on decoded requests in flight at once. A
     /// connection at the cap stops being polled for reads until a
     /// response completes — pipelining backpressure, so one greedy client
@@ -157,9 +155,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             max_connections: 256,
-            max_frame_bytes: proto::DEFAULT_MAX_FRAME_BYTES,
             read_timeout: Some(Duration::from_secs(120)),
-            write_timeout: Some(Duration::from_secs(30)),
             max_pipeline: 64,
             worker_threads: 0,
             key_ring: None,
@@ -362,7 +358,7 @@ impl<H: Handler> FrontEnd<H> {
                 loop {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            if let Some(conn) = Conn::new(stream, &config) {
+                            if let Some(conn) = Conn::new(stream) {
                                 conns.push(conn);
                             }
                             if config.max_connections != 0 && conns.len() >= config.max_connections {
@@ -497,13 +493,12 @@ impl RunningServer {
 /// replies) and every job carrying one of its responses. The mutex spans
 /// a whole frame so concurrent responses never interleave; the socket is
 /// non-blocking, so a full send buffer parks the writer in
-/// `poll(POLLOUT)` up to the configured deadline instead of forever.
+/// `poll(POLLOUT)` up to [`WRITE_TIMEOUT`] instead of forever.
 #[derive(Debug)]
 struct ConnWriter {
     stream: Mutex<TcpStream>,
     fd: i32,
     dead: AtomicBool,
-    write_timeout: Option<Duration>,
 }
 
 impl ConnWriter {
@@ -526,7 +521,7 @@ impl ConnWriter {
             },
         };
         let mut stream = self.stream.lock().unwrap_or_else(PoisonError::into_inner);
-        let deadline = self.write_timeout.map(|timeout| Instant::now() + timeout);
+        let deadline = Instant::now() + WRITE_TIMEOUT;
         let mut written = 0usize;
         while written < frame.len() {
             match stream.write(&frame[written..]) {
@@ -537,17 +532,12 @@ impl ConnWriter {
                 Ok(n) => written += n,
                 Err(err) if err.kind() == ErrorKind::Interrupted => {}
                 Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                    let wait_ms = match deadline {
-                        Some(deadline) => {
-                            let left = deadline.saturating_duration_since(Instant::now());
-                            if left.is_zero() {
-                                self.dead.store(true, Ordering::Release);
-                                return false;
-                            }
-                            left.as_millis().clamp(1, 1000) as i32
-                        }
-                        None => 1000,
-                    };
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        self.dead.store(true, Ordering::Release);
+                        return false;
+                    }
+                    let wait_ms = left.as_millis().clamp(1, 1000) as i32;
                     if sys::poll_one(self.fd, sys::POLLOUT, wait_ms).is_err() {
                         self.dead.store(true, Ordering::Release);
                         return false;
@@ -595,7 +585,7 @@ struct Conn {
 impl Conn {
     /// Prepares an accepted socket for the event loop; `None` if the
     /// socket died before setup finished.
-    fn new(stream: TcpStream, config: &ServerConfig) -> Option<Self> {
+    fn new(stream: TcpStream) -> Option<Self> {
         stream.set_nonblocking(true).ok()?;
         let _ = stream.set_nodelay(true);
         let write_half = stream.try_clone().ok()?;
@@ -606,9 +596,8 @@ impl Conn {
                 stream: Mutex::new(write_half),
                 fd,
                 dead: AtomicBool::new(false),
-                write_timeout: config.write_timeout,
             }),
-            reader: FrameReader::new(config.max_frame_bytes),
+            reader: FrameReader::new(proto::DEFAULT_MAX_FRAME_BYTES),
             in_flight: Arc::new(AtomicUsize::new(0)),
             read_closed: false,
             last_activity: Instant::now(),

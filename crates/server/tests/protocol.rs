@@ -416,7 +416,10 @@ fn read_error_response(stream: &mut TcpStream) -> (u64, WireFault) {
 
 /// One raw request/response exchange with correlation id `corr`.
 fn exchange(reader: &mut BufReader<TcpStream>, corr: u64, request: &Request) -> (u64, Response) {
-    proto::write_message(reader.get_mut(), corr, request).unwrap();
+    reader
+        .get_mut()
+        .write_all(&proto::encode_frame(corr, request).unwrap())
+        .unwrap();
     proto::read_message(reader, proto::DEFAULT_MAX_FRAME_BYTES)
         .unwrap()
         .expect("server answers")
@@ -500,12 +503,8 @@ fn an_unknown_correlation_id_poisons_the_client() {
                 .unwrap()
                 .unwrap();
         // Answer under a different id than the request carried.
-        proto::write_message(
-            &mut stream,
-            corr ^ 0xDEAD,
-            &Response::Models { model_ids: vec![] },
-        )
-        .unwrap();
+        let stray = Response::Models { model_ids: vec![] };
+        stream.write_all(&proto::encode_frame(corr ^ 0xDEAD, &stray).unwrap()).unwrap();
     });
 
     let mut client = DisputeClient::connect(addr).unwrap();
@@ -542,7 +541,7 @@ fn a_demand_for_an_inlined_body_fails_after_one_demand() {
                 let demand = Response::NeedPayload {
                     digests: vec![digest],
                 };
-                if proto::write_message(&mut stream, corr, &demand).is_err() {
+                if stream.write_all(&proto::encode_frame(corr, &demand).unwrap()).is_err() {
                     break;
                 }
                 demands += 1;
@@ -603,7 +602,7 @@ fn a_demand_for_a_body_the_docket_never_held_names_it() {
                 let demand = Response::NeedPayload {
                     digests: vec![digest],
                 };
-                if proto::write_message(&mut stream, corr, &demand).is_err() {
+                if stream.write_all(&proto::encode_frame(corr, &demand).unwrap()).is_err() {
                     break;
                 }
             }
@@ -795,31 +794,39 @@ fn idle_connections_are_reaped_after_the_read_timeout() {
 
 #[test]
 fn a_transport_error_poisons_the_client_connection() {
-    let (test, outcome) = embedded(74);
-    let claim = claim_for(&outcome, &test);
-    let service = Arc::new(DisputeService::builder().build().unwrap());
-    service.register("m", &outcome.model);
-    let server = start_server(Arc::clone(&service));
+    let (_, claim) = plain_fixture(74);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // A scripted judge answers the first request with a header announcing
+    // one byte more than the client's frame cap, and sends nothing else:
+    // the exchange fails mid-stream (FrameTooLarge on the answer) with the
+    // connection still open.
+    let rogue = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (header, _payload) =
+            proto::read_frame(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES).unwrap().unwrap();
+        let announced = u32::try_from(proto::DEFAULT_MAX_FRAME_BYTES + 1).unwrap();
+        stream
+            .write_all(&raw_anonymous_header(header.correlation_id, announced))
+            .unwrap();
+        // Hold the socket until the client hangs up.
+        while let Ok(Some(_)) = proto::read_frame(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES) {}
+    });
 
-    // A client whose receive cap is far below any real response frame:
-    // the first exchange fails mid-stream (FrameTooLarge on the answer),
-    // leaving the unread response bytes in the socket.
-    let mut client = DisputeClient::connect_with(
-        server.addr(),
-        ClientConfig {
-            max_frame_bytes: 16,
-            ..ClientConfig::default()
-        },
-    )
-    .unwrap();
+    let mut client = DisputeClient::connect(addr).unwrap();
     assert!(!client.is_broken());
-    assert!(matches!(
-        client.resolve("m", &claim).unwrap_err(),
-        WatermarkError::FrameTooLarge { .. }
-    ));
+    match client.resolve("m", &claim).unwrap_err() {
+        WatermarkError::FrameTooLarge { size, max } => {
+            assert_eq!(size, proto::DEFAULT_MAX_FRAME_BYTES as u64 + 1);
+            assert_eq!(max, proto::DEFAULT_MAX_FRAME_BYTES as u64);
+        }
+        other => panic!("expected FrameTooLarge, got {other:?}"),
+    }
 
-    // Without poisoning, a retry would consume the stale response of the
-    // first request and misattribute it. The client refuses instead.
+    // Without poisoning, a retry would read the announced payload as the
+    // answer to the next request and misattribute it. The client refuses
+    // instead.
     assert!(client.is_broken());
     match client.ping().unwrap_err() {
         WatermarkError::ProtocolViolation { detail } => {
@@ -827,11 +834,8 @@ fn a_transport_error_poisons_the_client_connection() {
         }
         other => panic!("expected a poisoned-connection error, got {other:?}"),
     }
-
-    // A fresh connection works fine; the server is unaffected.
-    let mut fresh = DisputeClient::connect(server.addr()).unwrap();
-    assert!(fresh.resolve("m", &claim).unwrap().verified);
-    server.shutdown().unwrap();
+    drop(client);
+    rogue.join().unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -1016,7 +1020,10 @@ fn the_in_flight_quota_sheds_pipelined_load() {
     shed.expect("50 pipelined bursts against a 1-slot quota never overlapped");
 
     // The slot was released: a fresh request is served.
-    proto::write_message(reader.get_mut(), 202, &Request::Ping).unwrap();
+    reader
+        .get_mut()
+        .write_all(&proto::encode_frame(202, &Request::Ping).unwrap())
+        .unwrap();
     let (corr, response): (u64, Response) =
         proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
             .unwrap()
@@ -1198,8 +1205,8 @@ struct Fixture {
 
 impl Fixture {
     /// Serves `service` at `addr` through `front`. A router takes its
-    /// frame cap, timeouts and key ring from `config`; its backend runs
-    /// `config` as given.
+    /// idle timeout and key ring from `config`; its backend runs `config`
+    /// as given.
     fn start_at(front: Front, addr: &str, service: Arc<DisputeService>, config: ServerConfig) -> Self {
         if front == Front::Judge {
             let server = JudgeServer::bind(addr, service, config).expect("bind succeeds").spawn();
@@ -1213,9 +1220,7 @@ impl Fixture {
             .spawn();
         let router = RouterConfig {
             backends: vec![backend.addr().to_string()],
-            max_frame_bytes: config.max_frame_bytes,
             read_timeout: config.read_timeout,
-            write_timeout: config.write_timeout,
             key_ring: config.key_ring,
             ..RouterConfig::default()
         };
@@ -1356,15 +1361,7 @@ mod cases {
 
     pub(crate) fn oversized_length_prefix_is_refused_without_reading_the_payload(front: Front) {
         let service = Arc::new(DisputeService::builder().build().unwrap());
-        let server = Fixture::start_at(
-            front,
-            "127.0.0.1:0",
-            service,
-            ServerConfig {
-                max_frame_bytes: 1024,
-                ..ServerConfig::default()
-            },
-        );
+        let server = start_front(front, service);
         let mut stream = raw_connection(&server);
         stream.write_all(&raw_anonymous_header(77, u32::MAX)).unwrap();
         // No payload is ever sent — the server must answer from the header
@@ -1373,7 +1370,7 @@ mod cases {
             (corr, WireFault::FrameTooLarge { size, max }) => {
                 assert_eq!(corr, 77, "the offending request's id is echoed");
                 assert_eq!(size, u64::from(u32::MAX));
-                assert_eq!(max, 1024);
+                assert_eq!(max, proto::DEFAULT_MAX_FRAME_BYTES as u64);
             }
             (_, other) => panic!("expected a frame-size fault, got {other:?}"),
         }
@@ -1470,7 +1467,10 @@ mod cases {
         let server = keyed_front(front, Arc::new(DisputeService::builder().build().unwrap()), ring);
         let mut reader = BufReader::new(raw_connection(&server));
 
-        proto::write_message(reader.get_mut(), 1, &Request::Ping).unwrap();
+        reader
+            .get_mut()
+            .write_all(&proto::encode_frame(1, &Request::Ping).unwrap())
+            .unwrap();
         let (corr, response): (u64, Response) =
             proto::read_message(&mut reader, proto::DEFAULT_MAX_FRAME_BYTES)
                 .unwrap()

@@ -21,6 +21,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 use std::sync::Arc;
+use wdte::core::BATCH_SHARD_ROWS;
 use wdte::prelude::*;
 
 fn fixture() -> (wdte::data::Dataset, wdte::data::Dataset, Signature, Watermarker) {
@@ -35,6 +36,29 @@ fn fixture() -> (wdte::data::Dataset, wdte::data::Dataset, Signature, Watermarke
         ..WatermarkConfig::fast()
     });
     (train, test, signature, watermarker)
+}
+
+/// A claim whose verification batch spans more than two
+/// [`BATCH_SHARD_ROWS`]-row shards, so resolving it really splits one
+/// claim across several pool tasks: the test set is repeated until the
+/// batch (trigger set plus test set) is that large.
+fn sharded_claim(
+    signature: Signature,
+    trigger_set: wdte::data::Dataset,
+    test: &wdte::data::Dataset,
+) -> OwnershipClaim {
+    let mut decoys = test.clone();
+    while trigger_set.len() + decoys.len() <= 2 * BATCH_SHARD_ROWS {
+        decoys = decoys.concat(test).unwrap();
+    }
+    let claim = OwnershipClaim::new(signature, trigger_set, decoys);
+    let (batch, _) = claim.verification_batch(&mut SmallRng::seed_from_u64(0));
+    assert!(
+        batch.len() > 2 * BATCH_SHARD_ROWS,
+        "a {}-row batch does not split into nested shards",
+        batch.len()
+    );
+    claim
 }
 
 #[test]
@@ -54,11 +78,10 @@ fn fixed_seed_embedding_is_identical_with_one_worker_and_many() {
 fn fixed_seed_resolution_is_identical_with_one_worker_and_many() {
     let (train, test, signature, watermarker) = fixture();
     let outcome = watermarker.embed(&train, &signature, &mut SmallRng::seed_from_u64(94)).unwrap();
-    let claim = OwnershipClaim::new(signature, outcome.trigger_set.clone(), test);
+    let claim = sharded_claim(signature, outcome.trigger_set.clone(), &test);
     let disputes: Vec<Dispute> = (0..6).map(|_| Dispute::new("m", claim.clone())).collect();
 
-    // Tiny shard size so a single claim really is split across many tasks.
-    let service = DisputeService::builder().batch_shard_rows(8).build().unwrap();
+    let service = DisputeService::builder().build().unwrap();
     service.register("m", &outcome.model);
     let parallel = service.resolve_many(&disputes);
     let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
@@ -170,13 +193,9 @@ fn embed_resolve_and_grid_are_bit_identical_across_1_2_4_8_workers() {
     let reference_outcome = serial
         .install(|| watermarker.embed(&train, &signature, &mut SmallRng::seed_from_u64(98)))
         .unwrap();
-    let claim = OwnershipClaim::new(
-        signature.clone(),
-        reference_outcome.trigger_set.clone(),
-        test.clone(),
-    );
+    let claim = sharded_claim(signature.clone(), reference_outcome.trigger_set.clone(), &test);
     let disputes: Vec<Dispute> = (0..5).map(|_| Dispute::new("m", claim.clone())).collect();
-    let service = DisputeService::builder().batch_shard_rows(8).build().unwrap();
+    let service = DisputeService::builder().build().unwrap();
     service.register("m", &reference_outcome.model);
     let reference_verdicts = serial.install(|| service.resolve_many(&disputes));
 
@@ -226,8 +245,8 @@ fn nested_docket_resolution_composes_three_levels_deep() {
     let outcome = watermarker
         .embed(&train, &signature, &mut SmallRng::seed_from_u64(101))
         .unwrap();
-    let claim = OwnershipClaim::new(signature, outcome.trigger_set.clone(), test);
-    let service = DisputeService::builder().batch_shard_rows(8).build().unwrap();
+    let claim = sharded_claim(signature, outcome.trigger_set.clone(), &test);
+    let service = DisputeService::builder().build().unwrap();
     service.register("m", &outcome.model);
     let docket: Vec<Dispute> = (0..4).map(|_| Dispute::new("m", claim.clone())).collect();
     let reference = ThreadPoolBuilder::new()
@@ -260,8 +279,8 @@ fn pool_churn_and_reuse_stays_deterministic() {
     let outcome = watermarker
         .embed(&train, &signature, &mut SmallRng::seed_from_u64(102))
         .unwrap();
-    let claim = OwnershipClaim::new(signature, outcome.trigger_set.clone(), test);
-    let service = Arc::new(DisputeService::builder().batch_shard_rows(16).build().unwrap());
+    let claim = sharded_claim(signature, outcome.trigger_set.clone(), &test);
+    let service = Arc::new(DisputeService::builder().build().unwrap());
     service.register("m", &outcome.model);
     let reference = service.resolve("m", &claim).unwrap();
 
