@@ -30,9 +30,10 @@ fn bench_forgery(c: &mut Criterion) {
                     let mut forged = 0usize;
                     for i in 0..10.min(test.len()) {
                         let reference = test.instance(i);
-                        let query = ForgeryQuery::from_signature_bits(
+                        let query = ForgeryQuery::from_signature_bits_k(
                             fake.bits(),
                             test.label(i),
+                            outcome.model.num_classes(),
                             Some((reference, epsilon)),
                         );
                         if solver.solve(&index, &query).is_forged() {

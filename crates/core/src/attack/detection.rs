@@ -11,32 +11,14 @@
 //!    *uncertain*.
 //! 2. **Sharp mean threshold** — trees at or below the mean are guessed as
 //!    bit 0, the rest as bit 1 (no uncertainty).
+//!
+//! The scan reads the pointer-tree [`RandomForest`], the form in which a
+//! model is released and persisted.
 
 use crate::signature::Signature;
 use serde::{Deserialize, Serialize};
 use wdte_data::mean_std;
-use wdte_trees::{CompiledForest, RandomForest, TreeStats};
-
-/// White-box access to the structural quantities the detection attacker
-/// inspects. Implemented both for the pointer-tree [`RandomForest`] and
-/// for [`CompiledForest`], so a detection scan can run directly against a
-/// compiled artefact loaded from disk.
-pub trait StructureOracle {
-    /// Structural statistics of every tree, in tree order.
-    fn tree_stats(&self) -> Vec<TreeStats>;
-}
-
-impl StructureOracle for RandomForest {
-    fn tree_stats(&self) -> Vec<TreeStats> {
-        RandomForest::tree_stats(self)
-    }
-}
-
-impl StructureOracle for CompiledForest {
-    fn tree_stats(&self) -> Vec<TreeStats> {
-        CompiledForest::tree_stats(self)
-    }
-}
+use wdte_trees::RandomForest;
 
 /// Which structural quantity the attacker inspects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -116,7 +98,7 @@ impl DetectionReport {
 }
 
 /// Extracts the inspected structural quantity for every tree.
-pub fn structural_values<M: StructureOracle + ?Sized>(model: &M, feature: DetectionFeature) -> Vec<f64> {
+pub fn structural_values(model: &RandomForest, feature: DetectionFeature) -> Vec<f64> {
     model
         .tree_stats()
         .iter()
@@ -128,8 +110,8 @@ pub fn structural_values<M: StructureOracle + ?Sized>(model: &M, feature: Detect
 }
 
 /// Runs a detection attack, producing per-tree bit guesses.
-pub fn detect_signature<M: StructureOracle + ?Sized>(
-    model: &M,
+pub fn detect_signature(
+    model: &RandomForest,
     feature: DetectionFeature,
     strategy: DetectionStrategy,
 ) -> DetectionGuess {
@@ -160,8 +142,8 @@ pub fn detect_signature<M: StructureOracle + ?Sized>(
 }
 
 /// Runs a detection attack and scores it against the true signature.
-pub fn evaluate_detection<M: StructureOracle + ?Sized>(
-    model: &M,
+pub fn evaluate_detection(
+    model: &RandomForest,
     signature: &Signature,
     feature: DetectionFeature,
     strategy: DetectionStrategy,
@@ -283,20 +265,6 @@ mod tests {
             // With zero variance nothing is strictly below mean-std or above
             // mean+std, so every tree is uncertain.
             assert!(guess.guesses.iter().all(|g| g.is_none()));
-        }
-    }
-
-    #[test]
-    fn detection_on_a_compiled_artefact_matches_the_pointer_model() {
-        let (forest, signature) = forest_with_mixed_sizes();
-        let compiled = wdte_trees::CompiledForest::compile(&forest);
-        for feature in [DetectionFeature::Depth, DetectionFeature::Leaves] {
-            for strategy in [DetectionStrategy::MeanStdBands, DetectionStrategy::MeanThreshold] {
-                assert_eq!(
-                    evaluate_detection(&compiled, &signature, feature, strategy),
-                    evaluate_detection(&forest, &signature, feature, strategy),
-                );
-            }
         }
     }
 

@@ -134,6 +134,7 @@ pub fn forge_trigger_set_compiled(
     );
     let limit = config.max_instances.unwrap_or(test_set.len()).min(test_set.len());
     let solver = ForgerySolver::new(config.solver);
+    let num_classes = compiled.num_classes();
 
     // Each test instance is an independent satisfiability query; solving
     // them in parallel matches how the experiments batch Z3 calls.
@@ -142,9 +143,10 @@ pub fn forge_trigger_set_compiled(
         .map(|index| {
             let instance = test_set.instance(index);
             let label = test_set.label(index);
-            let query = ForgeryQuery::from_signature_bits(
+            let query = ForgeryQuery::from_signature_bits_k(
                 fake_signature.bits(),
                 label,
+                num_classes,
                 Some((instance, config.epsilon)),
             );
             match solver.solve(leaf_index, &query) {
@@ -189,16 +191,14 @@ pub fn forge_trigger_set_compiled(
         let rows: Vec<Vec<f64>> = candidates.iter().map(|f| f.instance.clone()).collect();
         let matrix = DenseMatrix::from_rows(&rows).expect("forged instances share dimensionality");
         let batch = compiled.predict_all_batch(&matrix);
-        let required_for = |label: Label| -> Vec<Label> {
-            (0..fake_signature.len())
-                .map(|tree| fake_signature.required_prediction(tree, label))
-                .collect()
-        };
-        let required = [required_for(Label::Negative), required_for(Label::Positive)];
         candidates
             .into_iter()
             .enumerate()
-            .filter(|(index, f)| batch.sample(*index) == required[f.label.index()].as_slice())
+            .filter(|(index, f)| {
+                batch.sample(*index).iter().enumerate().all(|(tree, &vote)| {
+                    vote == fake_signature.required_prediction_k(tree, f.label, num_classes)
+                })
+            })
             .map(|(_, f)| f)
             .collect()
     };
@@ -245,8 +245,9 @@ mod tests {
     use crate::watermark::Watermarker;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
-    use wdte_data::SyntheticSpec;
+    use wdte_data::{MultiClassSpec, SyntheticSpec};
     use wdte_solver::satisfies_pattern;
+    use wdte_trees::ForestParams;
 
     fn watermarked_setup() -> (RandomForest, Dataset) {
         let dataset = SyntheticSpec::breast_cancer_like()
@@ -280,7 +281,7 @@ mod tests {
         for forged in &result.forged {
             assert!(forged.distortion <= config.epsilon + 1e-9);
             let required: Vec<Label> = (0..model.num_trees())
-                .map(|i| fake.required_prediction(i, forged.label))
+                .map(|i| fake.required_prediction_k(i, forged.label, 2))
                 .collect();
             assert!(satisfies_pattern(&model, &forged.instance, &required));
             for &value in &forged.instance {
@@ -289,6 +290,32 @@ mod tests {
                     "forged values must stay in the data domain"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn forged_rows_of_a_three_class_model_follow_the_rotated_pattern() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let dataset = MultiClassSpec::k_class(3).generate(&mut rng);
+        let (train, test) = dataset.split_stratified(0.75, &mut rng);
+        let model = RandomForest::fit(&train, &ForestParams::with_trees(8), &mut rng);
+        let fake = Signature::random(8, 0.5, &mut rng);
+        let config = ForgeryAttackConfig {
+            epsilon: 1.0,
+            max_instances: Some(60),
+            solver: SolverConfig::fast(),
+            ..ForgeryAttackConfig::default()
+        };
+        let result = forge_trigger_set(&model, &LeafIndex::new(&model), &test, &fake, &config);
+        assert!(
+            result.forged.iter().any(|forged| forged.label.index() == 2),
+            "the sweep must forge a class-2 row"
+        );
+        for forged in &result.forged {
+            let required: Vec<Label> = (0..model.num_trees())
+                .map(|i| fake.required_prediction_k(i, forged.label, 3))
+                .collect();
+            assert!(satisfies_pattern(&model, &forged.instance, &required));
         }
     }
 

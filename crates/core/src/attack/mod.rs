@@ -7,7 +7,7 @@ pub mod suppression;
 
 pub use detection::{
     detect_signature, evaluate_detection, structural_values, DetectionFeature, DetectionGuess,
-    DetectionReport, DetectionStrategy, StructureOracle,
+    DetectionReport, DetectionStrategy,
 };
 pub use forgery::{
     forge_trigger_set, forge_trigger_set_compiled, mean_forged_size, run_forgery_attack, ForgedInstance,

@@ -58,10 +58,6 @@ pub struct WatermarkConfig {
     /// Tree parameters used when no grid is given; a grid point sets both
     /// budgets itself.
     pub tree_params: TreeParams,
-    /// Whether to run the paper's `Adjust(H)` heuristic, shrinking the
-    /// depth/leaf budget to `mean - std` of a standard ensemble so the
-    /// `T0`/`T1` trees look alike.
-    pub adjust_hyperparams: bool,
     /// Weight growth schedule of the trigger-forcing loop.
     pub weight_schedule: WeightSchedule,
     /// Maximum number of retraining rounds per sub-ensemble.
@@ -85,7 +81,6 @@ impl Default for WatermarkConfig {
             grid: Some(ParamGrid::default()),
             grid_folds: 3,
             tree_params: TreeParams::default(),
-            adjust_hyperparams: true,
             weight_schedule: WeightSchedule::Additive(1.0),
             max_weight_rounds: 60,
             relax_after: 20,
@@ -115,7 +110,6 @@ impl WatermarkConfig {
                 max_depth: Some(8),
                 max_leaves: Some(64),
             },
-            adjust_hyperparams: true,
             weight_schedule: WeightSchedule::Multiplicative(3.0),
             max_weight_rounds: 25,
             relax_after: 8,
@@ -156,7 +150,6 @@ mod tests {
         assert_eq!(config.num_trees, 90);
         assert!((config.trigger_fraction - 0.02).abs() < 1e-12);
         assert!(config.grid.is_some());
-        assert!(config.adjust_hyperparams);
         assert!(matches!(config.weight_schedule, WeightSchedule::Additive(step) if step == 1.0));
     }
 

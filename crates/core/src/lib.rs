@@ -55,8 +55,8 @@ pub mod watermark;
 pub use attack::{
     detect_signature, evaluate_detection, evaluate_suppression, forge_trigger_set,
     forge_trigger_set_compiled, run_forgery_attack, DetectionFeature, DetectionReport,
-    DetectionStrategy, ForgedInstance, ForgeryAttackConfig, ForgeryAttackResult, StructureOracle,
-    SuppressionReport, SuppressionScore,
+    DetectionStrategy, ForgedInstance, ForgeryAttackConfig, ForgeryAttackResult, SuppressionReport,
+    SuppressionScore,
 };
 pub use config::{WatermarkConfig, WeightSchedule, MAX_TRIGGER_WEIGHT};
 pub use error::{WatermarkError, WatermarkResult};

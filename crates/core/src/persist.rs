@@ -1,7 +1,9 @@
 //! Versioned on-disk persistence for every artefact an ownership dispute
-//! needs: models ([`RandomForest`](wdte_trees::RandomForest) /
-//! [`CompiledForest`](wdte_trees::CompiledForest)), [`Signature`](crate::Signature)s,
-//! trigger sets and full [`OwnershipClaim`](crate::OwnershipClaim)s.
+//! needs: models ([`RandomForest`](wdte_trees::RandomForest)),
+//! [`Signature`](crate::Signature)s, trigger sets and full
+//! [`OwnershipClaim`](crate::OwnershipClaim)s. A
+//! [`CompiledForest`](wdte_trees::CompiledForest) is never persisted; it
+//! is compiled from a loaded model.
 //!
 //! The paper's deployment story is train-once / verify-many: the owner
 //! releases a serialized model, and later a judge resolves a dispute from

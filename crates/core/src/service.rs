@@ -33,9 +33,11 @@
 //! they act on the anonymous namespace and check no quota.
 //!
 //! **Construction** goes through [`DisputeService::builder`], which also
-//! warm-starts the registry from a directory of persisted model artefacts
-//! (a [`ModelManifest`] written by the `table2` experiment), so a judge
-//! process boots from disk alone:
+//! warm-starts the registry from a directory of persisted models (a
+//! [`ModelManifest`] written by the `table2` experiment), so a judge
+//! process boots from disk alone. Each file is a persisted
+//! [`RandomForest`], compiled once at boot; a compiled forest is never
+//! read from disk:
 //!
 //! ```rust,ignore
 //! let service = DisputeService::builder()
@@ -409,8 +411,10 @@ pub struct ModelManifest {
 pub struct ManifestEntry {
     /// Registry id the model is served under.
     pub model_id: String,
-    /// Artefact file name, relative to the manifest's directory. Either a
-    /// persisted pointer-tree [`RandomForest`] or a [`CompiledForest`].
+    /// Artefact file name, relative to the manifest's directory: a
+    /// persisted pointer-tree [`RandomForest`], compiled at boot. Any other
+    /// payload, a compiled forest included, is refused with the model
+    /// decoder's [`WatermarkError::CorruptedArtifact`].
     pub file: String,
 }
 
@@ -486,7 +490,8 @@ impl DisputeServiceBuilder {
 
     /// Builds the service, registering every warm-start artefact. Fails
     /// with the underlying `persist` error if a manifest or artefact is
-    /// missing, corrupted, or written by an unsupported format version.
+    /// missing, corrupted, or written by an unsupported format version; an
+    /// artefact's error names its entry's model id and file.
     pub fn build(self) -> WatermarkResult<DisputeService> {
         let service = DisputeService {
             registry: Mutex::new(ModelRegistry::default()),
@@ -499,10 +504,33 @@ impl DisputeServiceBuilder {
         for dir in &self.warm_start_dirs {
             let manifest = ModelManifest::load_dir(dir)?;
             for entry in &manifest.models {
-                service.register_from_file(entry.model_id.clone(), dir.join(&entry.file))?;
+                let path = dir.join(&entry.file);
+                service
+                    .register_from_file(entry.model_id.clone(), &path)
+                    .map_err(|err| name_entry(err, &entry.model_id, &path))?;
             }
         }
         Ok(service)
+    }
+}
+
+/// Names the manifest entry a warm-start failure came from, keeping the
+/// error's type: an I/O error already carries the path, so it gains the
+/// model id; a decode error gains both.
+fn name_entry(err: WatermarkError, model_id: &str, path: &Path) -> WatermarkError {
+    let entry = format!("model `{model_id}` from `{}`", path.display());
+    match err {
+        WatermarkError::Io { path, message } => WatermarkError::Io {
+            path,
+            message: format!("model `{model_id}`: {message}"),
+        },
+        WatermarkError::CorruptedArtifact { detail } => WatermarkError::CorruptedArtifact {
+            detail: format!("{entry}: {detail}"),
+        },
+        WatermarkError::UnrecognizedFormat { detail } => WatermarkError::UnrecognizedFormat {
+            detail: format!("{entry}: {detail}"),
+        },
+        other => other,
     }
 }
 
@@ -652,44 +680,17 @@ impl DisputeService {
     }
 
     /// Registers a model in the anonymous namespace from a persisted
-    /// artefact (the builder's warm start): either a [`CompiledForest`]
-    /// (as written by `save_model_artifacts` / `persist::save`) or a
-    /// pointer-tree [`RandomForest`], which is then compiled once.
+    /// pointer-tree [`RandomForest`] (the builder's warm start), compiling
+    /// it once.
     fn register_from_file(
         &self,
         model_id: impl Into<String>,
         path: impl AsRef<Path>,
     ) -> WatermarkResult<()> {
-        let compiled = self.load_artefact(path.as_ref())?;
+        let model: RandomForest = persist::load(path)?;
+        let compiled = self.compile(&model);
         self.publish_model(&TenantId::anonymous(), model_id.into(), compiled);
         Ok(())
-    }
-
-    /// Decodes (and, for pointer-tree artefacts, compiles) a persisted
-    /// model without touching the registry.
-    fn load_artefact(&self, path: &Path) -> WatermarkResult<Arc<CompiledForest>> {
-        let bytes = std::fs::read(path).map_err(|err| WatermarkError::Io {
-            path: path.display().to_string(),
-            message: err.to_string(),
-        })?;
-        match persist::from_bytes::<CompiledForest>(&bytes) {
-            Ok(compiled) => Ok(Arc::new(compiled)),
-            // Container-level failures (wrong magic, future format version)
-            // would hit any payload type: propagate.
-            Err(
-                err @ (WatermarkError::UnrecognizedFormat { .. }
-                | WatermarkError::UnsupportedFormatVersion { .. }),
-            ) => Err(err),
-            // The container decoded but the payload is not a compiled
-            // forest — fall back to a pointer-tree model and compile it. If
-            // that fails too, the file is neither kind of model artefact:
-            // report the first decode error, which names the corruption
-            // precisely rather than a misleading shape mismatch.
-            Err(first) => match persist::from_bytes::<RandomForest>(&bytes) {
-                Ok(model) => Ok(self.compile(&model)),
-                Err(_) => Err(first),
-            },
-        }
     }
 
     /// Inserts (or replaces) a registry entry without a quota check.
@@ -1160,29 +1161,42 @@ mod tests {
         }
     }
 
+    /// A compiled-forest artefact laid out as earlier builds persisted
+    /// one: a JSON envelope around the SoA arrays of a lone-leaf tree.
+    const COMPILED_FOREST_ARTEFACT: &str = r#"{
+  "magic": "WDTE",
+  "version": 2,
+  "payload": {
+    "feature": [4294967295],
+    "threshold": [0.0],
+    "left": [1],
+    "right": [0],
+    "tree_starts": [0, 1],
+    "num_features": 1,
+    "num_classes": 2
+  }
+}"#;
+
     #[test]
-    fn register_from_file_accepts_compiled_and_pointer_artefacts() {
+    fn register_from_file_accepts_pointer_and_refuses_compiled_artefacts() {
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
         let dir = std::env::temp_dir().join(format!("wdte-service-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let compiled_path = dir.join("model.compiled.json");
         let pointer_path = dir.join("model.wdte");
-        persist::save(
-            &compiled_path,
-            &CompiledForest::compile(&outcome.model),
-            persist::Format::Json,
-        )
-        .unwrap();
+        std::fs::write(&compiled_path, COMPILED_FOREST_ARTEFACT).unwrap();
         persist::save(&pointer_path, &outcome.model, persist::Format::Binary).unwrap();
 
         let service = DisputeService::builder().build().unwrap();
-        service.register_from_file("compiled", &compiled_path).unwrap();
         service.register_from_file("pointer", &pointer_path).unwrap();
-        let from_compiled = service.resolve("compiled", &claim).unwrap();
         let from_pointer = service.resolve("pointer", &claim).unwrap();
-        assert_eq!(from_compiled, from_pointer);
-        assert!(from_compiled.verified);
+        assert_eq!(from_pointer, verify_ownership(&outcome.model, &claim));
+        assert!(from_pointer.verified);
+        assert!(matches!(
+            service.register_from_file("compiled", &compiled_path).unwrap_err(),
+            WatermarkError::CorruptedArtifact { .. }
+        ));
         assert!(service.register_from_file("missing", dir.join("nope.wdte")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1207,12 +1221,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wdte-warmstart-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         persist::save(dir.join("a.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
-        persist::save(
-            dir.join("b.compiled.json"),
-            &CompiledForest::compile(&outcome.model),
-            persist::Format::Json,
-        )
-        .unwrap();
+        persist::save(dir.join("b.model.json"), &outcome.model, persist::Format::Json).unwrap();
         let manifest = ModelManifest {
             models: vec![
                 ManifestEntry {
@@ -1221,7 +1230,7 @@ mod tests {
                 },
                 ManifestEntry {
                     model_id: "deployment-b".into(),
-                    file: "b.compiled.json".into(),
+                    file: "b.model.json".into(),
                 },
             ],
         };
@@ -1233,10 +1242,25 @@ mod tests {
             service.model_ids_for(&TenantId::anonymous()),
             ["deployment-a", "deployment-b"]
         );
-        // Only the pointer-tree artefact needed a compile at boot.
-        assert_eq!(service.compile_count(), 1);
+        // Each model is compiled once at boot.
+        assert_eq!(service.compile_count(), 2);
         assert!(service.resolve("deployment-a", &claim).unwrap().verified);
         assert!(service.resolve("deployment-b", &claim).unwrap().verified);
+
+        // A manifest naming a compiled-forest file fails the build with the
+        // model decoder's typed error, naming the file.
+        std::fs::write(dir.join("c.compiled.json"), COMPILED_FOREST_ARTEFACT).unwrap();
+        let compiled = ModelManifest {
+            models: vec![ManifestEntry {
+                model_id: "deployment-c".into(),
+                file: "c.compiled.json".into(),
+            }],
+        };
+        compiled.save_dir(&dir).unwrap();
+        assert!(matches!(
+            DisputeService::builder().warm_start_dir(&dir).build().unwrap_err(),
+            WatermarkError::CorruptedArtifact { detail } if detail.contains("c.compiled.json")
+        ));
 
         // A manifest naming a missing artefact fails the whole build with a
         // typed error instead of booting a partial registry.
@@ -1257,6 +1281,35 @@ mod tests {
             DisputeService::builder().warm_start_dir(&dir).build().unwrap_err(),
             WatermarkError::Io { .. }
         ));
+    }
+
+    #[test]
+    fn warm_start_errors_name_the_model_and_the_file() {
+        let (_, outcome) = embedded();
+        let dir = std::env::temp_dir().join(format!("wdte-warmstart-named-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let json = String::from_utf8(persist::to_bytes(&outcome.model, persist::Format::Json)).unwrap();
+        let corrupted = json.replacen("\"left\": 1,", "\"left\": 999999,", 1);
+        assert_ne!(corrupted, json, "the envelope must contain a left child index");
+        std::fs::write(dir.join("broken.model.json"), corrupted).unwrap();
+        ModelManifest {
+            models: vec![ManifestEntry {
+                model_id: "deployment-x".into(),
+                file: "broken.model.json".into(),
+            }],
+        }
+        .save_dir(&dir)
+        .unwrap();
+        let err = DisputeService::builder().warm_start_dir(&dir).build().unwrap_err();
+        let message = err.to_string();
+        assert!(
+            matches!(err, WatermarkError::CorruptedArtifact { .. }),
+            "{message}"
+        );
+        for part in ["deployment-x", "broken.model.json", "child 999999 out of range"] {
+            assert!(message.contains(part), "`{part}` missing from: {message}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -166,14 +166,6 @@ impl Signature {
     }
 
     /// The prediction tree `i` must produce for a trigger instance whose
-    /// true label is `label`, in a binary label space: the correct label
-    /// for 0-bits, the flipped label for 1-bits. Equivalent to
-    /// [`Self::required_prediction_k`] with `num_classes = 2`.
-    pub fn required_prediction(&self, i: usize, label: Label) -> Label {
-        self.required_prediction_k(i, label, 2)
-    }
-
-    /// The prediction tree `i` must produce for a trigger instance whose
     /// true label is `label` in a `num_classes`-class label space: the
     /// correct label for 0-bits, the deterministically *rotated* label
     /// `(c + 1) mod k` for 1-bits. For `k = 2` the rotation is exactly the
@@ -239,9 +231,16 @@ mod tests {
     #[test]
     fn required_prediction_follows_the_bit() {
         let signature = Signature::from_str_bits("01").unwrap();
-        assert_eq!(signature.required_prediction(0, Label::Positive), Label::Positive);
-        assert_eq!(signature.required_prediction(1, Label::Positive), Label::Negative);
-        assert_eq!(signature.required_prediction(1, Label::Negative), Label::Positive);
+        let class_2 = Label::from_index(2).unwrap();
+        for (i, label, k, required) in [
+            (0, Label::Positive, 2, Label::Positive),
+            (1, Label::Positive, 2, Label::Negative),
+            (1, Label::Negative, 2, Label::Positive),
+            (0, class_2, 3, class_2),
+            (1, class_2, 3, Label::Negative),
+        ] {
+            assert_eq!(signature.required_prediction_k(i, label, k), required);
+        }
     }
 
     #[test]

@@ -134,11 +134,7 @@ impl Watermarker {
 
         // Step 2: Adjust(H) — shrink depth/leaf budgets to mean - std of a
         // standard ensemble trained with the tuned hyper-parameters.
-        let adjusted_tree_params = if config.adjust_hyperparams {
-            adjust_hyperparameters(train, &tuned_params, rng)
-        } else {
-            tuned_params.tree
-        };
+        let adjusted_tree_params = adjust_hyperparameters(train, &tuned_params, rng);
 
         // Step 3: sample the trigger set.
         let trigger_indices = train.sample_indices(k, rng);

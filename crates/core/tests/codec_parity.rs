@@ -5,8 +5,8 @@
 //! `from_value`) is kept as the reference. This suite holds the direct
 //! path to it on generated WDTP messages and models (same bytes out), on
 //! every single-bit flip, byte inversion and truncation of a valid docket
-//! payload, `RegisterModel` payload and compiled-forest artefact (same
-//! accept/refuse decision, same value, same error variant), and on
+//! payload and `RegisterModel` payload (same accept/refuse decision, same
+//! value, same error variant), and on
 //! hand-built payloads the encoder never writes: permuted, duplicated and
 //! unknown map keys, legacy encodings, non-canonical number tags, and
 //! nesting past `MAX_DEPTH`.
@@ -17,14 +17,13 @@ use rand::{Rng, SeedableRng};
 use serde::binary::{self, MAX_DEPTH};
 use serde::{Deserialize, Serialize, Value};
 use std::mem::discriminant;
-use wdte_core::persist::{self, Format};
 use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
 use wdte_core::verify::VerificationReport;
 use wdte_core::{
     OwnershipClaim, Signature, TenantId, TenantStatsEntry, WatermarkError, WatermarkResult,
 };
 use wdte_data::{ConfusionMatrix, Dataset, DenseMatrix, Label, MultiClassSpec};
-use wdte_trees::{CompiledForest, ForestParams, RandomForest, TreeParams};
+use wdte_trees::{ForestParams, RandomForest, TreeParams};
 
 /// The reference encoder: the `Value` tree, then the tree codec.
 fn value_route_bytes<T: Serialize + ?Sized>(message: &T) -> Vec<u8> {
@@ -274,7 +273,6 @@ proptest! {
         let model = forest_of(classes, &mut SmallRng::seed_from_u64(seed));
         prop_assert_eq!(model.num_classes(), classes);
         assert_parity(&model);
-        assert_parity(&CompiledForest::compile(&model));
         assert_parity(&Request::RegisterModel { model_id: "m".into(), model });
     }
 }
@@ -312,17 +310,6 @@ fn register_payload() -> Vec<u8> {
     })
 }
 
-/// The payload of a binary compiled-forest artefact, after its header.
-fn compiled_artefact_payload() -> Vec<u8> {
-    let compiled = CompiledForest::compile(&small_forest());
-    let artefact = persist::to_bytes(&compiled, Format::Binary);
-    assert_eq!(
-        persist::from_bytes::<CompiledForest>(&artefact).unwrap(),
-        compiled
-    );
-    artefact[persist::MAGIC.len() + 3..].to_vec()
-}
-
 /// Every single-bit flip and byte inversion of `payload` is judged alike
 /// by both decoders; returns how many mutations still decoded.
 fn flip_sweep<T: Deserialize + Serialize>(payload: &[u8], name: &str) -> usize {
@@ -358,14 +345,12 @@ fn every_bit_flip_and_byte_inversion_is_judged_alike() {
     // the accept side too, not only refusals.
     assert!(flip_sweep::<Request>(&docket_payload(), "docket") > 0);
     assert!(flip_sweep::<Request>(&register_payload(), "RegisterModel") > 0);
-    assert!(flip_sweep::<CompiledForest>(&compiled_artefact_payload(), "compiled forest") > 0);
 }
 
 #[test]
 fn every_truncation_is_refused_alike() {
     truncation_sweep::<Request>(&docket_payload(), "docket");
     truncation_sweep::<Request>(&register_payload(), "RegisterModel");
-    truncation_sweep::<CompiledForest>(&compiled_artefact_payload(), "compiled forest");
 }
 
 /// The entries of one `Value::Map`.
@@ -535,7 +520,7 @@ fn lenient_and_legacy_encodings_decode_alike() {
     // The same legacy and lenient forms inside models: leaf weights
     // tagged `U64`, `I64` or `Null`, every other leaf's counts as the
     // pre-k-class `{negative, positive}` map, and no `num_classes` on the
-    // forest or the compiled forest (k is then inferred from the leaves).
+    // forest (k is then inferred from the leaves).
     let mut request = Request::from_value(&binary::decode_value_bytes(&register_payload()).unwrap())
         .unwrap()
         .to_value();
@@ -549,16 +534,6 @@ fn lenient_and_legacy_encodings_decode_alike() {
         unreachable!("the payload is a registration")
     };
     assert_eq!(model.num_classes(), 2);
-
-    let mut compiled = CompiledForest::compile(&small_forest()).to_value();
-    legacy_model(&mut compiled);
-    let payload = binary::to_vec(&compiled);
-    assert!(assert_decoders_agree::<CompiledForest>(
-        &payload,
-        "legacy compiled forest"
-    ));
-    let decoded: CompiledForest = proto::decode_payload(&payload).unwrap();
-    assert_eq!(decoded, CompiledForest::compile(&small_forest()));
 }
 
 /// Rewrites a model the way older or lenient writers did (see
@@ -698,19 +673,6 @@ fn model_checks_still_refuse_on_the_direct_path() {
             }
         }
     });
-    // A compiled forest whose tree segments do not span its nodes.
-    let mut compiled = CompiledForest::compile(&small_forest()).to_value();
-    edit_struct_maps(&mut compiled, &mut |entries| {
-        for (key, item) in entries.iter_mut() {
-            if let ("tree_starts", Value::Seq(starts)) = (key.as_str(), item) {
-                starts.pop();
-            }
-        }
-    });
-    assert!(!assert_decoders_agree::<CompiledForest>(
-        &binary::to_vec(&compiled),
-        "short tree_starts"
-    ));
 }
 
 #[test]

@@ -28,7 +28,7 @@ proptest! {
         let signature = Signature::from_bits(bits.clone());
         for (i, &bit) in bits.iter().enumerate() {
             for label in [Label::Positive, Label::Negative] {
-                let required = signature.required_prediction(i, label);
+                let required = signature.required_prediction_k(i, label, 2);
                 if bit {
                     prop_assert_eq!(required, label.flipped());
                 } else {

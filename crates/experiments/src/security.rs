@@ -53,8 +53,8 @@ pub fn prepare_security_setup(settings: &ExperimentSettings, dataset: PaperDatas
 }
 
 /// Persists the reusable artefacts of a security setup under
-/// `results/models/`: the watermarked model (compact binary), its compiled
-/// inference form (auditable JSON) and the owner's full ownership claim.
+/// `results/models/`: the watermarked model (compact binary) and the
+/// owner's full ownership claim.
 /// Later dispute runs — or the `dispute_from_files` example — can then
 /// verify and attack the model without retraining it. Failures are
 /// reported on stderr but never abort the experiment.
@@ -70,22 +70,16 @@ pub fn save_model_artifacts(setup: &SecuritySetup) -> Option<ManifestEntry> {
         setup.outcome.trigger_set.clone(),
         setup.test.clone(),
     );
-    let compiled = CompiledForest::compile(&setup.outcome.model);
     let report = |path: &std::path::Path, result: wdte_core::WatermarkResult<()>| match result {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(err) => eprintln!("warning: could not save {}: {err}", path.display()),
     };
     let model_file = format!("{}.model.wdte", setup.dataset.name());
     let model_path = dir.join(&model_file);
-    let compiled_path = dir.join(format!("{}.compiled.json", setup.dataset.name()));
     let claim_path = dir.join(format!("{}.claim.wdte", setup.dataset.name()));
     let model_saved = persist::save(&model_path, &setup.outcome.model, persist::Format::Binary);
     let model_ok = model_saved.is_ok();
     report(&model_path, model_saved);
-    report(
-        &compiled_path,
-        persist::save(&compiled_path, &compiled, persist::Format::Json),
-    );
     report(
         &claim_path,
         persist::save(&claim_path, &claim, persist::Format::Binary),

@@ -8,9 +8,9 @@
 
 use crate::datasets::PaperDataset;
 use serde::{Deserialize, Serialize};
-use wdte_core::{WatermarkConfig, WeightSchedule};
+use wdte_core::WatermarkConfig;
 use wdte_solver::SolverConfig;
-use wdte_trees::{FeatureSubset, ParamGrid, TreeParams};
+use wdte_trees::TreeParams;
 
 /// Scaling configuration shared by every experiment binary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -129,33 +129,17 @@ impl ExperimentSettings {
         if self.full_scale {
             WatermarkConfig {
                 num_trees: self.num_trees(dataset),
-                trigger_fraction: 0.02,
-                feature_subset: FeatureSubset::Sqrt,
-                grid: Some(ParamGrid::default()),
-                grid_folds: 3,
-                tree_params: TreeParams::default(),
-                adjust_hyperparams: true,
-                weight_schedule: WeightSchedule::Additive(1.0),
-                max_weight_rounds: 60,
-                relax_after: 20,
                 strict: false,
+                ..WatermarkConfig::paper_default()
             }
         } else {
             WatermarkConfig {
                 num_trees: self.num_trees(dataset),
-                trigger_fraction: 0.02,
-                feature_subset: FeatureSubset::Sqrt,
-                grid: None,
-                grid_folds: 2,
                 tree_params: TreeParams {
                     max_depth: Some(10),
                     max_leaves: Some(128),
                 },
-                adjust_hyperparams: true,
-                weight_schedule: WeightSchedule::Multiplicative(3.0),
-                max_weight_rounds: 25,
-                relax_after: 8,
-                strict: false,
+                ..WatermarkConfig::fast()
             }
         }
     }
@@ -204,7 +188,10 @@ mod tests {
         assert_eq!(settings.forgery_signatures, 10);
         let config = settings.watermark_config(PaperDataset::Mnist26);
         assert!(config.grid.is_some());
-        assert!(matches!(config.weight_schedule, WeightSchedule::Additive(_)));
+        assert!(matches!(
+            config.weight_schedule,
+            wdte_core::WeightSchedule::Additive(_)
+        ));
     }
 
     #[test]

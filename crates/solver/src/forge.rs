@@ -122,23 +122,11 @@ pub struct ForgeryQuery<'a> {
 }
 
 impl<'a> ForgeryQuery<'a> {
-    /// Builds the per-tree required predictions from a signature bit-string
-    /// and a target label, following the paper's binary convention: tree
-    /// `i` must predict `label` iff bit `i` is 0, and the opposite label
-    /// otherwise. Equivalent to [`Self::from_signature_bits_k`] with
-    /// `num_classes = 2`.
-    pub fn from_signature_bits(
-        bits: &[bool],
-        label: Label,
-        reference: Option<(&'a [f64], f64)>,
-    ) -> Self {
-        Self::from_signature_bits_k(bits, label, 2, reference)
-    }
-
     /// Builds the per-tree required predictions for a `num_classes`-class
     /// label space: tree `i` must predict `label` iff bit `i` is 0, and
     /// the deterministically rotated label `(c + 1) mod k` otherwise —
-    /// the same rotation the watermarking embed and verify paths use.
+    /// the same rotation the watermarking embed and verify paths use. For
+    /// `k = 2` the rotation is the paper's label flip.
     pub fn from_signature_bits_k(
         bits: &[bool],
         label: Label,
@@ -588,12 +576,15 @@ mod tests {
 
     #[test]
     fn from_signature_bits_maps_bits_to_required_labels() {
-        let query = ForgeryQuery::from_signature_bits(&[false, true, false], Label::Positive, None);
+        let query = ForgeryQuery::from_signature_bits_k(&[false, true, false], Label::Positive, 2, None);
         assert_eq!(
             query.required,
             vec![Label::Positive, Label::Negative, Label::Positive]
         );
-        let query = ForgeryQuery::from_signature_bits(&[true], Label::Negative, None);
+        let query = ForgeryQuery::from_signature_bits_k(&[true], Label::Negative, 2, None);
         assert_eq!(query.required, vec![Label::Positive]);
+        let class_2 = Label::from_index(2).unwrap();
+        let query = ForgeryQuery::from_signature_bits_k(&[true, false], class_2, 3, None);
+        assert_eq!(query.required, vec![Label::Negative, class_2]);
     }
 }

@@ -24,18 +24,20 @@
 //! A leaf is marked by `feature == LEAF_MARKER` and stores its predicted
 //! label's class index in `left`. Trees are laid out in depth-first
 //! preorder with the left subtree adjacent to its parent, so the common
-//! `x[f] <= t` branch continues on the next node. These arrays are the
-//! canonical (and serialized) form and drive the single-row walk; batches
-//! run the blocked lockstep walk of [`kernel`] over a derived per-level
-//! layout.
+//! `x[f] <= t` branch continues on the next node. These arrays drive the
+//! single-row walk; batches run the blocked lockstep walk of [`kernel`]
+//! over a derived per-level layout.
+//!
+//! A compiled forest is never persisted: it is derived from a
+//! [`RandomForest`] with [`CompiledForest::compile`] wherever one is
+//! loaded, so the pointer-tree model is the one on-disk artefact.
 //!
 //! Traversal semantics are bit-identical to [`DecisionTree::predict`]:
 //! the test is `x[feature] <= threshold`, so `NaN` features compare false
 //! and deterministically descend into the right child.
 
 use crate::forest::RandomForest;
-use crate::tree::{DecisionTree, Node, TreeStats};
-use serde::{binary, DeError, Deserialize, Serialize, Value};
+use crate::tree::{DecisionTree, Node};
 use wdte_data::{Dataset, DenseMatrix, Label};
 
 pub mod kernel;
@@ -52,7 +54,8 @@ pub const LEAF_MARKER: u32 = u32::MAX;
 ///
 /// Compiled forests are immutable snapshots: compile once after training
 /// (or after loading a model from disk) and reuse for every prediction,
-/// verification and attack-scoring pass.
+/// verification and attack-scoring pass. [`CompiledForest::compile`] is
+/// the only constructor.
 #[derive(Debug, Clone)]
 pub struct CompiledForest {
     feature: Vec<u32>,
@@ -61,14 +64,14 @@ pub struct CompiledForest {
     right: Vec<u32>,
     tree_starts: Vec<u32>,
     num_features: usize,
-    /// Number of classes `k` of the label space; leaf class indices are
-    /// validated to stay below it.
+    /// Number of classes `k` of the label space; every leaf class index
+    /// stays below it.
     num_classes: usize,
     /// Maximum depth of each tree; the number of lockstep steps the batch
-    /// walk performs. Derived, never serialized.
+    /// walk performs.
     depths: Vec<u32>,
     /// Per-level breadth-first node layout driving the batch walk (see
-    /// [`kernel`]). Derived, never serialized.
+    /// [`kernel`]).
     level: LevelLayout,
 }
 
@@ -201,20 +204,20 @@ impl CompiledForest {
             compiled.emit(tree, tree.root());
         }
         compiled.tree_starts.push(compiled.feature.len() as u32);
-        compiled.derive_tables();
-        compiled
-    }
-
-    /// Rebuilds the derived batch-walk tables from the SoA arrays.
-    fn derive_tables(&mut self) {
-        self.depths = build_depths(&self.feature, &self.left, &self.right, &self.tree_starts);
-        self.level = LevelLayout::build(
-            &self.feature,
-            &self.threshold,
-            &self.left,
-            &self.right,
-            &self.tree_starts,
+        compiled.depths = build_depths(
+            &compiled.feature,
+            &compiled.left,
+            &compiled.right,
+            &compiled.tree_starts,
         );
+        compiled.level = LevelLayout::build(
+            &compiled.feature,
+            &compiled.threshold,
+            &compiled.left,
+            &compiled.right,
+            &compiled.tree_starts,
+        );
+        compiled
     }
 
     /// Emits the subtree rooted at arena index `node` in preorder (left
@@ -266,14 +269,6 @@ impl CompiledForest {
         self.feature.len()
     }
 
-    /// Node index range `[lo, hi)` of one tree; `lo` is its root.
-    fn segment(&self, tree: usize) -> (usize, usize) {
-        (
-            self.tree_starts[tree] as usize,
-            self.tree_starts[tree + 1] as usize,
-        )
-    }
-
     /// Walks one tree for one instance (the protocol-scale single-query
     /// path; batches go through the blocked walk instead).
     #[inline]
@@ -283,7 +278,7 @@ impl CompiledForest {
             let feature = self.feature[node];
             if feature == LEAF_MARKER {
                 return Label::from_index(self.left[node] as usize)
-                    .expect("leaf class indices are validated to fit the label space");
+                    .expect("leaf class indices come from labels");
             }
             node = if instance[feature as usize] <= self.threshold[node] {
                 self.left[node] as usize
@@ -421,7 +416,7 @@ impl CompiledForest {
         let mut labels = vec![Label::Negative; samples * num_trees];
         kernel.resolve().run(self, values, cols, samples, |sample, tree, label| {
             labels[sample * num_trees + tree] =
-                Label::from_index(label as usize).expect("validated leaf class");
+                Label::from_index(label as usize).expect("leaf class indices come from labels");
         });
         BatchPredictions {
             labels,
@@ -495,236 +490,11 @@ impl CompiledForest {
         let predictions = self.predict_dataset(dataset);
         wdte_data::accuracy(dataset.labels(), &predictions)
     }
-
-    /// Structural statistics of every tree, in tree order; matches
-    /// [`RandomForest::tree_stats`] for the forest this was compiled from,
-    /// so the structural detection attack can run against a compiled
-    /// artifact loaded from disk.
-    pub fn tree_stats(&self) -> Vec<TreeStats> {
-        (0..self.num_trees())
-            .map(|tree| {
-                let (lo, hi) = self.segment(tree);
-                let leaves = (lo..hi).filter(|&n| self.feature[n] == LEAF_MARKER).count();
-                TreeStats {
-                    depth: self.depths[tree] as usize,
-                    leaves,
-                    nodes: hi - lo,
-                }
-            })
-            .collect()
-    }
-
-    /// Rebuilds a compiled forest from raw arrays, validating every
-    /// structural invariant. This is the only way external data (a
-    /// deserialized file) becomes a `CompiledForest`, so a corrupted
-    /// artifact surfaces as an error here instead of an out-of-bounds
-    /// panic during prediction.
-    pub fn from_raw_parts(
-        feature: Vec<u32>,
-        threshold: Vec<f64>,
-        left: Vec<u32>,
-        right: Vec<u32>,
-        tree_starts: Vec<u32>,
-        num_features: usize,
-        num_classes: usize,
-    ) -> Result<Self, String> {
-        let num_classes = num_classes.max(2);
-        if num_classes > Label::MAX_CLASSES {
-            return Err(format!(
-                "num_classes {num_classes} exceeds the supported maximum {}",
-                Label::MAX_CLASSES
-            ));
-        }
-        let nodes = feature.len();
-        if threshold.len() != nodes || left.len() != nodes || right.len() != nodes {
-            return Err(format!(
-                "node array lengths disagree: feature {}, threshold {}, left {}, right {}",
-                nodes,
-                threshold.len(),
-                left.len(),
-                right.len()
-            ));
-        }
-        if tree_starts.len() < 2 {
-            return Err("tree_starts must hold at least one tree".to_string());
-        }
-        if tree_starts[0] != 0 || *tree_starts.last().expect("non-empty") as usize != nodes {
-            return Err(format!(
-                "tree_starts must span [0, {nodes}], got [{}, {}]",
-                tree_starts[0],
-                tree_starts.last().expect("non-empty")
-            ));
-        }
-        for window in tree_starts.windows(2) {
-            if window[0] >= window[1] {
-                return Err("every tree needs at least one node".to_string());
-            }
-        }
-        for tree in 0..tree_starts.len() - 1 {
-            let (lo, hi) = (tree_starts[tree] as usize, tree_starts[tree + 1] as usize);
-            let mut child_refs = vec![0u32; hi - lo];
-            for node in lo..hi {
-                if feature[node] == LEAF_MARKER {
-                    if left[node] as usize >= num_classes {
-                        return Err(format!(
-                            "leaf node {node} has class index {} but the model has {num_classes} classes",
-                            left[node]
-                        ));
-                    }
-                } else {
-                    if (feature[node] as usize) >= num_features {
-                        return Err(format!(
-                            "node {node} tests feature {} but the model has {num_features}",
-                            feature[node]
-                        ));
-                    }
-                    for child in [left[node], right[node]] {
-                        let child = child as usize;
-                        // Children must stay inside the same tree and point
-                        // strictly forward, which also rules out traversal
-                        // cycles.
-                        if child <= node || child >= hi {
-                            return Err(format!(
-                                "node {node} has child {child} outside its tree segment [{lo}, {hi})"
-                            ));
-                        }
-                        child_refs[child - lo] += 1;
-                    }
-                }
-            }
-            // Every non-root node must be referenced exactly once: shared
-            // children would make the arrays a DAG, on which the depth
-            // computation below enumerates exponentially many paths (and
-            // more than one parent never arises from `compile`).
-            for (offset, &refs) in child_refs.iter().enumerate().skip(1) {
-                if refs != 1 {
-                    return Err(format!(
-                        "node {} is referenced by {refs} parents; trees reference every non-root node exactly once",
-                        lo + offset
-                    ));
-                }
-            }
-        }
-        let mut forest = CompiledForest {
-            feature,
-            threshold,
-            left,
-            right,
-            tree_starts,
-            num_features,
-            num_classes,
-            depths: Vec::new(),
-            level: LevelLayout::default(),
-        };
-        forest.derive_tables();
-        Ok(forest)
-    }
-}
-
-/// Only the canonical SoA arrays are serialized; the packed traversal
-/// table is rebuilt on load.
-impl Serialize for CompiledForest {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("feature".to_string(), self.feature.to_value()),
-            ("threshold".to_string(), self.threshold.to_value()),
-            ("left".to_string(), self.left.to_value()),
-            ("right".to_string(), self.right.to_value()),
-            ("tree_starts".to_string(), self.tree_starts.to_value()),
-            ("num_features".to_string(), self.num_features.to_value()),
-            ("num_classes".to_string(), self.num_classes.to_value()),
-        ])
-    }
-
-    fn write_binary(&self, out: &mut Vec<u8>) {
-        binary::write_map_header(out, 7);
-        binary::write_key(out, "feature");
-        self.feature.write_binary(out);
-        binary::write_key(out, "threshold");
-        self.threshold.write_binary(out);
-        binary::write_key(out, "left");
-        self.left.write_binary(out);
-        binary::write_key(out, "right");
-        self.right.write_binary(out);
-        binary::write_key(out, "tree_starts");
-        self.tree_starts.write_binary(out);
-        binary::write_key(out, "num_features");
-        self.num_features.write_binary(out);
-        binary::write_key(out, "num_classes");
-        self.num_classes.write_binary(out);
-    }
 }
 
 impl From<&RandomForest> for CompiledForest {
     fn from(forest: &RandomForest) -> Self {
         CompiledForest::compile(forest)
-    }
-}
-
-/// The serialized SoA arrays of a [`CompiledForest`], before validation.
-/// Artifacts written before the k-class generalization carry no
-/// `num_classes`.
-mod unchecked {
-    #[derive(serde::Deserialize)]
-    pub(super) struct CompiledForest {
-        pub(super) feature: Vec<u32>,
-        pub(super) threshold: Vec<f64>,
-        pub(super) left: Vec<u32>,
-        pub(super) right: Vec<u32>,
-        pub(super) tree_starts: Vec<u32>,
-        pub(super) num_features: usize,
-        pub(super) num_classes: Option<usize>,
-    }
-}
-
-/// Deserialization is routed through [`CompiledForest::from_raw_parts`] so
-/// corrupted artifacts are rejected with an error instead of panicking
-/// later during traversal.
-impl Deserialize for CompiledForest {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Self::checked(unchecked::CompiledForest::from_value(value)?)
-    }
-
-    fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
-        Self::checked(unchecked::CompiledForest::read_binary(reader, depth)?)
-    }
-}
-
-impl CompiledForest {
-    /// Validates decoded parts through [`CompiledForest::from_raw_parts`].
-    /// Without a class count the artifact is binary by construction,
-    /// except that any larger leaf index present still raises it, so
-    /// validation passes exactly when the arrays are self-consistent.
-    fn checked(parts: unchecked::CompiledForest) -> Result<Self, DeError> {
-        let unchecked::CompiledForest {
-            feature,
-            threshold,
-            left,
-            right,
-            tree_starts,
-            num_features,
-            num_classes,
-        } = parts;
-        let num_classes = num_classes.unwrap_or_else(|| {
-            feature
-                .iter()
-                .zip(&left)
-                .filter(|(&f, _)| f == LEAF_MARKER)
-                .map(|(_, &label)| label as usize + 1)
-                .max()
-                .unwrap_or(2)
-                .max(2)
-        });
-        CompiledForest::from_raw_parts(
-            feature,
-            threshold,
-            left,
-            right,
-            tree_starts,
-            num_features,
-            num_classes,
-        )
-        .map_err(|detail| DeError::new(format!("invalid CompiledForest: {detail}")))
     }
 }
 
@@ -779,10 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn tree_stats_match_the_pointer_trees() {
+    fn total_nodes_match_the_pointer_trees() {
         let (_, forest) = trained();
         let compiled = CompiledForest::compile(&forest);
-        assert_eq!(compiled.tree_stats(), forest.tree_stats());
         assert_eq!(
             compiled.total_nodes(),
             forest.trees().iter().map(|t| t.nodes().len()).sum::<usize>()
@@ -818,114 +587,6 @@ mod tests {
                 assert_eq!(compiled_out, recursive_out, "width {width}, batch size {size}");
             }
         }
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_predictions() {
-        let (dataset, forest) = trained();
-        let compiled = CompiledForest::compile(&forest);
-        let json = serde_json::to_string(&compiled).unwrap();
-        let restored: CompiledForest = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored, compiled);
-        assert_eq!(
-            restored.predict_batch(dataset.features()),
-            compiled.predict_batch(dataset.features())
-        );
-    }
-
-    #[test]
-    fn from_raw_parts_rejects_corrupted_arrays() {
-        let (_, forest) = trained();
-        let compiled = CompiledForest::compile(&forest);
-        // Mismatched array lengths.
-        assert!(CompiledForest::from_raw_parts(
-            compiled.feature.clone(),
-            vec![0.0; 1],
-            compiled.left.clone(),
-            compiled.right.clone(),
-            compiled.tree_starts.clone(),
-            compiled.num_features,
-            compiled.num_classes,
-        )
-        .is_err());
-        // Child index escaping its tree segment.
-        let mut bad_left = compiled.left.clone();
-        if let Some(internal) = (0..compiled.feature.len()).find(|&n| compiled.feature[n] != LEAF_MARKER)
-        {
-            bad_left[internal] = compiled.feature.len() as u32 + 7;
-            assert!(CompiledForest::from_raw_parts(
-                compiled.feature.clone(),
-                compiled.threshold.clone(),
-                bad_left,
-                compiled.right.clone(),
-                compiled.tree_starts.clone(),
-                compiled.num_features,
-                compiled.num_classes,
-            )
-            .is_err());
-        }
-        // Backwards child (cycle).
-        let mut cyclic_right = compiled.right.clone();
-        if let Some(internal) = (0..compiled.feature.len()).find(|&n| compiled.feature[n] != LEAF_MARKER)
-        {
-            cyclic_right[internal] = internal as u32;
-            assert!(CompiledForest::from_raw_parts(
-                compiled.feature.clone(),
-                compiled.threshold.clone(),
-                compiled.left.clone(),
-                cyclic_right,
-                compiled.tree_starts.clone(),
-                compiled.num_features,
-                compiled.num_classes,
-            )
-            .is_err());
-        }
-        // Feature index beyond the model dimensionality.
-        let mut bad_feature = compiled.feature.clone();
-        if let Some(internal) = (0..compiled.feature.len()).find(|&n| compiled.feature[n] != LEAF_MARKER)
-        {
-            bad_feature[internal] = compiled.num_features as u32;
-            assert!(CompiledForest::from_raw_parts(
-                bad_feature,
-                compiled.threshold.clone(),
-                compiled.left.clone(),
-                compiled.right.clone(),
-                compiled.tree_starts.clone(),
-                compiled.num_features,
-                compiled.num_classes,
-            )
-            .is_err());
-        }
-        // Node-sharing DAGs (left == right) must be rejected: the depth
-        // computation would enumerate exponentially many root→leaf paths.
-        let chain = 40u32;
-        let dag_feature: Vec<u32> =
-            (0..chain).map(|n| if n + 1 == chain { LEAF_MARKER } else { 0 }).collect();
-        let dag_left: Vec<u32> = (0..chain).map(|n| if n + 1 == chain { 0 } else { n + 1 }).collect();
-        let dag_right: Vec<u32> = dag_left.clone();
-        assert!(CompiledForest::from_raw_parts(
-            dag_feature,
-            vec![0.5; chain as usize],
-            dag_left,
-            dag_right,
-            vec![0, chain],
-            1,
-            2,
-        )
-        .unwrap_err()
-        .contains("exactly once"));
-
-        // The untouched arrays still validate.
-        assert!(CompiledForest::from_raw_parts(
-            compiled.feature.clone(),
-            compiled.threshold.clone(),
-            compiled.left.clone(),
-            compiled.right.clone(),
-            compiled.tree_starts.clone(),
-            compiled.num_features,
-            compiled.num_classes,
-        )
-        .is_ok());
     }
 
     #[test]

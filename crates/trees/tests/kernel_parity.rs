@@ -11,8 +11,10 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use wdte_data::{Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, ForestParams, Kernel, RandomForest, ResolvedKernel, TreeParams};
+use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label};
+use wdte_trees::{
+    CompiledForest, DecisionTree, ForestParams, Kernel, Node, RandomForest, ResolvedKernel, TreeParams,
+};
 
 /// Feature values drawn from a finite range plus the non-finite specials
 /// traversal must handle deterministically.
@@ -74,35 +76,37 @@ fn k_class_dataset_from(rows: Vec<Vec<f64>>, class_picks: &[u8], num_classes: us
 
 /// A single-feature chain tree: each internal node sends `x <= t` to a
 /// leaf and larger values onward, so one probe exercises every threshold
-/// until its first `<=` hit. Built through `from_raw_parts` so thresholds
-/// are taken verbatim (training would snap them to data midpoints). Leaf
-/// labels cycle through all `num_classes` classes so wrong turns change
+/// until its first `<=` hit. Built node by node so thresholds are taken
+/// verbatim (training would snap them to data midpoints). Leaf labels
+/// cycle through all `num_classes` classes so wrong turns change
 /// verdicts.
 fn chain_forest(thresholds: &[f64], num_classes: usize) -> CompiledForest {
-    let depth = thresholds.len();
-    let nodes = 2 * depth + 1;
-    let mut feature = vec![u32::MAX; nodes];
-    let mut threshold = vec![0.0f64; nodes];
-    let mut left = vec![0u32; nodes];
-    let right: Vec<u32> = (0..nodes as u32).map(|n| n + 2).collect();
-    for (step, &t) in thresholds.iter().enumerate() {
-        let node = 2 * step;
-        feature[node] = 0;
-        threshold[node] = t;
-        left[node] = node as u32 + 1;
-        left[node + 1] = (step % num_classes) as u32;
+    let mut nodes = Vec::with_capacity(2 * thresholds.len() + 1);
+    for (step, &threshold) in thresholds.iter().enumerate() {
+        let node = nodes.len();
+        nodes.push(Node::Internal {
+            feature: 0,
+            threshold,
+            left: node + 1,
+            right: node + 2,
+        });
+        nodes.push(leaf(step % num_classes));
     }
-    left[nodes - 1] = 1 % num_classes as u32; // terminal leaf
-    CompiledForest::from_raw_parts(
-        feature,
-        threshold,
-        left,
-        right,
-        vec![0, nodes as u32],
-        1,
-        num_classes,
-    )
-    .expect("chain forest is structurally valid")
+    nodes.push(leaf(1 % num_classes)); // terminal leaf
+    compile_trees(vec![DecisionTree::from_nodes(nodes, 1)], num_classes)
+}
+
+/// A leaf predicting class `class`.
+fn leaf(class: usize) -> Node {
+    Node::Leaf {
+        label: Label::from_index(class).unwrap(),
+        counts: ClassCounts::new(),
+    }
+}
+
+/// Compiles hand-built trees as a `num_classes`-class forest.
+fn compile_trees(trees: Vec<DecisionTree>, num_classes: usize) -> CompiledForest {
+    CompiledForest::compile(&RandomForest::from_trees_with_classes(trees, num_classes))
 }
 
 /// Asserts every kernel reproduces the single-row per-tree walk on
@@ -162,50 +166,42 @@ fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
 /// Batch sizes on both sides of one and two blocks, plus the empty batch.
 const BLOCK_EDGE_SIZES: [usize; 8] = [0, 1, 7, 8, 9, 15, 16, 17];
 
-/// Hand-built forests of mixed shapes, as canonical preorder arrays over
-/// three features: every tree grows its leftmost path to its own depth
+/// Hand-built forests of mixed shapes over three features, each tree an
+/// arena in preorder: every tree grows its leftmost path to its own depth
 /// cap (0 makes a lone leaf) and stops other branches at random. Half the
 /// forests start with a lone leaf, so that leaf's BFS self loop wraps
 /// below node 0, and one in six holds only leaves. Thresholds include
 /// both signed zeros.
 struct MixedShapes;
 
-/// The canonical preorder node arrays of a forest under construction.
-#[derive(Default)]
-struct NodeArrays {
-    feature: Vec<u32>,
-    threshold: Vec<f64>,
-    left: Vec<u32>,
-    right: Vec<u32>,
-}
-
-impl NodeArrays {
-    /// Appends a subtree in preorder and returns its root's index.
-    fn grow(
-        &mut self,
-        rng: &mut proptest::TestRng,
-        depth_left: u32,
-        leftmost: bool,
-        num_classes: u32,
-    ) -> u32 {
-        let slot = self.feature.len();
-        self.feature.push(u32::MAX);
-        self.threshold.push(0.0);
-        self.left.push((0..num_classes).generate(rng));
-        self.right.push(0);
-        if depth_left == 0 || (!leftmost && (0u32..3).generate(rng) == 0) {
-            return slot as u32;
-        }
-        self.feature[slot] = (0u32..3).generate(rng);
-        self.threshold[slot] = match (0u32..4).generate(rng) {
-            0 => 0.0,
-            1 => -0.0,
-            _ => (-1.5f64..1.5).generate(rng),
-        };
-        self.left[slot] = self.grow(rng, depth_left - 1, leftmost, num_classes);
-        self.right[slot] = self.grow(rng, depth_left - 1, false, num_classes);
-        slot as u32
+/// Appends a subtree to `nodes` in preorder and returns its root's index.
+fn grow(
+    rng: &mut proptest::TestRng,
+    nodes: &mut Vec<Node>,
+    depth_left: u32,
+    leftmost: bool,
+    num_classes: u32,
+) -> usize {
+    let slot = nodes.len();
+    nodes.push(leaf((0..num_classes).generate(rng) as usize));
+    if depth_left == 0 || (!leftmost && (0u32..3).generate(rng) == 0) {
+        return slot;
     }
+    let feature = (0u32..3).generate(rng) as usize;
+    let threshold = match (0u32..4).generate(rng) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => (-1.5f64..1.5).generate(rng),
+    };
+    let left = grow(rng, nodes, depth_left - 1, leftmost, num_classes);
+    let right = grow(rng, nodes, depth_left - 1, false, num_classes);
+    nodes[slot] = Node::Internal {
+        feature,
+        threshold,
+        left,
+        right,
+    };
+    slot
 }
 
 impl Strategy for MixedShapes {
@@ -215,33 +211,19 @@ impl Strategy for MixedShapes {
         let num_classes = [2u32, 3, 5][(0usize..3).generate(rng)];
         let leaves_only = (0u32..6).generate(rng) == 0;
         let lone_leaf_first = (0u32..2).generate(rng) == 0;
-        let mut nodes = NodeArrays::default();
-        let mut tree_starts = vec![0u32];
-        for tree in 0..(1usize..6).generate(rng) {
-            let cap = if leaves_only || (tree == 0 && lone_leaf_first) {
-                0
-            } else {
-                (0u32..7).generate(rng)
-            };
-            nodes.grow(rng, cap, true, num_classes);
-            tree_starts.push(nodes.feature.len() as u32);
-        }
-        let NodeArrays {
-            feature,
-            threshold,
-            left,
-            right,
-        } = nodes;
-        CompiledForest::from_raw_parts(
-            feature,
-            threshold,
-            left,
-            right,
-            tree_starts,
-            3,
-            num_classes as usize,
-        )
-        .expect("grown trees are structurally valid")
+        let trees = (0..(1usize..6).generate(rng))
+            .map(|tree| {
+                let cap = if leaves_only || (tree == 0 && lone_leaf_first) {
+                    0
+                } else {
+                    (0u32..7).generate(rng)
+                };
+                let mut nodes = Vec::new();
+                grow(rng, &mut nodes, cap, true, num_classes);
+                DecisionTree::from_nodes(nodes, 3)
+            })
+            .collect();
+        compile_trees(trees, num_classes as usize)
     }
 }
 
@@ -369,16 +351,29 @@ fn leaf_only_trees_agree_across_kernels() {
     // Tree 0 is a lone leaf at BFS index 0, so its self loop must wrap
     // below zero; tree 1 is a depth-2 tree whose children sit on adjacent
     // slots; tree 2 is another lone leaf.
-    let mixed = CompiledForest::from_raw_parts(
-        vec![u32::MAX, 0, 0, u32::MAX, u32::MAX, u32::MAX, u32::MAX],
-        vec![0.0, 0.0, -0.5, 0.0, 0.0, 0.0, 0.0],
-        vec![2, 2, 3, 0, 1, 2, 1],
-        vec![0, 5, 4, 0, 0, 0, 0],
-        vec![0, 1, 6, 7],
-        1,
+    let internal = |threshold: f64, left: usize, right: usize| Node::Internal {
+        feature: 0,
+        threshold,
+        left,
+        right,
+    };
+    let mixed = compile_trees(
+        vec![
+            DecisionTree::from_nodes(vec![leaf(2)], 1),
+            DecisionTree::from_nodes(
+                vec![
+                    internal(0.0, 1, 4),
+                    internal(-0.5, 2, 3),
+                    leaf(0),
+                    leaf(1),
+                    leaf(2),
+                ],
+                1,
+            ),
+            DecisionTree::from_nodes(vec![leaf(1)], 1),
+        ],
         3,
-    )
-    .unwrap();
+    );
     let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -0.5, 0.25];
     let probes: Vec<Vec<f64>> = (0..17).map(|i| vec![specials[i % specials.len()]]).collect();
     for size in BLOCK_EDGE_SIZES {

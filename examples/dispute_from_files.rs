@@ -8,13 +8,12 @@
 //!
 //! This example runs that lifecycle end to end:
 //!
-//! 1. Alice embeds her signature and saves the model (compact binary),
-//!    the compiled inference form (auditable JSON) and her ownership claim
-//!    under `results/dispute/`.
+//! 1. Alice embeds her signature and saves the model (compact binary) and
+//!    her ownership claim under `results/dispute/`.
 //! 2. Everything in memory is dropped; the dispute is adjudicated from the
-//!    files alone: the judge loads the compiled model and the claim,
-//!    verifies Alice's signature and runs the structural detection attack
-//!    Bob might have attempted before re-deploying.
+//!    files alone: the judge loads the model and the claim, compiles the
+//!    model once, verifies Alice's signature and runs the structural
+//!    detection attack Bob might have attempted before re-deploying.
 //! 3. A tampered model file demonstrates that corruption surfaces as a
 //!    typed error rather than a wrong verdict.
 //!
@@ -28,7 +27,6 @@ use wdte::prelude::*;
 fn main() {
     let dir = std::path::Path::new("results").join("dispute");
     let model_path = dir.join("alice.model.wdte");
-    let compiled_path = dir.join("alice.compiled.json");
     let claim_path = dir.join("alice.claim.wdte");
 
     // ---------------------------------------------------------------
@@ -46,34 +44,32 @@ fn main() {
     let outcome = Watermarker::new(config)
         .embed(&train, &signature, &mut rng)
         .expect("embedding succeeds");
-    let compiled = CompiledForest::compile(&outcome.model);
     let claim = OwnershipClaim::new(signature, outcome.trigger_set.clone(), test.clone());
 
     persist::save(&model_path, &outcome.model, persist::Format::Binary).expect("save model");
-    persist::save(&compiled_path, &compiled, persist::Format::Json).expect("save compiled model");
     persist::save(&claim_path, &claim, persist::Format::Binary).expect("save claim");
     println!("Alice shipped her artefacts to {}:", dir.display());
-    for path in [&model_path, &compiled_path, &claim_path] {
+    for path in [&model_path, &claim_path] {
         let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
         println!("  {} ({bytes} bytes)", path.display());
     }
-    drop((outcome, compiled, claim, train));
+    drop((outcome, claim, train));
 
     // ---------------------------------------------------------------
     // Act 2 — the dispute is adjudicated from the files alone.
     // ---------------------------------------------------------------
-    let deployment: CompiledForest = persist::load(&compiled_path).expect("load compiled model");
+    let deployment: RandomForest = persist::load(&model_path).expect("load model");
+    let compiled = CompiledForest::compile(&deployment);
     let alice_claim: OwnershipClaim = persist::load(&claim_path).expect("load claim");
-    let verdict = verify_ownership(&deployment, &alice_claim);
+    let verdict = verify_ownership(&compiled, &alice_claim);
     println!(
         "\nAlice's claim against the loaded deployment: verified={} (bit agreement {:.3}, {} queries)",
         verdict.verified, verdict.bit_agreement, verdict.queries_issued
     );
 
-    // The pointer-tree model round-trips too and agrees with the compiled
-    // artefact — the two files describe the same function.
-    let pointer_model: RandomForest = persist::load(&model_path).expect("load model");
-    let pointer_verdict = verify_ownership(&pointer_model, &alice_claim);
+    // The compiled forest evaluates the same function as the pointer
+    // trees it was built from.
+    let pointer_verdict = verify_ownership(&deployment, &alice_claim);
     assert_eq!(verdict, pointer_verdict);
 
     // Mallory's fabricated claim fails against the same files.
@@ -84,14 +80,14 @@ fn main() {
             .expect("test set is large enough"),
         test.clone(),
     );
-    let mallory_verdict = verify_ownership(&deployment, &mallory_claim);
+    let mallory_verdict = verify_ownership(&compiled, &mallory_claim);
     println!(
         "Mallory's claim: verified={} (bit agreement {:.3})",
         mallory_verdict.verified, mallory_verdict.bit_agreement
     );
 
-    // Bob inspects the structure of the loaded artefact, trying to locate
-    // the watermarked trees before re-deploying.
+    // Bob inspects the structure of the loaded model, trying to locate the
+    // watermarked trees before re-deploying.
     let detection = evaluate_detection(
         &deployment,
         &alice_claim.signature,
@@ -99,7 +95,7 @@ fn main() {
         DetectionStrategy::MeanThreshold,
     );
     println!(
-        "Bob's detection scan on the loaded artefact: {} correct, {} wrong of {} trees",
+        "Bob's detection scan on the loaded model: {} correct, {} wrong of {} trees",
         detection.correct,
         detection.wrong,
         deployment.num_trees()

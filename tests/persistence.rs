@@ -29,12 +29,9 @@ fn fixture() -> (RandomForest, OwnershipClaim, wdte_data::Dataset) {
 #[test]
 fn truncated_files_yield_typed_errors_for_every_artefact() {
     let (model, claim, _) = fixture();
-    let compiled = CompiledForest::compile(&model);
     let encodings: Vec<(&str, Vec<u8>)> = vec![
         ("model-bin", persist::to_bytes(&model, Format::Binary)),
         ("model-json", persist::to_bytes(&model, Format::Json)),
-        ("compiled-bin", persist::to_bytes(&compiled, Format::Binary)),
-        ("compiled-json", persist::to_bytes(&compiled, Format::Json)),
         ("claim-bin", persist::to_bytes(&claim, Format::Binary)),
         (
             "signature-json",
@@ -48,7 +45,6 @@ fn truncated_files_yield_typed_errors_for_every_artefact() {
     for (tag, bytes) in &encodings {
         let full_restores: bool = match *tag {
             "model-bin" | "model-json" => persist::from_bytes::<RandomForest>(bytes).is_ok(),
-            "compiled-bin" | "compiled-json" => persist::from_bytes::<CompiledForest>(bytes).is_ok(),
             "claim-bin" => persist::from_bytes::<OwnershipClaim>(bytes).is_ok(),
             "signature-json" => persist::from_bytes::<Signature>(bytes).is_ok(),
             _ => persist::from_bytes::<wdte_data::Dataset>(bytes).is_ok(),
@@ -60,9 +56,6 @@ fn truncated_files_yield_typed_errors_for_every_artefact() {
             let err = match *tag {
                 "model-bin" | "model-json" => {
                     persist::from_bytes::<RandomForest>(truncated).unwrap_err()
-                }
-                "compiled-bin" | "compiled-json" => {
-                    persist::from_bytes::<CompiledForest>(truncated).unwrap_err()
                 }
                 "claim-bin" => persist::from_bytes::<OwnershipClaim>(truncated).unwrap_err(),
                 "signature-json" => persist::from_bytes::<Signature>(truncated).unwrap_err(),
@@ -109,52 +102,13 @@ fn version_mismatch_is_reported_with_both_versions() {
 
 #[test]
 fn corrupted_payloads_are_rejected_not_misread() {
-    let (model, _, _) = fixture();
-    let compiled = CompiledForest::compile(&model);
-    let bytes = persist::to_bytes(&compiled, Format::Binary);
-
-    // Flip bytes throughout the payload; every outcome must be either a
-    // typed error or a value identical in behaviour (a flip may land in
-    // dead padding of a float, but must never panic).
-    for position in (7..bytes.len()).step_by(bytes.len() / 37 + 1) {
-        let mut garbled = bytes.clone();
-        garbled[position] ^= 0xA5;
-        match persist::from_bytes::<CompiledForest>(&garbled) {
-            Ok(loaded) => {
-                // Structural validation passed; the loaded forest must at
-                // least still be shaped like the original.
-                assert_eq!(loaded.num_trees(), compiled.num_trees());
-            }
-            Err(
-                WatermarkError::CorruptedArtifact { .. }
-                | WatermarkError::UnrecognizedFormat { .. }
-                | WatermarkError::UnsupportedFormatVersion { .. },
-            ) => {}
-            Err(other) => panic!("byte {position}: unexpected error {other:?}"),
-        }
-    }
-
     // Not-our-file inputs.
     for junk in [&b"PK\x03\x04zipfile"[..], b"", b"[1, 2, 3]", b"WDTEZ\x01\x00"] {
         assert!(matches!(
-            persist::from_bytes::<CompiledForest>(junk).unwrap_err(),
+            persist::from_bytes::<RandomForest>(junk).unwrap_err(),
             WatermarkError::UnrecognizedFormat { .. } | WatermarkError::CorruptedArtifact { .. }
         ));
     }
-
-    // A structurally invalid compiled forest (tree_starts not anchored at
-    // zero) must be caught by validation even though the container is
-    // intact.
-    let original = String::from_utf8(persist::to_bytes(&compiled, Format::Json)).unwrap();
-    let sabotage = original.replacen("\"tree_starts\": [\n      0,", "\"tree_starts\": [\n      1,", 1);
-    assert_ne!(
-        sabotage, original,
-        "the envelope must contain the tree_starts array"
-    );
-    assert!(matches!(
-        persist::from_bytes::<CompiledForest>(sabotage.as_bytes()).unwrap_err(),
-        WatermarkError::CorruptedArtifact { .. }
-    ));
 }
 
 #[test]
@@ -270,18 +224,13 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let dataset = SyntheticSpec::breast_cancer_like().scaled(0.3).generate(&mut rng);
         let forest = RandomForest::fit(&dataset, &ForestParams::with_trees(5), &mut rng);
-        let compiled = CompiledForest::compile(&forest);
 
         for format in [Format::Json, Format::Binary] {
             let restored: RandomForest =
                 persist::from_bytes(&persist::to_bytes(&forest, format)).unwrap();
             prop_assert_eq!(&restored, &forest);
-            let restored_compiled: CompiledForest =
-                persist::from_bytes(&persist::to_bytes(&compiled, format)).unwrap();
-            prop_assert_eq!(&restored_compiled, &compiled);
             for probe in &probes {
                 prop_assert_eq!(restored.predict_all(probe), forest.predict_all(probe));
-                prop_assert_eq!(restored_compiled.predict_all(probe), compiled.predict_all(probe));
             }
         }
     }

@@ -36,10 +36,8 @@ fn embed_save_load_verify_and_attack_from_disk() {
 
     // Persist every artefact a dispute needs, in both encodings.
     let claim = OwnershipClaim::new(signature.clone(), outcome.trigger_set.clone(), test.clone());
-    let compiled = CompiledForest::compile(&outcome.model);
     persist::save(dir.join("model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
     persist::save(dir.join("model.json"), &outcome.model, persist::Format::Json).unwrap();
-    persist::save(dir.join("compiled.wdte"), &compiled, persist::Format::Binary).unwrap();
     persist::save(dir.join("claim.wdte"), &claim, persist::Format::Binary).unwrap();
     persist::save(
         dir.join("trigger.json"),
@@ -47,12 +45,11 @@ fn embed_save_load_verify_and_attack_from_disk() {
         persist::Format::Json,
     )
     .unwrap();
-    drop((outcome, compiled, claim));
+    drop((outcome, claim));
 
     // Reload everything from disk.
     let model: RandomForest = persist::load(dir.join("model.wdte")).unwrap();
     let model_json: RandomForest = persist::load(dir.join("model.json")).unwrap();
-    let compiled: CompiledForest = persist::load(dir.join("compiled.wdte")).unwrap();
     let claim: OwnershipClaim = persist::load(dir.join("claim.wdte")).unwrap();
     let trigger: wdte_data::Dataset = persist::load(dir.join("trigger.json")).unwrap();
     assert_eq!(
@@ -61,9 +58,8 @@ fn embed_save_load_verify_and_attack_from_disk() {
     );
     assert_eq!(trigger, claim.trigger_set);
 
-    // Both loaded representations produce bit-identical predictions.
-    let reloaded_compiled = CompiledForest::compile(&model);
-    assert_eq!(reloaded_compiled, compiled);
+    // The forest compiled from the loaded model predicts bit-identically.
+    let compiled = CompiledForest::compile(&model);
     let batch = compiled.predict_all_batch(test.features());
     for (index, (row, _)) in test.iter().enumerate() {
         assert_eq!(batch.sample(index), model.predict_all(row).as_slice());
@@ -80,23 +76,14 @@ fn embed_save_load_verify_and_attack_from_disk() {
     );
     assert_eq!(report, verify_ownership(&model, &claim));
 
-    // …while the structural detection attack on the loaded artefact cannot
+    // …while the structural detection attack on the loaded model cannot
     // reconstruct the signature (Table 2 outcome: far from m correct).
     for feature in [DetectionFeature::Depth, DetectionFeature::Leaves] {
         let detection = evaluate_detection(
-            &compiled,
+            &model,
             &claim.signature,
             feature,
             DetectionStrategy::MeanThreshold,
-        );
-        assert_eq!(
-            detection,
-            evaluate_detection(
-                &model,
-                &claim.signature,
-                feature,
-                DetectionStrategy::MeanThreshold
-            )
         );
         assert!(
             detection.correct < model.num_trees(),
@@ -122,7 +109,11 @@ fn embed_save_load_verify_and_attack_from_disk() {
         for forged in &result.forged {
             assert!(forged.distortion <= forgery_config.epsilon + 1e-9);
             let required: Vec<wdte_data::Label> = (0..model.num_trees())
-                .map(|i| result.fake_signature.required_prediction(i, forged.label))
+                .map(|i| {
+                    result
+                        .fake_signature
+                        .required_prediction_k(i, forged.label, model.num_classes())
+                })
                 .collect();
             assert_eq!(compiled.predict_all(&forged.instance), required);
         }
