@@ -71,7 +71,7 @@ fn bench_batch_prediction(c: &mut Criterion) {
     // The sharded entry point on a batch no larger than one shard: must
     // cost the same as the serial call above, not a pool round-trip.
     group.bench_function("tabular_par_small_batch_serial_fallback", |b| {
-        b.iter(|| tabular_compiled.par_predict_all_batch(tabular.features(), usize::MAX, Kernel::Auto))
+        b.iter(|| tabular_compiled.par_predict_all_batch(tabular.features(), usize::MAX))
     });
     group.finish();
 }

@@ -3,7 +3,8 @@
 //! `judge_smoke`, `fleet_smoke` and `scaling_smoke` all watermark one
 //! 16-tree model, forge a rival claim against it and resolve a docket
 //! that mixes the two. `judge_smoke` and `fleet_smoke` also serve that
-//! docket and compare every served verdict with in-process resolution.
+//! docket, with a ghost model id and a malformed claim in it, and compare
+//! every served verdict with in-process resolution.
 //! This module holds those shared parts. Each binary keeps its own flag
 //! parser and hands the parsed values in here.
 
@@ -14,7 +15,7 @@ use wdte_core::{
     Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, VerificationReport,
     WatermarkConfig, WatermarkResult, Watermarker,
 };
-use wdte_data::SyntheticSpec;
+use wdte_data::{Dataset, DenseMatrix, SyntheticSpec};
 use wdte_server::{ClientAuth, DisputeClient};
 use wdte_trees::RandomForest;
 
@@ -34,6 +35,9 @@ pub struct Fixture {
     pub genuine: OwnershipClaim,
     /// A rival claim: another identity passing test rows off as triggers.
     pub forged: OwnershipClaim,
+    /// The genuine claim with every row one column narrower than the
+    /// model: a judge refuses it as a malformed claim.
+    pub narrow: OwnershipClaim,
 }
 
 impl Fixture {
@@ -70,18 +74,28 @@ impl Fixture {
                 .map_err(|err| format!("forged trigger selection failed: {err}"))?,
             decoys.clone(),
         );
+        let genuine = OwnershipClaim::new(outcome.signature, outcome.trigger_set, decoys);
+        let narrow = OwnershipClaim::new(
+            genuine.signature.clone(),
+            without_last_column(&genuine.trigger_set)?,
+            without_last_column(&genuine.test_set)?,
+        );
         Ok(Self {
-            genuine: OwnershipClaim::new(outcome.signature, outcome.trigger_set, decoys),
+            genuine,
             forged,
+            narrow,
             model: outcome.model,
         })
     }
 
     /// `claims` disputes, genuine and forged in turn, naming the ids of
     /// `ids` in turn. With `ghost`, dispute `claims / 2` names
-    /// [`GHOST_MODEL`] instead.
+    /// [`GHOST_MODEL`] instead, and one more dispute carries the
+    /// [`narrow`](Self::narrow) claim against the next id, so a smoke also
+    /// covers typed-error transport for an unknown model and for a
+    /// malformed claim.
     pub fn docket(&self, claims: usize, ids: &[String], ghost: bool) -> Vec<Dispute> {
-        (0..claims)
+        let mut docket: Vec<Dispute> = (0..claims)
             .map(|i| {
                 let claim = if i % 2 == 0 { &self.genuine } else { &self.forged };
                 let id = if ghost && i == claims / 2 {
@@ -91,7 +105,14 @@ impl Fixture {
                 };
                 Dispute::new(id, claim.clone())
             })
-            .collect()
+            .collect();
+        if ghost {
+            docket.push(Dispute::new(
+                ids[claims % ids.len()].as_str(),
+                self.narrow.clone(),
+            ));
+        }
+        docket
     }
 
     /// An in-process judge holding the model under every id of `ids`.
@@ -102,6 +123,22 @@ impl Fixture {
         }
         Ok(service)
     }
+}
+
+/// `set` with the last column of every row dropped.
+fn without_last_column(set: &Dataset) -> Result<Dataset, String> {
+    let cols = set.num_features().saturating_sub(1);
+    let values = set.features().iter_rows().flat_map(|row| &row[..cols]).copied().collect();
+    DenseMatrix::from_vec(set.len(), cols, values)
+        .and_then(|features| {
+            Dataset::with_classes(
+                set.name.clone(),
+                features,
+                set.labels().to_vec(),
+                set.num_classes(),
+            )
+        })
+        .map_err(|err| format!("narrowing a claim set failed: {err}"))
 }
 
 /// FNV-1a over the debug rendering of a verdict vector: a cheap,
@@ -244,7 +281,7 @@ mod tests {
             fixture.service(&ids).unwrap().resolve_many(&docket)
         };
         let verdicts = resolve();
-        assert_eq!(verdicts.len(), 16);
+        assert_eq!(verdicts.len(), 17);
         // Upheld count strictly between 0 and the docket size, and a report
         // that rejects a claim: the ghost's typed error alone would let an
         // all-upheld docket pass the split check.
@@ -254,6 +291,11 @@ mod tests {
             matches!(&verdicts[8], Err(WatermarkError::UnknownModel { model_id }) if model_id == GHOST_MODEL),
             "the ghost dispute resolved to {:?}",
             verdicts[8]
+        );
+        assert!(
+            matches!(&verdicts[16], Err(WatermarkError::ProtocolViolation { detail }) if detail.contains("features")),
+            "the narrow claim resolved to {:?}",
+            verdicts[16]
         );
         assert_eq!(fingerprint(&verdicts), fingerprint(&resolve()));
     }

@@ -22,8 +22,8 @@
 //!   serve the tree itself (JSON goes through it) and the reference route
 //!   the parity tests hold the direct path to. A direct reader falls back
 //!   to [`via_value`] only when the next tag is not the canonical one for
-//!   its type (an `f64` stored as `U64`, a legacy label string), so both
-//!   paths accept the same inputs.
+//!   its type (an `f64` stored as `U64`), so both paths accept the same
+//!   inputs.
 //!
 //! Decoding is hardened the same way on both paths: every length is
 //! checked against the bytes left before it is trusted, up-front
@@ -277,7 +277,7 @@ impl<'a> Reader<'a> {
         DeError::new(format!(
             "truncated payload: wanted {count} bytes at offset {}, have {}",
             self.pos,
-            self.bytes.len()
+            self.bytes.len() - self.pos
         ))
     }
 }
@@ -481,5 +481,17 @@ mod tests {
             encode_value(&nested, &mut deep);
             assert_skip_matches_decode(&deep, &format!("{levels} levels"));
         }
+    }
+
+    #[test]
+    fn truncation_reports_the_bytes_left_after_the_offset() {
+        let mut bytes = Vec::new();
+        encode_value(&Value::Seq(vec![Value::U64(7), Value::F64(1.5)]), &mut bytes);
+        let cut = &bytes[..bytes.len() - 3];
+        let err = decode_value_bytes(cut).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "truncated payload: wanted 8 bytes at offset 19, have 5"
+        );
     }
 }

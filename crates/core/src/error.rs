@@ -79,9 +79,12 @@ pub enum WatermarkError {
         /// The configured cap.
         max: usize,
     },
-    /// A wire frame violated the dispute-resolution protocol: bad magic,
-    /// truncated header or payload, trailing bytes, or a payload that does
-    /// not decode as the expected message.
+    /// A wire frame or a claim violated the dispute-resolution protocol:
+    /// bad magic, truncated header or payload, trailing bytes, a payload
+    /// that does not decode as the expected message, or a claim whose rows
+    /// no verification batch against its model can hold (trigger and
+    /// disguise rows of different widths, or fewer columns than the model
+    /// reads).
     ProtocolViolation {
         /// What was wrong with the frame.
         detail: String,

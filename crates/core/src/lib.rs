@@ -67,18 +67,16 @@ pub use proto::{
 };
 pub use service::{
     ClaimCache, Dispute, DisputeService, DisputeServiceBuilder, ManifestEntry, ModelManifest,
-    SharedDispute, BATCH_SHARD_ROWS, DEFAULT_CLAIM_CACHE_BYTES, MODEL_MANIFEST_FILE,
+    SharedDispute, DEFAULT_CLAIM_CACHE_BYTES, MODEL_MANIFEST_FILE,
 };
 pub use signature::Signature;
 pub use tenant::{KeyRing, TenantCounters, TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};
-pub use verify::{
-    verify_ownership, verify_ownership_with_rng, ModelOracle, OwnershipClaim, VerificationReport,
-};
+pub use verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};
 pub use watermark::{
     adjust_hyperparameters, compiled_trigger_compliance, train_with_trigger, trigger_compliance,
     watermark_holds, EmbeddingDiagnostics, TriggerTrainingDiagnostics, WatermarkOutcome, Watermarker,
 };
-pub use wdte_trees::{Kernel, ResolvedKernel};
+pub use wdte_trees::{Kernel, ResolvedKernel, BATCH_SHARD_ROWS};
 
 /// Commonly used types, re-exported for `use wdte_core::prelude::*`.
 pub mod prelude {
@@ -94,9 +92,7 @@ pub mod prelude {
     pub use crate::service::{Dispute, DisputeService, DisputeServiceBuilder, ModelManifest};
     pub use crate::signature::Signature;
     pub use crate::tenant::{KeyRing, TenantId, TenantQuotas};
-    pub use crate::verify::{
-        verify_ownership, verify_ownership_with_rng, ModelOracle, OwnershipClaim, VerificationReport,
-    };
+    pub use crate::verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};
     pub use crate::watermark::{watermark_holds, WatermarkOutcome, Watermarker};
     pub use wdte_trees::{Kernel, ResolvedKernel};
 }

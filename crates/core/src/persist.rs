@@ -12,7 +12,7 @@
 //! version-checked container:
 //!
 //! * **JSON** (`Format::Json`) — a human-auditable envelope
-//!   `{"magic": "WDTE", "version": 1, "payload": ...}`. Finite `f64`s use
+//!   `{"magic": "WDTE", "version": 2, "payload": ...}`. Finite `f64`s use
 //!   Rust's shortest round-tripping decimal form, infinities are written as
 //!   `±1e999`, and `NaN` as `null`, so predictions survive the round-trip
 //!   exactly.
@@ -27,14 +27,13 @@
 //!   [`Value`] tree. JSON always goes through [`Value`].
 //!
 //! **Version policy:** the header version is bumped whenever the encoding
-//! of existing data changes shape. Readers accept the versions in
-//! `[MIN_SUPPORTED_VERSION, FORMAT_VERSION]` and fail with
+//! of existing data changes shape. Readers accept exactly
+//! [`FORMAT_VERSION`] and fail with
 //! [`WatermarkError::UnsupportedFormatVersion`] otherwise — a dispute must
 //! never be decided on a silently misread artefact. Version 2 added the
-//! k-class label model: model payloads carry a `num_classes` field, and
-//! version-1 artefacts (which are binary by construction) load with
-//! `num_classes = 2`. Corrupted or truncated files surface as
-//! [`WatermarkError::CorruptedArtifact`], never as a panic.
+//! k-class label model (model payloads carry a `num_classes` field);
+//! version-1 artefacts are no longer read. Corrupted or truncated files
+//! surface as [`WatermarkError::CorruptedArtifact`], never as a panic.
 
 use crate::error::{WatermarkError, WatermarkResult};
 use serde::{binary, Deserialize, Serialize, Value};
@@ -47,12 +46,8 @@ pub const MAGIC: &[u8; 4] = b"WDTE";
 /// Container tag of the binary encoding, directly after the magic bytes.
 pub const BINARY_TAG: u8 = b'B';
 
-/// Format version this build writes (and the newest it accepts).
+/// Format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u16 = 2;
-
-/// Oldest format version this build still reads. Version-1 artefacts
-/// predate the k-class label model and decode as binary (`k = 2`).
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
 
 /// On-disk encoding of an artefact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -177,7 +172,7 @@ fn json_payload(bytes: &[u8]) -> WatermarkResult<Value> {
 }
 
 fn check_version(found: u16) -> WatermarkResult<()> {
-    if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&found) {
+    if found != FORMAT_VERSION {
         return Err(WatermarkError::UnsupportedFormatVersion {
             found,
             supported: FORMAT_VERSION,
@@ -293,28 +288,29 @@ mod tests {
     }
 
     #[test]
-    fn version_1_artifacts_still_load() {
-        // Rewind the header to the pre-k-class version: a payload whose
-        // shape did not change must decode under the widened window.
-        let mut binary = to_bytes(&vec![1u64, 2, 3], Format::Binary);
-        binary[5..7].copy_from_slice(&MIN_SUPPORTED_VERSION.to_le_bytes());
-        assert_eq!(from_bytes::<Vec<u64>>(&binary).unwrap(), vec![1, 2, 3]);
+    fn version_1_artifacts_are_refused() {
+        // Rewind the header to the pre-k-class version: even a payload
+        // whose shape did not change is refused, on both encodings.
+        for old in [0u16, 1] {
+            let mut binary = to_bytes(&vec![1u64, 2, 3], Format::Binary);
+            binary[5..7].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                from_bytes::<Vec<u64>>(&binary).unwrap_err(),
+                WatermarkError::UnsupportedFormatVersion { found, supported: FORMAT_VERSION }
+                    if found == old
+            ));
 
-        let json = String::from_utf8(to_bytes(&7u32, Format::Json)).unwrap();
-        let rewound = json.replace(
-            &format!("\"version\": {FORMAT_VERSION}"),
-            &format!("\"version\": {MIN_SUPPORTED_VERSION}"),
-        );
-        assert_ne!(json, rewound);
-        assert_eq!(from_bytes::<u32>(rewound.as_bytes()).unwrap(), 7);
-
-        // Versions below the window still fail.
-        let mut ancient = to_bytes(&7u32, Format::Binary);
-        ancient[5..7].copy_from_slice(&0u16.to_le_bytes());
-        assert!(matches!(
-            from_bytes::<u32>(&ancient).unwrap_err(),
-            WatermarkError::UnsupportedFormatVersion { found: 0, .. }
-        ));
+            let json = String::from_utf8(to_bytes(&7u32, Format::Json)).unwrap();
+            let rewound = json.replace(
+                &format!("\"version\": {FORMAT_VERSION}"),
+                &format!("\"version\": {old}"),
+            );
+            assert_ne!(json, rewound);
+            assert!(matches!(
+                from_bytes::<u32>(rewound.as_bytes()).unwrap_err(),
+                WatermarkError::UnsupportedFormatVersion { found, .. } if found == old
+            ));
+        }
     }
 
     #[test]

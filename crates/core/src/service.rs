@@ -14,13 +14,18 @@
 //!   resolvers can never observe a partially compiled forest.
 //! * **Concurrency** — [`DisputeService::resolve_many`] fans independent
 //!   disputes out across the shared work-stealing pool, and every
-//!   verification batch is itself sharded through
+//!   verification batch is itself sharded by the compiled forest's own
+//!   [`ModelOracle`](crate::ModelOracle) impl, through
 //!   [`CompiledForest::par_predict_all_batch`] — a genuinely two-level
 //!   fan-out: the pool schedules one dispute's batch shards onto workers
-//!   that finished their own disputes early, instead of serializing the
-//!   inner level as the old chunk-and-join shim did. Results are stitched
-//!   back in input order, so reports are bit-identical to the sequential
-//!   path regardless of the worker-thread count.
+//!   that finished their own disputes early. Results are stitched back in
+//!   input order, so reports are bit-identical to
+//!   [`crate::verify_ownership`] regardless of the worker-thread count.
+//! * **Refusals** — a claim whose rows no verification batch against its
+//!   model can hold (trigger and disguise rows of different widths, or
+//!   fewer columns than the model reads) is refused with
+//!   [`WatermarkError::ProtocolViolation`] before any walk. The refusal
+//!   fails that dispute only; its docket neighbours resolve.
 //!
 //! The service is `&self`-only and `Sync`: one instance can be shared
 //! behind an `Arc` by any number of request threads.
@@ -50,20 +55,15 @@ use crate::error::{WatermarkError, WatermarkResult};
 use crate::persist;
 use crate::proto::PayloadDigest;
 use crate::tenant::{TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};
-use crate::verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};
+use crate::verify::{verify_ownership, OwnershipClaim, VerificationReport};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use wdte_data::{Dataset, Label};
+use wdte_data::Dataset;
 use wdte_trees::{CompiledForest, Kernel, RandomForest};
-
-/// Number of verification-batch rows each worker shard handles. Small
-/// enough to spread one large claim across every core, large enough that
-/// the per-shard row copy is negligible next to the tree walks.
-pub const BATCH_SHARD_ROWS: usize = 256;
 
 /// Default byte budget of the digest-keyed claim cache (256 MiB of claim
 /// payload — roughly a few hundred typical claims).
@@ -655,8 +655,8 @@ impl DisputeService {
         &self.quotas
     }
 
-    /// The batch-inference kernel every resolution runs:
-    /// [`Kernel::Auto`].
+    /// The batch-inference kernel the service reports: [`Kernel::Auto`],
+    /// which resolves to the one blocked walk every resolution runs.
     pub fn kernel(&self) -> Kernel {
         Kernel::Auto
     }
@@ -856,20 +856,18 @@ impl DisputeService {
     }
 
     /// [`resolve`](Self::resolve) in `tenant`'s namespace: resolving
-    /// against another tenant's model is [`WatermarkError::Forbidden`].
+    /// against another tenant's model is [`WatermarkError::Forbidden`], and
+    /// a claim whose rows no batch against the model can hold is
+    /// [`WatermarkError::ProtocolViolation`], refused before any walk.
     pub fn resolve_as(
         &self,
         tenant: &TenantId,
         model_id: &str,
         claim: &OwnershipClaim,
     ) -> WatermarkResult<VerificationReport> {
-        let compiled = self.model_as(tenant, model_id)?;
-        let oracle = ShardedOracle {
-            compiled: &compiled,
-            shard_rows: BATCH_SHARD_ROWS,
-            kernel: self.kernel(),
-        };
-        Ok(verify_ownership(&oracle, claim))
+        let model = self.model_as(tenant, model_id)?;
+        check_claim_shape(&model, claim)?;
+        Ok(verify_ownership(&*model, claim))
     }
 
     /// Resolves many disputes concurrently, returning one verdict per
@@ -938,29 +936,30 @@ impl DisputeService {
     }
 }
 
-/// Oracle adapter sharding each verification batch across worker threads,
-/// through the service's inference kernel.
-struct ShardedOracle<'a> {
-    compiled: &'a CompiledForest,
-    shard_rows: usize,
-    kernel: Kernel,
-}
-
-impl ModelOracle for ShardedOracle<'_> {
-    fn num_trees(&self) -> usize {
-        self.compiled.num_trees()
+/// Refuses a claim whose verification batch the model could not walk:
+/// trigger and non-empty disguise rows of different widths, or a batch
+/// narrower than the model's feature count (which covers an empty 0×0
+/// trigger set with no disguise rows).
+fn check_claim_shape(model: &CompiledForest, claim: &OwnershipClaim) -> WatermarkResult<()> {
+    let (trigger, test) = (claim.trigger_set.features(), claim.test_set.features());
+    let Some(cols) = claim.batch_width() else {
+        return Err(WatermarkError::ProtocolViolation {
+            detail: format!(
+                "claim's trigger rows have {} features but its disguise rows have {}",
+                trigger.cols(),
+                test.cols()
+            ),
+        });
+    };
+    if cols < model.num_features() {
+        return Err(WatermarkError::ProtocolViolation {
+            detail: format!(
+                "claim's rows have {cols} features but the model reads {}",
+                model.num_features()
+            ),
+        });
     }
-
-    fn query(&self, instance: &[f64]) -> Vec<Label> {
-        self.compiled.predict_all(instance)
-    }
-
-    fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
-        self.compiled
-            .par_predict_all_batch(batch.features(), self.shard_rows, self.kernel)
-            .iter()
-            .for_each(visit);
-    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -972,7 +971,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::VecDeque;
-    use wdte_data::SyntheticSpec;
+    use wdte_data::{Label, SyntheticSpec};
 
     fn embedded() -> (Dataset, crate::watermark::WatermarkOutcome) {
         let dataset = SyntheticSpec::breast_cancer_like()
@@ -1107,56 +1106,74 @@ mod tests {
         assert_eq!(service.len(), 1);
     }
 
-    /// Every shard size the kernel can be driven at, including the one
-    /// the service uses, resolves to the one-shot report.
-    const SHARD_SIZES: [usize; 5] = [1, 7, 64, BATCH_SHARD_ROWS, usize::MAX];
+    /// `rows` rows cycled from `source` from row `start` on, with every
+    /// seventh value replaced by one of the values walks get wrong.
+    fn awkward_rows(source: &Dataset, start: usize, rows: usize) -> Dataset {
+        const ODD: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let cols = source.num_features();
+        let mut values = Vec::with_capacity(rows * cols);
+        let mut labels = Vec::with_capacity(rows);
+        for row in start..start + rows {
+            values.extend_from_slice(source.instance(row % source.len()));
+            labels.push(source.label(row % source.len()));
+        }
+        for (i, value) in values.iter_mut().enumerate().step_by(7) {
+            *value = ODD[(i / 7) % ODD.len()];
+        }
+        let features = wdte_data::DenseMatrix::from_vec(rows, cols, values).unwrap();
+        Dataset::with_classes("awkward", features, labels, source.num_classes()).unwrap()
+    }
 
-    #[test]
-    fn sharded_batches_match_for_every_shard_size() {
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let reference = verify_ownership(&outcome.model, &claim);
-        let service = DisputeService::builder().build().unwrap();
-        let compiled = service.register("m", &outcome.model);
-        assert_eq!(service.resolve("m", &claim).unwrap(), reference);
-        for shard_rows in SHARD_SIZES {
-            let oracle = ShardedOracle {
-                compiled: &compiled,
-                shard_rows,
-                kernel: service.kernel(),
-            };
-            assert_eq!(
-                verify_ownership(&oracle, &claim),
-                reference,
-                "shard_rows={shard_rows}"
-            );
+    /// Answers only `query`, so verification walks one row at a time.
+    struct QueryOnly<'a>(&'a RandomForest);
+
+    impl crate::ModelOracle for QueryOnly<'_> {
+        fn num_trees(&self) -> usize {
+            self.0.num_trees()
+        }
+
+        fn query(&self, instance: &[f64]) -> Vec<Label> {
+            self.0.predict_all(instance)
         }
     }
 
+    /// The service, the compiled forest and the pointer forest verify
+    /// through one oracle: for batches on both sides of a shard boundary,
+    /// with NaN, ±inf and −0.0 features, on pools of one and three
+    /// workers, their reports equal the row-at-a-time reference.
     #[test]
-    fn every_kernel_resolves_to_identical_reports() {
-        // Kernel choice is pure throughput: reports (scores included)
-        // must be bit-identical to the one-shot reference under every
-        // kernel, and the service runs Auto.
-        let (test, outcome) = embedded();
-        let claim = claim_for(&outcome, &test);
-        let reference = verify_ownership(&outcome.model, &claim);
-        let service = DisputeService::builder().build().unwrap();
-        assert_eq!(service.kernel(), Kernel::Auto);
-        let compiled = service.register("m", &outcome.model);
-        assert_eq!(service.resolve("m", &claim).unwrap(), reference);
-        for kernel in Kernel::ALL {
-            for shard_rows in SHARD_SIZES {
-                let oracle = ShardedOracle {
-                    compiled: &compiled,
-                    shard_rows,
-                    kernel,
-                };
-                assert_eq!(
-                    verify_ownership(&oracle, &claim),
-                    reference,
-                    "kernel {kernel}, shard_rows={shard_rows}"
+    fn one_oracle_answers_every_batch_size_alike() {
+        for k in [2usize, 3] {
+            let mut rng = SmallRng::seed_from_u64(90 + k as u64);
+            let dataset = wdte_data::MultiClassSpec::k_class(k).generate(&mut rng);
+            let forest =
+                RandomForest::fit(&dataset, &wdte_trees::ForestParams::with_trees(10), &mut rng);
+            let compiled = CompiledForest::compile(&forest);
+            let service = DisputeService::builder().build().unwrap();
+            service.register("m", &forest);
+            let signature = Signature::random(10, 0.5, &mut rng);
+            for rows in [1usize, 255, 256, 257, 601] {
+                let triggers = rows.min(12);
+                let claim = OwnershipClaim::new(
+                    signature.clone(),
+                    awkward_rows(&dataset, 0, triggers),
+                    awkward_rows(&dataset, triggers, rows - triggers),
                 );
+                let reference = verify_ownership(&QueryOnly(&forest), &claim);
+                assert_eq!(reference.queries_issued, rows);
+                for width in [1, 3] {
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build().unwrap();
+                    let reports = pool.install(|| {
+                        [
+                            service.resolve_as(&TenantId::anonymous(), "m", &claim).unwrap(),
+                            verify_ownership(&compiled, &claim),
+                            verify_ownership(&forest, &claim),
+                        ]
+                    });
+                    for (path, report) in ["resolve_as", "compiled", "forest"].iter().zip(&reports) {
+                        assert_eq!(report, &reference, "k={k}, {rows} rows, width {width}: {path}");
+                    }
+                }
             }
         }
     }

@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use wdte_data::{Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, RandomForest};
+use wdte_trees::{CompiledForest, RandomForest, BATCH_SHARD_ROWS};
 
 /// Black-box access to a suspected model: per-tree predictions only, no
 /// visibility of the model parameters. The paper assumes the ensemble
@@ -21,8 +21,8 @@ use wdte_trees::{CompiledForest, RandomForest};
 ///
 /// A remote oracle implements [`query`](Self::query) and, if it can
 /// answer many instances per round trip, [`query_batch`](Self::query_batch).
-/// Oracles backed by an in-process model (`RandomForest`,
-/// `CompiledForest`, the dispute service's) also override
+/// Oracles backed by an in-process model (`RandomForest` and
+/// `CompiledForest`, which the dispute service verifies through) also override
 /// [`for_each_response`](Self::for_each_response) to lend slices of one
 /// flat [`wdte_trees::BatchPredictions`] instead of allocating a vector
 /// per instance.
@@ -76,8 +76,13 @@ impl ModelOracle for CompiledForest {
         self.predict_all(instance)
     }
 
+    /// The batch is sharded across the work-stealing pool in
+    /// [`BATCH_SHARD_ROWS`]-row shards; the responses are bit-identical to
+    /// the serial walk for any shard size and worker count.
     fn for_each_response(&self, batch: &Dataset, visit: &mut dyn FnMut(&[Label])) {
-        self.predict_all_batch(batch.features()).iter().for_each(visit);
+        self.par_predict_all_batch(batch.features(), BATCH_SHARD_ROWS)
+            .iter()
+            .for_each(visit);
     }
 }
 
@@ -143,6 +148,20 @@ impl OwnershipClaim {
         hash
     }
 
+    /// Width of the verification batch: the trigger set's, unless it is an
+    /// empty matrix that has never been given one and disguise rows supply
+    /// it. `None` when non-empty disguise rows have another width, which no
+    /// batch can hold.
+    pub fn batch_width(&self) -> Option<usize> {
+        let (trigger, test) = (self.trigger_set.features(), self.test_set.features());
+        let cols = if trigger.rows() == 0 && trigger.cols() == 0 && !self.test_set.is_empty() {
+            test.cols()
+        } else {
+            trigger.cols()
+        };
+        (self.test_set.is_empty() || test.cols() == cols).then_some(cols)
+    }
+
     /// The full verification batch Charlie sends to the model: trigger and
     /// disguise instances shuffled together. Returns the batch and, for
     /// each batch position, the index of the trigger instance it came from
@@ -153,21 +172,11 @@ impl OwnershipClaim {
     /// rows by the permutation, without the intermediate copy.
     ///
     /// # Panics
-    /// Panics if both sets hold rows of different widths.
+    /// Panics if both sets hold rows of different widths
+    /// ([`batch_width`](Self::batch_width) is `None`).
     pub fn verification_batch<R: Rng + ?Sized>(&self, rng: &mut R) -> (Dataset, Vec<Option<usize>>) {
         let (trigger, test) = (&self.trigger_set, &self.test_set);
-        let (trigger_features, test_features) = (trigger.features(), test.features());
-        // The concatenation's width: the trigger set's, unless it is an
-        // empty matrix that has never been given one.
-        let cols = if trigger_features.rows() == 0 && trigger_features.cols() == 0 && !test.is_empty() {
-            test_features.cols()
-        } else {
-            trigger_features.cols()
-        };
-        assert!(
-            test.is_empty() || test_features.cols() == cols,
-            "claim datasets are compatible"
-        );
+        let cols = self.batch_width().expect("claim datasets are compatible");
         let mut order: Vec<usize> = (0..trigger.len() + test.len()).collect();
         order.shuffle(rng);
         let mut values = Vec::with_capacity(order.len() * cols);
@@ -231,20 +240,7 @@ pub fn verify_ownership<O: ModelOracle + ?Sized>(
     // decision, only the attacker-facing disguise.
     use rand::SeedableRng;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(claim.disguise_seed());
-    verify_ownership_with_rng(model, claim, &mut rng)
-}
-
-/// [`verify_ownership`] with a caller-supplied RNG driving the disguise
-/// shuffle — for judges who want the permutation drawn from their own
-/// entropy source instead of the claim-derived deterministic seed. The
-/// report is identical for any RNG; only the (unobservable) query order
-/// changes.
-pub fn verify_ownership_with_rng<O: ModelOracle + ?Sized, R: Rng + ?Sized>(
-    model: &O,
-    claim: &OwnershipClaim,
-    rng: &mut R,
-) -> VerificationReport {
-    let (batch, origin) = claim.verification_batch(rng);
+    let (batch, origin) = claim.verification_batch(&mut rng);
 
     let mut instance_matches = vec![false; claim.trigger_set.len()];
     let mut matching_bits = 0usize;
@@ -439,13 +435,11 @@ mod tests {
             test.clone(),
         );
         let deterministic = verify_ownership(&outcome.model, &claim);
-        let mut rng = SmallRng::seed_from_u64(0xFEED);
-        let external = verify_ownership_with_rng(&outcome.model, &claim, &mut rng);
+        let external = query_batch_report(&outcome.model, &claim, 0xFEED);
         assert_eq!(deterministic, external);
         assert!(external.verified);
-        // The caller's RNG really drives the permutation: a different seed
-        // yields a different disguise order than the claim-derived one.
-        use rand::SeedableRng;
+        // A different seed really yields a different disguise order than
+        // the claim-derived one.
         let derived_origin =
             claim.verification_batch(&mut SmallRng::seed_from_u64(claim.disguise_seed())).1;
         let external_origin = claim.verification_batch(&mut SmallRng::seed_from_u64(0xFEED)).1;
@@ -474,13 +468,14 @@ mod tests {
     }
 
     /// The scoring loop as it was before oracles lent flat responses: one
-    /// `query_batch` call over the reference batch, one owned vector per
-    /// row.
+    /// `query_batch` call over the reference batch shuffled from `seed`,
+    /// one owned vector per row.
     fn query_batch_report<O: ModelOracle + ?Sized>(
         model: &O,
         claim: &OwnershipClaim,
+        seed: u64,
     ) -> VerificationReport {
-        let mut rng = SmallRng::seed_from_u64(claim.disguise_seed());
+        let mut rng = SmallRng::seed_from_u64(seed);
         let (batch, origin) = concat_select_batch(claim, &mut rng);
         let mut instance_matches = vec![false; claim.trigger_set.len()];
         let (mut matching_bits, mut total_bits) = (0usize, 0usize);
@@ -633,13 +628,15 @@ mod tests {
         let service = crate::service::DisputeService::builder().build().unwrap();
         service.register("m", &outcome.model);
         for claim in &claims {
-            let reference = query_batch_report(&outcome.model, claim);
+            let reference = query_batch_report(&outcome.model, claim, claim.disguise_seed());
             assert_eq!(verify_ownership(&outcome.model, claim), reference);
             assert_eq!(verify_ownership(&QueryOnly(&outcome.model), claim), reference);
             assert_eq!(verify_ownership(&compiled, claim), reference);
             assert_eq!(service.resolve("m", claim).unwrap(), reference);
             let ragged = verify_ownership(&Ragged(&outcome.model), claim);
-            assert_eq!(ragged, query_batch_report(&Ragged(&outcome.model), claim));
+            let ragged_reference =
+                query_batch_report(&Ragged(&outcome.model), claim, claim.disguise_seed());
+            assert_eq!(ragged, ragged_reference);
             assert!(!ragged.verified, "ragged rows never match the whole signature");
         }
     }

@@ -8,8 +8,8 @@
 //! payload and `RegisterModel` payload (same accept/refuse decision, same
 //! value, same error variant), and on
 //! hand-built payloads the encoder never writes: permuted, duplicated and
-//! unknown map keys, legacy encodings, non-canonical number tags, and
-//! nesting past `MAX_DEPTH`.
+//! unknown map keys, non-canonical number tags, the pre-k-class forms
+//! both refuse, and nesting past `MAX_DEPTH`.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -487,9 +487,8 @@ fn nesting_past_max_depth_is_refused_alike_wherever_it_sits() {
 }
 
 #[test]
-fn lenient_and_legacy_encodings_decode_alike() {
-    // Features as U64 / I64 / Null (NaN), labels as legacy variant names,
-    // a dataset without `num_classes` (inferred through `Dataset::new`).
+fn non_canonical_number_tags_decode_alike() {
+    // Features as U64 / I64 / Null (NaN) and labels above 1 as I64.
     let mut value = docket_value();
     edit_struct_maps(&mut value, &mut |entries| {
         for (key, item) in entries.iter_mut() {
@@ -501,65 +500,135 @@ fn lenient_and_legacy_encodings_decode_alike() {
                 }
                 ("labels", Value::Seq(labels)) => {
                     for label in labels.iter_mut() {
-                        match label {
-                            Value::U64(0) => *label = Value::Str("Negative".into()),
-                            Value::U64(1) => *label = Value::Str("Positive".into()),
-                            Value::U64(other) => *label = Value::I64(*other as i64),
-                            _ => {}
+                        if let Value::U64(index) = label {
+                            *label = Value::I64(*index as i64);
                         }
                     }
                 }
                 _ => {}
             }
         }
-        entries.retain(|(key, _)| key != "num_classes");
     });
     let payload = binary::to_vec(&value);
     assert!(assert_decoders_agree::<Request>(&payload, "lenient encodings"));
 
-    // The same legacy and lenient forms inside models: leaf weights
-    // tagged `U64`, `I64` or `Null`, every other leaf's counts as the
-    // pre-k-class `{negative, positive}` map, and no `num_classes` on the
-    // forest (k is then inferred from the leaves).
-    let mut request = Request::from_value(&binary::decode_value_bytes(&register_payload()).unwrap())
-        .unwrap()
-        .to_value();
-    assert!(
-        legacy_model(&mut request) > 1,
-        "the fixture has leaves to rewrite"
-    );
+    // The same inside models: leaf weights tagged `U64`, `I64` or `Null`.
+    let mut request = register_request_value();
+    let mut leaves = 0;
+    edit_struct_maps(&mut request, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if let ("counts", Value::Seq(counts)) = (key.as_str(), item) {
+                leaves += 1;
+                for (i, count) in counts.iter_mut().enumerate() {
+                    *count = [Value::U64(3), Value::I64(-2), Value::Null][(leaves + i) % 3].clone();
+                }
+            }
+        }
+    });
+    assert!(leaves > 1, "the fixture has leaves to rewrite");
     let payload = binary::to_vec(&request);
-    assert!(assert_decoders_agree::<Request>(&payload, "legacy forest"));
+    assert!(assert_decoders_agree::<Request>(&payload, "lenient forest"));
     let Request::RegisterModel { model, .. } = proto::decode_payload(&payload).unwrap() else {
         unreachable!("the payload is a registration")
     };
     assert_eq!(model.num_classes(), 2);
 }
 
-/// Rewrites a model the way older or lenient writers did (see
-/// [`lenient_and_legacy_encodings_decode_alike`]); returns the number of
-/// leaves rewritten.
-fn legacy_model(value: &mut Value) -> usize {
-    let mut leaves = 0;
-    edit_struct_maps(value, &mut |entries| {
+/// The registration fixture as a `Value` tree.
+fn register_request_value() -> Value {
+    Request::from_value(&binary::decode_value_bytes(&register_payload()).unwrap())
+        .unwrap()
+        .to_value()
+}
+
+#[test]
+fn pre_k_class_forms_are_refused_alike() {
+    // Labels as the pre-k-class variant names.
+    let mut value = docket_value();
+    let mut renamed = 0;
+    edit_struct_maps(&mut value, &mut |entries| {
         for (key, item) in entries.iter_mut() {
-            if let ("counts", Value::Seq(counts)) = (key.as_str(), &mut *item) {
-                leaves += 1;
-                if leaves % 2 == 0 {
-                    *item = Value::Map(vec![
-                        ("positive".into(), counts[1].clone()),
-                        ("negative".into(), counts[0].clone()),
-                    ]);
-                    continue;
-                }
-                for (i, count) in counts.iter_mut().enumerate() {
-                    *count = [Value::U64(3), Value::I64(-2), Value::Null][(leaves + i) % 3].clone();
+            if let ("labels", Value::Seq(labels)) = (key.as_str(), item) {
+                for label in labels.iter_mut() {
+                    let name = match label {
+                        Value::U64(0) => "Negative",
+                        Value::U64(1) => "Positive",
+                        _ => continue,
+                    };
+                    *label = Value::Str(name.into());
+                    renamed += 1;
                 }
             }
         }
-        entries.retain(|(key, _)| key != "num_classes");
     });
-    leaves
+    assert!(renamed > 0, "the fixture has binary labels to rename");
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&value),
+        "variant-name labels"
+    ));
+
+    // Datasets without `num_classes`.
+    let mut value = docket_value();
+    edit_struct_maps(&mut value, &mut |entries| {
+        entries.retain(|(key, _)| key != "num_classes")
+    });
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&value),
+        "dataset without a class count"
+    ));
+
+    // Leaf counts as the `{negative, positive}` map.
+    let mut request = register_request_value();
+    let mut leaves = 0;
+    edit_struct_maps(&mut request, &mut |entries| {
+        for (key, item) in entries.iter_mut() {
+            if let ("counts", Value::Seq(counts)) = (key.as_str(), &mut *item) {
+                leaves += 1;
+                *item = Value::Map(vec![
+                    ("positive".into(), counts[1].clone()),
+                    ("negative".into(), counts[0].clone()),
+                ]);
+            }
+        }
+    });
+    assert!(leaves > 0, "the fixture has leaves to rewrite");
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&request),
+        "named-map leaf counts"
+    ));
+
+    // A forest without `num_classes`.
+    let mut request = register_request_value();
+    let mut dropped = false;
+    edit_struct_maps(&mut request, &mut |entries| {
+        if entries.iter().any(|(key, _)| key == "feature_subsets") {
+            entries.retain(|(key, _)| key != "num_classes");
+            dropped = true;
+        }
+    });
+    assert!(dropped, "the fixture has a forest map");
+    assert!(!assert_decoders_agree::<Request>(
+        &binary::to_vec(&request),
+        "forest without a class count"
+    ));
+
+    // A confusion matrix as the four binary counts, complete or not.
+    let count = |key: &str, n: u64| (key.to_string(), Value::U64(n));
+    let mut four = vec![
+        count("true_positive", 2),
+        count("true_negative", 1),
+        count("false_positive", 3),
+        count("false_negative", 4),
+    ];
+    assert!(!assert_decoders_agree::<ConfusionMatrix>(
+        &binary::to_vec(&Value::Map(four.clone())),
+        "four-count matrix"
+    ));
+    four.pop();
+    assert!(!assert_decoders_agree::<ConfusionMatrix>(
+        &binary::to_vec(&Value::Map(four)),
+        "four-count matrix without a count"
+    ));
 }
 
 #[test]
@@ -681,24 +750,6 @@ fn confusion_matrices_and_tenant_ids_decode_like_the_value_route() {
     let predicted = [0, 2, 2, 1].map(|i| Label::new(i, 3).unwrap());
     assert_parity(&ConfusionMatrix::from_predictions(&truth, &predicted));
     let count = |key: &str, n: u64| (key.to_string(), Value::U64(n));
-    let legacy = Value::Map(vec![
-        count("true_positive", 2),
-        count("true_negative", 1),
-        count("false_positive", 3),
-        count("false_negative", 4),
-    ]);
-    assert!(assert_decoders_agree::<ConfusionMatrix>(
-        &binary::to_vec(&legacy),
-        "legacy matrix"
-    ));
-    let Value::Map(mut short) = legacy else {
-        unreachable!()
-    };
-    short.pop();
-    assert!(!assert_decoders_agree::<ConfusionMatrix>(
-        &binary::to_vec(&Value::Map(short)),
-        "legacy matrix without a count"
-    ));
     let ragged = Value::Map(vec![
         count("classes", 3),
         ("cells".into(), Value::Seq(vec![Value::U64(1); 8])),

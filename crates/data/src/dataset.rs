@@ -68,14 +68,13 @@ impl Serialize for Dataset {
 }
 
 /// The serialized fields of a [`Dataset`], before the label checks.
-/// Pre-k-class artifacts carry no `num_classes`.
 mod unchecked {
     #[derive(serde::Deserialize)]
     pub(super) struct Dataset {
         pub(super) name: String,
         pub(super) features: super::DenseMatrix,
         pub(super) labels: Vec<super::Label>,
-        pub(super) num_classes: Option<usize>,
+        pub(super) num_classes: usize,
     }
 }
 
@@ -93,9 +92,7 @@ impl Dataset {
     /// Re-validates deserialized parts through the checked constructors,
     /// so a corrupted serialized dataset (label count disagreeing with the
     /// feature rows, labels outside the class count) is rejected instead of
-    /// panicking during verification. Pre-k-class artifacts have no
-    /// `num_classes` entry; they are binary by construction, so the
-    /// inferring constructor restores them as k = 2.
+    /// panicking during verification.
     fn checked(parts: unchecked::Dataset) -> Result<Self, DeError> {
         let unchecked::Dataset {
             name,
@@ -103,11 +100,8 @@ impl Dataset {
             labels,
             num_classes,
         } = parts;
-        match num_classes {
-            Some(num_classes) => Dataset::with_classes(name, features, labels, num_classes),
-            None => Dataset::new(name, features, labels),
-        }
-        .map_err(|err| DeError::new(format!("invalid Dataset: {err}")))
+        Dataset::with_classes(name, features, labels, num_classes)
+            .map_err(|err| DeError::new(format!("invalid Dataset: {err}")))
     }
 
     /// Builds a dataset, validating that the number of labels matches the

@@ -89,8 +89,9 @@ impl Label {
     /// construction needs.
     #[inline]
     pub fn rotated(self, num_classes: usize) -> Label {
-        let k = num_classes.max(2) as u16;
-        Label((self.0 + 1) % k)
+        // In `usize`: the largest class count, `MAX_CLASSES`, does not fit
+        // a `u16`, and neither does the last index plus one.
+        Label(((usize::from(self.0) + 1) % num_classes.max(2)) as u16)
     }
 
     /// Numeric encoding: the paper's `-1.0` / `+1.0` for the binary
@@ -193,9 +194,8 @@ impl std::ops::Not for Label {
     }
 }
 
-/// Labels serialize as their class index. Deserialization also accepts the
-/// pre-k-class enum encoding (`"Negative"` / `"Positive"` strings), so
-/// binary artifacts written before the format generalization keep loading.
+/// Labels serialize as their class index, the only form deserialization
+/// accepts.
 impl Serialize for Label {
     fn to_value(&self) -> Value {
         Value::U64(u64::from(self.0))
@@ -214,13 +214,9 @@ fn label_from_u64(index: u64) -> Result<Label, DeError> {
 
 impl Deserialize for Label {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        if let Some(index) = value.as_u64() {
-            return label_from_u64(index);
-        }
-        match value.as_str() {
-            Some("Negative") => Ok(Label::Negative),
-            Some("Positive") => Ok(Label::Positive),
-            _ => Err(DeError::expected("class index or legacy variant name", "Label")),
+        match value.as_u64() {
+            Some(index) => label_from_u64(index),
+            None => Err(DeError::expected("class index", "Label")),
         }
     }
 
@@ -284,19 +280,6 @@ impl ClassCounts {
             inline: [0.0; CLASS_COUNTS_INLINE],
             spill,
             classes: classes as u32,
-        }
-    }
-
-    /// A binary counter with explicit negative/positive weights.
-    #[inline]
-    pub fn binary(negative: f64, positive: f64) -> Self {
-        let mut inline = [0.0; CLASS_COUNTS_INLINE];
-        inline[0] = negative;
-        inline[1] = positive;
-        ClassCounts {
-            inline,
-            spill: Vec::new(),
-            classes: 2,
         }
     }
 
@@ -471,9 +454,8 @@ pub fn gini_of(counts: &[f64]) -> f64 {
     gini
 }
 
-/// Class counts serialize as the per-class weight sequence. Deserialization
-/// also accepts the pre-k-class struct encoding (a map with `negative` /
-/// `positive` fields), so binary artifacts keep loading.
+/// Class counts serialize as the per-class weight sequence, the only form
+/// deserialization accepts.
 impl Serialize for ClassCounts {
     fn to_value(&self) -> Value {
         Value::Seq(self.slice().iter().map(|count| count.to_value()).collect())
@@ -484,21 +466,9 @@ impl Serialize for ClassCounts {
     }
 }
 
-/// The pre-k-class struct encoding of [`ClassCounts`].
-mod legacy {
-    #[derive(serde::Deserialize)]
-    pub(super) struct ClassCounts {
-        pub(super) negative: f64,
-        pub(super) positive: f64,
-    }
-}
-
 impl Deserialize for ClassCounts {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        let Some(items) = value.as_seq() else {
-            let legacy::ClassCounts { negative, positive } = legacy::ClassCounts::from_value(value)?;
-            return Ok(ClassCounts::binary(negative, positive));
-        };
+        let items = value.as_seq().ok_or_else(|| DeError::expected("sequence", "ClassCounts"))?;
         let mut counts = ClassCounts::checked(items.len())?;
         for (slot, item) in counts.slice_mut().iter_mut().zip(items) {
             *slot = f64::from_value(item)?;
@@ -508,9 +478,7 @@ impl Deserialize for ClassCounts {
 
     fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
         if !reader.accept(depth, binary::TAG_SEQ)? {
-            let legacy::ClassCounts { negative, positive } =
-                legacy::ClassCounts::read_binary(reader, depth)?;
-            return Ok(ClassCounts::binary(negative, positive));
+            return binary::via_value(reader, depth);
         }
         let len = reader.take_len()?;
         let mut counts = ClassCounts::checked(len)?;
@@ -560,6 +528,8 @@ mod tests {
             assert_ne!(rotated, label, "rotation must be fixpoint-free");
             assert_eq!(rotated.index(), (index + 1) % k);
         }
+        let last = Label::new(Label::MAX_CLASSES - 1, Label::MAX_CLASSES).unwrap();
+        assert_eq!(last.rotated(Label::MAX_CLASSES), Label::Negative);
     }
 
     #[test]
@@ -695,26 +665,32 @@ mod tests {
     }
 
     #[test]
-    fn label_serializes_as_class_index_and_loads_legacy_names() {
+    fn label_serializes_as_class_index_and_refuses_variant_names() {
         let json = serde_json::to_string(&Label::Positive).unwrap();
         assert_eq!(json, "1");
         let back: Label = serde_json::from_str(&json).unwrap();
         assert_eq!(back, Label::Positive);
-        let legacy: Label = serde_json::from_str("\"Negative\"").unwrap();
-        assert_eq!(legacy, Label::Negative);
-        let legacy: Label = serde_json::from_str("\"Positive\"").unwrap();
-        assert_eq!(legacy, Label::Positive);
-        assert!(serde_json::from_str::<Label>("\"Sideways\"").is_err());
+        for name in ["\"Negative\"", "\"Positive\"", "\"Sideways\""] {
+            let err = serde_json::from_str::<Label>(name).unwrap_err();
+            assert!(err.to_string().contains("class index"), "{name}: {err}");
+            let mut bytes = Vec::new();
+            binary::encode_value(&serde_json::parse_value_str(name).unwrap(), &mut bytes);
+            assert!(binary::from_slice::<Label>(&bytes).is_err(), "{name}");
+        }
     }
 
     #[test]
-    fn class_counts_serialize_as_sequence_and_load_legacy_maps() {
+    fn class_counts_serialize_as_sequence_and_refuse_named_maps() {
         let counts = ClassCounts::from_slice(&[1.0, 2.0, 3.0]);
         let json = serde_json::to_string(&counts).unwrap();
         let back: ClassCounts = serde_json::from_str(&json).unwrap();
         assert_eq!(back, counts);
-        let legacy: ClassCounts = serde_json::from_str("{\"negative\":4.0,\"positive\":5.0}").unwrap();
-        assert_eq!(legacy, ClassCounts::binary(4.0, 5.0));
-        assert!(serde_json::from_str::<ClassCounts>("true").is_err());
+        for shape in ["{\"negative\":4.0,\"positive\":5.0}", "true"] {
+            let err = serde_json::from_str::<ClassCounts>(shape).unwrap_err();
+            assert!(err.to_string().contains("sequence"), "{shape}: {err}");
+            let mut bytes = Vec::new();
+            binary::encode_value(&serde_json::parse_value_str(shape).unwrap(), &mut bytes);
+            assert!(binary::from_slice::<ClassCounts>(&bytes).is_err(), "{shape}");
+        }
     }
 }

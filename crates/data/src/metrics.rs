@@ -210,8 +210,7 @@ impl ConfusionMatrix {
     }
 }
 
-/// Serializes as `{classes, cells}`; deserialization also accepts the
-/// pre-k-class four-field binary struct.
+/// Serializes as `{classes, cells}`, the only form deserialization accepts.
 impl Serialize for ConfusionMatrix {
     fn to_value(&self) -> Value {
         Value::Map(vec![
@@ -229,17 +228,12 @@ impl Serialize for ConfusionMatrix {
     }
 }
 
-/// The serialized fields of a [`ConfusionMatrix`] in either form: the
-/// current `{classes, cells}`, or the pre-k-class binary counts.
+/// The serialized fields of a [`ConfusionMatrix`], before the shape check.
 mod unchecked {
     #[derive(serde::Deserialize)]
     pub(super) struct ConfusionMatrix {
-        pub(super) classes: Option<usize>,
-        pub(super) cells: Option<Vec<usize>>,
-        pub(super) true_positive: Option<usize>,
-        pub(super) true_negative: Option<usize>,
-        pub(super) false_positive: Option<usize>,
-        pub(super) false_negative: Option<usize>,
+        pub(super) classes: usize,
+        pub(super) cells: Vec<usize>,
     }
 }
 
@@ -254,22 +248,10 @@ impl Deserialize for ConfusionMatrix {
 }
 
 impl ConfusionMatrix {
-    /// A decoded matrix: `cells` marks the current form, which needs at
-    /// least two classes and one cell per class pair; without it all four
-    /// legacy binary counts are required.
+    /// A decoded matrix, which needs at least two classes and one cell per
+    /// class pair.
     fn checked(parts: unchecked::ConfusionMatrix) -> Result<Self, DeError> {
-        let required = serde::binary::required;
-        let Some(cells) = parts.cells else {
-            let mut matrix = ConfusionMatrix::with_classes(2);
-            matrix.cells = vec![
-                required(parts.true_negative, "true_negative")?,
-                required(parts.false_positive, "false_positive")?,
-                required(parts.false_negative, "false_negative")?,
-                required(parts.true_positive, "true_positive")?,
-            ];
-            return Ok(matrix);
-        };
-        let classes = required(parts.classes, "classes")?;
+        let unchecked::ConfusionMatrix { classes, cells } = parts;
         if classes < 2 || classes.checked_mul(classes) != Some(cells.len()) {
             return Err(DeError::new(format!(
                 "invalid ConfusionMatrix: {} cells for {classes} classes",
@@ -431,20 +413,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_and_legacy_binary_shape() {
+    fn serde_round_trip_and_refusal_of_the_binary_count_shape() {
         let truth = [P, N, P];
         let m = ConfusionMatrix::from_predictions(&truth, &truth);
         let json = serde_json::to_string(&m).unwrap();
         let back: ConfusionMatrix = serde_json::from_str(&json).unwrap();
         assert_eq!(back, m);
-        let legacy: ConfusionMatrix = serde_json::from_str(
+        let err = serde_json::from_str::<ConfusionMatrix>(
             "{\"true_positive\":2,\"true_negative\":1,\"false_positive\":3,\"false_negative\":4}",
         )
-        .unwrap();
-        assert_eq!(legacy.true_positive(), 2);
-        assert_eq!(legacy.true_negative(), 1);
-        assert_eq!(legacy.false_positive(), 3);
-        assert_eq!(legacy.false_negative(), 4);
+        .unwrap_err();
+        assert!(err.to_string().contains("missing field `classes`"), "{err}");
     }
 
     #[test]

@@ -41,15 +41,13 @@ fn max_leaf_classes(trees: &[DecisionTree]) -> usize {
 }
 
 /// The serialized fields of a [`RandomForest`], before the forest checks.
-/// Forests serialized before the k-class generalization carry no
-/// `num_classes`.
 mod unchecked {
     #[derive(serde::Deserialize)]
     pub(super) struct RandomForest {
         pub(super) trees: Vec<super::DecisionTree>,
         pub(super) feature_subsets: Vec<Vec<usize>>,
         pub(super) num_features: usize,
-        pub(super) num_classes: Option<usize>,
+        pub(super) num_classes: usize,
     }
 }
 
@@ -69,9 +67,7 @@ impl Deserialize for RandomForest {
 impl RandomForest {
     /// Validates deserialized parts: at least one tree, one non-empty
     /// in-range feature subset per tree, a feature count covering every
-    /// tree, and a class count covering every leaf. A forest without a
-    /// class count is binary by construction, so k is inferred from the
-    /// leaf labels instead of rejecting the artefact.
+    /// tree, and a class count covering every leaf.
     fn checked(parts: unchecked::RandomForest) -> Result<Self, DeError> {
         let unchecked::RandomForest {
             trees,
@@ -111,16 +107,12 @@ impl RandomForest {
             }
         }
         let leaf_classes = max_leaf_classes(&trees);
-        let num_classes = match num_classes {
-            Some(declared) if declared < leaf_classes => {
-                return Err(DeError::new(format!(
-                    "invalid RandomForest: claims {declared} classes but a leaf predicts class {}",
-                    leaf_classes - 1
-                )));
-            }
-            Some(declared) => declared,
-            None => leaf_classes,
-        };
+        if num_classes < leaf_classes {
+            return Err(DeError::new(format!(
+                "invalid RandomForest: claims {num_classes} classes but a leaf predicts class {}",
+                leaf_classes - 1
+            )));
+        }
         Ok(RandomForest {
             trees,
             feature_subsets,

@@ -26,7 +26,10 @@
 //! preorder with the left subtree adjacent to its parent, so the common
 //! `x[f] <= t` branch continues on the next node. These arrays drive the
 //! single-row walk; batches run the blocked lockstep walk of [`kernel`]
-//! over a derived per-level layout.
+//! over a derived per-level layout. Verification batches take one path,
+//! [`CompiledForest::par_predict_all_batch`] in [`BATCH_SHARD_ROWS`]-row
+//! shards, whoever holds the forest: a caller of the one-shot
+//! verification and the dispute service alike.
 //!
 //! A compiled forest is never persisted: it is derived from a
 //! [`RandomForest`] with [`CompiledForest::compile`] wherever one is
@@ -47,6 +50,13 @@ pub use kernel::{Kernel, ResolvedKernel, DEFAULT_BLOCK_WIDTH};
 
 /// Sentinel in the `feature` array marking a leaf node.
 pub const LEAF_MARKER: u32 = u32::MAX;
+
+/// Number of batch rows each worker shard of
+/// [`CompiledForest::par_predict_all_batch`] handles when a verification
+/// batch is answered through the forest's oracle. Small enough to spread
+/// one large claim across every core, large enough that the per-shard
+/// stitch is negligible next to the tree walks.
+pub const BATCH_SHARD_ROWS: usize = 256;
 
 /// A trained forest flattened into contiguous structure-of-arrays node
 /// storage for fast batch inference (see the module documentation for the
@@ -425,33 +435,28 @@ impl CompiledForest {
         }
     }
 
-    /// [`Self::predict_all_batch_with`] sharded across the work-stealing
-    /// pool: rows are split into contiguous shards of at most
-    /// `shard_rows`, each shard is predicted independently, and the
-    /// per-sample votes are stitched back in row order — bit-identical to
-    /// the single-threaded call for every shard size and worker count.
-    /// This is the dispute-service hot path, where one verification batch
-    /// can carry thousands of disguised queries; called from inside an
-    /// outer per-dispute fan-out, the shards become nested pool jobs that
-    /// idle workers steal, rather than serializing on the dispute's
+    /// [`Self::predict_all_batch`] sharded across the work-stealing pool:
+    /// rows are split into contiguous shards of at most `shard_rows`, each
+    /// shard is predicted independently, and the per-sample votes are
+    /// stitched back in row order — bit-identical to the single-threaded
+    /// call for every shard size and worker count. This is the
+    /// verification hot path ([`BATCH_SHARD_ROWS`]-row shards), where one
+    /// batch can carry thousands of disguised queries; called from inside
+    /// an outer per-dispute fan-out, the shards become nested pool jobs
+    /// that idle workers steal, rather than serializing on the dispute's
     /// thread. Batches that would fit in a single shard — and any batch on
     /// a single-worker pool, where sharding could only add stitch overhead
     /// — take the serial path directly.
     ///
     /// # Panics
     /// Panics if `features.cols() < num_features()`.
-    pub fn par_predict_all_batch(
-        &self,
-        features: &DenseMatrix,
-        shard_rows: usize,
-        kernel: Kernel,
-    ) -> BatchPredictions {
+    pub fn par_predict_all_batch(&self, features: &DenseMatrix, shard_rows: usize) -> BatchPredictions {
         use rayon::prelude::*;
         let shard_rows = shard_rows.max(1);
         let samples = features.rows();
         let cols = features.cols();
         if samples <= shard_rows || rayon::current_num_threads() <= 1 {
-            return self.predict_all_batch_with(features, kernel);
+            return self.predict_all_batch(features);
         }
         self.check_cols(cols);
         let values = features.as_slice();
@@ -462,7 +467,12 @@ impl CompiledForest {
                 let end = (start + shard_rows).min(samples);
                 // Rows are contiguous in row-major storage, so a shard is a
                 // borrowed subslice — no copy.
-                self.predict_all_rows(&values[start * cols..end * cols], cols, end - start, kernel)
+                self.predict_all_rows(
+                    &values[start * cols..end * cols],
+                    cols,
+                    end - start,
+                    Kernel::Blocked,
+                )
             })
             .collect();
         let num_trees = self.num_trees();

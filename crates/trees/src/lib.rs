@@ -23,7 +23,7 @@ pub mod tree;
 
 pub use forest::{derive_seeds, rng_from_seed, RandomForest};
 pub use grid::{GridPointResult, GridSearch, GridSearchResult, ParamGrid};
-pub use infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel};
+pub use infer::{BatchPredictions, CompiledForest, Kernel, ResolvedKernel, BATCH_SHARD_ROWS};
 pub use params::{FeatureSubset, ForestParams, TreeParams};
 pub use split::{best_split, Split};
 pub use tree::{DecisionTree, LeafRegion, Node, TreeStats};

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use wdte_data::{ClassCounts, Dataset, DenseMatrix, Label};
-use wdte_trees::{CompiledForest, DecisionTree, ForestParams, Kernel, Node, RandomForest, TreeParams};
+use wdte_trees::{CompiledForest, DecisionTree, ForestParams, Node, RandomForest, TreeParams};
 
 /// Feature values drawn from a finite range plus the non-finite specials
 /// the split search and traversal must handle deterministically.
@@ -133,7 +133,7 @@ proptest! {
                 prop_assert_eq!(majorities[index], forest.predict(row));
             }
             for shard_rows in [1usize, 3, 1024] {
-                prop_assert_eq!(&compiled.par_predict_all_batch(&matrix, shard_rows, Kernel::Auto), &batch);
+                prop_assert_eq!(&compiled.par_predict_all_batch(&matrix, shard_rows), &batch);
             }
         }
     }
@@ -165,7 +165,7 @@ proptest! {
         // for shard sizes smaller and larger than the batch.
         for shard_rows in [1usize, 3, 1024] {
             prop_assert_eq!(
-                &compiled.par_predict_all_batch(dataset.features(), shard_rows, Kernel::Auto),
+                &compiled.par_predict_all_batch(dataset.features(), shard_rows),
                 &batch
             );
         }

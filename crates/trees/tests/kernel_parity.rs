@@ -126,18 +126,19 @@ fn assert_kernels_match(compiled: &CompiledForest, rows: &[Vec<f64>]) {
                 "kernel {kernel}, row {index}"
             );
         }
-        // The sharded path must stitch bit-identically under every kernel;
-        // a width-3 install forces real sharding even on one core.
-        rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap().install(|| {
-            for shard_rows in [1usize, 3, 1024] {
-                assert_eq!(
-                    &compiled.par_predict_all_batch(&matrix, shard_rows, kernel),
-                    &batch,
-                    "kernel {kernel}, shard_rows {shard_rows}"
-                );
-            }
-        });
     }
+    // The sharded path must stitch bit-identically; a width-3 install
+    // forces real sharding even on one core.
+    let batch = compiled.predict_all_batch(&matrix);
+    rayon::ThreadPoolBuilder::new().num_threads(3).build().unwrap().install(|| {
+        for shard_rows in [1usize, 3, 1024] {
+            assert_eq!(
+                &compiled.par_predict_all_batch(&matrix, shard_rows),
+                &batch,
+                "shard_rows {shard_rows}"
+            );
+        }
+    });
     let votes = compiled.positive_vote_counts(&matrix);
     for (index, (&vote, expected)) in votes.iter().zip(&reference).enumerate() {
         let positive = expected.iter().filter(|&&l| l == Label::Positive).count();
