@@ -30,7 +30,7 @@ fn bench_forgery(c: &mut Criterion) {
                     let mut forged = 0usize;
                     for i in 0..10.min(test.len()) {
                         let reference = test.instance(i);
-                        let query = ForgeryQuery::from_signature_bits_k(
+                        let query = ForgeryQuery::from_signature_bits(
                             fake.bits(),
                             test.label(i),
                             outcome.model.num_classes(),

@@ -143,7 +143,7 @@ pub fn forge_trigger_set_compiled(
         .map(|index| {
             let instance = test_set.instance(index);
             let label = test_set.label(index);
-            let query = ForgeryQuery::from_signature_bits_k(
+            let query = ForgeryQuery::from_signature_bits(
                 fake_signature.bits(),
                 label,
                 num_classes,
@@ -196,7 +196,7 @@ pub fn forge_trigger_set_compiled(
             .enumerate()
             .filter(|(index, f)| {
                 batch.sample(*index).iter().enumerate().all(|(tree, &vote)| {
-                    vote == fake_signature.required_prediction_k(tree, f.label, num_classes)
+                    vote == fake_signature.required_prediction(tree, f.label, num_classes)
                 })
             })
             .map(|(_, f)| f)
@@ -281,7 +281,7 @@ mod tests {
         for forged in &result.forged {
             assert!(forged.distortion <= config.epsilon + 1e-9);
             let required: Vec<Label> = (0..model.num_trees())
-                .map(|i| fake.required_prediction_k(i, forged.label, 2))
+                .map(|i| fake.required_prediction(i, forged.label, 2))
                 .collect();
             assert!(satisfies_pattern(&model, &forged.instance, &required));
             for &value in &forged.instance {
@@ -313,7 +313,7 @@ mod tests {
         );
         for forged in &result.forged {
             let required: Vec<Label> = (0..model.num_trees())
-                .map(|i| fake.required_prediction_k(i, forged.label, 3))
+                .map(|i| fake.required_prediction(i, forged.label, 3))
                 .collect();
             assert!(satisfies_pattern(&model, &forged.instance, &required));
         }

@@ -17,13 +17,13 @@
 //!   compiled inference path of `wdte-trees`.
 //! * [`attack`] — the detection, suppression and forgery attacks evaluated
 //!   in Section 4.2 of the paper.
-//! * [`persist`] — the versioned on-disk format (JSON and little-endian
-//!   binary) for models, signatures, trigger sets and claims, so disputes
-//!   can be resolved from files alone.
+//! * [`persist`] — the versioned on-disk format (one little-endian
+//!   binary container) for models, signatures, trigger sets and claims,
+//!   so disputes can be resolved from files alone.
 //! * [`DisputeService`] — the concurrent dispute-resolution layer: a
 //!   registry compiling each suspect model exactly once, with multi-claim
 //!   fan-out across worker threads, built via [`DisputeService::builder`]
-//!   (optionally warm-started from persisted artefacts).
+//!   (optionally warm-started from a directory of persisted models).
 //! * [`proto`] — the versioned wire protocol ("WDTP" frames) the
 //!   `wdte-server` crate serves over TCP, making the judge independently
 //!   deployable.
@@ -66,8 +66,8 @@ pub use proto::{
     DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault, PROTOCOL_VERSION,
 };
 pub use service::{
-    ClaimCache, Dispute, DisputeService, DisputeServiceBuilder, ManifestEntry, ModelManifest,
-    SharedDispute, DEFAULT_CLAIM_CACHE_BYTES, MODEL_MANIFEST_FILE,
+    ClaimCache, Dispute, DisputeService, DisputeServiceBuilder, SharedDispute,
+    DEFAULT_CLAIM_CACHE_BYTES, MODEL_FILE_SUFFIX,
 };
 pub use signature::Signature;
 pub use tenant::{KeyRing, TenantCounters, TenantId, TenantLedger, TenantQuotas, TenantStatsEntry};
@@ -89,7 +89,7 @@ pub mod prelude {
     pub use crate::error::{WatermarkError, WatermarkResult};
     pub use crate::persist::{self, Format};
     pub use crate::proto;
-    pub use crate::service::{Dispute, DisputeService, DisputeServiceBuilder, ModelManifest};
+    pub use crate::service::{Dispute, DisputeService, DisputeServiceBuilder};
     pub use crate::signature::Signature;
     pub use crate::tenant::{KeyRing, TenantId, TenantQuotas};
     pub use crate::verify::{verify_ownership, ModelOracle, OwnershipClaim, VerificationReport};

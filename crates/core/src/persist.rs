@@ -7,24 +7,17 @@
 //!
 //! The paper's deployment story is train-once / verify-many: the owner
 //! releases a serialized model, and later a judge resolves a dispute from
-//! files alone, without the training process in memory. This module gives
-//! every serde-capable type two interchangeable encodings behind one
-//! version-checked container:
-//!
-//! * **JSON** (`Format::Json`) — a human-auditable envelope
-//!   `{"magic": "WDTE", "version": 2, "payload": ...}`. Finite `f64`s use
-//!   Rust's shortest round-tripping decimal form, infinities are written as
-//!   `±1e999`, and `NaN` as `null`, so predictions survive the round-trip
-//!   exactly.
-//! * **Binary** (`Format::Binary`) — a compact little-endian encoding with
-//!   the header `"WDTE"` + `'B'` + `u16` version, followed by a
-//!   tag-length-value rendering of the serde data model. `f64`s are stored
-//!   as their raw IEEE-754 bit pattern, preserving even `NaN` payloads.
-//!   The codec, with its bounds checks, capped reservations and depth
-//!   limit, is [`serde::binary`]; WDTP frames ([`crate::proto`]) carry the
-//!   same encoding. Every type, models included, is written and read
-//!   directly between its fields and the bytes, with no intermediate
-//!   [`Value`] tree. JSON always goes through [`Value`].
+//! files alone, without the training process in memory. Every artefact
+//! has one encoding: a compact little-endian container with the header
+//! `"WDTE"` + `'B'` + `u16` version, followed by a tag-length-value
+//! rendering of the serde data model. `f64`s are stored as their raw
+//! IEEE-754 bit pattern, preserving even `NaN` payloads. The codec, with
+//! its bounds checks, capped reservations and depth limit, is
+//! [`serde::binary`]; WDTP frames ([`crate::proto`]) carry the same
+//! encoding. Every type, models included, is written and read directly
+//! between its fields and the bytes, with no intermediate `Value` tree.
+//! A file that does not open with the `WDTE` magic is
+//! [`WatermarkError::UnrecognizedFormat`].
 //!
 //! **Version policy:** the header version is bumped whenever the encoding
 //! of existing data changes shape. Readers accept exactly
@@ -36,11 +29,10 @@
 //! surface as [`WatermarkError::CorruptedArtifact`], never as a panic.
 
 use crate::error::{WatermarkError, WatermarkResult};
-use serde::{binary, Deserialize, Serialize, Value};
+use serde::{binary, Deserialize, Serialize};
 use std::path::Path;
 
-/// Magic bytes opening every binary artefact (and the `"magic"` field of
-/// the JSON envelope).
+/// Magic bytes opening every artefact.
 pub const MAGIC: &[u8; 4] = b"WDTE";
 
 /// Container tag of the binary encoding, directly after the magic bytes.
@@ -49,73 +41,41 @@ pub const BINARY_TAG: u8 = b'B';
 /// Format version this build writes, and the only one it reads.
 pub const FORMAT_VERSION: u16 = 2;
 
-/// On-disk encoding of an artefact.
+/// On-disk encoding of an artefact. The binary container is the only
+/// one; the parameter it fills in [`to_bytes`] and [`save`] is kept for
+/// source compatibility.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Format {
-    /// Human-auditable JSON envelope.
-    Json,
     /// Compact little-endian binary encoding.
     Binary,
 }
 
-/// Serializes `value` into a self-describing, version-headered byte
-/// buffer in the chosen format.
+/// Serializes `value` into a version-headered byte buffer.
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T, format: Format) -> Vec<u8> {
-    match format {
-        Format::Json => {
-            let envelope = Value::Map(vec![
-                ("magic".to_string(), Value::Str("WDTE".to_string())),
-                ("version".to_string(), Value::U64(u64::from(FORMAT_VERSION))),
-                ("payload".to_string(), value.to_value()),
-            ]);
-            let text =
-                serde_json::to_string_pretty(&envelope).expect("the value data model always serializes");
-            text.into_bytes()
-        }
-        Format::Binary => {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(MAGIC);
-            bytes.push(BINARY_TAG);
-            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            value.write_binary(&mut bytes);
-            bytes
-        }
-    }
+    let Format::Binary = format;
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(MAGIC);
+    bytes.push(BINARY_TAG);
+    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    value.write_binary(&mut bytes);
+    bytes
 }
 
-/// Deserializes an artefact from bytes, sniffing the container format from
-/// the header. Fails with typed errors on unknown containers, version
-/// mismatches, and corrupted or truncated payloads.
+/// Deserializes an artefact from bytes. Fails with typed errors on
+/// anything but the WDTE container, on version mismatches, and on
+/// corrupted or truncated payloads.
 pub fn from_bytes<T: Deserialize>(bytes: &[u8]) -> WatermarkResult<T> {
-    let decoded = match detect_format(bytes) {
-        Some(Format::Binary) => binary::from_slice(binary_payload(bytes)?),
-        Some(Format::Json) => T::from_value(&json_payload(bytes)?),
-        None => {
-            return Err(WatermarkError::UnrecognizedFormat {
-                detail: "file starts with neither the WDTE magic nor a JSON envelope".to_string(),
-            })
-        }
-    };
-    decoded.map_err(|err| WatermarkError::CorruptedArtifact {
+    binary::from_slice(binary_payload(bytes)?).map_err(|err| WatermarkError::CorruptedArtifact {
         detail: err.to_string(),
     })
-}
-
-/// Detects the container format of a byte buffer, if recognizable.
-pub fn detect_format(bytes: &[u8]) -> Option<Format> {
-    if bytes.starts_with(MAGIC) {
-        Some(Format::Binary)
-    } else if bytes.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{') {
-        Some(Format::Json)
-    } else {
-        None
-    }
 }
 
 /// Validates the binary header (magic, container tag, version) and
 /// returns the payload bytes after it.
 fn binary_payload(bytes: &[u8]) -> WatermarkResult<&[u8]> {
-    let rest = &bytes[MAGIC.len()..];
+    let rest = bytes.strip_prefix(MAGIC).ok_or_else(|| WatermarkError::UnrecognizedFormat {
+        detail: "file does not start with the WDTE magic".to_string(),
+    })?;
     let (&tag, rest) = rest.split_first().ok_or_else(|| truncated("container tag"))?;
     if tag != BINARY_TAG {
         return Err(WatermarkError::UnrecognizedFormat {
@@ -127,48 +87,6 @@ fn binary_payload(bytes: &[u8]) -> WatermarkResult<&[u8]> {
     }
     check_version(u16::from_le_bytes([rest[0], rest[1]]))?;
     Ok(&rest[2..])
-}
-
-/// Validates the JSON envelope (magic, version) and returns its payload.
-fn json_payload(bytes: &[u8]) -> WatermarkResult<Value> {
-    let text = std::str::from_utf8(bytes).map_err(|_| WatermarkError::UnrecognizedFormat {
-        detail: "file is neither valid UTF-8 JSON nor WDTE binary".to_string(),
-    })?;
-    let envelope =
-        serde_json::parse_value_str(text).map_err(|err| WatermarkError::CorruptedArtifact {
-            detail: format!("invalid JSON: {err}"),
-        })?;
-    let entries = envelope.as_map().ok_or_else(|| WatermarkError::UnrecognizedFormat {
-        detail: "JSON artefact must be an envelope object".to_string(),
-    })?;
-    let magic = entries
-        .iter()
-        .find(|(key, _)| key == "magic")
-        .and_then(|(_, value)| value.as_str());
-    if magic != Some("WDTE") {
-        return Err(WatermarkError::UnrecognizedFormat {
-            detail: "JSON envelope is missing the \"magic\": \"WDTE\" field".to_string(),
-        });
-    }
-    let found = entries
-        .iter()
-        .find(|(key, _)| key == "version")
-        .and_then(|(_, value)| value.as_u64())
-        .ok_or_else(|| WatermarkError::CorruptedArtifact {
-            detail: "JSON envelope is missing a numeric \"version\" field".to_string(),
-        })?;
-    let found = u16::try_from(found).map_err(|_| WatermarkError::UnsupportedFormatVersion {
-        found: u16::MAX,
-        supported: FORMAT_VERSION,
-    })?;
-    check_version(found)?;
-    entries
-        .iter()
-        .find(|(key, _)| key == "payload")
-        .map(|(_, value)| value.clone())
-        .ok_or_else(|| WatermarkError::CorruptedArtifact {
-            detail: "JSON envelope has no \"payload\" field".to_string(),
-        })
 }
 
 fn check_version(found: u16) -> WatermarkResult<()> {
@@ -187,7 +105,7 @@ fn truncated(what: &str) -> WatermarkError {
     }
 }
 
-/// Writes an artefact to `path` in the chosen format.
+/// Writes an artefact to `path`.
 pub fn save<T: Serialize + ?Sized>(
     path: impl AsRef<Path>,
     value: &T,
@@ -202,7 +120,7 @@ pub fn save<T: Serialize + ?Sized>(
     std::fs::write(path, to_bytes(value, format)).map_err(|err| io_error(path, &err))
 }
 
-/// Reads an artefact from `path`, sniffing the format from the header.
+/// Reads an artefact from `path`.
 pub fn load<T: Deserialize>(path: impl AsRef<Path>) -> WatermarkResult<T> {
     let path = path.as_ref();
     let bytes = std::fs::read(path).map_err(|err| io_error(path, &err))?;
@@ -223,16 +141,13 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use serde::binary::{MAX_DEPTH, TAG_NULL, TAG_SEQ};
+    use serde::Value;
 
     #[test]
-    fn both_formats_round_trip_a_signature() {
+    fn binary_round_trips_a_signature() {
         let signature = Signature::random(24, 0.5, &mut SmallRng::seed_from_u64(7));
-        for format in [Format::Json, Format::Binary] {
-            let bytes = to_bytes(&signature, format);
-            assert_eq!(detect_format(&bytes), Some(format));
-            let restored: Signature = from_bytes(&bytes).unwrap();
-            assert_eq!(restored, signature, "format {format:?}");
-        }
+        let restored: Signature = from_bytes(&to_bytes(&signature, Format::Binary)).unwrap();
+        assert_eq!(restored, signature);
     }
 
     #[test]
@@ -254,18 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn json_preserves_finite_values_and_non_finite_classes() {
-        let values = vec![0.25f64, -1.5e-200, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
-        let bytes = to_bytes(&values, Format::Json);
-        let restored: Vec<f64> = from_bytes(&bytes).unwrap();
-        assert_eq!(restored[0].to_bits(), values[0].to_bits());
-        assert_eq!(restored[1].to_bits(), values[1].to_bits());
-        assert_eq!(restored[2], f64::INFINITY);
-        assert_eq!(restored[3], f64::NEG_INFINITY);
-        assert!(restored[4].is_nan());
-    }
-
-    #[test]
     fn version_mismatch_is_a_typed_error() {
         let mut binary = to_bytes(&42u32, Format::Binary);
         binary[5] = 0xFF; // bump the little-endian version field
@@ -277,20 +180,12 @@ mod tests {
             }
             other => panic!("expected version error, got {other:?}"),
         }
-
-        let json = String::from_utf8(to_bytes(&42u32, Format::Json)).unwrap();
-        let bumped = json.replace(&format!("\"version\": {FORMAT_VERSION}"), "\"version\": 999");
-        assert_ne!(json, bumped, "the envelope must contain the version field");
-        match from_bytes::<u32>(bumped.as_bytes()).unwrap_err() {
-            WatermarkError::UnsupportedFormatVersion { found, .. } => assert_eq!(found, 999),
-            other => panic!("expected version error, got {other:?}"),
-        }
     }
 
     #[test]
     fn version_1_artifacts_are_refused() {
         // Rewind the header to the pre-k-class version: even a payload
-        // whose shape did not change is refused, on both encodings.
+        // whose shape did not change is refused.
         for old in [0u16, 1] {
             let mut binary = to_bytes(&vec![1u64, 2, 3], Format::Binary);
             binary[5..7].copy_from_slice(&old.to_le_bytes());
@@ -298,17 +193,6 @@ mod tests {
                 from_bytes::<Vec<u64>>(&binary).unwrap_err(),
                 WatermarkError::UnsupportedFormatVersion { found, supported: FORMAT_VERSION }
                     if found == old
-            ));
-
-            let json = String::from_utf8(to_bytes(&7u32, Format::Json)).unwrap();
-            let rewound = json.replace(
-                &format!("\"version\": {FORMAT_VERSION}"),
-                &format!("\"version\": {old}"),
-            );
-            assert_ne!(json, rewound);
-            assert!(matches!(
-                from_bytes::<u32>(rewound.as_bytes()).unwrap_err(),
-                WatermarkError::UnsupportedFormatVersion { found, .. } if found == old
             ));
         }
     }
@@ -371,18 +255,34 @@ mod tests {
         ));
     }
 
+    /// A JSON document is not parsed at all: hostile nesting is refused
+    /// by its first byte.
     #[test]
     fn deeply_nested_json_is_rejected_not_a_stack_overflow() {
-        let mut hostile = String::from("{\"magic\": \"WDTE\", \"version\": 1, \"payload\": ");
+        let mut hostile = String::from("{\"magic\": \"WDTE\", \"version\": 2, \"payload\": ");
         hostile.push_str(&"[".repeat(100_000));
         assert!(matches!(
             from_bytes::<Vec<u64>>(hostile.as_bytes()).unwrap_err(),
-            WatermarkError::CorruptedArtifact { .. }
+            WatermarkError::UnrecognizedFormat { .. }
         ));
     }
 
+    /// The JSON envelope earlier builds wrote and read is no longer an
+    /// artefact, even with a current version and a well-formed payload.
+    #[test]
+    fn a_json_envelope_is_an_unrecognized_format() {
+        let envelope =
+            format!("{{\"magic\": \"WDTE\", \"version\": {FORMAT_VERSION}, \"payload\": 42}}");
+        for text in [envelope.clone(), format!("  \n{envelope}")] {
+            assert!(matches!(
+                from_bytes::<u32>(text.as_bytes()).unwrap_err(),
+                WatermarkError::UnrecognizedFormat { .. }
+            ));
+        }
+    }
+
     /// `Signature::from_bits` refuses an empty signature, so a decoded one
-    /// must be refused too, in both formats, as a corrupted artefact.
+    /// must be refused too, as a corrupted artefact.
     #[test]
     fn a_claim_with_an_empty_signature_is_a_corrupted_artifact() {
         use crate::verify::OwnershipClaim;
@@ -398,14 +298,11 @@ mod tests {
             "signature".to_string(),
             Value::Map(vec![("bits".to_string(), Value::Seq(Vec::new()))]),
         );
-        for format in [Format::Binary, Format::Json] {
-            let bytes = to_bytes(&value, format);
-            match from_bytes::<OwnershipClaim>(&bytes).unwrap_err() {
-                WatermarkError::CorruptedArtifact { detail } => {
-                    assert!(detail.contains("at least one bit"), "{format:?}: {detail}")
-                }
-                other => panic!("{format:?}: expected CorruptedArtifact, got {other:?}"),
+        match from_bytes::<OwnershipClaim>(&to_bytes(&value, Format::Binary)).unwrap_err() {
+            WatermarkError::CorruptedArtifact { detail } => {
+                assert!(detail.contains("at least one bit"), "{detail}")
             }
+            other => panic!("expected CorruptedArtifact, got {other:?}"),
         }
     }
 
@@ -413,12 +310,10 @@ mod tests {
     fn save_and_load_round_trip_on_disk() {
         let dir = std::env::temp_dir().join(format!("wdte-persist-test-{}", std::process::id()));
         let signature = Signature::from_identity("persist-test@example", 16);
-        for (name, format) in [("sig.json", Format::Json), ("sig.wdte", Format::Binary)] {
-            let path = dir.join(name);
-            save(&path, &signature, format).unwrap();
-            let restored: Signature = load(&path).unwrap();
-            assert_eq!(restored, signature);
-        }
+        let path = dir.join("sig.wdte");
+        save(&path, &signature, Format::Binary).unwrap();
+        let restored: Signature = load(&path).unwrap();
+        assert_eq!(restored, signature);
         assert!(matches!(
             load::<Signature>(dir.join("missing.wdte")).unwrap_err(),
             WatermarkError::Io { .. }

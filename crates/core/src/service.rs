@@ -38,11 +38,12 @@
 //! they act on the anonymous namespace and check no quota.
 //!
 //! **Construction** goes through [`DisputeService::builder`], which also
-//! warm-starts the registry from a directory of persisted models (a
-//! [`ModelManifest`] written by the `table2` experiment), so a judge
-//! process boots from disk alone. Each file is a persisted
-//! [`RandomForest`], compiled once at boot; a compiled forest is never
-//! read from disk:
+//! warm-starts the registry from a directory of persisted models (as the
+//! `table2` and `multiclass` experiments write them), so a judge process
+//! boots from disk alone. The directory is its own index: every
+//! `<id>.model.wdte` file is a persisted [`RandomForest`] served under
+//! `<id>` and compiled once at boot; a compiled forest is never read from
+//! disk:
 //!
 //! ```rust,ignore
 //! let service = DisputeService::builder()
@@ -78,8 +79,9 @@ pub const DEFAULT_CLAIM_CACHE_BYTES: usize = 256 << 20;
 /// Rust versions and pinned by a unit test.
 pub const CLAIM_ENTRY_OVERHEAD_BYTES: usize = 160;
 
-/// File name of the model manifest inside a warm-start directory.
-pub const MODEL_MANIFEST_FILE: &str = "manifest.json";
+/// File-name suffix of a model in a warm-start directory: the file
+/// `<id>.model.wdte` is served under `<id>`.
+pub const MODEL_FILE_SUFFIX: &str = ".model.wdte";
 
 /// One dispute filed with the judge: a claim against a registered model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -394,46 +396,6 @@ impl ClaimCache {
     }
 }
 
-/// Manifest of persisted model artefacts inside a warm-start directory
-/// (see [`MODEL_MANIFEST_FILE`]): the registry ids a booting judge should
-/// serve, each mapped to an artefact file relative to the directory. The
-/// manifest is itself a versioned `persist` artefact (JSON envelope), so a
-/// stale or corrupted manifest fails with the same typed errors as any
-/// other artefact rather than silently warm-starting a partial registry.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct ModelManifest {
-    /// The models to register at boot, in registration order.
-    pub models: Vec<ManifestEntry>,
-}
-
-/// One entry of a [`ModelManifest`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ManifestEntry {
-    /// Registry id the model is served under.
-    pub model_id: String,
-    /// Artefact file name, relative to the manifest's directory: a
-    /// persisted pointer-tree [`RandomForest`], compiled at boot. Any other
-    /// payload, a compiled forest included, is refused with the model
-    /// decoder's [`WatermarkError::CorruptedArtifact`].
-    pub file: String,
-}
-
-impl ModelManifest {
-    /// Loads the manifest of a warm-start directory.
-    pub fn load_dir(dir: impl AsRef<Path>) -> WatermarkResult<Self> {
-        persist::load(dir.as_ref().join(MODEL_MANIFEST_FILE))
-    }
-
-    /// Writes this manifest into `dir` as [`MODEL_MANIFEST_FILE`].
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> WatermarkResult<()> {
-        persist::save(
-            dir.as_ref().join(MODEL_MANIFEST_FILE),
-            self,
-            persist::Format::Json,
-        )
-    }
-}
-
 /// Configures and builds a [`DisputeService`] — its one construction
 /// path.
 #[derive(Debug, Clone, Default)]
@@ -478,20 +440,23 @@ impl DisputeServiceBuilder {
         self
     }
 
-    /// Warm-starts the registry from a directory containing a
-    /// [`ModelManifest`] plus the artefact files it names (as written by
-    /// the `table2` experiment under `results/models/`). May be called
-    /// multiple times; directories are loaded in call order at
+    /// Warm-starts the registry from a directory of persisted models (as
+    /// the `table2` experiment writes `results/models/`): every
+    /// `<id>.model.wdte` file is registered under `<id>`, in file-name
+    /// order, and every other file is ignored. May be called multiple
+    /// times; directories are loaded in call order at
     /// [`build`](Self::build) time.
     pub fn warm_start_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.warm_start_dirs.push(dir.into());
         self
     }
 
-    /// Builds the service, registering every warm-start artefact. Fails
-    /// with the underlying `persist` error if a manifest or artefact is
-    /// missing, corrupted, or written by an unsupported format version; an
-    /// artefact's error names its entry's model id and file.
+    /// Builds the service, registering every warm-start model. Fails with
+    /// [`WatermarkError::Io`] if a directory is unreadable or holds no
+    /// model file (naming the directory), or if two directories hold the
+    /// same id (naming both files), and with the underlying `persist`
+    /// error, naming the model id and file, if a model file is
+    /// unreadable, corrupted, or written by an unsupported format version.
     pub fn build(self) -> WatermarkResult<DisputeService> {
         let service = DisputeService {
             registry: Mutex::new(ModelRegistry::default()),
@@ -501,20 +466,60 @@ impl DisputeServiceBuilder {
             max_docket: self.max_docket,
             quotas: self.tenant_quotas.unwrap_or_default(),
         };
-        for dir in &self.warm_start_dirs {
-            let manifest = ModelManifest::load_dir(dir)?;
-            for entry in &manifest.models {
-                let path = dir.join(&entry.file);
-                service
-                    .register_from_file(entry.model_id.clone(), &path)
-                    .map_err(|err| name_entry(err, &entry.model_id, &path))?;
+        let files = self
+            .warm_start_dirs
+            .iter()
+            .map(|dir| model_files(dir))
+            .collect::<WatermarkResult<Vec<_>>>()?
+            .concat();
+        let mut first_file: HashMap<&str, &Path> = HashMap::new();
+        for (model_id, path) in &files {
+            if let Some(first) = first_file.insert(model_id, path) {
+                return Err(WatermarkError::Io {
+                    path: path.display().to_string(),
+                    message: format!(
+                        "model `{model_id}` is also warm-started from `{}`",
+                        first.display()
+                    ),
+                });
             }
+        }
+        for (model_id, path) in &files {
+            service
+                .register_from_file(model_id.clone(), path)
+                .map_err(|err| name_entry(err, model_id, path))?;
         }
         Ok(service)
     }
 }
 
-/// Names the manifest entry a warm-start failure came from, keeping the
+/// The model files of a warm-start directory as `(model id, path)` pairs,
+/// in file-name order. A directory holding no model file is refused,
+/// naming it, so a mistyped path never boots an empty judge.
+fn model_files(dir: &Path) -> WatermarkResult<Vec<(String, PathBuf)>> {
+    let refuse = |message: String| WatermarkError::Io {
+        path: dir.display().to_string(),
+        message,
+    };
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(|err| refuse(err.to_string()))? {
+        let entry = entry.map_err(|err| refuse(err.to_string()))?;
+        let name = entry.file_name();
+        let model_id = name.to_str().and_then(|name| name.strip_suffix(MODEL_FILE_SUFFIX));
+        if let Some(model_id) = model_id.filter(|id| !id.is_empty()) {
+            files.push((model_id.to_string(), entry.path()));
+        }
+    }
+    if files.is_empty() {
+        return Err(refuse(format!(
+            "no `*{MODEL_FILE_SUFFIX}` model file to warm-start"
+        )));
+    }
+    files.sort_by(|a, b| a.1.cmp(&b.1));
+    Ok(files)
+}
+
+/// Names the model file a warm-start failure came from, keeping the
 /// error's type: an I/O error already carries the path, so it gains the
 /// model id; a decode error gains both.
 fn name_entry(err: WatermarkError, model_id: &str, path: &Path) -> WatermarkError {
@@ -970,6 +975,7 @@ mod tests {
     use crate::watermark::Watermarker;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use serde::Value;
     use std::collections::VecDeque;
     use wdte_data::{Label, SyntheticSpec};
 
@@ -1178,21 +1184,32 @@ mod tests {
         }
     }
 
-    /// A compiled-forest artefact laid out as earlier builds persisted
-    /// one: a JSON envelope around the SoA arrays of a lone-leaf tree.
-    const COMPILED_FOREST_ARTEFACT: &str = r#"{
-  "magic": "WDTE",
-  "version": 2,
-  "payload": {
-    "feature": [4294967295],
-    "threshold": [0.0],
-    "left": [1],
-    "right": [0],
-    "tree_starts": [0, 1],
-    "num_features": 1,
-    "num_classes": 2
-  }
-}"#;
+    /// A compiled forest's SoA arrays (a lone-leaf tree) in the binary
+    /// container, laid out as earlier builds persisted one.
+    fn compiled_forest_artefact() -> Vec<u8> {
+        let seq = |value: Value| Value::Seq(vec![value]);
+        let compiled = Value::Map(vec![
+            ("feature".into(), seq(Value::U64(u64::from(u32::MAX)))),
+            ("threshold".into(), seq(Value::F64(0.0))),
+            ("left".into(), seq(Value::U64(1))),
+            ("right".into(), seq(Value::U64(0))),
+            (
+                "tree_starts".into(),
+                Value::Seq(vec![Value::U64(0), Value::U64(1)]),
+            ),
+            ("num_features".into(), Value::U64(1)),
+            ("num_classes".into(), Value::U64(2)),
+        ]);
+        persist::to_bytes(&compiled, persist::Format::Binary)
+    }
+
+    /// A fresh, empty scratch directory for one warm-start test.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("wdte-warmstart-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
 
     #[test]
     fn register_from_file_accepts_pointer_and_refuses_compiled_artefacts() {
@@ -1200,9 +1217,9 @@ mod tests {
         let claim = claim_for(&outcome, &test);
         let dir = std::env::temp_dir().join(format!("wdte-service-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let compiled_path = dir.join("model.compiled.json");
+        let compiled_path = dir.join("model.compiled.wdte");
         let pointer_path = dir.join("model.wdte");
-        std::fs::write(&compiled_path, COMPILED_FOREST_ARTEFACT).unwrap();
+        std::fs::write(&compiled_path, compiled_forest_artefact()).unwrap();
         persist::save(&pointer_path, &outcome.model, persist::Format::Binary).unwrap();
 
         let service = DisputeService::builder().build().unwrap();
@@ -1232,28 +1249,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_warm_starts_from_a_manifest_directory() {
+    fn builder_warm_starts_from_a_directory_of_model_files() {
         let (test, outcome) = embedded();
         let claim = claim_for(&outcome, &test);
-        let dir = std::env::temp_dir().join(format!("wdte-warmstart-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        persist::save(dir.join("a.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
-        persist::save(dir.join("b.model.json"), &outcome.model, persist::Format::Json).unwrap();
-        let manifest = ModelManifest {
-            models: vec![
-                ManifestEntry {
-                    model_id: "deployment-a".into(),
-                    file: "a.model.wdte".into(),
-                },
-                ManifestEntry {
-                    model_id: "deployment-b".into(),
-                    file: "b.model.json".into(),
-                },
-            ],
-        };
-        manifest.save_dir(&dir).unwrap();
-        assert_eq!(ModelManifest::load_dir(&dir).unwrap(), manifest);
-
+        let dir = scratch_dir("layout");
+        for id in ["deployment-b", "deployment-a"] {
+            let path = dir.join(format!("{id}.model.wdte"));
+            persist::save(path, &outcome.model, persist::Format::Binary).unwrap();
+        }
         let service = DisputeService::builder().warm_start_dir(&dir).build().unwrap();
         assert_eq!(
             service.model_ids_for(&TenantId::anonymous()),
@@ -1264,69 +1267,140 @@ mod tests {
         assert!(service.resolve("deployment-a", &claim).unwrap().verified);
         assert!(service.resolve("deployment-b", &claim).unwrap().verified);
 
-        // A manifest naming a compiled-forest file fails the build with the
+        // A compiled forest saved as a model file fails the build with the
         // model decoder's typed error, naming the file.
-        std::fs::write(dir.join("c.compiled.json"), COMPILED_FOREST_ARTEFACT).unwrap();
-        let compiled = ModelManifest {
-            models: vec![ManifestEntry {
-                model_id: "deployment-c".into(),
-                file: "c.compiled.json".into(),
-            }],
-        };
-        compiled.save_dir(&dir).unwrap();
+        std::fs::write(dir.join("c.model.wdte"), compiled_forest_artefact()).unwrap();
         assert!(matches!(
             DisputeService::builder().warm_start_dir(&dir).build().unwrap_err(),
-            WatermarkError::CorruptedArtifact { detail } if detail.contains("c.compiled.json")
+            WatermarkError::CorruptedArtifact { detail } if detail.contains("c.model.wdte")
         ));
 
-        // A manifest naming a missing artefact fails the whole build with a
-        // typed error instead of booting a partial registry.
-        let broken = ModelManifest {
-            models: vec![ManifestEntry {
-                model_id: "ghost".into(),
-                file: "missing.wdte".into(),
-            }],
-        };
-        broken.save_dir(&dir).unwrap();
-        assert!(matches!(
-            DisputeService::builder().warm_start_dir(&dir).build().unwrap_err(),
-            WatermarkError::Io { .. }
-        ));
-        // No manifest at all is an Io error too.
+        // A missing directory is an Io error naming it.
         let _ = std::fs::remove_dir_all(&dir);
         assert!(matches!(
             DisputeService::builder().warm_start_dir(&dir).build().unwrap_err(),
-            WatermarkError::Io { .. }
+            WatermarkError::Io { path, .. } if path == dir.display().to_string()
         ));
+    }
+
+    /// The directory is its own index: exactly the `<id>.model.wdte`
+    /// files are served, and claims, a stale `manifest.json` and other
+    /// files are ignored.
+    #[test]
+    fn warm_start_serves_exactly_the_model_files() {
+        let (_, outcome) = embedded();
+        let claim = OwnershipClaim::new(
+            outcome.signature.clone(),
+            outcome.trigger_set.clone(),
+            outcome.trigger_set.clone(),
+        );
+        let dir = scratch_dir("index");
+        persist::save(dir.join("b.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
+        persist::save(dir.join("a.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
+        persist::save(dir.join("a.claim.wdte"), &claim, persist::Format::Binary).unwrap();
+        std::fs::write(dir.join("manifest.json"), "{\"models\": []}").unwrap();
+        std::fs::write(dir.join(".model.wdte"), "no id").unwrap();
+        let service = DisputeService::builder().warm_start_dir(&dir).build().unwrap();
+        assert_eq!(service.model_ids_for(&TenantId::anonymous()), ["a", "b"]);
+        assert_eq!(service.compile_count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A directory with no model file is refused, naming the directory,
+    /// so a mistyped path never boots an empty judge.
+    #[test]
+    fn a_warm_start_directory_without_a_model_file_is_refused() {
+        let (_, outcome) = embedded();
+        let dir = scratch_dir("empty");
+        persist::save(
+            dir.join("a.model.tampered.wdte"),
+            &outcome.model,
+            persist::Format::Binary,
+        )
+        .unwrap();
+        match DisputeService::builder().warm_start_dir(&dir).build().unwrap_err() {
+            WatermarkError::Io { path, message } => {
+                assert_eq!(path, dir.display().to_string());
+                assert!(message.contains("no `*.model.wdte` model file"), "{message}");
+            }
+            other => panic!("expected an Io error, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An id found in two warm-start directories is refused, naming both
+    /// files, instead of the later file silently replacing the earlier.
+    #[test]
+    fn a_model_id_in_two_warm_start_directories_is_refused() {
+        let (_, outcome) = embedded();
+        let first = scratch_dir("dup-first");
+        let second = scratch_dir("dup-second");
+        for dir in [&first, &second] {
+            persist::save(dir.join("m.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
+        }
+        persist::save(
+            second.join("n.model.wdte"),
+            &outcome.model,
+            persist::Format::Binary,
+        )
+        .unwrap();
+        let err = DisputeService::builder()
+            .warm_start_dir(&first)
+            .warm_start_dir(&second)
+            .build()
+            .unwrap_err();
+        let message = err.to_string();
+        assert!(matches!(err, WatermarkError::Io { .. }), "{message}");
+        for file in [first.join("m.model.wdte"), second.join("m.model.wdte")] {
+            let file = file.display().to_string();
+            assert!(message.contains(&file), "`{file}` missing from: {message}");
+        }
+        for dir in [first, second] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn warm_start_errors_name_the_model_and_the_file() {
         let (_, outcome) = embedded();
-        let dir = std::env::temp_dir().join(format!("wdte-warmstart-named-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let json = String::from_utf8(persist::to_bytes(&outcome.model, persist::Format::Json)).unwrap();
-        let corrupted = json.replacen("\"left\": 1,", "\"left\": 999999,", 1);
-        assert_ne!(corrupted, json, "the envelope must contain a left child index");
-        std::fs::write(dir.join("broken.model.json"), corrupted).unwrap();
-        ModelManifest {
-            models: vec![ManifestEntry {
-                model_id: "deployment-x".into(),
-                file: "broken.model.json".into(),
-            }],
-        }
-        .save_dir(&dir)
-        .unwrap();
+        let dir = scratch_dir("named");
+        let mut model = outcome.model.to_value();
+        assert!(
+            rewrite_first_left_child(&mut model, 999_999),
+            "the model must contain a left child index"
+        );
+        let path = dir.join("deployment-x.model.wdte");
+        std::fs::write(&path, persist::to_bytes(&model, persist::Format::Binary)).unwrap();
         let err = DisputeService::builder().warm_start_dir(&dir).build().unwrap_err();
         let message = err.to_string();
         assert!(
             matches!(err, WatermarkError::CorruptedArtifact { .. }),
             "{message}"
         );
-        for part in ["deployment-x", "broken.model.json", "child 999999 out of range"] {
+        for part in [
+            "deployment-x",
+            "deployment-x.model.wdte",
+            "child 999999 out of range",
+        ] {
             assert!(message.contains(part), "`{part}` missing from: {message}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Points the first `left: 1` child index in `value` at `child`.
+    fn rewrite_first_left_child(value: &mut Value, child: u64) -> bool {
+        match value {
+            Value::Map(entries) => entries.iter_mut().any(|(key, value)| {
+                if key == "left" && value.as_u64() == Some(1) {
+                    *value = Value::U64(child);
+                    true
+                } else {
+                    rewrite_first_left_child(value, child)
+                }
+            }),
+            Value::Seq(items) => items.iter_mut().any(|item| rewrite_first_left_child(item, child)),
+            _ => false,
+        }
     }
 
     #[test]

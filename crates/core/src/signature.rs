@@ -153,24 +153,12 @@ impl Signature {
         self.len() - self.ones()
     }
 
-    /// Indices of the trees whose bit is 0 (must classify the trigger set
-    /// correctly).
-    pub fn zero_positions(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| !self.bits[i]).collect()
-    }
-
-    /// Indices of the trees whose bit is 1 (must misclassify the trigger
-    /// set).
-    pub fn one_positions(&self) -> Vec<usize> {
-        (0..self.len()).filter(|&i| self.bits[i]).collect()
-    }
-
     /// The prediction tree `i` must produce for a trigger instance whose
     /// true label is `label` in a `num_classes`-class label space: the
     /// correct label for 0-bits, the deterministically *rotated* label
     /// `(c + 1) mod k` for 1-bits. For `k = 2` the rotation is exactly the
     /// paper's label flip, so the binary protocol is unchanged.
-    pub fn required_prediction_k(&self, i: usize, label: Label, num_classes: usize) -> Label {
+    pub fn required_prediction(&self, i: usize, label: Label, num_classes: usize) -> Label {
         if self.bits[i] {
             label.rotated(num_classes)
         } else {
@@ -223,9 +211,10 @@ mod tests {
     #[test]
     fn positions_partition_the_indices() {
         let signature = Signature::from_str_bits("0110").unwrap();
-        assert_eq!(signature.zero_positions(), vec![0, 3]);
-        assert_eq!(signature.one_positions(), vec![1, 2]);
+        let ones: Vec<usize> = (0..signature.len()).filter(|&i| signature.bit(i)).collect();
+        assert_eq!(ones, vec![1, 2]);
         assert_eq!(signature.ones(), 2);
+        assert_eq!(signature.zeros(), 2);
     }
 
     #[test]
@@ -239,7 +228,7 @@ mod tests {
             (0, class_2, 3, class_2),
             (1, class_2, 3, Label::Negative),
         ] {
-            assert_eq!(signature.required_prediction_k(i, label, k), required);
+            assert_eq!(signature.required_prediction(i, label, k), required);
         }
     }
 

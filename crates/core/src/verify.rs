@@ -256,7 +256,7 @@ pub fn verify_ownership<O: ModelOracle + ?Sized>(
         let label = claim.trigger_set.label(trigger_index);
         let mut all_match = responses.len() == claim.signature.len();
         for (i, &response) in responses.iter().enumerate().take(claim.signature.len()) {
-            let required = claim.signature.required_prediction_k(i, label, num_classes);
+            let required = claim.signature.required_prediction(i, label, num_classes);
             if response == required {
                 matching_bits += 1;
             } else {
@@ -487,7 +487,7 @@ mod tests {
             let label = claim.trigger_set.label(trigger_index);
             let mut all_match = responses.len() == claim.signature.len();
             for (i, &response) in responses.iter().enumerate().take(claim.signature.len()) {
-                if response == claim.signature.required_prediction_k(i, label, num_classes) {
+                if response == claim.signature.required_prediction(i, label, num_classes) {
                     matching_bits += 1;
                 } else {
                     all_match = false;

@@ -417,7 +417,7 @@ pub fn watermark_holds(model: &RandomForest, signature: &Signature, trigger_set:
             .predict_all(instance)
             .iter()
             .enumerate()
-            .all(|(i, &prediction)| prediction == signature.required_prediction_k(i, label, num_classes))
+            .all(|(i, &prediction)| prediction == signature.required_prediction(i, label, num_classes))
     })
 }
 

@@ -1,9 +1,11 @@
 //! Minimal CSV loading/saving for labeled datasets.
 //!
-//! The synthetic generators make the experiments self-contained, but the
-//! loader lets users drop in the real MNIST2-6 / breast-cancer / ijcnn1
-//! dumps (features followed by a numeric label column) and rerun every
-//! experiment unchanged. Label parsing is explicit about its numeric
+//! The experiment binaries run on the synthetic generators only and read
+//! no CSV. This module is a library entry point: a caller can load a real
+//! MNIST2-6 / breast-cancer / ijcnn1 dump (features plus a numeric label
+//! column) into a [`Dataset`] and hand it to the same embedding,
+//! verification and attack functions the experiments call, or save a
+//! dataset for other tools. Label parsing is explicit about its numeric
 //! convention — the paper's signed `{-1, +1}` or class indices
 //! `{0..k-1}` — so a `0.0` in a signed-binary file is a typed error, not a
 //! silent negative.

@@ -94,17 +94,6 @@ impl Label {
         Label(((usize::from(self.0) + 1) % num_classes.max(2)) as u16)
     }
 
-    /// Numeric encoding: the paper's `-1.0` / `+1.0` for the binary
-    /// indices, the class index as a float for `k > 2` classes.
-    #[inline]
-    pub fn as_f64(self) -> f64 {
-        match self.0 {
-            0 => -1.0,
-            1 => 1.0,
-            i => f64::from(i),
-        }
-    }
-
     /// Signed integer encoding (`-1` / `+1` for the binary indices, the
     /// class index saturated into `i8` otherwise).
     #[inline]
@@ -128,16 +117,6 @@ impl Label {
     #[inline]
     pub fn from_index(index: usize) -> Option<Label> {
         u16::try_from(index).ok().map(Label)
-    }
-
-    /// Parses a numeric label under the paper's `{-1, +1}` convention.
-    ///
-    /// Exactly `-1.0` and `+1.0` are accepted; in particular `0.0` is an
-    /// error (it used to be silently conflated with `-1.0`). Use
-    /// [`Label::parse_numeric`] with [`LabelConvention::Indexed`] for
-    /// `0..k-1` encoded data.
-    pub fn from_f64(value: f64) -> Result<Label, DataError> {
-        Self::parse_numeric(value, LabelConvention::SignedBinary)
     }
 
     /// Parses a numeric label under an explicit convention; out-of-set
@@ -534,16 +513,17 @@ mod tests {
 
     #[test]
     fn numeric_round_trip() {
-        assert_eq!(Label::from_f64(-1.0).unwrap(), Label::Negative);
-        assert_eq!(Label::from_f64(1.0).unwrap(), Label::Positive);
-        assert_eq!(Label::Positive.as_f64(), 1.0);
+        for label in Label::ALL {
+            let parsed = Label::parse_numeric(f64::from(label.as_i8()), LabelConvention::SignedBinary);
+            assert_eq!(parsed.unwrap(), label);
+        }
         assert_eq!(Label::Negative.as_i8(), -1);
-        assert!(Label::from_f64(0.25).is_err());
+        assert!(Label::parse_numeric(0.25, LabelConvention::SignedBinary).is_err());
     }
 
     #[test]
     fn signed_binary_convention_rejects_zero() {
-        let err = Label::from_f64(0.0).unwrap_err();
+        let err = Label::parse_numeric(0.0, LabelConvention::SignedBinary).unwrap_err();
         match err {
             DataError::LabelOutsideConvention { value, convention } => {
                 assert_eq!(value, 0.0);

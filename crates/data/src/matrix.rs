@@ -141,16 +141,6 @@ impl DenseMatrix {
         &self.values[row * self.cols..(row + 1) * self.cols]
     }
 
-    /// Mutable borrow of a single row.
-    ///
-    /// # Panics
-    /// Panics if `row >= rows()`.
-    #[inline]
-    pub fn row_mut(&mut self, row: usize) -> &mut [f64] {
-        assert!(row < self.rows, "row {row} out of bounds for {} rows", self.rows);
-        &mut self.values[row * self.cols..(row + 1) * self.cols]
-    }
-
     /// Checked access to a single element.
     pub fn get(&self, row: usize, col: usize) -> Option<f64> {
         if row < self.rows && col < self.cols {
@@ -260,30 +250,6 @@ impl DenseMatrix {
         ranges
     }
 
-    /// Applies a previously computed min-max transformation (e.g. from the
-    /// training split) to this matrix, clamping into `[0, 1]`.
-    pub fn apply_min_max(&mut self, ranges: &[(f64, f64)]) -> DataResult<()> {
-        if ranges.len() != self.cols {
-            return Err(DataError::DimensionMismatch {
-                expected: self.cols,
-                found: ranges.len(),
-            });
-        }
-        for row_index in 0..self.rows {
-            for (col, &(min, max)) in ranges.iter().enumerate() {
-                let span = max - min;
-                let value = self.value(row_index, col);
-                let normalized = if span > 0.0 {
-                    ((value - min) / span).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                self.set(row_index, col, normalized);
-            }
-        }
-        Ok(())
-    }
-
     /// Flat access to the underlying row-major buffer.
     pub fn as_slice(&self) -> &[f64] {
         &self.values
@@ -342,7 +308,7 @@ mod tests {
     fn row_access_and_mutation() {
         let mut m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        m.row_mut(0)[2] = 9.0;
+        m.set(0, 2, 9.0);
         assert_eq!(m.value(0, 2), 9.0);
         assert_eq!(m.get(5, 0), None);
         assert_eq!(m.get(0, 1), Some(2.0));
@@ -384,15 +350,6 @@ mod tests {
         let mut m = DenseMatrix::from_rows(&[vec![3.0], vec![3.0]]).unwrap();
         m.normalize_min_max();
         assert_eq!(m.row(0), &[0.0]);
-    }
-
-    #[test]
-    fn apply_min_max_clamps_out_of_range_values() {
-        let mut m = DenseMatrix::from_rows(&[vec![20.0], vec![-5.0]]).unwrap();
-        m.apply_min_max(&[(0.0, 10.0)]).unwrap();
-        assert_eq!(m.row(0), &[1.0]);
-        assert_eq!(m.row(1), &[0.0]);
-        assert!(m.apply_min_max(&[(0.0, 1.0), (0.0, 1.0)]).is_err());
     }
 
     #[test]

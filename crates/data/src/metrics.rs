@@ -6,10 +6,8 @@ use serde::{DeError, Deserialize, Serialize, Value};
 /// A k×k confusion matrix.
 ///
 /// Cell `(t, p)` counts instances of true class `t` predicted as class
-/// `p`. The binary accessors ([`ConfusionMatrix::true_positive`] and
-/// friends) are views onto the two-class corner of the matrix, with class
-/// 1 as "positive" and class 0 as "negative", matching the pre-k-class
-/// binary implementation exactly.
+/// `p`. Per-class metrics take the class index; for a binary task, class
+/// 1 is "positive" and class 0 "negative".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// Row-major `classes × classes` cells; row = truth, column = predicted.
@@ -103,26 +101,6 @@ impl ConfusionMatrix {
         self.cells[class * self.classes..(class + 1) * self.classes].iter().sum()
     }
 
-    /// Positive instances predicted positive (cell `(1, 1)`).
-    pub fn true_positive(&self) -> usize {
-        self.count(1, 1)
-    }
-
-    /// Negative instances predicted negative (cell `(0, 0)`).
-    pub fn true_negative(&self) -> usize {
-        self.count(0, 0)
-    }
-
-    /// Negative instances predicted positive (cell `(0, 1)`).
-    pub fn false_positive(&self) -> usize {
-        self.count(0, 1)
-    }
-
-    /// Positive instances predicted negative (cell `(1, 0)`).
-    pub fn false_negative(&self) -> usize {
-        self.count(1, 0)
-    }
-
     /// Fraction of correct predictions (the diagonal over the total).
     /// Returns `0.0` for an empty matrix.
     pub fn accuracy(&self) -> f64 {
@@ -166,30 +144,6 @@ impl ConfusionMatrix {
         } else {
             2.0 * p * r / (p + r)
         }
-    }
-
-    /// Precision of the positive class (`TP / (TP + FP)`). Returns `0.0`
-    /// when no positive predictions were made.
-    pub fn precision(&self) -> f64 {
-        self.precision_for(1)
-    }
-
-    /// Recall of the positive class (`TP / (TP + FN)`). Returns `0.0` when
-    /// there are no positive instances.
-    pub fn recall(&self) -> f64 {
-        self.recall_for(1)
-    }
-
-    /// Harmonic mean of positive-class precision and recall. Returns `0.0`
-    /// when both are zero.
-    pub fn f1(&self) -> f64 {
-        self.f1_for(1)
-    }
-
-    /// Macro-averaged precision: the unweighted mean of per-class
-    /// precisions.
-    pub fn macro_precision(&self) -> f64 {
-        (0..self.classes).map(|c| self.precision_for(c)).sum::<f64>() / self.classes as f64
     }
 
     /// Macro-averaged recall: the unweighted mean of per-class recalls
@@ -332,10 +286,10 @@ mod tests {
         let truth = [P, P, N, N, P];
         let predicted = [P, N, N, P, P];
         let m = ConfusionMatrix::from_predictions(&truth, &predicted);
-        assert_eq!(m.true_positive(), 2);
-        assert_eq!(m.false_negative(), 1);
-        assert_eq!(m.true_negative(), 1);
-        assert_eq!(m.false_positive(), 1);
+        assert_eq!(m.count(1, 1), 2);
+        assert_eq!(m.count(1, 0), 1);
+        assert_eq!(m.count(0, 0), 1);
+        assert_eq!(m.count(0, 1), 1);
         assert_eq!(m.total(), 5);
         assert!((m.accuracy() - 0.6).abs() < 1e-12);
     }
@@ -345,9 +299,9 @@ mod tests {
         let truth = [P, N, P, N];
         let m = ConfusionMatrix::from_predictions(&truth, &truth);
         assert_eq!(m.accuracy(), 1.0);
-        assert_eq!(m.precision(), 1.0);
-        assert_eq!(m.recall(), 1.0);
-        assert_eq!(m.f1(), 1.0);
+        assert_eq!(m.precision_for(1), 1.0);
+        assert_eq!(m.recall_for(1), 1.0);
+        assert_eq!(m.f1_for(1), 1.0);
         assert_eq!(m.balanced_accuracy(), 1.0);
         assert_eq!(m.macro_f1(), 1.0);
     }
@@ -356,9 +310,9 @@ mod tests {
     fn degenerate_metrics_default_to_zero() {
         let m = ConfusionMatrix::default();
         assert_eq!(m.accuracy(), 0.0);
-        assert_eq!(m.precision(), 0.0);
-        assert_eq!(m.recall(), 0.0);
-        assert_eq!(m.f1(), 0.0);
+        assert_eq!(m.precision_for(1), 0.0);
+        assert_eq!(m.recall_for(1), 0.0);
+        assert_eq!(m.f1_for(1), 0.0);
     }
 
     #[test]
@@ -387,8 +341,10 @@ mod tests {
         assert!((m.accuracy() - 0.5).abs() < 1e-12);
         // Recalls: 1.0, 0.5, 0.0 → macro recall 0.5.
         assert!((m.macro_recall() - 0.5).abs() < 1e-12);
-        // Precisions: 2/3, 1/2, 0 → macro precision 7/18.
-        assert!((m.macro_precision() - 7.0 / 18.0).abs() < 1e-12);
+        // Precisions: 2/3, 1/2, 0.
+        assert!((m.precision_for(0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((m.precision_for(1) - 0.5).abs() < 1e-12);
+        assert_eq!(m.precision_for(2), 0.0);
         assert!(m.macro_f1() > 0.0 && m.macro_f1() < 1.0);
         assert_eq!(m.f1_for(2), 0.0);
     }
@@ -409,7 +365,6 @@ mod tests {
         let m = ConfusionMatrix::from_predictions(&truth, &predicted);
         let macro_recall = (m.recall_for(0) + m.recall_for(1)) / 2.0;
         assert_eq!(m.balanced_accuracy(), macro_recall);
-        assert_eq!(m.precision(), m.precision_for(1));
     }
 
     #[test]

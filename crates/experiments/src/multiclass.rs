@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use wdte_core::{
     persist, watermark_holds, DisputeService, OwnershipClaim, Signature, WatermarkConfig,
-    WatermarkOutcome, Watermarker,
+    WatermarkOutcome, Watermarker, MODEL_FILE_SUFFIX,
 };
 use wdte_data::metrics::ConfusionMatrix;
 use wdte_data::synth::MultiClassSpec;
@@ -111,7 +111,7 @@ pub fn multiclass_row(settings: &ExperimentSettings, num_classes: usize) -> Mult
     let holds = watermark_holds(&outcome.model, &outcome.signature, &outcome.trigger_set);
 
     let dir = crate::report::results_dir().join("models-kclass");
-    let path = dir.join(format!("synth-k{num_classes}.model.wdte"));
+    let path = dir.join(format!("synth-k{num_classes}{MODEL_FILE_SUFFIX}"));
     let served = match std::fs::create_dir_all(&dir)
         .map_err(|err| err.to_string())
         .and_then(|()| {

@@ -9,8 +9,8 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use wdte_core::{
     evaluate_detection, evaluate_suppression, forge_trigger_set_compiled, persist, DetectionFeature,
-    DetectionStrategy, Dispute, DisputeService, ForgeryAttackConfig, ManifestEntry, ModelManifest,
-    OwnershipClaim, Signature, SuppressionScore, WatermarkOutcome, Watermarker,
+    DetectionStrategy, Dispute, DisputeService, ForgeryAttackConfig, OwnershipClaim, Signature,
+    SuppressionScore, WatermarkOutcome, Watermarker, MODEL_FILE_SUFFIX,
 };
 use wdte_data::Dataset;
 use wdte_solver::LeafIndex;
@@ -53,17 +53,14 @@ pub fn prepare_security_setup(settings: &ExperimentSettings, dataset: PaperDatas
 }
 
 /// Persists the reusable artefacts of a security setup under
-/// `results/models/`: the watermarked model (compact binary) and the
-/// owner's full ownership claim.
+/// `results/models/`: the watermarked model as `<dataset>.model.wdte` and
+/// the owner's full ownership claim as `<dataset>.claim.wdte`.
 /// Later dispute runs — or the `dispute_from_files` example — can then
-/// verify and attack the model without retraining it. Failures are
-/// reported on stderr but never abort the experiment.
-///
-/// Returns the [`ManifestEntry`] for the saved model, so the caller can
-/// assemble the directory's [`ModelManifest`] (see
-/// [`write_model_manifest`]) once every dataset has been persisted; `None`
-/// if the model artefact could not be written.
-pub fn save_model_artifacts(setup: &SecuritySetup) -> Option<ManifestEntry> {
+/// verify and attack the model without retraining it, and
+/// `serve_judge --warm-start results/models` serves every saved model
+/// under its dataset name. Failures are reported on stderr but never
+/// abort the experiment.
+pub fn save_model_artifacts(setup: &SecuritySetup) {
     let dir = crate::report::results_dir().join("models");
     let claim = OwnershipClaim::new(
         setup.outcome.signature.clone(),
@@ -74,38 +71,16 @@ pub fn save_model_artifacts(setup: &SecuritySetup) -> Option<ManifestEntry> {
         Ok(()) => println!("[saved {}]", path.display()),
         Err(err) => eprintln!("warning: could not save {}: {err}", path.display()),
     };
-    let model_file = format!("{}.model.wdte", setup.dataset.name());
-    let model_path = dir.join(&model_file);
+    let model_path = dir.join(format!("{}{MODEL_FILE_SUFFIX}", setup.dataset.name()));
     let claim_path = dir.join(format!("{}.claim.wdte", setup.dataset.name()));
-    let model_saved = persist::save(&model_path, &setup.outcome.model, persist::Format::Binary);
-    let model_ok = model_saved.is_ok();
-    report(&model_path, model_saved);
+    report(
+        &model_path,
+        persist::save(&model_path, &setup.outcome.model, persist::Format::Binary),
+    );
     report(
         &claim_path,
         persist::save(&claim_path, &claim, persist::Format::Binary),
     );
-    model_ok.then(|| ManifestEntry {
-        model_id: setup.dataset.name().to_string(),
-        file: model_file,
-    })
-}
-
-/// Writes the [`ModelManifest`] of `results/models/` from the entries
-/// returned by [`save_model_artifacts`], so
-/// `DisputeService::builder().warm_start_dir("results/models")` — or
-/// `serve_judge --warm-start results/models` — boots a judge serving every
-/// persisted model, from disk alone.
-pub fn write_model_manifest(entries: Vec<ManifestEntry>) {
-    let dir = crate::report::results_dir().join("models");
-    let manifest = ModelManifest { models: entries };
-    match manifest.save_dir(&dir) {
-        Ok(()) => println!(
-            "[saved {} ({} models)]",
-            dir.join(wdte_core::MODEL_MANIFEST_FILE).display(),
-            manifest.models.len()
-        ),
-        Err(err) => eprintln!("warning: could not save the model manifest: {err}"),
-    }
 }
 
 /// Adjudicates the owners' genuine claims for every setup as one

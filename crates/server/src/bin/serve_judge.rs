@@ -1,9 +1,13 @@
 //! `serve_judge` — the judge as a standalone process.
 //!
-//! Binds a TCP socket, optionally warm-starts the model registry from a
-//! directory of persisted artefacts (`results/models/` as written by the
-//! `table2` experiment), and serves the WDTP dispute-resolution protocol
-//! until killed.
+//! Binds a TCP socket, optionally warm-starts the model registry from
+//! directories of persisted models, and serves the WDTP
+//! dispute-resolution protocol until killed. Each `--warm-start DIR` is
+//! its own index: every `DIR/<id>.model.wdte` is served under `<id>`
+//! (`results/models/` as the `table2` experiment writes it,
+//! `results/models-kclass/` as `multiclass` does), and other files are
+//! ignored. A directory with no model file, a corrupted model file, or
+//! an id found in two directories stops the judge before it serves.
 //!
 //! ```text
 //! serve_judge [--addr 127.0.0.1:7431] [--warm-start DIR]...

@@ -34,7 +34,7 @@
 //! the router exactly as to a single judge, pipelining included.
 //!
 //! ```rust,ignore
-//! // Judge process:
+//! // Judge process, serving every `results/models/<id>.model.wdte` as `<id>`:
 //! let service = Arc::new(DisputeService::builder().warm_start_dir("results/models").build()?);
 //! let server = JudgeServer::bind("127.0.0.1:7431", service, ServerConfig::default())?;
 //! server.serve()?; // blocking event loop

@@ -19,7 +19,7 @@
 //! [`fleet::split_indices`], the shards travel concurrently (all sends
 //! before any receive), and verdicts are stitched back into input order
 //! with [`fleet::scatter`]. On a fleet whose backends warm-started from
-//! a shared manifest, every backend holds every model, so a dead
+//! the same directory, every backend holds every model, so a dead
 //! backend degrades to bounded retry-on-sibling with bit-identical
 //! verdicts; models only the dead backend knew degrade to *typed*
 //! faults for exactly their disputes — never a hung connection.

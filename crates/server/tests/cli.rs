@@ -1,5 +1,5 @@
 //! Command-line checks of the `serve_judge` binary: flag parsing, and a
-//! warm start from a manifest directory checked over the wire.
+//! warm start from a directory of model files checked over the wire.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 use wdte_core::persist::{self, Format};
-use wdte_core::{ManifestEntry, ModelManifest, OwnershipClaim, Signature, WatermarkConfig, Watermarker};
+use wdte_core::{OwnershipClaim, Signature, WatermarkConfig, Watermarker};
 use wdte_data::SyntheticSpec;
 use wdte_server::DisputeClient;
 
@@ -108,20 +108,11 @@ const COMPILED_FOREST_ARTEFACT: &str = r#"{
   }
 }"#;
 
-/// A fresh warm-start directory holding a manifest of `entries`
-/// (`(model id, file)` pairs); the files themselves are the caller's.
-fn warm_start_dir(tag: &str, entries: &[(&str, &str)]) -> PathBuf {
+/// A fresh, empty warm-start directory; the files are the caller's.
+fn warm_start_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wdte-cli-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the warm-start dir");
-    let models = entries
-        .iter()
-        .map(|&(model_id, file)| ManifestEntry {
-            model_id: model_id.into(),
-            file: file.into(),
-        })
-        .collect();
-    ModelManifest { models }.save_dir(&dir).expect("write the manifest");
     dir
 }
 
@@ -153,10 +144,11 @@ fn wait_for_port(judge: &mut KillOnDrop, port_file: &Path) -> String {
     }
 }
 
-/// `serve_judge --warm-start` serves every model of the manifest, binary
-/// and JSON alike, and upholds the owner's genuine claim over the wire.
+/// `serve_judge --warm-start` serves every `<id>.model.wdte` file of the
+/// directory under `<id>`, ignores the claim beside them, and upholds the
+/// owner's genuine claim over the wire.
 #[test]
-fn warm_start_serves_every_manifest_model() {
+fn warm_start_serves_every_model_file() {
     let dataset = SyntheticSpec::breast_cancer_like()
         .scaled(0.6)
         .generate(&mut SmallRng::seed_from_u64(31));
@@ -171,9 +163,10 @@ fn warm_start_serves_every_manifest_model() {
     .unwrap();
     let claim = OwnershipClaim::new(signature, outcome.trigger_set.clone(), test);
 
-    let dir = warm_start_dir("serves", &[("binary", "a.model.wdte"), ("json", "b.model.json")]);
+    let dir = warm_start_dir("serves");
     persist::save(dir.join("a.model.wdte"), &outcome.model, Format::Binary).unwrap();
-    persist::save(dir.join("b.model.json"), &outcome.model, Format::Json).unwrap();
+    persist::save(dir.join("b.model.wdte"), &outcome.model, Format::Binary).unwrap();
+    persist::save(dir.join("a.claim.wdte"), &claim, Format::Binary).unwrap();
     let port_file = dir.join("judge.port");
     let mut judge = KillOnDrop(
         Command::new(env!("CARGO_BIN_EXE_serve_judge"))
@@ -192,7 +185,7 @@ fn warm_start_serves_every_manifest_model() {
 
     let mut client = DisputeClient::connect(addr.as_str()).expect("the judge accepts a client");
     assert_eq!(client.ping().unwrap().models_registered, 2);
-    for model_id in ["binary", "json"] {
+    for model_id in ["a", "b"] {
         let report = client.resolve(model_id, &claim).unwrap();
         assert!(report.verified, "{model_id}: the genuine claim was refused");
     }
@@ -200,12 +193,12 @@ fn warm_start_serves_every_manifest_model() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A manifest naming a compiled-forest file stops `serve_judge` before it
+/// A compiled forest saved as a model file stops `serve_judge` before it
 /// serves, with the file named on stderr.
 #[test]
 fn warm_start_refuses_a_compiled_forest_file() {
-    let dir = warm_start_dir("compiled", &[("compiled", "c.compiled.json")]);
-    std::fs::write(dir.join("c.compiled.json"), COMPILED_FOREST_ARTEFACT).unwrap();
+    let dir = warm_start_dir("compiled");
+    std::fs::write(dir.join("c.model.wdte"), COMPILED_FOREST_ARTEFACT).unwrap();
     let dir_arg = dir.to_str().expect("temp paths are UTF-8");
     let Some((status, stderr)) =
         exit_within_five_seconds(&["--addr", "127.0.0.1:0", "--warm-start", dir_arg])
@@ -214,7 +207,7 @@ fn warm_start_refuses_a_compiled_forest_file() {
     };
     assert!(!status.success(), "the compiled-forest file was accepted");
     assert!(
-        stderr.contains("c.compiled.json"),
+        stderr.contains("c.model.wdte"),
         "stderr does not name the file: {stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);

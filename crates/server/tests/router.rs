@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wdte_core::error::WatermarkError;
 use wdte_core::{
-    persist, Dispute, DisputeService, HashRing, KeyRing, ManifestEntry, ModelManifest, OwnershipClaim,
-    Signature, TenantId, WatermarkConfig, WatermarkOutcome, Watermarker,
+    persist, Dispute, DisputeService, HashRing, KeyRing, OwnershipClaim, Signature, TenantId,
+    WatermarkConfig, WatermarkOutcome, Watermarker,
 };
 use wdte_data::{Dataset, SyntheticSpec};
 use wdte_server::{
@@ -307,7 +307,7 @@ fn dead_backend_degrades_to_typed_faults_for_its_shard_only() {
     router.shutdown().unwrap();
 }
 
-/// Replicated warm start: when every backend boots the same manifest,
+/// Replicated warm start: when every backend boots the same directory,
 /// losing one backend loses nothing — the router retries the shard on a
 /// ring sibling and the full docket stays bit-identical.
 #[test]
@@ -315,17 +315,10 @@ fn replicated_warm_start_lets_siblings_absorb_a_dead_backend() {
     let (test, outcome) = embedded(75);
     let models = 4;
     let dir = std::env::temp_dir().join(format!("wdte-fleet-warm-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    persist::save(dir.join("m.model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
-    let manifest = ModelManifest {
-        models: (0..models)
-            .map(|i| ManifestEntry {
-                model_id: format!("fleet-m{i}"),
-                file: "m.model.wdte".into(),
-            })
-            .collect(),
-    };
-    manifest.save_dir(&dir).unwrap();
+    for i in 0..models {
+        let path = dir.join(format!("fleet-m{i}.model.wdte"));
+        persist::save(path, &outcome.model, persist::Format::Binary).unwrap();
+    }
 
     let docket = mixed_docket(&test, &outcome, models, 24);
     let reference_service = DisputeService::builder().warm_start_dir(&dir).build().unwrap();

@@ -127,7 +127,7 @@ impl<'a> ForgeryQuery<'a> {
     /// the deterministically rotated label `(c + 1) mod k` otherwise —
     /// the same rotation the watermarking embed and verify paths use. For
     /// `k = 2` the rotation is the paper's label flip.
-    pub fn from_signature_bits_k(
+    pub fn from_signature_bits(
         bits: &[bool],
         label: Label,
         num_classes: usize,
@@ -576,15 +576,15 @@ mod tests {
 
     #[test]
     fn from_signature_bits_maps_bits_to_required_labels() {
-        let query = ForgeryQuery::from_signature_bits_k(&[false, true, false], Label::Positive, 2, None);
+        let query = ForgeryQuery::from_signature_bits(&[false, true, false], Label::Positive, 2, None);
         assert_eq!(
             query.required,
             vec![Label::Positive, Label::Negative, Label::Positive]
         );
-        let query = ForgeryQuery::from_signature_bits_k(&[true], Label::Negative, 2, None);
+        let query = ForgeryQuery::from_signature_bits(&[true], Label::Negative, 2, None);
         assert_eq!(query.required, vec![Label::Positive]);
         let class_2 = Label::from_index(2).unwrap();
-        let query = ForgeryQuery::from_signature_bits_k(&[true, false], class_2, 3, None);
+        let query = ForgeryQuery::from_signature_bits(&[true, false], class_2, 3, None);
         assert_eq!(query.required, vec![Label::Negative, class_2]);
     }
 }

@@ -1,11 +1,12 @@
 //! Negative-path coverage for the on-disk format: corrupted, truncated and
 //! version-mismatched files must surface typed `wdte_core` errors — never
 //! panics and never silently wrong artefacts — plus property tests that
-//! both encodings reproduce model behaviour exactly.
+//! the binary container reproduces model behaviour exactly.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde::{Serialize, Value};
 use wdte::persist::{self, Format};
 use wdte::prelude::*;
 
@@ -25,17 +26,16 @@ fn fixture() -> (RandomForest, OwnershipClaim, wdte_data::Dataset) {
 }
 
 /// Every prefix of every artefact must fail with a typed error. This walks
-/// a sweep of truncation points over all artefact kinds and both formats.
+/// a sweep of truncation points over all artefact kinds.
 #[test]
 fn truncated_files_yield_typed_errors_for_every_artefact() {
     let (model, claim, _) = fixture();
     let encodings: Vec<(&str, Vec<u8>)> = vec![
         ("model-bin", persist::to_bytes(&model, Format::Binary)),
-        ("model-json", persist::to_bytes(&model, Format::Json)),
         ("claim-bin", persist::to_bytes(&claim, Format::Binary)),
         (
-            "signature-json",
-            persist::to_bytes(&claim.signature, Format::Json),
+            "signature-bin",
+            persist::to_bytes(&claim.signature, Format::Binary),
         ),
         (
             "trigger-bin",
@@ -44,9 +44,9 @@ fn truncated_files_yield_typed_errors_for_every_artefact() {
     ];
     for (tag, bytes) in &encodings {
         let full_restores: bool = match *tag {
-            "model-bin" | "model-json" => persist::from_bytes::<RandomForest>(bytes).is_ok(),
+            "model-bin" => persist::from_bytes::<RandomForest>(bytes).is_ok(),
             "claim-bin" => persist::from_bytes::<OwnershipClaim>(bytes).is_ok(),
-            "signature-json" => persist::from_bytes::<Signature>(bytes).is_ok(),
+            "signature-bin" => persist::from_bytes::<Signature>(bytes).is_ok(),
             _ => persist::from_bytes::<wdte_data::Dataset>(bytes).is_ok(),
         };
         assert!(full_restores, "{tag}: the untruncated artefact must load");
@@ -54,11 +54,9 @@ fn truncated_files_yield_typed_errors_for_every_artefact() {
             let cut = bytes.len() * fraction / 100;
             let truncated = &bytes[..cut];
             let err = match *tag {
-                "model-bin" | "model-json" => {
-                    persist::from_bytes::<RandomForest>(truncated).unwrap_err()
-                }
+                "model-bin" => persist::from_bytes::<RandomForest>(truncated).unwrap_err(),
                 "claim-bin" => persist::from_bytes::<OwnershipClaim>(truncated).unwrap_err(),
-                "signature-json" => persist::from_bytes::<Signature>(truncated).unwrap_err(),
+                "signature-bin" => persist::from_bytes::<Signature>(truncated).unwrap_err(),
                 _ => persist::from_bytes::<wdte_data::Dataset>(truncated).unwrap_err(),
             };
             assert!(
@@ -86,18 +84,6 @@ fn version_mismatch_is_reported_with_both_versions() {
         }
         other => panic!("expected a version error, got {other:?}"),
     }
-
-    let json = String::from_utf8(persist::to_bytes(&model, Format::Json)).unwrap();
-    let bumped = json.replacen(
-        &format!("\"version\": {}", persist::FORMAT_VERSION),
-        &format!("\"version\": {future}"),
-        1,
-    );
-    assert_ne!(bumped, json);
-    match persist::from_bytes::<RandomForest>(bumped.as_bytes()).unwrap_err() {
-        WatermarkError::UnsupportedFormatVersion { found, .. } => assert_eq!(found, future),
-        other => panic!("expected a version error, got {other:?}"),
-    }
 }
 
 #[test]
@@ -111,26 +97,45 @@ fn corrupted_payloads_are_rejected_not_misread() {
     }
 }
 
+/// Encodes `value` with the first `key` entry anywhere in it rewritten
+/// by `edit`, so a structural corruption travels in the binary container
+/// and meets the production decoder. Panics if no such entry exists.
+fn binary_with_first(value: &impl Serialize, key: &str, edit: fn(u64) -> u64) -> Vec<u8> {
+    fn rewrite(value: &mut Value, key: &str, edit: fn(u64) -> u64) -> bool {
+        match value {
+            Value::Map(entries) => entries.iter_mut().any(|(name, value)| match value.as_u64() {
+                Some(number) if name == key => {
+                    *value = Value::U64(edit(number));
+                    true
+                }
+                _ => rewrite(value, key, edit),
+            }),
+            Value::Seq(items) => items.iter_mut().any(|item| rewrite(item, key, edit)),
+            _ => false,
+        }
+    }
+    let mut value = value.to_value();
+    assert!(rewrite(&mut value, key, edit), "no `{key}` entry to corrupt");
+    persist::to_bytes(&value, Format::Binary)
+}
+
 #[test]
 fn corrupted_pointer_models_are_rejected_not_walked() {
     let (model, _, test) = fixture();
 
     // A child index pointing out of the arena must be caught at load time,
     // not panic during prediction.
-    let json = String::from_utf8(persist::to_bytes(&model, Format::Json)).unwrap();
-    let out_of_range = json.replacen("\"left\": 1,", "\"left\": 999999,", 1);
-    assert_ne!(out_of_range, json, "the envelope must contain a left child index");
+    let out_of_range = binary_with_first(&model, "left", |_| 999_999);
     assert!(matches!(
-        persist::from_bytes::<RandomForest>(out_of_range.as_bytes()).unwrap_err(),
+        persist::from_bytes::<RandomForest>(&out_of_range).unwrap_err(),
         WatermarkError::CorruptedArtifact { .. }
     ));
 
     // A backwards child (cycle) must be caught too — it would otherwise
     // make prediction loop forever.
-    let cyclic = json.replacen("\"left\": 1,", "\"left\": 0,", 1);
-    assert_ne!(cyclic, json);
+    let cyclic = binary_with_first(&model, "left", |_| 0);
     assert!(matches!(
-        persist::from_bytes::<RandomForest>(cyclic.as_bytes()).unwrap_err(),
+        persist::from_bytes::<RandomForest>(&cyclic).unwrap_err(),
         WatermarkError::CorruptedArtifact { .. }
     ));
 
@@ -161,11 +166,9 @@ fn corrupted_dataset_and_claim_artefacts_are_rejected_not_indexed() {
 
     // A trigger set whose matrix dimensions were bit-flipped must fail at
     // load, not index out of bounds during verification.
-    let json = String::from_utf8(persist::to_bytes(&claim, Format::Json)).unwrap();
-    let bad_rows = json.replacen("\"rows\": ", "\"rows\": 9", 1);
-    assert_ne!(bad_rows, json, "the envelope must contain matrix dimensions");
+    let bad_rows = binary_with_first(&claim, "rows", |rows| rows + 900);
     assert!(matches!(
-        persist::from_bytes::<OwnershipClaim>(bad_rows.as_bytes()).unwrap_err(),
+        persist::from_bytes::<OwnershipClaim>(&bad_rows).unwrap_err(),
         WatermarkError::CorruptedArtifact { .. }
     ));
 
@@ -202,7 +205,7 @@ fn missing_file_is_an_io_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Round-trips through both formats preserve every prediction exactly,
+    /// Round-trips through the binary container preserve every prediction exactly,
     /// for arbitrarily seeded models and probe points (including
     /// non-finite probes).
     #[test]
@@ -225,13 +228,11 @@ proptest! {
         let dataset = SyntheticSpec::breast_cancer_like().scaled(0.3).generate(&mut rng);
         let forest = RandomForest::fit(&dataset, &ForestParams::with_trees(5), &mut rng);
 
-        for format in [Format::Json, Format::Binary] {
-            let restored: RandomForest =
-                persist::from_bytes(&persist::to_bytes(&forest, format)).unwrap();
-            prop_assert_eq!(&restored, &forest);
-            for probe in &probes {
-                prop_assert_eq!(restored.predict_all(probe), forest.predict_all(probe));
-            }
+        let restored: RandomForest =
+            persist::from_bytes(&persist::to_bytes(&forest, Format::Binary)).unwrap();
+        prop_assert_eq!(&restored, &forest);
+        for probe in &probes {
+            prop_assert_eq!(restored.predict_all(probe), forest.predict_all(probe));
         }
     }
 }

@@ -34,28 +34,24 @@ fn embed_save_load_verify_and_attack_from_disk() {
         .expect("embedding succeeds for the fixed seed");
     assert!(watermark_holds(&outcome.model, &signature, &outcome.trigger_set));
 
-    // Persist every artefact a dispute needs, in both encodings.
+    // Persist every artefact a dispute needs.
     let claim = OwnershipClaim::new(signature.clone(), outcome.trigger_set.clone(), test.clone());
     persist::save(dir.join("model.wdte"), &outcome.model, persist::Format::Binary).unwrap();
-    persist::save(dir.join("model.json"), &outcome.model, persist::Format::Json).unwrap();
     persist::save(dir.join("claim.wdte"), &claim, persist::Format::Binary).unwrap();
     persist::save(
-        dir.join("trigger.json"),
+        dir.join("trigger.wdte"),
         &outcome.trigger_set,
-        persist::Format::Json,
+        persist::Format::Binary,
     )
     .unwrap();
+    let original_model = outcome.model.clone();
     drop((outcome, claim));
 
     // Reload everything from disk.
     let model: RandomForest = persist::load(dir.join("model.wdte")).unwrap();
-    let model_json: RandomForest = persist::load(dir.join("model.json")).unwrap();
     let claim: OwnershipClaim = persist::load(dir.join("claim.wdte")).unwrap();
-    let trigger: wdte_data::Dataset = persist::load(dir.join("trigger.json")).unwrap();
-    assert_eq!(
-        model, model_json,
-        "binary and JSON encodings describe the same model"
-    );
+    let trigger: wdte_data::Dataset = persist::load(dir.join("trigger.wdte")).unwrap();
+    assert_eq!(model, original_model, "the loaded model is the saved one");
     assert_eq!(trigger, claim.trigger_set);
 
     // The forest compiled from the loaded model predicts bit-identically.
@@ -109,11 +105,7 @@ fn embed_save_load_verify_and_attack_from_disk() {
         for forged in &result.forged {
             assert!(forged.distortion <= forgery_config.epsilon + 1e-9);
             let required: Vec<wdte_data::Label> = (0..model.num_trees())
-                .map(|i| {
-                    result
-                        .fake_signature
-                        .required_prediction_k(i, forged.label, model.num_classes())
-                })
+                .map(|i| result.fake_signature.required_prediction(i, forged.label, model.num_classes()))
                 .collect();
             assert_eq!(compiled.predict_all(&forged.instance), required);
         }
