@@ -14,16 +14,16 @@
 //! * **Direct** — [`Serialize::write_binary`] writes the bytes straight
 //!   from typed values and [`Deserialize::read_binary`] builds typed values
 //!   straight from the bytes, with no intermediate [`Value`] tree. Every
-//!   type takes this path: the derives, the primitives, the containers and
-//!   the hand-written model types alike. Map entries a reader does not
-//!   want are checked and stepped over by [`skip_value`], which builds
-//!   nothing.
+//!   program takes this path: the derives, the primitives, the containers
+//!   and the hand-written model types alike. A reader accepts only the
+//!   canonical tag its type's writer emits; any other tag (an `f64` stored
+//!   as `U64`, a label stored as `I64`) is a [`DeError`]. Map entries a
+//!   reader does not want are checked and stepped over by [`skip_value`],
+//!   which builds nothing.
 //! * **Through [`Value`]** — [`encode_value`] and [`decode_value`]. They
-//!   serve the tree itself (JSON goes through it) and the reference route
-//!   the parity tests hold the direct path to. A direct reader falls back
-//!   to [`via_value`] only when the next tag is not the canonical one for
-//!   its type (an `f64` stored as `U64`), so both paths accept the same
-//!   inputs.
+//!   serve the tree itself and the reference route the parity tests hold
+//!   the direct path to; the tree's number views are exact-variant, so
+//!   this route refuses every non-canonical tag the direct path refuses.
 //!
 //! Decoding is hardened the same way on both paths: every length is
 //! checked against the bytes left before it is trusted, up-front
@@ -352,14 +352,6 @@ pub fn skip_value(reader: &mut Reader<'_>, depth: usize) -> Result<(), DeError> 
         other => return Err(DeError::new(format!("unknown value tag {other:#04x}"))),
     }
     Ok(())
-}
-
-/// Reads `T` through a decoded [`Value`]: the fallback of a direct reader
-/// when the next tag is not its canonical one.
-#[cold]
-#[inline(never)]
-pub fn via_value<T: Deserialize>(reader: &mut Reader<'_>, depth: usize) -> Result<T, DeError> {
-    T::from_value(&decode_value(reader, depth)?)
 }
 
 /// Reads a sequence of `T` at `depth` (elements at `depth + 1`).

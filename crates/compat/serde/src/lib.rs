@@ -3,14 +3,17 @@
 //! `crates/compat/` because the build environment has no registry access.
 //!
 //! Instead of serde's generic serializer/deserializer architecture, this
-//! shim knows two formats. Text goes through one self-describing [`Value`]
-//! tree (the JSON data model): [`Serialize::to_value`] renders a type into
-//! a [`Value`], [`Deserialize::from_value`] rebuilds it, and `serde_json`
-//! (also vendored) converts between [`Value`] and JSON text. The binary
-//! tag-length-value codec in [`binary`] skips the tree:
+//! shim knows two formats. The binary tag-length-value codec in
+//! [`binary`] is the one every artefact and wire payload uses:
 //! [`Serialize::write_binary`] and [`Deserialize::read_binary`] go straight
-//! between typed values and bytes. Every type implements both routes; none
-//! has a default that falls back to the tree. The
+//! between typed values and bytes, and a reader accepts only the tags the
+//! writer emits. The self-describing [`Value`] tree (the JSON data model)
+//! is write-side for programs: [`Serialize::to_value`] renders a type into
+//! it and `serde_json` (also vendored, writer only) prints it as a report.
+//! [`Deserialize::from_value`] rebuilds a type from a tree; no program
+//! decodes through it, it is the reference route the parity tests hold
+//! the direct reader to. Every type implements both routes; none has a
+//! default that falls back to the tree. The
 //! `#[derive(Serialize, Deserialize)]` macros are provided by the
 //! companion `serde_derive` shim and re-exported here exactly like the
 //! real crate does with its `derive` feature.
@@ -33,7 +36,7 @@ pub enum Value {
     U64(u64),
     /// Signed integer (serialized without a decimal point).
     I64(i64),
-    /// Floating-point number. Non-finite values serialize as `null`.
+    /// Floating-point number. JSON writes `NaN` as `null`.
     F64(f64),
     /// JSON string.
     Str(String),
@@ -68,34 +71,27 @@ impl Value {
         }
     }
 
-    /// Numeric view accepting any of the number variants.
+    /// The float, if this value is one. No other variant converts, just
+    /// as the binary reader reads a float only under its own tag.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {
-            Value::U64(v) => Some(v as f64),
-            Value::I64(v) => Some(v as f64),
             Value::F64(v) => Some(v),
-            Value::Null => Some(f64::NAN),
             _ => None,
         }
     }
 
-    /// Integer view accepting the integral number variants (and integral
-    /// floats, which JSON cannot distinguish).
+    /// The unsigned integer, if this value is one.
     pub fn as_u64(&self) -> Option<u64> {
         match *self {
             Value::U64(v) => Some(v),
-            Value::I64(v) if v >= 0 => Some(v as u64),
-            Value::F64(v) if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 => Some(v as u64),
             _ => None,
         }
     }
 
-    /// Signed integer view accepting the integral number variants.
+    /// The signed integer, if this value is one.
     pub fn as_i64(&self) -> Option<i64> {
         match *self {
-            Value::U64(v) if v <= i64::MAX as u64 => Some(v as i64),
             Value::I64(v) => Some(v),
-            Value::F64(v) if v.fract() == 0.0 && v.abs() <= i64::MAX as f64 => Some(v as i64),
             _ => None,
         }
     }
@@ -175,15 +171,16 @@ pub trait Deserialize: Sized {
     fn from_value(value: &Value) -> Result<Self, DeError>;
 
     /// Reads `Self` from its [`binary`] encoding at nesting `depth`,
-    /// straight into the fields. It must accept exactly what
+    /// straight into the fields. It accepts only the tags
+    /// [`write_binary`](Serialize::write_binary) emits for the type and
+    /// refuses any other with a [`DeError`]; it must accept exactly what
     /// [`binary::decode_value`] followed by [`from_value`](Self::from_value)
-    /// accepts, and build the same value; a reader may hand a
-    /// non-canonical tag to [`binary::via_value`] to get that.
+    /// accepts, and build the same value.
     fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError>;
 }
 
 /// A [`Value`] tree is its own data model; its binary form is the tree
-/// codec itself. JSON envelopes and hand-built test payloads use it.
+/// codec itself. Hand-built test payloads use it.
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
@@ -220,13 +217,13 @@ impl Deserialize for bool {
         } else if reader.accept(depth, binary::TAG_FALSE)? {
             Ok(false)
         } else {
-            binary::via_value(reader, depth)
+            Err(DeError::expected("bool", "bool"))
         }
     }
 }
 
-/// Integers: the canonical tag (`U64` for unsigned, `I64` for signed) is
-/// read directly; any other tag goes through the lenient [`Value`] views.
+/// Integers: only the canonical tag (`U64` for unsigned, `I64` for signed)
+/// is read; any other tag is refused.
 macro_rules! impl_serde_integer {
     ($variant:ident, $raw:ty, $tag:ident, $write:ident, $view:ident, $what:literal: $($t:ty),*) => {$(
         impl Serialize for $t {
@@ -246,7 +243,7 @@ macro_rules! impl_serde_integer {
             #[inline(always)]
             fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
                 if !reader.accept(depth, binary::$tag)? {
-                    return binary::via_value(reader, depth);
+                    return Err(DeError::expected($what, stringify!($t)));
                 }
                 let raw = reader.take_u64()? as $raw;
                 <$t>::try_from(raw).map_err(|_| DeError::new(format!("{raw} out of range for {}", stringify!($t))))
@@ -271,7 +268,7 @@ impl Serialize for f64 {
 
 impl Deserialize for f64 {
     fn from_value(value: &Value) -> Result<Self, DeError> {
-        value.as_f64().ok_or_else(|| DeError::expected("number", "f64"))
+        value.as_f64().ok_or_else(|| DeError::expected("float", "f64"))
     }
 
     #[inline(always)]
@@ -279,7 +276,7 @@ impl Deserialize for f64 {
         if reader.accept(depth, binary::TAG_F64)? {
             Ok(f64::from_bits(reader.take_u64()?))
         } else {
-            binary::via_value(reader, depth)
+            Err(DeError::expected("float", "f64"))
         }
     }
 }
@@ -300,7 +297,7 @@ impl Deserialize for f32 {
         value
             .as_f64()
             .map(|v| v as f32)
-            .ok_or_else(|| DeError::expected("number", "f32"))
+            .ok_or_else(|| DeError::expected("float", "f32"))
     }
 
     #[inline]
@@ -333,7 +330,7 @@ impl Deserialize for String {
         if reader.accept(depth, binary::TAG_STR)? {
             Ok(reader.take_str()?.to_owned())
         } else {
-            binary::via_value(reader, depth)
+            Err(DeError::expected("string", "String"))
         }
     }
 }
@@ -514,6 +511,26 @@ mod tests {
         let entries = vec![("a".to_string(), Value::U64(1))];
         assert!(map_get(&entries, "a").is_ok());
         assert!(map_get(&entries, "b").is_err());
+    }
+
+    #[test]
+    fn only_the_canonical_tag_is_read() {
+        fn refused<T: Deserialize>(value: Value) {
+            let bytes = binary::to_vec(&value);
+            assert!(
+                binary::from_slice::<T>(&bytes).is_err(),
+                "{value:?} read directly"
+            );
+            assert!(T::from_value(&value).is_err(), "{value:?} read through the tree");
+        }
+        refused::<f64>(Value::U64(3));
+        refused::<f64>(Value::I64(-3));
+        refused::<f64>(Value::Null);
+        refused::<u64>(Value::I64(3));
+        refused::<u64>(Value::F64(3.0));
+        refused::<i64>(Value::U64(3));
+        refused::<bool>(Value::U64(1));
+        refused::<String>(Value::U64(1));
     }
 
     #[test]

@@ -2,32 +2,25 @@
 //! [`serde_json`](https://crates.io/crates/serde_json) crate, vendored under
 //! `crates/compat/` because the build environment has no registry access.
 //!
-//! Converts between JSON text and the vendored serde shim's `Value` data
-//! model. Floating-point numbers are written with Rust's shortest
-//! round-tripping representation, so `serialize → deserialize` is lossless
-//! for every finite `f64`. Infinities are written as `±1e999` — valid JSON
-//! that overflows back to `±inf` on parse — so values like unbounded
-//! leaf-region bounds survive round-trips; `NaN` is written as `null` and
-//! read back as `NaN` (unlike real serde_json, which loses all non-finite
-//! values to `null`).
+//! Writer only: renders the vendored serde shim's `Value` data model as
+//! indented JSON text, which is what the experiments' reports need. No
+//! program reads JSON, so there is no parser. Floating-point numbers are
+//! written with Rust's shortest round-tripping representation, so any JSON
+//! reader gets every finite `f64` back exactly. Infinities are written as
+//! `±1e999` — valid JSON that overflows to `±inf` in a standard float
+//! parser — so values like unbounded leaf-region bounds are not lost;
+//! `NaN` is written as `null`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
-/// Serialization/deserialization error.
+/// Serialization error. Rendering a `Value` never fails, so none is ever
+/// returned; the type keeps the real crate's signatures.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Error {
     message: String,
-}
-
-impl Error {
-    fn new(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-        }
-    }
 }
 
 impl core::fmt::Display for Error {
@@ -38,55 +31,15 @@ impl core::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<DeError> for Error {
-    fn from(err: DeError) -> Self {
-        Error::new(err.to_string())
-    }
-}
-
-/// Serializes `value` to a compact JSON string.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
-}
-
-/// Serializes `value` to a human-readable, indented JSON string.
+/// Serializes `value` to a human-readable JSON string indented by two
+/// spaces per level.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.to_value(), &mut out, 0);
     Ok(out)
 }
 
-/// Deserializes a value from a JSON string.
-pub fn from_str<T: Deserialize>(text: &str) -> Result<T, Error> {
-    let value = parse_value_str(text)?;
-    Ok(T::from_value(&value)?)
-}
-
-/// Parses a JSON string into the generic [`Value`] model.
-pub fn parse_value_str(text: &str) -> Result<Value, Error> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_whitespace(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {pos}")));
-    }
-    Ok(value)
-}
-
-/// Maximum container nesting accepted by the parser. Inputs nesting deeper
-/// are rejected with an error instead of recursing until the stack
-/// overflows (real serde_json enforces the same guard as
-/// `recursion_limit`, default 128).
-const MAX_DEPTH: usize = 128;
-
-// ---------------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------------
-
-fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+fn write_value(value: &Value, out: &mut String, depth: usize) {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -98,15 +51,13 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
                 // `{:?}` is Rust's shortest round-tripping float formatting.
                 out.push_str(&format!("{v:?}"));
             } else if *v == f64::INFINITY {
-                // Syntactically valid JSON that overflows back to +inf on
-                // parse, so infinite values (e.g. unbounded leaf-region
-                // bounds) survive a round-trip.
+                // Syntactically valid JSON that overflows back to +inf in a
+                // float parser, so infinite values (e.g. unbounded
+                // leaf-region bounds) are not lost.
                 out.push_str("1e999");
             } else if *v == f64::NEG_INFINITY {
                 out.push_str("-1e999");
             } else {
-                // NaN: `null`, which deserializes back to NaN (see the
-                // serde shim's `as_f64`).
                 out.push_str("null");
             }
         }
@@ -121,10 +72,10 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
                 if i > 0 {
                     out.push(',');
                 }
-                write_break(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
+                write_break(out, depth + 1);
+                write_value(item, out, depth + 1);
             }
-            write_break(out, indent, depth);
+            write_break(out, depth);
             out.push(']');
         }
         Value::Map(entries) => {
@@ -137,26 +88,21 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: us
                 if i > 0 {
                     out.push(',');
                 }
-                write_break(out, indent, depth + 1);
+                write_break(out, depth + 1);
                 write_string(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
+                out.push_str(": ");
+                write_value(item, out, depth + 1);
             }
-            write_break(out, indent, depth);
+            write_break(out, depth);
             out.push('}');
         }
     }
 }
 
-fn write_break(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
+fn write_break(out: &mut String, depth: usize) {
+    out.push('\n');
+    for _ in 0..2 * depth {
+        out.push(' ');
     }
 }
 
@@ -178,272 +124,65 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-fn skip_whitespace(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
-    if depth > MAX_DEPTH {
-        return Err(Error::new(format!("nesting deeper than {MAX_DEPTH} levels")));
-    }
-    skip_whitespace(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(Error::new("unexpected end of input")),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_whitespace(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Seq(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_whitespace(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Seq(items));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `]` at byte {pos}"))),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut entries = Vec::new();
-            skip_whitespace(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Map(entries));
-            }
-            loop {
-                skip_whitespace(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_whitespace(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(Error::new(format!("expected `:` at byte {pos}")));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos, depth + 1)?;
-                entries.push((key, value));
-                skip_whitespace(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Map(entries));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `}}` at byte {pos}"))),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Value) -> Result<Value, Error> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(Error::new(format!("invalid literal at byte {pos}")))
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(Error::new(format!("expected string at byte {pos}")));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'u') => {
-                        let high = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        let code = if (0xD800..0xDC00).contains(&high) {
-                            // Surrogate pair: expect `\uXXXX` low surrogate.
-                            if bytes.get(*pos + 1) == Some(&b'\\') && bytes.get(*pos + 2) == Some(&b'u')
-                            {
-                                let low = parse_hex4(bytes, *pos + 3)?;
-                                *pos += 6;
-                                0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
-                            } else {
-                                return Err(Error::new("unpaired surrogate"));
-                            }
-                        } else {
-                            high
-                        };
-                        out.push(
-                            char::from_u32(code).ok_or_else(|| Error::new("invalid unicode escape"))?,
-                        );
-                    }
-                    _ => return Err(Error::new(format!("invalid escape at byte {pos}"))),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is a &str, so this is
-                // always valid).
-                let rest =
-                    core::str::from_utf8(&bytes[*pos..]).map_err(|_| Error::new("invalid utf-8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_hex4(bytes: &[u8], start: usize) -> Result<u32, Error> {
-    if start + 4 > bytes.len() {
-        return Err(Error::new("truncated unicode escape"));
-    }
-    let text = core::str::from_utf8(&bytes[start..start + 4])
-        .map_err(|_| Error::new("invalid unicode escape"))?;
-    u32::from_str_radix(text, 16).map_err(|_| Error::new("invalid unicode escape"))
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
-    let start = *pos;
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' | b'-' | b'+' => *pos += 1,
-            b'.' | b'e' | b'E' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
-        }
-    }
-    let text = core::str::from_utf8(&bytes[start..*pos]).map_err(|_| Error::new("invalid number"))?;
-    if text.is_empty() {
-        return Err(Error::new(format!("expected value at byte {start}")));
-    }
-    if !is_float {
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Value::U64(v));
-        }
-        if let Ok(v) = text.parse::<i64>() {
-            return Ok(Value::I64(v));
-        }
-    }
-    text.parse::<f64>()
-        .map(Value::F64)
-        .map_err(|_| Error::new(format!("invalid number `{text}`")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json<T: Serialize + ?Sized>(value: &T) -> String {
+        to_string_pretty(value).unwrap()
+    }
+
     #[test]
     fn scalars_round_trip() {
-        assert_eq!(to_string(&true).unwrap(), "true");
-        assert_eq!(to_string(&42u32).unwrap(), "42");
-        assert_eq!(to_string(&-3i64).unwrap(), "-3");
-        assert_eq!(to_string(&1.5f64).unwrap(), "1.5");
-        assert_eq!(from_str::<f64>("1.5").unwrap(), 1.5);
-        assert_eq!(from_str::<u32>("42").unwrap(), 42);
-        assert!(!from_str::<bool>("false").unwrap());
+        assert_eq!(json(&true), "true");
+        assert_eq!(json(&42u32), "42");
+        assert_eq!(json(&-3i64), "-3");
+        assert_eq!(json(&1.5f64), "1.5");
+        // The number text reads back through the standard parsers.
+        assert_eq!(json(&42u32).parse::<u32>().unwrap(), 42);
+        assert_eq!(json(&-3i64).parse::<i64>().unwrap(), -3);
     }
 
     #[test]
     fn floats_round_trip_exactly() {
         for v in [0.1, 1.0 / 3.0, f64::MIN_POSITIVE, 1e300, -2.5e-9, 0.0] {
-            let text = to_string(&v).unwrap();
-            assert_eq!(from_str::<f64>(&text).unwrap(), v, "text {text}");
+            let text = json(&v);
+            assert_eq!(text.parse::<f64>().unwrap(), v, "text {text}");
         }
     }
 
     #[test]
     fn non_finite_floats_round_trip() {
         for v in [f64::INFINITY, f64::NEG_INFINITY] {
-            let text = to_string(&v).unwrap();
-            assert_eq!(from_str::<f64>(&text).unwrap(), v, "text {text}");
+            let text = json(&v);
+            assert_eq!(text.parse::<f64>().unwrap(), v, "text {text}");
         }
-        let nan_text = to_string(&f64::NAN).unwrap();
-        assert_eq!(nan_text, "null");
-        assert!(from_str::<f64>(&nan_text).unwrap().is_nan());
+        assert_eq!(json(&f64::NAN), "null");
     }
 
     #[test]
     fn integral_floats_survive_the_untyped_number_grammar() {
-        // `1.0` serializes as "1.0" (float syntax) and must come back as f64.
-        let v = vec![1.0f64, 2.0, 0.5];
-        let text = to_string(&v).unwrap();
-        assert_eq!(from_str::<Vec<f64>>(&text).unwrap(), v);
+        // `1.0` keeps its float syntax, so a reader can tell it from `1`.
+        assert_eq!(json(&vec![1.0f64, 2.0, 0.5]), "[\n  1.0,\n  2.0,\n  0.5\n]");
     }
 
     #[test]
-    fn strings_escape_and_unescape() {
-        let original = "line\nbreak \"quoted\" back\\slash tab\t unicode \u{1F980}".to_string();
-        let text = to_string(&original).unwrap();
-        assert_eq!(from_str::<String>(&text).unwrap(), original);
+    fn strings_are_escaped() {
+        let original = "line\nbreak \"quoted\" back\\slash tab\t bell\u{7} unicode \u{1F980}";
+        assert_eq!(
+            json(original),
+            "\"line\\nbreak \\\"quoted\\\" back\\\\slash tab\\t bell\\u0007 unicode \u{1F980}\""
+        );
     }
 
     #[test]
-    fn containers_round_trip() {
-        let v: Vec<Option<usize>> = vec![Some(1), None, Some(3)];
-        let text = to_string(&v).unwrap();
-        assert_eq!(text, "[1,null,3]");
-        assert_eq!(from_str::<Vec<Option<usize>>>(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn pretty_output_is_indented_and_parseable() {
-        let v = vec![vec![1u32, 2], vec![3]];
-        let text = to_string_pretty(&v).unwrap();
-        assert!(text.contains('\n'));
-        assert_eq!(from_str::<Vec<Vec<u32>>>(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn parse_errors_are_reported() {
-        assert!(from_str::<bool>("tru").is_err());
-        assert!(from_str::<Vec<u32>>("[1, 2").is_err());
-        assert!(from_str::<u32>("12 garbage").is_err());
-    }
-
-    #[test]
-    fn deep_nesting_is_rejected_instead_of_overflowing_the_stack() {
-        let hostile = "[".repeat(100_000);
-        assert!(parse_value_str(&hostile).is_err());
-        let mut balanced = "[".repeat(MAX_DEPTH + 10);
-        balanced.push_str(&"]".repeat(MAX_DEPTH + 10));
-        assert!(parse_value_str(&balanced).is_err());
-        // Nesting inside the limit still parses.
-        let mut fine = "[".repeat(MAX_DEPTH / 2);
-        fine.push_str(&"]".repeat(MAX_DEPTH / 2));
-        assert!(parse_value_str(&fine).is_ok());
+    fn pretty_output_is_indented() {
+        let nested = vec![vec![Some(1u32), None], vec![]];
+        assert_eq!(json(&nested), "[\n  [\n    1,\n    null\n  ],\n  []\n]");
+        let map = Value::Map(vec![
+            ("a".into(), Value::Seq(vec![Value::U64(1)])),
+            ("b".into(), Value::Map(Vec::new())),
+        ]);
+        assert_eq!(json(&map), "{\n  \"a\": [\n    1\n  ],\n  \"b\": {}\n}");
     }
 }

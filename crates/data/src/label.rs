@@ -204,7 +204,7 @@ impl Deserialize for Label {
         if reader.accept(depth, serde::binary::TAG_U64)? {
             label_from_u64(reader.take_u64()?)
         } else {
-            serde::binary::via_value(reader, depth)
+            Err(DeError::expected("class index", "Label"))
         }
     }
 }
@@ -457,7 +457,7 @@ impl Deserialize for ClassCounts {
 
     fn read_binary(reader: &mut binary::Reader<'_>, depth: usize) -> Result<Self, DeError> {
         if !reader.accept(depth, binary::TAG_SEQ)? {
-            return binary::via_value(reader, depth);
+            return Err(DeError::expected("sequence", "ClassCounts"));
         }
         let len = reader.take_len()?;
         let mut counts = ClassCounts::checked(len)?;
@@ -646,31 +646,28 @@ mod tests {
 
     #[test]
     fn label_serializes_as_class_index_and_refuses_variant_names() {
-        let json = serde_json::to_string(&Label::Positive).unwrap();
-        assert_eq!(json, "1");
-        let back: Label = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, Label::Positive);
-        for name in ["\"Negative\"", "\"Positive\"", "\"Sideways\""] {
-            let err = serde_json::from_str::<Label>(name).unwrap_err();
-            assert!(err.to_string().contains("class index"), "{name}: {err}");
-            let mut bytes = Vec::new();
-            binary::encode_value(&serde_json::parse_value_str(name).unwrap(), &mut bytes);
-            assert!(binary::from_slice::<Label>(&bytes).is_err(), "{name}");
+        let bytes = binary::to_vec(&Label::Positive);
+        assert_eq!(bytes, binary::to_vec(&1u64));
+        assert_eq!(binary::from_slice::<Label>(&bytes).unwrap(), Label::Positive);
+        let names = ["Negative", "Positive", "Sideways"].map(|name| Value::Str(name.into()));
+        for shape in names.into_iter().chain([Value::I64(1)]) {
+            let err = binary::from_slice::<Label>(&binary::to_vec(&shape)).unwrap_err();
+            assert!(err.to_string().contains("class index"), "{shape:?}: {err}");
         }
     }
 
     #[test]
     fn class_counts_serialize_as_sequence_and_refuse_named_maps() {
         let counts = ClassCounts::from_slice(&[1.0, 2.0, 3.0]);
-        let json = serde_json::to_string(&counts).unwrap();
-        let back: ClassCounts = serde_json::from_str(&json).unwrap();
+        let back: ClassCounts = binary::from_slice(&binary::to_vec(&counts)).unwrap();
         assert_eq!(back, counts);
-        for shape in ["{\"negative\":4.0,\"positive\":5.0}", "true"] {
-            let err = serde_json::from_str::<ClassCounts>(shape).unwrap_err();
-            assert!(err.to_string().contains("sequence"), "{shape}: {err}");
-            let mut bytes = Vec::new();
-            binary::encode_value(&serde_json::parse_value_str(shape).unwrap(), &mut bytes);
-            assert!(binary::from_slice::<ClassCounts>(&bytes).is_err(), "{shape}");
+        let named = Value::Map(vec![
+            ("negative".into(), Value::F64(4.0)),
+            ("positive".into(), Value::F64(5.0)),
+        ]);
+        for shape in [named, Value::Bool(true)] {
+            let err = binary::from_slice::<ClassCounts>(&binary::to_vec(&shape)).unwrap_err();
+            assert!(err.to_string().contains("sequence"), "{shape:?}: {err}");
         }
     }
 }

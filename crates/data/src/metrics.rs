@@ -277,6 +277,7 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::binary;
 
     const P: Label = Label::Positive;
     const N: Label = Label::Negative;
@@ -371,13 +372,16 @@ mod tests {
     fn serde_round_trip_and_refusal_of_the_binary_count_shape() {
         let truth = [P, N, P];
         let m = ConfusionMatrix::from_predictions(&truth, &truth);
-        let json = serde_json::to_string(&m).unwrap();
-        let back: ConfusionMatrix = serde_json::from_str(&json).unwrap();
+        let back: ConfusionMatrix = binary::from_slice(&binary::to_vec(&m)).unwrap();
         assert_eq!(back, m);
-        let err = serde_json::from_str::<ConfusionMatrix>(
-            "{\"true_positive\":2,\"true_negative\":1,\"false_positive\":3,\"false_negative\":4}",
-        )
-        .unwrap_err();
+        let count = |key: &str, n: u64| (key.to_string(), Value::U64(n));
+        let four = Value::Map(vec![
+            count("true_positive", 2),
+            count("true_negative", 1),
+            count("false_positive", 3),
+            count("false_negative", 4),
+        ]);
+        let err = binary::from_slice::<ConfusionMatrix>(&binary::to_vec(&four)).unwrap_err();
         assert!(err.to_string().contains("missing field `classes`"), "{err}");
     }
 

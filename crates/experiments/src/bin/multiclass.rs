@@ -2,13 +2,13 @@
 //! synthetic k-class dataset, embed a watermark, persist and reload the
 //! model, serve it from a dispute service and verify the owner's claim.
 use wdte_experiments::multiclass::{multiclass_sweep, print_multiclass};
-use wdte_experiments::report::{print_header, save_json};
+use wdte_experiments::report::{print_header, results_dir, save_json};
 use wdte_experiments::ExperimentSettings;
 
 fn main() {
     let settings = ExperimentSettings::from_args();
     print_header("Multi-class sweep: embed -> persist -> serve -> verify for k in {2, 3, 5, 10}");
-    let rows = multiclass_sweep(&settings);
+    let rows = multiclass_sweep(&settings, &results_dir().join("models-kclass"));
     print_multiclass(&rows);
     save_json("multiclass", &rows);
     for row in &rows {

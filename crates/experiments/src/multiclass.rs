@@ -20,6 +20,7 @@ use crate::settings::ExperimentSettings;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 use wdte_core::{
     persist, watermark_holds, DisputeService, OwnershipClaim, Signature, WatermarkConfig,
     WatermarkOutcome, Watermarker, MODEL_FILE_SUFFIX,
@@ -102,17 +103,20 @@ fn test_quality(model: &RandomForest, test: &Dataset) -> (f64, f64) {
 
 /// Runs the full embed → persist → serve → verify pipeline for one `k`.
 ///
-/// The model is persisted under `results/models-kclass/` and *reloaded
-/// from disk* before serving, so the row exercises the persistence codec
-/// and the dispute service on exactly the artefact a real deployment
-/// would ship.
-pub fn multiclass_row(settings: &ExperimentSettings, num_classes: usize) -> MultiClassRow {
+/// The model is persisted as `model_dir/synth-k<k>.model.wdte` and
+/// *reloaded from disk* before serving, so the row exercises the
+/// persistence codec and the dispute service on exactly the artefact a
+/// real deployment would ship.
+pub fn multiclass_row(
+    settings: &ExperimentSettings,
+    num_classes: usize,
+    model_dir: &Path,
+) -> MultiClassRow {
     let (outcome, test) = prepare_multiclass_setup(settings, num_classes);
     let holds = watermark_holds(&outcome.model, &outcome.signature, &outcome.trigger_set);
 
-    let dir = crate::report::results_dir().join("models-kclass");
-    let path = dir.join(format!("synth-k{num_classes}{MODEL_FILE_SUFFIX}"));
-    let served = match std::fs::create_dir_all(&dir)
+    let path = model_dir.join(format!("synth-k{num_classes}{MODEL_FILE_SUFFIX}"));
+    let served = match std::fs::create_dir_all(model_dir)
         .map_err(|err| err.to_string())
         .and_then(|()| {
             persist::save(&path, &outcome.model, persist::Format::Binary).map_err(|err| err.to_string())
@@ -156,9 +160,9 @@ pub fn multiclass_row(settings: &ExperimentSettings, num_classes: usize) -> Mult
     }
 }
 
-/// Runs the sweep over `K_SWEEP`.
-pub fn multiclass_sweep(settings: &ExperimentSettings) -> Vec<MultiClassRow> {
-    K_SWEEP.iter().map(|&k| multiclass_row(settings, k)).collect()
+/// Runs the sweep over `K_SWEEP`, saving the models under `model_dir`.
+pub fn multiclass_sweep(settings: &ExperimentSettings, model_dir: &Path) -> Vec<MultiClassRow> {
+    K_SWEEP.iter().map(|&k| multiclass_row(settings, k, model_dir)).collect()
 }
 
 /// Prints the sweep rows as a console table.
@@ -201,7 +205,9 @@ mod tests {
             seed: 11,
             ..ExperimentSettings::laptop()
         };
-        let row = multiclass_row(&settings, 3);
+        let dir = std::env::temp_dir().join(format!("wdte-multiclass-{}", std::process::id()));
+        let row = multiclass_row(&settings, 3, &dir);
+        std::fs::remove_dir_all(&dir).expect("the row saved its model there");
         assert_eq!(row.num_classes, 3);
         assert!(row.watermark_holds, "the embedded watermark must hold");
         assert!(

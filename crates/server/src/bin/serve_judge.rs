@@ -13,14 +13,16 @@
 //! serve_judge [--addr 127.0.0.1:7431] [--warm-start DIR]...
 //!             [--port-file PATH] [--max-docket N]
 //!             [--workers N] [--max-connections N] [--max-pipeline N]
-//!             [--claim-cache-mb N] [--key-file PATH]
+//!             [--claim-cache-mb N]
+//!             [--read-timeout-secs N] [--key-file PATH]
 //!             [--quota-models N] [--quota-claim-mb N]
 //!             [--quota-in-flight N] [--stats-interval-secs N]
 //! ```
 //!
 //! `--addr 127.0.0.1:0` binds an ephemeral port; `--port-file` writes the
 //! actually-bound address to a file once listening, so scripts (the CI
-//! smoke job) can discover it race-free.
+//! smoke job) can discover it race-free. `--read-timeout-secs` drops a
+//! connection idle that long (`0` = never).
 //!
 //! The judge speaks WDTP v5: every connection may pipeline requests (up
 //! to `--max-pipeline` in flight each; `0` = unbounded) and claims are
@@ -70,6 +72,7 @@
 //! (`--backends`, `--ring-replicas`, `--retry-siblings`,
 //! `--health-interval-secs`) without it.
 
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -254,6 +257,21 @@ fn mib_to_bytes(flag: &str, text: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("{flag}: {mb} MiB overflows a byte count"))
 }
 
+/// Writes the bound `addr` to `--port-file`, if one was given: to a
+/// `.tmp` sibling first, then renamed, so a watcher never reads a
+/// half-written file. Returns whether serving may go on.
+fn write_port_file(path: Option<&str>, addr: SocketAddr) -> bool {
+    let Some(path) = path else { return true };
+    let tmp = format!("{path}.tmp");
+    match std::fs::write(&tmp, addr.to_string()).and_then(|()| std::fs::rename(&tmp, path)) {
+        Ok(()) => true,
+        Err(err) => {
+            eprintln!("serve_judge: could not write --port-file {path}: {err}");
+            false
+        }
+    }
+}
+
 /// Serves the fleet router: health-checked consistent-hash routing of
 /// WDTP requests across the configured backends.
 fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
@@ -289,13 +307,8 @@ fn run_router(args: Args, key_ring: Option<Arc<KeyRing>>) -> ExitCode {
         args.backends.join(", "),
         wdte_core::PROTOCOL_VERSION,
     );
-    if let Some(path) = &args.port_file {
-        let tmp = format!("{path}.tmp");
-        let write = std::fs::write(&tmp, addr.to_string()).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(err) = write {
-            eprintln!("serve_judge: could not write --port-file {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+    if !write_port_file(args.port_file.as_deref(), addr) {
+        return ExitCode::FAILURE;
     }
     match router.serve() {
         Ok(()) => ExitCode::SUCCESS,
@@ -429,14 +442,8 @@ fn main() -> ExitCode {
             println!("serve_judge stats [{}]", summary.join(" | "));
         });
     }
-    if let Some(path) = &args.port_file {
-        // Write-then-rename so a watcher never reads a half-written file.
-        let tmp = format!("{path}.tmp");
-        let write = std::fs::write(&tmp, addr.to_string()).and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(err) = write {
-            eprintln!("serve_judge: could not write --port-file {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+    if !write_port_file(args.port_file.as_deref(), addr) {
+        return ExitCode::FAILURE;
     }
     match server.serve() {
         Ok(()) => ExitCode::SUCCESS,

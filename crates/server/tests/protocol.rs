@@ -9,12 +9,13 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use serde::{Serialize, Value};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wdte_core::error::{WatermarkError, WatermarkResult};
-use wdte_core::proto::{self, DisputeRef, PayloadDigest, Request, Response, WireFault};
+use wdte_core::proto::{self, DisputeRef, DocketVerdict, PayloadDigest, Request, Response, WireFault};
 use wdte_core::{
     Dispute, DisputeService, KeyRing, OwnershipClaim, Signature, TenantId, TenantQuotas,
     WatermarkConfig, WatermarkOutcome, Watermarker,
@@ -415,7 +416,11 @@ fn read_error_response(stream: &mut TcpStream) -> (u64, WireFault) {
 }
 
 /// One raw request/response exchange with correlation id `corr`.
-fn exchange(reader: &mut BufReader<TcpStream>, corr: u64, request: &Request) -> (u64, Response) {
+fn exchange<T: Serialize + ?Sized>(
+    reader: &mut BufReader<TcpStream>,
+    corr: u64,
+    request: &T,
+) -> (u64, Response) {
     reader
         .get_mut()
         .write_all(&proto::encode_frame(corr, request).unwrap())
@@ -1287,6 +1292,7 @@ on_both_front_ends!(
     half_closed_socket_mid_frame_does_not_wedge_the_server,
     half_closed_socket_between_frames_is_a_clean_goodbye,
     garbage_payload_in_a_valid_frame_keeps_the_connection_usable,
+    a_feature_tagged_u64_is_a_bad_request_and_the_connection_keeps_serving,
     a_keyed_judge_refuses_anonymous_frames_but_keeps_the_connection,
     bad_and_truncated_tags_are_refused_without_poisoning_the_connection,
     a_replayed_frame_is_refused_by_the_sequence_check,
@@ -1454,6 +1460,63 @@ mod cases {
         assert!(
             matches!(second, Response::Pong { .. }),
             "the connection survived the bad payload"
+        );
+        server.shutdown().unwrap();
+    }
+
+    /// A docket whose frame carries one feature under the `U64` tag, which
+    /// no encoder writes for an `f64`, is refused as `BadRequest` (in
+    /// process, `decode_payload` refuses the same bytes), and the next
+    /// docket on the connection resolves bit-identically to `resolve_as`.
+    pub(crate) fn a_feature_tagged_u64_is_a_bad_request_and_the_connection_keeps_serving(front: Front) {
+        fn retag_first_feature(value: &mut Value) -> bool {
+            match value {
+                Value::Map(entries) => entries.iter_mut().any(|(key, item)| match item {
+                    Value::Seq(values) if key == "values" && !values.is_empty() => {
+                        values[0] = Value::U64(3);
+                        true
+                    }
+                    item => retag_first_feature(item),
+                }),
+                Value::Seq(items) => items.iter_mut().any(retag_first_feature),
+                _ => false,
+            }
+        }
+        let (model, claim) = plain_fixture(61);
+        let docket = Request::ResolveDocketRef {
+            bodies: vec![claim.clone()],
+            disputes: vec![DisputeRef::new("m", PayloadDigest::of_claim(&claim))],
+        };
+        let mut retagged = docket.to_value();
+        assert!(retag_first_feature(&mut retagged), "the claim has features");
+        assert!(matches!(
+            proto::decode_payload::<Request>(&serde::binary::to_vec(&retagged)),
+            Err(WatermarkError::ProtocolViolation { .. })
+        ));
+
+        let service = Arc::new(DisputeService::builder().build().unwrap());
+        service.register("m", &model);
+        let reference = service.resolve_as(&TenantId::anonymous(), "m", &claim).unwrap();
+        let server = start_front(front, service);
+        let mut reader = BufReader::new(raw_connection(&server));
+        match exchange(&mut reader, 1, &retagged) {
+            (
+                1,
+                Response::Error {
+                    fault: WireFault::BadRequest { detail },
+                },
+            ) => assert!(detail.contains("float"), "{detail}"),
+            other => panic!("expected a BadRequest for the U64 feature, got {other:?}"),
+        }
+        assert_eq!(
+            exchange(&mut reader, 2, &docket),
+            (
+                2,
+                Response::Docket {
+                    verdicts: vec![DocketVerdict::Report(reference)],
+                }
+            ),
+            "the next docket on the connection resolves bit-identically"
         );
         server.shutdown().unwrap();
     }

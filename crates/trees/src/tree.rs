@@ -834,8 +834,7 @@ mod tests {
     fn serde_round_trip() {
         let dataset = xor_dataset();
         let tree = DecisionTree::fit(&dataset, &TreeParams::default());
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: DecisionTree = serde_json::from_str(&json).unwrap();
+        let back: DecisionTree = serde::binary::from_slice(&serde::binary::to_vec(&tree)).unwrap();
         assert_eq!(back, tree);
     }
 }

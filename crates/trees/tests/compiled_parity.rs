@@ -1,7 +1,7 @@
 //! Property tests pinning the compiled inference path to the recursive
 //! reference: for arbitrary datasets — including `NaN` and `±inf` feature
 //! values — every compiled prediction must be bit-identical to the
-//! pointer-tree walk, and a JSON round trip of the pointer model must
+//! pointer-tree walk, and a binary round trip of the pointer model must
 //! compile to the same forest. Hand-built forests add the shapes training
 //! rarely yields: a lone leaf as the first tree, forests of only leaves
 //! and mixed tree depths, at batch sizes around the block width.
@@ -227,7 +227,7 @@ proptest! {
     }
 
     #[test]
-    fn json_round_trips_preserve_predictions_exactly(
+    fn binary_round_trips_preserve_predictions_exactly(
         rows in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 6..32),
         probes in proptest::collection::vec(proptest::collection::vec(feature_value(), 3), 1..16),
         label_bits in proptest::collection::vec(any::<bool>(), 32),
@@ -242,15 +242,15 @@ proptest! {
         let forest = RandomForest::fit(&dataset, &params, &mut SmallRng::seed_from_u64(seed));
         let compiled = CompiledForest::compile(&forest);
 
-        let forest_json = serde_json::to_string(&forest).unwrap();
-        let restored_forest: RandomForest = serde_json::from_str(&forest_json).unwrap();
+        let restored_forest: RandomForest =
+            serde::binary::from_slice(&serde::binary::to_vec(&forest)).unwrap();
         prop_assert_eq!(&restored_forest, &forest);
         for probe in &probes {
             prop_assert_eq!(restored_forest.predict_all(probe), forest.predict_all(probe));
         }
 
         // Compiling the restored pointer forest reproduces the compiled
-        // forest bit for bit: thresholds survived the text round-trip.
+        // forest bit for bit: thresholds survived the byte round trip.
         let restored_compiled = CompiledForest::compile(&restored_forest);
         prop_assert_eq!(&restored_compiled, &compiled);
         let probe_matrix = DenseMatrix::from_rows(&probes).unwrap();
